@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test coverage bench bench-baseline bench-gated docs-check
+.PHONY: test coverage bench bench-baseline bench-gated bench-e2e bench-e2e-compare docs-check
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -46,3 +46,14 @@ bench-baseline:
 bench-gated:
 	$(PYTHON) benchmarks/run_bench.py --compare benchmarks/ci_baseline.json \
 		--only test_bench_codec_encode_many,test_bench_codec_packed_numba,test_bench_engine_scale_closed_loop,test_bench_engine_faulted,test_bench_engine_hedged_faulted,test_bench_engine_million_lane,test_bench_serve_wire,test_bench_serve_wire_degraded,test_bench_fig6_frankfurt
+
+## The end-to-end benchmark (BENCHMARK.json): six workloads over the three
+## vertical paths, drift-corrected, written to bench-out/e2e.json.
+bench-e2e:
+	mkdir -p bench-out
+	python3 bench/run.py --out bench-out/e2e.json
+
+## Verdict per workload x metric between two bench-e2e result files:
+##   make bench-e2e-compare BASE=before.json NEW=after.json
+bench-e2e-compare:
+	python3 bench/compare.py $(BASE) $(NEW)

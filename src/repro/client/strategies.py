@@ -18,10 +18,11 @@ writes happen off the critical path and are not charged (§V-A).
 
 from __future__ import annotations
 
+import copy
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,54 +37,85 @@ from repro.core.options import PlacedChunk, needed_chunks
 from repro.erasure.chunk import Chunk, ChunkId
 
 
-class _SelectionRecord:
+class _Selection:
     """Everything one backend-fetch selection needs at read time.
 
-    Memoised per cache-hit pattern in :class:`_IndexedReadPlan`, so one short
-    dict lookup per read replaces the selection scan, the draw grouping, the
-    regions tuple and the fetched-index set.
+    Memoised per (cache hits, neighbour chunks, down regions) pattern in
+    :class:`_ReadPlan`, so one short dict lookup per read replaces the
+    selection scan, the survivor re-plan, the draw grouping, the regions
+    tuple, the fetched chunk list and the hedge candidate.
     """
 
-    __slots__ = ("positions", "count", "groups", "regions", "fetched_indices")
+    __slots__ = ("positions", "count", "groups", "regions", "chunks",
+                 "replanned", "failed", "hedge_position")
 
-    def __init__(self, positions: tuple[int, ...],
-                 groups: tuple[tuple[float, float, tuple[int, ...]], ...],
-                 regions: tuple[str, ...], fetched_indices: frozenset[int]) -> None:
+    def __init__(self, plan: "_ReadPlan", positions: tuple[int, ...],
+                 replanned: bool, failed: bool, hedge_position: int) -> None:
         self.positions = positions
         self.count = len(positions)
-        self.groups = groups
-        self.regions = regions
-        self.fetched_indices = fetched_indices
+        self.chunks = [plan.nearest[position] for position in positions]
+        self.regions = tuple(sorted({placed.region for placed in self.chunks}))
+        self.replanned = replanned
+        self.failed = failed
+        self.hedge_position = hedge_position
+        # Draw groups: the selection grouped by identical (expected, σ)
+        # pairs.  Chunks read over links with bit-equal expected latency and
+        # jitter (typically: same backend region) produce samples that are
+        # the same monotonic function of their z draw, so only the group's
+        # largest z can be the slowest — one exp per group instead of per
+        # chunk.  Each group carries the draw offsets (positions within the
+        # selection) its chunks consume, keeping the block stream layout
+        # unchanged.
+        by_pair: dict[tuple[float, float], list[int]] = {}
+        for offset, position in enumerate(positions):
+            pair = (plan.nearest_expected_ms[position], plan.nearest_jitter[position])
+            by_pair.setdefault(pair, []).append(offset)
+        self.groups = tuple((expected, jitter, tuple(offsets))
+                            for (expected, jitter), offsets in by_pair.items())
 
 
-class _IndexedReadPlan:
-    """Precomputed per-key state for :meth:`ReadStrategy.read_indexed`.
+class _ReadPlan:
+    """Precomputed per-key read state, shared by both strategy entry points.
 
-    Everything about one key's read that does not depend on the cache state is
-    computed once: the needed/nearest chunk orders, the reusable chunk ids and
-    (metadata-only) chunk objects for cache lookups and writes, the expected
-    latency and jitter σ of every chunk's link, and the decode estimate.  The
-    per-read work then reduces to cache probes, one jitter draw per chunk and
-    a handful of float operations — bit-identical to the string-keyed path,
-    which recomputes all of this through dict lookups on every read.
+    Everything about one key's read that does not depend on the cache or the
+    fault state is computed once: every placed chunk (all ``k + m``) nearest
+    first with the expected latency and jitter σ of its link, the ``k``
+    failure-free ones furthest first with reusable chunk ids and
+    (metadata-only) chunk objects for cache lookups and writes, and the
+    decode estimate.  The per-read work then reduces to cache probes, one
+    memoised selection lookup, one jitter draw per chunk and a handful of
+    float operations.
+
+    Caching is sound because placement and expected latencies are immutable;
+    availability is *not* baked in — a fault only changes which memoised
+    selection a read resolves (see :meth:`select`), so no invalidation is
+    needed when the availability mask changes.
+
+    All of it but the key and its chunk ids depends only on where the
+    object's chunks sit and how large they are, so the constructor builds a
+    key-less *template* per placement shape and :meth:`for_key` stamps out
+    the per-key plans: every key placed alike (all of them under round-robin
+    placement) shares the template's arrays and selection memo.
     """
 
     __slots__ = ("key", "needed", "needed_chunk_ids", "needed_chunks", "nearest",
-                 "nearest_indices", "nearest_expected_ms", "nearest_jitter",
-                 "cache_expected_ms", "cache_jitter", "all_jitter_positive",
-                 "decode_ms", "data_chunks", "_prefixes", "_regions_memo",
-                 "_selection_memo", "_groups_memo")
+                 "nearest_regions", "nearest_expected_ms",
+                 "nearest_jitter", "cache_expected_ms", "cache_jitter",
+                 "all_jitter_positive", "chunk_size", "decode_ms", "data_chunks",
+                 "_selections")
 
-    def __init__(self, key: str, needed: list[PlacedChunk], chunk_size: int,
+    def __init__(self, furthest_first: list[PlacedChunk], chunk_size: int,
                  latency, client_region: str, data_chunks: int, decode_ms: float) -> None:
-        self.key = key
-        self.needed = needed
-        self.needed_chunk_ids = [ChunkId(key=key, index=placed.index) for placed in needed]
-        self.needed_chunks = [Chunk(chunk_id=chunk_id, size=chunk_size)
-                              for chunk_id in self.needed_chunk_ids]
-        nearest = list(reversed(needed))
+        self.key = None
+        self.needed_chunk_ids = self.needed_chunks = ()
+        self.chunk_size = chunk_size
+        # The m furthest chunks are discarded on a failure-free read (§IV-A).
+        self.needed = furthest_first[len(furthest_first) - data_chunks:]
+        # nearest[:k] is the failure-free plan reversed; the m beyond it are
+        # the spares degraded re-plans and hedges draw from.
+        nearest = list(reversed(furthest_first))
         self.nearest = nearest
-        self.nearest_indices = [placed.index for placed in nearest]
+        self.nearest_regions = [placed.region for placed in nearest]
         profiles = [latency.link(client_region, placed.region) for placed in nearest]
         self.nearest_expected_ms = [profile.expected_read_ms(chunk_size) for profile in profiles]
         self.nearest_jitter = [profile.jitter for profile in profiles]
@@ -91,9 +123,8 @@ class _IndexedReadPlan:
             cache_profile = latency.cache_link(client_region)
         except KeyError:
             # No local cache link: tolerated at plan-build time (the backend
-            # strategy never reads the cache), but a cache hit must fail the
-            # same way the string path's sample_cache_read would — the None
-            # sentinel makes _compose_indexed raise then.
+            # strategy never reads the cache); the None sentinel makes
+            # _compose raise on the first cache hit.
             self.cache_expected_ms = None
             self.cache_jitter = 0.0
         else:
@@ -103,97 +134,71 @@ class _IndexedReadPlan:
                                     and all(sigma > 0.0 for sigma in self.nearest_jitter))
         self.decode_ms = decode_ms
         self.data_chunks = data_chunks
-        self._prefixes = [tuple(range(count)) for count in range(data_chunks + 1)]
-        self._regions_memo: dict[tuple[int, ...], tuple[str, ...]] = {}
-        # Keys are hit-position tuples, or (hits, neighbours) pairs on
-        # collaborative deployments (the two shapes cannot collide).
-        self._selection_memo: dict[object, _SelectionRecord] = {}
-        self._groups_memo: dict[tuple[int, ...],
-                                tuple[tuple[float, float, tuple[int, ...]], ...]] = {}
+        # Keys are hit-position tuples on the failure-free path, or
+        # (hits, neighbours, down regions) triples otherwise (the two shapes
+        # cannot collide).
+        self._selections: dict[object, _Selection] = {}
 
-    def backend_positions(self, exclude_indices: set[int] | frozenset[int]) -> tuple[int, ...]:
-        """Positions (into the nearest-first order) of the chunks to fetch.
+    def for_key(self, key: str, probes_cache: bool) -> "_ReadPlan":
+        """The plan of ``key``: this template plus the key's chunk ids.
 
-        Mirrors :meth:`ReadStrategy._backend_plan`: nearest chunks first,
-        skipping those already obtained from the cache, until ``k`` chunks
-        are gathered in total.
+        A shallow copy, so the arrays and the selection memo stay shared.
+        Strategies that never probe a cache skip the ids and chunk objects.
         """
-        required = self.data_chunks - len(exclude_indices)
-        if required <= 0:
-            return ()
-        if not exclude_indices:
-            return self._prefixes[required]
-        indices = self.nearest_indices
-        selected = [position for position in range(len(indices))
-                    if indices[position] not in exclude_indices]
-        return tuple(selected[:required])
+        plan = copy.copy(self)
+        plan.key = key
+        if probes_cache:
+            plan.needed_chunk_ids = [ChunkId(key=key, index=placed.index)
+                                     for placed in self.needed]
+            plan.needed_chunks = [Chunk(chunk_id=chunk_id, size=self.chunk_size)
+                                  for chunk_id in plan.needed_chunk_ids]
+        return plan
 
-    def selection_for_hits(self, hit_positions: tuple[int, ...],
-                           neighbor_positions: tuple[int, ...] = ()) -> _SelectionRecord:
-        """The backend selection of a cache-hit pattern, memoised per pattern.
+    def select(self, hit_positions: tuple[int, ...],
+               neighbor_positions: tuple[int, ...] = (),
+               down: frozenset[str] = frozenset()) -> _Selection:
+        """The backend selection of one read pattern, memoised per pattern.
 
         ``hit_positions`` are positions into the needed (furthest-first)
         order, listed in that order — the canonical form every reader
-        produces — so each distinct hit pattern resolves its selection (and
-        the derived draw groups, regions tuple and fetched-index set) once.
-        ``neighbor_positions`` (collaborative deployments only) are needed
-        positions served from a neighbour's cache; they are excluded from the
-        backend fetch like hits, and distinct (hits, neighbours) patterns
-        memoise separately.
+        produces.  ``neighbor_positions`` (collaborative deployments only)
+        are needed positions served from a neighbour's cache; they are
+        excluded from the backend fetch like hits.  ``down`` is the set of
+        unreachable backend regions.
+
+        The client fetches the *nearest* chunks first, skipping those already
+        obtained, until it has ``k`` in total.  If none of them sits in a
+        down region the failure-free selection stands; otherwise the nearest
+        survivors over all ``k + m`` placed chunks substitute
+        (``replanned``), and when fewer than ``k`` chunks remain reachable
+        the selection is ``failed``.
         """
-        memo_key: object = ((hit_positions, neighbor_positions) if neighbor_positions
-                            else hit_positions)
-        record = self._selection_memo.get(memo_key)
-        if record is None:
-            excluded = {self.needed[position].index for position in hit_positions}
-            excluded.update(self.needed[position].index for position in neighbor_positions)
-            positions = self.backend_positions(excluded)
-            nearest_indices = self.nearest_indices
-            record = _SelectionRecord(
-                positions=positions,
-                groups=self.compose_groups(positions),
-                regions=self.backend_regions(positions),
-                fetched_indices=frozenset(
-                    nearest_indices[position] for position in positions
-                ),
-            )
-            self._selection_memo[memo_key] = record
-        return record
-
-    def compose_groups(self, positions: tuple[int, ...]
-                       ) -> tuple[tuple[float, float, tuple[int, ...]], ...]:
-        """A fetch selection grouped by identical ``(expected, σ)`` pairs.
-
-        Chunks read over links with bit-equal expected latency and jitter
-        (typically: same backend region) produce samples that are the same
-        monotonic function of their z draw, so only the group's largest z can
-        be the slowest — one ``exp`` per group instead of per chunk.  Each
-        group carries the draw offsets (positions within the selection) its
-        chunks consume, keeping the block stream layout unchanged.
-        """
-        groups = self._groups_memo.get(positions)
-        if groups is None:
-            by_pair: dict[tuple[float, float], list[int]] = {}
-            expected_by_position = self.nearest_expected_ms
-            jitter_by_position = self.nearest_jitter
-            for offset, position in enumerate(positions):
-                pair = (expected_by_position[position], jitter_by_position[position])
-                by_pair.setdefault(pair, []).append(offset)
-            groups = tuple(
-                (expected, jitter, tuple(offsets))
-                for (expected, jitter), offsets in by_pair.items()
-            )
-            self._groups_memo[positions] = groups
-        return groups
-
-    def backend_regions(self, positions: tuple[int, ...]) -> tuple[str, ...]:
-        """Distinct backend regions of a fetch selection (memoised)."""
-        regions = self._regions_memo.get(positions)
-        if regions is None:
-            nearest = self.nearest
-            regions = tuple(sorted({nearest[position].region for position in positions}))
-            self._regions_memo[positions] = regions
-        return regions
+        memo_key: object = (hit_positions if not neighbor_positions and not down
+                            else (hit_positions, neighbor_positions, down))
+        selection = self._selections.get(memo_key)
+        if selection is None:
+            needed = self.needed
+            used = {needed[position].index for position in hit_positions}
+            used.update(needed[position].index for position in neighbor_positions)
+            required = self.data_chunks - len(used)
+            regions = self.nearest_regions
+            free = [position for position, placed in enumerate(self.nearest)
+                    if placed.index not in used]
+            chosen = free[:required]
+            replanned = failed = False
+            if down and any(regions[position] in down for position in chosen):
+                free = [position for position in free if regions[position] not in down]
+                failed = len(free) < required
+                replanned = not failed
+                chosen = [] if failed else free[:required]
+            # A hedge races the nearest reachable chunk this read does not
+            # already hold or fetch.
+            spares = [position for position in free[len(chosen):]
+                      if regions[position] not in down]
+            selection = _Selection(self, tuple(chosen), replanned, failed,
+                                   spares[0] if spares else -1)
+            self._selections[memo_key] = selection
+        return selection
 
 
 @dataclass(frozen=True)
@@ -206,7 +211,7 @@ class ClientConfig:
         include_decode_cost: charge the Reed-Solomon decode estimate to reads.
         resilience: retry/hedge/emergency-reconfiguration knobs
             (:class:`~repro.client.resilience.ResilienceConfig`); ``None``
-            (the default) keeps the failure-free fast paths untouched.
+            (the default) composes reads without timeouts, retries or hedges.
     """
 
     overhead_ms: float = 40.0
@@ -218,12 +223,19 @@ class ReadStrategy(ABC):
     """Base class for the four read strategies.
 
     Strategies are re-entrant with respect to interleaved clients: one
-    instance serves every client of its region, so :meth:`read` must only
-    touch state that is safe under arbitrary request interleavings.  The
-    per-key plan caches (``_needed_cache`` / ``_nearest_cache``) qualify —
-    they memoise pure functions of the key — and cache writes happen
-    atomically within one read event, so the discrete-event engine can
-    interleave any number of clients through one strategy.
+    instance serves every client of its region, so a read must only touch
+    state that is safe under arbitrary request interleavings.  The per-key
+    read plans (:class:`_ReadPlan`) qualify — they memoise pure functions of
+    the key — and cache writes happen atomically within one read event, so
+    the discrete-event engine can interleave any number of clients through
+    one strategy.
+
+    There is one read path.  :meth:`read` (string boundaries: gateway,
+    ``Simulation``, replay) and :meth:`read_indexed` (the lane scheduler)
+    only resolve the key's plan — both share the same plan objects — and hand
+    it to the strategy's single :meth:`_read_plan` body.  Faults, neighbour
+    catalogs, the decision sink and resilience modify the plan's selection
+    and the one composer; none of them selects a different implementation.
 
     Args:
         store: the erasure-coded object store.
@@ -233,13 +245,16 @@ class ReadStrategy(ABC):
 
     name: str = "base"
 
-    #: Engine wave dispatch: True on strategies whose ``read_indexed`` is
+    #: Engine wave dispatch: True on strategies whose read body is
     #: stateless (no cache probes, a fixed draw count per read), letting
     #: the engine sample a whole ready-set's jitter in one call and compose
     #: the reads through :meth:`compose_indexed_batch`.  The engine batches
     #: only when every selected region's strategy opts in, the topology is
     #: fully jittered, and no fault is active.
     supports_indexed_batch: bool = False
+
+    #: False on strategies without a cache: their plans carry no chunk ids.
+    _probes_cache: bool = True
 
     def __init__(self, store: ErasureCodedStore, client_region: str,
                  config: ClientConfig | None = None) -> None:
@@ -248,14 +263,16 @@ class ReadStrategy(ABC):
         self._config = config or ClientConfig()
         self._latency = store.topology.latency
         self._expected_latencies = store.topology.expected_read_latencies(client_region)
-        self._needed_cache: dict[str, list[PlacedChunk]] = {}
-        self._nearest_cache: dict[str, list[PlacedChunk]] = {}
         # Hoisted latency constants (hot-path attribute chains).
         self._overhead_ms = self._config.overhead_ms
         self._include_decode = self._config.include_decode_cost
-        # Index-based read support (see prepare_indexed_reads).
+        # Per-key read plans, interned lazily by key (stamped from one
+        # template per placement shape); the index table (see
+        # prepare_indexed_reads) points at the same plan objects.
+        self._plans: dict[str, _ReadPlan] = {}
+        self._plan_templates: dict[object, _ReadPlan] = {}
         self._indexed_keys: list[str] | None = None
-        self._indexed_plans: list[_IndexedReadPlan | None] = []
+        self._indexed_plans: list[_ReadPlan | None] = []
         # §VI neighbour catalog (see set_neighbor_catalog); None = no
         # collaboration, the default for every non-collaborative deployment.
         # _neighbor_pinned is the *effective* union the read path tests;
@@ -265,9 +282,8 @@ class ReadStrategy(ABC):
         self._neighbor_catalogs: dict[str, frozenset[ChunkId]] | None = None
         self._neighbor_read_ms = 0.0
         self._neighbor_jitter = 0.0
-        # Live fault state (see repro.sim.faults and set_fault_state).  The
-        # read path only pays for faults while one is active: _faulted is the
-        # single flag the hot paths test.
+        # Live fault state (see repro.sim.faults and set_fault_state); the
+        # read bodies consult the derived fields below on every read.
         self._fault_state = None
         self._faulted = False
         self._down_backends: frozenset[str] = frozenset()
@@ -275,9 +291,8 @@ class ReadStrategy(ABC):
         self._brownouts: dict[str, float] | None = None
         self._cache_down = False
         self._seen_fault = False
-        self._all_nearest_cache: dict[str, list[PlacedChunk]] = {}
         # Resilience (repro.client.resilience): _resilience is non-None only
-        # when the retry/hedge read path must run; emergency reconfiguration
+        # when reads compose with retries/hedges; emergency reconfiguration
         # is gated separately so it can be enabled on its own.
         resilience = self._config.resilience
         self._resilience = (resilience if resilience is not None
@@ -288,10 +303,9 @@ class ReadStrategy(ABC):
                          if self._resilience is not None else None)
         self._read_serial = 0
         self._hedge_trackers: dict[str, EwmaQuantileTracker] = {}
-        # Optional decision sink (repro.serve): called once per string-path
-        # read with (result, cache_chunks, backend_chunks) so a serving tier
-        # can fetch exactly the chunks the strategy decided on.  None keeps
-        # the hot path free of any serving overhead.
+        # Optional decision sink (repro.serve): called once per read with
+        # (result, cache_chunks, backend_chunks) so a serving tier can fetch
+        # exactly the chunks the strategy decided on.
         self._decision_sink = None
 
     # ------------------------------------------------------------------ #
@@ -313,12 +327,11 @@ class ReadStrategy(ABC):
 
     @property
     def resilience_active(self) -> bool:
-        """True when reads route through the retry/hedge composition path.
+        """True when reads compose with timeouts, retries and hedges.
 
         The engine's batched stateless wave dispatch checks this: resilient
         reads no longer consume a fixed number of jitter draws, so waves must
-        fall back to per-event dispatch (which delegates to the string read
-        path, exactly like faulted reads).
+        dispatch per event.
         """
         return self._resilience is not None
 
@@ -345,16 +358,17 @@ class ReadStrategy(ABC):
     # Serving-tier decision sink
     # ------------------------------------------------------------------ #
     def set_decision_sink(self, sink) -> None:
-        """Install a callback observing every string-path read decision.
+        """Install a callback observing every read decision.
 
         ``sink(result, cache_chunks, backend_chunks)`` fires once per
-        :meth:`read` call with the composed :class:`ReadResult` and the exact
-        :class:`PlacedChunk` lists the strategy planned to fetch from the
-        local cache and the backend buckets.  The serving tier
+        :meth:`read` or :meth:`read_indexed` call with the composed
+        :class:`ReadResult` and the exact :class:`PlacedChunk` lists the
+        strategy planned to fetch from the local cache and the backend
+        buckets (both empty on an unavailable read).  The serving tier
         (:mod:`repro.serve`) uses this to serve real bytes for precisely the
         chunks the decision named and to build its per-request ledger.  The
-        indexed fast path (:meth:`read_indexed`) does not fire the sink — it
-        deliberately drops per-chunk identity.  Pass ``None`` to uninstall.
+        engine's batched wave composer (:meth:`compose_indexed_batch`) is not
+        a read entry point and fires nothing.  Pass ``None`` to uninstall.
         """
         self._decision_sink = sink
 
@@ -387,8 +401,7 @@ class ReadStrategy(ABC):
         ``neighbor_jitter`` is the log-normal σ of the neighbour link
         (``Topology.neighbor_link``); when positive, each neighbour chunk
         draws one sample from the strategy's refillable normal block exactly
-        like cache/backend chunks, keeping the string and indexed read paths
-        bit-identical.  The default 0 preserves the flat, draw-free estimate
+        like cache/backend chunks.  The default 0 preserves the flat, draw-free estimate
         for direct callers.  ``None`` pinned disables neighbour reads (the
         default).
 
@@ -419,7 +432,7 @@ class ReadStrategy(ABC):
         """Recompute the effective neighbour union against the fault state.
 
         Only runs on the cold paths (catalog install, fault transition); the
-        hot read paths keep testing the single precomputed union.  A
+        read path keeps testing the single precomputed union.  A
         neighbour is dark while its region's backend *or* cache is down: an
         ``AZFailure`` names the cache explicitly, and a ``RegionOutage`` of a
         region is conservatively taken to cut the WAN path to its colocated
@@ -441,10 +454,10 @@ class ReadStrategy(ABC):
 
         The engine calls this from the fault-schedule timer events; reads
         issued afterwards see the new availability mask immediately.  The
-        per-key plan caches are *not* invalidated: they memoise pure
-        functions of the immutable placement (the failure-free plan), and the
-        degraded-read path consults this live state on every read instead of
-        baking availability into a cached plan.
+        per-key plans are *not* invalidated: they memoise pure functions of
+        the immutable placement, and every read resolves its selection
+        against this live state (:meth:`_ReadPlan.select`) instead of baking
+        availability into a cached plan.
         """
         if state is None or state.is_clear:
             self._fault_state = state
@@ -482,375 +495,69 @@ class ReadStrategy(ABC):
         """The currently installed fault state (None when never faulted)."""
         return self._fault_state
 
-    def _all_nearest(self, key: str) -> list[PlacedChunk]:
-        """Every placed chunk of ``key``, nearest first (cached per key).
-
-        The degraded-read planner draws survivors from this full ``k + m``
-        list, unlike the failure-free plan which pre-discards the ``m``
-        furthest chunks.  Caching is safe for the same reason as
-        :meth:`_needed`: placement is immutable, and availability is applied
-        at read time against the live fault state.
-        """
-        nearest = self._all_nearest_cache.get(key)
-        if nearest is None:
-            latencies = self._expected_latencies
-            placed = [
-                PlacedChunk(index=index, region=region, latency_ms=latencies[region])
-                for region, indices in self._store.chunks_by_region(key).items()
-                for index in indices
-            ]
-            # Same ordering key as needed_chunks (furthest first), reversed.
-            placed.sort(key=lambda chunk: (-chunk.latency_ms, chunk.region, -chunk.index))
-            placed.reverse()
-            self._all_nearest_cache[key] = nearest = placed
-        return nearest
-
-    def _degraded_backend_plan(self, key: str, exclude_indices: set[int] | frozenset[int],
-                               planned: list[PlacedChunk]
-                               ) -> tuple[list[PlacedChunk], bool, bool]:
-        """Re-plan backend fetches against the live fault state.
-
-        Returns ``(backend_chunks, replanned, failed)``.  If no planned fetch
-        touches a down region the failure-free plan stands.  Otherwise the
-        nearest surviving chunks (over all ``k + m`` placed chunks, excluding
-        those already obtained from cache/neighbours) substitute; when fewer
-        than ``k`` total chunks are reachable the read fails.
-        """
-        down = self._down_backends
-        if not down or not any(placed.region in down for placed in planned):
-            return planned, False, False
-        required = self._store.params.data_chunks - len(exclude_indices)
-        survivors = [placed for placed in self._all_nearest(key)
-                     if placed.region not in down
-                     and placed.index not in exclude_indices]
-        if len(survivors) < required:
-            return [], False, True
-        return survivors[:required], True, False
-
-    def _failed_result(self, key: str, now: float, cache_hits: int,
-                       extra_overhead_ms: float = 0.0,
-                       neighbor_chunks: int = 0) -> ReadResult:
-        """An unavailable read: fewer than ``k`` chunks reachable anywhere.
-
-        The client learns of the failure after its fixed overhead (no chunk
-        transfer or decode is charged); the result carries no backend regions
-        and is counted only as :attr:`LatencyStats.unavailable_reads`.
-        """
-        result = ReadResult(
-            key=key,
-            latency_ms=self._overhead_ms + extra_overhead_ms,
-            hit_type=HitType.MISS,
-            chunks_from_cache=cache_hits,
-            chunks_from_backend=0,
-            chunks_from_neighbors=neighbor_chunks,
-            backend_regions=(),
-            started_at_s=now,
-            failed=True,
-        )
-        sink = self._decision_sink
-        if sink is not None:
-            sink(result, [], [])
-        return result
-
     # ------------------------------------------------------------------ #
-    # Read path
+    # Read path: two resolvers, one body per strategy
     # ------------------------------------------------------------------ #
-    @abstractmethod
     def read(self, key: str, now: float) -> ReadResult:
         """Perform one object read at simulated time ``now`` (seconds)."""
+        return self._read_plan(self._plan_for(key), now)
 
-    def _needed(self, key: str) -> list[PlacedChunk]:
-        """The ``k`` chunks a *failure-free* read fetches, furthest first.
+    def read_indexed(self, key_index: int, now: float) -> ReadResult:
+        """Perform one object read identified by its key index.
 
-        Cached per key, which is sound because the plan depends only on the
-        immutable placement and expected latencies — deliberately *not* on
-        chunk availability.  When a fault takes regions down the read path
-        does not consult a (stale) per-key plan: it re-plans against the live
-        fault state on every read (:meth:`_degraded_backend_plan` over
-        :meth:`_all_nearest`), so no cache invalidation is needed when the
-        availability mask changes.
+        The same read as ``read(keys[key_index], now)`` without hashing the
+        key string.  Requires a prior :meth:`prepare_indexed_reads`.
         """
-        plan = self._needed_cache.get(key)
+        if self._indexed_keys is None:
+            raise RuntimeError("prepare_indexed_reads() must be called first")
+        plan = self._indexed_plans[key_index] or self._indexed_plan(key_index)
+        return self._read_plan(plan, now)
+
+    @abstractmethod
+    def _read_plan(self, plan: _ReadPlan, now: float) -> ReadResult:
+        """The strategy's read: locate ``k`` chunks of ``plan.key``, compose."""
+
+    def _plan_for(self, key: str) -> _ReadPlan:
+        """The read plan of ``key``, built and interned on first use."""
+        plan = self._plans.get(key)
         if plan is None:
-            params = self._store.params
-            plan = needed_chunks(
-                self._store.chunks_by_region(key),
-                self._expected_latencies,
-                data_chunks=params.data_chunks,
-                parity_chunks=params.parity_chunks,
-            )
-            self._needed_cache[key] = plan
+            store = self._store
+            metadata = store.metadata(key)
+            shape = (metadata.size, metadata.chunk_size,
+                     tuple(sorted(metadata.chunk_locations.items())))
+            template = self._plan_templates.get(shape)
+            if template is None:
+                params = store.params
+                template = self._plan_templates[shape] = _ReadPlan(
+                    # Every placed chunk, furthest first: the failure-free
+                    # order of needed_chunks with nothing discarded.
+                    furthest_first=needed_chunks(
+                        store.chunks_by_region(key),
+                        self._expected_latencies,
+                        data_chunks=params.data_chunks + params.parity_chunks,
+                        parity_chunks=0,
+                    ),
+                    chunk_size=metadata.chunk_size,
+                    latency=self._latency,
+                    client_region=self._region,
+                    data_chunks=params.data_chunks,
+                    decode_ms=store.codec.decoding_cost_estimate(metadata.size),
+                )
+            self._plans[key] = plan = template.for_key(key, self._probes_cache)
         return plan
 
-    def _chunk_size(self, key: str) -> int:
-        return self._store.metadata(key).chunk_size
+    def _needed(self, key: str) -> list[PlacedChunk]:
+        """The ``k`` chunks a *failure-free* read fetches, furthest first."""
+        return self._plan_for(key).needed
 
-    def _compose_result(self, key: str, now: float, cache_chunks: list[PlacedChunk],
-                        backend_chunks: list[PlacedChunk],
-                        extra_overhead_ms: float = 0.0,
-                        neighbor_chunks: int = 0,
-                        degraded: bool = False,
-                        hedge_exclude: frozenset[int] | None = None) -> ReadResult:
-        """Sample per-chunk latencies and build the read result.
-
-        ``neighbor_chunks`` chunks are fetched from a collaborating
-        neighbour's cache — in parallel with the other fetches, contributing
-        to the slowest-chunk maximum; each draws one jitter sample when the
-        neighbour link carries a σ (see :meth:`set_neighbor_catalog`).
-        Backend chunks read from a browned-out region have their sampled
-        latency multiplied by the brownout factor.  When resilience is active
-        the read routes through :meth:`_compose_result_resilient` instead
-        (``hedge_exclude`` optionally names chunk indices already served
-        elsewhere, so a hedge never re-fetches one).
-        """
-        if self._resilience is not None:
-            result = self._compose_result_resilient(
-                key, now, cache_chunks, backend_chunks, extra_overhead_ms,
-                neighbor_chunks, degraded, hedge_exclude,
-            )
-            sink = self._decision_sink
-            if sink is not None:
-                sink(result, cache_chunks, backend_chunks)
-            return result
-        chunk_size = self._chunk_size(key)
-        latency = self._latency
-        region = self._region
-        brownouts = self._brownouts
-        slowest = 0.0
-        for _ in cache_chunks:
-            sample = latency.sample_cache_read(region, chunk_size)
-            if sample > slowest:
-                slowest = sample
-        for placed in backend_chunks:
-            sample = latency.sample_backend_read(region, placed.region, chunk_size)
-            if brownouts is not None:
-                multiplier = brownouts.get(placed.region)
-                if multiplier is not None:
-                    sample *= multiplier
-            if sample > slowest:
-                slowest = sample
-        if neighbor_chunks:
-            neighbor_ms = self._neighbor_read_ms
-            sigma = self._neighbor_jitter
-            if sigma > 0.0:
-                exp = math.exp
-                draw = latency.next_standard_normal
-                for _ in range(neighbor_chunks):
-                    sample = neighbor_ms * exp(sigma * draw())
-                    if sample > slowest:
-                        slowest = sample
-            elif neighbor_ms > slowest:
-                slowest = neighbor_ms
-
-        total = self._config.overhead_ms + extra_overhead_ms + slowest
-        if self._config.include_decode_cost:
-            total += self._store.codec.decoding_cost_estimate(self._store.metadata(key).size)
-
-        if (backend_chunks or neighbor_chunks) and cache_chunks:
-            hit_type = HitType.PARTIAL
-        elif cache_chunks:
-            hit_type = HitType.FULL
-        else:
-            hit_type = HitType.MISS
-
-        result = ReadResult(
-            key=key,
-            latency_ms=total,
-            hit_type=hit_type,
-            chunks_from_cache=len(cache_chunks),
-            chunks_from_backend=len(backend_chunks),
-            chunks_from_neighbors=neighbor_chunks,
-            backend_regions=tuple(sorted({placed.region for placed in backend_chunks})),
-            started_at_s=now,
-            degraded=degraded,
-        )
-        sink = self._decision_sink
-        if sink is not None:
-            sink(result, cache_chunks, backend_chunks)
-        return result
-
-    def _compose_result_resilient(self, key: str, now: float,
-                                  cache_chunks: list[PlacedChunk],
-                                  backend_chunks: list[PlacedChunk],
-                                  extra_overhead_ms: float,
-                                  neighbor_chunks: int,
-                                  degraded: bool,
-                                  hedge_exclude: frozenset[int] | None) -> ReadResult:
-        """Resilient twin of :meth:`_compose_result`: timeouts, retries, hedging.
-
-        The base per-chunk samples are drawn in exactly the same shared-stream
-        order as the fast path (cache chunks, then backend chunks in selection
-        order, then neighbour chunks); resilience only *adds* draws, each at a
-        deterministic point:
-
-        * **Retries** (remote chunks only — backend and neighbour fetches;
-          the in-AZ cache is never retried): while a chunk's sample exceeds
-          ``timeout_factor ×`` its link's expected latency (brownout
-          multiplier included) and the read's budget remains, the client
-          abandons the fetch at the timeout, waits the seeded backoff, and
-          redraws one sample from the shared stream.  The chunk's latency is
-          the accumulated timeout+backoff charges plus the final sample.
-        * **Hedge**: if the slowest chunk of the read is a backend fetch and
-          exceeds its link's quantile-tracked deadline, one extra chunk is
-          speculatively fetched (launched at the deadline) from the nearest
-          unused surviving placement, and the read completes at whichever of
-          the two finishes first.  Deadline trackers observe each backend
-          chunk's final sample *after* the decision, so a read never races
-          its own observation.
-
-        Serial numbers, tracker state and retry budgets are all per-strategy,
-        and per-strategy event order is identical across the three execution
-        paths — which is what keeps resilient runs bit-identical.
-        """
-        resilience = self._resilience
-        backoff = self._backoff
-        chunk_size = self._chunk_size(key)
-        latency = self._latency
-        region = self._region
-        brownouts = self._brownouts
-        serial = self._read_serial
-        self._read_serial = serial + 1
-        budget = resilience.retry_budget
-        timeout_factor = resilience.timeout_factor
-        retries = 0
-
-        totals: list[float] = []
-        for _ in cache_chunks:
-            totals.append(latency.sample_cache_read(region, chunk_size))
-
-        straggler_pos = -1
-        slowest_backend = 0.0
-        straggler_region: str | None = None
-        backend_samples: list[tuple[str, float]] = []
-        for placed in backend_chunks:
-            expected = latency.expected_backend_read(region, placed.region, chunk_size)
-            multiplier = 1.0
-            if brownouts is not None:
-                factor = brownouts.get(placed.region)
-                if factor is not None:
-                    multiplier = factor
-                    expected *= factor
-            sample = latency.sample_backend_read(region, placed.region, chunk_size)
-            if multiplier != 1.0:
-                sample *= multiplier
-            timeout = timeout_factor * expected
-            charged = 0.0
-            while budget > 0 and sample > timeout:
-                budget -= 1
-                retries += 1
-                charged += timeout + backoff.delay_ms(serial, retries)
-                sample = latency.sample_backend_read(region, placed.region, chunk_size)
-                if multiplier != 1.0:
-                    sample *= multiplier
-            backend_samples.append((placed.region, sample))
-            total_chunk = charged + sample
-            if total_chunk > slowest_backend:
-                slowest_backend = total_chunk
-                straggler_pos = len(totals)
-                straggler_region = placed.region
-            totals.append(total_chunk)
-
-        if neighbor_chunks:
-            neighbor_ms = self._neighbor_read_ms
-            sigma = self._neighbor_jitter
-            if sigma > 0.0:
-                exp = math.exp
-                draw = latency.next_standard_normal
-                timeout = timeout_factor * neighbor_ms
-                for _ in range(neighbor_chunks):
-                    sample = neighbor_ms * exp(sigma * draw())
-                    charged = 0.0
-                    while budget > 0 and sample > timeout:
-                        budget -= 1
-                        retries += 1
-                        charged += timeout + backoff.delay_ms(serial, retries)
-                        sample = neighbor_ms * exp(sigma * draw())
-                    totals.append(charged + sample)
-            else:
-                # A flat neighbour link samples exactly its expectation, which
-                # can never exceed timeout_factor × itself — no retry possible.
-                totals.extend([neighbor_ms] * neighbor_chunks)
-
-        slowest = max(totals) if totals else 0.0
-
-        hedged = False
-        hedge_won = False
-        if (resilience.hedge and straggler_pos >= 0
-                and slowest_backend >= slowest and slowest_backend > 0.0):
-            tracker = self._hedge_trackers.get(straggler_region)
-            if tracker is not None and tracker.ready and slowest_backend > tracker.estimate:
-                used = {placed.index for placed in backend_chunks}
-                if hedge_exclude is not None:
-                    used.update(hedge_exclude)
-                else:
-                    used.update(placed.index for placed in cache_chunks)
-                down = self._down_backends
-                candidate = None
-                for placed in self._all_nearest(key):
-                    if placed.index in used or placed.region in down:
-                        continue
-                    candidate = placed
-                    break
-                if candidate is not None:
-                    hedged = True
-                    deadline = tracker.estimate
-                    hedge_sample = latency.sample_backend_read(
-                        region, candidate.region, chunk_size
-                    )
-                    if brownouts is not None:
-                        factor = brownouts.get(candidate.region)
-                        if factor is not None:
-                            hedge_sample *= factor
-                    hedge_total = deadline + hedge_sample
-                    if hedge_total < slowest_backend:
-                        hedge_won = True
-                        totals[straggler_pos] = hedge_total
-                        slowest = max(totals)
-
-        if resilience.hedge and backend_samples:
-            trackers = self._hedge_trackers
-            for sample_region, sample in backend_samples:
-                tracker = trackers.get(sample_region)
-                if tracker is None:
-                    trackers[sample_region] = tracker = EwmaQuantileTracker.from_config(resilience)
-                tracker.observe(sample)
-
-        total = self._config.overhead_ms + extra_overhead_ms + slowest
-        if self._config.include_decode_cost:
-            total += self._store.codec.decoding_cost_estimate(self._store.metadata(key).size)
-
-        if (backend_chunks or neighbor_chunks) and cache_chunks:
-            hit_type = HitType.PARTIAL
-        elif cache_chunks:
-            hit_type = HitType.FULL
-        else:
-            hit_type = HitType.MISS
-
-        return ReadResult(
-            key=key,
-            latency_ms=total,
-            hit_type=hit_type,
-            chunks_from_cache=len(cache_chunks),
-            chunks_from_backend=len(backend_chunks),
-            chunks_from_neighbors=neighbor_chunks,
-            backend_regions=tuple(sorted({placed.region for placed in backend_chunks})),
-            started_at_s=now,
-            degraded=degraded,
-            retries=retries,
-            hedged=hedged,
-            hedge_won=hedge_won,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Indexed read fast path (the discrete-event engine's inner loop)
-    # ------------------------------------------------------------------ #
     def prepare_indexed_reads(self, keys: Sequence[str]) -> None:
         """Install the key space for index-based reads.
 
         ``keys[i]`` becomes the object key of key index ``i``; per-key read
-        plans are built lazily on first use.  Idempotent: re-preparing with an
-        equal key list keeps the plans already built (the engine calls this at
-        the start of every execute against a warm deployment).
+        plans are interned lazily on first use and shared with :meth:`read`.
+        Idempotent: re-preparing with an equal key list keeps the index
+        table (the engine calls this at the start of every execute against a
+        warm deployment).
         """
         keys = list(keys)
         if self._indexed_keys == keys:
@@ -858,130 +565,115 @@ class ReadStrategy(ABC):
         self._indexed_keys = keys
         self._indexed_plans = [None] * len(keys)
 
-    def read_indexed(self, key_index: int, now: float) -> ReadResult:
-        """Perform one object read identified by its key index.
-
-        Bit-identical to ``read(keys[key_index], now)`` — same cache effects,
-        same jitter draws, same latency arithmetic — but without re-hashing
-        the key string through the per-key plan dictionaries on every request.
-        Requires a prior :meth:`prepare_indexed_reads`.  Subclasses override
-        this with a plan-based implementation; the base fallback simply
-        resolves the key.
-        """
-        return self.read(self._indexed_keys[key_index], now)
-
-    def _indexed_plan(self, key_index: int) -> _IndexedReadPlan:
-        """The (lazily built) precomputed plan for one key index."""
-        try:
-            plan = self._indexed_plans[key_index]
-        except IndexError:
-            if self._indexed_keys is None:
-                raise RuntimeError(
-                    "prepare_indexed_reads() must be called first"
-                ) from None
-            raise
-        if plan is None:
-            key = self._indexed_keys[key_index]
-            plan = _IndexedReadPlan(
-                key=key,
-                needed=self._needed(key),
-                chunk_size=self._chunk_size(key),
-                latency=self._latency,
-                client_region=self._region,
-                data_chunks=self._store.params.data_chunks,
-                decode_ms=self._store.codec.decoding_cost_estimate(
-                    self._store.metadata(key).size
-                ),
-            )
-            self._indexed_plans[key_index] = plan
+    def _indexed_plan(self, key_index: int) -> _ReadPlan:
+        """Intern the plan of one key index into the index table."""
+        plan = self._plan_for(self._indexed_keys[key_index])
+        self._indexed_plans[key_index] = plan
         return plan
 
-    def resolve_indexed_plans(self, key_indices: Iterable[int]) -> None:
-        """Build the read plans of ``key_indices`` in one grouped pass.
+    def _compose(self, plan: _ReadPlan, now: float, hit_positions: tuple[int, ...],
+                 selection: _Selection, neighbor_count: int = 0,
+                 extra_overhead_ms: float = 0.0, degraded: bool = False) -> ReadResult:
+        """Sample per-chunk latencies and build the read result.
 
-        The engine's batched drainer calls this once per run with the
-        distinct key indices of a block, so same-key hits share a single
-        plan resolution instead of racing through the lazy per-read path.
-        Plan construction draws no randomness — prefetching is invisible to
-        the determinism contract.  Already-built plans are skipped.
+        Draws one jitter sample per chunk — cache chunks first, then backend
+        chunks nearest-first, then neighbour chunks — as
+        ``expected * exp(σ·z)``; chunks are fetched in parallel, so the read
+        costs the slowest one plus overhead and decode.  When every involved
+        link is jittered and no brownout is active (the usual case) the
+        cache+backend draws are taken from the block in one batched call, and
+        chunks sharing one (expected, σ) pair — the selection's precomputed
+        draw groups — need a single ``exp`` at their largest z (``exp`` is
+        monotonic) instead of one per chunk.  Otherwise chunks are sampled
+        one by one: a zero-σ link draws nothing, and a backend chunk read
+        from a browned-out region has its sampled latency multiplied by the
+        brownout factor.  ``neighbor_count`` chunks come from a collaborating
+        neighbour's cache (see :meth:`set_neighbor_catalog`).  When
+        resilience is active :meth:`_compose_resilient` does the sampling.
+
+        A ``failed`` selection is an unavailable read: fewer than ``k``
+        chunks are reachable anywhere.  The client learns of the failure
+        after its fixed overhead (no chunk transfer or decode is charged, no
+        jitter drawn); the result carries no backend regions and is counted
+        only as :attr:`LatencyStats.unavailable_reads`.
         """
-        plans = self._indexed_plans
-        build = self._indexed_plan
-        for key_index in key_indices:
-            if plans[key_index] is None:
-                build(key_index)
-
-    def _compose_indexed(self, plan: _IndexedReadPlan, now: float, cache_hits: int,
-                         selection: _SelectionRecord,
-                         extra_overhead_ms: float = 0.0,
-                         neighbor_count: int = 0) -> ReadResult:
-        """Fast-path twin of :meth:`_compose_result` over a precomputed plan.
-
-        Draws one jitter sample per chunk in the same order as the string
-        path (cache chunks first, then backend chunks nearest-first) and
-        applies the same arithmetic — ``expected * exp(σ·z)``, overhead and
-        decode added in the same sequence — so results are bit-identical.
-        When every involved link is jittered (the usual case) all of the
-        read's draws are taken from the block in one batched call, and chunks
-        sharing one (expected, σ) pair — the selection's precomputed draw
-        groups — need a single ``exp`` at their largest z (``exp`` is
-        monotonic), instead of one per chunk.
-        """
-        exp = math.exp
-        slowest = 0.0
+        cache_hits = len(hit_positions)
+        sink = self._decision_sink
+        if selection.failed:
+            result = ReadResult(
+                key=plan.key,
+                latency_ms=self._overhead_ms + extra_overhead_ms,
+                hit_type=HitType.MISS,
+                chunks_from_cache=cache_hits,
+                chunks_from_backend=0,
+                chunks_from_neighbors=neighbor_count,
+                started_at_s=now,
+                failed=True,
+            )
+            if sink is not None:
+                sink(result, [], [])
+            return result
         backend_count = selection.count
         if cache_hits and plan.cache_expected_ms is None:
-            # Mirror the string path, which fails in sample_cache_read.
             raise KeyError(f"no cache link profile for region {self._region!r}")
-        if plan.all_jitter_positive:
-            samples = self._latency.take_standard_normals(cache_hits + backend_count)
-            if cache_hits:
-                slowest = plan.cache_expected_ms * exp(
-                    plan.cache_jitter * max(samples[:cache_hits])
-                )
-            for expected, jitter, offsets in selection.groups:
-                largest = samples[cache_hits + offsets[0]]
-                for extra in range(1, len(offsets)):
-                    candidate = samples[cache_hits + offsets[extra]]
-                    if candidate > largest:
-                        largest = candidate
-                sample = expected * exp(jitter * largest)
-                if sample > slowest:
-                    slowest = sample
+        retries = 0
+        hedged = hedge_won = False
+        if self._resilience is not None:
+            slowest, retries, hedged, hedge_won = self._compose_resilient(
+                plan, cache_hits, selection, neighbor_count)
         else:
-            expected_by_position = plan.nearest_expected_ms
-            jitter_by_position = plan.nearest_jitter
-            draw = self._latency.next_standard_normal
-            expected = plan.cache_expected_ms
-            jitter = plan.cache_jitter
-            for _ in range(cache_hits):
-                sample = expected * exp(jitter * draw()) if jitter > 0.0 else expected
-                if sample > slowest:
-                    slowest = sample
-            for position in selection.positions:
-                expected = expected_by_position[position]
-                jitter = jitter_by_position[position]
-                sample = expected * exp(jitter * draw()) if jitter > 0.0 else expected
-                if sample > slowest:
-                    slowest = sample
+            exp = math.exp
+            slowest = 0.0
+            brownouts = self._brownouts
+            if plan.all_jitter_positive and brownouts is None:
+                samples = self._latency.take_standard_normals(cache_hits + backend_count)
+                if cache_hits:
+                    slowest = plan.cache_expected_ms * exp(
+                        plan.cache_jitter * max(samples[:cache_hits])
+                    )
+                for expected, jitter, offsets in selection.groups:
+                    largest = samples[cache_hits + offsets[0]]
+                    for extra in range(1, len(offsets)):
+                        candidate = samples[cache_hits + offsets[extra]]
+                        if candidate > largest:
+                            largest = candidate
+                    sample = expected * exp(jitter * largest)
+                    if sample > slowest:
+                        slowest = sample
+            else:
+                expected_by_position = plan.nearest_expected_ms
+                jitter_by_position = plan.nearest_jitter
+                regions = plan.nearest_regions
+                draw = self._latency.next_standard_normal
+                expected = plan.cache_expected_ms
+                jitter = plan.cache_jitter
+                for _ in range(cache_hits):
+                    sample = expected * exp(jitter * draw()) if jitter > 0.0 else expected
+                    if sample > slowest:
+                        slowest = sample
+                for position in selection.positions:
+                    expected = expected_by_position[position]
+                    jitter = jitter_by_position[position]
+                    sample = expected * exp(jitter * draw()) if jitter > 0.0 else expected
+                    if brownouts is not None:
+                        multiplier = brownouts.get(regions[position])
+                        if multiplier is not None:
+                            sample *= multiplier
+                    if sample > slowest:
+                        slowest = sample
 
-        if neighbor_count:
-            neighbor_ms = self._neighbor_read_ms
-            sigma = self._neighbor_jitter
-            if sigma > 0.0:
-                # Same stream positions as the string path (neighbour draws
-                # come after the cache+backend draws); exp is monotonic, so
-                # only the largest z can be the slowest neighbour chunk.
-                draws = self._latency.take_standard_normals(neighbor_count)
-                largest = draws[0]
-                for extra in range(1, neighbor_count):
-                    if draws[extra] > largest:
-                        largest = draws[extra]
-                sample = neighbor_ms * exp(sigma * largest)
-                if sample > slowest:
-                    slowest = sample
-            elif neighbor_ms > slowest:
-                slowest = neighbor_ms
+            if neighbor_count:
+                neighbor_ms = self._neighbor_read_ms
+                sigma = self._neighbor_jitter
+                if sigma > 0.0:
+                    # exp is monotonic, so only the largest z can be the
+                    # slowest neighbour chunk.
+                    sample = neighbor_ms * exp(sigma * max(
+                        self._latency.take_standard_normals(neighbor_count)))
+                    if sample > slowest:
+                        slowest = sample
+                elif neighbor_ms > slowest:
+                    slowest = neighbor_ms
 
         total = self._overhead_ms + extra_overhead_ms + slowest
         if self._include_decode:
@@ -994,7 +686,7 @@ class ReadStrategy(ABC):
         else:
             hit_type = HitType.MISS
 
-        return ReadResult(
+        result = ReadResult(
             key=plan.key,
             latency_ms=total,
             hit_type=hit_type,
@@ -1003,60 +695,188 @@ class ReadStrategy(ABC):
             chunks_from_neighbors=neighbor_count,
             backend_regions=selection.regions,
             started_at_s=now,
+            degraded=degraded,
+            retries=retries,
+            hedged=hedged,
+            hedge_won=hedge_won,
         )
+        if sink is not None:
+            needed = plan.needed
+            sink(result, [needed[position] for position in hit_positions],
+                 selection.chunks)
+        return result
 
-    def _backend_plan(self, key: str, exclude_indices: set[int]) -> list[PlacedChunk]:
-        """Choose which chunks to fetch from the backend.
+    def _compose_resilient(self, plan: _ReadPlan, cache_hits: int,
+                           selection: _Selection, neighbor_count: int
+                           ) -> tuple[float, int, bool, bool]:
+        """Sampling with timeouts, retries and hedging, for :meth:`_compose`.
 
-        The client fetches the *nearest* chunks first, skipping those already
-        obtained from the cache, until it has ``k`` chunks in total.
+        Returns ``(slowest chunk ms, retries, hedged, hedge_won)``.  Per-chunk
+        totals are inherent to timeouts, so the grouped arithmetic of the
+        plain composition does not apply.  The base per-chunk samples are
+        drawn in exactly the same shared-stream order (cache chunks, then
+        backend chunks in selection order, then neighbour chunks); resilience
+        only *adds* draws, each at a deterministic point:
+
+        * **Retries** (remote chunks only — backend and neighbour fetches;
+          the in-AZ cache is never retried): while a chunk's sample exceeds
+          ``timeout_factor ×`` its link's expected latency (brownout
+          multiplier included) and the read's budget remains, the client
+          abandons the fetch at the timeout, waits the seeded backoff, and
+          redraws one sample from the shared stream.  The chunk's latency is
+          the accumulated timeout+backoff charges plus the final sample.
+        * **Hedge**: if the slowest chunk of the read is a backend fetch and
+          exceeds its link's quantile-tracked deadline, one extra chunk is
+          speculatively fetched (launched at the deadline) from the nearest
+          unused surviving placement (the selection's hedge candidate), and
+          the read completes at whichever of the two finishes first.
+          Deadline trackers observe each backend chunk's final sample *after*
+          the decision, so a read never races its own observation.
+
+        Serial numbers, tracker state and retry budgets are all per-strategy,
+        and per-strategy event order is identical across the three execution
+        paths — which is what keeps resilient runs bit-identical.
         """
-        params = self._store.params
-        required = params.data_chunks - len(exclude_indices)
-        if required <= 0:
-            return []
-        nearest_first = self._nearest_cache.get(key)
-        if nearest_first is None:
-            nearest_first = list(reversed(self._needed(key)))
-            self._nearest_cache[key] = nearest_first
-        if not exclude_indices:
-            return nearest_first[:required]
-        plan = [placed for placed in nearest_first if placed.index not in exclude_indices]
-        return plan[:required]
+        resilience = self._resilience
+        backoff = self._backoff
+        exp = math.exp
+        draw = self._latency.next_standard_normal
+        brownouts = self._brownouts
+        serial = self._read_serial
+        self._read_serial = serial + 1
+        budget = resilience.retry_budget
+        timeout_factor = resilience.timeout_factor
+        retries = 0
+
+        expected = plan.cache_expected_ms
+        jitter = plan.cache_jitter
+        totals: list[float] = [
+            expected * exp(jitter * draw()) if jitter > 0.0 else expected
+            for _ in range(cache_hits)
+        ]
+
+        expected_by_position = plan.nearest_expected_ms
+        jitter_by_position = plan.nearest_jitter
+        regions = plan.nearest_regions
+        straggler_pos = -1
+        slowest_backend = 0.0
+        straggler_region: str | None = None
+        backend_samples: list[tuple[str, float]] = []
+        for position in selection.positions:
+            base = expected_by_position[position]
+            jitter = jitter_by_position[position]
+            region = regions[position]
+            # Multiplying by the neutral 1.0 is exact, so un-browned chunks
+            # keep their plain sample and timeout bit-for-bit.
+            multiplier = brownouts.get(region, 1.0) if brownouts is not None else 1.0
+            timeout = timeout_factor * (base * multiplier)
+            charged = 0.0
+            while True:
+                sample = (base * exp(jitter * draw()) if jitter > 0.0 else base) * multiplier
+                if budget <= 0 or sample <= timeout:
+                    break
+                budget -= 1
+                retries += 1
+                charged += timeout + backoff.delay_ms(serial, retries)
+            backend_samples.append((region, sample))
+            total_chunk = charged + sample
+            if total_chunk > slowest_backend:
+                slowest_backend = total_chunk
+                straggler_pos = len(totals)
+                straggler_region = region
+            totals.append(total_chunk)
+
+        if neighbor_count:
+            neighbor_ms = self._neighbor_read_ms
+            sigma = self._neighbor_jitter
+            if sigma > 0.0:
+                timeout = timeout_factor * neighbor_ms
+                for _ in range(neighbor_count):
+                    charged = 0.0
+                    while True:
+                        sample = neighbor_ms * exp(sigma * draw())
+                        if budget <= 0 or sample <= timeout:
+                            break
+                        budget -= 1
+                        retries += 1
+                        charged += timeout + backoff.delay_ms(serial, retries)
+                    totals.append(charged + sample)
+            else:
+                # A flat neighbour link samples exactly its expectation, which
+                # can never exceed timeout_factor × itself — no retry possible.
+                totals.extend([neighbor_ms] * neighbor_count)
+
+        slowest = max(totals) if totals else 0.0
+
+        hedged = False
+        hedge_won = False
+        if (resilience.hedge and straggler_pos >= 0
+                and slowest_backend >= slowest and slowest_backend > 0.0):
+            tracker = self._hedge_trackers.get(straggler_region)
+            candidate = selection.hedge_position
+            if (candidate >= 0 and tracker is not None and tracker.ready
+                    and slowest_backend > tracker.estimate):
+                hedged = True
+                base = expected_by_position[candidate]
+                jitter = jitter_by_position[candidate]
+                hedge_sample = base * exp(jitter * draw()) if jitter > 0.0 else base
+                if brownouts is not None:
+                    hedge_sample *= brownouts.get(regions[candidate], 1.0)
+                hedge_total = tracker.estimate + hedge_sample
+                if hedge_total < slowest_backend:
+                    hedge_won = True
+                    totals[straggler_pos] = hedge_total
+                    slowest = max(totals)
+
+        if resilience.hedge and backend_samples:
+            trackers = self._hedge_trackers
+            for sample_region, sample in backend_samples:
+                tracker = trackers.get(sample_region)
+                if tracker is None:
+                    trackers[sample_region] = tracker = EwmaQuantileTracker.from_config(resilience)
+                tracker.observe(sample)
+
+        return slowest, retries, hedged, hedge_won
 
 
 class BackendReadStrategy(ReadStrategy):
     """Read every chunk directly from the backend buckets (no cache)."""
 
     name = "backend"
-
-    def read(self, key: str, now: float) -> ReadResult:
-        backend_chunks = self._backend_plan(key, exclude_indices=set())
-        degraded = False
-        if self._faulted:
-            backend_chunks, degraded, failed = self._degraded_backend_plan(
-                key, frozenset(), backend_chunks
-            )
-            if failed:
-                return self._failed_result(key, now, 0)
-        return self._compose_result(key, now, cache_chunks=[],
-                                    backend_chunks=backend_chunks, degraded=degraded)
-
-    def read_indexed(self, key_index: int, now: float) -> ReadResult:
-        if self._faulted or self._resilience is not None:
-            # Faulted and resilient reads take the string path: re-planning
-            # against the live fault state (and the retry/hedge composition)
-            # is identical there across all schedulers, and the indexed fast
-            # path resumes the moment neither applies.
-            return self.read(self._indexed_keys[key_index], now)
-        plan = self._indexed_plan(key_index)
-        return self._compose_indexed(plan, now, 0, plan.selection_for_hits(()))
-
     supports_indexed_batch = True
+    _probes_cache = False
+
+    def _read_plan(self, plan: _ReadPlan, now: float) -> ReadResult:
+        selection = plan.select((), (), self._down_backends)
+        return self._compose(plan, now, (), selection, degraded=selection.replanned)
 
     def compose_indexed_batch(self, ranks: Sequence[int], times: Sequence[float],
                               draws: np.ndarray) -> list[ReadResult]:
-        """Vectorized twin of :meth:`read_indexed` over one engine wave.
+        """:meth:`compose_indexed_batch_latencies` plus the :class:`ReadResult`s.
+
+        For kept runs: one result per row, each a plain backend miss with
+        the latency the kernel composed.
+        """
+        latencies = self.compose_indexed_batch_latencies(ranks, draws)
+        plans = self._indexed_plans
+        results = []
+        for rank, time_s, latency_ms in zip(ranks, times, latencies):
+            plan = plans[rank]
+            selection = plan.select(())
+            results.append(ReadResult(
+                key=plan.key,
+                latency_ms=latency_ms,
+                hit_type=HitType.MISS,
+                chunks_from_cache=0,
+                chunks_from_backend=selection.count,
+                backend_regions=selection.regions,
+                started_at_s=time_s,
+            ))
+        return results
+
+    def compose_indexed_batch_latencies(self, ranks: Sequence[int],
+                                        draws: np.ndarray) -> list[float]:
+        """The latencies of one engine wave of indexed reads, vectorized.
 
         ``draws`` is the wave's slice of the jitter stream — one row of
         ``data_chunks`` z values per read, in event order.  The engine takes
@@ -1067,7 +887,10 @@ class BackendReadStrategy(ReadStrategy):
         more).  The composition itself is unchanged — per draw group,
         ``expected * exp(σ · max z)`` with the same float operation order —
         only the group maxima are reduced in numpy across the wave, so
-        results are bit-identical to sequential ``read_indexed`` calls.
+        latencies are bit-identical to sequential ``read_indexed`` calls.
+        Every read in a stateless wave is a plain backend miss, so when
+        results are not kept the latencies are all the engine needs (the
+        stats side collapses into one ``record_miss_block`` call).
 
         Only valid while no fault is active (the engine checks per wave;
         fault transitions land on block boundaries, so the flag is constant
@@ -1076,62 +899,7 @@ class BackendReadStrategy(ReadStrategy):
         exp = math.exp
         overhead = self._overhead_ms
         include_decode = self._include_decode
-        by_rank: dict[int, list[int]] = {}
-        for row, rank in enumerate(ranks):
-            bucket = by_rank.get(rank)
-            if bucket is None:
-                by_rank[rank] = [row]
-            else:
-                bucket.append(row)
-        results: list[ReadResult | None] = [None] * len(ranks)
-        for rank, rows in by_rank.items():
-            plan = self._indexed_plan(rank)
-            selection = plan.selection_for_hits(())
-            decode = plan.decode_ms
-            backend_count = selection.count
-            regions = selection.regions
-            key = plan.key
-            block = draws[rows]
-            columns = []
-            for expected, jitter, offsets in selection.groups:
-                if len(offsets) == 1:
-                    column = block[:, offsets[0]]
-                else:
-                    column = block[:, offsets].max(axis=1)
-                columns.append((expected, jitter, column.tolist()))
-            for j, row in enumerate(rows):
-                slowest = 0.0
-                for expected, jitter, largest in columns:
-                    sample = expected * exp(jitter * largest[j])
-                    if sample > slowest:
-                        slowest = sample
-                total = overhead + slowest
-                if include_decode:
-                    total += decode
-                results[row] = ReadResult(
-                    key=key,
-                    latency_ms=total,
-                    hit_type=HitType.MISS,
-                    chunks_from_cache=0,
-                    chunks_from_backend=backend_count,
-                    backend_regions=regions,
-                    started_at_s=times[row],
-                )
-        return results
-
-    def compose_indexed_batch_latencies(self, ranks: Sequence[int],
-                                        draws: np.ndarray) -> list[float]:
-        """:meth:`compose_indexed_batch` minus the :class:`ReadResult`s.
-
-        Every read in a stateless wave is a plain backend miss — the only
-        per-read outputs the engine still needs when results are not kept
-        are the latencies (the stats side collapses into one
-        ``record_miss_block`` call).  Same draw layout, same float
-        arithmetic, bit-identical latencies.
-        """
-        exp = math.exp
-        overhead = self._overhead_ms
-        include_decode = self._include_decode
+        plans = self._indexed_plans
         by_rank: dict[int, list[int]] = {}
         for row, rank in enumerate(ranks):
             bucket = by_rank.get(rank)
@@ -1141,12 +909,11 @@ class BackendReadStrategy(ReadStrategy):
                 bucket.append(row)
         latencies = [0.0] * len(ranks)
         for rank, rows in by_rank.items():
-            plan = self._indexed_plan(rank)
-            selection = plan.selection_for_hits(())
+            plan = plans[rank] or self._indexed_plan(rank)
             decode = plan.decode_ms
             block = draws[rows]
             columns = []
-            for expected, jitter, offsets in selection.groups:
+            for expected, jitter, offsets in plan.select(()).groups:
                 if len(offsets) == 1:
                     column = block[:, offsets[0]]
                 else:
@@ -1163,6 +930,7 @@ class BackendReadStrategy(ReadStrategy):
                     total += decode
                 latencies[row] = total
         return latencies
+
 
 
 class FixedChunkCachingStrategy(ReadStrategy):
@@ -1227,68 +995,35 @@ class FixedChunkCachingStrategy(ReadStrategy):
     def cache_snapshot(self) -> CacheSnapshot:
         return self._cache.snapshot()
 
-    def _target_chunks(self, key: str) -> list[PlacedChunk]:
-        """The ``c`` most distant chunks of the needed set — what gets cached."""
-        return self._needed(key)[: self._chunks_per_object]
-
-    def read(self, key: str, now: float) -> ReadResult:
-        self._cache.record_request(key)
-        targets = self._target_chunks(key)
-        # During an AZ failure of this region the cache server is
-        # unreachable: no lookups, no fills — but request bookkeeping (the
-        # client-side proxy) continues, so popularity state stays warm.
-        cache_down = self._faulted and self._cache_down
-
-        cache_hits: list[PlacedChunk] = []
-        if not cache_down:
-            for placed in targets:
-                if self._cache.get(ChunkId(key=key, index=placed.index)) is not None:
-                    cache_hits.append(placed)
-
-        exclude = {p.index for p in cache_hits}
-        backend_chunks = self._backend_plan(key, exclude_indices=exclude)
-        degraded = cache_down
-        if self._faulted:
-            backend_chunks, replanned, failed = self._degraded_backend_plan(
-                key, exclude, backend_chunks
-            )
-            if failed:
-                return self._failed_result(key, now, len(cache_hits))
-            degraded = degraded or replanned
-        result = self._compose_result(key, now, cache_hits, backend_chunks,
-                                      degraded=degraded)
-
-        # Populate the cache off the critical path (not charged to latency).
-        if not cache_down:
-            chunk_size = self._chunk_size(key)
-            for placed in targets:
-                self._cache.put(
-                    Chunk(chunk_id=ChunkId(key=key, index=placed.index), size=chunk_size)
-                )
-        return result
-
-    def read_indexed(self, key_index: int, now: float) -> ReadResult:
-        if self._faulted or self._resilience is not None:
-            return self.read(self._indexed_keys[key_index], now)
-        plan = self._indexed_plan(key_index)
+    def _read_plan(self, plan: _ReadPlan, now: float) -> ReadResult:
         cache = self._cache
         cache.record_request(plan.key)
         target_count = self._chunks_per_object
+        # During an AZ failure of this region the cache server is
+        # unreachable: no lookups, no fills — but request bookkeeping (the
+        # client-side proxy) continues, so popularity state stays warm.
+        cache_down = self._cache_down
 
-        get = cache.get
-        chunk_ids = plan.needed_chunk_ids
-        hit_positions: list[int] = []
-        for position in range(target_count):
-            if get(chunk_ids[position]) is not None:
-                hit_positions.append(position)
+        hits: list[int] = []
+        if not cache_down:
+            get = cache.get
+            chunk_ids = plan.needed_chunk_ids
+            for position in range(target_count):
+                if get(chunk_ids[position]) is not None:
+                    hits.append(position)
+        hit_positions = tuple(hits)
 
-        selection = plan.selection_for_hits(tuple(hit_positions))
-        result = self._compose_indexed(plan, now, len(hit_positions), selection)
+        selection = plan.select(hit_positions, (), self._down_backends)
+        result = self._compose(plan, now, hit_positions, selection,
+                               degraded=cache_down or selection.replanned)
 
-        put = cache.put
-        chunks = plan.needed_chunks
-        for position in range(target_count):
-            put(chunks[position])
+        # Populate the cache off the critical path (not charged to latency);
+        # an unavailable read fetched nothing to populate it with.
+        if not (cache_down or result.failed):
+            put = cache.put
+            chunks = plan.needed_chunks
+            for position in range(target_count):
+                put(chunks[position])
         return result
 
 
@@ -1370,7 +1105,7 @@ class PeriodicLFUStrategy(ReadStrategy):
         self._last_reconfiguration = now
 
     def _capacity_objects(self, key: str) -> int:
-        chunk_size = self._chunk_size(key)
+        chunk_size = self._store.metadata(key).chunk_size
         capacity_chunks = self._cache.capacity_bytes // chunk_size if chunk_size else 0
         return capacity_chunks // self._chunks_per_object
 
@@ -1380,8 +1115,8 @@ class PeriodicLFUStrategy(ReadStrategy):
         top_keys = [k for k in top_keys if popularity[k] > 0][: self._capacity_objects(key)]
         pinned: set[ChunkId] = set()
         for top_key in top_keys:
-            for placed in self._needed(top_key)[: self._chunks_per_object]:
-                pinned.add(ChunkId(key=top_key, index=placed.index))
+            pinned.update(
+                self._plan_for(top_key).needed_chunk_ids[: self._chunks_per_object])
         self._pinned_policy.set_configuration(pinned)
 
     def _maybe_reconfigure(self, key: str, now: float) -> None:
@@ -1392,70 +1127,33 @@ class PeriodicLFUStrategy(ReadStrategy):
             self._reconfigure(key)
             self._last_reconfiguration = now
 
-    def read(self, key: str, now: float) -> ReadResult:
+    def _read_plan(self, plan: _ReadPlan, now: float) -> ReadResult:
+        key = plan.key
         if not self._external_reconfiguration:
             self._maybe_reconfigure(key, now)
         self._tracker.record_access(key)
         # Reconfiguration and frequency tracking are control-plane work the
         # proxy keeps doing through an AZ failure; only the cache data path
         # (lookups and fills) is unreachable.
-        cache_down = self._faulted and self._cache_down
+        cache_down = self._cache_down
 
-        targets = self._needed(key)[: self._chunks_per_object]
-        cache_hits: list[PlacedChunk] = []
-        missing_targets: list[PlacedChunk] = []
-        if not cache_down:
-            for placed in targets:
-                if self._cache.get(ChunkId(key=key, index=placed.index)) is not None:
-                    cache_hits.append(placed)
-                else:
-                    missing_targets.append(placed)
-
-        exclude = {p.index for p in cache_hits}
-        backend_chunks = self._backend_plan(key, exclude_indices=exclude)
-        degraded = cache_down
-        if self._faulted:
-            backend_chunks, replanned, failed = self._degraded_backend_plan(
-                key, exclude, backend_chunks
-            )
-            if failed:
-                return self._failed_result(key, now, len(cache_hits))
-            degraded = degraded or replanned
-        result = self._compose_result(key, now, cache_hits, backend_chunks,
-                                      degraded=degraded)
-
-        if not cache_down:
-            chunk_size = self._chunk_size(key)
-            for placed in missing_targets:
-                self._cache.put(
-                    Chunk(chunk_id=ChunkId(key=key, index=placed.index), size=chunk_size)
-                )
-        return result
-
-    def read_indexed(self, key_index: int, now: float) -> ReadResult:
-        if self._faulted or self._resilience is not None:
-            return self.read(self._indexed_keys[key_index], now)
-        plan = self._indexed_plan(key_index)
-        key = plan.key
-        if not self._external_reconfiguration:
-            self._maybe_reconfigure(key, now)
-        self._tracker.record_access(key)
-        target_count = self._chunks_per_object
-
-        get = self._cache.get
-        chunk_ids = plan.needed_chunk_ids
-        hit_positions: list[int] = []
+        hits: list[int] = []
         missing_positions: list[int] = []
-        for position in range(target_count):
-            if get(chunk_ids[position]) is not None:
-                hit_positions.append(position)
-            else:
-                missing_positions.append(position)
+        if not cache_down:
+            get = self._cache.get
+            chunk_ids = plan.needed_chunk_ids
+            for position in range(self._chunks_per_object):
+                if get(chunk_ids[position]) is not None:
+                    hits.append(position)
+                else:
+                    missing_positions.append(position)
+        hit_positions = tuple(hits)
 
-        selection = plan.selection_for_hits(tuple(hit_positions))
-        result = self._compose_indexed(plan, now, len(hit_positions), selection)
+        selection = plan.select(hit_positions, (), self._down_backends)
+        result = self._compose(plan, now, hit_positions, selection,
+                               degraded=cache_down or selection.replanned)
 
-        if missing_positions:
+        if missing_positions and not result.failed:
             put = self._cache.put
             chunks = plan.needed_chunks
             for position in missing_positions:
@@ -1530,131 +1228,61 @@ class AgarReadStrategy(ReadStrategy):
         if self._emergency_reconfig:
             self._node.emergency_reconfigure(now, self._down_backends)
 
-    def read(self, key: str, now: float) -> ReadResult:
+    def _read_plan(self, plan: _ReadPlan, now: float) -> ReadResult:
         # The Agar node (popularity monitor, knapsack) is control-plane state
         # that survives an AZ failure; only the cache data path goes dark.
-        hints = self._node.on_request(key, now)
+        hinted = self._node.on_request_indices(plan.key, now)
         cache = self._node.cache
-        cache_down = self._faulted and self._cache_down
+        needed = plan.needed
+        chunk_ids = plan.needed_chunk_ids
 
-        hinted = set(hints.cached_chunk_indices)
-        cache_hits: list[PlacedChunk] = []
-        missing_hinted: list[PlacedChunk] = []
-        if not cache_down:
-            for placed in self._needed(key):
-                if placed.index not in hinted:
+        hits: list[int] = []
+        missing_positions: list[int] = []
+        if hinted and not self._cache_down:
+            get = cache.get
+            hinted_set = set(hinted)
+            for position, placed in enumerate(needed):
+                if placed.index not in hinted_set:
                     continue
-                if cache.get(ChunkId(key=key, index=placed.index)) is not None:
-                    cache_hits.append(placed)
+                if get(chunk_ids[position]) is not None:
+                    hits.append(position)
                 else:
-                    missing_hinted.append(placed)
+                    missing_positions.append(position)
+        hit_positions = tuple(hits)
 
         # §VI: needed chunks that missed the local cache but are pinned by a
         # collaborating neighbour are read from that neighbour's cache —
         # per chunk, only when the neighbour link beats the chunk's own
         # backend link (see set_neighbor_catalog).
-        exclude = {p.index for p in cache_hits}
-        neighbor_chunks = 0
+        neighbor_positions: tuple[int, ...] = ()
         catalog = self._neighbor_pinned
         if catalog is not None:
             neighbor_ms = self._neighbor_read_ms
-            for placed in self._needed(key):
-                if placed.index in exclude:
-                    continue
-                if (neighbor_ms < placed.latency_ms
-                        and ChunkId(key=key, index=placed.index) in catalog):
-                    neighbor_chunks += 1
-                    exclude.add(placed.index)
-
-        backend_chunks = self._backend_plan(key, exclude_indices=exclude)
-        degraded = cache_down
-        if self._faulted:
-            backend_chunks, replanned, failed = self._degraded_backend_plan(
-                key, exclude, backend_chunks
-            )
-            if failed:
-                return self._failed_result(
-                    key, now, len(cache_hits),
-                    extra_overhead_ms=hints.processing_overhead_ms,
-                    neighbor_chunks=neighbor_chunks,
-                )
-            degraded = degraded or replanned
-        result = self._compose_result(
-            key, now, cache_hits, backend_chunks,
-            extra_overhead_ms=hints.processing_overhead_ms,
-            neighbor_chunks=neighbor_chunks,
-            degraded=degraded,
-            hedge_exclude=(frozenset(exclude) if self._resilience is not None
-                           else None),
-        )
-
-        # Write the hinted chunks the client had to fetch from the backend into
-        # the cache (done by a separate thread pool in the prototype, §V-A).
-        if not cache_down:
-            chunk_size = self._chunk_size(key)
-            fetched_indices = {placed.index for placed in backend_chunks}
-            for placed in missing_hinted:
-                if placed.index in fetched_indices:
-                    cache.put(
-                        Chunk(chunk_id=ChunkId(key=key, index=placed.index), size=chunk_size)
-                    )
-        return result
-
-    def read_indexed(self, key_index: int, now: float) -> ReadResult:
-        if self._faulted or self._resilience is not None:
-            return self.read(self._indexed_keys[key_index], now)
-        plan = self._indexed_plan(key_index)
-        hinted = self._node.on_request_indices(plan.key, now)
-        cache = self._node.cache
-
-        get = cache.get
-        chunk_ids = plan.needed_chunk_ids
-        hit_positions: list[int] = []
-        missing_positions: list[int] = []
-        if hinted:
-            hinted_set = set(hinted)
-            for position, placed in enumerate(plan.needed):
-                if placed.index not in hinted_set:
-                    continue
-                if get(chunk_ids[position]) is not None:
-                    hit_positions.append(position)
-                else:
-                    missing_positions.append(position)
-
-        catalog = self._neighbor_pinned
-        if catalog is None:
-            selection = plan.selection_for_hits(tuple(hit_positions))
-            result = self._compose_indexed(
-                plan, now, len(hit_positions), selection,
-                extra_overhead_ms=self._hint_overhead_ms,
-            )
-        else:
-            # §VI twin of the string path: local hits first, then neighbour-
-            # pinned chunks (where the neighbour link beats the chunk's
-            # backend link), then the backend selection over the rest.
-            hit_set = set(hit_positions)
-            needed = plan.needed
-            neighbor_ms = self._neighbor_read_ms
             neighbor_positions = tuple(
                 position for position in range(len(chunk_ids))
-                if position not in hit_set
+                if position not in hit_positions
                 and neighbor_ms < needed[position].latency_ms
                 and chunk_ids[position] in catalog
             )
-            selection = plan.selection_for_hits(tuple(hit_positions), neighbor_positions)
-            result = self._compose_indexed(
-                plan, now, len(hit_positions), selection,
-                extra_overhead_ms=self._hint_overhead_ms,
-                neighbor_count=len(neighbor_positions),
-            )
 
+        selection = plan.select(hit_positions, neighbor_positions, self._down_backends)
+        result = self._compose(
+            plan, now, hit_positions, selection, len(neighbor_positions),
+            extra_overhead_ms=self._hint_overhead_ms,
+            degraded=self._cache_down or selection.replanned,
+        )
+
+        # Write the hinted chunks the client had to fetch from the backend into
+        # the cache (done by a separate thread pool in the prototype, §V-A);
+        # an unavailable read fetched none.
         if missing_positions:
-            needed = plan.needed
-            fetched_indices = selection.fetched_indices
+            # Needed position p (furthest first) is nearest position k-1-p.
+            fetched = selection.positions
+            last = plan.data_chunks - 1
             put = cache.put
             chunks = plan.needed_chunks
             for position in missing_positions:
-                if needed[position].index in fetched_indices:
+                if last - position in fetched:
                     put(chunks[position])
         return result
 

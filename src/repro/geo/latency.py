@@ -220,11 +220,10 @@ class LatencyModel:
     def next_standard_normal(self) -> float:
         """Next sample from the refillable standard-normal jitter block.
 
-        Public because the strategies' indexed read fast path applies the
-        jitter itself (``expected * exp(σ·z)`` with precomputed ``expected``
-        and ``σ``) instead of going through :meth:`sample_backend_read`; both
-        paths consume the same underlying bit stream, one draw per jittered
-        chunk, so they stay bit-identical.
+        Public because the read strategies apply the jitter themselves
+        (``expected * exp(σ·z)`` with per-key precomputed ``expected`` and
+        ``σ``) instead of going through :meth:`sample_backend_read`; both
+        consume the same underlying bit stream, one draw per jittered chunk.
         """
         block = self._block
         position = self._block_pos
@@ -243,7 +242,7 @@ class LatencyModel:
 
         Consumes exactly the same bit stream as ``count`` scalar
         :meth:`next_standard_normal` calls (including refills at the same
-        block boundaries); the indexed read path uses it to sample all of a
+        block boundaries); the read strategies use it to sample all of a
         read's chunks at once.
         """
         position = self._block_pos

@@ -49,12 +49,14 @@ so the queue reduces to one next-event time per lane, held in a NumPy array —
 the next event is an ``argmin`` over that array instead of a heap pop over
 ``(time, priority, seq, payload)`` tuples.  Client state is struct-of-arrays
 (per-lane rank streams from :func:`generate_request_ranks`, positions, bound
-read/record callables) and reads go through the strategies'
-:meth:`~repro.client.strategies.ReadStrategy.read_indexed` fast path, so the
-inner loop allocates no tuples and hashes no key strings.  Open-loop lanes
-pre-draw exponential inter-arrival blocks from their per-client generators
-(block and scalar draws consume the same bit stream).  Timer events (few per
-deployment) live in a small residual heap consulted before each arrival.
+read/record callables) and reads enter the strategies by key index
+(:meth:`~repro.client.strategies.ReadStrategy.read_indexed` — the same read
+as ``read``, faulted and resilient shapes included, resolved without the key
+string), so the inner loop allocates no tuples and hashes no key strings.
+Open-loop lanes pre-draw exponential inter-arrival blocks from their
+per-client generators (block and scalar draws consume the same bit stream).
+Timer events (few per deployment) live in a small residual heap consulted
+before each arrival.
 
 The previous heap loop is retained verbatim as
 :meth:`EventEngine.execute_reference`; the equivalence suite
@@ -464,7 +466,7 @@ class _LaneRun:
         self.region_indices = region_indices
         selected = set(region_indices)
 
-        # Shared key space; per-key plans are built lazily inside read_indexed.
+        # Shared key space; per-key plans are interned lazily on first read.
         keys = [workload.key_for_rank(rank) for rank in range(workload.object_count)]
         for region_index in region_indices:
             strategies[region_index].prepare_indexed_reads(keys)
@@ -601,11 +603,9 @@ class _LaneRun:
         self.region_read: list = [None] * region_count
         self.region_record: list = [None] * region_count
         self.region_kept_lists: list = [None] * region_count
-        self.region_resolve: list = [None] * region_count
         for region_index in region_indices:
             strategy = strategies[region_index]
             self.region_read[region_index] = strategy.read_indexed
-            self.region_resolve[region_index] = strategy.resolve_indexed_plans
             self.region_record[region_index] = self.region_stats[region_index].record_read
             self.region_kept_lists[region_index] = self.region_kept[region_index]
         self.lane_pos = [0] * lanes
@@ -624,7 +624,6 @@ class _LaneRun:
         self.guard_ties = not engine._topology.latency.fully_jittered
         self.lane_schedule_seq = list(range(lanes)) if self.guard_ties else None
         self.schedule_counter = lanes
-        self._plans_resolved = False
 
         # Wave dispatch (closed loop, jittered topologies): every read costs
         # at least the client overhead, so arrivals inside
@@ -645,8 +644,8 @@ class _LaneRun:
         self.region_record_block: list = [None] * region_count
         # Resilient reads (retry budgets, hedging) draw a variable number of
         # jitter samples per read, so the fixed draws-per-read batching below
-        # must stand down; the per-event wave path stays valid because a
-        # resilient read still costs at least the client overhead.
+        # is not set up for them; per-event wave dispatch stays valid because
+        # a resilient read still costs at least the client overhead.
         self._draws_per_read = 0
         if (not self.guard_ties and not self._open_loop and self._min_gap > 0.0
                 and all(strategy.supports_indexed_batch
@@ -683,20 +682,6 @@ class _LaneRun:
     def remaining_events(self) -> int:
         """Requests not yet processed across this run's lanes."""
         return sum(end - pos for end, pos in zip(self.lane_end, self.lane_pos))
-
-    def _resolve_first_block(self, lanes: list[int], ranks: list[int]) -> None:
-        """Resolve the first block's distinct read plans per region.
-
-        Same-key hits share one resolution; later blocks resolve any
-        still-unseen keys lazily inside ``read_indexed``.
-        """
-        self._plans_resolved = True
-        lane_region = self.lane_region
-        by_region: dict[int, set[int]] = {}
-        for lane, rank in zip(lanes, ranks):
-            by_region.setdefault(lane_region[lane], set()).add(rank)
-        for region_index, region_ranks in by_region.items():
-            self.region_resolve[region_index](region_ranks)
 
     def run_until(self, limit: float | None) -> None:
         """Process events strictly before ``limit`` (None = run to completion).
@@ -816,8 +801,6 @@ class _LaneRun:
                 wave_lanes = ready[order].tolist()
                 wave_ranks = [lane_ranks[lane][lane_pos[lane]]
                               for lane in wave_lanes]
-                if not self._plans_resolved:
-                    self._resolve_first_block(wave_lanes, wave_ranks)
 
                 if draws_per_read and not any(
                         strategy._faulted for strategy in selected_strategies):
@@ -954,12 +937,8 @@ class _LaneRun:
             ready = np.flatnonzero(next_time < block_end)
             ready_list = ready.tolist()
             ready_times = next_time[ready].tolist()
-            # Batched rank lookup for the block's due events; the first block
-            # additionally resolves the distinct keys' read plans per region
-            # in one grouped pass (same-key hits share one resolution).
+            # Batched rank lookup for the block's due events.
             block_ranks = [lane_ranks[lane][lane_pos[lane]] for lane in ready_list]
-            if not self._plans_resolved:
-                self._resolve_first_block(ready_list, block_ranks)
 
             # Drain the block in exact event order through a local heap.
             # Entry layouts make heap ties resolve exactly like the reference:

@@ -238,3 +238,81 @@ class TestStrategyNameValidation:
         for name in ("bogus", "lru-", "lfu-0", "lru-x", "agar-2", "LRU-5",
                       "lfu-online-"):
             assert not is_strategy_name(name)
+
+
+class TestEntryPoints:
+    """``read`` and ``read_indexed`` resolve a key differently and then run
+    the same read: results, cache effects and sink payloads must agree."""
+
+    @staticmethod
+    def deployment(name):
+        """A fresh jittered store + strategy (own jitter stream per call)."""
+        from repro.backend import ErasureCodedStore
+        from repro.geo import default_topology
+
+        store = ErasureCodedStore(default_topology(seed=5))
+        keys = store.populate(object_count=12, object_size=MEGABYTE)
+        strategy = make_strategy(name, store, "frankfurt", 2 * MEGABYTE)
+        decided = []
+        strategy.set_decision_sink(
+            lambda result, cache_chunks, backend_chunks: decided.append(
+                ([placed.index for placed in cache_chunks],
+                 [placed.index for placed in backend_chunks])))
+        return strategy, keys, decided
+
+    @pytest.mark.parametrize("name", ["backend", "lru-3", "lfu-online-3",
+                                      "lfu-5", "agar"])
+    def test_entry_points_agree(self, name):
+        from repro.sim.faults import FaultState
+
+        by_key, keys, key_decisions = self.deployment(name)
+        by_index, _, index_decisions = self.deployment(name)
+        by_index.prepare_indexed_reads(keys)
+        outage = FaultState(down_backends=frozenset({"sao_paulo"}))
+        for step in range(240):
+            if step == 160:
+                by_key.set_fault_state(outage)
+                by_index.set_fault_state(outage)
+            rank = (step * step) % 7          # skewed, revisits hot keys
+            now = step * 0.5                  # crosses three 30 s periods
+            assert by_index.read_indexed(rank, now) == by_key.read(keys[rank], now)
+        # The sink fires on both entry points with the same chunk lists.
+        assert len(index_decisions) == 240
+        assert index_decisions == key_decisions
+        assert any(cache for cache, _ in key_decisions) or name == "backend"
+        assert by_index.cache_snapshot() == by_key.cache_snapshot()
+
+    def test_read_indexed_requires_prepare(self, store):
+        strategy = BackendReadStrategy(store, "frankfurt")
+        with pytest.raises(RuntimeError, match="prepare_indexed_reads"):
+            strategy.read_indexed(0, now=0.0)
+
+    def test_lazily_interned_key_is_shared(self, store):
+        """A key first seen by ``read`` (e.g. after a wire PUT) needs no
+        re-preparation, and the index table reuses its plan."""
+        strategy = FixedChunkCachingStrategy(store, "frankfurt", MEGABYTE,
+                                             chunks_per_object=3)
+        store.put_virtual("late", MEGABYTE)
+        first = strategy.read("late", now=0.0)
+        assert first.hit_type is HitType.MISS
+        strategy.prepare_indexed_reads(["late"])
+        second = strategy.read_indexed(0, now=1.0)
+        assert second.chunks_from_cache == 3
+
+    def test_cache_hit_without_cache_link_raises(self):
+        """A topology with no cache link profile tolerates cache-less reads
+        but must fail loudly on the first cache hit."""
+        from repro.backend import ErasureCodedStore
+        from repro.geo import default_topology
+
+        topology = default_topology(seed=0)
+        topology.latency._cache_links.clear()
+        store = ErasureCodedStore(topology)
+        store.populate(object_count=1, object_size=MEGABYTE)
+        assert BackendReadStrategy(store, "frankfurt").read(
+            "object-0", now=0.0).chunks_from_backend == 9
+        caching = FixedChunkCachingStrategy(store, "frankfurt", MEGABYTE,
+                                            chunks_per_object=3)
+        caching.read("object-0", now=0.0)
+        with pytest.raises(KeyError, match="cache link"):
+            caching.read("object-0", now=1.0)

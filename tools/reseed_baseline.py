@@ -7,7 +7,7 @@ Hosted runs upload their raw pytest-benchmark output as ``BENCH_*.json``
 workflow artifacts; this tool aggregates any number of those artifacts into
 a fresh committed baseline:
 
-    python tools/reseed_baseline.py BENCH_2026-07-29.json BENCH_2026-08-08.json
+    python tools/reseed_baseline.py BENCH_2026-07-29.json BENCH_<date>.json  # committed artifact + a local gated run
     python tools/reseed_baseline.py --glob            # every BENCH_*.json in the repo root
     python tools/reseed_baseline.py --glob --dry-run  # print, write nothing
 
