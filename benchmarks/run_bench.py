@@ -45,6 +45,7 @@ BASELINE_PATH = REPO_ROOT / "benchmarks" / "baseline.json"
 #: Benchmarks guarded against regression (ISSUE 1-5 acceptance criteria).
 GUARDED_BENCHMARKS = (
     "test_bench_knapsack_solver",
+    "test_bench_reconfiguration",
     "test_bench_reed_solomon_encode",
     "test_bench_reed_solomon_decode_with_parity",
     "test_bench_codec_encode_many",
@@ -84,6 +85,10 @@ _BENCH_FILES = {
 #: single-core hosts and get correspondingly wider bands.
 DEFAULT_TOLERANCES = {
     "test_bench_knapsack_solver": 0.20,
+    # One full CacheManager.reconfigure (options + solve + install) at the
+    # paper's 300 objects / 10 MB: five pedantic rounds of ~10 ms, so a
+    # single slow round moves the mean — wider than the solver's own band.
+    "test_bench_reconfiguration": 0.40,
     "test_bench_reed_solomon_encode": 0.25,
     "test_bench_reed_solomon_decode_with_parity": 0.25,
     "test_bench_codec_encode_many": 0.30,

@@ -33,7 +33,6 @@ from repro.core.options import (
     needed_chunks,
     option_with_weight,
     option_with_weight_at_most,
-    options_by_weight,
 )
 from repro.core.popularity import DEFAULT_ALPHA, PopularityRecord, PopularityTracker
 from repro.core.region_manager import RegionEstimate, RegionManager
@@ -67,7 +66,6 @@ __all__ = [
     "optimality_gap",
     "option_with_weight",
     "option_with_weight_at_most",
-    "options_by_weight",
     "solve_exact",
     "solve_greedy_density",
     "solve_greedy_marginal",

@@ -14,7 +14,7 @@ and the Region Manager's latency estimates, then installs it:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.cache.chunk_cache import ChunkCache
 from repro.cache.policies import PinnedConfigurationPolicy
@@ -27,6 +27,8 @@ from repro.core.knapsack import (
 )
 from repro.core.options import CachingOption, generate_caching_options
 from repro.core.region_manager import RegionManager
+
+OptionsByKey = Mapping[str, Sequence[CachingOption]]
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,9 @@ class ReconfigurationRecord:
     keys_processed: int
     stopped_early: bool
     chunk_histogram: dict[int, int] = field(default_factory=dict)
+    relax_scans: int = 0
+    relax_pruned: int = 0
+    relax_improved: int = 0
 
 
 class CacheManager:
@@ -113,7 +118,11 @@ class CacheManager:
     # Option generation and solving
     # ------------------------------------------------------------------ #
     def generate_options(self, popularity: Mapping[str, float]) -> dict[str, list[CachingOption]]:
-        """Generate caching options for the candidate objects (§IV-A)."""
+        """Generate caching options for the candidate objects (§IV-A).
+
+        Objects whose chunks are placed alike share one option ladder: the
+        first one's options, re-stamped with each further key and popularity.
+        """
         estimates = self._region_manager.latency_estimates()
         cache_read_ms = self._region_manager.cache_read_estimate()
         params = self._region_manager.params
@@ -125,34 +134,49 @@ class CacheManager:
         if self._config.max_candidate_keys is not None:
             candidates = candidates[: self._config.max_candidate_keys]
 
+        ladders: dict[tuple, list[CachingOption]] = {}
         options_by_key: dict[str, list[CachingOption]] = {}
         for key, pop in candidates:
             try:
                 chunks_by_region = self._region_manager.chunks_by_region(key)
             except KeyError:
                 continue
-            options = generate_caching_options(
-                key=key,
-                chunks_by_region=chunks_by_region,
-                region_latencies=estimates,
-                popularity=pop,
-                data_chunks=params.data_chunks,
-                parity_chunks=params.parity_chunks,
-                cache_read_ms=cache_read_ms,
-            )
+            shape = tuple((region, tuple(indices))
+                          for region, indices in chunks_by_region.items())
+            ladder = ladders.get(shape)
+            if ladder is None or pop < 0:   # a negative popularity is the generator's to reject
+                options = ladders[shape] = generate_caching_options(
+                    key=key,
+                    chunks_by_region=chunks_by_region,
+                    region_latencies=estimates,
+                    popularity=pop,
+                    data_chunks=params.data_chunks,
+                    parity_chunks=params.parity_chunks,
+                    cache_read_ms=cache_read_ms,
+                )
+            else:
+                options = [
+                    CachingOption(key, rung.chunk_indices, rung.weight,
+                                  rung.latency_improvement_ms, rung.marginal_improvement_ms,
+                                  pop, rung.residual_latency_ms)
+                    for rung in ladder
+                ]
             if options:
                 options_by_key[key] = options
         return options_by_key
 
-    def compute_configuration(self, popularity: Mapping[str, float]) -> SolverResult:
-        """Run the knapsack DP for the given popularity snapshot."""
-        options_by_key = self.generate_options(popularity)
+    def solve(self, options_by_key: OptionsByKey) -> SolverResult:
+        """Run the knapsack DP over ``options_by_key`` under this manager's settings."""
         solver = KnapsackSolver(
             capacity_weight=self.capacity_chunks,
             use_relax=self._config.use_relax,
             stop_after_extra_keys=self._config.stop_after_extra_keys,
         )
         return solver.solve(options_by_key)
+
+    def compute_configuration(self, popularity: Mapping[str, float]) -> SolverResult:
+        """Run the knapsack DP for the given popularity snapshot."""
+        return self.solve(self.generate_options(popularity))
 
     # ------------------------------------------------------------------ #
     # Installation
@@ -170,15 +194,18 @@ class CacheManager:
         if isinstance(policy, PinnedConfigurationPolicy):
             policy.set_configuration(configuration.chunk_ids())
 
-    def reconfigure(self, popularity: Mapping[str, float]) -> ReconfigurationRecord:
-        """Full reconfiguration cycle: generate options, solve, install, record."""
+    def reconfigure(self, popularity: Mapping[str, float],
+                    transform: Callable[[OptionsByKey], OptionsByKey] | None = None,
+                    ) -> ReconfigurationRecord:
+        """Full reconfiguration cycle: generate options, solve, install, record.
+
+        ``transform`` re-values the generated options before they are solved
+        (a collaborative round discounts them by the neighbours' contents).
+        """
         options_by_key = self.generate_options(popularity)
-        solver = KnapsackSolver(
-            capacity_weight=self.capacity_chunks,
-            use_relax=self._config.use_relax,
-            stop_after_extra_keys=self._config.stop_after_extra_keys,
-        )
-        result = solver.solve(options_by_key)
+        if transform is not None:
+            options_by_key = transform(options_by_key)
+        result = self.solve(options_by_key)
         self.install(result.best)
         record = ReconfigurationRecord(
             period_index=len(self._history),
@@ -190,6 +217,8 @@ class CacheManager:
             keys_processed=result.keys_processed,
             stopped_early=result.stopped_early,
             chunk_histogram=configuration_summary(result.best),
+            relax_scans=result.relax_scans, relax_pruned=result.relax_pruned,
+            relax_improved=result.relax_improved,
         )
         self._history.append(record)
         return record

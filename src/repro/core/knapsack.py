@@ -19,9 +19,10 @@ Two implementations are provided:
 
 * :class:`KnapsackSolver` — the optimized solver.  The DP state is scalar: a
   weight-indexed array of ``(value, weight, key-bitmask, option-chain)``
-  records, so the inner loops touch only floats, ints and tuple cells.  Full
-  :class:`CacheConfiguration` objects are materialized exactly once, from the
-  option chains, after the DP finishes.
+  records, so the inner loops touch only floats, ints and tuple cells.  A
+  relaxation scan is skipped when a per-state lower bound on what shrinking
+  any chosen object would cost already exceeds the option's value, and only
+  the winning state is materialized as a :class:`CacheConfiguration`.
 * :class:`ReferenceKnapsackSolver` — the original direct transcription of the
   paper's pseudo-code, which derives an immutable :class:`CacheConfiguration`
   for every intermediate state.  It is kept as the ground truth for the
@@ -34,13 +35,13 @@ solver and a greedy baseline for the ablation benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.options import (
     CachingOption,
     best_option_value,
     option_with_weight,
-    options_by_weight,
 )
 from repro.erasure.chunk import ChunkId
 
@@ -149,8 +150,16 @@ class CacheConfiguration:
 
 EMPTY_CONFIGURATION = CacheConfiguration()
 
-#: Shared empty exact-weight index used when a relaxed key has no options.
-_EMPTY_WEIGHT_INDEX: dict[int, CachingOption] = {}
+_INF = float("inf")
+
+#: Stands in for the replacement entry of a total eviction: no option, no value.
+_EVICTED = (None, 0.0)
+
+#: Relaxation-pruning slack as a share of the instance's total option value.
+#: The float candidate ``((base - old) + replacement) + new`` of a relax scan
+#: is within four roundings (each at most 2**-53 of that total) of its exact
+#: value, so a bound that clears 2**-45 of it cannot be a rounding artefact.
+_PRUNE_SLACK = 2.0 ** -45
 
 
 @dataclass(frozen=True)
@@ -162,32 +171,45 @@ class SolverResult:
         table: the final ``MaxV`` table (weight slot → best configuration seen).
         keys_processed: how many objects the solver examined.
         stopped_early: whether the §VI early-stop optimisation triggered.
+        relax_scans: relaxation attempts that walked a state's chain.
+        relax_pruned: relaxation attempts skipped by the displacement bound.
+        relax_improved: relaxation attempts that replaced their state.
     """
 
     best: CacheConfiguration
-    table: dict[int, CacheConfiguration]
+    table: Mapping[int, CacheConfiguration]
     keys_processed: int
     stopped_early: bool
+    relax_scans: int = 0
+    relax_pruned: int = 0
+    relax_improved: int = 0
 
 
 class _State:
     """One scalar DP record: the configuration at a ``MaxV`` weight slot.
 
     ``chain`` is a singly linked chain of
-    ``(option, value, weight, key_bit, parent)`` tuples in reverse insertion
-    order, so the relax scan touches only tuple cells — no property calls, no
-    dict lookups.  Materializing a :class:`CacheConfiguration` happens only
-    after the DP converged.  ``mask`` is a bitmask over the solver's key
-    indices — an O(1) replacement for ``has_key``.
+    ``(option, value, weight, key_bit, parent, loss)`` tuples in reverse
+    insertion order, so the relax scan touches only tuple cells — no property
+    calls.  ``mask`` is a bitmask over the solver's key indices — an O(1)
+    replacement for ``has_key``.
+
+    A node's ``loss`` has one entry per distinct option weight ``w`` of the
+    instance: the value given up by shrinking the node to make room for an
+    option of weight ``w`` (``inf`` when the node is lighter than ``w``).
+    ``min_loss`` is the entry-wise minimum over the chain, the bound
+    :meth:`KnapsackSolver._relax_pass` prunes with.
     """
 
-    __slots__ = ("value", "weight", "mask", "chain")
+    __slots__ = ("value", "weight", "mask", "chain", "min_loss")
 
-    def __init__(self, value: float, weight: int, mask: int, chain: tuple | None) -> None:
+    def __init__(self, value: float, weight: int, mask: int, chain: tuple | None,
+                 min_loss: tuple[float, ...]) -> None:
         self.value = value
         self.weight = weight
         self.mask = mask
         self.chain = chain
+        self.min_loss = min_loss
 
     def nodes_in_order(self) -> list[tuple]:
         """The chain's nodes in insertion order."""
@@ -200,8 +222,29 @@ class _State:
         return nodes
 
     def materialize(self) -> CacheConfiguration:
-        """Build the full configuration object (done once, after the DP)."""
+        """Build the full configuration object."""
         return CacheConfiguration(options=tuple(node[0] for node in self.nodes_in_order()))
+
+
+class _LazyTable(Mapping):
+    """The ``MaxV`` table, materialized from the DP states on first access."""
+
+    def __init__(self, states: list[_State | None]) -> None:
+        self._states = states
+
+    @cached_property
+    def _table(self) -> dict[int, CacheConfiguration]:
+        return {slot: state.materialize()
+                for slot, state in enumerate(self._states) if state is not None}
+
+    def __getitem__(self, slot: int) -> CacheConfiguration:
+        return self._table[slot]
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __len__(self) -> int:
+        return len(self._table)
 
 
 class KnapsackSolver:
@@ -258,27 +301,40 @@ class KnapsackSolver:
             for key, options in options_by_key.items()
         }
         usable = {key: options for key, options in usable.items() if options}
-        ordered_keys = sorted(usable, key=lambda key: (-best_option_value(usable[key]), key))
+        values = {key: [option.value for option in options]
+                  for key, options in usable.items()}
+        ordered_keys = sorted(usable, key=lambda key: (-max(values[key]), key))
 
-        # Per-key exact-weight lookup (SearchOption of Fig. 5) and key bits.
-        weight_index = {key: options_by_weight(usable[key]) for key in ordered_keys}
-        key_bit = {key: 1 << index for index, key in enumerate(ordered_keys)}
+        # Columns of the loss tuples, and the prune's rounding allowance.
+        # A NaN or infinite value makes the slack so, and no state prunes.
+        weights = sorted({option.weight for options in usable.values() for option in options})
+        column = {weight: index for index, weight in enumerate(weights)}
+        slack = _PRUNE_SLACK * sum(abs(value) for ladder in values.values() for value in ladder)
 
         # MaxV: weight slot -> scalar state.  Slot 0 is the empty configuration.
         states: list[_State | None] = [None] * (capacity + 1)
-        states[0] = _State(0.0, 0, 0, None)
+        states[0] = _State(0.0, 0, 0, None, (_INF,) * len(weights))
         max_slot = 0
+        # Per-key exact-weight lookup (SearchOption of Fig. 5), built as the
+        # DP reaches a key: a chain only ever holds keys already processed.
+        weight_index: dict[str, dict[int, tuple]] = {}
 
         keys_since_full: int | None = None
         keys_processed = 0
         stopped_early = False
+        scans = pruned = improved = 0
 
-        for key in ordered_keys:
-            bit = key_bit[key]
-            for option in sorted(usable[key], key=lambda opt: opt.weight):
+        for index, key in enumerate(ordered_keys):
+            bit = 1 << index
+            entries, weight_index[key] = _index_options(usable[key], values[key], weights)
+            for entry in entries:
                 if self._use_relax:
-                    self._relax_pass(states, option, bit, weight_index)
-                max_slot = self._addition_pass(states, option, bit, max_slot)
+                    counts = self._relax_pass(states, entry, bit, column[entry[2]],
+                                              slack, weight_index)
+                    scans += counts[0]
+                    pruned += counts[1]
+                    improved += counts[2]
+                max_slot = self._addition_pass(states, entry, bit, max_slot)
             keys_processed += 1
 
             if self._stop_after_extra_keys is not None:
@@ -290,11 +346,16 @@ class KnapsackSolver:
                         stopped_early = True
                         break
 
-        table = {slot: state.materialize()
-                 for slot, state in enumerate(states) if state is not None}
-        best = max(table.values(), key=lambda config: (config.value, -config.weight))
-        return SolverResult(best=best, table=table, keys_processed=keys_processed,
-                            stopped_early=stopped_early)
+        # The key a materialized table was ranked by: the configuration's own
+        # value — ``sum`` of its options in insertion order, which need not
+        # equal the DP's running total bit for bit — then the lighter one;
+        # ``max`` keeps the first maximum in slot order.
+        winner = max((state for state in states if state is not None),
+                     key=lambda state: (sum([node[1] for node in state.nodes_in_order()]),
+                                        -state.weight))
+        return SolverResult(best=winner.materialize(), table=_LazyTable(states),
+                            keys_processed=keys_processed, stopped_early=stopped_early,
+                            relax_scans=scans, relax_pruned=pruned, relax_improved=improved)
 
     def solve_configuration(self, options_by_key: Mapping[str, Sequence[CachingOption]]) -> CacheConfiguration:
         """Convenience wrapper returning only the best configuration."""
@@ -303,21 +364,19 @@ class KnapsackSolver:
     # ------------------------------------------------------------------ #
     # DP passes
     # ------------------------------------------------------------------ #
-    def _addition_pass(self, states: list[_State | None], option: CachingOption,
+    def _addition_pass(self, states: list[_State | None], entry: tuple,
                        bit: int, max_slot: int) -> int:
-        """Fig. 4 lines 14–21: extend existing configurations with ``option``.
+        """Fig. 4 lines 14–21: extend existing configurations with ``entry``'s option.
 
         Returns the (possibly grown) maximum occupied weight slot, tracked
         incrementally so the §VI early-stop check never rescans the table.
         """
         capacity = self._capacity
-        option_weight = option.weight
-        option_value = option.value
-        # Snapshot of the occupied slots, ascending — additions inside this
-        # pass must not feed further additions of the same option.
-        snapshot = [state for state in states if state is not None]
-        for state in snapshot:
-            if state.mask & bit:
+        option, option_value, option_weight, loss = entry
+        # Iterate a copy — additions inside this pass must not feed further
+        # additions of the same option.
+        for state in list(states):
+            if state is None or state.mask & bit:
                 continue
             new_weight = state.weight + option_weight
             if new_weight > capacity:
@@ -327,30 +386,42 @@ class KnapsackSolver:
             if existing is None or existing.value < new_value:
                 states[new_weight] = _State(
                     new_value, new_weight, state.mask | bit,
-                    (option, option_value, option_weight, bit, state.chain),
+                    (option, option_value, option_weight, bit, state.chain, loss),
+                    tuple(map(min, state.min_loss, loss)),
                 )
                 if new_weight > max_slot:
                     max_slot = new_weight
         return max_slot
 
-    def _relax_pass(self, states: list[_State | None], option: CachingOption, bit: int,
-                    weight_index: Mapping[str, Mapping[int, CachingOption]]) -> None:
-        """Fig. 4 lines 10–12 / Fig. 5: improve configurations at constant weight slot."""
-        option_weight = option.weight
-        option_value = option.value
-        snapshot = [(slot, state) for slot, state in enumerate(states) if state is not None]
-        for slot, state in snapshot:
-            if state.mask & bit or state.chain is None:
-                continue
-            improved = self._relax(state, option, option_value, option_weight,
-                                   bit, weight_index)
-            if improved is not None and improved.value > state.value:
-                states[slot] = improved
+    def _relax_pass(self, states: list[_State | None], entry: tuple, bit: int,
+                    column: int, slack: float,
+                    weight_index: Mapping[str, Mapping[int, tuple]]) -> tuple[int, int, int]:
+        """Fig. 4 lines 10–12 / Fig. 5: improve configurations at constant weight slot.
 
-    def _relax(self, state: _State, option: CachingOption, option_value: float,
-               option_weight: int, bit: int,
-               weight_index: Mapping[str, Mapping[int, CachingOption]]) -> _State | None:
-        """Fig. 5: make room for ``option`` by shrinking one already-chosen object.
+        A swap gains ``option value − loss`` over the state, so a state whose
+        smallest loss for this option's weight exceeds the option's value by
+        more than the rounding ``slack`` has no improving candidate and is
+        skipped; anything closer — every exact tie included — gets the full
+        scan.  Returns ``(scanned, pruned, improved)`` state counts.
+        """
+        option_value = entry[1]
+        scans = pruned = improved = 0
+        for slot, state in enumerate(states):
+            if state is None or state.mask & bit or state.chain is None:
+                continue
+            if state.min_loss[column] - option_value > slack:
+                pruned += 1
+                continue
+            scans += 1
+            better = self._relax(state, entry, bit, weight_index)
+            if better is not None and better.value > state.value:
+                states[slot] = better
+                improved += 1
+        return scans, pruned, improved
+
+    def _relax(self, state: _State, entry: tuple, bit: int,
+               weight_index: Mapping[str, Mapping[int, tuple]]) -> _State | None:
+        """Fig. 5: make room for ``entry``'s option by shrinking one already-chosen object.
 
         The replacement option must have *exactly* the weight freed by the
         swap (``OldOption.Weight − Option.Weight``), so the configuration's
@@ -362,10 +433,11 @@ class KnapsackSolver:
         Returns the best improved state, or ``None`` if no replacement
         increases the value.
         """
+        option, option_value, option_weight, loss = entry
         base_value = state.value
         best_value = base_value
         best_node: tuple | None = None
-        best_replacement: CachingOption | None = None
+        best_replacement: tuple | None = None
 
         # The chain is in reverse insertion order.  The reference scans in
         # insertion order and keeps the *first* candidate achieving the best
@@ -381,9 +453,9 @@ class KnapsackSolver:
                 replacement = None
                 replacement_value = 0.0
                 if freed_weight >= 1:
-                    replacement = weight_index.get(node[0].key, _EMPTY_WEIGHT_INDEX).get(freed_weight)
+                    replacement = weight_index[node[0].key].get(freed_weight)
                     if replacement is not None:
-                        replacement_value = replacement.value
+                        replacement_value = replacement[1]
                 candidate_value = base_value - node[1] + replacement_value + option_value
                 if candidate_value > base_value and candidate_value >= best_value:
                     best_value = candidate_value
@@ -401,23 +473,47 @@ class KnapsackSolver:
         weight = 0
         mask = 0
         chain: tuple | None = None
+        min_loss = loss
+        # ``kept`` is a chain node or an index entry: option, value and weight
+        # lead both, the loss tuple ends both.
         for existing in state.nodes_in_order():
             if existing is best_node:
                 if best_replacement is None:
                     continue
-                entry = (best_replacement, best_replacement.value,
-                         best_replacement.weight, existing[3], chain)
+                kept = best_replacement
             else:
-                entry = (existing[0], existing[1], existing[2], existing[3], chain)
-            value += entry[1]
-            weight += entry[2]
-            mask |= entry[3]
-            chain = entry
-        value += option_value
-        weight += option_weight
-        mask |= bit
-        chain = (option, option_value, option_weight, bit, chain)
-        return _State(value, weight, mask, chain)
+                kept = existing
+            chain = (kept[0], kept[1], kept[2], existing[3], chain, kept[-1])
+            value += kept[1]
+            weight += kept[2]
+            mask |= existing[3]
+            min_loss = tuple(map(min, min_loss, kept[-1]))
+        return _State(value + option_value, weight + option_weight, mask | bit,
+                      (option, option_value, option_weight, bit, chain, loss), min_loss)
+
+
+def _index_options(options: Sequence[CachingOption], values: Sequence[float],
+                   weights: Sequence[int]) -> tuple[list[tuple], dict[int, tuple]]:
+    """One key's ``(option, value, weight, loss)`` entries and exact-weight index.
+
+    Entries come back in increasing weight (the order the DP offers them);
+    the index keeps the *first* option of a weight, as
+    :func:`~repro.core.options.option_with_weight`'s linear scan does.
+    ``loss[i]`` is what shrinking the option by ``weights[i]`` gives up: its
+    value minus that of the key's option of exactly the remaining weight
+    (nothing, when there is none and the object is evicted).
+    """
+    entries: list[tuple] = []
+    by_weight: dict[int, tuple] = {}
+    # Lightest first, so an option's lighter siblings are already indexed.
+    for option, value in sorted(zip(options, values), key=lambda pair: pair[0].weight):
+        weight = option.weight
+        entry = (option, value, weight, tuple(
+            _INF if weight < shrink else value - by_weight.get(weight - shrink, _EVICTED)[1]
+            for shrink in weights))
+        entries.append(entry)
+        by_weight.setdefault(weight, entry)
+    return entries, by_weight
 
 
 class ReferenceKnapsackSolver:

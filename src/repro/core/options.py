@@ -238,19 +238,6 @@ def option_with_weight(options: Sequence[CachingOption], weight: int) -> Caching
     return None
 
 
-def options_by_weight(options: Sequence[CachingOption]) -> dict[int, CachingOption]:
-    """Index a key's options by exact weight (first option wins on duplicates).
-
-    The optimized solver uses this to turn the Fig. 5 ``SearchOption`` scan
-    into an O(1) dictionary lookup; keeping the *first* option of a weight
-    matches :func:`option_with_weight`'s linear-scan semantics.
-    """
-    index: dict[int, CachingOption] = {}
-    for option in options:
-        index.setdefault(option.weight, option)
-    return index
-
-
 def option_with_weight_at_most(options: Sequence[CachingOption], max_weight: int) -> CachingOption | None:
     """The most valuable option whose weight does not exceed ``max_weight``.
 

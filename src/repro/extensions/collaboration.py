@@ -35,7 +35,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from repro.core.agar_node import AgarNode
-from repro.core.knapsack import KnapsackSolver
 from repro.core.options import CachingOption
 from repro.erasure.chunk import ChunkId
 
@@ -132,22 +131,19 @@ def reconfigure_node(node: AgarNode, neighbours: Sequence[NeighborAnnouncement],
                      neighbor_read_ms: float) -> int:
     """Run one node's share of a collaborative reconfiguration round.
 
-    Closes the node's popularity period, generates its caching options,
-    discounts them by the neighbours' announcements, solves the knapsack and
-    installs the resulting configuration.  Both the in-process coordinator
+    Closes the node's popularity period and runs a regular
+    :meth:`CacheManager.reconfigure` — the node's solver settings, a
+    :class:`ReconfigurationRecord` in its history — with the generated options
+    discounted by the neighbours' announcements.  Both the in-process coordinator
     and the sharded engine's per-region workers call exactly this function,
     which is what keeps the two execution paths bit-identical.
 
     Returns the number of configured (pinned) chunks.
     """
     popularity = node.request_monitor.end_period()
-    manager = node.cache_manager
-    options = manager.generate_options(popularity)
-    discounted = discount_options(options, neighbours, neighbor_read_ms)
-    solver = KnapsackSolver(capacity_weight=manager.capacity_chunks)
-    best = solver.solve_configuration(discounted)
-    manager.install(best)
-    return best.weight
+    record = node.cache_manager.reconfigure(
+        popularity, lambda options: discount_options(options, neighbours, neighbor_read_ms))
+    return record.configured_chunks
 
 
 def overlap_between(announcements: Sequence[NeighborAnnouncement]
