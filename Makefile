@@ -46,7 +46,7 @@ bench-baseline:
 ## with per-benchmark tolerance bands.
 bench-gated:
 	$(PYTHON) benchmarks/run_bench.py --compare benchmarks/ci_baseline.json \
-		--only test_bench_knapsack_solver,test_bench_reconfiguration,test_bench_codec_encode_many,test_bench_codec_packed_numba,test_bench_engine_scale_closed_loop,test_bench_engine_faulted,test_bench_engine_hedged_faulted,test_bench_engine_million_lane,test_bench_serve_wire,test_bench_serve_wire_degraded,test_bench_fig6_frankfurt
+		--only test_bench_knapsack_solver,test_bench_reconfiguration,test_bench_codec_encode_many,test_bench_codec_packed_numba,test_bench_codec_decode_small,test_bench_engine_scale_closed_loop,test_bench_engine_faulted,test_bench_engine_hedged_faulted,test_bench_engine_million_lane,test_bench_serve_wire,test_bench_serve_wire_degraded,test_bench_fig6_frankfurt
 
 ## The end-to-end benchmark (BENCHMARK.json): six workloads over the three
 ## vertical paths, drift-corrected, written to bench-out/e2e.json.

@@ -50,6 +50,7 @@ GUARDED_BENCHMARKS = (
     "test_bench_reed_solomon_decode_with_parity",
     "test_bench_codec_encode_many",
     "test_bench_codec_packed_numba",
+    "test_bench_codec_decode_small",
     "test_bench_request_monitor",
     "test_bench_engine_multi_client",
     "test_bench_engine_scale_closed_loop",
@@ -75,6 +76,7 @@ _BENCH_FILES = {
     "test_bench_fig6_frankfurt": "test_bench_fig6.py",
     "test_bench_codec_encode_many": "test_bench_codec.py",
     "test_bench_codec_packed_numba": "test_bench_codec.py",
+    "test_bench_codec_decode_small": "test_bench_codec.py",
     "test_bench_request_monitor": "test_bench_monitor.py",
 }
 
@@ -93,6 +95,9 @@ DEFAULT_TOLERANCES = {
     "test_bench_reed_solomon_decode_with_parity": 0.25,
     "test_bench_codec_encode_many": 0.30,
     "test_bench_codec_packed_numba": 0.35,
+    # One 16 KiB decode (~40 us, ISSUE 16): call-overhead-bound, so it sees
+    # interpreter and allocator noise the MiB-sized codec rows average out.
+    "test_bench_codec_decode_small": 0.35,
     "test_bench_request_monitor": 0.30,
     "test_bench_engine_multi_client": 0.40,
     # The engine scenarios' bands were tightened from 0.75 when the means

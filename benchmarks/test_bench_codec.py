@@ -8,6 +8,10 @@ per-backend encode/decode MB/s — and the numba-vs-numpy ratio — in the
 benchmark's ``extra_info``, which lands in ``BENCH_<date>.json``.  That is
 how the NumPy-vs-JIT gap is tracked per commit without making numba a
 dependency.
+
+``test_bench_codec_decode_small`` guards the other regime: one 16 KiB object
+through ``ErasureCodec.decode``, the serving tier's body-cache miss, where
+per-call overhead — not GF arithmetic — is the cost.
 """
 
 import time
@@ -16,7 +20,7 @@ import numpy as np
 
 from conftest import emit
 
-from repro.erasure import ReedSolomon, available_backends
+from repro.erasure import ErasureCodec, ReedSolomon, available_backends
 
 #: Batch geometry: 24 objects of 9 × 96 KiB data shards (RS(9, 3)) — ≈ 20 MiB
 #: of data per encode_many call, large enough that kernel throughput (not
@@ -156,3 +160,28 @@ def test_bench_codec_batched_vs_looped(benchmark):
     emit("Batched vs looped encode (64 × 9 × 2 KiB objects)",
          f"  looped {looped_s * 1000:7.2f} ms, batched {batched_s * 1000:7.2f} ms "
          f"-> {speedup:.1f}x")
+
+
+def test_bench_codec_decode_small(benchmark):
+    """The serving tier's cold read: one 16 KiB RS(9, 3) object, one shard rebuilt.
+
+    Survivors ``(0, 1, 2, 3, 4, 6, 7, 8, 9)`` are what the geo-placement
+    hands a gateway on every body-cache miss (a near parity chunk replaces
+    the farthest data chunk).  At 1,821-byte shards the decode is a few
+    dozen NumPy calls, so this row moves with call count and allocation,
+    which the ≥ 96 KiB rows above cannot see.
+    """
+    codec = ErasureCodec()
+    payload = bytes(np.random.default_rng(16).integers(0, 256, 16 * 1024, dtype=np.uint8))
+    encoded = codec.encode("bench", payload)
+    survivors = (0, 1, 2, 3, 4, 6, 7, 8, 9)
+    chunks = {index: encoded.chunks[index] for index in survivors}
+
+    result = benchmark(codec.decode, encoded.metadata, chunks)
+    assert result == payload
+
+    rate = len(payload) / benchmark.stats.stats.mean / 1e6
+    benchmark.extra_info["decode_MBps"] = round(rate, 1)
+    benchmark.extra_info["survivors"] = list(survivors)
+    emit("Small-object decode (16 KiB RS(9,3), one data shard rebuilt)",
+         f"  {benchmark.stats.stats.mean * 1e6:7.1f} us per object, {rate:7.1f} MB/s")

@@ -62,6 +62,9 @@ class ErasureCodedStore:
         self._codec = codec or ErasureCodec(self._params)
         self._buckets = {name: RegionBucket(region=name) for name in topology.region_names}
         self._catalog: dict[str, ObjectMetadata] = {}
+        # The ids the buckets hold each object's chunks under, by chunk index:
+        # a fetch reuses them instead of building (validating, hashing) its own.
+        self._chunk_ids: dict[str, tuple[ChunkId, ...]] = {}
 
     # ------------------------------------------------------------------ #
     # Properties
@@ -132,6 +135,7 @@ class ErasureCodedStore:
             region = placement[chunk.index]
             self._buckets[region].put(chunk)
         self._catalog[metadata.key] = metadata
+        self._chunk_ids[metadata.key] = tuple([chunk.chunk_id for chunk in encoded.chunks])
         return metadata
 
     def populate(self, object_count: int, object_size: int, key_prefix: str = "object",
@@ -177,8 +181,9 @@ class ErasureCodedStore:
             ObjectNotFoundError: if the key is unknown.
         """
         metadata = self.metadata(key)
+        chunk_ids = self._chunk_ids.pop(key)
         for index, region in metadata.chunk_locations.items():
-            self._buckets[region].delete(ChunkId(key=key, index=index))
+            self._buckets[region].delete(chunk_ids[index])
         del self._catalog[key]
 
     # ------------------------------------------------------------------ #
@@ -202,7 +207,7 @@ class ErasureCodedStore:
             region = metadata.chunk_locations[index]
         except KeyError:
             raise ChunkNotFoundError(f"object {key!r} has no chunk {index}") from None
-        return self._buckets[region].get(ChunkId(key=key, index=index))
+        return self._buckets[region].get(self._chunk_ids[key][index])
 
     def get_chunks(self, key: str, indices: Iterable[int]) -> dict[int, Chunk]:
         """Fetch several chunks of one object with a single catalog lookup.
@@ -213,6 +218,7 @@ class ErasureCodedStore:
         """
         metadata = self.metadata(key)
         locations = metadata.chunk_locations
+        chunk_ids = self._chunk_ids[key]
         buckets = self._buckets
         chunks: dict[int, Chunk] = {}
         for index in indices:
@@ -221,7 +227,7 @@ class ErasureCodedStore:
             except KeyError:
                 raise ChunkNotFoundError(
                     f"object {key!r} has no chunk {index}") from None
-            chunks[index] = buckets[region].get(ChunkId(key=key, index=index))
+            chunks[index] = buckets[region].get(chunk_ids[index])
         return chunks
 
     def chunk_region(self, key: str, index: int) -> str:

@@ -354,7 +354,7 @@ class _NumbaPackedOperator:
         self._groups = [
             (
                 rows.astype(np.int64),
-                # uint64 uniformly: zero-extending a uint32 lane table keeps
+                # uint64 uniformly: zero-extending a narrower lane table keeps
                 # the packed bits in place and gives the kernel one signature.
                 np.ascontiguousarray(tables.astype(np.uint64)),
                 np.flatnonzero(group.any(axis=0)).astype(np.int64),

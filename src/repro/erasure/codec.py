@@ -168,7 +168,7 @@ class ErasureCodec:
             DecodingError: if fewer than ``k`` payload-bearing chunks are given.
         """
         with_payload = {
-            index: np.frombuffer(chunk.payload, dtype=np.uint8)
+            index: chunk.payload
             for index, chunk in chunks.items()
             if chunk.payload is not None
         }

@@ -59,9 +59,12 @@ _MUL_TABLE = _EXP_TABLE[_LOG_TABLE[:, None] + _LOG_TABLE[None, :]].astype(np.uin
 _MUL_TABLE[0, :] = 0
 _MUL_TABLE[:, 0] = 0
 
-#: Byte order of the packed gather kernels below (uint32/uint64 lanes are
-#: unpacked back to bytes through a view).
+#: Byte order of the packed gather kernels below (lanes are unpacked back to
+#: bytes through a view).
 _LITTLE_ENDIAN = sys.byteorder == "little"
+
+#: Narrowest unsigned lane with one byte per row, for groups of 1 to 8 rows.
+_LANES = (np.uint8, np.uint16, np.uint32, np.uint32) + (np.uint64,) * 4
 
 
 class GaloisError(ArithmeticError):
@@ -178,22 +181,28 @@ def gf_addmul_bytes(accumulator: np.ndarray, coefficient: int, data: np.ndarray)
     np.bitwise_xor(accumulator, _MUL_TABLE[coefficient][data], out=accumulator)
 
 
-#: Block length (elements) for the packed gather kernel: bounds the transient
-#: index/accumulator buffers to a few MiB regardless of shard length.
-GF_MATMUL_BLOCK = 1 << 20
+#: Shard bytes the packed gather kernel processes per step.  A step fills one
+#: ``(cols, block)`` lane array — 576 KiB for RS(9, 3)'s three parity rows at
+#: 16 KiB, inside L2 — while its fixed cost (``cols + 3`` NumPy calls) stays a
+#: few percent of its work; sweep in docs/performance.md, "Cold wire read".
+GF_MATMUL_BLOCK = 1 << 14
 
 
 class PackedGFMatrix:
     """A GF(256) coefficient matrix compiled into gather tables.
 
     The product ``matrix @ shards`` is computed row-group by row-group: up to
-    eight output rows are packed into one ``uint32``/``uint64`` lane, and each
-    input shard contributes via a *single* 256-entry table gather whose entries
-    hold the packed products of the shard byte with every coefficient of the
-    group's column (``_MUL_TABLE[matrix[:, :, None], shards[None, :, :]]``
-    folded into per-column tables).  The per-byte work therefore drops from
-    ``rows`` gathers to ``ceil(rows / 8)``, and the XOR reduction over the
-    shard axis runs on wide lanes.
+    eight output rows are packed into one unsigned lane — the narrowest with a
+    byte per row, ``uint8`` for a single rebuilt shard up to ``uint64`` for
+    five to eight rows — and each input shard contributes via a *single*
+    256-entry table gather whose entries hold the packed products of the
+    shard byte with every coefficient of the group's column
+    (``_MUL_TABLE[matrix[:, :, None], shards[None, :, :]]`` folded into
+    per-column tables).  The per-byte work therefore drops from ``rows``
+    gathers to ``ceil(rows / 8)``.  A block's shards are gathered into one
+    ``(cols, block)`` lane array — one ``take`` per shard, straight from its
+    ``uint8`` bytes — which a single ``bitwise_xor.reduce`` folds over the
+    shard axis and a single transposed view unpacks into output rows.
 
     Rows whose coefficients are all 0/1 never touch the tables: they are pure
     XOR combinations of input shards (or plain copies), the fast path taken by
@@ -225,7 +234,7 @@ class PackedGFMatrix:
         for start in range(0, dense_rows.size, 8):
             rows = dense_rows[start:start + 8]
             group = matrix[rows]  # (g, cols)
-            lane = np.uint32 if rows.size <= 4 else np.uint64
+            lane = _LANES[rows.size - 1]
             # (g, cols, 256) products, packed into one lane per column entry.
             products = _MUL_TABLE[group].astype(lane)
             shifts = np.arange(rows.size, dtype=lane) * lane(8)
@@ -290,21 +299,21 @@ class PackedGFMatrix:
         if not self._groups:
             return out
 
-        block = max(int(block), 1)
+        block = max(min(int(block), length), 1)
+        # One lane buffer per group for the whole call: a fresh one per block
+        # is large enough for malloc to map and fault in again every time.
+        buffers = [np.empty((self.cols, block), dtype=lane) for *_, lane in self._groups]
         for start in range(0, length, block):
             end = min(start + block, length)
-            span = end - start
-            index = np.empty(span, dtype=np.intp)
-            for rows, group, tables, lane in self._groups:
-                accumulator = np.zeros(span, dtype=lane)
-                gathered = np.empty(span, dtype=lane)
-                for col in range(self.cols):
-                    if not group[:, col].any():
-                        continue
-                    np.copyto(index, shards[col, start:end], casting="unsafe")
-                    np.take(tables[col], index, out=gathered, mode="clip")
-                    accumulator ^= gathered
-                lanes = accumulator.view(np.uint8).reshape(span, accumulator.itemsize)
+            window = shards[:, start:end]
+            for (rows, _, tables, _), buffer in zip(self._groups, buffers):
+                gathered = buffer[:, :end - start]
+                # Shard bytes index their 256-entry table as they are: ``take``
+                # widens them itself, and a uint8 cannot leave the table.
+                for table, source, target in zip(tables, window, gathered):
+                    table.take(source, out=target, mode="clip")
+                packed = np.bitwise_xor.reduce(gathered, axis=0)
+                lanes = packed.view(np.uint8).reshape(end - start, packed.itemsize)
                 if not _LITTLE_ENDIAN:
                     lanes = lanes[:, ::-1]
                 out[rows, start:end] = lanes[:, :rows.size].T

@@ -90,8 +90,8 @@ class ReedSolomon:
             self._backend.compile_matrix(self._matrix[data_shards:, :])
             if parity_shards else None
         )
-        # Decode operators per surviving-shard pattern, built on demand.
-        self._decode_ops: dict[tuple[int, ...], tuple[np.ndarray, MatrixOperator]] = {}
+        # Decode plans per surviving-shard pattern, built on demand.
+        self._decode_ops: dict[tuple[int, ...], tuple] = {}
         # Per-parity-row operators for verify()'s short-circuit, built lazily.
         self._parity_row_ops: list[MatrixOperator] | None = None
 
@@ -208,6 +208,56 @@ class ReedSolomon:
     # ------------------------------------------------------------------ #
     # Decoding
     # ------------------------------------------------------------------ #
+    def _survivors(self, available: dict) -> tuple[tuple[int, ...], list, int]:
+        """The ``k`` lowest shard indices of ``available``, their payloads in
+        that order (measured, not converted) and the common shard length.
+
+        Raises:
+            DecodingError: fewer than ``k`` shards, an index outside
+                ``0 .. k + m - 1`` or shards of unequal length.
+        """
+        if len(available) < self._data_shards:
+            raise DecodingError(
+                f"need {self._data_shards} shards to decode, got {len(available)}"
+            )
+        indices = tuple(sorted(available)[: self._data_shards])
+        payloads = []
+        shard_size = None
+        for index in indices:
+            if not 0 <= index < self.total_shards:
+                raise DecodingError(f"shard index {index} out of range 0..{self.total_shards - 1}")
+            payload = available[index]
+            if shard_size is None:
+                shard_size = len(payload)
+            elif len(payload) != shard_size:
+                raise DecodingError("all shards must have the same length")
+            payloads.append(payload)
+        return indices, payloads, shard_size
+
+    def _decode_plan(self, survivors: tuple[int, ...]
+                     ) -> tuple[list[int], list[int], MatrixOperator | None]:
+        """What a survivor pattern leaves to compute.
+
+        Returns the data rows present among ``survivors`` (sorted, so they
+        lead any stack of them), the data rows missing, and the operator that
+        rebuilds exactly the missing rows from the ``k`` survivor shards —
+        those rows of the pattern's inverse, ``None`` when nothing is missing.
+        The code is systematic: a present data row *is* its survivor and is
+        never multiplied.
+        """
+        cached = self._decode_ops.get(survivors)
+        if cached is None:
+            if len(self._decode_ops) >= _DECODE_CACHE_LIMIT:
+                self._decode_ops.clear()
+            present = [row for row in survivors if row < self._data_shards]
+            missing = [row for row in range(self._data_shards) if row not in present]
+            operator = None
+            if missing:
+                inverse = decode_matrix(self._matrix, list(survivors), self._data_shards)
+                operator = self._backend.compile_matrix(inverse[missing])
+            cached = self._decode_ops[survivors] = (present, missing, operator)
+        return cached
+
     def decode_shards(self, available: dict[int, np.ndarray]) -> np.ndarray:
         """Reconstruct the ``(k, shard_size)`` data matrix from any ``k`` shards.
 
@@ -219,30 +269,15 @@ class ReedSolomon:
             DecodingError: if fewer than ``k`` shards are supplied or the
                 shard sizes disagree.
         """
-        if len(available) < self._data_shards:
-            raise DecodingError(
-                f"need {self._data_shards} shards to decode, got {len(available)}"
-            )
-        indices = sorted(available)[: self._data_shards]
-        arrays = []
-        shard_size = None
-        for index in indices:
-            if not 0 <= index < self.total_shards:
-                raise DecodingError(f"shard index {index} out of range 0..{self.total_shards - 1}")
-            array = np.asarray(available[index], dtype=np.uint8)
-            if shard_size is None:
-                shard_size = array.shape[0]
-            elif array.shape[0] != shard_size:
-                raise DecodingError("all shards must have the same length")
-            arrays.append(array)
-
-        # Fast path: all k data shards survived — nothing to invert.
-        if indices == list(range(self._data_shards)):
-            return np.stack(arrays)
-
-        _, operator = self._decode_op(tuple(indices))
-        stacked = np.stack(arrays)
-        return operator.apply(stacked)
+        survivors, payloads, _ = self._survivors(available)
+        stacked = np.stack([np.asarray(payload, dtype=np.uint8) for payload in payloads])
+        present, missing, operator = self._decode_plan(survivors)
+        if operator is None:
+            return stacked
+        data = np.empty_like(stacked)
+        data[present] = stacked[: len(present)]
+        data[missing] = operator.apply(stacked)
+        return data
 
     def decode_many(self, shard_stacks: np.ndarray,
                     indices: Sequence[int]) -> np.ndarray:
@@ -267,7 +302,8 @@ class ReedSolomon:
         exactly the ``k`` data shards in the stack's leading columns, the
         result is a zero-copy **view** of ``shard_stacks`` (callers that
         mutate it should copy first), and reconstructed batches come back as
-        a view of the operator's output, which may be non-contiguous.
+        a transposed view of the row-major assembly buffer, which is
+        non-contiguous.
         """
         stacked = np.asarray(shard_stacks, dtype=np.uint8)
         if stacked.ndim != 3:
@@ -300,47 +336,47 @@ class ReedSolomon:
         else:
             selected = stacked[:, order, :]
 
-        if survivors == tuple(range(self._data_shards)):
+        present, missing, operator = self._decode_plan(survivors)
+        if operator is None:
             # Systematic fast path: the data shards themselves survived, so
             # ``selected`` *is* the answer — a zero-copy view whenever the
             # slice above applied.
             return selected
 
-        _, operator = self._decode_op(survivors)
-        folded = np.ascontiguousarray(selected.transpose(1, 0, 2)).reshape(
-            self._data_shards, objects * shard_len
-        )
-        decoded = operator.apply(folded)
-        # The transpose is a view of the operator's fresh output; forcing it
-        # contiguous would be a whole-batch defensive copy for nothing.
-        return decoded.reshape(
-            self._data_shards, objects, shard_len
-        ).transpose(1, 0, 2)
-
-    def _decode_op(self, indices: tuple[int, ...]) -> tuple[np.ndarray, MatrixOperator]:
-        """The (inverse matrix, compiled operator) pair for a survivor pattern."""
-        cached = self._decode_ops.get(indices)
-        if cached is None:
-            if len(self._decode_ops) >= _DECODE_CACHE_LIMIT:
-                self._decode_ops.clear()
-            inverse = decode_matrix(self._matrix, list(indices), self._data_shards)
-            cached = (inverse, self._backend.compile_matrix(inverse))
-            self._decode_ops[indices] = cached
-        return cached
+        # (k, objects, shard_len): one row per survivor, batch folded behind it.
+        folded = np.ascontiguousarray(selected.transpose(1, 0, 2))
+        rebuilt = operator.apply(
+            folded.reshape(self._data_shards, objects * shard_len))
+        data = np.empty_like(folded)
+        data[present] = folded[: len(present)]
+        data[missing] = rebuilt.reshape(len(missing), objects, shard_len)
+        return data.transpose(1, 0, 2)
 
     def decode_data(self, available: dict[int, np.ndarray | bytes], original_length: int) -> bytes:
-        """Reconstruct the original blob (trimmed to ``original_length`` bytes)."""
-        as_arrays = {
-            index: np.frombuffer(payload, dtype=np.uint8) if isinstance(payload, (bytes, bytearray)) else np.asarray(payload, dtype=np.uint8)
-            for index, payload in available.items()
-        }
-        data_matrix = self.decode_shards(as_arrays)
-        flat = data_matrix.reshape(-1)
-        if original_length > flat.shape[0]:
+        """Reconstruct the original blob (trimmed to ``original_length`` bytes).
+
+        Surviving data shards are concatenated as they came; only the missing
+        ones are rebuilt, from one ``(k, shard_size)`` view of the survivors.
+        """
+        survivors, payloads, shard_size = self._survivors(available)
+        payloads = [
+            payload if isinstance(payload, (bytes, bytearray))
+            else np.ascontiguousarray(payload, dtype=np.uint8).data
+            for payload in payloads
+        ]
+        decoded_bytes = self._data_shards * shard_size
+        if original_length > decoded_bytes:
             raise DecodingError(
-                f"original_length {original_length} exceeds decoded payload of {flat.shape[0]} bytes"
+                f"original_length {original_length} exceeds decoded payload of {decoded_bytes} bytes"
             )
-        return flat[:original_length].tobytes()
+        _, missing, operator = self._decode_plan(survivors)
+        pieces = dict(zip(survivors, payloads))
+        if operator is not None:
+            stacked = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(
+                self._data_shards, shard_size)
+            for row, shard in zip(missing, operator.apply(stacked)):
+                pieces[row] = shard.data
+        return b"".join([pieces[row] for row in range(self._data_shards)])[:original_length]
 
     def reconstruct_shard(self, available: dict[int, np.ndarray], target_index: int) -> np.ndarray:
         """Rebuild one missing shard (data or parity) from any ``k`` survivors."""

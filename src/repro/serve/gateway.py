@@ -403,9 +403,8 @@ class RegionGateway:
 
         The decode runs once per ``(key, version)`` and lands in the bounded
         body cache; repeat reads serve the cached bytes (the chunk decision
-        is still taken — and recorded — per request).  When the first ``k``
-        decided chunks are exactly the data chunks, reconstruction is pure
-        concatenation; otherwise the Reed-Solomon decode runs.
+        is still taken — and recorded — per request).  The codec rebuilds
+        only the data chunks the decision left out and concatenates the rest.
         """
         cache_slot = (key, metadata.version)
         body_cache = self._body_cache
@@ -420,13 +419,7 @@ class RegionGateway:
         chunks = store.get_chunks(key, take)
         if any(chunk.payload is None for chunk in chunks.values()):
             return b"", "virtual"
-        if sorted(take) == list(range(needed)):
-            # Systematic fast path: the decided chunks are the data chunks.
-            body = b"".join(
-                chunks[index].payload for index in range(needed)
-            )[:metadata.size]
-        else:
-            body = store.codec.decode(metadata, chunks)
+        body = store.codec.decode(metadata, chunks)
         capacity = self.settings.body_cache_objects
         if capacity > 0:
             if len(body_cache) >= capacity:
@@ -464,6 +457,9 @@ class RegionGateway:
                 409, f"object {key!r} exists with size {existing.size}")
         version = existing.version + 1 if existing is not None else 1
         store.put(key, body, version=version)
+        if existing is not None:
+            # No request can ask for the superseded version again.
+            self._body_cache.pop((key, existing.version), None)
         self.puts_total += 1
         status = 204 if existing is not None else 201
         return build_response(status, b"", keep_alive=request.keep_alive,

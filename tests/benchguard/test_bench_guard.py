@@ -115,6 +115,7 @@ class TestLoadBaseline:
         means, tolerances = run_bench.load_baseline(ci_path)
         for name in ("test_bench_codec_encode_many",
                      "test_bench_codec_packed_numba",
+                     "test_bench_codec_decode_small",
                      "test_bench_engine_scale_closed_loop",
                      "test_bench_engine_faulted",
                      "test_bench_engine_million_lane"):

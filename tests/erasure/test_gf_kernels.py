@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.erasure.backends import NaiveBackend
 from repro.erasure.galois import (
+    GF_MATMUL_BLOCK,
     PackedGFMatrix,
+    gf_addmul_bytes,
     gf_matmul_bytes,
     gf_mul,
 )
@@ -91,3 +95,100 @@ def test_packed_matrix_reuse_is_consistent():
     for _ in range(3):
         shards = rng.integers(0, 256, (9, 500), dtype=np.uint8)
         assert np.array_equal(operator.apply(shards), scalar_matmul(matrix, shards))
+
+
+# ---------------------------------------------------------------------- #
+# Property and boundary tests of the blocked kernel (ISSUE 16)
+# ---------------------------------------------------------------------- #
+@st.composite
+def coefficient_matrices(draw):
+    """Matrices up to 12 × 12 with the shapes the row classifier branches on.
+
+    Every row is drawn as dense bytes, all-0/1 (XOR-only), or zero, and a
+    random set of columns is zeroed afterwards, so dense groups of 1–8 rows
+    (every lane width from ``uint8`` to ``uint64``), XOR-only rows and unused
+    columns all occur, alone and mixed.
+    """
+    rows = draw(st.integers(0, 12))
+    cols = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(("dense", "binary", "zero")),
+                          min_size=rows, max_size=rows))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    matrix = np.zeros((rows, cols), dtype=np.uint8)
+    for row, kind in enumerate(kinds):
+        if kind == "dense":
+            matrix[row] = rng.integers(0, 256, cols)
+        elif kind == "binary":
+            matrix[row] = rng.integers(0, 2, cols)
+    zeroed = draw(st.lists(st.integers(0, max(cols - 1, 0)), max_size=3))
+    if cols:
+        matrix[:, zeroed] = 0
+    return matrix
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrix=coefficient_matrices(),
+       block=st.sampled_from((1, 5, 16)),
+       span_kind=st.sampled_from(("0", "1", "b-1", "b", "b+1", "3b+7")),
+       seed=st.integers(0, 2**32 - 1))
+def test_blocked_apply_equals_the_scalar_definition(matrix, block, span_kind, seed):
+    span = {"0": 0, "1": 1, "b-1": block - 1, "b": block, "b+1": block + 1,
+            "3b+7": 3 * block + 7}[span_kind]
+    shards = np.random.default_rng(seed).integers(
+        0, 256, (matrix.shape[1], span), dtype=np.uint8)
+    expected = NaiveBackend().matmul(matrix, shards)
+    out = PackedGFMatrix(matrix).apply(shards, block=block)
+    assert out.dtype == np.uint8 and out.shape == expected.shape
+    assert np.array_equal(out, expected)
+
+
+def vector_matmul(matrix: np.ndarray, shards: np.ndarray) -> np.ndarray:
+    """Row-by-row ``accumulator ^= coefficient * shard``: no packing, no blocks."""
+    out = np.zeros((matrix.shape[0], shards.shape[1]), dtype=np.uint8)
+    for row in range(matrix.shape[0]):
+        for col in range(matrix.shape[1]):
+            gf_addmul_bytes(out[row], int(matrix[row, col]), shards[col])
+    return out
+
+
+@pytest.mark.parametrize("rows", (1, 3, 4, 5, 8, 9, 12))
+@pytest.mark.parametrize("span", (GF_MATMUL_BLOCK - 1, GF_MATMUL_BLOCK,
+                                  GF_MATMUL_BLOCK + 1, 3 * GF_MATMUL_BLOCK + 7))
+def test_default_block_boundaries(rows, span):
+    """Spans around the real block length; ``rows`` 1 / 3 / 4 → 5 walk the
+    lane widths up to ``uint64`` and 9 needs a second group."""
+    rng = np.random.default_rng(rows * 1000 + span % 97)
+    matrix = rng.integers(2, 256, (rows, 9), dtype=np.uint8)
+    shards = rng.integers(0, 256, (9, span), dtype=np.uint8)
+    assert np.array_equal(PackedGFMatrix(matrix).apply(shards),
+                          vector_matmul(matrix, shards))
+
+
+def test_lane_width_follows_group_size():
+    rng = np.random.default_rng(5)
+    for rows, lane in ((1, np.uint8), (2, np.uint16), (3, np.uint32),
+                       (4, np.uint32), (5, np.uint64), (8, np.uint64)):
+        (group,) = PackedGFMatrix(rng.integers(2, 256, (rows, 3), dtype=np.uint8)).packed_groups
+        assert group[3] is lane and group[2].dtype == lane
+
+
+def test_strided_and_read_only_inputs_are_read_in_place():
+    rng = np.random.default_rng(6)
+    matrix = rng.integers(0, 256, (5, 4), dtype=np.uint8)
+    operator = PackedGFMatrix(matrix)
+    base = rng.integers(0, 256, (8, 150), dtype=np.uint8)
+    expected = scalar_matmul(matrix, base[::2, ::3].copy())
+
+    strided = base[::2, ::3]
+    before = base.copy()
+    assert np.array_equal(operator.apply(strided, block=16), expected)
+    assert np.array_equal(base, before)
+
+    fortran = np.asfortranarray(strided)
+    assert np.array_equal(operator.apply(fortran, block=16), expected)
+
+    frozen = np.frombuffer(strided.tobytes(), dtype=np.uint8).reshape(strided.shape)
+    assert not frozen.flags.writeable
+    assert np.array_equal(operator.apply(frozen, block=16), expected)
+    assert np.array_equal(operator.apply(frozen), expected)

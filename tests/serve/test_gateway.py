@@ -175,3 +175,38 @@ def test_admin_endpoints_validate_input(run):
             await cluster.stop()
 
     run(scenario())
+
+
+def test_put_evicts_the_superseded_body(run):
+    """A PUT bumps the version, so the old ``(key, version)`` body can never
+    be asked for again: it must leave the body cache, not pin a slot."""
+    async def scenario():
+        cluster = await start_cluster(
+            tiny_config(object_size=4096, object_count=4), payloads=True)
+        try:
+            address = cluster.addresses["frankfurt"]
+            gateway = cluster.gateways["frankfurt"]
+            status, headers, original = await http_get(address, "/objects/object-1")
+            assert status == 200 and headers["x-agar-body"] == "decoded"
+            live = {"object-1"}
+            for generation in range(12):
+                blob = bytes([generation]) * 4096
+                status, _, _ = await http_put(address, "/objects/object-0", blob)
+                assert status == 204
+                live.add("object-0")
+                for expected in ("decoded", "cached"):
+                    status, headers, body = await http_get(
+                        address, "/objects/object-0")
+                    assert status == 200 and body == blob
+                    assert headers["x-agar-body"] == expected
+                assert len(gateway._body_cache) <= len(live)
+                version = cluster.deployment.store.metadata("object-0").version
+                assert set(gateway._body_cache) == {
+                    ("object-0", version), ("object-1", 0)}
+            # The untouched object kept its slot throughout.
+            status, headers, body = await http_get(address, "/objects/object-1")
+            assert headers["x-agar-body"] == "cached" and body == original
+        finally:
+            await cluster.stop()
+
+    run(scenario())
