@@ -21,6 +21,7 @@ from repro.serve.chaos import ChaosInjector, ChaosSchedule, GatewayCrash
 from repro.serve.gateway import ServeCluster
 from repro.serve.loadgen import (WireLoadSpec, WireResilience, run_wire_load,
                                  wire_report_table)
+from repro.serve.protocol import parse_request
 from repro.serve.supervisor import ClusterSupervisor, SupervisorConfig
 from repro.sim.engine import EngineConfig, RegionSpec
 from repro.sim.faults import BackendBrownout, FaultSchedule
@@ -67,6 +68,56 @@ def test_bench_serve_wire(benchmark, settings):
     floor = 10_000.0 if gated else 1_000.0
     assert result.throughput_rps >= floor, (
         f"wire throughput {result.throughput_rps:.0f} req/s below {floor:.0f}")
+
+
+def test_bench_gateway_dispatch(benchmark, settings):
+    """Per-request server CPU of a hot wire read, without sockets (ISSUE 17).
+
+    One payload-serving ``agar`` gateway and one 32-request pipelined GET
+    buffer: each round parses the buffer request by request, hands every
+    request to ``_dispatch`` and joins the response fragments once — what
+    ``_serve_connection`` does between a socket read and its one write.  No
+    event loop and no load generator share the round, so the row is far
+    steadier than ``test_bench_serve_wire`` (whose mean is mostly the client).
+    After the first round every body comes from the gateway's body cache.
+    """
+    batch = 32
+    config = EngineConfig(
+        workload=WorkloadSpec(object_count=batch, object_size=16 * 1024,
+                              request_count=batch, seed=settings.seed),
+        regions=[RegionSpec(region="frankfurt", clients=1, strategy="agar")],
+        cache_capacity_bytes=160 * 1024, topology_seed=settings.seed,
+        timer_reconfiguration=True)
+    cluster = ServeCluster.from_config(config, seed=1, payloads=True)
+    gateway = cluster.gateways["frankfurt"]
+    buffer = bytearray(b"".join(
+        f"GET /objects/object-{rank} HTTP/1.1\r\nHost: bench\r\n\r\n".encode()
+        for rank in range(batch)))
+
+    def drain() -> bytes:
+        out = []
+        offset = 0
+        while (parsed := parse_request(buffer, offset)) is not None:
+            request, offset = parsed
+            out += gateway._dispatch(request)
+        return b"".join(out)
+
+    store = cluster.deployment.store
+    replies = drain()
+    assert replies.count(b"HTTP/1.1 200 OK\r\n") == batch
+    assert all(store.get_object(f"object-{rank}") in replies
+               for rank in range(batch))
+    gateway.strategy.tick(1.0)      # install a configuration: hits, not misses
+
+    replies = benchmark(drain)
+    assert replies.count(b"X-Agar-Body: cached\r\n") == batch
+    assert gateway.errors_total == 0
+    per_request_us = benchmark.stats.stats.mean / batch * 1e6
+    benchmark.extra_info["requests_per_round"] = batch
+    benchmark.extra_info["us_per_request"] = round(per_request_us, 2)
+    emit("Gateway dispatch, body-cache hits (32 pipelined GETs, no sockets)",
+         f"  {per_request_us:6.2f} us per request "
+         f"({len(replies) // batch} response bytes each)")
 
 
 def test_bench_serve_wire_degraded(benchmark, settings):

@@ -55,7 +55,8 @@ from repro.serve.ledger import (DYNAMIC_FAULT_INDEX, LedgerEntry, fault_entry,
                                 ledger_to_lines, read_entry, tick_entry)
 from repro.serve.protocol import (DEFAULT_MAX_BODY_BYTES, HttpRequest,
                                   ProtocolError, build_response,
-                                  error_response, parse_request)
+                                  error_response, parse_decimal,
+                                  parse_request)
 from repro.sim.clock import SimulationClock
 from repro.sim.engine import (EngineConfig, EngineDeployment, EventEngine,
                               _install_neighbor_catalogs)
@@ -67,6 +68,9 @@ LEDGER_MODES = ("replay", "record")
 _KEY_PATTERN = re.compile(r"[A-Za-z0-9._-]{1,200}")
 _OBJECTS_PREFIX = "/objects/"
 _READ_CHUNK = 1 << 16
+#: Decision patterns whose header lines a gateway keeps rendered (cleared
+#: when full); a whole ``wire_hot`` run sees five.
+DECISION_HEADS_CAP = 256
 
 
 @dataclass(slots=True)
@@ -114,6 +118,7 @@ class RegionGateway:
         self._dynamic_faults: list = []
         self._dynamic_transitions: list[tuple[float, object]] = []
         self._body_cache: dict[tuple[str, int], bytes] = {}
+        self._decision_heads: dict[tuple, bytes] = {}
         self._decided: tuple[list, list] | None = None
         self._last_result: ReadResult | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -210,14 +215,17 @@ class RegionGateway:
                     if buffer:
                         # Truncated request (EOF mid-headers or mid-body):
                         # best-effort clean 400 before closing.
-                        writer.write(error_response(
-                            ProtocolError(400, "truncated request")))
+                        self.errors_total += 1
+                        writer.write(b"".join(error_response(
+                            ProtocolError(400, "truncated request"))))
                         with _suppress_connection_errors():
                             await writer.drain()
                     break
                 buffer += data
                 offset = 0
-                out = bytearray()
+                # Fragments of every response of this batch, joined once: a
+                # cached body is copied once on its way to the socket.
+                out: list[bytes] = []
                 close = False
                 while True:
                     try:
@@ -231,7 +239,7 @@ class RegionGateway:
                         break
                     request, offset = parsed
                     started = perf()
-                    response = self._dispatch(request)
+                    out += self._dispatch(request)
                     result = self._last_result
                     if result is not None:
                         self._last_result = None
@@ -241,14 +249,13 @@ class RegionGateway:
                             result.chunks_from_backend,
                             result.chunks_from_neighbors,
                             result.degraded, result.failed)
-                    out += response
                     if not request.keep_alive:
                         close = True
                         break
                 if offset:
                     del buffer[:offset]
                 if out:
-                    writer.write(bytes(out))
+                    writer.write(b"".join(out))
                     await writer.drain()
                 if close:
                     break
@@ -263,7 +270,7 @@ class RegionGateway:
     # ------------------------------------------------------------------ #
     # Dispatch
     # ------------------------------------------------------------------ #
-    def _dispatch(self, request: HttpRequest) -> bytes:
+    def _dispatch(self, request: HttpRequest) -> tuple[bytes, bytes]:
         """Route one request; never raises — errors become clean responses."""
         self.requests_total += 1
         try:
@@ -278,7 +285,7 @@ class RegionGateway:
                                   keep_alive=request.keep_alive,
                                   content_type="text/plain")
 
-    def _route(self, request: HttpRequest) -> bytes:
+    def _route(self, request: HttpRequest) -> tuple[bytes, bytes]:
         method = request.method
         path = request.path
         if method == "GET":
@@ -362,7 +369,7 @@ class RegionGateway:
                        backend_chunks: list) -> None:
         self._decided = (cache_chunks, backend_chunks)
 
-    def _get_object(self, request: HttpRequest) -> bytes:
+    def _get_object(self, request: HttpRequest) -> tuple[bytes, bytes]:
         key = self._object_key(request.path)
         store = self.store
         try:
@@ -383,19 +390,19 @@ class RegionGateway:
         body_kind = "none"
         indices: list[int] = []
         if result.failed:
-            headers = self._decision_headers(result, ())
             return build_response(503, b"read unavailable under faults\n",
-                                  headers, keep_alive=request.keep_alive,
+                                  self._decision_headers(result, indices),
+                                  keep_alive=request.keep_alive,
                                   content_type="text/plain")
         if self.settings.serve_payloads and decided is not None:
             cache_chunks, backend_chunks = decided
             indices = [placed.index for placed in cache_chunks]
             indices += [placed.index for placed in backend_chunks]
             body, body_kind = self._object_body(key, metadata, indices)
-        headers = self._decision_headers(result, indices)
-        headers += (("X-Agar-Body", body_kind),)
-        return build_response(200, body, headers,
-                              keep_alive=request.keep_alive)
+        return build_response(
+            200, body, self._decision_headers(
+                result, indices, f"X-Agar-Body: {body_kind}\r\n"),
+            keep_alive=request.keep_alive)
 
     def _object_body(self, key: str, metadata, indices: list[int],
                      ) -> tuple[bytes, str]:
@@ -427,20 +434,34 @@ class RegionGateway:
             body_cache[cache_slot] = body
         return body, "decoded"
 
-    def _decision_headers(self, result: ReadResult,
-                          indices: tuple | list) -> tuple[tuple[str, str], ...]:
-        return (
-            ("X-Agar-Hit", result.hit_type.value),
-            ("X-Agar-Cache-Chunks", str(result.chunks_from_cache)),
-            ("X-Agar-Backend-Chunks", str(result.chunks_from_backend)),
-            ("X-Agar-Neighbor-Chunks", str(result.chunks_from_neighbors)),
-            ("X-Agar-Regions", ",".join(result.backend_regions)),
-            ("X-Agar-Degraded", "1" if result.degraded else "0"),
-            ("X-Agar-Chunks", ",".join(map(str, indices))),
-            ("X-Agar-Model-Ms", repr(result.latency_ms)),
-        )
+    def _decision_headers(self, result: ReadResult, indices: list[int],
+                          tail: str = "") -> bytes:
+        """The ``X-Agar-*`` header lines of one read, then ``tail``.
 
-    def _put_object(self, request: HttpRequest) -> bytes:
+        Everything but the modelled latency is a function of the decision
+        pattern, so those lines are rendered once per pattern.
+        """
+        pattern = (result.hit_type, result.chunks_from_cache,
+                   result.chunks_from_backend, result.chunks_from_neighbors,
+                   result.backend_regions, result.degraded, tuple(indices))
+        heads = self._decision_heads
+        lines = heads.get(pattern)
+        if lines is None:
+            if len(heads) >= DECISION_HEADS_CAP:
+                heads.clear()
+            lines = heads[pattern] = (
+                f"X-Agar-Hit: {result.hit_type.value}\r\n"
+                f"X-Agar-Cache-Chunks: {result.chunks_from_cache}\r\n"
+                f"X-Agar-Backend-Chunks: {result.chunks_from_backend}\r\n"
+                f"X-Agar-Neighbor-Chunks: {result.chunks_from_neighbors}\r\n"
+                f"X-Agar-Regions: {','.join(result.backend_regions)}\r\n"
+                f"X-Agar-Degraded: {'1' if result.degraded else '0'}\r\n"
+                f"X-Agar-Chunks: {','.join(map(str, indices))}\r\n"
+            ).encode("latin-1")
+        return lines + (f"X-Agar-Model-Ms: {result.latency_ms!r}\r\n"
+                        f"{tail}").encode("latin-1")
+
+    def _put_object(self, request: HttpRequest) -> tuple[bytes, bytes]:
         key = self._object_key(request.path)
         body = request.body
         if not body:
@@ -468,7 +489,7 @@ class RegionGateway:
     # ------------------------------------------------------------------ #
     # Introspection routes
     # ------------------------------------------------------------------ #
-    def _get_stats(self, request: HttpRequest) -> bytes:
+    def _get_stats(self, request: HttpRequest) -> tuple[bytes, bytes]:
         stats = self.wire_stats
         payload = {
             "region": self.region,
@@ -486,11 +507,11 @@ class RegionGateway:
                               keep_alive=request.keep_alive,
                               content_type="application/json")
 
-    def _get_ledger(self, request: HttpRequest) -> bytes:
-        start_text = request.query.get("start", "0")
-        if not start_text.isdigit():
+    def _get_ledger(self, request: HttpRequest) -> tuple[bytes, bytes]:
+        start = parse_decimal(request.query.get("start", "0"))
+        if start is None:
             raise ProtocolError(400, "invalid ledger start")
-        text = ledger_to_lines(self.ledger[int(start_text):])
+        text = ledger_to_lines(self.ledger[start:])
         return build_response(200, text.encode(),
                               keep_alive=request.keep_alive,
                               content_type="text/plain")
@@ -498,7 +519,7 @@ class RegionGateway:
     # ------------------------------------------------------------------ #
     # Admin routes (trace replay)
     # ------------------------------------------------------------------ #
-    def _admin_tick(self, request: HttpRequest) -> bytes:
+    def _admin_tick(self, request: HttpRequest) -> tuple[bytes, bytes]:
         if request.body:
             raise ProtocolError(400, "tick takes no body")
         at = self._request_time(request)
@@ -510,7 +531,7 @@ class RegionGateway:
     _FAULT_KINDS = {"outage": RegionOutage, "brownout": BackendBrownout,
                     "az": AZFailure}
 
-    def _admin_fault(self, request: HttpRequest) -> bytes:
+    def _admin_fault(self, request: HttpRequest) -> tuple[bytes, bytes]:
         """Install a fault state: precompiled by index, or dynamic by body.
 
         The index form (``?index=k``) installs entry ``k`` of the schedule

@@ -118,7 +118,8 @@ class TestLoadBaseline:
                      "test_bench_codec_decode_small",
                      "test_bench_engine_scale_closed_loop",
                      "test_bench_engine_faulted",
-                     "test_bench_engine_million_lane"):
+                     "test_bench_engine_million_lane",
+                     "test_bench_gateway_dispatch"):
             assert name in means
             assert name in tolerances
 

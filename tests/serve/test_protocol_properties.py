@@ -12,7 +12,7 @@ from __future__ import annotations
 import asyncio
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.serve.protocol import (DEFAULT_MAX_BODY_BYTES, ProtocolError,
@@ -24,12 +24,23 @@ from serve_helpers import http_get, http_put, raw_exchange, start_cluster, tiny_
 _SETTINGS = settings(max_examples=120, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
 
+#: ``Content-Length`` values that pass ``str.isdigit`` after the latin-1 decode
+#: but that ``int`` refuses: a Unicode digit, and more digits than ``int``'s
+#: 4,300-digit conversion limit.  Random bytes never find either.
+_INT_REFUSES = (b"\xb2", b"9" * 4301)
+
+
+def _put_declaring(length: bytes) -> bytes:
+    return b"PUT /objects/k HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n"
+
 
 # --------------------------------------------------------------------- #
 # Pure parser properties
 # --------------------------------------------------------------------- #
 @_SETTINGS
 @given(st.binary(max_size=4096))
+@example(_put_declaring(_INT_REFUSES[0]))
+@example(_put_declaring(_INT_REFUSES[1]))
 def test_arbitrary_bytes_never_crash_the_parser(data):
     try:
         parsed = parse_request(data)
@@ -85,7 +96,9 @@ def test_wellformed_requests_roundtrip(path_text, body):
 @_SETTINGS
 @given(st.integers(min_value=100, max_value=599), st.binary(max_size=512))
 def test_response_roundtrip(status, body):
-    raw = build_response(status, body, (("X-Test", "1"),))
+    head, same_body = build_response(status, body, b"X-Test: 1\r\n")
+    assert same_body is body
+    raw = head + body
     parsed = parse_response(raw)
     assert parsed is not None
     (got_status, headers, got_body), consumed = parsed
@@ -101,6 +114,13 @@ def test_oversized_declared_body_is_413():
     with pytest.raises(ProtocolError) as info:
         parse_request(raw)
     assert info.value.status == 413
+
+
+@pytest.mark.parametrize("length", [*_INT_REFUSES, b"9" * 19, b"+1", b"1_0"])
+def test_content_length_int_would_choke_on_is_400(length):
+    with pytest.raises(ProtocolError) as info:
+        parse_request(_put_declaring(length))
+    assert info.value.status == 400
 
 
 def test_header_flood_is_431():
@@ -163,6 +183,33 @@ def test_garbage_never_corrupts_cache_state(run):
             status, headers, _ = await http_get(address, "/objects/object-0")
             assert status == 200
             assert headers["x-agar-hit"] in ("full", "partial", "miss")
+        finally:
+            await cluster.stop()
+
+    run(scenario())
+
+
+@pytest.mark.parametrize("length", _INT_REFUSES)
+def test_unparseable_length_behind_a_valid_request(run, length):
+    """The refused request gets its 400 and the one pipelined ahead of it
+    keeps its response (the handler used to die on ``ValueError``)."""
+
+    async def scenario():
+        cluster = await start_cluster(tiny_config())
+        try:
+            address = cluster.addresses["frankfurt"]
+            status, _, _ = await http_get(address, "/objects/object-0")
+            assert status == 200
+            gateway = cluster.gateways["frankfurt"]
+            before = _ledger_and_snapshot(cluster)
+            segment = (b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+                       + _put_declaring(length))
+            responses = await raw_exchange(address, segment, responses=2)
+            assert [status for status, _, _ in responses] == [200, 400]
+            assert responses[0][2] == b"ok\n"
+            assert responses[1][2] == b"invalid Content-Length"
+            assert gateway.errors_total == 1
+            assert _ledger_and_snapshot(cluster) == before
         finally:
             await cluster.stop()
 
