@@ -46,6 +46,7 @@ BASELINE_PATH = REPO_ROOT / "benchmarks" / "baseline.json"
 GUARDED_BENCHMARKS = (
     "test_bench_knapsack_solver",
     "test_bench_reconfiguration",
+    "test_bench_reconfiguration_catalogue_scaling",
     "test_bench_reed_solomon_encode",
     "test_bench_reed_solomon_decode_with_parity",
     "test_bench_codec_encode_many",
@@ -93,6 +94,11 @@ DEFAULT_TOLERANCES = {
     # paper's 300 objects / 10 MB: five pedantic rounds of ~10 ms, so a
     # single slow round moves the mean — wider than the solver's own band.
     "test_bench_reconfiguration": 0.40,
+    # One reconfiguration each at 300 / 1,000 / 3,000 objects over a 10 MB
+    # cache (ISSUE 18), 40 rounds of ~8 ms: the catalogue axis.  The hard
+    # t(3,000) <= 2.5 x t(300) bound inside the benchmark is the primary gate;
+    # the band catches all three sizes slowing together.
+    "test_bench_reconfiguration_catalogue_scaling": 0.40,
     "test_bench_reed_solomon_encode": 0.25,
     "test_bench_reed_solomon_decode_with_parity": 0.25,
     "test_bench_codec_encode_many": 0.30,

@@ -67,6 +67,51 @@ def test_bench_reconfiguration_scaling(benchmark, settings):
     benchmark.extra_info["ms_per_size"] = {f"{size:.0f}MB": round(ms, 1) for size, ms in times.items()}
 
 
+def test_bench_reconfiguration_catalogue_scaling(benchmark):
+    """§VI, the other axis: at a fixed cache a reconfiguration costs what the cache costs.
+
+    A 10 MB cache over 300 / 1,000 / 3,000 objects whose popularity ranking has
+    the same head (``1000 / rank^1.1``, every object a candidate, the map in
+    ranking order): the solver reaches the same keys and the same options are
+    created at every size, so ten times the catalogue may cost at most 2.5
+    times the run (5.8 times before options were stamped on reach).  One round
+    reconfigures once at each size; sizes are compared on their fastest round.
+    """
+    import time
+
+    from repro.backend import ErasureCodedStore
+    from repro.core.agar_node import AgarNode
+    from repro.geo import default_topology
+
+    managers, timings = {}, {}
+    for objects in (300, 1000, 3000):
+        store = ErasureCodedStore(default_topology(seed=7))
+        store.populate(objects, 1024 * 1024)
+        node = AgarNode("frankfurt", store, cache_capacity_bytes=10 * 1024 * 1024)
+        popularity = {f"object-{rank}": 1000.0 / (rank + 1) ** 1.1 for rank in range(objects)}
+        managers[objects] = (node.cache_manager, popularity)
+        timings[objects] = []
+
+    def one_round():
+        for objects, (manager, popularity) in managers.items():
+            start = time.perf_counter()
+            manager.reconfigure(popularity)
+            timings[objects].append(time.perf_counter() - start)
+
+    benchmark.pedantic(one_round, rounds=40, iterations=1, warmup_rounds=2)
+    fastest = {objects: min(times) * 1000.0 for objects, times in timings.items()}
+    records = {objects: manager.history[-1] for objects, (manager, _) in managers.items()}
+    emit("Reconfiguration time vs catalogue size (10 MB cache)",
+         "\n".join(f"  {objects:5d} objects -> {ms:6.2f} ms  (keys processed {records[objects].keys_processed}, "
+                   f"options stamped {records[objects].options_stamped} of "
+                   f"{records[objects].options_generated})"
+                   for objects, ms in fastest.items()))
+    benchmark.extra_info["ms_per_size"] = {str(objects): round(ms, 2) for objects, ms in fastest.items()}
+    benchmark.extra_info["ratio_3000_to_300"] = round(fastest[3000] / fastest[300], 2)
+    assert len({(record.keys_processed, record.options_stamped) for record in records.values()}) == 1
+    assert fastest[3000] <= 2.5 * fastest[300]
+
+
 def test_bench_knapsack_solver(benchmark):
     """Raw solver throughput on a 90-chunk cache with 60 candidate objects."""
     options = synthetic_options(object_count=60, skew=1.1, seed=5)

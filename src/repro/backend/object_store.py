@@ -65,6 +65,10 @@ class ErasureCodedStore:
         # The ids the buckets hold each object's chunks under, by chunk index:
         # a fetch reuses them instead of building (validating, hashing) its own.
         self._chunk_ids: dict[str, tuple[ChunkId, ...]] = {}
+        # Each object's placement shape, kept from its first request until the
+        # object is written again or deleted; equal shapes are one object.
+        self._placement_shapes: dict[str, tuple[tuple[str, tuple[int, ...]], ...]] = {}
+        self._shape_pool: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------ #
     # Properties
@@ -136,6 +140,7 @@ class ErasureCodedStore:
             self._buckets[region].put(chunk)
         self._catalog[metadata.key] = metadata
         self._chunk_ids[metadata.key] = tuple([chunk.chunk_id for chunk in encoded.chunks])
+        self._placement_shapes.pop(metadata.key, None)
         return metadata
 
     def populate(self, object_count: int, object_size: int, key_prefix: str = "object",
@@ -182,6 +187,7 @@ class ErasureCodedStore:
         """
         metadata = self.metadata(key)
         chunk_ids = self._chunk_ids.pop(key)
+        self._placement_shapes.pop(key, None)
         for index, region in metadata.chunk_locations.items():
             self._buckets[region].delete(chunk_ids[index])
         del self._catalog[key]
@@ -247,6 +253,28 @@ class ErasureCodedStore:
         for indices in grouped.values():
             indices.sort()
         return grouped
+
+    def placement_shapes(self, keys: Sequence[str]
+                         ) -> list[tuple[tuple[str, tuple[int, ...]], ...] | None]:
+        """:meth:`chunks_by_region` of each key as a hashable ``((region, indices), …)`` tuple.
+
+        Objects placed alike have the same shape (one shared tuple), which
+        lets a caller share per-placement work between them; a key the store
+        does not hold gets ``None``.  A shape is computed once per stored
+        version of its object.
+        """
+        known = self._placement_shapes
+        shapes = list(map(known.get, keys))
+        if None in shapes:
+            pool = self._shape_pool
+            for position, key in enumerate(keys):
+                if shapes[position] is None and key in self._catalog:
+                    shape = tuple((region, tuple(indices))
+                                  for region, indices in self.chunks_by_region(key).items())
+                    shapes[position] = known[key] = pool.setdefault(shape, shape)
+            if len(pool) > len(known):   # it holds shapes no stored object has any more
+                self._shape_pool = {shape: shape for shape in known.values()}
+        return shapes
 
     def get_object(self, key: str, prefer_data_chunks: bool = True) -> bytes:
         """Read and decode a full object (only for objects stored with payloads)."""

@@ -14,6 +14,8 @@ and the Region Manager's latency estimates, then installs it:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, islice
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from repro.cache.chunk_cache import ChunkCache
@@ -25,7 +27,12 @@ from repro.core.knapsack import (
     SolverResult,
     configuration_summary,
 )
-from repro.core.options import CachingOption, generate_caching_options
+from repro.core.options import (
+    CachingOption,
+    OptionLadder,
+    OptionTable,
+    generate_caching_options,
+)
 from repro.core.region_manager import RegionManager
 
 OptionsByKey = Mapping[str, Sequence[CachingOption]]
@@ -38,10 +45,11 @@ class CacheManagerConfig:
     Attributes:
         use_relax: enable the relaxation step of the DP (Fig. 5).
         stop_after_extra_keys: §VI early-stop optimisation (None disables it).
-        max_candidate_keys: consider only the most popular N objects when
-            generating options (None = all known objects).  This mirrors the
-            paper's observation that run time should depend on the cache size,
-            not the dataset size.
+        max_candidate_keys: consider only the N most popular objects the
+            store still holds (None = all of them).  A cap on *what may be
+            cached*, not a way to bound run time: options are created for the
+            keys the solver reaches, so a reconfiguration already costs what
+            the cache size makes it cost, not the dataset size (§VI).
         min_popularity: objects below this popularity are not considered.
     """
 
@@ -67,6 +75,9 @@ class ReconfigurationRecord:
     relax_scans: int = 0
     relax_pruned: int = 0
     relax_improved: int = 0
+    #: Of ``options_generated``, how many were created as objects: the solver
+    #: looks up only the keys its DP reaches, a ``transform`` every key.
+    options_stamped: int = 0
 
 
 class CacheManager:
@@ -117,53 +128,49 @@ class CacheManager:
     # ------------------------------------------------------------------ #
     # Option generation and solving
     # ------------------------------------------------------------------ #
-    def generate_options(self, popularity: Mapping[str, float]) -> dict[str, list[CachingOption]]:
+    def generate_options(self, popularity: Mapping[str, float]) -> OptionTable:
         """Generate caching options for the candidate objects (§IV-A).
 
-        Objects whose chunks are placed alike share one option ladder: the
-        first one's options, re-stamped with each further key and popularity.
+        Objects whose chunks are placed alike share one option ladder (the
+        first one's options); the returned table stamps a key's own options
+        from it when the key is first looked up, so a reconfiguration creates
+        options for the keys the solver reaches, not for the catalogue.
         """
         estimates = self._region_manager.latency_estimates()
         cache_read_ms = self._region_manager.cache_read_estimate()
         params = self._region_manager.params
 
-        candidates = [
-            (key, pop) for key, pop in popularity.items() if pop > self._config.min_popularity
-        ]
-        candidates.sort(key=lambda item: (-item[1], item[0]))
-        if self._config.max_candidate_keys is not None:
-            candidates = candidates[: self._config.max_candidate_keys]
+        floor = self._config.min_popularity
+        limit = self._config.max_candidate_keys
+        # Decreasing popularity, then key.
+        candidates = sorted([(-pop, key) for key, pop in popularity.items() if pop > floor])
+        if candidates and candidates[-1][0] > 0:   # the least popular one
+            raise ValueError("popularity must be non-negative")
+        shapes = self._region_manager.placement_shapes(list(map(itemgetter(1), candidates)))
+        # A key the store does not hold (any more) has no shape: it is not a
+        # candidate and does not count towards the cap.
+        resolved = islice(compress(zip(candidates, shapes), shapes), limit)
 
-        ladders: dict[tuple, list[CachingOption]] = {}
-        options_by_key: dict[str, list[CachingOption]] = {}
-        for key, pop in candidates:
-            try:
-                chunks_by_region = self._region_manager.chunks_by_region(key)
-            except KeyError:
-                continue
-            shape = tuple((region, tuple(indices))
-                          for region, indices in chunks_by_region.items())
-            ladder = ladders.get(shape)
-            if ladder is None or pop < 0:   # a negative popularity is the generator's to reject
-                options = ladders[shape] = generate_caching_options(
-                    key=key,
-                    chunks_by_region=chunks_by_region,
-                    region_latencies=estimates,
-                    popularity=pop,
-                    data_chunks=params.data_chunks,
-                    parity_chunks=params.parity_chunks,
-                    cache_read_ms=cache_read_ms,
-                )
-            else:
-                options = [
-                    CachingOption(key, rung.chunk_indices, rung.weight,
-                                  rung.latency_improvement_ms, rung.marginal_improvement_ms,
-                                  pop, rung.residual_latency_ms)
-                    for rung in ladder
-                ]
-            if options:
-                options_by_key[key] = options
-        return options_by_key
+        ladders: dict[tuple, OptionLadder] = {}
+        table = OptionTable()
+        placed_like = ladder = None
+        for (negated, key), shape in resolved:
+            if shape is not placed_like:   # objects placed alike share one shape tuple
+                placed_like = shape
+                ladder = ladders.get(shape)
+                if ladder is None:
+                    ladder = ladders[shape] = OptionLadder(generate_caching_options(
+                        key=key,
+                        chunks_by_region=dict(shape),
+                        region_latencies=estimates,
+                        popularity=-negated,
+                        data_chunks=params.data_chunks,
+                        parity_chunks=params.parity_chunks,
+                        cache_read_ms=cache_read_ms,
+                    ))
+            if ladder.rungs:
+                table.add(key, -negated, ladder)
+        return table
 
     def solve(self, options_by_key: OptionsByKey) -> SolverResult:
         """Run the knapsack DP over ``options_by_key`` under this manager's settings."""
@@ -207,10 +214,14 @@ class CacheManager:
             options_by_key = transform(options_by_key)
         result = self.solve(options_by_key)
         self.install(result.best)
+        if isinstance(options_by_key, OptionTable):
+            generated, stamped = options_by_key.option_count, options_by_key.stamped_count
+        else:
+            generated = stamped = sum(len(options) for options in options_by_key.values())
         record = ReconfigurationRecord(
             period_index=len(self._history),
             candidate_keys=len(options_by_key),
-            options_generated=sum(len(options) for options in options_by_key.values()),
+            options_generated=generated,
             configured_objects=len(result.best),
             configured_chunks=result.best.weight,
             configuration_value=result.best.value,
@@ -218,7 +229,7 @@ class CacheManager:
             stopped_early=result.stopped_early,
             chunk_histogram=configuration_summary(result.best),
             relax_scans=result.relax_scans, relax_pruned=result.relax_pruned,
-            relax_improved=result.relax_improved,
+            relax_improved=result.relax_improved, options_stamped=stamped,
         )
         self._history.append(record)
         return record

@@ -19,10 +19,16 @@ Two implementations are provided:
 
 * :class:`KnapsackSolver` — the optimized solver.  The DP state is scalar: a
   weight-indexed array of ``(value, weight, key-bitmask, option-chain)``
-  records, so the inner loops touch only floats, ints and tuple cells.  A
-  relaxation scan is skipped when a per-state lower bound on what shrinking
-  any chosen object would cost already exceeds the option's value, and only
-  the winning state is materialized as a :class:`CacheConfiguration`.
+  records, so the inner loops touch only floats, ints and list cells.  Keys
+  are ranked, and the bounds below sized, from the option *values* alone; a
+  key's options are looked up when the DP reaches it, so a mapping that
+  creates them on demand (:class:`~repro.core.options.OptionTable`) creates
+  them for the head of the ranking only.  A relaxation pass is skipped
+  outright when a table-wide lower bound on what shrinking any chosen object
+  would cost already exceeds the option's value, and state by state from a
+  per-state bound when it does not; an addition pass visits only the sources
+  that beat the occupant of their target slot; and only the winning state is
+  materialized as a :class:`CacheConfiguration`.
 * :class:`ReferenceKnapsackSolver` — the original direct transcription of the
   paper's pseudo-code, which derives an immutable :class:`CacheConfiguration`
   for every intermediate state.  It is kept as the ground truth for the
@@ -36,12 +42,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from repro.core.options import (
     CachingOption,
     best_option_value,
     option_with_weight,
+    value_rows,
 )
 from repro.erasure.chunk import ChunkId
 
@@ -189,31 +199,32 @@ class _State:
     """One scalar DP record: the configuration at a ``MaxV`` weight slot.
 
     ``chain`` is a singly linked chain of
-    ``(option, value, weight, key_bit, parent, loss)`` tuples in reverse
-    insertion order, so the relax scan touches only tuple cells — no property
-    calls.  ``mask`` is a bitmask over the solver's key indices — an O(1)
-    replacement for ``has_key``.
+    ``[option, value, weight, key_bit, parent, loss, min_loss]`` nodes in
+    reverse insertion order, so the relax scan touches only list cells — no
+    property calls.  ``mask`` is a bitmask over the solver's key indices — an
+    O(1) replacement for ``has_key``.
 
     A node's ``loss`` has one entry per distinct option weight ``w`` of the
     instance: the value given up by shrinking the node to make room for an
     option of weight ``w`` (``inf`` when the node is lighter than ``w``).
-    ``min_loss`` is the entry-wise minimum over the chain, the bound
-    :meth:`KnapsackSolver._relax_pass` prunes with.
+    Its ``min_loss`` is the entry-wise minimum of ``loss`` over the node and
+    its ancestors — at the head of a chain, the bound
+    :meth:`KnapsackSolver._relax_pass` prunes that state with.  It stays
+    ``None`` until :func:`_min_loss` is asked for it: most states are
+    replaced before any pass looks at them one by one.
     """
 
-    __slots__ = ("value", "weight", "mask", "chain", "min_loss")
+    __slots__ = ("value", "weight", "mask", "chain")
 
-    def __init__(self, value: float, weight: int, mask: int, chain: tuple | None,
-                 min_loss: tuple[float, ...]) -> None:
+    def __init__(self, value: float, weight: int, mask: int, chain: list | None) -> None:
         self.value = value
         self.weight = weight
         self.mask = mask
         self.chain = chain
-        self.min_loss = min_loss
 
-    def nodes_in_order(self) -> list[tuple]:
+    def nodes_in_order(self) -> list[list]:
         """The chain's nodes in insertion order."""
-        nodes: list[tuple] = []
+        nodes: list[list] = []
         node = self.chain
         while node is not None:
             nodes.append(node)
@@ -224,6 +235,19 @@ class _State:
     def materialize(self) -> CacheConfiguration:
         """Build the full configuration object."""
         return CacheConfiguration(options=tuple(node[0] for node in self.nodes_in_order()))
+
+
+def _min_loss(node: list) -> tuple[float, ...]:
+    """``node``'s ``min_loss``, filled in on it and on the ancestors it needed."""
+    unresolved = []
+    while node is not None and node[6] is None:
+        unresolved.append(node)
+        node = node[4]
+    bound = None if node is None else node[6]
+    while unresolved:
+        node = unresolved.pop()
+        bound = node[6] = node[5] if bound is None else tuple(map(min, bound, node[5]))
+    return bound
 
 
 class _LazyTable(Mapping):
@@ -245,6 +269,36 @@ class _LazyTable(Mapping):
 
     def __len__(self) -> int:
         return len(self._table)
+
+
+class _Table:
+    """``MaxV`` and what lets a pass skip most of it.
+
+    ``states[w]`` is the state at weight slot ``w``; slot 0 always holds the
+    empty configuration.  ``values`` mirrors the states' values slot by slot
+    (``-inf`` where there is none), so an addition pass finds the few sources
+    that improve their target with array arithmetic.  ``light`` holds the
+    slots whose state weighs less than the slot — a relaxation evicted an
+    object outright — and whose addition target is therefore not
+    ``slot + weight``.  ``floor`` bounds the ``min_loss`` of every state from
+    below, column by column: it is lowered whenever a chain grows and never
+    raised when a state is replaced, so it may be stale but never too high.
+    ``occupied`` counts the states, ``holders`` are the slots whose state
+    holds the key being processed, ``max_slot`` is the highest occupied slot.
+    """
+
+    __slots__ = ("states", "values", "light", "floor", "occupied", "holders", "max_slot")
+
+    def __init__(self, capacity: int, columns: int) -> None:
+        self.states: list[_State | None] = [None] * (capacity + 1)
+        self.states[0] = _State(0.0, 0, 0, None)
+        self.values = np.full(capacity + 1, -_INF)
+        self.values[0] = 0.0
+        self.light: set[int] = set()
+        self.floor = (_INF,) * columns
+        self.occupied = 1
+        self.holders: set[int] = set()
+        self.max_slot = 0
 
 
 class KnapsackSolver:
@@ -296,25 +350,19 @@ class KnapsackSolver:
                                 keys_processed=0, stopped_early=False)
 
         capacity = self._capacity
-        usable = {
-            key: [option for option in options if option.weight <= capacity]
-            for key, options in options_by_key.items()
-        }
-        usable = {key: options for key, options in usable.items() if options}
-        values = {key: [option.value for option in options]
-                  for key, options in usable.items()}
-        ordered_keys = sorted(usable, key=lambda key: (-max(values[key]), key))
+        # Rank the keys and size the prune from their values alone: a key's
+        # options are looked up only when the DP reaches it.
+        ranking, distinct_weights, total_value = value_rows(options_by_key, capacity)
+        ranking.sort()   # by value, then key: keys are unique, nothing after them is compared
 
         # Columns of the loss tuples, and the prune's rounding allowance.
         # A NaN or infinite value makes the slack so, and no state prunes.
-        weights = sorted({option.weight for options in usable.values() for option in options})
+        weights = sorted(distinct_weights)
         column = {weight: index for index, weight in enumerate(weights)}
-        slack = _PRUNE_SLACK * sum(abs(value) for ladder in values.values() for value in ladder)
+        slack = _PRUNE_SLACK * total_value
+        finite = slack < _INF
 
-        # MaxV: weight slot -> scalar state.  Slot 0 is the empty configuration.
-        states: list[_State | None] = [None] * (capacity + 1)
-        states[0] = _State(0.0, 0, 0, None, (_INF,) * len(weights))
-        max_slot = 0
+        table = _Table(capacity, len(weights))
         # Per-key exact-weight lookup (SearchOption of Fig. 5), built as the
         # DP reaches a key: a chain only ever holds keys already processed.
         weight_index: dict[str, dict[int, tuple]] = {}
@@ -324,21 +372,24 @@ class KnapsackSolver:
         stopped_early = False
         scans = pruned = improved = 0
 
-        for index, key in enumerate(ordered_keys):
+        for index, row in enumerate(ranking):
+            key = row[1]
             bit = 1 << index
-            entries, weight_index[key] = _index_options(usable[key], values[key], weights)
+            usable = [option for option in options_by_key[key] if option.weight <= capacity]
+            entries, weight_index[key] = _index_options(usable, weights)
+            table.holders.clear()
             for entry in entries:
                 if self._use_relax:
-                    counts = self._relax_pass(states, entry, bit, column[entry[2]],
+                    counts = self._relax_pass(table, entry, bit, column[entry[2]],
                                               slack, weight_index)
                     scans += counts[0]
                     pruned += counts[1]
                     improved += counts[2]
-                max_slot = self._addition_pass(states, entry, bit, max_slot)
+                self._addition_pass(table, entry, bit, finite)
             keys_processed += 1
 
             if self._stop_after_extra_keys is not None:
-                if keys_since_full is None and max_slot >= capacity:
+                if keys_since_full is None and table.max_slot >= capacity:
                     keys_since_full = 0
                 elif keys_since_full is not None:
                     keys_since_full += 1
@@ -346,6 +397,7 @@ class KnapsackSolver:
                         stopped_early = True
                         break
 
+        states = table.states
         # The key a materialized table was ranked by: the configuration's own
         # value — ``sum`` of its options in insertion order, which need not
         # equal the DP's running total bit for bit — then the lighter one;
@@ -364,18 +416,32 @@ class KnapsackSolver:
     # ------------------------------------------------------------------ #
     # DP passes
     # ------------------------------------------------------------------ #
-    def _addition_pass(self, states: list[_State | None], entry: tuple,
-                       bit: int, max_slot: int) -> int:
+    def _addition_pass(self, table: _Table, entry: tuple, bit: int, finite: bool) -> None:
         """Fig. 4 lines 14–21: extend existing configurations with ``entry``'s option.
 
-        Returns the (possibly grown) maximum occupied weight slot, tracked
-        incrementally so the §VI early-stop check never rescans the table.
+        Only sources that beat the occupant their target slot had *before* the
+        pass are visited: slot values only grow within a pass, so every other
+        source loses against the live table as well.  ``finite`` says the
+        instance has no NaN or infinite value, without which the value mirror
+        cannot stand for ``existing is None``; otherwise every slot is visited.
         """
         capacity = self._capacity
         option, option_value, option_weight, loss = entry
-        # Iterate a copy — additions inside this pass must not feed further
-        # additions of the same option.
-        for state in list(states):
+        states = table.states
+        values = table.values
+        if finite:
+            reach = capacity + 1 - option_weight
+            sources = (values[:reach] + option_value
+                       > values[option_weight:]).nonzero()[0].tolist()
+            if table.light:
+                sources = sorted(table.light.union(sources))
+        else:
+            sources = range(capacity + 1)
+        stored: list[int] = []
+        vacant = 0
+        # The states as they were: additions inside this pass must not feed
+        # further additions of the same option.
+        for state in [states[slot] for slot in sources]:
             if state is None or state.mask & bit:
                 continue
             new_weight = state.weight + option_weight
@@ -383,17 +449,23 @@ class KnapsackSolver:
                 continue
             new_value = state.value + option_value
             existing = states[new_weight]
-            if existing is None or existing.value < new_value:
-                states[new_weight] = _State(
-                    new_value, new_weight, state.mask | bit,
-                    (option, option_value, option_weight, bit, state.chain, loss),
-                    tuple(map(min, state.min_loss, loss)),
-                )
-                if new_weight > max_slot:
-                    max_slot = new_weight
-        return max_slot
+            if existing is None:
+                vacant += 1
+            elif not existing.value < new_value:
+                continue
+            states[new_weight] = _State(
+                new_value, new_weight, state.mask | bit,
+                [option, option_value, option_weight, bit, state.chain, loss, None])
+            values[new_weight] = new_value
+            stored.append(new_weight)
+        if stored:
+            table.holders.update(stored)
+            table.light.difference_update(stored)
+            table.occupied += vacant
+            table.max_slot = max(table.max_slot, max(stored))
+            table.floor = tuple(map(min, table.floor, loss))
 
-    def _relax_pass(self, states: list[_State | None], entry: tuple, bit: int,
+    def _relax_pass(self, table: _Table, entry: tuple, bit: int,
                     column: int, slack: float,
                     weight_index: Mapping[str, Mapping[int, tuple]]) -> tuple[int, int, int]:
         """Fig. 4 lines 10–12 / Fig. 5: improve configurations at constant weight slot.
@@ -401,21 +473,33 @@ class KnapsackSolver:
         A swap gains ``option value − loss`` over the state, so a state whose
         smallest loss for this option's weight exceeds the option's value by
         more than the rounding ``slack`` has no improving candidate and is
-        skipped; anything closer — every exact tie included — gets the full
-        scan.  Returns ``(scanned, pruned, improved)`` state counts.
+        skipped — all of them at once when the table's ``floor`` already
+        clears that bar; anything closer — every exact tie included — gets
+        the full scan.  Returns ``(scanned, pruned, improved)`` state counts.
         """
         option_value = entry[1]
+        if table.floor[column] - option_value > slack:
+            # Every state with a chain that does not hold the key yet.
+            return 0, table.occupied - 1 - len(table.holders), 0
         scans = pruned = improved = 0
-        for slot, state in enumerate(states):
+        for slot, state in enumerate(table.states):
             if state is None or state.mask & bit or state.chain is None:
                 continue
-            if state.min_loss[column] - option_value > slack:
+            min_loss = state.chain[6] or _min_loss(state.chain)
+            if min_loss[column] - option_value > slack:
                 pruned += 1
                 continue
             scans += 1
             better = self._relax(state, entry, bit, weight_index)
             if better is not None and better.value > state.value:
-                states[slot] = better
+                table.states[slot] = better
+                table.values[slot] = better.value
+                table.holders.add(slot)
+                if better.weight < slot:
+                    table.light.add(slot)
+                else:
+                    table.light.discard(slot)
+                table.floor = tuple(map(min, table.floor, _min_loss(better.chain)))
                 improved += 1
         return scans, pruned, improved
 
@@ -436,7 +520,7 @@ class KnapsackSolver:
         option, option_value, option_weight, loss = entry
         base_value = state.value
         best_value = base_value
-        best_node: tuple | None = None
+        best_node: list | None = None
         best_replacement: tuple | None = None
 
         # The chain is in reverse insertion order.  The reference scans in
@@ -472,27 +556,23 @@ class KnapsackSolver:
         value = 0.0
         weight = 0
         mask = 0
-        chain: tuple | None = None
-        min_loss = loss
-        # ``kept`` is a chain node or an index entry: option, value and weight
-        # lead both, the loss tuple ends both.
+        chain: list | None = None
         for existing in state.nodes_in_order():
             if existing is best_node:
                 if best_replacement is None:
                     continue
-                kept = best_replacement
+                kept_option, kept_value, kept_weight, kept_loss = best_replacement
             else:
-                kept = existing
-            chain = (kept[0], kept[1], kept[2], existing[3], chain, kept[-1])
-            value += kept[1]
-            weight += kept[2]
+                kept_option, kept_value, kept_weight, _, _, kept_loss, _ = existing
+            chain = [kept_option, kept_value, kept_weight, existing[3], chain, kept_loss, None]
+            value += kept_value
+            weight += kept_weight
             mask |= existing[3]
-            min_loss = tuple(map(min, min_loss, kept[-1]))
         return _State(value + option_value, weight + option_weight, mask | bit,
-                      (option, option_value, option_weight, bit, chain, loss), min_loss)
+                      [option, option_value, option_weight, bit, chain, loss, None])
 
 
-def _index_options(options: Sequence[CachingOption], values: Sequence[float],
+def _index_options(options: Sequence[CachingOption],
                    weights: Sequence[int]) -> tuple[list[tuple], dict[int, tuple]]:
     """One key's ``(option, value, weight, loss)`` entries and exact-weight index.
 
@@ -506,8 +586,9 @@ def _index_options(options: Sequence[CachingOption], values: Sequence[float],
     entries: list[tuple] = []
     by_weight: dict[int, tuple] = {}
     # Lightest first, so an option's lighter siblings are already indexed.
-    for option, value in sorted(zip(options, values), key=lambda pair: pair[0].weight):
+    for option in sorted(options, key=attrgetter("weight")):
         weight = option.weight
+        value = option.value
         entry = (option, value, weight, tuple(
             _INF if weight < shrink else value - by_weight.get(weight - shrink, _EVICTED)[1]
             for shrink in weights))

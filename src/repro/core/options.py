@@ -25,8 +25,11 @@ Generation follows the paper:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from math import inf, isfinite
+from operator import itemgetter
+from typing import Iterator, Mapping, Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,6 +221,137 @@ def generate_caching_options(
         position = group_end
 
     return options
+
+
+class OptionLadder:
+    """The options of one placement shape, with key and popularity left open.
+
+    Objects whose chunks are placed alike have the same options up to the two
+    fields an object owns; a ladder keeps one set of them (its ``rungs``) and
+    stamps an object's own on request.  ``weights`` and ``gains`` (absolute
+    latency improvements) are the rungs' columns: an object's option values
+    are its popularity times ``gains``, no option needed.
+    """
+
+    __slots__ = ("rungs", "weights", "gains", "best_gain")
+
+    def __init__(self, rungs: Sequence[CachingOption]) -> None:
+        self.rungs = tuple(rungs)
+        self.weights = tuple(rung.weight for rung in self.rungs)
+        self.gains = tuple(rung.latency_improvement_ms for rung in self.rungs)
+        #: The largest gain — ``None`` unless every gain is finite, see :meth:`best_value`.
+        self.best_gain = max(self.gains) if all(map(isfinite, self.gains)) and self.gains else None
+
+    def fitting(self, max_weight: int) -> "OptionLadder":
+        """The ladder of the rungs no heavier than ``max_weight`` (itself, if all are)."""
+        if all(weight <= max_weight for weight in self.weights):
+            return self
+        return OptionLadder([rung for rung in self.rungs if rung.weight <= max_weight])
+
+    def best_value(self, popularity: float) -> float:
+        """The largest option value at ``popularity``: ``max`` over ``popularity * gains``.
+
+        Rounding keeps a product monotonic in the gain, so between finite
+        non-negative factors the largest gain gives the largest value; an
+        infinity can meet a zero, and ``max`` over a NaN depends on the order.
+        """
+        if self.best_gain is not None and 0.0 <= popularity < inf:
+            return popularity * self.best_gain
+        return max([popularity * gain for gain in self.gains])
+
+    def stamp(self, key: str, popularity: float) -> list[CachingOption]:
+        """The rungs as ``key``'s options at ``popularity``."""
+        return [
+            CachingOption(key, rung.chunk_indices, rung.weight,
+                          rung.latency_improvement_ms, rung.marginal_improvement_ms,
+                          popularity, rung.residual_latency_ms)
+            for rung in self.rungs
+        ]
+
+
+class OptionTable(Mapping[str, Sequence[CachingOption]]):
+    """Caching options per candidate key, stamped when a key is first looked up.
+
+    The table holds a popularity and a ladder per key, in the order the keys
+    were added.  ``table[key]`` — and therefore ``items()`` / ``values()`` —
+    creates the key's options and keeps them; ``len``, iteration, ``in``,
+    :meth:`value_rows` and the two counts do not.
+    """
+
+    def __init__(self) -> None:
+        # key -> (-best value, key, popularity, ladder): what ranks the key first.
+        self._rows: dict[str, tuple[float, str, float, OptionLadder]] = {}
+        self._stamped: dict[str, list[CachingOption]] = {}
+
+    def add(self, key: str, popularity: float, ladder: OptionLadder) -> None:
+        """Append ``key`` with the options of ``ladder`` (not empty) at ``popularity``."""
+        self._rows[key] = (-ladder.best_value(popularity), key, popularity, ladder)
+
+    def __getitem__(self, key: str) -> list[CachingOption]:
+        options = self._stamped.get(key)
+        if options is None:
+            _, _, popularity, ladder = self._rows[key]
+            options = self._stamped[key] = ladder.stamp(key, popularity)
+        return options
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._rows
+
+    @property
+    def option_count(self) -> int:
+        """How many options the table holds, stamped or not."""
+        keys_per_ladder = Counter(map(itemgetter(3), self._rows.values()))
+        return sum(len(ladder.rungs) * keys for ladder, keys in keys_per_ladder.items())
+
+    @property
+    def stamped_count(self) -> int:
+        """How many of them exist as objects so far."""
+        return sum(map(len, self._stamped.values()))
+
+    def value_rows(self, max_weight: int) -> tuple[list[tuple], set[int], float]:
+        """See :func:`value_rows`; stamps nothing."""
+        rows = list(self._rows.values())
+        fitting = {ladder: ladder.fitting(max_weight) for ladder in set(map(itemgetter(3), rows))}
+        if any(fit is not ladder for ladder, fit in fitting.items()):
+            rows = [(-fit.best_value(popularity), key, popularity, fit)
+                    for _, key, popularity, ladder in rows
+                    for fit in (fitting[ladder],) if fit.rungs]
+        weights = {weight for fit in fitting.values() for weight in fit.weights}
+        total = sum(map(abs, (popularity * gain for _, _, popularity, ladder in rows
+                              for gain in ladder.gains)))
+        return rows, weights, total
+
+
+def value_rows(options_by_key: Mapping[str, Sequence[CachingOption]], max_weight: int,
+               ) -> tuple[list[tuple], set[int], float]:
+    """What a solver reads of every key before it touches an option.
+
+    Returns one row per key, led by ``(-best value, key)`` and in the
+    mapping's order, then the distinct weights and the sum of the absolute
+    values (key by key, option by option) of the options behind the rows.
+    Only options no heavier than ``max_weight`` count, and a key left without
+    one has no row.  An :class:`OptionTable` answers from its ladders without
+    creating an option, any other mapping from the options it already holds.
+    """
+    if isinstance(options_by_key, OptionTable):
+        return options_by_key.value_rows(max_weight)
+    rows: list[tuple] = []
+    values: list[float] = []
+    weights: set[int] = set()
+    for key, options in options_by_key.items():
+        fitting = [option for option in options if option.weight <= max_weight]
+        if fitting:
+            ladder = [option.value for option in fitting]
+            rows.append((-max(ladder), key))
+            values += ladder
+            weights.update(option.weight for option in fitting)
+    return rows, weights, sum(map(abs, values))
 
 
 def best_option_value(options: Sequence[CachingOption]) -> float:

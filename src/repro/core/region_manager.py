@@ -13,6 +13,7 @@ the paper's prototype issues warm-up reads against real regions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.backend.object_store import ErasureCodedStore
 from repro.erasure.chunk import ErasureCodingParams
@@ -76,8 +77,17 @@ class RegionManager:
         return self._store.topology.region_names
 
     def chunks_by_region(self, key: str) -> dict[str, list[int]]:
-        """Which chunks of ``key`` each region stores (round-robin placement)."""
+        """Which chunks of ``key`` each region stores, under the store's placement policy."""
         return self._store.chunks_by_region(key)
+
+    def placement_shapes(self, keys: Sequence[str]
+                         ) -> list[tuple[tuple[str, tuple[int, ...]], ...] | None]:
+        """Each key's :meth:`chunks_by_region` as a hashable tuple, ``None`` if unknown.
+
+        Objects placed alike share one tuple; see
+        :meth:`ErasureCodedStore.placement_shapes`.
+        """
+        return self._store.placement_shapes(keys)
 
     def known_keys(self) -> list[str]:
         """All object keys of the backing store's catalog."""

@@ -71,7 +71,11 @@ def run_microbench(settings: ExperimentSettings | None = None,
 
 def run_capacity_scaling(settings: ExperimentSettings | None = None,
                          cache_sizes_mb: tuple[int, ...] = (5, 10, 20, 50)) -> list[MicrobenchResult]:
-    """Reconfiguration time as a function of cache size (the O(C²) claim)."""
+    """Reconfiguration time as a function of cache size, at a fixed catalogue (§VI).
+
+    The other axis — a fixed cache over a growing catalogue — is
+    ``benchmarks/test_bench_algorithm.py::test_bench_reconfiguration_catalogue_scaling``.
+    """
     settings = settings or ExperimentSettings.quick()
     return [
         run_microbench(settings, cache_capacity_bytes=size_mb * MEGABYTE)

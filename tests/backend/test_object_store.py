@@ -3,6 +3,7 @@
 import pytest
 
 from repro.backend import ErasureCodedStore, ObjectNotFoundError, SpreadPlacement
+from repro.backend.placement import ExplicitPlacement
 from repro.backend.bucket import ChunkNotFoundError
 from repro.erasure import ErasureCodingParams
 
@@ -93,3 +94,42 @@ class TestCustomPlacement:
         meta = store.put_virtual("versioned", MEGABYTE, version=4)
         assert meta.version == 4
         assert store.get_chunk("versioned", 0).version == 4
+
+
+class TestPlacementShapes:
+    def test_shape_is_chunks_by_region_and_shared_by_objects_placed_alike(self, store):
+        first, second, ghost = store.placement_shapes(["object-0", "object-1", "ghost"])
+        assert first == tuple((region, tuple(indices))
+                              for region, indices in store.chunks_by_region("object-0").items())
+        assert second is first            # round-robin: one shape, one tuple
+        assert ghost is None
+        assert store.placement_shapes(["object-0"])[0] is first   # kept, not rebuilt
+
+    def test_spread_placement_has_one_shape_per_offset(self, topology):
+        store = ErasureCodedStore(topology, placement=SpreadPlacement())
+        keys = store.populate(24, MEGABYTE)
+        shapes = store.placement_shapes(keys)
+        for key, shape in zip(keys, shapes):
+            assert dict(shape) == {region: tuple(indices) for region, indices
+                                   in store.chunks_by_region(key).items()}
+        assert 1 < len({id(shape) for shape in shapes}) == len(set(shapes)) <= 6
+
+    def test_a_rewrite_or_delete_drops_the_kept_shape(self, topology):
+        assignments = {"moving": {index: "tokyo" if index < 6 else "sydney"
+                                  for index in range(12)}}
+        placement = ExplicitPlacement(assignments)
+        store = ErasureCodedStore(topology, placement=placement)
+        store.put_virtual("moving", MEGABYTE)
+        store.put_virtual("other", MEGABYTE)
+        before = store.placement_shapes(["moving"])[0]
+        assert dict(before)["tokyo"] == (0, 1, 2, 3, 4, 5)
+
+        placement._assignments["moving"] = {index: "dublin" for index in range(12)}
+        store.put_virtual("moving", MEGABYTE, version=1)
+        after = store.placement_shapes(["moving"])[0]
+        assert dict(after)["dublin"] == tuple(range(12)) and dict(after)["tokyo"] == ()
+
+        store.delete("moving")
+        assert store.placement_shapes(["moving", "other"])[0] is None
+        # The pool of shared tuples does not outgrow the objects that use it.
+        assert len(store._shape_pool) <= len(store._placement_shapes) == 1

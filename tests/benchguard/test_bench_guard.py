@@ -119,7 +119,8 @@ class TestLoadBaseline:
                      "test_bench_engine_scale_closed_loop",
                      "test_bench_engine_faulted",
                      "test_bench_engine_million_lane",
-                     "test_bench_gateway_dispatch"):
+                     "test_bench_gateway_dispatch",
+                     "test_bench_reconfiguration_catalogue_scaling"):
             assert name in means
             assert name in tolerances
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backend import ErasureCodedStore
 from repro.cache import ChunkCache, LRUEvictionPolicy, PinnedConfigurationPolicy
 from repro.core.cache_manager import CacheManager, CacheManagerConfig
 from repro.core.region_manager import RegionManager
@@ -82,6 +83,77 @@ class TestCacheManager:
         popularity = {f"object-{i}": float(20 - i) for i in range(10)}
         options = limited.generate_options(popularity)
         assert set(options) == {"object-0", "object-1", "object-2"}
+
+    def test_max_candidate_keys_counts_only_keys_that_resolve(self, store):
+        """A deleted object lingers in the popularity map; it must not use up the cap."""
+        manager = RegionManager("frankfurt", store)
+        cache = ChunkCache(capacity_bytes=10 * MEGABYTE, policy=PinnedConfigurationPolicy())
+        limited = CacheManager(manager, cache, chunk_size=CHUNK_SIZE,
+                               config=CacheManagerConfig(max_candidate_keys=3))
+        popularity = {"ghost": 50.0, "object-0": 3.0, "object-1": 2.0, "object-2": 1.0,
+                      "object-3": 0.5}
+        assert list(limited.generate_options(popularity)) == ["object-0", "object-1", "object-2"]
+        store.delete("object-1")
+        assert list(limited.generate_options(popularity)) == ["object-0", "object-2", "object-3"]
+
+    def test_options_are_stamped_on_first_lookup(self, cache_manager):
+        popularity = {f"object-{i}": float(20 - i) for i in range(10)}
+        table = cache_manager.generate_options(popularity)
+        assert (len(table), table.option_count, table.stamped_count) == (10, 50, 0)
+        assert "object-3" in table and "ghost" not in table
+        assert list(table) == [f"object-{i}" for i in range(10)]
+        assert table.stamped_count == 0          # none of the above creates an option
+
+        options = table["object-3"]
+        assert table["object-3"] is options      # stamped once, kept
+        assert table.stamped_count == 5
+        assert {(option.key, option.popularity) for option in options} == {("object-3", 17.0)}
+        with pytest.raises(KeyError):
+            table["ghost"]
+
+        everything = dict(table.items())
+        assert table.stamped_count == table.option_count == 50
+        assert everything["object-3"] is options
+
+    def test_record_counts_the_options_stamped(self, store):
+        manager = RegionManager("frankfurt", store)
+        cache = ChunkCache(capacity_bytes=2 * MEGABYTE, policy=PinnedConfigurationPolicy())
+        cache_manager = CacheManager(manager, cache, chunk_size=CHUNK_SIZE,
+                                     config=CacheManagerConfig(stop_after_extra_keys=2))
+        popularity = {f"object-{i}": 1000.0 / (i + 1) for i in range(20)}
+        record = cache_manager.reconfigure(popularity)
+        assert record.stopped_early and record.options_generated == 100
+        assert record.options_stamped == 5 * record.keys_processed < record.options_generated
+        # A transform reads every option, and what it returns exists in full.
+        record = cache_manager.reconfigure(popularity, transform=lambda options: dict(options.items()))
+        assert record.options_stamped == record.options_generated == 100
+
+    def test_work_follows_the_cache_not_the_catalogue(self, topology):
+        """§VI: the same cache and the same head of the ranking cost the same decisions."""
+        records = {}
+        for objects in (300, 3000):
+            store = ErasureCodedStore(topology)
+            store.populate(object_count=objects, object_size=MEGABYTE)
+            cache = ChunkCache(capacity_bytes=10 * MEGABYTE, policy=PinnedConfigurationPolicy())
+            manager = CacheManager(RegionManager("frankfurt", store), cache, chunk_size=CHUNK_SIZE)
+            popularity = {f"object-{i}": 1000.0 / (i + 1) ** 1.1 for i in range(objects)}
+            records[objects] = (manager.reconfigure(popularity), manager.current_configuration)
+        (small, small_config), (large, large_config) = records[300], records[3000]
+        assert (large.candidate_keys, large.options_generated) == (3000, 15000)
+        assert large.keys_processed == small.keys_processed < 50
+        assert large.options_stamped == small.options_stamped == 5 * small.keys_processed
+        assert (large.relax_scans, large.relax_pruned) == (small.relax_scans, small.relax_pruned)
+        assert large_config.options == small_config.options
+
+    def test_negative_popularity_is_rejected(self, store):
+        manager = RegionManager("frankfurt", store)
+        cache = ChunkCache(capacity_bytes=10 * MEGABYTE, policy=PinnedConfigurationPolicy())
+        lenient = CacheManager(manager, cache, chunk_size=CHUNK_SIZE,
+                               config=CacheManagerConfig(min_popularity=-5.0))
+        assert list(lenient.generate_options({"object-0": 0.0, "object-1": 2.0})) == [
+            "object-1", "object-0"]
+        with pytest.raises(ValueError):
+            lenient.generate_options({"object-0": -1.0, "object-1": 2.0})
 
     def test_reconfigure_installs_and_pins(self, cache_manager, store):
         popularity = {f"object-{i}": float(100 - i) for i in range(10)}
