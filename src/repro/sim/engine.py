@@ -65,16 +65,17 @@ bit-identical to it on every supported shape.
 
 :meth:`EventEngine.execute_sharded` additionally runs deployments with one
 worker process per region (fork: the populated :class:`ErasureCodedStore` is
-shared copy-on-write).  Non-collaborative regions never interact, so their
-workers run independently; §VI *collaborative* deployments run a
-message-passing protocol instead — workers pause at collaboration-period
-boundaries, exchange :class:`NeighborAnnouncement`s with the parent over
-pipes, apply their share of the coordinator's discount-and-reconfigure round,
-and resume (see ``docs/collaboration.md``).  Sharded runs are deterministic —
-the forked and the in-process (``processes=False``) paths are bit-identical —
-but not bit-identical to :meth:`execute`, because each shard draws latency
-jitter from its own region-derived stream instead of interleaving one shared
-stream.
+shared copy-on-write) under one message-passing protocol: workers run their
+lanes up to the next collaboration-period boundary, exchange
+:class:`NeighborAnnouncement`s with the parent over pipes, apply their share
+of the coordinator's discount-and-reconfigure round, and resume (see
+``docs/collaboration.md``).  Regions without a coordinator never interact and
+are the protocol's zero-round case: no boundary, one segment, run to
+completion.  Sharded runs are deterministic — the forked and the in-process
+(``processes=False``) transports drive the same :class:`_Shard` and are
+bit-identical — but not bit-identical to :meth:`execute`, because each shard
+draws latency jitter from its own region-derived stream instead of
+interleaving one shared stream.
 """
 
 from __future__ import annotations
@@ -166,11 +167,12 @@ class RegionSpec:
         shards: how many :meth:`EventEngine.execute_sharded` workers this
             region's clients split across (intra-region sharding for hot
             regions).  Each sub-shard runs a contiguous slice of the region's
-            lanes against its own copy-on-write strategy/cache copy and its
-            own derived jitter stream; the region's stats merge via
-            ``LatencyStats.merge_all``.  ``1`` (default) is bit-identical to
-            pre-sharding behaviour; in-process (``execute``/
-            ``execute_reference``) runs ignore the split entirely.
+            lanes against its own strategy/cache copy and its own derived
+            jitter stream, through the same segments and rounds as every
+            other shard (sub-shard 0 announces for the region); the region's
+            stats merge via ``LatencyStats.merge_all``.  ``1`` (default) is
+            bit-identical to pre-sharding behaviour; the unsharded
+            ``execute`` / ``execute_reference`` ignore the split entirely.
     """
 
     region: str
@@ -426,22 +428,24 @@ class _LaneRun:
     numbers) intact for the next call.  Running with ``limit=None`` drains the
     run to completion and is bit-identical to the former single-pass loop.
 
-    The pause point is what sharded collaborative execution builds on: each
-    per-region worker runs its lanes up to a collaboration-period boundary,
+    The pause point is what sharded execution builds on: each
+    :class:`_Shard` runs its lanes up to a collaboration-period boundary,
     exchanges announcements with the parent, applies its share of the
     §VI round, and resumes.  At a boundary ``T`` every event with time < T
     has been processed and every event at exactly ``T`` has not — matching
     the reference scheduler, where a collaboration timer at ``T``
     (priority 0) fires before arrivals at ``T`` (priority 1).
 
-    ``external_collaboration=True`` suppresses the in-loop collaboration
-    timer; the caller drives the rounds between :meth:`run_until` calls
-    instead (the residual timer heap then holds only the one-shot fault
-    transitions, if any — collaborative deployments have no per-region
-    reconfiguration timers).  A fault transition landing exactly on a segment
-    boundary ``T`` stays pending at the pause and fires attached to the next
-    segment's first arrival at or after ``T`` — the same state every read
-    at time ≥ ``T`` would see in-process.
+    ``external_collaboration=True`` — passed by every :class:`_Shard`, only
+    :meth:`EventEngine._run_lanes` does not — suppresses the in-loop
+    collaboration timer; the caller drives the rounds between
+    :meth:`run_until` calls instead (the residual timer heap then holds only
+    the one-shot fault transitions, if any — collaborative deployments have
+    no per-region reconfiguration timers).  Without a coordinator there is no
+    such timer and the flag changes nothing.  A fault transition landing
+    exactly on a segment boundary ``T`` stays pending at the pause and fires
+    attached to the next segment's first arrival at or after ``T`` — the same
+    state every read at time ≥ ``T`` would see in-process.
     """
 
     def __init__(self, engine: "EventEngine", deployment: EngineDeployment,
@@ -1021,18 +1025,14 @@ class _LaneRun:
         )
 
 
-def _shard_jitter_seed(seed: int, region_index: int) -> int:
-    """Deterministic per-region jitter seed of sharded execution."""
-    return seed + _SHARD_SEED_TAG * (region_index + 1)
-
-
 def _subshard_jitter_seed(seed: int, region_index: int, shard_index: int) -> int:
-    """Deterministic jitter seed of one intra-region sub-shard.
+    """Deterministic jitter seed of one ``(region, sub-shard)`` job.
 
-    Sub-shard 0 keeps :func:`_shard_jitter_seed`'s value, so single-shard
-    regions reproduce pre-sharding runs bit-exactly.
+    Sub-shard 0 keeps the region's per-region seed, so single-shard regions
+    reproduce pre-sharding runs bit-exactly.
     """
-    return _shard_jitter_seed(seed, region_index) + _SUBSHARD_SEED_TAG * shard_index
+    return (seed + _SHARD_SEED_TAG * (region_index + 1)
+            + _SUBSHARD_SEED_TAG * shard_index)
 
 
 def _install_neighbor_catalogs(deployment: EngineDeployment,
@@ -1057,179 +1057,160 @@ def _install_neighbor_catalogs(deployment: EngineDeployment,
         strategy.set_neighbor_catalog(catalog, expected_ms, sigma)
 
 
-def _shard_worker(engine: "EventEngine", deployment: EngineDeployment, seed: int,
-                  region_index: int, shard_index: int, shard_count: int,
-                  connection) -> None:
-    """Body of one forked (sub-)shard worker: run it, ship the result back.
+class _Shard:
+    """One ``(region, sub-shard)`` job of sharded execution.
+
+    Owns everything a shard does to its private deployment — a forked
+    worker's copy-on-write inheritance or a deep copy (both mutate only their
+    own copy, bit-identically): it reseeds the latency model with the
+    sub-shard's jitter seed, builds the resumable lane run over the region's
+    ``shard_index``-th contiguous client slice, and answers the three calls of
+    the §VI round protocol that :meth:`EventEngine.execute_sharded` drives.
+
+    Any strategy shards, so the region's node, its neighbour-link profile and
+    its announcements exist only when the deployment has a coordinator;
+    without one :meth:`segment` reports no announcement and :meth:`round` is
+    never called.
+    """
+
+    def __init__(self, engine: "EventEngine", deployment: EngineDeployment,
+                 seed: int, region_index: int, shard_index: int,
+                 shard_count: int) -> None:
+        deployment.store.topology.latency.reseed(
+            _subshard_jitter_seed(seed, region_index, shard_index)
+        )
+        self._engine = engine
+        self._deployment = deployment
+        self._region_index = region_index
+        self._strategy = deployment.strategies[region_index]
+        self._run = _LaneRun(engine, deployment, seed, [region_index],
+                             external_collaboration=True,
+                             lane_shard=(shard_index, shard_count))
+        self._node = None
+        if deployment.coordinator is not None:
+            self._node = self._strategy.node
+            self._neighbor_read_ms, self._neighbor_jitter = (
+                engine._neighbor_profiles()[self._strategy.client_region])
+
+    def segment(self, boundary: float | None, catalog
+                ) -> tuple[int, NeighborAnnouncement | None]:
+        """Install the neighbour catalog, then run up to ``boundary``.
+
+        ``catalog`` is the other regions' pinned chunks after a round, keyed
+        by owning region (``None`` = unchanged); the lanes then process every
+        event strictly before ``boundary`` (``None`` = to completion).
+        Returns the requests still pending and the current announcement.
+        """
+        if catalog is not None:
+            self._strategy.set_neighbor_catalog(
+                catalog, self._neighbor_read_ms, self._neighbor_jitter
+            )
+        self._run.run_until(boundary)
+        announcement = None if self._node is None else announcement_of(self._node)
+        return self._run.remaining_events, announcement
+
+    def round(self, now: float,
+              neighbours: list[NeighborAnnouncement]) -> NeighborAnnouncement:
+        """Apply this node's share of the §VI round at ``now``.
+
+        :func:`reconfigure_node` against the neighbours' announcements;
+        returns the freshly installed configuration's announcement.
+        """
+        self._run.pause_at(now)
+        reconfigure_node(self._node, neighbours, self._neighbor_read_ms)
+        return announcement_of(self._node)
+
+    def finish(self) -> RegionRunResult:
+        """Close the lane run and wrap it as the region's run result."""
+        return self._engine._region_result(
+            self._deployment, self._region_index, self._run.finish())
+
+
+class _LocalShard(_Shard):
+    """A :class:`_Shard` over a deep-copied deployment, called directly.
+
+    The in-process transport (``processes=False``): the same object a forked
+    worker wraps, run sequentially — which is what makes the forked path's
+    bit-identity testable without processes.
+    """
+
+    def send(self, method: str, *arguments) -> None:
+        self._reply = getattr(self, method)(*arguments)
+
+    def receive(self):
+        return self._reply
+
+    def join(self) -> None:
+        """Nothing to reap."""
+
+    terminate = join
+
+
+def _shard_worker(connection, *job) -> None:
+    """Body of one forked shard worker: a pipe around a :class:`_Shard`.
 
     Module-level so the fork start method can run it; the engine and the
-    deployment are inherited through fork (copy-on-write), only the shard's
-    result travels through the pipe.
+    deployment are inherited through fork (copy-on-write), only calls and
+    return values travel through the pipe.  Serves ``(method, *arguments)``
+    calls until ``finish``; an error is shipped to the parent as the
+    exception object itself.
     """
     try:
-        payload: object = engine._execute_region_shard(
-            deployment, seed, region_index, shard_index, shard_count)
-    except BaseException as error:  # pragma: no cover - transport for the parent
-        payload = error
-    try:
-        connection.send(payload)
-    finally:
-        connection.close()
-
-
-def _collab_shard_worker(engine: "EventEngine", deployment: EngineDeployment,
-                         seed: int, region_index: int, shard_index: int,
-                         shard_count: int, connection) -> None:
-    """Body of one forked *collaborative* region worker.
-
-    Unlike :func:`_shard_worker` this is a command loop: the parent drives the
-    worker through collaboration-period boundaries.  Commands over the duplex
-    pipe:
-
-    * ``("segment", boundary, catalog)`` — install the neighbour catalog
-      (``None`` = unchanged; otherwise the other regions' pinned chunks
-      after a round, keyed by owning region), then run this region's lanes
-      up to (strictly before) ``boundary``; reply
-      ``("paused", remaining_events, announcement)``.
-    * ``("round", now, neighbours)`` — apply this node's share of the §VI
-      round (:func:`reconfigure_node` against the neighbours' announcements);
-      reply ``("config", announcement)`` with the freshly installed
-      configuration.
-    * ``("finish",)`` — finalise the shard; reply ``("result",
-      RegionRunResult)`` and exit.
-
-    Errors are shipped to the parent as the exception object itself.
-    """
-    try:
-        run = engine._begin_region_shard(deployment, seed, region_index,
-                                         shard_index=shard_index,
-                                         shard_count=shard_count,
-                                         external_collaboration=True)
-        node = deployment.strategies[region_index].node
-        region_name = engine._config.regions[region_index].region
-        neighbor_read_ms, neighbor_jitter = engine._neighbor_profiles()[region_name]
-        while True:
-            command = connection.recv()
-            kind = command[0]
-            if kind == "segment":
-                catalog = command[2]
-                if catalog is not None:
-                    deployment.strategies[region_index].set_neighbor_catalog(
-                        catalog, neighbor_read_ms, neighbor_jitter
-                    )
-                run.run_until(command[1])
-                connection.send(("paused", run.remaining_events, announcement_of(node)))
-            elif kind == "round":
-                run.pause_at(command[1])
-                reconfigure_node(node, command[2], neighbor_read_ms)
-                connection.send(("config", announcement_of(node)))
-            elif kind == "finish":
-                outcome = run.finish()
-                connection.send(
-                    ("result", engine._shard_result(deployment, region_index, outcome))
-                )
-                return
-            else:  # pragma: no cover - protocol misuse guard
-                raise RuntimeError(f"unknown shard command {kind!r}")
+        shard = _Shard(*job)
+        method = None
+        while method != "finish":
+            method, *arguments = connection.recv()
+            connection.send(getattr(shard, method)(*arguments))
     except BaseException as error:  # pragma: no cover - transport for the parent
         try:
             connection.send(error)
-        except (BrokenPipeError, OSError):
+        except OSError:  # the parent hung up first
             pass
     finally:
         connection.close()
 
 
 class _PipeShard:
-    """Parent-side handle of one forked collaborative region worker."""
+    """The parent's end of the pipe to one forked :func:`_shard_worker`."""
 
-    def __init__(self, worker, connection) -> None:
-        self._worker = worker
-        self._connection = connection
+    def __init__(self, context, engine: "EventEngine", *job) -> None:
+        self._connection, worker_end = context.Pipe(duplex=True)
+        self._worker = context.Process(target=_shard_worker,
+                                       args=(worker_end, engine, *job))
+        self._worker.start()
+        worker_end.close()
+        _deployment, _seed, region_index, shard_index, _shard_count = job
+        self._label = (f"region {engine._config.regions[region_index].region!r} "
+                       f"sub-shard {shard_index}")
 
-    def start_segment(self, boundary: float, catalog) -> None:
-        self._connection.send(("segment", boundary, catalog))
+    def send(self, method: str, *arguments) -> None:
+        try:
+            self._connection.send((method, *arguments))
+        except BrokenPipeError:
+            pass  # the worker is gone; receive() reports its error or exit code
 
-    def finish_segment(self) -> tuple[int, NeighborAnnouncement]:
-        remaining, announcement = self._receive("paused")
-        return remaining, announcement
+    def receive(self):
+        try:
+            reply = self._connection.recv()
+        except EOFError:
+            self._worker.join()
+            raise RuntimeError(
+                f"shard worker of {self._label} died without replying "
+                f"(exit code {self._worker.exitcode})") from None
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
 
-    def round(self, now: float,
-              neighbours: list[NeighborAnnouncement]) -> NeighborAnnouncement:
-        self._connection.send(("round", now, neighbours))
-        return self._receive("config")[0]
-
-    def finish(self) -> RegionRunResult:
-        self._connection.send(("finish",))
-        result = self._receive("result")[0]
+    def join(self) -> None:
+        """Reap the worker (it leaves its loop after answering ``finish``)."""
         self._worker.join()
-        return result
+        self._connection.close()
 
     def terminate(self) -> None:
         """Abort the worker (error-path cleanup)."""
         if self._worker.is_alive():
             self._worker.terminate()
-        self._worker.join()
-        self._connection.close()
-
-    def _receive(self, expected: str):
-        payload = self._connection.recv()
-        if isinstance(payload, BaseException):
-            self._worker.join()
-            raise payload
-        if payload[0] != expected:  # pragma: no cover - protocol misuse guard
-            raise RuntimeError(f"expected {expected!r} from shard, got {payload[0]!r}")
-        return payload[1:]
-
-
-class _LocalShard:
-    """In-process twin of :class:`_PipeShard` over a deep-copied deployment.
-
-    Runs the exact same segment/round/finish protocol sequentially, which is
-    what makes the forked path's bit-identity testable without processes.
-    """
-
-    def __init__(self, engine: "EventEngine", deployment: EngineDeployment,
-                 seed: int, region_index: int, shard_index: int = 0,
-                 shard_count: int = 1) -> None:
-        self._engine = engine
-        self._deployment = deployment
-        self._region_index = region_index
-        self._run = engine._begin_region_shard(deployment, seed, region_index,
-                                               shard_index=shard_index,
-                                               shard_count=shard_count,
-                                               external_collaboration=True)
-        self._node = deployment.strategies[region_index].node
-        region_name = engine._config.regions[region_index].region
-        self._neighbor_read_ms, self._neighbor_jitter = (
-            engine._neighbor_profiles()[region_name]
-        )
-        self._paused: tuple[int, NeighborAnnouncement] | None = None
-
-    def start_segment(self, boundary: float, catalog) -> None:
-        if catalog is not None:
-            self._deployment.strategies[self._region_index].set_neighbor_catalog(
-                catalog, self._neighbor_read_ms, self._neighbor_jitter
-            )
-        self._run.run_until(boundary)
-        self._paused = (self._run.remaining_events, announcement_of(self._node))
-
-    def finish_segment(self) -> tuple[int, NeighborAnnouncement]:
-        paused, self._paused = self._paused, None
-        return paused
-
-    def round(self, now: float,
-              neighbours: list[NeighborAnnouncement]) -> NeighborAnnouncement:
-        self._run.pause_at(now)
-        reconfigure_node(self._node, neighbours, self._neighbor_read_ms)
-        return announcement_of(self._node)
-
-    def finish(self) -> RegionRunResult:
-        outcome = self._run.finish()
-        return self._engine._shard_result(self._deployment, self._region_index, outcome)
-
-    def terminate(self) -> None:
-        """No-op twin of the pipe handle's abort."""
+        self.join()
 
 
 class EventEngine:
@@ -1584,53 +1565,9 @@ class EventEngine:
         run.run_until(None)
         return run.finish()
 
-    def _assemble_result(self, deployment: EngineDeployment,
-                         outcome: _LaneOutcome) -> EngineResult:
-        """Build the full-deployment :class:`EngineResult` of one lane pass."""
-        config = self._config
-        regions: dict[str, RegionRunResult] = {}
-        for region_index, spec in enumerate(config.regions):
-            regions[spec.region] = RegionRunResult(
-                region=spec.region,
-                strategy=spec.strategy,
-                clients=spec.clients,
-                stats=outcome.stats[region_index],
-                duration_s=outcome.duration,
-                cache_snapshot=deployment.strategies[region_index].cache_snapshot(),
-                results=outcome.kept[region_index],
-            )
-        return EngineResult(
-            workload_name=config.workload.name,
-            duration_s=outcome.duration,
-            regions=regions,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Process-parallel region sharding
-    # ------------------------------------------------------------------ #
-    def _begin_region_shard(self, deployment: EngineDeployment, seed: int,
-                            region_index: int, *,
-                            shard_index: int = 0, shard_count: int = 1,
-                            external_collaboration: bool = False) -> _LaneRun:
-        """Reseed a shard's latency model and build its (resumable) lane run.
-
-        Runs either inside a forked worker (deployment inherited
-        copy-on-write) or against a deep copy (the in-process fallback) —
-        both mutate only their private copy, bit-identically.  With
-        ``shard_count > 1`` the run covers only the region's
-        ``shard_index``-th contiguous client slice, drawing jitter from its
-        own sub-shard stream.
-        """
-        deployment.store.topology.latency.reseed(
-            _subshard_jitter_seed(seed, region_index, shard_index)
-        )
-        return _LaneRun(self, deployment, seed, [region_index],
-                        external_collaboration=external_collaboration,
-                        lane_shard=(shard_index, shard_count))
-
-    def _shard_result(self, deployment: EngineDeployment, region_index: int,
-                      outcome: _LaneOutcome) -> RegionRunResult:
-        """Wrap one finished shard's outcome as its region's run result."""
+    def _region_result(self, deployment: EngineDeployment, region_index: int,
+                       outcome: _LaneOutcome) -> RegionRunResult:
+        """Wrap one region's share of a lane pass as its run result."""
         spec = self._config.regions[region_index]
         return RegionRunResult(
             region=spec.region,
@@ -1642,44 +1579,72 @@ class EventEngine:
             results=outcome.kept[region_index],
         )
 
-    def _execute_region_shard(self, deployment: EngineDeployment, seed: int,
-                              region_index: int, shard_index: int = 0,
-                              shard_count: int = 1) -> RegionRunResult:
-        """Run one non-collaborative (sub-)shard start to finish."""
-        run = self._begin_region_shard(deployment, seed, region_index,
-                                       shard_index=shard_index,
-                                       shard_count=shard_count)
-        run.run_until(None)
-        return self._shard_result(deployment, region_index, run.finish())
+    def _assemble_result(self, deployment: EngineDeployment,
+                         outcome: _LaneOutcome) -> EngineResult:
+        """Build the full-deployment :class:`EngineResult` of one lane pass."""
+        config = self._config
+        return EngineResult(
+            workload_name=config.workload.name,
+            duration_s=outcome.duration,
+            regions={spec.region: self._region_result(deployment, region_index, outcome)
+                     for region_index, spec in enumerate(config.regions)},
+        )
 
+    # ------------------------------------------------------------------ #
+    # Process-parallel region sharding
+    # ------------------------------------------------------------------ #
     def execute_sharded(self, deployment: EngineDeployment, seed: int,
                         processes: bool | None = None) -> EngineResult:
         """Replay one run with one worker per region (fork copy-on-write).
 
-        Non-collaborative regions never interact — their only shared state is
-        the read-only populated store — so each region can run in its own
+        Regions never share caches — their only shared state is the
+        read-only populated store — so each region can run in its own
         process: the parent builds (and populates) the deployment once, forks
         one worker per region, and merges the per-region results.
 
         Determinism: each shard reseeds its latency model with
         ``seed + _SHARD_SEED_TAG * (region_index + 1)``, so sharded runs are
         bit-reproducible, and the forked path is bit-identical to the
-        in-process fallback (``processes=False``).  They are *not*
-        bit-identical to :meth:`execute`, which interleaves all regions
-        through one shared jitter stream — an interleaving that cannot be
-        reproduced across processes.
+        in-process fallback (``processes=False``) — both run the exact same
+        protocol over the same :class:`_Shard`.  They are *not* bit-identical
+        to :meth:`execute`, which interleaves all regions through one shared
+        jitter stream — an interleaving that cannot be reproduced across
+        processes.
 
         The parent deployment is left untouched (workers mutate copies), so
         sharded runs never warm the caller's caches; per-region durations are
         each shard's own span and the merged ``duration_s`` is their maximum.
 
-        Collaborative (§VI) deployments shard too: the regions never share
-        caches, but their Agar nodes must exchange announcements every
-        collaboration period.  Those deployments run a *message-passing*
-        round protocol — workers pause at each period boundary, the parent
-        relays announcements and drives the staggered discount-and-
-        reconfigure round, then the workers resume — see
-        :meth:`_execute_sharded_collaborative`.
+        Collaborative (§VI) deployments shard too: their Agar nodes must
+        exchange announcements every collaboration period, so the workers run
+        their lanes in *segments* between period boundaries.  At each
+        boundary ``T``:
+
+        1. every worker pauses having processed all events strictly before
+           ``T`` and reports its remaining-request count and current
+           announcement;
+        2. if any requests remain deployment-wide (the reference scheduler's
+           "timers only fire while requests remain" rule), the parent walks
+           the regions in order, sending each worker its neighbours' current
+           announcements — regions earlier in the round already carry their
+           *new* configuration, the staggered-round semantics of
+           :meth:`CollaborationCoordinator.reconfigure_all` — and the worker
+           applies :func:`reconfigure_node` locally and replies with its new
+           announcement;
+        3. the workers resume towards ``T + period``.
+
+        The final announcements are installed into the parent deployment's
+        coordinator
+        (:meth:`~repro.extensions.collaboration.CollaborationCoordinator.install_announcements`),
+        so callers can read the run's cache-content overlap via
+        ``coordinator.latest_overlap()`` even though the parent's node copies
+        stay cold.  A deployment without a coordinator is the zero-round case
+        of the same protocol: it has no period, so its one segment has no
+        boundary and runs every lane to completion.
+
+        A worker that raises re-raises here, and one that dies without
+        replying raises a ``RuntimeError`` naming it; either way every other
+        worker is terminated before the error leaves.
 
         Args:
             deployment: the deployment to shard.
@@ -1690,50 +1655,82 @@ class EventEngine:
                 sequentially in-process against deep copies.
         """
         config = self._config
-        if deployment.coordinator is not None:
-            return self._execute_sharded_collaborative(deployment, seed, processes)
+        coordinator = deployment.coordinator
+        period = self._collaboration_period() if coordinator is not None else None
+        boundary = deployment.clock.now() + period if period is not None else None
+        region_count = len(config.regions)
         if processes is None:
             processes = "fork" in multiprocessing.get_all_start_methods()
 
-        # One job per (region, sub-shard): a region with shards > 1 splits
-        # its lanes across that many workers (intra-region sharding).
+        # One worker per (region, sub-shard): a region with shards > 1 splits
+        # its lanes across that many workers (intra-region sharding), each an
+        # independent lane slice (own node/cache copies) moving through the
+        # same segment/round boundaries; the region's outward announcement is
+        # its sub-shard 0's (the designated announcer).
         jobs = [(region_index, shard_index, spec.shards)
                 for region_index, spec in enumerate(config.regions)
                 for shard_index in range(spec.shards)]
 
-        shard_results: list[RegionRunResult] = []
-        if processes and len(jobs) > 1:
-            context = multiprocessing.get_context("fork")
-            workers = []
-            for region_index, shard_index, shard_count in jobs:
-                receiver, sender = context.Pipe(duplex=False)
-                worker = context.Process(
-                    target=_shard_worker,
-                    args=(self, deployment, seed, region_index, shard_index,
-                          shard_count, sender),
-                )
-                worker.start()
-                sender.close()
-                workers.append((worker, receiver))
-            for worker, receiver in workers:
-                payload = receiver.recv()
-                worker.join()
-                if isinstance(payload, BaseException):
-                    raise payload
-                shard_results.append(payload)
-        else:
-            for region_index, shard_index, shard_count in jobs:
-                shard = copy.deepcopy(deployment)
-                shard_results.append(
-                    self._execute_region_shard(shard, seed, region_index,
-                                               shard_index, shard_count)
-                )
+        shards: list[_PipeShard | _LocalShard] = []
+        announcements: list[NeighborAnnouncement | None] = [None] * region_count
+        catalogs: list[dict[str, frozenset] | None] = [None] * region_count
+        try:
+            if processes and len(jobs) > 1:
+                context = multiprocessing.get_context("fork")
+                for job in jobs:
+                    shards.append(_PipeShard(context, self, deployment, seed, *job))
+            else:
+                for job in jobs:
+                    shards.append(_LocalShard(self, copy.deepcopy(deployment), seed, *job))
+            while True:
+                for (region_index, _shard, _count), shard in zip(jobs, shards):
+                    shard.send("segment", boundary, catalogs[region_index])
+                total_remaining = 0
+                for (region_index, shard_index, _count), shard in zip(jobs, shards):
+                    remaining, announcement = shard.receive()
+                    if shard_index == 0:
+                        announcements[region_index] = announcement
+                    total_remaining += remaining
+                if total_remaining == 0:
+                    break
+                for region_index in range(region_count):
+                    neighbours = [announcements[other] for other in range(region_count)
+                                  if other != region_index]
+                    for (job_region, shard_index, _count), shard in zip(jobs, shards):
+                        if job_region != region_index:
+                            continue
+                        shard.send("round", boundary, neighbours)
+                        announcement = shard.receive()
+                        if shard_index == 0:
+                            announcements[region_index] = announcement
+                # The next segment starts with the round's *final* catalogs
+                # (every region's new configuration), matching the in-process
+                # engine, which installs catalogs after the whole round —
+                # keyed by provenance, like _install_neighbor_catalogs.
+                catalogs = [
+                    {config.regions[other].region: announcements[other].pinned_chunks
+                     for other in range(region_count) if other != region_index}
+                    for region_index in range(region_count)
+                ]
+                boundary += period
+            # Every worker is asked to finish before any reply is collected,
+            # so the workers pickle their results side by side.
+            for shard in shards:
+                shard.send("finish")
+            shard_results = [shard.receive() for shard in shards]
+        except BaseException:
+            for shard in shards:
+                shard.terminate()
+            raise
+        for shard in shards:
+            shard.join()
 
         region_results = self._merge_shard_results(jobs, shard_results)
-        duration = max((result.duration_s for result in region_results), default=0.0)
+        if coordinator is not None:
+            coordinator.install_announcements(announcements)
         return EngineResult(
             workload_name=config.workload.name,
-            duration_s=duration,
+            duration_s=max(result.duration_s for result in region_results),
             regions={result.region: result for result in region_results},
         )
 
@@ -1765,121 +1762,6 @@ class EventEngine:
                 results=[result for part in parts for result in part.results],
             ))
         return merged
-
-    def _execute_sharded_collaborative(self, deployment: EngineDeployment, seed: int,
-                                       processes: bool | None = None) -> EngineResult:
-        """Sharded execution of a §VI collaborative deployment.
-
-        One worker per region runs its lanes in *segments* between
-        collaboration-period boundaries.  At each boundary ``T``:
-
-        1. every worker pauses having processed all events strictly before
-           ``T`` and reports its remaining-request count and current
-           announcement;
-        2. if any requests remain deployment-wide (the reference scheduler's
-           "timers only fire while requests remain" rule), the parent walks
-           the regions in order, sending each worker its neighbours' current
-           announcements — regions earlier in the round already carry their
-           *new* configuration, the staggered-round semantics of
-           :meth:`CollaborationCoordinator.reconfigure_all` — and the worker
-           applies :func:`reconfigure_node` locally and replies with its new
-           announcement;
-        3. the workers resume towards ``T + period``.
-
-        The forked and in-process (``processes=False``) paths run the exact
-        same protocol and are bit-identical; like non-collaborative sharding,
-        neither is bit-comparable to :meth:`execute` because each shard draws
-        jitter from its own region-derived stream.  The final announcements
-        are installed into the parent deployment's coordinator
-        (:meth:`~repro.extensions.collaboration.CollaborationCoordinator.install_announcements`),
-        so callers can read the run's cache-content overlap via
-        ``coordinator.latest_overlap()`` even though the parent's node copies
-        stay cold.
-        """
-        config = self._config
-        period = self._collaboration_period()
-        start = deployment.clock.now()
-        region_count = len(config.regions)
-        if processes is None:
-            processes = "fork" in multiprocessing.get_all_start_methods()
-
-        # One worker per (region, sub-shard).  Sub-shards of one region run
-        # independent lane slices (own node/cache copies) but move through
-        # the same segment/round boundaries; the region's outward
-        # announcement is its sub-shard 0's (the designated announcer).
-        jobs = [(region_index, shard_index, spec.shards)
-                for region_index, spec in enumerate(config.regions)
-                for shard_index in range(spec.shards)]
-
-        shards: list[_PipeShard | _LocalShard] = []
-        if processes and len(jobs) > 1:
-            context = multiprocessing.get_context("fork")
-            for region_index, shard_index, shard_count in jobs:
-                parent_end, worker_end = context.Pipe(duplex=True)
-                worker = context.Process(
-                    target=_collab_shard_worker,
-                    args=(self, deployment, seed, region_index, shard_index,
-                          shard_count, worker_end),
-                )
-                worker.start()
-                worker_end.close()
-                shards.append(_PipeShard(worker, parent_end))
-        else:
-            for region_index, shard_index, shard_count in jobs:
-                shard_deployment = copy.deepcopy(deployment)
-                shards.append(_LocalShard(self, shard_deployment, seed,
-                                          region_index, shard_index, shard_count))
-
-        announcements: list[NeighborAnnouncement | None] = [None] * region_count
-        catalogs: list[dict[str, frozenset] | None] = [None] * region_count
-        try:
-            boundary = start + period
-            while True:
-                for (region_index, _shard, _count), shard in zip(jobs, shards):
-                    shard.start_segment(boundary, catalogs[region_index])
-                total_remaining = 0
-                for (region_index, shard_index, _count), shard in zip(jobs, shards):
-                    remaining, announcement = shard.finish_segment()
-                    if shard_index == 0:
-                        announcements[region_index] = announcement
-                    total_remaining += remaining
-                if total_remaining == 0:
-                    break
-                for region_index in range(region_count):
-                    neighbours = [announcements[other] for other in range(region_count)
-                                  if other != region_index]
-                    for (job_region, shard_index, _count), shard in zip(jobs, shards):
-                        if job_region != region_index:
-                            continue
-                        announcement = shard.round(boundary, neighbours)
-                        if shard_index == 0:
-                            announcements[region_index] = announcement
-                # The next segment starts with the round's *final* catalogs
-                # (every region's new configuration), matching the in-process
-                # engine, which installs catalogs after the whole round —
-                # keyed by provenance, like _install_neighbor_catalogs.
-                catalogs = [
-                    {config.regions[other].region: announcements[other].pinned_chunks
-                     for other in range(region_count) if other != region_index}
-                    for region_index in range(region_count)
-                ]
-                boundary += period
-            shard_results = [shard.finish() for shard in shards]
-        except BaseException:
-            for shard in shards:
-                shard.terminate()
-            raise
-
-        region_results = self._merge_shard_results(jobs, shard_results)
-        deployment.coordinator.install_announcements(
-            [announcement for announcement in announcements if announcement is not None]
-        )
-        duration = max((result.duration_s for result in region_results), default=0.0)
-        return EngineResult(
-            workload_name=config.workload.name,
-            duration_s=duration,
-            regions={result.region: result for result in region_results},
-        )
 
     def run_sharded(self, seed: int | None = None,
                     processes: bool | None = None) -> EngineResult:

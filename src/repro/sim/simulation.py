@@ -19,8 +19,6 @@ paper's "averages of 5 runs" — and returns per-strategy aggregates.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.backend.object_store import ErasureCodedStore
@@ -281,14 +279,6 @@ def aggregate_results(results: list[SimulationResult]) -> AggregatedResult:
     )
 
 
-def _run_strategy_comparison(config: SimulationConfig, runs: int,
-                             topology: Topology | None,
-                             flush_between_runs: bool = False) -> AggregatedResult:
-    """Worker body for one strategy (module-level so it pickles)."""
-    simulation = Simulation(config, topology=topology)
-    return simulation.run_many(runs=runs, flush_between_runs=flush_between_runs)
-
-
 def run_comparison(workload: WorkloadSpec, strategies: list[str], client_region: str,
                    cache_capacity_bytes: int, runs: int = 5,
                    agar_config: AgarNodeConfig | None = None,
@@ -296,9 +286,7 @@ def run_comparison(workload: WorkloadSpec, strategies: list[str], client_region:
                    topology: Topology | None = None,
                    topology_seed: int = 0,
                    warmup_requests: int = 0,
-                   flush_between_runs: bool = False,
-                   parallel: bool = False,
-                   max_workers: int | None = None) -> dict[str, AggregatedResult]:
+                   flush_between_runs: bool = False) -> dict[str, AggregatedResult]:
     """Run several strategies under identical conditions and aggregate each.
 
     This is the workhorse of the Fig. 6/7/8 experiments.
@@ -310,12 +298,6 @@ def run_comparison(workload: WorkloadSpec, strategies: list[str], client_region:
             freshly deployed system; the default False repeats runs against
             the same long-running deployment — the paper's warm-cache
             repetition.
-        parallel: fan the per-strategy simulations out across worker
-            processes.  Results are identical to the sequential path — every
-            strategy reseeds its topology jitter before running, so the only
-            shared state between strategies is read-only.
-        max_workers: worker-process cap for ``parallel`` (defaults to
-            ``min(len(strategies), cpu_count)``).
     """
     configs = {
         strategy: SimulationConfig(
@@ -330,19 +312,8 @@ def run_comparison(workload: WorkloadSpec, strategies: list[str], client_region:
         )
         for strategy in strategies
     }
-
-    if parallel and len(configs) > 1:
-        workers = max_workers or min(len(configs), os.cpu_count() or 1)
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    strategy: pool.submit(_run_strategy_comparison, config, runs,
-                                          topology, flush_between_runs)
-                    for strategy, config in configs.items()
-                }
-                return {strategy: future.result() for strategy, future in futures.items()}
-
     return {
-        strategy: _run_strategy_comparison(config, runs, topology, flush_between_runs)
+        strategy: Simulation(config, topology=topology).run_many(
+            runs=runs, flush_between_runs=flush_between_runs)
         for strategy, config in configs.items()
     }

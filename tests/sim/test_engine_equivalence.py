@@ -16,6 +16,10 @@ region-derived stream, so sharded results are reproducible but intentionally
 not comparable to the shared-stream in-process interleaving).
 """
 
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -702,6 +706,81 @@ class TestCollaborativeSharding:
         first = engine.execute_sharded(deployment, 5, processes=False)
         second = engine.execute_sharded(deployment, 5, processes=False)
         assert first.total_requests == second.total_requests == 2 * 2 * 60
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the fork start method is unavailable")
+class TestShardFailures:
+    """A forked worker that fails or dies raises in the caller and takes its
+    siblings with it, whether or not the deployment collaborates."""
+
+    #: How long the healthy sibling stalls in its first read — far longer
+    #: than the failure takes to reach the parent, so an orphan is caught.
+    STALL_S = 5.0
+
+    def failing_deployment(self, fail, shards=1, collaboration=False):
+        """Region 0's reads call ``fail``; region 1 outlives the failure."""
+        config = EngineConfig(
+            workload=workload(requests=80),
+            regions=(RegionSpec("frankfurt", clients=4, shards=shards),
+                     RegionSpec("sydney", clients=4)),
+            cache_capacity_bytes=5 * MEGABYTE,
+            collaboration=collaboration,
+        )
+        engine = EventEngine(config)
+        engine.topology.latency.reseed(config.topology_seed + 5)
+        deployment = engine.build_deployment()
+        failing, healthy = deployment.strategies
+        failing.read_indexed = fail
+        healthy_read = healthy.read_indexed
+        pending = [self.STALL_S]
+
+        def stalled(key_index, now):
+            if pending:
+                time.sleep(pending.pop())
+            return healthy_read(key_index, now)
+
+        healthy.read_indexed = stalled
+        return engine, deployment
+
+    @staticmethod
+    def boom(key_index, now):
+        raise LookupError(f"no plan for key {key_index}")
+
+    @pytest.mark.parametrize("collaboration", [False, True],
+                             ids=["independent", "collaborative"])
+    @pytest.mark.parametrize("shards", [1, 2], ids=["whole", "split"])
+    def test_failing_shard_raises_and_leaves_no_worker(self, shards, collaboration):
+        engine, deployment = self.failing_deployment(
+            self.boom, shards=shards, collaboration=collaboration)
+        started = time.monotonic()
+        with pytest.raises(LookupError, match="no plan for key"):
+            engine.execute_sharded(deployment, 5, processes=True)
+        assert time.monotonic() - started < self.STALL_S
+        assert multiprocessing.active_children() == []
+
+    def test_failure_before_the_first_command(self):
+        """A worker that fails while building its shard may have hung up
+        before the parent's first send; the caller still gets its error."""
+        engine, deployment = self.failing_deployment(self.boom)
+
+        def unprepared(keys):
+            raise LookupError(f"cannot prepare {len(keys)} keys")
+
+        deployment.strategies[0].prepare_indexed_reads = unprepared
+        with pytest.raises(LookupError, match="cannot prepare 30 keys"):
+            engine.execute_sharded(deployment, 5, processes=True)
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_named(self):
+        """A worker that exits without replying is reported by region,
+        sub-shard and exit code — not as a bare ``EOFError``."""
+        engine, deployment = self.failing_deployment(
+            lambda key_index, now: os._exit(3), shards=2)
+        with pytest.raises(RuntimeError,
+                           match=r"'frankfurt'.*sub-shard 0.*exit code 3"):
+            engine.execute_sharded(deployment, 5, processes=True)
+        assert multiprocessing.active_children() == []
 
 
 class TestDeploymentAggregate:

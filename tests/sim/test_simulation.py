@@ -134,37 +134,6 @@ class TestRunComparison:
         for aggregate in comparison.values():
             assert aggregate.runs == 1
 
-    def test_parallel_matches_sequential(self):
-        kwargs = dict(
-            workload=small_workload(requests=40, objects=8),
-            strategies=["backend", "lru-3"],
-            client_region="frankfurt",
-            cache_capacity_bytes=5 * MEGABYTE,
-            runs=1,
-        )
-        sequential = run_comparison(**kwargs)
-        parallel = run_comparison(**kwargs, parallel=True, max_workers=2)
-        assert set(sequential) == set(parallel)
-        for strategy in sequential:
-            assert parallel[strategy].mean_latency_ms == pytest.approx(
-                sequential[strategy].mean_latency_ms, abs=1e-9
-            )
-            assert parallel[strategy].hit_ratio == sequential[strategy].hit_ratio
-            assert parallel[strategy].per_run_latency_ms == pytest.approx(
-                sequential[strategy].per_run_latency_ms, abs=1e-9
-            )
-
-    def test_parallel_single_strategy_falls_back_inline(self):
-        comparison = run_comparison(
-            workload=small_workload(requests=30, objects=6),
-            strategies=["backend"],
-            client_region="frankfurt",
-            cache_capacity_bytes=5 * MEGABYTE,
-            runs=1,
-            parallel=True,
-        )
-        assert set(comparison) == {"backend"}
-
     def test_warmup_requests_exposed(self):
         """ISSUE 2 satellite: the comparison API must expose warm-up exclusion."""
         kwargs = dict(
