@@ -42,8 +42,9 @@ bench-baseline:
 ## The gated comparison CI runs (`make bench-gated
 ## BENCH_OUTPUT=bench-out/BENCH_gated.json`): the knapsack solver and one full
 ## reconfiguration (ISSUE 15), its catalogue-scaling axis (ISSUE 18), codec
-## (batched + packed tier), engine (scale, faulted, hedged+faulted,
-## million-lane), sharded execution through the §VI round protocol (ISSUE 19),
+## (batched + packed tier, the one-row rebuild at 16 KiB and 1 MiB, ISSUE
+## 16/20), engine (scale, faulted, hedged+faulted, million-lane), sharded
+## execution through the §VI round protocol (ISSUE 19),
 ## the serving tier's wire path (over sockets, and its per-request dispatch
 ## cost without them, ISSUE 17) and the Fig. 6 end-to-end run against
 ## benchmarks/ci_baseline.json with per-benchmark tolerance bands.  This
@@ -54,7 +55,7 @@ BENCH_OUTPUT ?=
 bench-gated:
 	$(PYTHON) benchmarks/run_bench.py $(if $(BENCH_OUTPUT),--output $(BENCH_OUTPUT)) \
 		--compare benchmarks/ci_baseline.json \
-		--only test_bench_knapsack_solver,test_bench_reconfiguration,test_bench_reconfiguration_catalogue_scaling,test_bench_codec_encode_many,test_bench_codec_packed_numba,test_bench_codec_decode_small,test_bench_engine_scale_closed_loop,test_bench_engine_faulted,test_bench_engine_hedged_faulted,test_bench_engine_million_lane,test_bench_collab_sharded_rounds,test_bench_serve_wire,test_bench_gateway_dispatch,test_bench_serve_wire_degraded,test_bench_fig6_frankfurt
+		--only test_bench_knapsack_solver,test_bench_reconfiguration,test_bench_reconfiguration_catalogue_scaling,test_bench_codec_encode_many,test_bench_codec_packed_numba,test_bench_codec_decode_small,test_bench_codec_rebuild_row_large,test_bench_engine_scale_closed_loop,test_bench_engine_faulted,test_bench_engine_hedged_faulted,test_bench_engine_million_lane,test_bench_collab_sharded_rounds,test_bench_serve_wire,test_bench_gateway_dispatch,test_bench_serve_wire_degraded,test_bench_fig6_frankfurt
 
 ## The end-to-end benchmark (BENCHMARK.json): six workloads over the three
 ## vertical paths, drift-corrected, written to bench-out/e2e.json.

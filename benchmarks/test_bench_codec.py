@@ -10,8 +10,10 @@ how the NumPy-vs-JIT gap is tracked per commit without making numba a
 dependency.
 
 ``test_bench_codec_decode_small`` guards the other regime: one 16 KiB object
-through ``ErasureCodec.decode``, the serving tier's body-cache miss, where
-per-call overhead — not GF arithmetic — is the cost.
+through ``ErasureCodec.decode``, the serving tier's body-cache miss — one
+rebuilt shard, nine ``bytes.translate`` calls and one XOR reduction.
+``test_bench_codec_rebuild_row_large`` is the same read of a 1 MiB object,
+where the translated row's margin over the packed gather is narrowest.
 """
 
 import time
@@ -162,26 +164,58 @@ def test_bench_codec_batched_vs_looped(benchmark):
          f"-> {speedup:.1f}x")
 
 
+#: What the geo-placement hands a gateway on every body-cache miss: a near
+#: parity chunk replaces the farthest data chunk, so one data shard is rebuilt.
+COLD_READ_SURVIVORS = (0, 1, 2, 3, 4, 6, 7, 8, 9)
+
+
+def _cold_read(size: int):
+    """One RS(9, 3) object of ``size`` bytes and its cold-read survivor chunks."""
+    codec = ErasureCodec()
+    payload = bytes(np.random.default_rng(16).integers(0, 256, size, dtype=np.uint8))
+    encoded = codec.encode("bench", payload)
+    chunks = {index: encoded.chunks[index] for index in COLD_READ_SURVIVORS}
+    return codec, payload, encoded.metadata, chunks
+
+
+def _record_decode(benchmark, payload: bytes, title: str) -> None:
+    mean = benchmark.stats.stats.mean
+    rate = len(payload) / mean / 1e6
+    benchmark.extra_info["decode_us"] = round(mean * 1e6, 1)
+    benchmark.extra_info["decode_MBps"] = round(rate, 1)
+    benchmark.extra_info["survivors"] = list(COLD_READ_SURVIVORS)
+    emit(title, f"  {mean * 1e6:7.1f} us per object, {rate:7.1f} MB/s")
+
+
 def test_bench_codec_decode_small(benchmark):
     """The serving tier's cold read: one 16 KiB RS(9, 3) object, one shard rebuilt.
 
-    Survivors ``(0, 1, 2, 3, 4, 6, 7, 8, 9)`` are what the geo-placement
-    hands a gateway on every body-cache miss (a near parity chunk replaces
-    the farthest data chunk).  At 1,821-byte shards the decode is a few
-    dozen NumPy calls, so this row moves with call count and allocation,
-    which the ≥ 96 KiB rows above cannot see.
+    The rebuilt row stands alone, so the kernel is nine ``bytes.translate``
+    calls on the 1,821-byte payloads as they arrived (no coefficient of this
+    row is 0 or 1) and one XOR reduction over the translated parts; the
+    eight surviving data payloads are joined around the result.  About half
+    of the row is those ten C calls and the rest is the Python around them —
+    validation, the plan lookup, the joins — so it moves with both, which
+    the ≥ 96 KiB rows above cannot see.
     """
-    codec = ErasureCodec()
-    payload = bytes(np.random.default_rng(16).integers(0, 256, 16 * 1024, dtype=np.uint8))
-    encoded = codec.encode("bench", payload)
-    survivors = (0, 1, 2, 3, 4, 6, 7, 8, 9)
-    chunks = {index: encoded.chunks[index] for index in survivors}
-
-    result = benchmark(codec.decode, encoded.metadata, chunks)
+    codec, payload, metadata, chunks = _cold_read(16 * 1024)
+    result = benchmark(codec.decode, metadata, chunks)
     assert result == payload
+    _record_decode(benchmark, payload,
+                   "Small-object decode (16 KiB RS(9,3), one data shard rebuilt)")
 
-    rate = len(payload) / benchmark.stats.stats.mean / 1e6
-    benchmark.extra_info["decode_MBps"] = round(rate, 1)
-    benchmark.extra_info["survivors"] = list(survivors)
-    emit("Small-object decode (16 KiB RS(9,3), one data shard rebuilt)",
-         f"  {benchmark.stats.stats.mean * 1e6:7.1f} us per object, {rate:7.1f} MB/s")
+
+def test_bench_codec_rebuild_row_large(benchmark):
+    """The same read of a 1 MiB object: 116,509-byte shards, eight blocks each.
+
+    A one-row group translates at every span; this is the span where that
+    choice is closest (≈ 1.3× over the packed gather it replaced, against 3×
+    at 4 KiB objects — docs/performance.md, "Cold wire read, second pass"),
+    so a change that tips it shows here first.
+    """
+    codec, payload, metadata, chunks = _cold_read(1024 * 1024)
+    assert metadata.chunk_size == 116_509
+    result = benchmark(codec.decode, metadata, chunks)
+    assert result == payload
+    _record_decode(benchmark, payload,
+                   "Large-object row rebuild (1 MiB RS(9,3), one data shard rebuilt)")

@@ -46,6 +46,7 @@ from repro.erasure.galois import (
     gf_mul,
     gf_mul_bytes,
     gf_multiplication_table,
+    shard_matrix,
 )
 
 #: Environment variable consulted when no explicit backend is requested.
@@ -58,8 +59,12 @@ DEFAULT_BACKEND = "numpy"
 class MatrixOperator(Protocol):
     """A coefficient matrix compiled for repeated application by one backend."""
 
-    def apply(self, shards: np.ndarray) -> np.ndarray:
-        """Compute ``matrix @ shards`` over GF(256) for ``(cols, length)`` input."""
+    def apply(self, shards) -> np.ndarray:
+        """Compute ``matrix @ shards`` over GF(256).
+
+        ``shards`` is a ``(cols, length)`` array or a sequence of ``cols``
+        equal-length buffers (see :func:`repro.erasure.galois.shard_matrix`).
+        """
         ...
 
 
@@ -135,8 +140,8 @@ class _NaiveOperator:
             raise ValueError("matrix must be a 2-D array")
         self.matrix = matrix
 
-    def apply(self, shards: np.ndarray) -> np.ndarray:
-        shards = np.asarray(shards, dtype=np.uint8)
+    def apply(self, shards) -> np.ndarray:
+        shards = shard_matrix(shards)
         _check_matmul_shapes(self.matrix, shards)
         rows, cols = self.matrix.shape
         out = np.zeros((rows, shards.shape[1]), dtype=np.uint8)
@@ -241,8 +246,8 @@ class _NumbaOperator:
         self._matmul_into = matmul_into
         self._mul_table = mul_table
 
-    def apply(self, shards: np.ndarray) -> np.ndarray:
-        shards = np.ascontiguousarray(np.asarray(shards, dtype=np.uint8))
+    def apply(self, shards) -> np.ndarray:
+        shards = np.ascontiguousarray(shard_matrix(shards))
         _check_matmul_shapes(self.matrix, shards)
         out = np.empty((self.matrix.shape[0], shards.shape[1]), dtype=np.uint8)
         self._matmul_into(self.matrix, shards, self._mul_table, out)
@@ -362,8 +367,8 @@ class _NumbaPackedOperator:
             for rows, group, tables, _lane in self._packed.packed_groups
         ]
 
-    def apply(self, shards: np.ndarray) -> np.ndarray:
-        shards = np.ascontiguousarray(np.asarray(shards, dtype=np.uint8))
+    def apply(self, shards) -> np.ndarray:
+        shards = np.ascontiguousarray(shard_matrix(shards))
         _check_matmul_shapes(self.matrix, shards)
         out = np.empty((self._packed.rows, shards.shape[1]), dtype=np.uint8)
         for row, sources in self._packed.simple_rows:

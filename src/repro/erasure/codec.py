@@ -156,6 +156,29 @@ class ErasureCodec:
         ]
         return EncodedObject(metadata=metadata, chunks=chunks)
 
+    @staticmethod
+    def _payloads(metadata: ObjectMetadata, chunks: dict[int, Chunk]) -> dict[int, bytes]:
+        """Payloads of the payload-bearing chunks by index (virtual chunks are
+        skipped), every one of the version ``metadata`` describes.
+
+        Raises:
+            DecodingError: a payload belongs to another version of the
+                object — decoding across versions yields bytes of neither.
+        """
+        version = metadata.version
+        payloads = {}
+        for index, chunk in chunks.items():
+            payload = chunk.payload
+            if payload is None:
+                continue
+            if chunk.version != version:
+                raise DecodingError(
+                    f"chunk {index} of {metadata.key!r} is version {chunk.version} "
+                    f"but the object's metadata is version {version}"
+                )
+            payloads[index] = payload
+        return payloads
+
     def decode(self, metadata: ObjectMetadata, chunks: dict[int, Chunk]) -> bytes:
         """Reconstruct the original object from any ``k`` chunks.
 
@@ -165,19 +188,16 @@ class ErasureCodec:
                 entries with real payloads are required.
 
         Raises:
-            DecodingError: if fewer than ``k`` payload-bearing chunks are given.
+            DecodingError: if fewer than ``k`` payload-bearing chunks are
+                given, or one of them is not of ``metadata.version``.
         """
-        with_payload = {
-            index: chunk.payload
-            for index, chunk in chunks.items()
-            if chunk.payload is not None
-        }
-        if len(with_payload) < self._params.data_chunks:
+        payloads = self._payloads(metadata, chunks)
+        if len(payloads) < self._params.data_chunks:
             raise DecodingError(
                 f"need {self._params.data_chunks} chunks with payloads, "
-                f"got {len(with_payload)}"
+                f"got {len(payloads)}"
             )
-        return self._rs.decode_data(with_payload, metadata.size)
+        return self._rs.decode_data(payloads, metadata.size)
 
     def decode_many(self, objects: Sequence[tuple[ObjectMetadata, dict[int, Chunk]]]
                     ) -> list[bytes]:
@@ -195,9 +215,8 @@ class ErasureCodec:
         arrays: list[dict[int, np.ndarray]] = []
         for position, (metadata, chunks) in enumerate(objects):
             with_payload = {
-                index: np.frombuffer(chunk.payload, dtype=np.uint8)
-                for index, chunk in chunks.items()
-                if chunk.payload is not None
+                index: np.frombuffer(payload, dtype=np.uint8)
+                for index, payload in self._payloads(metadata, chunks).items()
             }
             if len(with_payload) < self._params.data_chunks:
                 raise DecodingError(
@@ -218,6 +237,9 @@ class ErasureCodec:
             for row, position in enumerate(positions):
                 metadata = objects[position][0]
                 flat = decoded[row].reshape(-1)
+                if metadata.size < 0:
+                    raise DecodingError(
+                        f"object {metadata.key!r} claims a negative size, {metadata.size}")
                 if metadata.size > flat.shape[0]:
                     raise DecodingError(
                         f"object {metadata.key!r} claims {metadata.size} bytes but "
@@ -229,9 +251,8 @@ class ErasureCodec:
     def reconstruct_chunk(self, metadata: ObjectMetadata, chunks: dict[int, Chunk], target_index: int) -> Chunk:
         """Rebuild a single missing chunk (repair path) from any ``k`` survivors."""
         with_payload = {
-            index: np.frombuffer(chunk.payload, dtype=np.uint8)
-            for index, chunk in chunks.items()
-            if chunk.payload is not None
+            index: np.frombuffer(payload, dtype=np.uint8)
+            for index, payload in self._payloads(metadata, chunks).items()
         }
         shard = self._rs.reconstruct_shard(with_payload, target_index)
         return Chunk(

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.erasure.backends import CodecBackend, MatrixOperator, get_backend
+from repro.erasure.galois import shard_bytes
 from repro.erasure.matrix import (
     decode_matrix,
     submatrix,
@@ -221,11 +222,12 @@ class ReedSolomon:
                 f"need {self._data_shards} shards to decode, got {len(available)}"
             )
         indices = tuple(sorted(available)[: self._data_shards])
+        total = self.total_shards
         payloads = []
         shard_size = None
         for index in indices:
-            if not 0 <= index < self.total_shards:
-                raise DecodingError(f"shard index {index} out of range 0..{self.total_shards - 1}")
+            if not 0 <= index < total:
+                raise DecodingError(f"shard index {index} out of range 0..{total - 1}")
             payload = available[index]
             if shard_size is None:
                 shard_size = len(payload)
@@ -356,27 +358,25 @@ class ReedSolomon:
         """Reconstruct the original blob (trimmed to ``original_length`` bytes).
 
         Surviving data shards are concatenated as they came; only the missing
-        ones are rebuilt, from one ``(k, shard_size)`` view of the survivors.
+        ones are rebuilt, by an operator that is handed the survivors'
+        payloads as the buffers they are.
         """
         survivors, payloads, shard_size = self._survivors(available)
-        payloads = [
-            payload if isinstance(payload, (bytes, bytearray))
-            else np.ascontiguousarray(payload, dtype=np.uint8).data
-            for payload in payloads
-        ]
         decoded_bytes = self._data_shards * shard_size
+        if original_length < 0:
+            raise DecodingError(f"original_length {original_length} is negative")
         if original_length > decoded_bytes:
             raise DecodingError(
                 f"original_length {original_length} exceeds decoded payload of {decoded_bytes} bytes"
             )
-        _, missing, operator = self._decode_plan(survivors)
-        pieces = dict(zip(survivors, payloads))
+        present, missing, operator = self._decode_plan(survivors)
+        pieces: list = [None] * self._data_shards
+        for row, payload in zip(present, payloads):
+            pieces[row] = shard_bytes(payload)
         if operator is not None:
-            stacked = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(
-                self._data_shards, shard_size)
-            for row, shard in zip(missing, operator.apply(stacked)):
-                pieces[row] = shard.data
-        return b"".join([pieces[row] for row in range(self._data_shards)])[:original_length]
+            for row, shard in zip(missing, operator.apply(payloads)):
+                pieces[row] = shard
+        return b"".join(pieces)[:original_length]
 
     def reconstruct_shard(self, available: dict[int, np.ndarray], target_index: int) -> np.ndarray:
         """Rebuild one missing shard (data or parity) from any ``k`` survivors."""
@@ -396,7 +396,7 @@ class ReedSolomon:
         """
         if len(shards) != self.total_shards:
             raise ValueError("verify() requires all k + m shards")
-        data_matrix = np.stack([np.asarray(shards[i], dtype=np.uint8) for i in range(self._data_shards)])
+        data = [shard_bytes(shards[index]) for index in range(self._data_shards)]
         if self._parity_row_ops is None:
             self._parity_row_ops = [
                 self._backend.compile_matrix(
@@ -406,7 +406,6 @@ class ReedSolomon:
             ]
         for offset, row_op in enumerate(self._parity_row_ops):
             index = self._data_shards + offset
-            expected = row_op.apply(data_matrix)[0]
-            if not np.array_equal(expected, np.asarray(shards[index], dtype=np.uint8)):
+            if row_op.apply(data)[0].tobytes() != shard_bytes(shards[index]):
                 return False
         return True

@@ -45,6 +45,7 @@ class TestEveryPatternEveryEntryPoint:
 
     def test_reconstruct_chunk_rebuilds_every_absent_chunk(self, encoded):
         codec, obj = encoded
+        rs = ReedSolomon(codec.params.data_chunks, codec.params.parity_chunks)
         for survivors in all_patterns(codec)[::7]:
             chunks = {index: obj.chunks[index] for index in survivors}
             for target in set(range(codec.params.total_chunks)) - set(survivors):
@@ -52,6 +53,12 @@ class TestEveryPatternEveryEntryPoint:
                 assert rebuilt.payload == obj.chunks[target].payload
                 assert rebuilt.chunk_id == obj.chunks[target].chunk_id
                 assert rebuilt.version == 3
+            # The ReedSolomon level: every index, a survivor's own included.
+            shards = {index: np.frombuffer(obj.chunks[index].payload, dtype=np.uint8)
+                      for index in survivors}
+            for target in range(codec.params.total_chunks):
+                rebuilt = rs.reconstruct_shard(shards, target)
+                assert rebuilt.tobytes() == obj.chunks[target].payload, (survivors, target)
 
     def test_extra_survivors_are_ignored_lowest_k_win(self, encoded):
         codec, obj = encoded
@@ -115,6 +122,26 @@ class TestRejectionsKeepTheirMessages:
                 f"of {4 * shard_size} bytes")
             assert len(rs.decode_data(available, 4 * shard_size)) == 4 * shard_size
 
+    def test_negative_original_length(self):
+        """``[:original_length]`` would slice from the end: a silent truncation."""
+        rs = ReedSolomon(9, 3)
+        payload = bytes(range(256)) * 10
+        shards = rs.encode(payload)
+        for survivors in (range(9), (0, 1, 2, 3, 4, 6, 7, 8, 9)):
+            available = {index: shards[index] for index in survivors}
+            with pytest.raises(DecodingError, match=r"^original_length -5 is negative$"):
+                rs.decode_data(available, -5)
+            assert rs.decode_data(available, 0) == b""
+        codec = ErasureCodec(ErasureCodingParams(4, 2))
+        obj = codec.encode("object", PAYLOAD)
+        obj.metadata.size = -5
+        for survivors in ((0, 1, 2, 3), (1, 2, 3, 4)):
+            chunks = {index: obj.chunks[index] for index in survivors}
+            with pytest.raises(DecodingError, match="negative"):
+                codec.decode(obj.metadata, chunks)
+            with pytest.raises(DecodingError, match=r"'object' claims a negative size, -5"):
+                codec.decode_many([(obj.metadata, chunks)])
+
     def test_the_unused_survivors_are_not_validated(self):
         """Only the ``k`` lowest indices take part, as before."""
         rs = ReedSolomon(4, 2)
@@ -123,6 +150,55 @@ class TestRejectionsKeepTheirMessages:
         available[5] = shards[5][:3]
         available[99] = shards[0]
         assert rs.decode_data(available, len(PAYLOAD)) == PAYLOAD
+
+
+class TestChunkVersionsAreNotMixed:
+    """Chunks of two versions decode to bytes of neither: the codec is the
+    last place that can notice (``extensions/writes.py`` keeps reads
+    version-consistent above it)."""
+
+    @pytest.fixture(scope="class")
+    def versions(self):
+        codec = ErasureCodec()
+        first = codec.encode("object", PAYLOAD, version=1)
+        second = codec.encode("object", PAYLOAD[::-1], version=2)
+        mixed = {index: first.chunks[index] for index in range(5)}
+        mixed.update({index: second.chunks[index] for index in range(6, 10)})
+        return codec, first, second, mixed
+
+    MESSAGE = (r"^chunk 0 of 'object' is version 1 but the object's metadata "
+               r"is version 2$")
+
+    def test_decode(self, versions):
+        codec, first, second, mixed = versions
+        with pytest.raises(DecodingError, match=self.MESSAGE):
+            codec.decode(second.metadata, mixed)
+        with pytest.raises(DecodingError, match=r"chunk 6 of 'object' is version 2 but .* version 1$"):
+            codec.decode(first.metadata, mixed)
+
+    def test_decode_many(self, versions):
+        codec, first, second, mixed = versions
+        clean = {index: second.chunks[index] for index in range(9)}
+        with pytest.raises(DecodingError, match=self.MESSAGE):
+            codec.decode_many([(second.metadata, clean), (second.metadata, mixed)])
+        assert codec.decode_many([(second.metadata, clean)]) == [PAYLOAD[::-1]]
+
+    def test_reconstruct_chunk(self, versions):
+        codec, first, second, mixed = versions
+        with pytest.raises(DecodingError, match=self.MESSAGE):
+            codec.reconstruct_chunk(second.metadata, mixed, 5)
+
+    def test_one_version_and_virtual_chunks_pass(self, versions):
+        codec, first, second, mixed = versions
+        for obj, expected in ((first, PAYLOAD), (second, PAYLOAD[::-1])):
+            chunks = {index: obj.chunks[index] for index in (0, 1, 2, 3, 4, 6, 7, 8, 9)}
+            # A virtual chunk carries no payload and is not looked at.
+            chunks[5] = first.chunks[5].without_payload()
+            chunks[10] = second.chunks[10].without_payload()
+            assert codec.decode(obj.metadata, chunks) == expected
+            assert codec.decode_many([(obj.metadata, chunks)]) == [expected]
+            assert codec.reconstruct_chunk(obj.metadata, chunks, 5).payload \
+                == obj.chunks[5].payload
 
 
 class TestPayloadTypes:

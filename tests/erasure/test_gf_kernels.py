@@ -173,6 +173,28 @@ def test_lane_width_follows_group_size():
         assert group[3] is lane and group[2].dtype == lane
 
 
+def test_a_group_has_one_kernel_chosen_by_its_row_count():
+    """Two to eight rows are gathered; a lone row is translated by the rows of
+    the one-byte-lane table ``packed_groups`` still publishes for it."""
+    rng = np.random.default_rng(7)
+    for rows in range(1, 18):
+        matrix = rng.integers(2, 256, (rows, 5), dtype=np.uint8)
+        matrix[-1, 1:3] = 0, 1
+        operator = PackedGFMatrix(matrix)
+        sizes = [group[0].size for group in operator.packed_groups]
+        assert sizes == [8] * (rows // 8) + [rows % 8] * (rows % 8 > 0)
+        assert [group[0].size for group in operator._gathered] == \
+            [size for size in sizes if size > 1]
+        if rows % 8 != 1:
+            assert operator._lone is None
+            continue
+        row, terms = operator._lone
+        tables = operator.packed_groups[-1][2]
+        assert row == rows - 1 and tables.dtype == np.uint8
+        assert terms == [(0, tables[0].tobytes()), (2, None),
+                         (3, tables[3].tobytes()), (4, tables[4].tobytes())]
+
+
 def test_strided_and_read_only_inputs_are_read_in_place():
     rng = np.random.default_rng(6)
     matrix = rng.integers(0, 256, (5, 4), dtype=np.uint8)
@@ -192,3 +214,118 @@ def test_strided_and_read_only_inputs_are_read_in_place():
     assert not frozen.flags.writeable
     assert np.array_equal(operator.apply(frozen, block=16), expected)
     assert np.array_equal(operator.apply(frozen), expected)
+
+
+# ---------------------------------------------------------------------- #
+# A dense row that stands alone is computed by ``bytes.translate`` (ISSUE 20)
+# ---------------------------------------------------------------------- #
+#: Every operand ``apply`` takes: the ``(cols, span)`` array itself, and one
+#: buffer per shard in each type ``ReedSolomon.decode_data`` accepts.
+OPERANDS = {
+    "matrix": lambda shards: shards,
+    "bytes": lambda shards: [row.tobytes() for row in shards],
+    "bytearray": lambda shards: [bytearray(row.tobytes()) for row in shards],
+    "memoryview": lambda shards: [memoryview(row.tobytes()) for row in shards],
+    "rows": lambda shards: [row.copy() for row in shards],
+    "strided-rows": lambda shards: list(_widened(shards)[:, ::2]),
+    "mixed": lambda shards: [row.tobytes() if index % 2 else row
+                             for index, row in enumerate(shards)],
+}
+
+
+def _widened(shards: np.ndarray) -> np.ndarray:
+    wide = np.full((shards.shape[0], 2 * shards.shape[1]), 0xA5, dtype=np.uint8)
+    wide[:, ::2] = shards
+    return wide
+
+
+@st.composite
+def lone_row_matrices(draw):
+    """Matrices whose dense rows leave a packed group of exactly one.
+
+    One dense row or nine (eight fill a ``uint64`` group, the ninth stands
+    alone), optionally interleaved with all-0/1 and zero rows, and every
+    dense row carries a 0 and a 1 among its coefficients when it is wide
+    enough to stay dense with them.
+    """
+    cols = draw(st.integers(1, 12))
+    dense = draw(st.sampled_from((1, 9)))
+    filler = draw(st.lists(st.sampled_from(("binary", "zero")), max_size=4))
+    kinds = draw(st.permutations(["dense"] * dense + filler))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = np.zeros((len(kinds), cols), dtype=np.uint8)
+    for row, kind in enumerate(kinds):
+        if kind == "dense":
+            matrix[row] = rng.integers(2, 256, cols)
+            if cols >= 3:
+                zero, one = rng.choice(cols, 2, replace=False)
+                matrix[row, zero], matrix[row, one] = 0, 1
+        elif kind == "binary":
+            matrix[row] = rng.integers(0, 2, cols)
+    return matrix
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix=lone_row_matrices(),
+       block=st.sampled_from((1, 5, 16)),
+       span_kind=st.sampled_from(("0", "1", "b-1", "b", "b+1", "3b+7")),
+       operand=st.sampled_from(sorted(OPERANDS)),
+       seed=st.integers(0, 2**32 - 1))
+def test_lone_rows_equal_the_scalar_definition(matrix, block, span_kind, operand, seed):
+    span = {"0": 0, "1": 1, "b-1": block - 1, "b": block, "b+1": block + 1,
+            "3b+7": 3 * block + 7}[span_kind]
+    shards = np.random.default_rng(seed).integers(
+        0, 256, (matrix.shape[1], span), dtype=np.uint8)
+    assert PackedGFMatrix(matrix).packed_groups[-1][0].size == 1
+    expected = NaiveBackend().matmul(matrix, shards)
+    out = PackedGFMatrix(matrix).apply(OPERANDS[operand](shards), block=block)
+    assert out.dtype == np.uint8 and out.shape == expected.shape
+    assert np.array_equal(out, expected)
+
+
+#: One rebuilt row of RS(9, 3) in shape: a 0 (skipped) and a 1 (passed
+#: through) among seven table coefficients.
+LONE_ROW = np.array([[7, 0, 211, 1, 92, 255, 2, 143, 30]], dtype=np.uint8)
+
+REAL_SPANS = (0, 1, 1821, GF_MATMUL_BLOCK - 1, GF_MATMUL_BLOCK + 1,
+              3 * GF_MATMUL_BLOCK + 7)
+
+
+@pytest.fixture(scope="module", params=REAL_SPANS)
+def lone_row_case(request):
+    """Shards of a real span and the scalar definition's answer, computed
+    once per span (the naive loop costs ≈ 1 µs per byte per coefficient)."""
+    shards = np.random.default_rng(request.param).integers(
+        0, 256, (LONE_ROW.shape[1], request.param), dtype=np.uint8)
+    return shards, NaiveBackend().matmul(LONE_ROW, shards)
+
+
+@pytest.mark.parametrize("operand", sorted(OPERANDS))
+def test_lone_row_at_real_spans_and_the_default_block(lone_row_case, operand):
+    shards, expected = lone_row_case
+    operands = OPERANDS[operand](shards)
+    before = [bytes(row) for row in operands]
+    out = PackedGFMatrix(LONE_ROW).apply(operands)
+    assert out.dtype == np.uint8 and np.array_equal(out, expected)
+    assert [bytes(row) for row in operands] == before
+
+
+@pytest.mark.parametrize("operand", sorted(OPERANDS))
+def test_the_oracle_takes_the_same_operands(operand):
+    rng = np.random.default_rng(8)
+    matrix = rng.integers(0, 256, (3, 4), dtype=np.uint8)
+    shards = rng.integers(0, 256, (4, 37), dtype=np.uint8)
+    assert np.array_equal(NaiveBackend().matmul(matrix, OPERANDS[operand](shards)),
+                          scalar_matmul(matrix, shards))
+
+
+def test_buffer_operands_are_validated_like_arrays():
+    operator = PackedGFMatrix(LONE_ROW)
+    shards = [bytes(10)] * 9
+    with pytest.raises(ValueError, match="9 columns but 8 shards"):
+        operator.apply(shards[:8])
+    with pytest.raises(ValueError, match="same length"):
+        operator.apply(shards[:8] + [bytes(9)])
+    with pytest.raises(ValueError, match="1-D"):
+        operator.apply(shards[:8] + [np.zeros((10, 2), dtype=np.uint8)])
+    assert PackedGFMatrix(np.zeros((2, 0), dtype=np.uint8)).apply([]).shape == (2, 0)

@@ -150,3 +150,29 @@ class TestReconstructionAndVerify:
         shards = rs93.encode(b"verify me" * 9)
         with pytest.raises(ValueError):
             rs93.verify({i: shards[i] for i in range(9)})
+
+
+class TestVerifyNoticesEveryShard:
+    """``verify`` recomputes one parity row at a time through a one-row
+    operator: a wrong table would pass the round-trip tests of ``decode`` and
+    show only here."""
+
+    @pytest.mark.parametrize("convert", [np.array, bytes, bytearray],
+                             ids=["array", "bytes", "bytearray"])
+    @pytest.mark.parametrize("k,m", [(9, 3), (4, 2)])
+    def test_one_flipped_byte_in_any_shard(self, k, m, convert):
+        rs = ReedSolomon(k, m)
+        payload = bytes(np.random.default_rng(k).integers(0, 256, 700, dtype=np.uint8))
+        clean = {index: convert(shard.tobytes() if convert is not np.array else shard)
+                 for index, shard in enumerate(rs.encode(payload))}
+        assert rs.verify(clean)
+        for index in range(k + m):
+            for position in (0, len(clean[index]) - 1):
+                flipped = bytearray(bytes(clean[index]))
+                flipped[position] ^= 0x01
+                corrupted = dict(clean)
+                corrupted[index] = convert(
+                    np.frombuffer(flipped, dtype=np.uint8) if convert is np.array
+                    else flipped)
+                assert not rs.verify(corrupted), (index, position)
+        assert rs.verify(clean)
