@@ -19,13 +19,13 @@ coverage:
 		echo "pytest-cov not installed; skipping coverage run (pip install pytest-cov)"; \
 	fi
 
-## Check intra-repo markdown links and run the README quickstart commands at
-## the minimal smoke scale (what the CI docs job runs).
+## Check intra-repo markdown links and run the two wire entry points of the
+## README at the minimal smoke scale (what the CI docs job runs).  Their
+## output is wall-clock, so exiting 0 is all that can be asked of them here;
+## the simulated figures are not run: tier-1 replays them and compares their
+## output with tests/golden/figures.json.
 docs-check:
 	$(PYTHON) tools/check_markdown_links.py
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.experiments.cli fig6 --smoke
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.experiments.cli fig_collab --smoke
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.experiments.cli fig_failures --smoke
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.experiments.cli serve --smoke
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.experiments.cli fig_chaos --smoke
 

@@ -210,7 +210,7 @@ def test_bench_codec_rebuild_row_large(benchmark):
 
     A one-row group translates at every span; this is the span where that
     choice is closest (≈ 1.3× over the packed gather it replaced, against 3×
-    at 4 KiB objects — docs/performance.md, "Cold wire read, second pass"),
+    at 4 KiB objects — docs/history/issue-20.md, "Cold wire read, second pass"),
     so a change that tips it shows here first.
     """
     codec, payload, metadata, chunks = _cold_read(1024 * 1024)

@@ -151,8 +151,7 @@ def test_bench_serve_wire_degraded(benchmark, settings):
     schedule = ChaosSchedule(wire_faults=(GatewayCrash("frankfurt", 0.3),))
 
     async def serve_and_load():
-        cluster = ServeCluster.from_config(config, seed=1, payloads=True,
-                                           ledger_mode="record")
+        cluster = ServeCluster.from_config(config, seed=1, payloads=True)
         async with cluster:
             supervisor_config = SupervisorConfig(poll_interval_s=0.02)
             async with ClusterSupervisor(cluster,

@@ -18,7 +18,7 @@ Run with:  python examples/photo_service_comparison.py
 from __future__ import annotations
 
 from repro.analysis import Table, improvement_summary
-from repro.sim import run_comparison
+from repro.sim import RegionSpec, run_comparison
 from repro.workload import zipfian_workload
 
 MEGABYTE = 1024 * 1024
@@ -37,13 +37,15 @@ def main() -> None:
     results = {}
     for region in ("frankfurt", "sydney"):
         print(f"simulating {region} ({len(STRATEGIES)} strategies x 3 runs) ...")
-        results[region] = run_comparison(
+        comparison = run_comparison(
             workload=workload,
-            strategies=STRATEGIES,
-            client_region=region,
+            deployments={strategy: (RegionSpec(region, strategy=strategy),)
+                         for strategy in STRATEGIES},
             cache_capacity_bytes=10 * MEGABYTE,
             runs=3,
         )
+        results[region] = {strategy: runs.regions[region]
+                           for strategy, runs in comparison.items()}
 
     for strategy in STRATEGIES:
         table.add_row(

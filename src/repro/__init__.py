@@ -14,7 +14,8 @@ This package contains the full system, built from scratch in Python:
 * :mod:`repro.core` — Agar itself: caching options, the knapsack DP, the
   Region Manager, Request Monitor, Cache Manager and the AgarNode;
 * :mod:`repro.workload`, :mod:`repro.client`, :mod:`repro.sim` — the YCSB-style
-  workload generator, the read strategies and the simulation driver;
+  workload generator, the read strategies, the event engine and the
+  experiment driver;
 * :mod:`repro.experiments` — one driver per table/figure of the paper;
 * :mod:`repro.extensions` — §VI extensions (collaboration, writes, TinyLFU).
 
@@ -66,7 +67,7 @@ from repro.geo import (
     topology_from_matrix,
     uniform_topology,
 )
-from repro.sim import Simulation, SimulationConfig, run_comparison
+from repro.sim import EngineConfig, RegionSpec, run_comparison, run_many
 from repro.workload import WorkloadSpec, uniform_workload, zipfian_workload
 
 __version__ = "1.0.0"
@@ -83,6 +84,7 @@ __all__ = [
     "ChunkCache",
     "ChunkId",
     "ClientConfig",
+    "EngineConfig",
     "ErasureCodec",
     "ErasureCodedStore",
     "ErasureCodingParams",
@@ -103,16 +105,16 @@ __all__ = [
     "Region",
     "RegionBucket",
     "RegionManager",
+    "RegionSpec",
     "RequestMonitor",
     "RoundRobinPlacement",
-    "Simulation",
-    "SimulationConfig",
     "Topology",
     "WorkloadSpec",
     "default_topology",
     "generate_caching_options",
     "make_strategy",
     "run_comparison",
+    "run_many",
     "solve_exact",
     "table1_topology",
     "topology_from_matrix",

@@ -231,7 +231,7 @@ class ReadStrategy(ABC):
     one strategy.
 
     There is one read path.  :meth:`read` (string boundaries: gateway,
-    ``Simulation``, replay) and :meth:`read_indexed` (the lane scheduler)
+    replay, the reference loops) and :meth:`read_indexed` (the lane scheduler)
     only resolve the key's plan — both share the same plan objects — and hand
     it to the strategy's single :meth:`_read_plan` body.  Faults, neighbour
     catalogs, the decision sink and resilience modify the plan's selection

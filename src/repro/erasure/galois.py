@@ -186,8 +186,8 @@ def gf_addmul_bytes(accumulator: np.ndarray, coefficient: int, data: np.ndarray)
 #: 16 KiB, inside L2 — while its fixed cost (``cols + 3`` NumPy calls) stays a
 #: few percent of its work; a translated row's step holds nine shards'
 #: slices, their translations and the join of those (3 × 144 KiB) there as
-#: well.  Sweeps in docs/performance.md, "Cold wire read" and "Cold wire
-#: read, second pass".
+#: well.  Sweeps in docs/history/issue-16.md ("Cold wire read") and
+#: docs/history/issue-20.md ("Cold wire read, second pass").
 GF_MATMUL_BLOCK = 1 << 14
 
 

@@ -20,12 +20,8 @@ from repro.experiments.common import (
     parse_cache_size,
 )
 from repro.experiments.multiregion import (
-    EngineRunsResult,
     MultiRegionRow,
-    RegionAggregate,
     render_multiregion,
-    run_engine_comparison,
-    run_engine_many,
     run_multiregion_scaling,
 )
 from repro.experiments.ablation import (
@@ -87,7 +83,6 @@ __all__ = [
     "CollabSweepResult",
     "CrossoverRow",
     "EngineOptions",
-    "EngineRunsResult",
     "Fig10Snapshot",
     "Fig2Point",
     "Fig9Series",
@@ -96,7 +91,6 @@ __all__ = [
     "MultiRegionRow",
     "OverlapRow",
     "PolicyComparisonRow",
-    "RegionAggregate",
     "RegionSpecOption",
     "SweepPoint",
     "Table1Row",
@@ -117,8 +111,6 @@ __all__ = [
     "render_table1",
     "run_agar_variants",
     "run_capacity_scaling",
-    "run_engine_comparison",
-    "run_engine_many",
     "run_fig10",
     "run_fig2",
     "run_fig8a",

@@ -24,7 +24,8 @@ from repro.core.options import CachingOption, generate_caching_options
 from repro.core.agar_node import AgarNodeConfig
 from repro.experiments.common import ExperimentSettings
 from repro.geo.topology import default_topology
-from repro.sim.simulation import Simulation, SimulationConfig
+from repro.sim.engine import EngineConfig, RegionSpec
+from repro.sim.simulation import run_many
 from repro.workload.zipfian import ZipfianDistribution
 
 
@@ -107,35 +108,20 @@ def run_agar_variants(settings: ExperimentSettings | None = None,
         "period=60s": AgarNodeConfig(reconfiguration_period_s=60.0),
         "period=10s": AgarNodeConfig(reconfiguration_period_s=10.0),
     }
+    legs = [(label, "agar", node_config) for label, node_config in variants.items()]
+    # Baseline interpretations of LFU (periodic vs cumulative/online).
+    legs += [("paper LFU-7 (periodic)", "lfu-7", None),
+             ("online LFU-7", "lfu-online-7", None)]
     rows = []
-    for label, node_config in variants.items():
-        config = SimulationConfig(
+    for label, strategy, node_config in legs:
+        config = EngineConfig(
             workload=workload,
-            client_region=client_region,
-            strategy="agar",
+            regions=(RegionSpec(client_region, strategy=strategy),),
             cache_capacity_bytes=settings.cache_capacity_bytes,
             agar=node_config,
             topology_seed=settings.seed,
         )
-        aggregate = Simulation(config).run_many(runs=settings.runs)
-        rows.append(
-            AgarVariantRow(
-                variant=label,
-                mean_latency_ms=aggregate.mean_latency_ms,
-                hit_ratio=aggregate.hit_ratio,
-            )
-        )
-
-    # Baseline interpretations of LFU (periodic vs cumulative/online).
-    for strategy, label in (("lfu-7", "paper LFU-7 (periodic)"), ("lfu-online-7", "online LFU-7")):
-        config = SimulationConfig(
-            workload=workload,
-            client_region=client_region,
-            strategy=strategy,
-            cache_capacity_bytes=settings.cache_capacity_bytes,
-            topology_seed=settings.seed,
-        )
-        aggregate = Simulation(config).run_many(runs=settings.runs)
+        aggregate = run_many(config, runs=settings.runs).regions[client_region]
         rows.append(
             AgarVariantRow(
                 variant=label,

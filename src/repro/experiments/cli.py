@@ -16,9 +16,11 @@ table; ``--quick`` runs the reduced-scale settings used by the benchmark suite,
 the default is the paper's full scale (5 runs × 1,000 reads).
 
 The engine flags (``--regions``, ``--region``, ``--clients-per-region``,
-``--arrival-rate``, ``--collaboration``) route the Fig. 6/7/8 runners and the
-``multiregion`` experiment through the multi-region discrete-event engine
-instead of the classic single-client loop.  Heterogeneous deployments use the
+``--arrival-rate``, ``--collaboration``) replace the paper's setting of the
+Fig. 6/7/8 runners — one closed-loop client, each region deployed on its own —
+with one multi-region deployment, and shape the ``multiregion``, ``fig_collab``
+and ``fig_failures`` deployments; an experiment named on its own that cannot
+honour one of them rejects it.  Heterogeneous deployments use the
 repeatable ``--region NAME[:STRATEGY[:CACHE]]`` form: each region can pin its
 own read strategy and cache size (e.g. ``--region eu:agar:256MB --region
 ap:lfu-5:64MB``); either override may be omitted (``sydney::64MB``).
@@ -99,11 +101,11 @@ def _engine_options(args: argparse.Namespace, for_multiregion: bool,
                     ) -> EngineOptions | None:
     """Build engine options from the CLI flags.
 
-    ``multiregion`` always runs on the engine, so missing flags fall back to
-    the acceptance scenario's defaults (two regions, 4 clients each, Poisson
-    arrivals, collaboration on); the figure runners only leave the classic
-    path when a flag is given explicitly.  ``region_specs`` are the already
-    parsed/validated ``--region`` values.
+    ``multiregion`` is a multi-region experiment, so missing flags fall back
+    to the acceptance scenario's defaults (two regions, 4 clients each,
+    Poisson arrivals, collaboration on); the figure runners only leave the
+    paper's setting when a flag is given explicitly.  ``region_specs`` are the
+    already parsed/validated ``--region`` values.
     """
     regions = None
     if args.regions:
@@ -238,7 +240,7 @@ def main(argv: list[str] | None = None, out=sys.stdout) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="minimal scale (1 run x 120 reads): asserts the "
                              "command executes; numbers are not meaningful "
-                             "(used by the CI docs job)")
+                             "(used by the CI docs job and the figures golden)")
     parser.add_argument("--neighbor-read-ms", default=None, metavar="MS1,MS2,...",
                         help="neighbour-cache read latencies swept by fig_collab "
                              "(comma separated; default 10,50,120,250,500)")
@@ -284,6 +286,20 @@ def main(argv: list[str] | None = None, out=sys.stdout) -> int:
         parser.error("--region and --regions are mutually exclusive")
     if args.quick and args.smoke:
         parser.error("--quick and --smoke are mutually exclusive")
+    if args.experiment != "all":
+        # Naming one experiment and handing it a flag it would ignore is a
+        # usage error, not a silent one-client run.  (`all` passes each flag
+        # on to the experiments that understand it.)
+        for flag, value, also in (
+                ("--regions", args.regions, ("fig_chaos", "serve")),
+                ("--region", args.region, ()),
+                ("--clients-per-region", args.clients_per_region, ()),
+                ("--arrival-rate", args.arrival_rate, ("serve",)),
+                ("--collaboration/--no-collaboration", args.collaboration, ())):
+            accepted = (*ENGINE_EXPERIMENTS, *also)
+            if value is not None and args.experiment not in accepted:
+                parser.error(f"{flag} does not apply to {args.experiment} "
+                             f"(only to {', '.join(accepted)})")
     fig_collab_selected = args.experiment in ("fig_collab", "all")
     fig_failures_selected = args.experiment in ("fig_failures", "all")
     if not fig_collab_selected:

@@ -88,8 +88,9 @@ class ExperimentSettings:
     def smoke(cls) -> "ExperimentSettings":
         """The minimal scale: one tiny run per configuration.
 
-        Used by the CI docs job to assert the README quickstart commands
-        actually execute; numbers at this scale are not meaningful.
+        Used by the CI docs job to assert the wire commands execute and by
+        ``tests/golden/figures.json`` to pin what the simulated figures
+        print; numbers at this scale are not meaningful.
         """
         return cls(runs=1, request_count=120, object_count=100)
 
@@ -197,8 +198,9 @@ class EngineOptions:
     """Discrete-event engine knobs shared by the experiment CLIs.
 
     The default (1 client, closed loop, no collaboration, figure-default
-    regions) routes an experiment through the classic single-client driver;
-    any other setting routes it through the multi-region event engine.
+    regions) is the paper's setting, where the Fig. 6/7/8 runners deploy each
+    region on its own; any other setting makes them co-deploy the regions in
+    one multi-region deployment.
 
     Attributes:
         regions: client regions of the deployment (None = the figure's
@@ -235,7 +237,7 @@ class EngineOptions:
 
     @property
     def active(self) -> bool:
-        """True if any knob deviates from the classic single-client loop."""
+        """True if any knob deviates from the paper's single-client setting."""
         return (self.regions is not None or self.clients_per_region > 1
                 or self.arrival_rate_rps is not None or self.collaboration
                 or self.region_specs is not None)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 from repro.analysis.report import Table
 from repro.experiments.common import MEGABYTE, ExperimentSettings, agar_config_for_capacity
-from repro.sim.simulation import Simulation, SimulationConfig
+from repro.sim.engine import EngineConfig, RegionSpec
+from repro.sim.simulation import run_many
 
 #: The four scenarios of Fig. 10.
 FIG10_SCENARIOS: tuple[tuple[str, int], ...] = (
@@ -48,16 +49,15 @@ def run_fig10(settings: ExperimentSettings | None = None,
     workload = settings.workload(skew=1.1)
     snapshots = []
     for region, capacity in scenarios:
-        config = SimulationConfig(
+        config = EngineConfig(
             workload=workload,
-            client_region=region,
-            strategy="agar",
+            regions=(RegionSpec(region, strategy="agar"),),
             cache_capacity_bytes=capacity,
             agar=agar_config_for_capacity(capacity),
             topology_seed=settings.seed,
         )
-        aggregate = Simulation(config).run_many(runs=settings.runs)
-        snapshot = aggregate.last_cache_snapshot
+        last_run = run_many(config, runs=settings.runs).results[-1]
+        snapshot = last_run.regions[region].cache_snapshot
         histogram = snapshot.chunk_count_histogram() if snapshot else {}
         total_chunks = sum(count * objects for count, objects in histogram.items())
         share = {

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from repro.analysis.report import Table
 from repro.experiments.common import FIG2_CHUNK_COUNTS, MEGABYTE, ExperimentSettings
-from repro.sim.simulation import Simulation, SimulationConfig
+from repro.sim.engine import EngineConfig, RegionSpec
+from repro.sim.simulation import run_many
 
 #: Cache size that comfortably fits the full working set — the paper gives each
 #: memcached instance 500 MB, "in practice emulating an infinite cache".
@@ -40,14 +41,13 @@ def run_fig2(settings: ExperimentSettings | None = None,
     for region in regions:
         for cached_chunks in chunk_counts:
             strategy = "backend" if cached_chunks == 0 else f"lru-{cached_chunks}"
-            config = SimulationConfig(
+            config = EngineConfig(
                 workload=workload,
-                client_region=region,
-                strategy=strategy,
+                regions=(RegionSpec(region, strategy=strategy),),
                 cache_capacity_bytes=INFINITE_CACHE_BYTES,
                 topology_seed=settings.seed,
             )
-            result = Simulation(config).run_many(runs=settings.runs)
+            result = run_many(config, runs=settings.runs).regions[region]
             points.append(
                 Fig2Point(
                     region=region,

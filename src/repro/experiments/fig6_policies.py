@@ -17,8 +17,7 @@ from repro.experiments.common import (
     ExperimentSettings,
     agar_config_for_capacity,
 )
-from repro.experiments.multiregion import run_engine_comparison
-from repro.sim.simulation import AggregatedResult, run_comparison
+from repro.sim.simulation import RegionAggregate, run_comparison
 
 
 @dataclass(frozen=True)
@@ -39,27 +38,26 @@ def run_policy_comparison(settings: ExperimentSettings | None = None,
                           engine: EngineOptions | None = None) -> list[PolicyComparisonRow]:
     """Run the Fig. 6 / Fig. 7 comparison and return one row per (region, strategy).
 
-    With active ``engine`` options the comparison runs on the discrete-event
-    engine instead: all regions simulate simultaneously in one deployment per
-    strategy, with the requested client count, arrival process and (for Agar)
-    cache collaboration.
+    The paper's setting deploys every region on its own, one client each.
+    With active ``engine`` options all regions simulate simultaneously in one
+    deployment per strategy instead, with the requested client count, arrival
+    process and (for Agar) cache collaboration.
     """
     settings = settings or ExperimentSettings.quick()
     capacity = cache_capacity_bytes or settings.cache_capacity_bytes
-    workload = settings.workload(skew=1.1)
-    rows: list[PolicyComparisonRow] = []
+    options = engine or EngineOptions()
 
-    if engine is not None and engine.active:
-        deployment_regions = engine.effective_regions(regions)
+    if options.active:
+        deployment_regions = options.effective_regions(regions)
         sweep_strategies = list(strategies)
-        pinned = {spec.region for spec in engine.region_specs or ()
+        pinned = {spec.region for spec in options.region_specs or ()
                   if spec.strategy is not None}
         if pinned and len(pinned) == len(deployment_regions):
             # Every region pins its strategy (--region NAME:STRATEGY...): the
             # sweep would rerun the identical heterogeneous deployment per
             # strategy, so one run suffices.
             sweep_strategies = sweep_strategies[:1]
-        elif pinned and engine.collaboration:
+        elif pinned and options.collaboration:
             # Collaboration only activates in the all-agar sweep deployment,
             # so a pinned region's rows would average collaborative and
             # non-collaborative systems — refuse rather than report a number
@@ -69,69 +67,45 @@ def run_policy_comparison(settings: ExperimentSettings | None = None,
                 "ambiguous for fig6/fig7; pin every region or drop "
                 "--collaboration"
             )
-        comparison_by_strategy = run_engine_comparison(
-            workload=workload,
-            strategies=sweep_strategies,
-            regions=deployment_regions,
-            cache_capacity_bytes=capacity,
-            runs=settings.runs,
-            clients_per_region=engine.clients_per_region,
-            arrival=engine.arrival_spec(),
-            collaboration=engine.collaboration,
-            agar_config=agar_config_for_capacity(capacity),
-            topology_seed=settings.seed,
-            region_specs=engine.region_specs,
-        )
-        # Rows carry the strategy that actually ran in each region — for a
-        # pinned region that is its pinned strategy, not the sweep label.  A
-        # pinned region repeats its (same-strategy) run once per sweep
-        # deployment with slightly different jitter interleavings, so its
-        # row averages over all of them, like extra repetitions.
-        collected: dict[tuple[str, str], list] = {}
-        order: list[tuple[str, str]] = []
-        for strategy in sweep_strategies:
-            for region in deployment_regions:
-                aggregate = comparison_by_strategy[strategy][region]
-                key = (region, aggregate.strategy)
-                if key not in collected:
-                    collected[key] = []
-                    order.append(key)
-                collected[key].append(aggregate)
-        for region, label in order:
-            aggregates = collected[(region, label)]
-            count = len(aggregates)
-            rows.append(
-                PolicyComparisonRow(
-                    region=region,
-                    strategy=label,
-                    mean_latency_ms=sum(a.mean_latency_ms for a in aggregates) / count,
-                    hit_ratio=sum(a.hit_ratio for a in aggregates) / count,
-                    full_hit_ratio=sum(a.full_hit_ratio for a in aggregates) / count,
-                )
-            )
-        return rows
+        sweeps = [{strategy: options.build_region_specs(regions, strategy)
+                   for strategy in sweep_strategies}]
+    else:
+        # Co-deploying regions interleaves their jitter draws, which moves
+        # the paper's numbers: its setting is one deployment per region.
+        sweeps = [{strategy: options.build_region_specs((region,), strategy)
+                   for strategy in strategies}
+                  for region in regions]
 
-    for region in regions:
-        comparison: dict[str, AggregatedResult] = run_comparison(
-            workload=workload,
-            strategies=list(strategies),
-            client_region=region,
+    # Rows carry the strategy that actually ran in each region — for a
+    # pinned region that is its pinned strategy, not the sweep label.  A
+    # pinned region repeats its (same-strategy) run once per sweep
+    # deployment with slightly different jitter interleavings, so its
+    # row averages over all of them, like extra repetitions.
+    collected: dict[tuple[str, str], list[RegionAggregate]] = {}
+    for deployments in sweeps:
+        comparison = run_comparison(
+            workload=settings.workload(skew=1.1),
+            deployments=deployments,
             cache_capacity_bytes=capacity,
             runs=settings.runs,
             agar_config=agar_config_for_capacity(capacity),
             topology_seed=settings.seed,
+            arrival=options.arrival_spec(),
+            collaboration=options.collaboration,
         )
-        for strategy, aggregate in comparison.items():
-            rows.append(
-                PolicyComparisonRow(
-                    region=region,
-                    strategy=strategy,
-                    mean_latency_ms=aggregate.mean_latency_ms,
-                    hit_ratio=aggregate.hit_ratio,
-                    full_hit_ratio=aggregate.full_hit_ratio,
-                )
-            )
-    return rows
+        for runs in comparison.values():
+            for region, aggregate in runs.regions.items():
+                collected.setdefault((region, aggregate.strategy), []).append(aggregate)
+    return [
+        PolicyComparisonRow(
+            region=region,
+            strategy=label,
+            mean_latency_ms=sum(a.mean_latency_ms for a in aggregates) / len(aggregates),
+            hit_ratio=sum(a.hit_ratio for a in aggregates) / len(aggregates),
+            full_hit_ratio=sum(a.full_hit_ratio for a in aggregates) / len(aggregates),
+        )
+        for (region, label), aggregates in collected.items()
+    ]
 
 
 def _row_strategies(rows: list[PolicyComparisonRow]) -> list[str]:

@@ -21,7 +21,6 @@ from repro.experiments.common import (
     ExperimentSettings,
     agar_config_for_capacity,
 )
-from repro.experiments.multiregion import run_engine_comparison
 from repro.sim.simulation import run_comparison
 from repro.workload.workload import WorkloadSpec
 
@@ -34,9 +33,10 @@ def _compare_strategies(workload: WorkloadSpec, strategies: list[str],
                         ) -> dict[str, tuple[float, float]]:
     """One sweep point: ``{strategy: (mean_latency_ms, hit_ratio)}``.
 
-    Dispatches to the classic single-client driver, or — with active engine
-    options — to the discrete-event engine (metrics averaged over the
-    deployment's regions, which all carry the same request count).
+    The paper's setting is one client in ``client_region``; engine options
+    replace it with their own regions, client count, arrival process and
+    collaboration (metrics averaged over the deployment's regions, which all
+    carry the same request count).
 
     Raises:
         ValueError: if engine options pin per-region strategies — Fig. 8
@@ -45,48 +45,31 @@ def _compare_strategies(workload: WorkloadSpec, strategies: list[str],
             ``multiregion`` for heterogeneous-strategy deployments; per-region
             cache sizes remain valid here).
     """
-    if engine is not None and engine.active:
-        pinned = [spec.region for spec in engine.region_specs or ()
-                  if spec.strategy is not None]
-        if pinned:
-            raise ValueError(
-                f"fig8 sweeps strategies; pinned per-region strategies "
-                f"(--region, offending: {pinned}) belong to fig6/multiregion"
-            )
-        regions = engine.effective_regions((client_region,))
-        comparison = run_engine_comparison(
-            workload=workload,
-            strategies=strategies,
-            regions=regions,
-            cache_capacity_bytes=cache_capacity_bytes,
-            runs=settings.runs,
-            clients_per_region=engine.clients_per_region,
-            arrival=engine.arrival_spec(),
-            collaboration=engine.collaboration,
-            agar_config=agar_config,
-            topology_seed=settings.seed,
-            region_specs=engine.region_specs,
+    options = engine or EngineOptions()
+    pinned = [spec.region for spec in options.region_specs or ()
+              if spec.strategy is not None]
+    if pinned:
+        raise ValueError(
+            f"fig8 sweeps strategies; pinned per-region strategies "
+            f"(--region, offending: {pinned}) belong to fig6/multiregion"
         )
-        return {
-            strategy: (
-                sum(a.mean_latency_ms for a in per_region.values()) / len(per_region),
-                sum(a.hit_ratio for a in per_region.values()) / len(per_region),
-            )
-            for strategy, per_region in comparison.items()
-        }
-
     comparison = run_comparison(
         workload=workload,
-        strategies=strategies,
-        client_region=client_region,
+        deployments={strategy: options.build_region_specs((client_region,), strategy)
+                     for strategy in strategies},
         cache_capacity_bytes=cache_capacity_bytes,
         runs=settings.runs,
         agar_config=agar_config,
         topology_seed=settings.seed,
+        arrival=options.arrival_spec(),
+        collaboration=options.collaboration,
     )
     return {
-        strategy: (aggregate.mean_latency_ms, aggregate.hit_ratio)
-        for strategy, aggregate in comparison.items()
+        strategy: (
+            sum(a.mean_latency_ms for a in runs.regions.values()) / len(runs.regions),
+            sum(a.hit_ratio for a in runs.regions.values()) / len(runs.regions),
+        )
+        for strategy, runs in comparison.items()
     }
 
 

@@ -36,12 +36,8 @@ from repro.experiments.common import (
     agar_config_for_capacity,
 )
 from repro.extensions.collaboration import announcement_of, overlap_between
-from repro.sim.engine import (
-    EngineConfig,
-    EngineResult,
-    EventEngine,
-    RegionSpec,
-)
+from repro.sim.engine import EngineConfig, EngineResult, RegionSpec
+from repro.sim.simulation import DEPLOYMENT_LABEL, RegionAggregate, run_many
 
 #: Neighbour-read latencies swept by default (ms).  The span deliberately
 #: brackets the coordinator's 120 ms default: well below it a neighbour cache
@@ -59,9 +55,6 @@ DEFAULT_PAIRINGS: tuple[tuple[str, ...], ...] = (
 #: Collaboration periods swept by default (s); 30 s is the paper's
 #: reconfiguration period.
 DEFAULT_PERIODS: tuple[float, ...] = (30.0,)
-
-#: Region label of deployment-wide rows.
-DEPLOYMENT_LABEL = "all"
 
 
 @dataclass(frozen=True)
@@ -144,11 +137,10 @@ class CollabSweepResult:
 
 @dataclass
 class _RunAggregate:
-    """Per-region means over the repeated runs of one deployment."""
+    """The repeated runs of one deployment: averages and final overlap."""
 
-    mean_ms: dict[str, float]
-    hit_ratio: dict[str, float]
-    neighbor_chunks: dict[str, float]
+    #: Per region, plus the deployment-wide row under DEPLOYMENT_LABEL.
+    aggregates: dict[str, RegionAggregate]
     overlap: dict[tuple[str, str], int]
 
 
@@ -214,45 +206,10 @@ def _run_point(settings: ExperimentSettings, regions: tuple[str, ...],
         neighbor_read_ms=neighbor_read_ms,
         timer_reconfiguration=True,
     )
-    engine = EventEngine(config)
-    base_seed = config.workload.seed
-    engine.topology.latency.reseed(config.topology_seed + base_seed)
-    deployment = engine.build_deployment()
-
-    mean_sums: dict[str, float] = {region: 0.0 for region in regions}
-    hit_sums: dict[str, float] = {region: 0.0 for region in regions}
-    neighbor_sums: dict[str, float] = {region: 0.0 for region in regions}
-    aggregate_mean = 0.0
-    aggregate_hit = 0.0
-    aggregate_neighbor = 0.0
-    result: EngineResult | None = None
-    for run_index in range(settings.runs):
-        seed = base_seed + run_index
-        if sharded:
-            result = engine.execute_sharded(deployment, seed)
-        else:
-            result = engine.execute(deployment, seed)
-        for region, region_result in result.regions.items():
-            mean_sums[region] += region_result.mean_latency_ms
-            hit_sums[region] += region_result.hit_ratio
-            neighbor_sums[region] += region_result.stats.neighbor_chunks_total
-        merged = result.aggregate()
-        aggregate_mean += merged.mean_latency_ms
-        aggregate_hit += merged.hit_ratio
-        aggregate_neighbor += merged.neighbor_chunks
-
-    runs = settings.runs
-    mean_ms = {region: total / runs for region, total in mean_sums.items()}
-    hit_ratio = {region: total / runs for region, total in hit_sums.items()}
-    neighbor_chunks = {region: total / runs for region, total in neighbor_sums.items()}
-    mean_ms[DEPLOYMENT_LABEL] = aggregate_mean / runs
-    hit_ratio[DEPLOYMENT_LABEL] = aggregate_hit / runs
-    neighbor_chunks[DEPLOYMENT_LABEL] = aggregate_neighbor / runs
+    runs = run_many(config, runs=settings.runs, sharded=sharded)
     return _RunAggregate(
-        mean_ms=mean_ms,
-        hit_ratio=hit_ratio,
-        neighbor_chunks=neighbor_chunks,
-        overlap=_deployment_overlap(deployment, result, sharded),
+        aggregates={**runs.regions, DEPLOYMENT_LABEL: runs.deployment_aggregate},
+        overlap=_deployment_overlap(runs.deployment, runs.results[-1], sharded),
     )
 
 
@@ -340,16 +297,18 @@ def run_fig_collab(settings: ExperimentSettings | None = None,
                     sharded=sharded,
                 )
                 for region in (*pairing, DEPLOYMENT_LABEL):
+                    with_collab = collab.aggregates[region]
+                    without = independent.aggregates[region]
                     rows.append(CollabPointRow(
                         pairing=label,
                         period_s=period_s,
                         neighbor_read_ms=neighbor_read_ms,
                         region=region,
-                        collab_mean_ms=collab.mean_ms[region],
-                        independent_mean_ms=independent.mean_ms[region],
-                        collab_hit_ratio=collab.hit_ratio[region],
-                        independent_hit_ratio=independent.hit_ratio[region],
-                        collab_neighbor_chunks=collab.neighbor_chunks[region],
+                        collab_mean_ms=with_collab.mean_latency_ms,
+                        independent_mean_ms=without.mean_latency_ms,
+                        collab_hit_ratio=with_collab.hit_ratio,
+                        independent_hit_ratio=without.hit_ratio,
+                        collab_neighbor_chunks=with_collab.neighbor_chunks,
                     ))
                 for position, first in enumerate(pairing):
                     for second in pairing[position + 1:]:
@@ -364,8 +323,9 @@ def run_fig_collab(settings: ExperimentSettings | None = None,
                         ))
                 aggregate_points.append((
                     neighbor_read_ms,
-                    percent_difference(independent.mean_ms[DEPLOYMENT_LABEL],
-                                       collab.mean_ms[DEPLOYMENT_LABEL]),
+                    percent_difference(
+                        independent.aggregates[DEPLOYMENT_LABEL].mean_latency_ms,
+                        collab.aggregates[DEPLOYMENT_LABEL].mean_latency_ms),
                 ))
             crossovers.append(compute_crossover(label, period_s, aggregate_points))
     return CollabSweepResult(rows=rows, overlaps=overlaps, crossovers=crossovers,

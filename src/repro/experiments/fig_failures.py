@@ -35,8 +35,9 @@ from repro.experiments.common import (
     ExperimentSettings,
     agar_config_for_capacity,
 )
-from repro.sim.engine import EngineConfig, EngineResult, EventEngine, RegionSpec
+from repro.sim.engine import EngineConfig, EngineResult, RegionSpec
 from repro.sim.faults import FaultSchedule, RegionOutage
+from repro.sim.simulation import run_many
 
 #: Outage durations swept by default, as fractions of the clean-run duration.
 DEFAULT_OUTAGE_FRACTIONS: tuple[float, ...] = (0.15, 0.3)
@@ -197,27 +198,6 @@ def _build_config(settings: ExperimentSettings, regions: tuple[str, ...],
     )
 
 
-def _execute(settings: ExperimentSettings, config: EngineConfig,
-             sharded: bool):
-    """Run one deployment ``settings.runs`` times, keeping every ReadResult.
-
-    Returns ``(results, deployment)`` — the deployment's Agar nodes carry the
-    fault-reaction lag measurements accumulated across the runs.
-    """
-    engine = EventEngine(config, keep_results=True)
-    base_seed = config.workload.seed
-    engine.topology.latency.reseed(config.topology_seed + base_seed)
-    deployment = engine.build_deployment()
-    results = []
-    for run_index in range(settings.runs):
-        seed = base_seed + run_index
-        if sharded:
-            results.append(engine.execute_sharded(deployment, seed))
-        else:
-            results.append(engine.execute(deployment, seed))
-    return results, deployment
-
-
 def _reaction_lag_s(deployment) -> float | None:
     """Mean Agar fault-reaction lag across the deployment's nodes, if any.
 
@@ -324,7 +304,8 @@ def run_fig_failures(settings: ExperimentSettings | None = None,
         clean_config = _build_config(settings, regions, strategy, clients,
                                      arrival, collaboration, faults=None,
                                      resilience=resilience)
-        clean_runs, _ = _execute(settings, clean_config, sharded)
+        clean_runs = run_many(clean_config, runs=settings.runs, sharded=sharded,
+                              keep_results=True).results
         duration = _duration_s(clean_runs)
         window_s = max(window_s, duration / WINDOWS_PER_RUN)
         leg_window = duration / WINDOWS_PER_RUN
@@ -343,7 +324,9 @@ def run_fig_failures(settings: ExperimentSettings | None = None,
             config = _build_config(settings, regions, strategy, clients,
                                    arrival, collaboration, faults=faults,
                                    resilience=resilience)
-            runs, deployment = _execute(settings, config, sharded)
+            faulted = run_many(config, runs=settings.runs, sharded=sharded,
+                               keep_results=True)
+            runs = faulted.results
             stats = _merged_stats(runs)
             reads = _collect_reads(runs)
             faulted_duration = max(duration, _duration_s(runs))
@@ -377,7 +360,7 @@ def run_fig_failures(settings: ExperimentSettings | None = None,
                 recovery_lag_windows=_recovery_windows(windows, outage_end,
                                                        clean_p99),
                 reaction_lag_s=(None if sharded
-                                else _reaction_lag_s(deployment)),
+                                else _reaction_lag_s(faulted.deployment)),
             ))
             if fraction == fractions[-1]:
                 series[leg_label] = windows

@@ -1,17 +1,11 @@
-"""Multi-region deployments on the discrete-event engine.
+"""The multi-region scaling experiment.
 
-Two entry points:
-
-* :func:`run_engine_comparison` — the engine-backed counterpart of
-  ``run_comparison``: one multi-region deployment per strategy, repeated over
-  several seeds against the same warm deployment, aggregated per region.  The
-  Fig. 6/7/8 runners use it when the CLI's engine flags are active.
-* :func:`run_multiregion_scaling` — the multi-region scaling experiment: a
-  fixed deployment (default: Frankfurt + Sydney, Poisson arrivals,
-  collaboration on) swept over the number of concurrent clients per region,
-  reporting per-region mean/p99 latency, hit ratio and throughput.  This is
-  the scenario the single-client loop could not express: contention on the
-  shared per-region cache and the throughput/latency trade-off it causes.
+:func:`run_multiregion_scaling` sweeps a fixed deployment (default: Frankfurt
++ Sydney, Poisson arrivals, collaboration on) over the number of concurrent
+clients per region, reporting per-region mean/p99 latency, hit ratio and
+throughput.  This is the scenario the paper's single-client setting cannot
+express: contention on the shared per-region cache and the throughput/latency
+trade-off it causes.
 """
 
 from __future__ import annotations
@@ -19,214 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.report import Table
-from repro.core.agar_node import AgarNodeConfig
 from repro.experiments.common import (
     EVALUATION_REGIONS,
     EngineOptions,
     ExperimentSettings,
-    RegionSpecOption,
     agar_config_for_capacity,
-    engine_region_spec,
 )
-from repro.geo.topology import Topology
-from repro.sim.engine import (
-    DeploymentAggregate,
-    EngineConfig,
-    EngineResult,
-    EventEngine,
-    RegionRunResult,
-    RegionSpec,
-)
-from repro.workload.workload import ArrivalSpec, WorkloadSpec, poisson_arrivals
+from repro.sim.engine import EngineConfig
+from repro.sim.simulation import RegionAggregate, run_many
 
-#: Region label of deployment-wide aggregate rows in reports.
-DEPLOYMENT_LABEL = "all"
-
-
-@dataclass(frozen=True)
-class RegionAggregate:
-    """Per-region metrics averaged over repeated engine runs."""
-
-    region: str
-    strategy: str
-    clients: int
-    runs: int
-    mean_latency_ms: float
-    p50_latency_ms: float
-    p95_latency_ms: float
-    p99_latency_ms: float
-    hit_ratio: float
-    full_hit_ratio: float
-    throughput_rps: float
-    #: Chunks served from neighbouring regions' caches, averaged per run
-    #: (§VI neighbour reads; 0 outside collaborative deployments).
-    neighbor_chunks: float
-    per_run_latency_ms: list[float]
-
-
-def _aggregate_region(results: list[RegionRunResult]) -> RegionAggregate:
-    first = results[0]
-    latencies = [result.mean_latency_ms for result in results]
-    count = len(results)
-    return RegionAggregate(
-        region=first.region,
-        strategy=first.strategy,
-        clients=first.clients,
-        runs=count,
-        mean_latency_ms=sum(latencies) / count,
-        p50_latency_ms=sum(r.stats.p50_latency_ms for r in results) / count,
-        p95_latency_ms=sum(r.stats.p95_latency_ms for r in results) / count,
-        p99_latency_ms=sum(r.p99_latency_ms for r in results) / count,
-        hit_ratio=sum(r.hit_ratio for r in results) / count,
-        full_hit_ratio=sum(r.stats.full_hit_ratio for r in results) / count,
-        throughput_rps=sum(r.throughput_rps for r in results) / count,
-        neighbor_chunks=sum(r.stats.neighbor_chunks_total for r in results) / count,
-        per_run_latency_ms=latencies,
-    )
-
-
-def _aggregate_deployment(config: EngineConfig,
-                          aggregates: list[DeploymentAggregate]) -> RegionAggregate:
-    """Average the per-run deployment-wide aggregates into one report row.
-
-    Percentiles here are percentiles of the merged per-read distribution of
-    each run (see :meth:`EngineResult.aggregate`), averaged over runs — not
-    averages of per-region percentiles.
-    """
-    strategies = sorted({spec.strategy for spec in config.regions})
-    count = len(aggregates)
-    latencies = [aggregate.mean_latency_ms for aggregate in aggregates]
-    return RegionAggregate(
-        region=DEPLOYMENT_LABEL,
-        strategy=strategies[0] if len(strategies) == 1 else "+".join(strategies),
-        clients=config.total_clients,
-        runs=count,
-        mean_latency_ms=sum(latencies) / count,
-        p50_latency_ms=sum(a.p50_latency_ms for a in aggregates) / count,
-        p95_latency_ms=sum(a.p95_latency_ms for a in aggregates) / count,
-        p99_latency_ms=sum(a.p99_latency_ms for a in aggregates) / count,
-        hit_ratio=sum(a.hit_ratio for a in aggregates) / count,
-        full_hit_ratio=sum(a.full_hit_ratio for a in aggregates) / count,
-        throughput_rps=sum(a.throughput_rps for a in aggregates) / count,
-        neighbor_chunks=sum(a.neighbor_chunks for a in aggregates) / count,
-        per_run_latency_ms=latencies,
-    )
-
-
-@dataclass(frozen=True)
-class EngineRunsResult:
-    """Aggregates of repeated engine runs: per region plus deployment-wide.
-
-    Behaves like the former per-region mapping (``result[region]``,
-    ``.items()``, ``.values()``) so existing figure runners keep working, and
-    additionally carries the deployment-wide aggregate (merged percentiles,
-    combined hit ratio, total throughput).
-    """
-
-    regions: dict[str, RegionAggregate]
-    deployment: RegionAggregate
-
-    def __getitem__(self, region: str) -> RegionAggregate:
-        return self.regions[region]
-
-    def __iter__(self):
-        return iter(self.regions)
-
-    def __len__(self) -> int:
-        return len(self.regions)
-
-    def items(self):
-        """Per-region items, mirroring the mapping interface."""
-        return self.regions.items()
-
-    def values(self):
-        """Per-region aggregates, mirroring the mapping interface."""
-        return self.regions.values()
-
-
-def run_engine_many(config: EngineConfig, runs: int, base_seed: int | None = None,
-                    topology: Topology | None = None) -> EngineRunsResult:
-    """Repeat one engine deployment over several seeds and aggregate.
-
-    Runs execute against the same long-running (warm) deployment, mirroring
-    ``Simulation.run_many``'s default.  Returns per-region aggregates plus
-    the deployment-wide aggregate of each run's merged statistics.
-    """
-    if runs <= 0:
-        raise ValueError("runs must be positive")
-    engine = EventEngine(config, topology=topology)
-    base = config.workload.seed if base_seed is None else base_seed
-    engine.topology.latency.reseed(config.topology_seed + base)
-    deployment = engine.build_deployment()
-
-    per_region: dict[str, list[RegionRunResult]] = {}
-    per_run: list[DeploymentAggregate] = []
-    for run_index in range(runs):
-        result: EngineResult = engine.execute(deployment, seed=base + run_index)
-        per_run.append(result.aggregate())
-        for region, region_result in result.regions.items():
-            per_region.setdefault(region, []).append(region_result)
-    return EngineRunsResult(
-        regions={region: _aggregate_region(results)
-                 for region, results in per_region.items()},
-        deployment=_aggregate_deployment(config, per_run),
-    )
-
-
-def run_engine_comparison(workload: WorkloadSpec, strategies: list[str],
-                          regions: tuple[str, ...], cache_capacity_bytes: int,
-                          runs: int = 5,
-                          clients_per_region: int = 1,
-                          arrival: ArrivalSpec | None = None,
-                          collaboration: bool = False,
-                          agar_config: AgarNodeConfig | None = None,
-                          topology_seed: int = 0,
-                          topology: Topology | None = None,
-                          region_specs: tuple[RegionSpecOption, ...] | None = None
-                          ) -> dict[str, EngineRunsResult]:
-    """Engine-backed strategy comparison: one deployment per strategy.
-
-    All listed regions run simultaneously in one simulated deployment (unlike
-    the classic path, which simulates each region separately), so jitter and
-    reconfiguration interleave across regions.  Collaboration is applied only
-    when every region of the deployment runs the ``agar`` strategy — the
-    static baselines have no nodes to collaborate.
-
-    ``region_specs`` describes a heterogeneous deployment (CLI ``--region``
-    flags): a region with a pinned strategy keeps it across the whole sweep,
-    and per-region cache sizes override ``cache_capacity_bytes``.
-
-    Returns ``{strategy: EngineRunsResult}``.
-    """
-    comparison: dict[str, EngineRunsResult] = {}
-    for strategy in strategies:
-        if region_specs:
-            deployment_regions = tuple(
-                engine_region_spec(spec, strategy, clients_per_region)
-                for spec in region_specs
-            )
-        else:
-            deployment_regions = tuple(
-                RegionSpec(region=region, clients=clients_per_region, strategy=strategy)
-                for region in regions
-            )
-        all_agar = all(spec.strategy == "agar" for spec in deployment_regions)
-        config = EngineConfig(
-            workload=workload,
-            regions=deployment_regions,
-            cache_capacity_bytes=cache_capacity_bytes,
-            agar=agar_config,
-            topology_seed=topology_seed,
-            arrival=arrival or ArrivalSpec(),
-            collaboration=collaboration and all_agar,
-        )
-        comparison[strategy] = run_engine_many(config, runs=runs, topology=topology)
-    return comparison
-
-
-# ---------------------------------------------------------------------- #
-# The multi-region scaling experiment
-# ---------------------------------------------------------------------- #
 #: Client counts swept by the scaling experiment.
 DEFAULT_CLIENT_SCALING: tuple[int, ...] = (1, 2, 4, 8)
 
@@ -314,10 +109,10 @@ def run_multiregion_scaling(settings: ExperimentSettings | None = None,
             arrival=arrival,
             collaboration=options.collaboration and all_agar,
         )
-        aggregates = run_engine_many(config, runs=settings.runs)
+        aggregates = run_many(config, runs=settings.runs)
         for region in regions:
-            rows.append(_row_from_aggregate(clients, aggregates[region]))
-        rows.append(_row_from_aggregate(clients, aggregates.deployment))
+            rows.append(_row_from_aggregate(clients, aggregates.regions[region]))
+        rows.append(_row_from_aggregate(clients, aggregates.deployment_aggregate))
     return rows
 
 

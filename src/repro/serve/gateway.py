@@ -25,17 +25,12 @@ sequence (reseed, build, initial fault install, external-reconfiguration
 handover) so the served system starts in the simulator's exact initial
 state.
 
-Two **ledger modes** exist per cluster:
-
-- ``"replay"`` (default): the ledger promises bit-identity against a seeded
-  engine run on the same trace.  Configs whose decisions depend on
-  global-order jitter draws (§VI collaboration, active resilience) are
-  rejected, exactly like the trace builder rejects them.
-- ``"record"``: the ledger *records* every decision without promising
-  replay equivalence.  This is the mode that serves resilient and
-  collaborative deployments over the wire — and the mode the chaos tier
-  runs in, because crash/recovery cycles consume jitter draws no replay
-  could reproduce.
+The ledger always records every decision.  Whether it is also *replayable* —
+bit-identical to a seeded engine run on the same trace — is a property of the
+configuration, judged where the claim is made
+(:func:`repro.serve.trace.run_and_trace` rejects §VI collaboration and active
+resilience, whose decisions depend on global-order jitter draws); crash and
+recovery cycles of the chaos tier likewise consume draws no replay reproduces.
 """
 
 from __future__ import annotations
@@ -62,8 +57,6 @@ from repro.sim.engine import (EngineConfig, EngineDeployment, EventEngine,
                               _install_neighbor_catalogs)
 from repro.sim.faults import (AZFailure, BackendBrownout, FaultSchedule,
                               RegionOutage)
-
-LEDGER_MODES = ("replay", "record")
 
 _KEY_PATTERN = re.compile(r"[A-Za-z0-9._-]{1,200}")
 _OBJECTS_PREFIX = "/objects/"
@@ -95,16 +88,12 @@ class RegionGateway:
                  clock: SimulationClock,
                  fault_states: tuple = (),
                  settings: GatewaySettings | None = None,
-                 epoch: float | None = None,
-                 ledger_mode: str = "replay") -> None:
-        if ledger_mode not in LEDGER_MODES:
-            raise ValueError(f"unknown ledger mode {ledger_mode!r}")
+                 epoch: float | None = None) -> None:
         self.region = region
         self.strategy = strategy
         self.store = store
         self.clock = clock
         self.settings = settings or GatewaySettings()
-        self.ledger_mode = ledger_mode
         self.ledger: list[LedgerEntry] = []
         self.wire_stats = LatencyStats()
         self.requests_total = 0
@@ -639,22 +628,19 @@ class ServeCluster:
 
     def __init__(self, config: EngineConfig, deployment: EngineDeployment,
                  gateways: dict[str, RegionGateway],
-                 ledger_mode: str = "replay",
                  epoch: float | None = None,
                  neighbor_profiles: dict[str, tuple[float, float]] | None = None,
                  ) -> None:
         self.config = config
         self.deployment = deployment
         self.gateways = gateways
-        self.ledger_mode = ledger_mode
         self.epoch = time.perf_counter() if epoch is None else epoch
         self._neighbor_profiles = neighbor_profiles
 
     @classmethod
     def from_config(cls, config: EngineConfig, *, seed: int | None = None,
                     payloads: bool = False,
-                    settings: GatewaySettings | None = None,
-                    ledger_mode: str = "replay") -> "ServeCluster":
+                    settings: GatewaySettings | None = None) -> "ServeCluster":
         """Deploy gateways from an engine config, in the engine's own order.
 
         Mirrors :meth:`EventEngine.run` deployment-side: reseed the shared
@@ -664,25 +650,10 @@ class ServeCluster:
         timer mode.  With ``payloads=True`` the store carries real encoded
         bytes (placement — and thus every decision — is unchanged).
 
-        ``ledger_mode="replay"`` (default) keeps the bit-identity promise and
-        therefore rejects §VI collaboration and active resilience configs
-        (their decisions depend on global-order jitter draws).
-        ``ledger_mode="record"`` accepts both: decisions are still recorded
-        per request, but the ledger documents what happened rather than what
-        a seeded engine run would reproduce.
+        §VI collaboration and active resilience configs deploy like any
+        other; their ledgers document what happened rather than what a seeded
+        engine run would reproduce (see the module docstring).
         """
-        if ledger_mode not in LEDGER_MODES:
-            raise ValueError(f"unknown ledger mode {ledger_mode!r}")
-        if config.collaboration and ledger_mode != "record":
-            raise ValueError(
-                "§VI collaboration draws jitter in global event order; serve "
-                "it with ledger_mode='record' (no replay equivalence)")
-        resilience = config.client.resilience
-        if (resilience is not None and resilience.active
-                and ledger_mode != "record"):
-            raise ValueError(
-                "resilient reads draw jitter in global event order; serve "
-                "them with ledger_mode='record' (no replay equivalence)")
         names = [spec.region for spec in config.regions]
         if len(set(names)) != len(names):
             raise ValueError("serving tier requires unique region names")
@@ -704,16 +675,15 @@ class ServeCluster:
         gateways = {
             spec.region: RegionGateway(
                 spec.region, strategy, deployment.store, deployment.clock,
-                fault_states=fault_states, settings=settings, epoch=epoch,
-                ledger_mode=ledger_mode)
+                fault_states=fault_states, settings=settings, epoch=epoch)
             for spec, strategy in zip(config.regions, deployment.strategies)
         }
         if faults is not None and not faults.is_empty:
             initial = faults.initial_state
             for name in names:
                 gateways[name].install_initial_fault(initial, 0.0)
-        return cls(config, deployment, gateways, ledger_mode=ledger_mode,
-                   epoch=epoch, neighbor_profiles=neighbor_profiles)
+        return cls(config, deployment, gateways, epoch=epoch,
+                   neighbor_profiles=neighbor_profiles)
 
     # ------------------------------------------------------------------ #
     # Cluster time and recovery support

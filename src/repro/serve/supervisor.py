@@ -247,7 +247,7 @@ class ClusterSupervisor:
         gateway = RegionGateway(
             region, strategy, corpse.store, corpse.clock,
             fault_states=corpse._fault_states, settings=corpse.settings,
-            epoch=corpse.started_at, ledger_mode=corpse.ledger_mode)
+            epoch=corpse.started_at)
         # The ledger is the durable log: the new instance appends to the
         # same history the old one wrote.  The dynamic-fault queue rides
         # along so wire-installed windows still expire on schedule.

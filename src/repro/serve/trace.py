@@ -25,11 +25,9 @@ Timer reconstruction mirrors the engine's scheduler contract exactly
 Scope: collaboration rounds (§VI) and resilient reads (retry/hedge) depend
 on shared jitter draws taken in *global* event order, which a per-region
 wire replay cannot reproduce — configs using either are rejected.  Such
-deployments are still servable: deploy with
-``ServeCluster.from_config(..., ledger_mode="record")``, which records the
-decisions (including crash/recovery entries from the chaos tier) without
-promising replay equivalence — the oracle here applies only to the default
-``"replay"`` mode.
+deployments are still servable: ``ServeCluster.from_config`` deploys them and
+their ledgers record every decision (including crash/recovery entries from
+the chaos tier); only this oracle's equivalence claim does not extend to them.
 """
 
 from __future__ import annotations

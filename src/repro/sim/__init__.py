@@ -1,5 +1,5 @@
 """Simulation substrate: simulated clock, the discrete-event engine and the
-classic single-client run driver."""
+repeat-and-aggregate experiment driver."""
 
 from repro.sim.clock import SimulationClock
 from repro.sim.engine import (
@@ -21,20 +21,19 @@ from repro.sim.faults import (
     RegionOutage,
 )
 from repro.sim.simulation import (
-    AggregatedResult,
-    Simulation,
-    SimulationConfig,
-    SimulationResult,
-    aggregate_results,
+    DEPLOYMENT_LABEL,
+    RegionAggregate,
+    RunsResult,
     run_comparison,
+    run_many,
 )
 
 __all__ = [
     "AZFailure",
-    "AggregatedResult",
     "BackendBrownout",
     "CLEAR_STATE",
     "CLIENT_SEED_STRIDE",
+    "DEPLOYMENT_LABEL",
     "DeploymentAggregate",
     "EngineConfig",
     "EngineDeployment",
@@ -42,13 +41,12 @@ __all__ = [
     "EventEngine",
     "FaultSchedule",
     "FaultState",
+    "RegionAggregate",
     "RegionOutage",
     "RegionRunResult",
     "RegionSpec",
-    "Simulation",
+    "RunsResult",
     "SimulationClock",
-    "SimulationConfig",
-    "SimulationResult",
-    "aggregate_results",
     "run_comparison",
+    "run_many",
 ]

@@ -1,8 +1,8 @@
 """The discrete-event simulation core: multi-region, multi-client deployments.
 
-The legacy driver replayed one closed-loop client in one region.  This engine
-generalises it into a discrete-event simulation: a single event queue over the
-shared :class:`~repro.sim.clock.SimulationClock` interleaves
+The paper's experiments replay one closed-loop client in one region.  This
+engine generalises that loop into a discrete-event simulation: a single event
+queue over the shared :class:`~repro.sim.clock.SimulationClock` interleaves
 
 * **request arrivals** — N concurrent clients per region, each replaying its
   own deterministic request stream, either closed-loop (the next request is
@@ -29,7 +29,7 @@ Given the same :class:`EngineConfig` and run seed, a run is bit-reproducible:
 
 * client ``g`` (region-major numbering) replays the request stream seeded
   ``seed + CLIENT_SEED_STRIDE * g`` — client 0 therefore replays exactly the
-  stream the legacy ``Simulation`` replays for the same seed;
+  stream the pre-engine closed loop replays for the same seed;
 * Poisson arrival times come from a dedicated per-client generator seeded
   ``(seed, _ARRIVAL_SEED_TAG, g)``, independent of the latency jitter stream;
 * events are processed in ``(time, kind, insertion order)`` order, with
@@ -38,7 +38,7 @@ Given the same :class:`EngineConfig` and run seed, a run is bit-reproducible:
 
 With one region, one closed-loop client, no collaboration and piggybacked
 reconfiguration (the automatic default for that shape), the engine reproduces
-the legacy ``Simulation.run`` results bit-identically.
+the pre-engine closed loop (``tests/reference/closed_loop.py``) bit-identically.
 
 Scheduling core (lane scheduler)
 --------------------------------
@@ -1368,7 +1368,7 @@ class EventEngine:
         one :class:`Request` object per read.  :meth:`execute` must reproduce
         this bit-for-bit; the equivalence suite compares the two on every
         supported shape, the same way the engine originally proved itself
-        against ``Simulation.run_legacy``.  (One semantic addition since the
+        against the pre-engine closed loop.  (One semantic addition since the
         PR 2 loop: collaborative rounds install the §VI neighbour catalogs —
         applied to both schedulers in lockstep.)
         """

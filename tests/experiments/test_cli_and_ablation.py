@@ -61,6 +61,75 @@ class TestCli:
             main(["fig6", "--arrival-rate", "-1"], out=io.StringIO())
 
 
+class TestEngineFlagsOnlyWhereHonoured:
+    """A single named experiment that would ignore an engine flag rejects it
+    (it used to print the one-client table and exit 0)."""
+
+    @staticmethod
+    def rejected(argv, capsys) -> str:
+        with pytest.raises(SystemExit) as error:
+            main([*argv, "--smoke"], out=io.StringIO())
+        assert error.value.code == 2
+        return capsys.readouterr().err
+
+    def test_clients_per_region(self, capsys):
+        message = self.rejected(["fig2", "--clients-per-region", "4"], capsys)
+        assert "--clients-per-region does not apply to fig2" in message
+        self.rejected(["fig_chaos", "--clients-per-region", "2"], capsys)
+        self.rejected(["serve", "--clients-per-region", "2"], capsys)
+
+    @pytest.mark.parametrize("flag", ["--collaboration", "--no-collaboration"])
+    def test_collaboration(self, flag, capsys):
+        message = self.rejected(["fig10", flag], capsys)
+        assert "--collaboration/--no-collaboration does not apply to fig10" in message
+        self.rejected(["table1", flag], capsys)
+
+    def test_region(self, capsys):
+        message = self.rejected(["fig10", "--region", "frankfurt:lru-5"], capsys)
+        assert "--region does not apply to fig10" in message
+        self.rejected(["serve", "--region", "frankfurt"], capsys)
+
+    def test_regions(self, capsys):
+        message = self.rejected(["fig9", "--regions", "frankfurt"], capsys)
+        assert "--regions does not apply to fig9" in message
+        assert "fig_chaos, serve" in message
+        self.rejected(["microbench", "--regions", "frankfurt,sydney"], capsys)
+
+    def test_arrival_rate(self, capsys):
+        message = self.rejected(["fig2", "--arrival-rate", "3"], capsys)
+        assert "--arrival-rate does not apply to fig2" in message
+        self.rejected(["fig_chaos", "--arrival-rate", "3"], capsys)
+
+    def test_the_reported_command(self, capsys):
+        self.rejected(["fig2", "--clients-per-region", "4", "--collaboration",
+                       "--arrival-rate", "3"], capsys)
+
+    def test_flags_still_reach_the_experiments_that_take_them(self, monkeypatch):
+        """``--regions`` / ``--arrival-rate`` stay valid for the wire
+        experiments, every flag for the engine experiments and for ``all``."""
+        from repro.experiments import cli as cli_module
+
+        seen = []
+        monkeypatch.setattr(
+            cli_module, "_run_one",
+            lambda name, settings, out, engine=None, extra=None:
+                seen.append((name, engine, extra)))
+        run = lambda argv: main([*argv, "--smoke"], out=io.StringIO())  # noqa: E731
+
+        assert run(["serve", "--regions", "frankfurt,sydney", "--arrival-rate", "50"]) == 0
+        assert seen[-1][2] == {"serve_regions": ("frankfurt", "sydney"),
+                               "serve_rate_rps": 50.0}
+        assert run(["fig_chaos", "--regions", "frankfurt,dublin"]) == 0
+        assert seen[-1][2] == {"chaos_regions": ("frankfurt", "dublin")}
+        assert run(["fig8b", "--clients-per-region", "2", "--arrival-rate", "3",
+                    "--collaboration", "--region", "frankfurt::20MB"]) == 0
+        assert seen[-1][1].clients_per_region == 2
+        seen.clear()
+        assert run(["all", "--clients-per-region", "2"]) == 0
+        engines = {name: engine for name, engine, _ in seen}
+        assert engines["fig2"] is None and engines["fig6"].clients_per_region == 2
+
+
 class TestCliEngine:
     """The ISSUE 2 acceptance scenario: a deterministic multi-region run with
     Poisson arrivals and collaboration, reported per region via the CLI."""

@@ -5,9 +5,9 @@ kill/restart schedule completes with zero ledger corruption, request
 accounting conserves (``count + unavailable + failed_over == requests``),
 the supervisor restores every crashed gateway with warm recovery bringing
 back ≥90 % of the pre-crash cache, and the post-recovery tail latency stays
-within tolerance of a clean baseline.  Record-mode deployments (resilient
-clients, §VI collaboration) are covered here too — they only exist over
-the wire in ``ledger_mode="record"``.
+within tolerance of a clean baseline.  Deployments the replay oracle does
+not cover (resilient clients, §VI collaboration) are served here too: their
+ledgers record every decision, only ``run_and_trace`` refuses them.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.serve.loadgen import (WireLoadSpec, WireResilience, run_wire_load,
                                  wire_report_table)
 from repro.serve.supervisor import (ClusterSupervisor, SupervisorConfig,
                                     recovery_report_table)
+from repro.serve.trace import run_and_trace
 from repro.sim.engine import EngineConfig, RegionSpec
 from repro.workload.workload import ArrivalSpec, WorkloadSpec
 
@@ -233,19 +234,18 @@ class TestChaosAcceptance:
         run(scenario())
 
 
-class TestRecordMode:
-    def test_resilient_config_requires_record_mode(self, run):
+class TestRecordedDeployments:
+    """Configs ``serve/trace.py`` cannot replay still serve and record."""
+
+    def test_resilient_config_is_served_and_recorded(self, run):
         config = two_region_config(
             client=ClientConfig(resilience=ResilienceConfig(retry_budget=2)))
-        with pytest.raises(ValueError, match="record"):
-            ServeCluster.from_config(config)
+        with pytest.raises(ValueError, match="resilient"):
+            run_and_trace(config, seed=1)
 
         async def scenario():
-            cluster = ServeCluster.from_config(config, payloads=True,
-                                               ledger_mode="record")
+            cluster = ServeCluster.from_config(config, payloads=True)
             async with cluster:
-                for gateway in cluster.gateways.values():
-                    assert gateway.ledger_mode == "record"
                 spec = resilient_spec(config)
                 results = await run_wire_load(cluster.addresses, spec, seed=3)
                 _assert_conservation(results)
@@ -256,14 +256,13 @@ class TestRecordMode:
 
         run(scenario())
 
-    def test_collaboration_requires_record_mode(self, run):
+    def test_collaboration_is_served_and_recorded(self, run):
         config = two_region_config(strategy="agar", collaboration=True)
         with pytest.raises(ValueError, match="collaboration"):
-            ServeCluster.from_config(config)
+            run_and_trace(config, seed=1)
 
         async def scenario():
-            cluster = ServeCluster.from_config(config, payloads=True,
-                                               ledger_mode="record")
+            cluster = ServeCluster.from_config(config, payloads=True)
             async with cluster:
                 addresses = cluster.addresses
                 for region in addresses:
@@ -282,7 +281,3 @@ class TestRecordMode:
                     assert status == 200
 
         run(scenario())
-
-    def test_unknown_ledger_mode_rejected(self):
-        with pytest.raises(ValueError, match="ledger mode"):
-            ServeCluster.from_config(two_region_config(), ledger_mode="append")

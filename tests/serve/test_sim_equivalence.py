@@ -184,8 +184,6 @@ def test_collaboration_and_resilience_are_rejected():
     )
     with pytest.raises(ValueError, match="collaboration"):
         run_and_trace(collab, seed=1)
-    with pytest.raises(ValueError, match="collaboration"):
-        ServeCluster.from_config(collab)
     resilient = EngineConfig(
         workload=_workload(20),
         regions=[RegionSpec(region="frankfurt", clients=1, strategy="lru-3")],

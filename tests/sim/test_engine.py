@@ -10,8 +10,9 @@ from repro.sim.engine import (
     EventEngine,
     RegionSpec,
 )
-from repro.sim.simulation import Simulation, SimulationConfig
 from repro.workload.workload import ArrivalSpec, poisson_arrivals, zipfian_workload
+
+from reference.closed_loop import run_closed_loop
 
 MEGABYTE = 1024 * 1024
 
@@ -91,18 +92,15 @@ class TestConfigValidation:
 
 class TestLegacyEquivalence:
     """The 1-client closed-loop engine path must be bit-identical to the
-    pre-engine ``Simulation`` loop (ISSUE 2 acceptance criterion)."""
+    pre-engine closed loop (ISSUE 2 acceptance criterion), which lives on as
+    ``tests/reference/closed_loop.py``."""
 
     @pytest.mark.parametrize("strategy", ["backend", "lru-5", "lfu-5", "agar"])
     def test_bit_identical_stats(self, strategy):
-        config = SimulationConfig(
-            workload=small_workload(requests=80, objects=15),
-            client_region="frankfurt",
-            strategy=strategy,
-            cache_capacity_bytes=5 * MEGABYTE,
-        )
-        engine_result = Simulation(config).run(seed=3)
-        legacy_result = Simulation(config).run_legacy(seed=3)
+        config = single_region_config(
+            strategy, workload=small_workload(requests=80, objects=15))
+        engine_result = EventEngine(config).run(seed=3).regions["frankfurt"]
+        legacy_result = run_closed_loop(config, seed=3)
 
         assert np.array_equal(
             engine_result.stats.latencies_array(), legacy_result.stats.latencies_array()
@@ -114,26 +112,20 @@ class TestLegacyEquivalence:
         assert engine_result.duration_s == legacy_result.duration_s
 
     def test_bit_identical_with_warmup(self):
-        config = SimulationConfig(
-            workload=small_workload(requests=60, objects=12),
-            strategy="lfu-7",
-            cache_capacity_bytes=5 * MEGABYTE,
-            warmup_requests=20,
-        )
-        engine_result = Simulation(config).run(seed=5)
-        legacy_result = Simulation(config).run_legacy(seed=5)
+        config = single_region_config(
+            "lfu-7", workload=small_workload(requests=60, objects=12),
+            warmup_requests=20)
+        engine_result = EventEngine(config).run(seed=5).regions["frankfurt"]
+        legacy_result = run_closed_loop(config, seed=5)
         assert engine_result.stats.count == legacy_result.stats.count == 40
         assert np.array_equal(
             engine_result.stats.latencies_array(), legacy_result.stats.latencies_array()
         )
 
     def test_cache_snapshots_match(self):
-        config = SimulationConfig(
-            workload=small_workload(), strategy="agar",
-            cache_capacity_bytes=5 * MEGABYTE,
-        )
-        engine_snapshot = Simulation(config).run(seed=2).cache_snapshot
-        legacy_snapshot = Simulation(config).run_legacy(seed=2).cache_snapshot
+        config = single_region_config("agar")
+        engine_snapshot = EventEngine(config).run(seed=2).regions["frankfurt"].cache_snapshot
+        legacy_snapshot = run_closed_loop(config, seed=2).cache_snapshot
         assert engine_snapshot.chunks_per_key == legacy_snapshot.chunks_per_key
 
 

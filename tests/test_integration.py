@@ -14,24 +14,32 @@ than absolute numbers:
 
 import pytest
 
-from repro.sim import run_comparison
-from repro.sim.simulation import Simulation, SimulationConfig
+from repro.sim import EngineConfig, RegionSpec, run_comparison, run_many
 from repro.workload import uniform_workload, zipfian_workload
 
 MEGABYTE = 1024 * 1024
 
 
+def compare_in_frankfurt(workload, strategies, runs, topology_seed):
+    """The paper's comparison — each strategy alone, one client in Frankfurt —
+    as ``{strategy: RegionAggregate}``."""
+    comparison = run_comparison(
+        workload=workload,
+        deployments={strategy: (RegionSpec("frankfurt", strategy=strategy),)
+                     for strategy in strategies},
+        cache_capacity_bytes=5 * MEGABYTE,
+        runs=runs,
+        topology_seed=topology_seed,
+    )
+    return {strategy: runs.regions["frankfurt"] for strategy, runs in comparison.items()}
+
+
 @pytest.fixture(scope="module")
 def comparison():
     workload = zipfian_workload(1.1, request_count=400, object_count=100, seed=21)
-    return run_comparison(
-        workload=workload,
-        strategies=["agar", "lfu-7", "lfu-9", "lru-1", "lru-9", "backend"],
-        client_region="frankfurt",
-        cache_capacity_bytes=5 * MEGABYTE,
-        runs=2,
-        topology_seed=21,
-    )
+    return compare_in_frankfurt(
+        workload, ["agar", "lfu-7", "lfu-9", "lru-1", "lru-9", "backend"],
+        runs=2, topology_seed=21)
 
 
 class TestFig6Shape:
@@ -64,14 +72,8 @@ class TestFig6Shape:
 class TestUniformWorkloadShape:
     def test_policy_choice_hardly_matters_without_skew(self):
         workload = uniform_workload(request_count=300, object_count=100, seed=5)
-        comparison = run_comparison(
-            workload=workload,
-            strategies=["agar", "lfu-9", "lru-5"],
-            client_region="frankfurt",
-            cache_capacity_bytes=5 * MEGABYTE,
-            runs=1,
-            topology_seed=5,
-        )
+        comparison = compare_in_frankfurt(
+            workload, ["agar", "lfu-9", "lru-5"], runs=1, topology_seed=5)
         latencies = [aggregate.mean_latency_ms for aggregate in comparison.values()]
         spread = (max(latencies) - min(latencies)) / max(latencies)
         assert spread < 0.15
@@ -80,15 +82,13 @@ class TestUniformWorkloadShape:
 class TestAgarCacheContents:
     def test_mixed_chunk_counts(self):
         workload = zipfian_workload(1.1, request_count=400, object_count=100, seed=3)
-        config = SimulationConfig(
+        config = EngineConfig(
             workload=workload,
-            client_region="frankfurt",
-            strategy="agar",
+            regions=(RegionSpec("frankfurt", strategy="agar"),),
             cache_capacity_bytes=10 * MEGABYTE,
             topology_seed=3,
         )
-        aggregate = Simulation(config).run_many(runs=2)
-        snapshot = aggregate.last_cache_snapshot
+        snapshot = run_many(config, runs=2).results[-1].regions["frankfurt"].cache_snapshot
         histogram = snapshot.chunk_count_histogram()
         assert len(histogram) >= 2, f"expected a mix of chunk counts, got {histogram}"
         assert snapshot.used_bytes <= 10 * MEGABYTE
@@ -97,14 +97,13 @@ class TestAgarCacheContents:
         workload = zipfian_workload(1.1, request_count=400, object_count=100, seed=9)
         snapshots = {}
         for region in ("frankfurt", "sydney"):
-            config = SimulationConfig(
+            config = EngineConfig(
                 workload=workload,
-                client_region=region,
-                strategy="agar",
+                regions=(RegionSpec(region, strategy="agar"),),
                 cache_capacity_bytes=5 * MEGABYTE,
                 topology_seed=9,
             )
-            aggregate = Simulation(config).run_many(runs=2)
-            snapshots[region] = aggregate.last_cache_snapshot.chunk_count_histogram()
+            last_run = run_many(config, runs=2).results[-1]
+            snapshots[region] = last_run.regions[region].cache_snapshot.chunk_count_histogram()
         # "For each scenario Agar chooses to manage its cache differently" (§V-D).
         assert snapshots["frankfurt"] != snapshots["sydney"]
