@@ -59,6 +59,7 @@ GUARDED_BENCHMARKS = (
     "test_bench_engine_faulted",
     "test_bench_engine_hedged_faulted",
     "test_bench_engine_million_lane",
+    "test_bench_agar_read_indexed",
     "test_bench_collab_sharded_rounds",
     "test_bench_serve_wire",
     "test_bench_gateway_dispatch",
@@ -73,6 +74,7 @@ _BENCH_FILES = {
     "test_bench_engine_faulted": "test_bench_engine.py",
     "test_bench_engine_hedged_faulted": "test_bench_engine.py",
     "test_bench_engine_million_lane": "test_bench_engine.py",
+    "test_bench_agar_read_indexed": "test_bench_engine.py",
     "test_bench_collab_sharded_rounds": "test_bench_collab.py",
     "test_bench_serve_wire": "test_bench_serve_wire.py",
     "test_bench_gateway_dispatch": "test_bench_serve_wire.py",
@@ -127,6 +129,10 @@ DEFAULT_TOLERANCES = {
     "test_bench_engine_hedged_faulted": 0.60,
     # Long-body benchmark (multi-second rounds): proportionally steadier.
     "test_bench_engine_million_lane": 0.50,
+    # 20,000 warm Agar reads with no scheduler around them (ISSUE 23): ~0.1 s
+    # rounds of pure interpreter work, steadier than the engine scenarios but
+    # exposed to the same VM phases as the other interpreter-bound rows.
+    "test_bench_agar_read_indexed": 0.35,
     "test_bench_collab_sharded_rounds": 0.50,
     # Wire path (PR 9): real sockets on a shared runner — widest band; the
     # hard >= 10k req/s floor inside the benchmark is the primary gate.

@@ -20,6 +20,10 @@ Two guarded benchmarks:
   262,144 closed-loop clients through the batched wave drainer must sustain
   at least 10^7 requests per wall-clock minute, and a 1,048,576-lane
   deployment must construct and step end to end.
+* ``test_bench_agar_read_indexed`` — the ISSUE 23 micro-guard: 20,000
+  ``read_indexed`` calls on one warm 300-key Agar strategy with no scheduler
+  around them, so the read itself (count, remembered hints, one cache probe,
+  selection, draws, result) is gated apart from the event loop.
 
 The measured bodies exclude deployment construction (store population and
 warm-up probes) so the numbers track the event loops themselves.
@@ -30,11 +34,18 @@ import time
 
 from conftest import emit
 
+from repro.backend import ErasureCodedStore
 from repro.client.resilience import ResilienceConfig
-from repro.client.strategies import ClientConfig
+from repro.client.strategies import ClientConfig, make_strategy
+from repro.geo import default_topology
+from repro.sim.clock import SimulationClock
 from repro.sim.engine import EngineConfig, EventEngine, RegionSpec
 from repro.sim.faults import FaultSchedule, RegionOutage
-from repro.workload.workload import poisson_arrivals, zipfian_workload
+from repro.workload.workload import (
+    generate_request_ranks,
+    poisson_arrivals,
+    zipfian_workload,
+)
 
 MEGABYTE = 1024 * 1024
 
@@ -316,3 +327,53 @@ def test_bench_engine_hedged_faulted(benchmark, settings):
     assert stats.unavailable_reads == 0
     assert stats.retries_total > 0
     assert stats.hedged_reads > 0
+
+
+def test_bench_agar_read_indexed(benchmark, settings):
+    """20,000 indexed reads of one warm Agar strategy, no scheduler around them.
+
+    Three periods of Zipfian reads and timer-style reconfigurations warm the
+    node (a configuration installed, its hinted chunks cached); the measured
+    body then replays a fixed rank stream at one simulated instant, so every
+    round does identical work: most reads are hinted and hit the cache.
+    """
+    store = ErasureCodedStore(default_topology(seed=settings.seed))
+    store.populate(300, MEGABYTE)
+    clock = SimulationClock()
+    strategy = make_strategy("agar", store, "frankfurt", 10 * MEGABYTE, clock=clock)
+    strategy.set_external_reconfiguration(True)
+    workload = zipfian_workload(1.1, request_count=20_000, object_count=300,
+                                seed=settings.seed)
+    strategy.prepare_indexed_reads(
+        [workload.key_for_rank(rank) for rank in range(workload.object_count)])
+    ranks = generate_request_ranks(workload, seed=settings.seed).tolist()
+    read = strategy.read_indexed
+    now = 0.0
+    for _period in range(3):
+        for rank in ranks[:3000]:
+            now += 0.01
+            clock.advance_to(now)
+            read(rank, now)
+        strategy.tick(now)
+    for rank in ranks[:3000]:     # fills what the last configuration hints at
+        read(rank, now)
+
+    def replay():
+        hits = 0
+        for rank in ranks:
+            hits += read(rank, now).chunks_from_cache > 0
+        return hits
+
+    hits = benchmark(replay)
+    per_read_us = benchmark.stats.stats.mean / len(ranks) * 1e6
+    benchmark.extra_info["us_per_read"] = round(per_read_us, 3)
+    benchmark.extra_info["hit_share"] = round(hits / len(ranks), 4)
+    emit(
+        "agar read_indexed micro-guard (warm, no scheduler)",
+        f"{len(ranks)} reads/round, {per_read_us:.2f} us per read, "
+        f"{hits / len(ranks):.1%} served at least one chunk from the cache",
+    )
+    stats = strategy.cache.stats
+    assert hits > len(ranks) // 2
+    assert stats.chunk_hits > 0 and stats.evictions == 0
+    assert strategy.node.request_monitor.requests_seen >= len(ranks)

@@ -9,7 +9,7 @@ the simulation clock.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from repro.cache.base import CacheEntry, CacheSnapshot, CacheStats, EvictionPolicy
 from repro.cache.policies import LRUEvictionPolicy
@@ -126,6 +126,42 @@ class ChunkCache:
             hook(entry)
         self.stats.chunk_hits += 1
         return entry.chunk
+
+    def probe(self, chunk_ids: Sequence[ChunkId]) -> list[int]:
+        """Look up a read's chunks in one call; returns the offsets that hit.
+
+        The effects of ``get(chunk_id)`` for every id, in order — recency,
+        ``access_count``, the policy's ``on_access`` hook, the hit and miss
+        counters — with the clock read once for all of them: one read's
+        lookups happen at one time.  A clock-less cache ticks once per hit,
+        as :meth:`get` does.
+        """
+        find = self._entries.get
+        clock = self._clock
+        hook = self._access_hook
+        now = None
+        hits: list[int] = []
+        for offset, chunk_id in enumerate(chunk_ids):
+            entry = find(chunk_id)
+            if entry is None:
+                continue
+            if clock is None:
+                self._ticks += 1
+                entry.last_access = float(self._ticks)
+            else:
+                if now is None:
+                    now = clock()
+                    if type(now) is not float:
+                        now = float(now)
+                entry.last_access = now
+            entry.access_count += 1
+            if hook is not None:
+                hook(entry)
+            hits.append(offset)
+        stats = self.stats
+        stats.chunk_hits += len(hits)
+        stats.chunk_misses += len(chunk_ids) - len(hits)
+        return hits
 
     def put(self, chunk: Chunk) -> bool:
         """Insert a chunk, evicting as needed.  Returns True if it was admitted.

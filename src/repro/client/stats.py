@@ -168,25 +168,52 @@ class LatencyStats:
     # Recording
     # ------------------------------------------------------------------ #
     def record(self, result: ReadResult) -> None:
-        """Add one read result."""
-        self.record_read(result.latency_ms, result.hit_type,
-                         result.chunks_from_cache, result.chunks_from_backend,
-                         result.chunks_from_neighbors, result.degraded,
-                         result.failed, result.retries, result.hedged,
-                         result.hedge_won)
-
-    def record_read(self, latency_ms: float, hit_type: HitType,
-                    chunks_from_cache: int = 0, chunks_from_backend: int = 0,
-                    chunks_from_neighbors: int = 0, degraded: bool = False,
-                    failed: bool = False, retries: int = 0,
-                    hedged: bool = False, hedge_won: bool = False) -> None:
-        """Scalar fast path: add one read without a :class:`ReadResult`.
+        """Add one read result, as it is.
 
         A failed (unavailable) read carries no meaningful latency or hit
         classification — the object was never reconstructed — so it only
         bumps :attr:`unavailable_reads` and stays out of every latency and
         hit-ratio aggregate (resilience never runs on a failed read, so its
         counters stay untouched too).
+        """
+        if result.failed:
+            self.unavailable_reads += 1
+            return
+        if result.degraded:
+            self.degraded_reads += 1
+        if result.retries:
+            self.retries_total += result.retries
+        if result.hedged:
+            self.hedged_reads += 1
+            if result.hedge_won:
+                self.hedge_wins += 1
+        count = self._count
+        buffer = self._buffer
+        if count == buffer.shape[0]:
+            buffer = self._grown()
+        buffer[count] = result.latency_ms
+        self._count = count + 1
+        hit_type = result.hit_type
+        if hit_type is HitType.FULL:
+            self.full_hits += 1
+        elif hit_type is HitType.PARTIAL:
+            self.partial_hits += 1
+        else:
+            self.misses += 1
+        self.cache_chunks_total += result.chunks_from_cache
+        self.backend_chunks_total += result.chunks_from_backend
+        self.neighbor_chunks_total += result.chunks_from_neighbors
+
+    def record_read(self, latency_ms: float, hit_type: HitType,
+                    chunks_from_cache: int = 0, chunks_from_backend: int = 0,
+                    chunks_from_neighbors: int = 0, degraded: bool = False,
+                    failed: bool = False, retries: int = 0,
+                    hedged: bool = False, hedge_won: bool = False) -> None:
+        """Scalar twin of :meth:`record` for callers without a :class:`ReadResult`.
+
+        The serving tier records a decision's outcome under the *measured*
+        wall latency, and the load generator what it parsed off response
+        headers; same aggregates, same treatment of a failed read.
         """
         if failed:
             self.unavailable_reads += 1
@@ -202,9 +229,7 @@ class LatencyStats:
         count = self._count
         buffer = self._buffer
         if count == buffer.shape[0]:
-            buffer = np.empty(count * 2, dtype=np.float64)
-            buffer[:count] = self._buffer
-            self._buffer = buffer
+            buffer = self._grown()
         buffer[count] = latency_ms
         self._count = count + 1
         if hit_type is HitType.FULL:
@@ -216,6 +241,14 @@ class LatencyStats:
         self.cache_chunks_total += chunks_from_cache
         self.backend_chunks_total += chunks_from_backend
         self.neighbor_chunks_total += chunks_from_neighbors
+
+    def _grown(self) -> np.ndarray:
+        """Double the full latency buffer; returns the new one."""
+        count = self._count
+        buffer = np.empty(count * 2, dtype=np.float64)
+        buffer[:count] = self._buffer
+        self._buffer = buffer
+        return buffer
 
     def record_miss_block(self, latencies_ms, chunks_from_backend_each: int) -> None:
         """Batched twin of :meth:`record_read` for a block of uniform misses.

@@ -50,7 +50,8 @@ class _Selection:
                  "replanned", "failed", "hedge_position")
 
     def __init__(self, plan: "_ReadPlan", positions: tuple[int, ...],
-                 replanned: bool, failed: bool, hedge_position: int) -> None:
+                 replanned: bool, failed: bool, hedge_position: int,
+                 cache_hits: int) -> None:
         self.positions = positions
         self.count = len(positions)
         self.chunks = [plan.nearest[position] for position in positions]
@@ -63,14 +64,15 @@ class _Selection:
         # jitter (typically: same backend region) produce samples that are
         # the same monotonic function of their z draw, so only the group's
         # largest z can be the slowest — one exp per group instead of per
-        # chunk.  Each group carries the draw offsets (positions within the
-        # selection) its chunks consume, keeping the block stream layout
-        # unchanged.
+        # chunk.  Each group carries the offsets its chunks' draws have in
+        # the read's block of samples — the pattern's cache hits draw first,
+        # then the selection in order — as ``first`` and ``rest``, keeping
+        # the block stream layout unchanged.
         by_pair: dict[tuple[float, float], list[int]] = {}
-        for offset, position in enumerate(positions):
+        for offset, position in enumerate(positions, start=cache_hits):
             pair = (plan.nearest_expected_ms[position], plan.nearest_jitter[position])
             by_pair.setdefault(pair, []).append(offset)
-        self.groups = tuple((expected, jitter, tuple(offsets))
+        self.groups = tuple((expected, jitter, offsets[0], tuple(offsets[1:]))
                             for (expected, jitter), offsets in by_pair.items())
 
 
@@ -82,14 +84,16 @@ class _ReadPlan:
     first with the expected latency and jitter σ of its link, the ``k``
     failure-free ones furthest first with reusable chunk ids and
     (metadata-only) chunk objects for cache lookups and writes, and the
-    decode estimate.  The per-read work then reduces to cache probes, one
+    decode estimate.  The per-read work then reduces to one cache probe, one
     memoised selection lookup, one jitter draw per chunk and a handful of
     float operations.
 
     Caching is sound because placement and expected latencies are immutable;
     availability is *not* baked in — a fault only changes which memoised
     selection a read resolves (see :meth:`select`), so no invalidation is
-    needed when the availability mask changes.
+    needed when the availability mask changes.  The one thing a plan
+    remembers that does change, an Agar key's hints, carries the
+    configuration it was resolved under (see :meth:`hinted_under`).
 
     All of it but the key and its chunk ids depends only on where the
     object's chunks sit and how large they are, so the constructor builds a
@@ -102,12 +106,15 @@ class _ReadPlan:
                  "nearest_regions", "nearest_expected_ms",
                  "nearest_jitter", "cache_expected_ms", "cache_jitter",
                  "all_jitter_positive", "chunk_size", "decode_ms", "data_chunks",
-                 "_selections")
+                 "_selections", "hint")
 
     def __init__(self, furthest_first: list[PlacedChunk], chunk_size: int,
                  latency, client_region: str, data_chunks: int, decode_ms: float) -> None:
         self.key = None
         self.needed_chunk_ids = self.needed_chunks = ()
+        # Per key (see hinted_under): the Agar hints of the last configuration
+        # the key was read under.
+        self.hint = None
         self.chunk_size = chunk_size
         # The m furthest chunks are discarded on a failure-free read (§IV-A).
         self.needed = furthest_first[len(furthest_first) - data_chunks:]
@@ -154,6 +161,25 @@ class _ReadPlan:
                                   for chunk_id in plan.needed_chunk_ids]
         return plan
 
+    def hinted_under(self, configuration) -> tuple:
+        """Resolve and remember the key's Agar hints under ``configuration``.
+
+        Returns ``(configuration, hinted positions, their chunk ids)`` — the
+        needed positions (furthest first, ascending) whose chunk the
+        configuration wants cached.  A configuration is immutable and
+        ``CacheManager.install`` is the only way one becomes current, so a
+        reader reuses the triple for as long as the node's current
+        configuration *is* the remembered object; one triple per key, the
+        next configuration's replaces it.
+        """
+        hinted = configuration.chunks_for(self.key)
+        positions = tuple([position for position, placed in enumerate(self.needed)
+                           if placed.index in hinted]) if hinted else ()
+        chunk_ids = self.needed_chunk_ids
+        self.hint = hint = (configuration, positions,
+                            [chunk_ids[position] for position in positions])
+        return hint
+
     def select(self, hit_positions: tuple[int, ...],
                neighbor_positions: tuple[int, ...] = (),
                down: frozenset[str] = frozenset()) -> _Selection:
@@ -196,7 +222,8 @@ class _ReadPlan:
             spares = [position for position in free[len(chosen):]
                       if regions[position] not in down]
             selection = _Selection(self, tuple(chosen), replanned, failed,
-                                   spares[0] if spares else -1)
+                                   spares[0] if spares else -1,
+                                   cache_hits=len(hit_positions))
             self._selections[memo_key] = selection
         return selection
 
@@ -601,15 +628,8 @@ class ReadStrategy(ABC):
         sink = self._decision_sink
         if selection.failed:
             result = ReadResult(
-                key=plan.key,
-                latency_ms=self._overhead_ms + extra_overhead_ms,
-                hit_type=HitType.MISS,
-                chunks_from_cache=cache_hits,
-                chunks_from_backend=0,
-                chunks_from_neighbors=neighbor_count,
-                started_at_s=now,
-                failed=True,
-            )
+                plan.key, self._overhead_ms + extra_overhead_ms, HitType.MISS,
+                cache_hits, 0, (), now, neighbor_count, False, True)
             if sink is not None:
                 sink(result, [], [])
             return result
@@ -631,10 +651,10 @@ class ReadStrategy(ABC):
                     slowest = plan.cache_expected_ms * exp(
                         plan.cache_jitter * max(samples[:cache_hits])
                     )
-                for expected, jitter, offsets in selection.groups:
-                    largest = samples[cache_hits + offsets[0]]
-                    for extra in range(1, len(offsets)):
-                        candidate = samples[cache_hits + offsets[extra]]
+                for expected, jitter, first, rest in selection.groups:
+                    largest = samples[first]
+                    for offset in rest:
+                        candidate = samples[offset]
                         if candidate > largest:
                             largest = candidate
                     sample = expected * exp(jitter * largest)
@@ -686,20 +706,11 @@ class ReadStrategy(ABC):
         else:
             hit_type = HitType.MISS
 
+        # Positional, in ReadResult's field order: one is built per read.
         result = ReadResult(
-            key=plan.key,
-            latency_ms=total,
-            hit_type=hit_type,
-            chunks_from_cache=cache_hits,
-            chunks_from_backend=backend_count,
-            chunks_from_neighbors=neighbor_count,
-            backend_regions=selection.regions,
-            started_at_s=now,
-            degraded=degraded,
-            retries=retries,
-            hedged=hedged,
-            hedge_won=hedge_won,
-        )
+            plan.key, total, hit_type, cache_hits, backend_count,
+            selection.regions, now, neighbor_count, degraded, False,
+            retries, hedged, hedge_won)
         if sink is not None:
             needed = plan.needed
             sink(result, [needed[position] for position in hit_positions],
@@ -913,11 +924,11 @@ class BackendReadStrategy(ReadStrategy):
             decode = plan.decode_ms
             block = draws[rows]
             columns = []
-            for expected, jitter, offsets in plan.select(()).groups:
-                if len(offsets) == 1:
-                    column = block[:, offsets[0]]
+            for expected, jitter, first, rest in plan.select(()).groups:
+                if rest:
+                    column = block[:, (first, *rest)].max(axis=1)
                 else:
-                    column = block[:, offsets].max(axis=1)
+                    column = block[:, first]
                 columns.append((expected, jitter, column.tolist()))
             for j, row in enumerate(rows):
                 slowest = 0.0
@@ -1004,14 +1015,10 @@ class FixedChunkCachingStrategy(ReadStrategy):
         # client-side proxy) continues, so popularity state stays warm.
         cache_down = self._cache_down
 
-        hits: list[int] = []
-        if not cache_down:
-            get = cache.get
-            chunk_ids = plan.needed_chunk_ids
-            for position in range(target_count):
-                if get(chunk_ids[position]) is not None:
-                    hits.append(position)
-        hit_positions = tuple(hits)
+        # The c furthest chunks are the first c needed positions, so a probe's
+        # hit offsets are the hit positions.
+        hit_positions = (() if cache_down else
+                         tuple(cache.probe(plan.needed_chunk_ids[:target_count])))
 
         selection = plan.select(hit_positions, (), self._down_backends)
         result = self._compose(plan, now, hit_positions, selection,
@@ -1137,17 +1144,15 @@ class PeriodicLFUStrategy(ReadStrategy):
         # (lookups and fills) is unreachable.
         cache_down = self._cache_down
 
-        hits: list[int] = []
+        hit_positions: tuple[int, ...] = ()
         missing_positions: list[int] = []
         if not cache_down:
-            get = self._cache.get
-            chunk_ids = plan.needed_chunk_ids
-            for position in range(self._chunks_per_object):
-                if get(chunk_ids[position]) is not None:
-                    hits.append(position)
-                else:
-                    missing_positions.append(position)
-        hit_positions = tuple(hits)
+            target_count = self._chunks_per_object
+            hit_positions = tuple(
+                self._cache.probe(plan.needed_chunk_ids[:target_count]))
+            if len(hit_positions) < target_count:
+                missing_positions = [position for position in range(target_count)
+                                     if position not in hit_positions]
 
         selection = plan.select(hit_positions, (), self._down_backends)
         result = self._compose(plan, now, hit_positions, selection,
@@ -1163,6 +1168,14 @@ class PeriodicLFUStrategy(ReadStrategy):
 
 class AgarReadStrategy(ReadStrategy):
     """Reads driven by an Agar node's hints (paper §III, §V-A).
+
+    The three steps of a read (§V-A) — ask the node which chunks of the key
+    the cache should hold, read those from the cache, read the rest from the
+    nearest buckets — with the first one resolved once per installed
+    configuration: the hints of a key are a function of the configuration
+    alone, so each read only tells the node it happened
+    (``AgarNode.count_request``) and reuses the key's remembered hints while
+    the node's current configuration is still the object they came from.
 
     Args:
         store: the object store.
@@ -1189,6 +1202,8 @@ class AgarReadStrategy(ReadStrategy):
         )
         # The constant the node's hints carry as processing_overhead_ms.
         self._hint_overhead_ms = self._node.request_monitor.processing_overhead_ms
+        # Whose current configuration a remembered hint is checked against.
+        self._cache_manager = self._node.cache_manager
 
     @property
     def node(self) -> AgarNode:
@@ -1231,24 +1246,28 @@ class AgarReadStrategy(ReadStrategy):
     def _read_plan(self, plan: _ReadPlan, now: float) -> ReadResult:
         # The Agar node (popularity monitor, knapsack) is control-plane state
         # that survives an AZ failure; only the cache data path goes dark.
-        hinted = self._node.on_request_indices(plan.key, now)
-        cache = self._node.cache
-        needed = plan.needed
-        chunk_ids = plan.needed_chunk_ids
+        node = self._node
+        node.count_request(plan.key, now)
+        # After the count: a piggy-backed period check may just have
+        # installed a configuration.
+        configuration = self._cache_manager.current_configuration
+        hint = plan.hint
+        if hint is None or hint[0] is not configuration:
+            hint = plan.hinted_under(configuration)
+        cache = node.cache
 
-        hits: list[int] = []
+        hit_positions: tuple[int, ...] = ()
         missing_positions: list[int] = []
-        if hinted and not self._cache_down:
-            get = cache.get
-            hinted_set = set(hinted)
-            for position, placed in enumerate(needed):
-                if placed.index not in hinted_set:
-                    continue
-                if get(chunk_ids[position]) is not None:
-                    hits.append(position)
-                else:
-                    missing_positions.append(position)
-        hit_positions = tuple(hits)
+        hinted_positions = hint[1]
+        if hinted_positions and not self._cache_down:
+            hit_offsets = cache.probe(hint[2])
+            if len(hit_offsets) == len(hinted_positions):
+                hit_positions = hinted_positions
+            else:
+                hit_positions = tuple([hinted_positions[offset]
+                                       for offset in hit_offsets])
+                missing_positions = [position for position in hinted_positions
+                                     if position not in hit_positions]
 
         # §VI: needed chunks that missed the local cache but are pinned by a
         # collaborating neighbour are read from that neighbour's cache —
@@ -1258,6 +1277,8 @@ class AgarReadStrategy(ReadStrategy):
         catalog = self._neighbor_pinned
         if catalog is not None:
             neighbor_ms = self._neighbor_read_ms
+            needed = plan.needed
+            chunk_ids = plan.needed_chunk_ids
             neighbor_positions = tuple(
                 position for position in range(len(chunk_ids))
                 if position not in hit_positions

@@ -194,21 +194,20 @@ class AgarNode:
             key: the object being read.
             now: current simulated time in seconds.
         """
-        if self._auto_reconfigure:
-            self.maybe_reconfigure(now)
-        return self._request_monitor.record_request(key)
+        self.count_request(key, now)
+        return self._request_monitor.peek_hints(key)
 
-    def on_request_indices(self, key: str, now: float) -> tuple[int, ...]:
-        """Hot-path form of :meth:`on_request`: hinted indices only.
+    def count_request(self, key: str, now: float) -> None:
+        """The per-read half of :meth:`on_request`: everything but the hints.
 
-        Identical side effects (period check, popularity recording); returns
-        the hinted chunk indices without building a :class:`ReadHints`.  The
-        processing overhead the hints would carry is the constant
-        ``request_monitor.processing_overhead_ms``.
+        Runs the piggy-backed period check and records the read.  The hints
+        are ``current_configuration.chunks_for(key)`` and change only when a
+        configuration is installed, so the read strategy resolves them once
+        per installed configuration instead of asking on every read.
         """
         if self._auto_reconfigure:
             self.maybe_reconfigure(now)
-        return self._request_monitor.record_request_indices(key)
+        self._request_monitor.count_request(key)
 
     def maybe_reconfigure(self, now: float) -> ReconfigurationRecord | None:
         """Reconfigure if the reconfiguration period has elapsed."""

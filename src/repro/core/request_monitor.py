@@ -79,29 +79,23 @@ class RequestMonitor:
         """Per-request processing cost charged to reads."""
         return self._processing_overhead_ms
 
-    def record_request(self, key: str) -> ReadHints:
-        """Record a client read of ``key`` and return the caching hints for it."""
-        self._requests_seen += 1
-        self._popularity.record_access(key)
-        return ReadHints(
-            key=key,
-            cached_chunk_indices=self._cache_manager.hints_for(key),
-            processing_overhead_ms=self._processing_overhead_ms,
-        )
+    def count_request(self, key: str) -> None:
+        """Record a client read of ``key`` in the statistics; returns nothing.
 
-    def record_request_indices(self, key: str) -> tuple[int, ...]:
-        """Record a client read and return only the hinted chunk indices.
-
-        Same statistics side effects as :meth:`record_request`, without
-        building a :class:`ReadHints`; the hot simulation path combines this
-        with the constant :attr:`processing_overhead_ms`.
+        All a read does here once it remembers the key's hints: they are a
+        function of the installed configuration alone (:meth:`peek_hints`),
+        which the read path resolves once per configuration, not per read.
         """
         self._requests_seen += 1
         self._popularity.record_access(key)
-        return self._cache_manager.hints_for(key)
+
+    def record_request(self, key: str) -> ReadHints:
+        """Record a client read of ``key`` and return the caching hints for it."""
+        self.count_request(key)
+        return self.peek_hints(key)
 
     def peek_hints(self, key: str) -> ReadHints:
-        """Return hints without recording an access (used by tests/analysis)."""
+        """Return the hints of ``key`` without recording an access."""
         return ReadHints(
             key=key,
             cached_chunk_indices=self._cache_manager.hints_for(key),

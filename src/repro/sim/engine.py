@@ -610,7 +610,7 @@ class _LaneRun:
         for region_index in region_indices:
             strategy = strategies[region_index]
             self.region_read[region_index] = strategy.read_indexed
-            self.region_record[region_index] = self.region_stats[region_index].record_read
+            self.region_record[region_index] = self.region_stats[region_index].record
             self.region_kept_lists[region_index] = self.region_kept[region_index]
         self.lane_pos = [0] * lanes
         self.lane_end = [len(ranks) for ranks in self.lane_ranks]
@@ -802,7 +802,8 @@ class _LaneRun:
                 unordered_times = next_time[ready]
                 order = unordered_times.argsort(kind="stable")
                 times_arr = unordered_times[order]
-                wave_lanes = ready[order].tolist()
+                wave_order = ready[order]
+                wave_lanes = wave_order.tolist()
                 wave_ranks = [lane_ranks[lane][lane_pos[lane]]
                               for lane in wave_lanes]
 
@@ -827,11 +828,13 @@ class _LaneRun:
                         region_groups = list(rows_by_region.items())
                     for region_index, rows in region_groups:
                         if rows is None:
+                            row_order = wave_order
                             row_lanes = wave_lanes
                             row_ranks = wave_ranks
                             row_times = times_arr
                             row_draws = draws
                         else:
+                            row_order = wave_order[rows]
                             row_lanes = [wave_lanes[row] for row in rows]
                             row_ranks = [wave_ranks[row] for row in rows]
                             row_times = times_arr[rows]
@@ -844,29 +847,25 @@ class _LaneRun:
                                 row_ranks, times_list, row_draws)
                             record = region_record[region_index]
                             kept_list = region_kept[region_index]
+                            upcoming_times = []
+                            schedule = upcoming_times.append
                             for result, lane, event_time in zip(
                                     results, row_lanes, times_list):
-                                latency_ms = result.latency_ms
-                                completion = event_time + latency_ms / 1000.0
+                                completion = event_time + result.latency_ms / 1000.0
                                 if completion > last_completion:
                                     last_completion = completion
                                 position = lane_pos[lane]
                                 if position >= warmup:
-                                    record(latency_ms, result.hit_type,
-                                           result.chunks_from_cache,
-                                           result.chunks_from_backend,
-                                           result.chunks_from_neighbors,
-                                           result.degraded, result.failed,
-                                           result.retries, result.hedged,
-                                           result.hedge_won)
+                                    record(result)
                                 kept_list.append(result)
                                 position += 1
                                 lane_pos[lane] = position
                                 if position < lane_end[lane]:
-                                    next_time[lane] = completion
+                                    schedule(completion)
                                 else:
-                                    next_time[lane] = infinity
+                                    schedule(infinity)
                                     remaining -= 1
+                            next_time[row_order] = upcoming_times
                             continue
                         # No kept results: every read is a uniform backend
                         # miss, so stats collapse into one block record and
@@ -877,65 +876,57 @@ class _LaneRun:
                         top = completions.max()
                         if top > last_completion:
                             last_completion = float(top)
-                        completions_list = completions.tolist()
+                        next_time[row_order] = completions
                         if warmup:
                             recorded = []
                             recorded_append = recorded.append
-                            for lane, completion, latency_ms in zip(
-                                    row_lanes, completions_list, latencies):
+                            for lane, latency_ms in zip(row_lanes, latencies):
                                 position = lane_pos[lane]
                                 if position >= warmup:
                                     recorded_append(latency_ms)
                                 position += 1
                                 lane_pos[lane] = position
-                                if position < lane_end[lane]:
-                                    next_time[lane] = completion
-                                else:
+                                if position == lane_end[lane]:
                                     next_time[lane] = infinity
                                     remaining -= 1
                         else:
                             recorded = latencies
-                            for lane, completion in zip(
-                                    row_lanes, completions_list):
+                            for lane in row_lanes:
                                 position = lane_pos[lane] + 1
                                 lane_pos[lane] = position
-                                if position < lane_end[lane]:
-                                    next_time[lane] = completion
-                                else:
+                                if position == lane_end[lane]:
                                     next_time[lane] = infinity
                                     remaining -= 1
                         region_record_block[region_index](
                             recorded, draws_per_read)
                     clock._now_s = float(times_arr[-1])
                 else:
+                    upcoming_times = []
+                    schedule = upcoming_times.append
                     for lane, event_time, rank in zip(
                             wave_lanes, times_arr.tolist(), wave_ranks):
                         clock._now_s = event_time
                         region_index = lane_region[lane]
                         result = region_read[region_index](rank, event_time)
-                        latency_ms = result.latency_ms
-                        completion = event_time + latency_ms / 1000.0
+                        completion = event_time + result.latency_ms / 1000.0
                         if completion > last_completion:
                             last_completion = completion
                         position = lane_pos[lane]
                         if position >= warmup:
-                            region_record[region_index](
-                                latency_ms, result.hit_type,
-                                result.chunks_from_cache,
-                                result.chunks_from_backend,
-                                result.chunks_from_neighbors,
-                                result.degraded, result.failed,
-                                result.retries, result.hedged,
-                                result.hedge_won)
+                            region_record[region_index](result)
                         if keep:
                             region_kept[region_index].append(result)
                         position += 1
                         lane_pos[lane] = position
                         if position < lane_end[lane]:
-                            next_time[lane] = completion
+                            schedule(completion)
                         else:
-                            next_time[lane] = infinity
+                            schedule(infinity)
                             remaining -= 1
+                    # Nothing is rescheduled into its own wave, so nothing
+                    # has read next_time since the extraction: one store per
+                    # wave (as above), not one NumPy scalar store per event.
+                    next_time[wave_order] = upcoming_times
                 continue
 
             ready = np.flatnonzero(next_time < block_end)
@@ -966,18 +957,12 @@ class _LaneRun:
                 clock._now_s = event_time
                 region_index = lane_region[lane]
                 result = region_read[region_index](entry[-1], event_time)
-                latency_ms = result.latency_ms
-                completion = event_time + latency_ms / 1000.0
+                completion = event_time + result.latency_ms / 1000.0
                 if completion > last_completion:
                     last_completion = completion
                 position = lane_pos[lane]
                 if position >= warmup:
-                    region_record[region_index](
-                        latency_ms, result.hit_type,
-                        result.chunks_from_cache, result.chunks_from_backend,
-                        result.chunks_from_neighbors, result.degraded,
-                        result.failed, result.retries, result.hedged,
-                        result.hedge_won)
+                    region_record[region_index](result)
                 if keep:
                     region_kept[region_index].append(result)
                 position += 1

@@ -3,8 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache import ChunkCache, FIFOEvictionPolicy, LRUEvictionPolicy
+from repro.cache import (
+    ChunkCache,
+    FIFOEvictionPolicy,
+    LFUEvictionPolicy,
+    LRUEvictionPolicy,
+    PinnedConfigurationPolicy,
+)
 from repro.erasure import Chunk, ChunkId
+from repro.sim.clock import SimulationClock
 
 
 def make_chunk(key: str, index: int, size: int = 100) -> Chunk:
@@ -194,3 +201,90 @@ class TestEvictionProperties:
                 cache.get(ChunkId("key", index))
             assert cache.used_bytes <= cache.capacity_bytes
             assert cache.used_bytes == len(cache) * chunk_size
+
+
+def _pinned_half() -> PinnedConfigurationPolicy:
+    policy = PinnedConfigurationPolicy()
+    policy.set_configuration({ChunkId("key", index) for index in range(0, 12, 2)})
+    return policy
+
+
+def _policy_state(policy) -> dict:
+    """Everything a policy keeps, in a comparable form (order included)."""
+    state = {}
+    for name, value in vars(policy).items():
+        if isinstance(value, dict):
+            value = list(value.items())
+        elif not isinstance(value, (set, bool)):
+            value = repr(value)    # LFU's tie-breaker: ``count(n)``
+        state[name] = value
+    return state
+
+
+def _cache_state(cache: ChunkCache) -> dict:
+    return {
+        "entries": {chunk_id: (entry.last_access, entry.access_count, entry.inserted_at)
+                    for chunk_id, entry in cache._entries.items()},
+        "stats": cache.stats,
+        "ticks": cache._ticks,
+        "policy": _policy_state(cache.policy),
+        "victim": (cache.policy.select_victim(cache._entries)
+                   if len(cache) else None),
+    }
+
+
+class TestProbe:
+    """``probe(ids)`` is the ``get`` sequence over ``ids``, made in one call."""
+
+    @pytest.mark.parametrize("simulated_clock", [True, False],
+                             ids=["simulated-clock", "tick-counter"])
+    @pytest.mark.parametrize("make_policy", [
+        LRUEvictionPolicy, LFUEvictionPolicy, FIFOEvictionPolicy, _pinned_half,
+    ], ids=["lru", "lfu", "fifo", "pinned"])
+    @settings(max_examples=40, deadline=None)
+    @given(steps=st.lists(st.one_of(
+        st.tuples(st.just("put"), st.integers(0, 11)),
+        st.tuples(st.just("request"), st.integers(0, 2)),
+        st.tuples(st.just("advance"), st.integers(1, 5)),
+        # Absent ids (the cache holds six chunks at most) and repeats.
+        st.tuples(st.just("probe"), st.lists(st.integers(0, 14), max_size=12)),
+    ), min_size=1, max_size=40))
+    def test_probe_equals_the_get_sequence(self, make_policy, simulated_clock, steps):
+        clocks = [SimulationClock() if simulated_clock else None for _ in range(2)]
+        probed, looked_up = (ChunkCache(capacity_bytes=60, policy=make_policy(),
+                                        clock=clock) for clock in clocks)
+        for kind, argument in steps:
+            if kind == "probe":
+                ids = [ChunkId("key", index) for index in argument]
+                hits = probed.probe(ids)
+                assert hits == [offset for offset, chunk_id in enumerate(ids)
+                                if looked_up.get(chunk_id) is not None]
+            else:
+                for cache, clock in zip((probed, looked_up), clocks):
+                    if kind == "put":
+                        cache.put(make_chunk("key", argument, size=10))
+                    elif kind == "request":
+                        cache.record_request(f"key-{argument}")
+                    elif clock is not None:
+                        clock.advance_seconds(float(argument))
+            assert _cache_state(probed) == _cache_state(looked_up)
+
+    def test_probe_reads_the_clock_once(self):
+        """One read's lookups happen at one time: a probe that hits reads the
+        clock once, a probe that misses everything not at all."""
+        reads = []
+
+        def clock() -> float:
+            reads.append(None)
+            return float(len(reads))
+
+        cache = ChunkCache(capacity_bytes=1000, clock=clock)
+        for index in range(3):
+            cache.put(make_chunk("a", index))
+        reads.clear()
+        assert cache.probe([ChunkId("b", 0), ChunkId("b", 1)]) == []
+        assert reads == []
+        assert cache.probe([ChunkId("a", index) for index in range(4)]) == [0, 1, 2]
+        assert len(reads) == 1
+        assert {entry.last_access for entry in cache._entries.values()} == {1.0}
+        assert cache.stats.chunk_hits == 3 and cache.stats.chunk_misses == 3

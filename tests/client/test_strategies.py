@@ -210,6 +210,209 @@ class TestAgarStrategy:
         assert snapshot.used_bytes <= 5 * MEGABYTE
 
 
+class TestAgarHints:
+    """A key's hints are resolved once per installed configuration.
+
+    The read path remembers ``(configuration, hinted positions, chunk ids)``
+    per key and reuses it while the node's current configuration *is* that
+    object.  Every way a configuration gets installed must therefore show in
+    the very next read — each test here fails on a memo that does not check
+    the configuration.
+    """
+
+    KEYS = [f"object-{index}" for index in range(20)]
+
+    @staticmethod
+    def _strategy(store, region="frankfurt"):
+        # Two megabytes hold 18 of the 116,509-byte chunks: room for two
+        # whole objects, so a popularity shift changes the hints of many keys.
+        strategy = AgarReadStrategy(store, region, 2 * MEGABYTE)
+        strategy.set_external_reconfiguration(True)
+        strategy.prepare_indexed_reads(TestAgarHints.KEYS)
+        return strategy
+
+    @staticmethod
+    def _read_all(strategy, hot, now):
+        """Every key once, the ``hot`` ones ten times more."""
+        for key in TestAgarHints.KEYS:
+            for _ in range(10 if key in hot else 1):
+                strategy.read(key, now=now)
+
+    @staticmethod
+    def _probed(strategy, read):
+        """Chunk indices each ``cache.probe`` call of ``read()`` looked up."""
+        cache = strategy.cache
+        calls = []
+
+        def spy(chunk_ids):
+            calls.append({chunk_id.index for chunk_id in chunk_ids})
+            return type(cache).probe(cache, chunk_ids)
+
+        cache.probe = spy
+        try:
+            result = read()
+        finally:
+            del cache.probe
+        return result, calls
+
+    def _assert_reads_follow(self, strategy, now):
+        """The next read of every key probes exactly the current hints."""
+        configuration = strategy.node.current_configuration
+        cache = strategy.cache
+        for index, key in enumerate(self.KEYS):
+            needed = {placed.index for placed in strategy._needed(key)}
+            hinted = set(configuration.chunks_for(key)) & needed
+            held = hinted & set(cache.cached_indices(key))
+            if index % 2:
+                result, calls = self._probed(
+                    strategy, lambda: strategy.read_indexed(index, now))
+            else:
+                result, calls = self._probed(
+                    strategy, lambda: strategy.read(key, now=now))
+            assert calls == ([hinted] if hinted else []), key
+            assert result.chunks_from_cache == len(held), key
+            # Cache writes follow the hints too: what was hinted and fetched
+            # is held afterwards, and nothing else of the key was added.
+            assert hinted <= set(cache.cached_indices(key)), key
+        return configuration
+
+    def _warm(self, store, region="frankfurt"):
+        strategy = self._strategy(store, region)
+        self._read_all(strategy, hot=self.KEYS[:3], now=1.0)
+        strategy.node.reconfigure(30.0)
+        self._assert_reads_follow(strategy, now=31.0)
+        assert any(plan.hint[1] for plan in strategy._plans.values())
+        return strategy
+
+    @staticmethod
+    def _hints(strategy):
+        configuration = strategy.node.current_configuration
+        return {key: configuration.chunks_for(key) for key in TestAgarHints.KEYS}
+
+    def test_after_a_periodic_reconfiguration(self, store):
+        strategy = self._warm(store)
+        before = self._hints(strategy)
+        # The popularity moves to other keys; two periods let the EWMA follow.
+        for now in (40.0, 70.0):
+            self._read_all(strategy, hot=self.KEYS[10:13], now=now)
+            strategy.node.reconfigure(now + 20.0)
+        assert self._hints(strategy) != before
+        self._assert_reads_follow(strategy, now=95.0)
+
+    def test_after_an_emergency_reconfiguration(self, store):
+        strategy = self._warm(store)
+        previous = strategy.node.current_configuration
+        self._read_all(strategy, hot=self.KEYS[5:8], now=40.0)
+        strategy.node.emergency_reconfigure(45.0, frozenset({"tokyo"}))
+        assert strategy.node.current_configuration is not previous
+        self._assert_reads_follow(strategy, now=46.0)
+
+    def test_after_a_collaboration_round(self, store):
+        from repro.extensions.collaboration import CollaborationCoordinator
+
+        strategies = [self._warm(store, region) for region in ("frankfurt", "dublin")]
+        before = [self._hints(strategy) for strategy in strategies]
+        coordinator = CollaborationCoordinator(
+            [strategy.node for strategy in strategies], neighbor_read_ms=30.0)
+        for strategy in strategies:
+            self._read_all(strategy, hot=self.KEYS[:3], now=40.0)
+        coordinator.reconfigure_all(60.0)
+        # The round discounts what the neighbour pins: the two nodes stop
+        # caching the same chunks, so at least one node's hints moved.
+        assert [self._hints(strategy) for strategy in strategies] != before
+        for strategy in strategies:
+            self._assert_reads_follow(strategy, now=61.0)
+
+    def test_after_installing_the_empty_configuration(self, store):
+        from repro.core.knapsack import EMPTY_CONFIGURATION
+
+        strategy = self._warm(store)
+        assert len(strategy.cache) > 0
+        strategy.node.cache_manager.install(EMPTY_CONFIGURATION)
+        self._assert_reads_follow(strategy, now=32.0)
+        # The chunks are still cached; nothing hints at them any more.
+        assert len(strategy.cache) > 0
+        hits_before = strategy.cache.stats.chunk_hits
+        for key in self.KEYS:
+            assert strategy.read(key, now=33.0).chunks_from_cache == 0
+        assert strategy.cache.stats.chunk_hits == hits_before
+
+    def test_a_piggy_backed_reconfiguration_shows_in_the_read_that_ran_it(self, store):
+        strategy = AgarReadStrategy(store, "frankfurt", 2 * MEGABYTE)
+        for step in range(4):
+            strategy.read("object-0", now=float(step))
+        assert strategy.cache.cached_indices("object-0") == []
+        # 31 s after the first read the period check inside this read
+        # reconfigures; its hints are the new configuration's already.
+        result, calls = self._probed(
+            strategy, lambda: strategy.read("object-0", now=31.0))
+        hinted = set(strategy.node.current_configuration.chunks_for("object-0"))
+        assert hinted and calls == [hinted]
+        assert result.chunks_from_cache == 0
+        assert set(strategy.cache.cached_indices("object-0")) == hinted
+
+    def test_read_and_read_indexed_share_the_remembered_hint(self, store, monkeypatch):
+        from repro.client.strategies import _ReadPlan
+
+        strategy = self._warm(store)
+        strategy.node.reconfigure(60.0)
+        resolved = []
+        resolve = _ReadPlan.hinted_under
+
+        def counting(plan, configuration):
+            resolved.append(plan.key)
+            return resolve(plan, configuration)
+
+        monkeypatch.setattr(_ReadPlan, "hinted_under", counting)
+        for index, key in enumerate(self.KEYS):
+            strategy.read(key, now=61.0)
+            strategy.read_indexed(index, now=61.0)
+            strategy.read(key, now=62.0)
+        assert resolved == self.KEYS
+
+    def test_fifty_reconfigurations_leave_one_hint_per_key(self, store):
+        import gc
+        import weakref
+
+        strategy = self._strategy(store)
+        installed = []
+        now = 0.0
+        for period in range(50):
+            hot = self.KEYS[period % 17:period % 17 + 3]
+            self._read_all(strategy, hot=hot, now=now + 1.0)
+            now += 30.0
+            strategy.node.reconfigure(now)
+            installed.append(weakref.ref(strategy.node.current_configuration))
+        self._read_all(strategy, hot=(), now=now + 1.0)
+        current = strategy.node.current_configuration
+        for plan in strategy._plans.values():
+            remembered, positions, chunk_ids = plan.hint
+            assert remembered is current
+            assert len(positions) == len(chunk_ids)
+        del remembered
+        gc.collect()
+        # Nothing keeps an earlier configuration alive: no per-configuration
+        # table grows behind the plans.
+        assert [ref() for ref in installed if ref() is not None] == [current]
+
+    def test_every_read_is_counted_exactly_once(self, store):
+        strategy = self._strategy(store)
+        monitor = strategy.node.request_monitor
+        tracker = monitor.popularity_tracker
+        reads = 0
+        for index, key in enumerate(self.KEYS):
+            for _ in range(index % 3 + 1):
+                strategy.read(key, now=1.0)
+                strategy.read_indexed(index, now=1.0)
+                reads += 2
+            assert tracker.current_frequency(key) == 2 * (index % 3 + 1)
+        assert monitor.requests_seen == reads
+        strategy.node.reconfigure(30.0)
+        strategy.read("object-0", now=31.0)
+        assert monitor.requests_seen == reads + 1
+        assert tracker.current_frequency("object-0") == 1
+
+
 class TestFactory:
     @pytest.mark.parametrize("name,expected_type", [
         ("backend", BackendReadStrategy),
