@@ -44,8 +44,8 @@ bench-baseline:
 ## reconfiguration (ISSUE 15), its catalogue-scaling axis (ISSUE 18), codec
 ## (batched + packed tier, the one-row rebuild at 16 KiB and 1 MiB, ISSUE
 ## 16/20), engine (scale, faulted, hedged+faulted, million-lane, and the
-## Agar read alone with no scheduler around it, ISSUE 23), sharded
-## execution through the §VI round protocol (ISSUE 19),
+## Agar read alone with no scheduler around it, plain and resilient, ISSUE
+## 23/24), sharded execution through the §VI round protocol (ISSUE 19),
 ## the serving tier's wire path (over sockets, and its per-request dispatch
 ## cost without them, ISSUE 17) and the Fig. 6 end-to-end run against
 ## benchmarks/ci_baseline.json with per-benchmark tolerance bands.  This
@@ -56,7 +56,7 @@ BENCH_OUTPUT ?=
 bench-gated:
 	$(PYTHON) benchmarks/run_bench.py $(if $(BENCH_OUTPUT),--output $(BENCH_OUTPUT)) \
 		--compare benchmarks/ci_baseline.json \
-		--only test_bench_knapsack_solver,test_bench_reconfiguration,test_bench_reconfiguration_catalogue_scaling,test_bench_codec_encode_many,test_bench_codec_packed_numba,test_bench_codec_decode_small,test_bench_codec_rebuild_row_large,test_bench_engine_scale_closed_loop,test_bench_engine_faulted,test_bench_engine_hedged_faulted,test_bench_engine_million_lane,test_bench_agar_read_indexed,test_bench_collab_sharded_rounds,test_bench_serve_wire,test_bench_gateway_dispatch,test_bench_serve_wire_degraded,test_bench_fig6_frankfurt
+		--only test_bench_knapsack_solver,test_bench_reconfiguration,test_bench_reconfiguration_catalogue_scaling,test_bench_codec_encode_many,test_bench_codec_packed_numba,test_bench_codec_decode_small,test_bench_codec_rebuild_row_large,test_bench_engine_scale_closed_loop,test_bench_engine_faulted,test_bench_engine_hedged_faulted,test_bench_engine_million_lane,test_bench_agar_read_indexed,test_bench_resilient_read_indexed,test_bench_collab_sharded_rounds,test_bench_serve_wire,test_bench_gateway_dispatch,test_bench_serve_wire_degraded,test_bench_fig6_frankfurt
 
 ## The end-to-end benchmark (BENCHMARK.json): six workloads over the three
 ## vertical paths, drift-corrected, written to bench-out/e2e.json.
@@ -69,13 +69,17 @@ bench-e2e:
 bench-e2e-compare:
 	python3 bench/compare.py $(BASE) $(NEW)
 
-## Alternating parent/change pairs of one end-to-end workload, the protocol
+## Alternating parent/change pairs of end-to-end workloads, the protocol
 ## every performance claim is made with (one fresh seed per pair, both
 ## medians and quartiles, pairs won, the nine-of-ten rule), written to
 ## docs/results/<date>-issue<N>-pairs-<workload>.json:
 ##   make bench-pairs PARENT=/root/scratch/parent WORKLOAD=engine_clean PAIRS=10 SECONDS=10
-## CLAIM names the metric a gain is claimed on (empty: every metric is only
-## held to its BENCHMARK.json bound).
+##   make bench-pairs PARENT=/root/scratch/parent WORKLOAD=all CLAIM=engine_faulted:ops_per_ref_s
+## WORKLOAD is one workload, a comma list or `all` (every workload of
+## BENCHMARK.json, one file each and one closing table of verdicts).  CLAIM
+## names the metric a gain is claimed on, as METRIC (every listed workload)
+## or WORKLOAD:METRIC (that one only); empty: every metric is only held to
+## its BENCHMARK.json bound.
 WORKLOAD ?= engine_clean
 PAIRS ?= 10
 SECONDS ?= 10

@@ -60,6 +60,7 @@ GUARDED_BENCHMARKS = (
     "test_bench_engine_hedged_faulted",
     "test_bench_engine_million_lane",
     "test_bench_agar_read_indexed",
+    "test_bench_resilient_read_indexed",
     "test_bench_collab_sharded_rounds",
     "test_bench_serve_wire",
     "test_bench_gateway_dispatch",
@@ -75,6 +76,7 @@ _BENCH_FILES = {
     "test_bench_engine_hedged_faulted": "test_bench_engine.py",
     "test_bench_engine_million_lane": "test_bench_engine.py",
     "test_bench_agar_read_indexed": "test_bench_engine.py",
+    "test_bench_resilient_read_indexed": "test_bench_engine.py",
     "test_bench_collab_sharded_rounds": "test_bench_collab.py",
     "test_bench_serve_wire": "test_bench_serve_wire.py",
     "test_bench_gateway_dispatch": "test_bench_serve_wire.py",
@@ -133,6 +135,9 @@ DEFAULT_TOLERANCES = {
     # rounds of pure interpreter work, steadier than the engine scenarios but
     # exposed to the same VM phases as the other interpreter-bound rows.
     "test_bench_agar_read_indexed": 0.35,
+    # The same 20,000 reads through the resilient composer under an outage
+    # (ISSUE 24): ~0.2 s rounds, the same noise profile.
+    "test_bench_resilient_read_indexed": 0.35,
     "test_bench_collab_sharded_rounds": 0.50,
     # Wire path (PR 9): real sockets on a shared runner — widest band; the
     # hard >= 10k req/s floor inside the benchmark is the primary gate.

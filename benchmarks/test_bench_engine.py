@@ -25,6 +25,11 @@ Two guarded benchmarks:
   around them, so the read itself (count, remembered hints, one cache probe,
   selection, draws, result) is gated apart from the event loop.
 
+* ``test_bench_resilient_read_indexed`` — the ISSUE 24 micro-guard: the same
+  20,000 reads with ``engine_faulted``'s resilience block and its outage
+  installed, so the resilient composer (retries, one hedge, the per-link
+  deadline trackers) is gated apart from the event loop too.
+
 The measured bodies exclude deployment construction (store population and
 warm-up probes) so the numbers track the event loops themselves.
 """
@@ -40,7 +45,7 @@ from repro.client.strategies import ClientConfig, make_strategy
 from repro.geo import default_topology
 from repro.sim.clock import SimulationClock
 from repro.sim.engine import EngineConfig, EventEngine, RegionSpec
-from repro.sim.faults import FaultSchedule, RegionOutage
+from repro.sim.faults import FaultSchedule, FaultState, RegionOutage
 from repro.workload.workload import (
     generate_request_ranks,
     poisson_arrivals,
@@ -329,18 +334,21 @@ def test_bench_engine_hedged_faulted(benchmark, settings):
     assert stats.hedged_reads > 0
 
 
-def test_bench_agar_read_indexed(benchmark, settings):
-    """20,000 indexed reads of one warm Agar strategy, no scheduler around them.
+def _warm_agar_reads(settings, client_config=None, fault_from_period=None):
+    """A warm 300-key Agar strategy for the read micro-guards.
 
     Three periods of Zipfian reads and timer-style reconfigurations warm the
-    node (a configuration installed, its hinted chunks cached); the measured
-    body then replays a fixed rank stream at one simulated instant, so every
-    round does identical work: most reads are hinted and hit the cache.
+    node (a configuration installed, its hinted chunks cached); ``sao_paulo``
+    goes down at the start of period ``fault_from_period`` and stays down.
+    Returns ``(strategy, ranks, now)``: the measured bodies replay the fixed
+    rank stream at the one simulated instant ``now``, so every round does
+    identical work.
     """
     store = ErasureCodedStore(default_topology(seed=settings.seed))
     store.populate(300, MEGABYTE)
     clock = SimulationClock()
-    strategy = make_strategy("agar", store, "frankfurt", 10 * MEGABYTE, clock=clock)
+    strategy = make_strategy("agar", store, "frankfurt", 10 * MEGABYTE, clock=clock,
+                             client_config=client_config)
     strategy.set_external_reconfiguration(True)
     workload = zipfian_workload(1.1, request_count=20_000, object_count=300,
                                 seed=settings.seed)
@@ -349,7 +357,11 @@ def test_bench_agar_read_indexed(benchmark, settings):
     ranks = generate_request_ranks(workload, seed=settings.seed).tolist()
     read = strategy.read_indexed
     now = 0.0
-    for _period in range(3):
+    for period in range(3):
+        if period == fault_from_period:
+            strategy.set_fault_state(
+                FaultState(down_backends=frozenset({"sao_paulo"})))
+            strategy.react_to_fault(now)
         for rank in ranks[:3000]:
             now += 0.01
             clock.advance_to(now)
@@ -357,6 +369,18 @@ def test_bench_agar_read_indexed(benchmark, settings):
         strategy.tick(now)
     for rank in ranks[:3000]:     # fills what the last configuration hints at
         read(rank, now)
+    return strategy, ranks, now
+
+
+def test_bench_agar_read_indexed(benchmark, settings):
+    """20,000 indexed reads of one warm Agar strategy, no scheduler around them.
+
+    The measured body replays a fixed rank stream at one simulated instant
+    against the warm strategy of :func:`_warm_agar_reads`: most reads are
+    hinted and hit the cache.
+    """
+    strategy, ranks, now = _warm_agar_reads(settings)
+    read = strategy.read_indexed
 
     def replay():
         hits = 0
@@ -377,3 +401,42 @@ def test_bench_agar_read_indexed(benchmark, settings):
     assert hits > len(ranks) // 2
     assert stats.chunk_hits > 0 and stats.evictions == 0
     assert strategy.node.request_monitor.requests_seen >= len(ranks)
+
+
+def test_bench_resilient_read_indexed(benchmark, settings):
+    """20,000 resilient indexed reads of one warm Agar strategy under an outage.
+
+    ``test_bench_agar_read_indexed``'s shape with the resilience block of the
+    end-to-end ``engine_faulted`` workload and ``sao_paulo`` down from the
+    second warm-up period on: every read is a degraded re-plan composed per
+    chunk with timeouts, redraws and at most one hedge, and feeds the
+    per-link deadline trackers.
+    """
+    strategy, ranks, now = _warm_agar_reads(
+        settings, fault_from_period=1,
+        client_config=ClientConfig(resilience=ResilienceConfig(
+            retry_budget=1, timeout_factor=1.1, hedge=True, hedge_quantile=0.7,
+            hedge_min_samples=8, emergency_reconfiguration=True)))
+    read = strategy.read_indexed
+
+    def replay():
+        retries = hedged = degraded = 0
+        for rank in ranks:
+            result = read(rank, now)
+            retries += result.retries
+            hedged += result.hedged
+            degraded += result.degraded
+        return retries, hedged, degraded
+
+    retries, hedged, degraded = benchmark(replay)
+    per_read_us = benchmark.stats.stats.mean / len(ranks) * 1e6
+    benchmark.extra_info["us_per_read"] = round(per_read_us, 3)
+    benchmark.extra_info["retries_per_read"] = round(retries / len(ranks), 4)
+    benchmark.extra_info["hedged_share"] = round(hedged / len(ranks), 4)
+    emit(
+        "resilient agar read_indexed micro-guard (warm, outage installed, no scheduler)",
+        f"{len(ranks)} reads/round, {per_read_us:.2f} us per read, "
+        f"{retries} retries, {hedged} hedged, {degraded} degraded in the last round",
+    )
+    assert retries > 0 and hedged > 0 and degraded > 0
+    assert strategy.cache.stats.chunk_hits > 0

@@ -26,11 +26,15 @@ execution paths bit-identical when resilience is on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+#: The offsets of a one-sample run (see EwmaQuantileTracker.observe_at).
+_FIRST = (0,)
 
 
 def splitmix64(value: int) -> int:
@@ -211,18 +215,35 @@ class EwmaQuantileTracker:
 
     def observe(self, value: float) -> None:
         """Fold one latency observation (ms) into the estimate."""
-        value = float(value)
-        if self._count == 0:
-            self._estimate = value
-        else:
-            deviation = abs(value - self._estimate)
-            self._spread += self.alpha * (deviation - self._spread)
-            step = self.alpha * max(self._spread, 1e-9)
-            if value >= self._estimate:
-                self._estimate += step * self.quantile
+        self.observe_at((float(value),), _FIRST)
+
+    def observe_at(self, samples: Sequence[float], offsets: Sequence[int]) -> None:
+        """Fold ``samples[offset]`` for each of ``offsets``, in that order.
+
+        A read hands each link's tracker the read's backend samples together
+        with the offsets of that link's chunks among them, so the estimate
+        is loaded and stored once per link and read instead of once per chunk.
+        """
+        estimate = self._estimate
+        spread = self._spread
+        count = self._count
+        alpha = self.alpha
+        quantile = self.quantile
+        for offset in offsets:
+            value = samples[offset]
+            if count == 0:
+                estimate = value
             else:
-                self._estimate -= step * (1.0 - self.quantile)
-        self._count += 1
+                spread += alpha * (abs(value - estimate) - spread)
+                step = alpha * (1e-9 if spread < 1e-9 else spread)
+                if value >= estimate:
+                    estimate += step * quantile
+                else:
+                    estimate -= step * (1.0 - quantile)
+            count += 1
+        self._estimate = estimate
+        self._spread = spread
+        self._count = count
 
     def deadline(self) -> float | None:
         """The hedge deadline, or ``None`` while the link is cold."""

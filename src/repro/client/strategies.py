@@ -46,8 +46,8 @@ class _Selection:
     tuple, the fetched chunk list and the hedge candidate.
     """
 
-    __slots__ = ("positions", "count", "groups", "regions", "chunks",
-                 "replanned", "failed", "hedge_position")
+    __slots__ = ("positions", "count", "groups", "fetches", "region_runs",
+                 "regions", "chunks", "replanned", "failed", "hedge_position")
 
     def __init__(self, plan: "_ReadPlan", positions: tuple[int, ...],
                  replanned: bool, failed: bool, hedge_position: int,
@@ -74,6 +74,18 @@ class _Selection:
             by_pair.setdefault(pair, []).append(offset)
         self.groups = tuple((expected, jitter, offsets[0], tuple(offsets[1:]))
                             for (expected, jitter), offsets in by_pair.items())
+        # What a resilient read walks instead: timeouts are per chunk, so it
+        # takes each fetch's (expected, σ, region) in selection order, and
+        # afterwards hands every region's deadline tracker that region's
+        # offsets among the read's backend samples, first fetched first.
+        self.fetches = tuple(
+            (plan.nearest_expected_ms[position], plan.nearest_jitter[position],
+             plan.nearest_regions[position]) for position in positions)
+        by_region: dict[str, list[int]] = {}
+        for offset, (_, _, region) in enumerate(self.fetches):
+            by_region.setdefault(region, []).append(offset)
+        self.region_runs = tuple((region, tuple(offsets))
+                                 for region, offsets in by_region.items())
 
 
 class _ReadPlan:
@@ -742,7 +754,14 @@ class ReadStrategy(ABC):
           unused surviving placement (the selection's hedge candidate), and
           the read completes at whichever of the two finishes first.
           Deadline trackers observe each backend chunk's final sample *after*
-          the decision, so a read never races its own observation.
+          the decision, one run of samples per region, so a read never races
+          its own observation.
+
+        How many draws a read takes is only known once it is composed, so
+        they are read through a cursor over the peeked jitter block and
+        consumed in one advance at the end.  Only two totals can decide the
+        read: the backend straggler (the one chunk a hedge may replace) and
+        the slowest of everything else.
 
         Serial numbers, tracker state and retry budgets are all per-strategy,
         and per-strategy event order is identical across the three execution
@@ -751,51 +770,57 @@ class ReadStrategy(ABC):
         resilience = self._resilience
         backoff = self._backoff
         exp = math.exp
-        draw = self._latency.next_standard_normal
         brownouts = self._brownouts
         serial = self._read_serial
         self._read_serial = serial + 1
         budget = resilience.retry_budget
         timeout_factor = resilience.timeout_factor
         retries = 0
+        latency = self._latency
+        # Every chunk draws once, every retry once more, the hedge once.
+        block, start = latency.peek_standard_normals(
+            cache_hits + selection.count + neighbor_count + budget + 1)
+        cursor = start
 
-        expected = plan.cache_expected_ms
-        jitter = plan.cache_jitter
-        totals: list[float] = [
-            expected * exp(jitter * draw()) if jitter > 0.0 else expected
-            for _ in range(cache_hits)
-        ]
+        # The slowest chunk that is not the backend straggler.  The cache is
+        # never retried and exp is monotonic: its slowest hit is the one with
+        # the largest z.
+        others = 0.0
+        if cache_hits:
+            jitter = plan.cache_jitter
+            if jitter > 0.0:
+                cursor += cache_hits
+                others = plan.cache_expected_ms * exp(jitter * max(block[start:cursor]))
+            else:
+                others = plan.cache_expected_ms
 
-        expected_by_position = plan.nearest_expected_ms
-        jitter_by_position = plan.nearest_jitter
-        regions = plan.nearest_regions
-        straggler_pos = -1
         slowest_backend = 0.0
         straggler_region: str | None = None
-        backend_samples: list[tuple[str, float]] = []
-        for position in selection.positions:
-            base = expected_by_position[position]
-            jitter = jitter_by_position[position]
-            region = regions[position]
+        samples: list[float] = []
+        for base, jitter, region in selection.fetches:
             # Multiplying by the neutral 1.0 is exact, so un-browned chunks
             # keep their plain sample and timeout bit-for-bit.
             multiplier = brownouts.get(region, 1.0) if brownouts is not None else 1.0
             timeout = timeout_factor * (base * multiplier)
             charged = 0.0
             while True:
-                sample = (base * exp(jitter * draw()) if jitter > 0.0 else base) * multiplier
+                if jitter > 0.0:
+                    sample = base * exp(jitter * block[cursor]) * multiplier
+                    cursor += 1
+                else:
+                    sample = base * multiplier
                 if budget <= 0 or sample <= timeout:
                     break
                 budget -= 1
                 retries += 1
                 charged += timeout + backoff.delay_ms(serial, retries)
-            backend_samples.append((region, sample))
+            samples.append(sample)
             total_chunk = charged + sample
             if total_chunk > slowest_backend:
-                slowest_backend = total_chunk
-                straggler_pos = len(totals)
+                total_chunk, slowest_backend = slowest_backend, total_chunk
                 straggler_region = region
-            totals.append(total_chunk)
+            if total_chunk > others:
+                others = total_chunk
 
         if neighbor_count:
             neighbor_ms = self._neighbor_read_ms
@@ -805,48 +830,51 @@ class ReadStrategy(ABC):
                 for _ in range(neighbor_count):
                     charged = 0.0
                     while True:
-                        sample = neighbor_ms * exp(sigma * draw())
+                        sample = neighbor_ms * exp(sigma * block[cursor])
+                        cursor += 1
                         if budget <= 0 or sample <= timeout:
                             break
                         budget -= 1
                         retries += 1
                         charged += timeout + backoff.delay_ms(serial, retries)
-                    totals.append(charged + sample)
-            else:
+                    total_chunk = charged + sample
+                    if total_chunk > others:
+                        others = total_chunk
+            elif neighbor_ms > others:
                 # A flat neighbour link samples exactly its expectation, which
                 # can never exceed timeout_factor × itself — no retry possible.
-                totals.extend([neighbor_ms] * neighbor_count)
+                others = neighbor_ms
 
-        slowest = max(totals) if totals else 0.0
+        slowest = slowest_backend if slowest_backend >= others else others
 
         hedged = False
         hedge_won = False
-        if (resilience.hedge and straggler_pos >= 0
-                and slowest_backend >= slowest and slowest_backend > 0.0):
-            tracker = self._hedge_trackers.get(straggler_region)
-            candidate = selection.hedge_position
-            if (candidate >= 0 and tracker is not None and tracker.ready
-                    and slowest_backend > tracker.estimate):
-                hedged = True
-                base = expected_by_position[candidate]
-                jitter = jitter_by_position[candidate]
-                hedge_sample = base * exp(jitter * draw()) if jitter > 0.0 else base
-                if brownouts is not None:
-                    hedge_sample *= brownouts.get(regions[candidate], 1.0)
-                hedge_total = tracker.estimate + hedge_sample
-                if hedge_total < slowest_backend:
-                    hedge_won = True
-                    totals[straggler_pos] = hedge_total
-                    slowest = max(totals)
-
-        if resilience.hedge and backend_samples:
+        if resilience.hedge:
             trackers = self._hedge_trackers
-            for sample_region, sample in backend_samples:
-                tracker = trackers.get(sample_region)
+            if slowest_backend >= others and slowest_backend > 0.0:
+                tracker = trackers.get(straggler_region)
+                candidate = selection.hedge_position
+                if (candidate >= 0 and tracker is not None and tracker.ready
+                        and slowest_backend > tracker.estimate):
+                    hedged = True
+                    hedge_sample = plan.nearest_expected_ms[candidate]
+                    jitter = plan.nearest_jitter[candidate]
+                    if jitter > 0.0:
+                        hedge_sample *= exp(jitter * block[cursor])
+                        cursor += 1
+                    if brownouts is not None:
+                        hedge_sample *= brownouts.get(plan.nearest_regions[candidate], 1.0)
+                    hedge_total = tracker.estimate + hedge_sample
+                    if hedge_total < slowest_backend:
+                        hedge_won = True
+                        slowest = hedge_total if hedge_total >= others else others
+            for region, offsets in selection.region_runs:
+                tracker = trackers.get(region)
                 if tracker is None:
-                    trackers[sample_region] = tracker = EwmaQuantileTracker.from_config(resilience)
-                tracker.observe(sample)
+                    trackers[region] = tracker = EwmaQuantileTracker.from_config(resilience)
+                tracker.observe_at(samples, offsets)
 
+        latency.advance_standard_normals(cursor - start)
         return slowest, retries, hedged, hedge_won
 
 

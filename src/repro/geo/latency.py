@@ -263,6 +263,33 @@ class LatencyModel:
             draws.extend(block)
             remaining -= len(block)
 
+    def peek_standard_normals(self, count: int) -> tuple[list[float], int]:
+        """Expose the next ``count`` draws without consuming any.
+
+        Returns ``(block, position)``: ``block[position:position + count]``
+        are the values the next ``count`` scalar draws would return.  A
+        caller that cannot know in advance how many draws it will take (a
+        resilient read redraws on a timeout) walks the block from
+        ``position`` and reports what it used with
+        :meth:`advance_standard_normals`.  When fewer than ``count`` draws
+        are buffered the unread tail is kept and extended with whole
+        ``jitter_block`` refills — the same value stream, whichever draw
+        method runs next.
+        """
+        block = self._block
+        position = self._block_pos
+        if len(block) - position < count:
+            block = block[position:]
+            while len(block) < count:
+                block.extend(self._rng.standard_normal(self._jitter_block).tolist())
+            self._block = block
+            self._block_pos = position = 0
+        return block, position
+
+    def advance_standard_normals(self, count: int) -> None:
+        """Consume ``count`` draws a :meth:`peek_standard_normals` exposed."""
+        self._block_pos += count
+
     def take_standard_normals_array(self, count: int) -> np.ndarray:
         """Take ``count`` sequential draws as a float64 array.
 

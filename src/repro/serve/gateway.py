@@ -237,7 +237,8 @@ class RegionGateway:
                             result.chunks_from_cache,
                             result.chunks_from_backend,
                             result.chunks_from_neighbors,
-                            result.degraded, result.failed)
+                            result.degraded, result.failed,
+                            result.retries, result.hedged, result.hedge_won)
                     if not request.keep_alive:
                         close = True
                         break

@@ -9,6 +9,7 @@ converge to the configured quantile on stationary streams.
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.client.resilience import (
     BackoffPolicy,
@@ -17,6 +18,8 @@ from repro.client.resilience import (
     hash_unit_interval,
     splitmix64,
 )
+
+from reference.resilient_compose import observe_reference
 
 
 class TestHashing:
@@ -174,6 +177,25 @@ class TestEwmaQuantileTracker:
         tail = stream[2000:]
         exceed = sum(1 for value in tail if value > tracker.estimate)
         assert exceed / len(tail) == pytest.approx(1.0 - quantile, abs=0.06)
+
+    @settings(max_examples=100, deadline=None)
+    @given(samples=st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=1,
+                            max_size=24),
+           runs=st.lists(st.lists(st.integers(0, 23), max_size=6), max_size=8),
+           quantile=st.sampled_from([0.5, 0.7, 0.95]),
+           alpha=st.sampled_from([0.05, 0.5, 1.0]))
+    def test_runs_fold_like_single_observations(self, samples, runs, quantile, alpha):
+        """``observe_at`` over any runs of offsets equals the 3e4f674 update
+        applied once per observation, state bits included."""
+        folded = EwmaQuantileTracker(quantile=quantile, alpha=alpha)
+        single = EwmaQuantileTracker(quantile=quantile, alpha=alpha)
+        for run in runs:
+            offsets = tuple(offset % len(samples) for offset in run)
+            folded.observe_at(samples, offsets)
+            for offset in offsets:
+                observe_reference(single, samples[offset])
+            assert ((folded.estimate, folded._spread, folded.count)
+                    == (single.estimate, single._spread, single.count))
 
     def test_tracks_drift_upward(self):
         """A brownout-like level shift must pull the estimate up."""

@@ -184,3 +184,48 @@ class TestBatchedNormalDraws:
         batched = batched_model(seed=2, jitter_block=4)
         expected = [scalar.next_standard_normal() for _ in range(21)]
         assert batched.take_standard_normals(21) == expected
+
+
+_DRAW_OPS = st.one_of(
+    st.tuples(st.just("peek"), st.integers(0, 40), st.integers(0, 40)),
+    st.tuples(st.just("next"), st.just(1), st.just(0)),
+    st.tuples(st.just("take"), st.integers(0, 40), st.just(0)),
+    st.tuples(st.just("array"), st.integers(0, 40), st.just(0)),
+    st.tuples(st.just("reseed"), st.integers(0, 5), st.just(0)),
+)
+
+
+class TestDrawMethodsShareOneStream:
+    """Peeked, scalar, listed and array draws, interleaved in any order, are
+    the stream a model that only ever draws scalars produces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**16), jitter_block=st.integers(1, 16),
+           ops=st.lists(_DRAW_OPS, max_size=40))
+    def test_any_interleaving_equals_scalar_draws(self, seed, jitter_block, ops):
+        model = batched_model(seed, jitter_block)
+        scalar = batched_model(seed, jitter_block)
+        promised: list[float] = []      # peeked, not consumed: must come next
+        for op, count, used in ops:
+            if op == "reseed":
+                model.reseed(count)
+                scalar.reseed(count)
+                promised = []
+                continue
+            if op == "peek":
+                block, position = model.peek_standard_normals(count)
+                window = block[position:position + count]
+                assert len(window) == count
+                used = min(used, count)
+                model.advance_standard_normals(used)
+                values, unconsumed = window[:used], window[used:]
+            elif op == "next":
+                values, unconsumed = [model.next_standard_normal()], []
+            elif op == "take":
+                values, unconsumed = model.take_standard_normals(count), []
+            else:
+                values, unconsumed = model.take_standard_normals_array(count).tolist(), []
+            assert values == [scalar.next_standard_normal() for _ in values]
+            window = values + unconsumed
+            assert window[:len(promised)] == promised[:len(window)]
+            promised = max(promised[len(values):], unconsumed, key=len)

@@ -11,6 +11,11 @@ Generate (refuses to overwrite without ``--force``)::
 
     PYTHONPATH=src python tests/golden/freeze_read_paths.py
 
+A scenario added to the tables below is frozen *at the parent commit, before
+the change it is meant to pin* with ``--add-missing``: only the strategy
+cases the file lacks are computed, every existing digest stays as committed,
+and ``added_at_commit`` records where each late case was frozen.
+
 ``tests/client/test_read_path_golden.py`` recomputes every digest and compares
 it with the committed ``tests/golden/read_paths.json``.
 """
@@ -82,6 +87,13 @@ SCENARIOS: dict[str, dict] = {
     "table1_outage": {
         "table1": True,
         "fault": FaultState(down_backends=frozenset({"sao_paulo"}))},
+    # Added at 3e4f674 (--add-missing), before the resilient composer was
+    # rewritten: a multiplier on every timeout and sample, and links that
+    # draw nothing at all.
+    "brownout_resilient": {
+        "fault": FaultState(brownouts=(("n_virginia", 3.0),)),
+        "resilient": True},
+    "table1_resilient": {"table1": True, "resilient": True},
 }
 #: §VI neighbour catalogs only exist on Agar deployments.
 AGAR_SCENARIOS: dict[str, dict] = {
@@ -279,39 +291,77 @@ def wire_digest() -> str:
     return asyncio.run(_wire_exchange())
 
 
+def strategy_case(strategy: str, scenario: str) -> dict[str, str]:
+    """The three digests the file keeps per (strategy, scenario) case."""
+    entry_digests = {}
+    for entry in ENTRIES:
+        results, sink = strategy_digests(strategy, scenario, entry)
+        entry_digests[entry] = results
+        if entry == "read":
+            entry_digests["sink"] = sink
+    return entry_digests
+
+
 def build() -> dict:
     golden: dict = {"strategies": {}}
     for strategy, scenario in cases():
-        entry_digests = {}
-        for entry in ENTRIES:
-            results, sink = strategy_digests(strategy, scenario, entry)
-            entry_digests[entry] = results
-            if entry == "read":
-                entry_digests["sink"] = sink
-        golden["strategies"][f"{strategy}/{scenario}"] = entry_digests
+        golden["strategies"][f"{strategy}/{scenario}"] = strategy_case(
+            strategy, scenario)
     golden["engine"] = {"clean": engine_digest(False),
                         "faulted_hedged": engine_digest(True)}
     golden["wire"] = {"agar_512": wire_digest()}
     return golden
 
 
+def _head_commit() -> str:
+    try:
+        return subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=GOLDEN_PATH.parent, check=True,
+            capture_output=True, text=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def _write(golden: dict) -> None:
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+
+
+def add_missing() -> int:
+    """Freeze the strategy cases the file lacks; keep every digest it has."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    missing = [(strategy, scenario) for strategy, scenario in cases()
+               if f"{strategy}/{scenario}" not in golden["strategies"]]
+    if not missing:
+        print(f"{GOLDEN_PATH} already covers every case", file=sys.stderr)
+        return 2
+    commit = _head_commit()
+    added = golden.setdefault("added_at_commit", {})
+    for strategy, scenario in missing:
+        case = f"{strategy}/{scenario}"
+        golden["strategies"][case] = strategy_case(strategy, scenario)
+        added[case] = commit
+    _write(golden)
+    print(f"added {len(missing)} strategy cases to {GOLDEN_PATH}")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--force", action="store_true",
-                        help="overwrite an existing read_paths.json")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--force", action="store_true",
+                      help="overwrite an existing read_paths.json")
+    mode.add_argument("--add-missing", action="store_true",
+                      help="freeze only the strategy cases the file lacks")
     args = parser.parse_args(argv)
+    if args.add_missing:
+        return add_missing()
     if GOLDEN_PATH.exists() and not args.force:
         print(f"{GOLDEN_PATH} exists; pass --force to regenerate it",
               file=sys.stderr)
         return 2
     golden = build()
-    try:
-        golden["generated_at_commit"] = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=GOLDEN_PATH.parent, check=True,
-            capture_output=True, text=True).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        golden["generated_at_commit"] = "unknown"
-    GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    golden["generated_at_commit"] = _head_commit()
+    _write(golden)
     print(f"wrote {GOLDEN_PATH} ({len(golden['strategies'])} strategy cases)")
     return 0
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+from repro.client.resilience import ResilienceConfig
+from repro.client.strategies import ClientConfig
 from repro.serve import gateway as gateway_module
 from repro.serve import protocol
 from repro.serve.gateway import ServeCluster
@@ -338,3 +340,45 @@ def test_put_evicts_the_superseded_body(run):
             await cluster.stop()
 
     run(scenario())
+
+
+def test_stats_count_retries_and_hedges(run):
+    """`/stats` reports the resilience the strategy's decisions carried.
+
+    200 pipelined GETs against a gateway whose client retries and hedges
+    aggressively; the test taps the decision sink in front of the gateway's
+    own and sums what the strategy decided.
+    """
+    resilience = ResilienceConfig(retry_budget=2, timeout_factor=1.01, hedge=True,
+                                  hedge_quantile=0.5, hedge_min_samples=2)
+    decided = {"retries_total": 0, "hedged_reads": 0, "hedge_wins": 0}
+
+    async def scenario():
+        cluster = await start_cluster(tiny_config(
+            "agar", client=ClientConfig(resilience=resilience)))
+        try:
+            gateway = cluster.gateways["frankfurt"]
+
+            def tap(result, cache_chunks, backend_chunks):
+                decided["retries_total"] += result.retries
+                decided["hedged_reads"] += result.hedged
+                decided["hedge_wins"] += result.hedge_won
+                gateway._decision_sink(result, cache_chunks, backend_chunks)
+
+            gateway.strategy.set_decision_sink(tap)
+            address = cluster.addresses["frankfurt"]
+            pipeline = b"".join(
+                f"GET /objects/object-{index % 20} HTTP/1.1\r\nHost: t\r\n\r\n".encode()
+                for index in range(200))
+            responses = await raw_exchange(address, pipeline, responses=200)
+            assert [status for status, _, _ in responses] == [200] * 200
+            _, _, body = await http_get(address, "/stats")
+            return json.loads(body)["wire"], gateway.wire_stats
+        finally:
+            await cluster.stop()
+
+    wire, stats = run(scenario())
+    assert decided["retries_total"] > 0 and decided["hedged_reads"] > 0
+    assert {name: wire[name] for name in decided} == decided
+    assert (stats.retries_total, stats.hedged_reads, stats.hedge_wins) == tuple(
+        decided.values())

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Alternating parent/change pairs of one ``bench/run.py`` workload.
+"""Alternating parent/change pairs of ``bench/run.py`` workloads.
 
 Every performance PR since 16 ran this by hand.  On a shared box two versions
 can only be compared interleaved, so for each pair the tool runs
@@ -22,9 +22,15 @@ beats every run of the parent), *within* otherwise.
     make bench-pairs PARENT=/root/scratch/parent WORKLOAD=engine_clean PAIRS=10 SECONDS=10
 
 writes ``docs/results/<date>-<label>-pairs-<workload>.json`` (label:
-``issue<N>`` off the change's ISSUE.md, else ``local``).  The exit code is 1
-when a run fails its checks, a decision-only reading differs, or a metric is
-worse than its bound — not when a claimed gain is merely unproven.
+``issue<N>`` off the change's ISSUE.md, else ``local``).  ``--workload`` also
+takes a comma list, or ``all`` for every workload ``BENCHMARK.json`` names:
+the workloads run one after the other, each writes its own file, and one
+closing table gives every workload's verdict per metric — the rows a
+performance PR reports for the workloads it must not move.  ``--claim
+METRIC`` then claims the gain on every listed workload, ``--claim
+WORKLOAD:METRIC`` on that one only.  The exit code is 1 when a run fails its
+checks, a decision-only reading differs, or a metric is worse than its bound
+— not when a claimed gain is merely unproven.
 """
 
 from __future__ import annotations
@@ -155,6 +161,27 @@ def render(summary: dict, pairs: int) -> str:
     return "\n".join(lines)
 
 
+def render_verdicts(summaries: dict[str, dict]) -> str:
+    """One row per workload, one verdict (and median ratio) per metric."""
+    metrics = list(next(iter(summaries.values()))["metrics"])
+    lines = [f"{'workload':<15} " + " ".join(f"{name:>24}" for name in metrics)
+             + "  checks"]
+    for workload, summary in summaries.items():
+        cells = []
+        for name in metrics:
+            row = summary["metrics"][name]
+            ratio = "n/a" if row["ratio"] is None else f"x{row['ratio']:.3f}"
+            cells.append(f"{row['verdict'] + ' ' + ratio:>24}")
+        if not summary["all_correct"]:
+            checks = "FAILED"
+        elif not summary["decision_only_agree"]:
+            checks = "model_* DIFFER"
+        else:
+            checks = "ok"
+        lines.append(f"{workload:<15} " + " ".join(cells) + f"  {checks}")
+    return "\n".join(lines)
+
+
 def _commit(path: Path) -> str:
     """``HEAD`` of the checkout, ``+dirty`` when its tracked files differ."""
     def git(*arguments: str) -> str:
@@ -179,40 +206,62 @@ def main(argv: list[str] | None = None) -> int:
                         help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, default=REPO_ROOT,
                         help="checkout of the change (default: this one)")
-    parser.add_argument("--workload", default="engine_clean")
+    parser.add_argument("--workload", default="engine_clean",
+                        help="one workload, a comma list, or 'all'")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=int, default=None,
                         help="run length (default: BENCHMARK.json's)")
     parser.add_argument("--first-seed", type=int, default=101)
-    parser.add_argument("--claim", default=None, metavar="METRIC",
-                        help="the end-to-end metric a gain is claimed on")
-    parser.add_argument("--out", type=Path, default=None)
+    parser.add_argument("--claim", default=None, metavar="[WORKLOAD:]METRIC",
+                        help="the end-to-end metric a gain is claimed on "
+                             "(on every listed workload, or on WORKLOAD only)")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="result path (one workload only)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    workloads = ([entry["name"] for entry in spec["workloads"]]
+                 if args.workload == "all"
+                 else [name for name in args.workload.split(",") if name])
+    if not workloads:
+        parser.error("--workload names no workload")
+    if args.out is not None and len(workloads) > 1:
+        parser.error("--out takes one workload; each workload writes its own file")
+    claim_on, _, claimed = (args.claim or "").rpartition(":")
+    if claim_on and claim_on not in workloads:
+        parser.error(f"--claim names workload {claim_on!r}, which is not run")
     seconds = args.seconds or spec["run_seconds"]
     sides = {"parent": (list(DEFAULT_COMMAND), args.parent.resolve()),
              "change": (list(DEFAULT_COMMAND), args.change.resolve())}
-    rows = run_pairs(sides, args.workload, args.pairs, seconds, args.first_seed)
-    summary = summarise(rows, spec, args.claim)
-    print()
-    print(render(summary, len(rows)))
+    commits = {"parent_commit": _commit(args.parent),
+               "change_commit": _commit(args.change)}
+    summaries: dict[str, dict] = {}
+    for workload in workloads:
+        claim = claimed if claimed and claim_on in ("", workload) else None
+        if len(workloads) > 1:
+            print(f"== {workload} ==")
+        rows = run_pairs(sides, workload, args.pairs, seconds, args.first_seed)
+        summaries[workload] = summary = summarise(rows, spec, claim)
+        print()
+        print(render(summary, len(rows)))
 
-    out = args.out or (args.change / "docs" / "results" / (
-        f"{datetime.date.today().isoformat()}-{_label(args.change)}-pairs-"
-        f"{args.workload}.json"))
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps({
-        "workload": args.workload, "seconds": seconds, "claimed": args.claim,
-        "parent_commit": _commit(args.parent),
-        "change_commit": _commit(args.change),
-        "pairs": rows, "summary": summary}, indent=1) + "\n")
-    print(f"wrote {out}")
-    bad = (not summary["all_correct"] or not summary["decision_only_agree"]
-           or any(row["verdict"] == "worse"
-                  for row in summary["metrics"].values()))
+        out = args.out or (args.change / "docs" / "results" / (
+            f"{datetime.date.today().isoformat()}-{_label(args.change)}-pairs-"
+            f"{workload}.json"))
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(json.dumps({
+            "workload": workload, "seconds": seconds, "claimed": claim,
+            **commits, "pairs": rows, "summary": summary}, indent=1) + "\n")
+        print(f"wrote {out}")
+    if len(workloads) > 1:
+        print()
+        print(render_verdicts(summaries))
+    bad = any(not summary["all_correct"] or not summary["decision_only_agree"]
+              or any(row["verdict"] == "worse"
+                     for row in summary["metrics"].values())
+              for summary in summaries.values())
     return 1 if bad else 0
 
 
