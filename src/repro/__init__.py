@@ -49,7 +49,6 @@ from repro.core import (
     CacheManager,
     CachingOption,
     KnapsackSolver,
-    ReferenceKnapsackSolver,
     PopularityTracker,
     RegionManager,
     RequestMonitor,
@@ -91,7 +90,6 @@ __all__ = [
     "FixedChunkCachingStrategy",
     "HitType",
     "KnapsackSolver",
-    "ReferenceKnapsackSolver",
     "LFUEvictionPolicy",
     "LRUEvictionPolicy",
     "LatencyModel",

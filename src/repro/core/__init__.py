@@ -21,7 +21,6 @@ from repro.core.knapsack import (
     CacheConfiguration,
     EMPTY_CONFIGURATION,
     KnapsackSolver,
-    ReferenceKnapsackSolver,
     SolverResult,
     configuration_summary,
 )
@@ -31,8 +30,6 @@ from repro.core.options import (
     baseline_read_latency,
     generate_caching_options,
     needed_chunks,
-    option_with_weight,
-    option_with_weight_at_most,
 )
 from repro.core.popularity import DEFAULT_ALPHA, PopularityRecord, PopularityTracker
 from repro.core.region_manager import RegionEstimate, RegionManager
@@ -53,7 +50,6 @@ __all__ = [
     "PopularityRecord",
     "PopularityTracker",
     "ReadHints",
-    "ReferenceKnapsackSolver",
     "ReconfigurationRecord",
     "RegionEstimate",
     "RegionManager",
@@ -64,8 +60,6 @@ __all__ = [
     "generate_caching_options",
     "needed_chunks",
     "optimality_gap",
-    "option_with_weight",
-    "option_with_weight_at_most",
     "solve_exact",
     "solve_greedy_density",
     "solve_greedy_marginal",

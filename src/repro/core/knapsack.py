@@ -15,24 +15,23 @@ programming heuristic:
   first reached, making the run time depend on the cache size rather than on
   the dataset size.
 
-Two implementations are provided:
-
-* :class:`KnapsackSolver` — the optimized solver.  The DP state is scalar: a
-  weight-indexed array of ``(value, weight, key-bitmask, option-chain)``
-  records, so the inner loops touch only floats, ints and list cells.  Keys
-  are ranked, and the bounds below sized, from the option *values* alone; a
-  key's options are looked up when the DP reaches it, so a mapping that
-  creates them on demand (:class:`~repro.core.options.OptionTable`) creates
-  them for the head of the ranking only.  A relaxation pass is skipped
-  outright when a table-wide lower bound on what shrinking any chosen object
-  would cost already exceeds the option's value, and state by state from a
-  per-state bound when it does not; an addition pass visits only the sources
-  that beat the occupant of their target slot; and only the winning state is
-  materialized as a :class:`CacheConfiguration`.
-* :class:`ReferenceKnapsackSolver` — the original direct transcription of the
-  paper's pseudo-code, which derives an immutable :class:`CacheConfiguration`
-  for every intermediate state.  It is kept as the ground truth for the
-  equivalence test-suite and for the ablation benchmarks.
+:class:`KnapsackSolver` runs that heuristic over arrays.  ``MaxV`` is one
+head node per weight slot — the last-added node of a chain of option nodes,
+which carries the configuration's running total value and weight — beside a
+float array of those totals and bool arrays of the slots that are occupied
+and of those whose state does not hold the key being processed yet.  Keys are ranked, and
+the bounds below sized, from the option *values* alone; a key's options are
+looked up when the DP reaches it, so a mapping that creates them on demand
+(:class:`~repro.core.options.OptionTable`) creates them for the head of the
+ranking only.  A relaxation pass is skipped outright when a table-wide lower
+bound on what shrinking any chosen object would cost already exceeds the
+option's value, and state by state from a per-state bound when it does not;
+an addition pass is one gather–compare–scatter over the slot arrays; only the
+states whose running total is within rounding of the best are re-summed to
+pick the winner, and only the winner is materialized as a
+:class:`CacheConfiguration`.  The paper's pseudo-code transcribed directly,
+with a configuration object per state, is the test suite's oracle
+(``tests/reference/knapsack.py``).
 
 :mod:`repro.core.exact` and :mod:`repro.core.greedy` provide an exact MCKP
 solver and a greedy baseline for the ablation benchmarks.
@@ -47,12 +46,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.options import (
-    CachingOption,
-    best_option_value,
-    option_with_weight,
-    value_rows,
-)
+from repro.core.options import CachingOption, value_rows
 from repro.erasure.chunk import ChunkId
 
 
@@ -60,9 +54,8 @@ from repro.erasure.chunk import ChunkId
 class CacheConfiguration:
     """An assignment of caching options to objects (at most one per object).
 
-    Configurations are immutable; the solver derives new ones via
-    :meth:`with_option` and :meth:`replace`.  Weight, value and the key index
-    are computed once at construction time, so the properties are O(1).
+    Configurations are immutable.  Weight, value and the key index are
+    computed once at construction time, so the properties are O(1).
     """
 
     options: tuple[CachingOption, ...] = ()
@@ -119,44 +112,6 @@ class CacheConfiguration:
     def __len__(self) -> int:
         return len(self.options)
 
-    # -- derivation ---------------------------------------------------- #
-    def with_option(self, option: CachingOption) -> "CacheConfiguration":
-        """Return a new configuration with ``option`` appended.
-
-        Raises:
-            ValueError: if the configuration already has an option for the key.
-        """
-        return CacheConfiguration(options=self.options + (option,))
-
-    def replace(self, old: CachingOption, replacement: CachingOption | None,
-                added: CachingOption | None = None) -> "CacheConfiguration":
-        """Return a new configuration with ``old`` swapped for ``replacement``.
-
-        ``replacement`` may be ``None`` (total eviction of the old object,
-        paper Fig. 5); ``added`` is an option for another object appended at
-        the end (the option that the relaxation made room for).
-        """
-        position = -1
-        for index, option in enumerate(self.options):
-            if option is old:
-                position = index
-                break
-        if position < 0:
-            # Identity miss: fall back to a single equality scan.
-            for index, option in enumerate(self.options):
-                if option == old:
-                    position = index
-                    break
-        new_options = list(self.options)
-        if position >= 0:
-            if replacement is not None:
-                new_options[position] = replacement
-            else:
-                del new_options[position]
-        if added is not None:
-            new_options.append(added)
-        return CacheConfiguration(options=tuple(new_options))
-
 
 EMPTY_CONFIGURATION = CacheConfiguration()
 
@@ -170,6 +125,15 @@ _EVICTED = (None, 0.0)
 #: is within four roundings (each at most 2**-53 of that total) of its exact
 #: value, so a bound that clears 2**-45 of it cannot be a rounding artefact.
 _PRUNE_SLACK = 2.0 ** -45
+
+#: Winner slack per option of a chain, as a share of the instance's total
+#: option value.  A running total — a left-to-right float sum, one rounding per
+#: option — and the ``sum`` a :class:`CacheConfiguration` reports for the same
+#: options (compensated since Python 3.12, exactly rounded under ``math.fsum``)
+#: are each within ``(options + 1) × 2**-53`` of that total of the exact sum;
+#: ``(options + 2) × 2**-52`` covers their distance with room for the float
+#: arithmetic of the bound itself.
+_SUM_SLACK = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -195,46 +159,26 @@ class SolverResult:
     relax_improved: int = 0
 
 
-class _State:
-    """One scalar DP record: the configuration at a ``MaxV`` weight slot.
-
-    ``chain`` is a singly linked chain of
-    ``[option, value, weight, key_bit, parent, loss, min_loss]`` nodes in
-    reverse insertion order, so the relax scan touches only list cells — no
-    property calls.  ``mask`` is a bitmask over the solver's key indices — an
-    O(1) replacement for ``has_key``.
-
-    A node's ``loss`` has one entry per distinct option weight ``w`` of the
-    instance: the value given up by shrinking the node to make room for an
-    option of weight ``w`` (``inf`` when the node is lighter than ``w``).
-    Its ``min_loss`` is the entry-wise minimum of ``loss`` over the node and
-    its ancestors — at the head of a chain, the bound
-    :meth:`KnapsackSolver._relax_pass` prunes that state with.  It stays
-    ``None`` until :func:`_min_loss` is asked for it: most states are
-    replaced before any pass looks at them one by one.
-    """
-
-    __slots__ = ("value", "weight", "mask", "chain")
-
-    def __init__(self, value: float, weight: int, mask: int, chain: list | None) -> None:
-        self.value = value
-        self.weight = weight
-        self.mask = mask
-        self.chain = chain
-
-    def nodes_in_order(self) -> list[list]:
-        """The chain's nodes in insertion order."""
-        nodes: list[list] = []
-        node = self.chain
-        while node is not None:
-            nodes.append(node)
-            node = node[4]
-        nodes.reverse()
-        return nodes
-
-    def materialize(self) -> CacheConfiguration:
-        """Build the full configuration object."""
-        return CacheConfiguration(options=tuple(node[0] for node in self.nodes_in_order()))
+# A chain node is the list
+#
+#     [option, value, weight, by_weight, parent, loss, min_loss, total, total_weight]
+#
+# ``parent`` links to the node added before it, so a chain is its
+# configuration in reverse insertion order and the relax scan touches only
+# list cells — no property calls.  ``by_weight`` is the node's key's
+# exact-weight index (``SearchOption`` of Fig. 5, see :func:`_index_options`).
+# ``total`` and ``total_weight`` are the running value and weight of the chain
+# up to and including the node: the DP's total of the configuration whose
+# head the node is.
+#
+# A node's ``loss`` has one entry per distinct option weight ``w`` of the
+# instance: the value given up by shrinking the node to make room for an
+# option of weight ``w`` (``inf`` when the node is lighter than ``w``).  Its
+# ``min_loss`` is the entry-wise minimum of ``loss`` over the node and its
+# ancestors — at the head of a chain, the bound
+# :meth:`KnapsackSolver._relax_pass` prunes that state with.  It stays ``None``
+# until :func:`_min_loss` is asked for it: most states are replaced before any
+# pass looks at them one by one.
 
 
 def _min_loss(node: list) -> tuple[float, ...]:
@@ -250,16 +194,43 @@ def _min_loss(node: list) -> tuple[float, ...]:
     return bound
 
 
-class _LazyTable(Mapping):
-    """The ``MaxV`` table, materialized from the DP states on first access."""
+def _nodes_in_order(head: list | None) -> list[list]:
+    """The nodes of ``head``'s chain in insertion order."""
+    nodes: list[list] = []
+    while head is not None:
+        nodes.append(head)
+        head = head[4]
+    nodes.reverse()
+    return nodes
 
-    def __init__(self, states: list[_State | None]) -> None:
+
+def _materialize(head: list | None) -> CacheConfiguration:
+    """The configuration whose chain ends at ``head`` (``None``: the empty one)."""
+    return CacheConfiguration(options=tuple(node[0] for node in _nodes_in_order(head)))
+
+
+def _ranked(head: list | None) -> tuple[float, int]:
+    """What a materialized table ranks a state by.
+
+    The configuration's own value — ``sum`` of its options in insertion
+    order, which need not equal the DP's running total bit for bit — then
+    the lighter one.
+    """
+    if head is None:
+        return 0.0, 0
+    return sum([node[1] for node in _nodes_in_order(head)]), -head[8]
+
+
+class _LazyTable(Mapping):
+    """The ``MaxV`` table, materialized from the head nodes on first access."""
+
+    def __init__(self, states: list[list | None]) -> None:
         self._states = states
 
     @cached_property
     def _table(self) -> dict[int, CacheConfiguration]:
-        return {slot: state.materialize()
-                for slot, state in enumerate(self._states) if state is not None}
+        return {slot: _materialize(head)
+                for slot, head in enumerate(self._states) if head is not None or not slot}
 
     def __getitem__(self, slot: int) -> CacheConfiguration:
         return self._table[slot]
@@ -272,45 +243,64 @@ class _LazyTable(Mapping):
 
 
 class _Table:
-    """``MaxV`` and what lets a pass skip most of it.
+    """``MaxV`` as arrays over the weight slots, and what lets a pass skip most of it.
 
-    ``states[w]`` is the state at weight slot ``w``; slot 0 always holds the
-    empty configuration.  ``values`` mirrors the states' values slot by slot
-    (``-inf`` where there is none), so an addition pass finds the few sources
-    that improve their target with array arithmetic.  ``light`` holds the
-    slots whose state weighs less than the slot — a relaxation evicted an
-    object outright — and whose addition target is therefore not
+    ``states[w]`` is the head node of the configuration at weight slot ``w``;
+    slot 0 holds the empty configuration, which has no node (``None``, as an
+    empty slot has).  ``occupied`` says which slots hold a configuration,
+    ``values`` their running totals (whatever it holds elsewhere is never
+    read), ``unheld`` which of them do not hold the key being processed yet:
+    the sources an addition pass may extend and the states a relaxation pass
+    may rework (the per-key held set, kept as its complement because that is
+    what both passes ask for).  ``light``
+    holds the slots whose state weighs less than the slot — a relaxation
+    evicted an object outright — and whose addition target is therefore not
     ``slot + weight``.  ``floor`` bounds the ``min_loss`` of every state from
     below, column by column: it is lowered whenever a chain grows and never
     raised when a state is replaced, so it may be stale but never too high.
-    ``occupied`` counts the states, ``holders`` are the slots whose state
-    holds the key being processed, ``max_slot`` is the highest occupied slot.
+    ``max_slot`` is the highest occupied slot.
     """
 
-    __slots__ = ("states", "values", "light", "floor", "occupied", "holders", "max_slot")
+    __slots__ = ("states", "values", "occupied", "unheld", "light", "floor", "max_slot")
 
     def __init__(self, capacity: int, columns: int) -> None:
-        self.states: list[_State | None] = [None] * (capacity + 1)
-        self.states[0] = _State(0.0, 0, 0, None)
-        self.values = np.full(capacity + 1, -_INF)
-        self.values[0] = 0.0
+        self.states: list[list | None] = [None] * (capacity + 1)
+        self.values = np.zeros(capacity + 1)
+        self.occupied = np.zeros(capacity + 1, dtype=bool)
+        self.occupied[0] = True
+        self.unheld = self.occupied.copy()
         self.light: set[int] = set()
         self.floor = (_INF,) * columns
-        self.occupied = 1
-        self.holders: set[int] = set()
         self.max_slot = 0
+
+    def winner(self, slack: float) -> list | None:
+        """The head of the state a materialized table ranks first (:func:`_ranked`).
+
+        ``max`` over every state keeps the first maximum in slot order.  A
+        state's ``sum`` is within ``slack`` of its running total, so one more
+        than ``2 × slack`` below the largest total cannot rank first, and only
+        the states within that distance are re-summed — all of them when a
+        total or the slack is not finite.
+        """
+        slots = self.occupied.nonzero()[0]
+        totals = self.values[slots]
+        top = float(totals.max())
+        threshold = top - 2.0 * slack
+        if -_INF < threshold and top < _INF:
+            slots = slots[totals >= threshold]
+        states = self.states
+        return states[max(slots.tolist(), key=lambda slot: _ranked(states[slot]))]
 
 
 class KnapsackSolver:
     """The paper's dynamic-programming heuristic for cache configuration.
 
-    This is the optimized solver: the DP operates on scalar
-    ``(value, weight, mask, chain)`` records in a weight-indexed array, with
-    per-option weight/value read once, O(1) key-membership checks and
-    parent-pointer reconstruction.  It is exactly equivalent (same best value
-    and weight) to :class:`ReferenceKnapsackSolver`, which transcribes the
-    paper's pseudo-code directly; the equivalence suite asserts this on
-    randomized instances.
+    The DP runs over head nodes of option chains in a weight-indexed array,
+    with per-option weight/value read once, key membership and occupancy as
+    bool arrays and parent-pointer reconstruction.  It decides exactly as the
+    paper's pseudo-code transcribed with a configuration object per state
+    (``tests/reference/knapsack.py``): same table slot by slot, same winner,
+    same floats; the equivalence suites assert this on randomized instances.
 
     Args:
         capacity_weight: cache capacity expressed in chunks.
@@ -360,52 +350,43 @@ class KnapsackSolver:
         weights = sorted(distinct_weights)
         column = {weight: index for index, weight in enumerate(weights)}
         slack = _PRUNE_SLACK * total_value
-        finite = slack < _INF
 
         table = _Table(capacity, len(weights))
-        # Per-key exact-weight lookup (SearchOption of Fig. 5), built as the
-        # DP reaches a key: a chain only ever holds keys already processed.
-        weight_index: dict[str, dict[int, tuple]] = {}
-
         keys_since_full: int | None = None
         keys_processed = 0
         stopped_early = False
         scans = pruned = improved = 0
 
-        for index, row in enumerate(ranking):
-            key = row[1]
-            bit = 1 << index
-            usable = [option for option in options_by_key[key] if option.weight <= capacity]
-            entries, weight_index[key] = _index_options(usable, weights)
-            table.holders.clear()
-            for entry in entries:
-                if self._use_relax:
-                    counts = self._relax_pass(table, entry, bit, column[entry[2]],
-                                              slack, weight_index)
-                    scans += counts[0]
-                    pruned += counts[1]
-                    improved += counts[2]
-                self._addition_pass(table, entry, bit, finite)
-            keys_processed += 1
+        # A NaN or infinite value makes slot arithmetic so as well; that is
+        # no error, ``occupied`` and not the values says where a state is.
+        with np.errstate(invalid="ignore", over="ignore"):
+            for row in ranking:
+                usable = [option for option in options_by_key[row[1]]
+                          if option.weight <= capacity]
+                entries, by_weight = _index_options(usable, weights)
+                np.copyto(table.unheld, table.occupied)
+                for entry in entries:
+                    if self._use_relax:
+                        counts = self._relax_pass(table, entry, by_weight,
+                                                  column[entry[2]], slack)
+                        scans += counts[0]
+                        pruned += counts[1]
+                        improved += counts[2]
+                    self._addition_pass(table, entry, by_weight)
+                keys_processed += 1
 
-            if self._stop_after_extra_keys is not None:
-                if keys_since_full is None and table.max_slot >= capacity:
-                    keys_since_full = 0
-                elif keys_since_full is not None:
-                    keys_since_full += 1
-                    if keys_since_full >= self._stop_after_extra_keys:
-                        stopped_early = True
-                        break
+                if self._stop_after_extra_keys is not None:
+                    if keys_since_full is None and table.max_slot >= capacity:
+                        keys_since_full = 0
+                    elif keys_since_full is not None:
+                        keys_since_full += 1
+                        if keys_since_full >= self._stop_after_extra_keys:
+                            stopped_early = True
+                            break
 
-        states = table.states
-        # The key a materialized table was ranked by: the configuration's own
-        # value — ``sum`` of its options in insertion order, which need not
-        # equal the DP's running total bit for bit — then the lighter one;
-        # ``max`` keeps the first maximum in slot order.
-        winner = max((state for state in states if state is not None),
-                     key=lambda state: (sum([node[1] for node in state.nodes_in_order()]),
-                                        -state.weight))
-        return SolverResult(best=winner.materialize(), table=_LazyTable(states),
+        # A chain holds at most one option per key processed.
+        winner = table.winner(_SUM_SLACK * (keys_processed + 2) * total_value)
+        return SolverResult(best=_materialize(winner), table=_LazyTable(table.states),
                             keys_processed=keys_processed, stopped_early=stopped_early,
                             relax_scans=scans, relax_pruned=pruned, relax_improved=improved)
 
@@ -416,58 +397,82 @@ class KnapsackSolver:
     # ------------------------------------------------------------------ #
     # DP passes
     # ------------------------------------------------------------------ #
-    def _addition_pass(self, table: _Table, entry: tuple, bit: int, finite: bool) -> None:
+    def _addition_pass(self, table: _Table, entry: tuple, by_weight: dict) -> None:
         """Fig. 4 lines 14–21: extend existing configurations with ``entry``'s option.
 
-        Only sources that beat the occupant their target slot had *before* the
-        pass are visited: slot values only grow within a pass, so every other
-        source loses against the live table as well.  ``finite`` says the
-        instance has no NaN or infinite value, without which the value mirror
-        cannot stand for ``existing is None``; otherwise every slot is visited.
+        A source is an occupied slot whose state lacks the key; it adds to
+        the slot of its weight plus the option's and is stored there when
+        that slot is empty or holds less.  Sources are the states as they
+        were before the pass: an addition must not feed another addition of
+        the same option.  The sources that are not light go as one batch —
+        a slot ``t`` is the target of one of them at most, ``t − weight``, so
+        each compares against the occupant its target had before the pass.
+        The light ones (usually none) follow in slot order against the live
+        table: one that reaches ``t`` sits above ``t − weight``, so that is
+        the order a sweep over all sources in slot order meets them in.
         """
-        capacity = self._capacity
-        option, option_value, option_weight, loss = entry
+        option, value, weight, loss = entry
         states = table.states
         values = table.values
-        if finite:
-            reach = capacity + 1 - option_weight
-            sources = (values[:reach] + option_value
-                       > values[option_weight:]).nonzero()[0].tolist()
-            if table.light:
-                sources = sorted(table.light.union(sources))
-        else:
-            sources = range(capacity + 1)
-        stored: list[int] = []
-        vacant = 0
-        # The states as they were: additions inside this pass must not feed
-        # further additions of the same option.
-        for state in [states[slot] for slot in sources]:
-            if state is None or state.mask & bit:
-                continue
-            new_weight = state.weight + option_weight
-            if new_weight > capacity:
-                continue
-            new_value = state.value + option_value
-            existing = states[new_weight]
-            if existing is None:
-                vacant += 1
-            elif not existing.value < new_value:
-                continue
-            states[new_weight] = _State(
-                new_value, new_weight, state.mask | bit,
-                [option, option_value, option_weight, bit, state.chain, loss, None])
-            values[new_weight] = new_value
-            stored.append(new_weight)
+        occupied = table.occupied
+        unheld = table.unheld
+        light = table.light
+        reach = self._capacity + 1 - weight
+        totals = values[:reach] + value
+        chosen = unheld[:reach] & (~occupied[weight:] | (values[weight:] < totals))
+        tail = ()
+        if light:
+            tail = [states[slot] for slot in sorted(light) if unheld[slot]]
+            chosen[[slot for slot in light if slot < reach]] = False
+        sources = chosen.nonzero()[0]
+        stored = len(sources) > 0
         if stored:
-            table.holders.update(stored)
-            table.light.difference_update(stored)
-            table.occupied += vacant
-            table.max_slot = max(table.max_slot, max(stored))
+            targets = sources + weight
+            totals = totals[sources]
+            # Downwards: a target lies above its source, so every source is
+            # read before an addition of this batch can land on it.
+            for source, target, total in zip(sources[::-1].tolist(), targets[::-1].tolist(),
+                                             totals[::-1].tolist()):
+                states[target] = [option, value, weight, by_weight, states[source], loss,
+                                  None, total, target]
+            values[targets] = totals
+            occupied[targets] = True
+            unheld[targets] = False
+            if light:
+                light.difference_update(targets.tolist())
+            table.max_slot = max(table.max_slot, int(targets[-1]))
+        if tail:
+            stored = self._add_light(table, entry, by_weight, tail) or stored
+        if stored:
             table.floor = tuple(map(min, table.floor, loss))
 
-    def _relax_pass(self, table: _Table, entry: tuple, bit: int,
-                    column: int, slack: float,
-                    weight_index: Mapping[str, Mapping[int, tuple]]) -> tuple[int, int, int]:
+    def _add_light(self, table: _Table, entry: tuple, by_weight: dict,
+                   sources: list[list]) -> bool:
+        """An addition pass's light sources, in slot order; whether one was stored."""
+        option, value, weight, loss = entry
+        capacity = self._capacity
+        states = table.states
+        stored = False
+        for source in sources:
+            target = source[8] + weight
+            if target > capacity:
+                continue
+            total = source[7] + value
+            existing = states[target]
+            if existing is not None and not existing[7] < total:
+                continue
+            states[target] = [option, value, weight, by_weight, source, loss, None,
+                              total, target]
+            table.values[target] = total
+            table.occupied[target] = True
+            table.unheld[target] = False
+            table.light.discard(target)
+            table.max_slot = max(table.max_slot, target)
+            stored = True
+        return stored
+
+    def _relax_pass(self, table: _Table, entry: tuple, by_weight: dict,
+                    column: int, slack: float) -> tuple[int, int, int]:
         """Fig. 4 lines 10–12 / Fig. 5: improve configurations at constant weight slot.
 
         A swap gains ``option value − loss`` over the state, so a state whose
@@ -478,98 +483,101 @@ class KnapsackSolver:
         the full scan.  Returns ``(scanned, pruned, improved)`` state counts.
         """
         option_value = entry[1]
+        unheld = table.unheld
         if table.floor[column] - option_value > slack:
-            # Every state with a chain that does not hold the key yet.
-            return 0, table.occupied - 1 - len(table.holders), 0
+            # Every state with a chain that does not hold the key yet: all
+            # unheld slots but slot 0's empty configuration.
+            return 0, int(np.count_nonzero(unheld)) - 1, 0
+        states = table.states
         scans = pruned = improved = 0
-        for slot, state in enumerate(table.states):
-            if state is None or state.mask & bit or state.chain is None:
+        for slot in unheld.nonzero()[0].tolist():
+            head = states[slot]
+            if head is None:
                 continue
-            min_loss = state.chain[6] or _min_loss(state.chain)
+            min_loss = head[6] or _min_loss(head)
             if min_loss[column] - option_value > slack:
                 pruned += 1
                 continue
             scans += 1
-            better = self._relax(state, entry, bit, weight_index)
-            if better is not None and better.value > state.value:
-                table.states[slot] = better
-                table.values[slot] = better.value
-                table.holders.add(slot)
-                if better.weight < slot:
+            better = _relax(head, entry, by_weight)
+            if better is not None and better[7] > head[7]:
+                states[slot] = better
+                table.values[slot] = better[7]
+                unheld[slot] = False
+                if better[8] < slot:
                     table.light.add(slot)
                 else:
                     table.light.discard(slot)
-                table.floor = tuple(map(min, table.floor, _min_loss(better.chain)))
+                table.floor = tuple(map(min, table.floor, _min_loss(better)))
                 improved += 1
         return scans, pruned, improved
 
-    def _relax(self, state: _State, entry: tuple, bit: int,
-               weight_index: Mapping[str, Mapping[int, tuple]]) -> _State | None:
-        """Fig. 5: make room for ``entry``'s option by shrinking one already-chosen object.
 
-        The replacement option must have *exactly* the weight freed by the
-        swap (``OldOption.Weight − Option.Weight``), so the configuration's
-        total weight never changes — the invariant that keeps ``MaxV[w]`` a
-        weight-``w`` configuration.  When no such option exists the old object
-        may be evicted entirely ("the replacement can be total"), which keeps
-        the weight bounded by ``w``.
+def _relax(head: list, entry: tuple, by_weight: dict) -> list | None:
+    """Fig. 5: make room for ``entry``'s option by shrinking one already-chosen object.
 
-        Returns the best improved state, or ``None`` if no replacement
-        increases the value.
-        """
-        option, option_value, option_weight, loss = entry
-        base_value = state.value
-        best_value = base_value
-        best_node: list | None = None
-        best_replacement: tuple | None = None
+    The replacement option must have *exactly* the weight freed by the swap
+    (``OldOption.Weight − Option.Weight``), so the configuration's total
+    weight never changes — the invariant that keeps ``MaxV[w]`` a
+    weight-``w`` configuration.  When no such option exists the old object
+    may be evicted entirely ("the replacement can be total"), which keeps the
+    weight bounded by ``w``.
 
-        # The chain is in reverse insertion order.  The reference scans in
-        # insertion order and keeps the *first* candidate achieving the best
-        # value, so here a later (= earlier-inserted) candidate may take over
-        # on equality: strictly-better than the base, at-least-as-good as the
-        # incumbent.
-        node = state.chain
-        while node is not None:
-            freed_weight = node[2] - option_weight
-            if freed_weight >= 0:
-                # A negative freed weight means the new option is larger than
-                # the old one; swapping would exceed the slot's weight.
-                replacement = None
-                replacement_value = 0.0
-                if freed_weight >= 1:
-                    replacement = weight_index[node[0].key].get(freed_weight)
-                    if replacement is not None:
-                        replacement_value = replacement[1]
-                candidate_value = base_value - node[1] + replacement_value + option_value
-                if candidate_value > base_value and candidate_value >= best_value:
-                    best_value = candidate_value
-                    best_node = node
-                    best_replacement = replacement
-            node = node[4]
+    Returns the head of the best improved chain, or ``None`` if no
+    replacement increases the value.
+    """
+    option, option_value, option_weight, loss = entry
+    base_value = head[7]
+    best_value = base_value
+    best_node: list | None = None
+    best_replacement: tuple | None = None
 
-        if best_node is None:
-            return None
+    # The chain is in reverse insertion order.  The reference scans in
+    # insertion order and keeps the *first* candidate achieving the best
+    # value, so here a later (= earlier-inserted) candidate may take over on
+    # equality: strictly-better than the base, at-least-as-good as the
+    # incumbent.
+    node = head
+    while node is not None:
+        freed_weight = node[2] - option_weight
+        if freed_weight >= 0:
+            # A negative freed weight means the new option is larger than
+            # the old one; swapping would exceed the slot's weight.
+            replacement = None
+            replacement_value = 0.0
+            if freed_weight >= 1:
+                replacement = node[3].get(freed_weight)
+                if replacement is not None:
+                    replacement_value = replacement[1]
+            candidate_value = base_value - node[1] + replacement_value + option_value
+            if candidate_value > base_value and candidate_value >= best_value:
+                best_value = candidate_value
+                best_node = node
+                best_replacement = replacement
+        node = node[4]
 
-        # Rebuild the chain in insertion order with the swap applied, exactly
-        # as CacheConfiguration.replace would, and recompute the scalar value
-        # as the ordered sum so floats match the reference bit for bit.
-        value = 0.0
-        weight = 0
-        mask = 0
-        chain: list | None = None
-        for existing in state.nodes_in_order():
-            if existing is best_node:
-                if best_replacement is None:
-                    continue
-                kept_option, kept_value, kept_weight, kept_loss = best_replacement
-            else:
-                kept_option, kept_value, kept_weight, _, _, kept_loss, _ = existing
-            chain = [kept_option, kept_value, kept_weight, existing[3], chain, kept_loss, None]
-            value += kept_value
-            weight += kept_weight
-            mask |= existing[3]
-        return _State(value + option_value, weight + option_weight, mask | bit,
-                      [option, option_value, option_weight, bit, chain, loss, None])
+    if best_node is None:
+        return None
+
+    # Rebuild the chain in insertion order with the swap applied, exactly as
+    # the reference's configuration derivation would, and recompute the
+    # running totals as the ordered sum so floats match it bit for bit.
+    value = 0.0
+    weight = 0
+    chain: list | None = None
+    for existing in _nodes_in_order(head):
+        if existing is best_node:
+            if best_replacement is None:
+                continue
+            kept_option, kept_value, kept_weight, kept_loss = best_replacement
+        else:
+            kept_option, kept_value, kept_weight, _, _, kept_loss, _, _, _ = existing
+        value += kept_value
+        weight += kept_weight
+        chain = [kept_option, kept_value, kept_weight, existing[3], chain, kept_loss, None,
+                 value, weight]
+    return [option, option_value, option_weight, by_weight, chain, loss, None,
+            value + option_value, weight + option_weight]
 
 
 def _index_options(options: Sequence[CachingOption],
@@ -577,11 +585,11 @@ def _index_options(options: Sequence[CachingOption],
     """One key's ``(option, value, weight, loss)`` entries and exact-weight index.
 
     Entries come back in increasing weight (the order the DP offers them);
-    the index keeps the *first* option of a weight, as
-    :func:`~repro.core.options.option_with_weight`'s linear scan does.
-    ``loss[i]`` is what shrinking the option by ``weights[i]`` gives up: its
-    value minus that of the key's option of exactly the remaining weight
-    (nothing, when there is none and the object is evicted).
+    the index keeps the *first* option of a weight, as the paper's
+    ``SearchOption`` scan over the key's options does.  ``loss[i]`` is what
+    shrinking the option by ``weights[i]`` gives up: its value minus that of
+    the key's option of exactly the remaining weight (nothing, when there is
+    none and the object is evicted).
     """
     entries: list[tuple] = []
     by_weight: dict[int, tuple] = {}
@@ -595,134 +603,6 @@ def _index_options(options: Sequence[CachingOption],
         entries.append(entry)
         by_weight.setdefault(weight, entry)
     return entries, by_weight
-
-
-class ReferenceKnapsackSolver:
-    """Direct transcription of the paper's pseudo-code (Figs. 4 and 5).
-
-    Each intermediate ``MaxV`` entry is a full immutable
-    :class:`CacheConfiguration`.  This is the original, slow implementation;
-    it serves as ground truth for :class:`KnapsackSolver`'s equivalence tests
-    and accepts the same constructor arguments.
-    """
-
-    def __init__(self, capacity_weight: int, use_relax: bool = True,
-                 stop_after_extra_keys: int | None = 25) -> None:
-        if capacity_weight < 0:
-            raise ValueError("capacity_weight must be non-negative")
-        if stop_after_extra_keys is not None and stop_after_extra_keys < 0:
-            raise ValueError("stop_after_extra_keys must be non-negative or None")
-        self._capacity = capacity_weight
-        self._use_relax = use_relax
-        self._stop_after_extra_keys = stop_after_extra_keys
-
-    @property
-    def capacity_weight(self) -> int:
-        """Cache capacity in chunks."""
-        return self._capacity
-
-    # ------------------------------------------------------------------ #
-    # Public API
-    # ------------------------------------------------------------------ #
-    def solve(self, options_by_key: Mapping[str, Sequence[CachingOption]]) -> SolverResult:
-        """Compute a cache configuration from per-object caching options."""
-        if self._capacity == 0 or not options_by_key:
-            return SolverResult(best=EMPTY_CONFIGURATION, table={0: EMPTY_CONFIGURATION},
-                                keys_processed=0, stopped_early=False)
-
-        usable = {
-            key: [option for option in options if option.weight <= self._capacity]
-            for key, options in options_by_key.items()
-        }
-        usable = {key: options for key, options in usable.items() if options}
-        ordered_keys = sorted(usable, key=lambda key: (-best_option_value(usable[key]), key))
-
-        table: dict[int, CacheConfiguration] = {0: EMPTY_CONFIGURATION}
-        keys_since_full: int | None = None
-        keys_processed = 0
-        stopped_early = False
-
-        for key in ordered_keys:
-            for option in sorted(usable[key], key=lambda opt: opt.weight):
-                if self._use_relax:
-                    self._relax_pass(table, option, usable)
-                self._addition_pass(table, option)
-            keys_processed += 1
-
-            if self._stop_after_extra_keys is not None:
-                if keys_since_full is None and self._capacity_reached(table):
-                    keys_since_full = 0
-                elif keys_since_full is not None:
-                    keys_since_full += 1
-                    if keys_since_full >= self._stop_after_extra_keys:
-                        stopped_early = True
-                        break
-
-        best = max(table.values(), key=lambda config: (config.value, -config.weight))
-        return SolverResult(best=best, table=table, keys_processed=keys_processed,
-                            stopped_early=stopped_early)
-
-    def solve_configuration(self, options_by_key: Mapping[str, Sequence[CachingOption]]) -> CacheConfiguration:
-        """Convenience wrapper returning only the best configuration."""
-        return self.solve(options_by_key).best
-
-    # ------------------------------------------------------------------ #
-    # DP passes
-    # ------------------------------------------------------------------ #
-    def _capacity_reached(self, table: dict[int, CacheConfiguration]) -> bool:
-        return any(weight >= self._capacity for weight in table)
-
-    def _addition_pass(self, table: dict[int, CacheConfiguration], option: CachingOption) -> None:
-        """Fig. 4 lines 14–21: extend existing configurations with ``option``."""
-        for weight, config in sorted(table.items()):
-            if config.has_key(option.key):
-                continue
-            new_weight = config.weight + option.weight
-            if new_weight > self._capacity:
-                continue
-            new_value = config.value + option.value
-            existing = table.get(new_weight)
-            if existing is None or existing.value < new_value:
-                table[new_weight] = config.with_option(option)
-
-    def _relax_pass(self, table: dict[int, CacheConfiguration], option: CachingOption,
-                    options_by_key: Mapping[str, Sequence[CachingOption]]) -> None:
-        """Fig. 4 lines 10–12 / Fig. 5: improve configurations at constant weight."""
-        for weight, config in list(table.items()):
-            improved = self._relax(config, option, options_by_key)
-            if improved is not None and improved.value > config.value:
-                table[weight] = improved
-
-    def _relax(self, config: CacheConfiguration, option: CachingOption,
-               options_by_key: Mapping[str, Sequence[CachingOption]]) -> CacheConfiguration | None:
-        """Fig. 5: make room for ``option`` by shrinking one already-chosen object."""
-        if config.has_key(option.key) or not config.options:
-            return None
-
-        best_choice: tuple[CachingOption, CachingOption | None] | None = None
-        best_value = config.value
-
-        for old_option in config.options:
-            freed_weight = old_option.weight - option.weight
-            if freed_weight < 0:
-                # The new option is larger than the old one; swapping would
-                # exceed the slot's weight.
-                continue
-            replacement = None
-            if freed_weight >= 1:
-                replacement = option_with_weight(
-                    options_by_key.get(old_option.key, ()), freed_weight
-                )
-            replacement_value = replacement.value if replacement is not None else 0.0
-            candidate_value = config.value - old_option.value + replacement_value + option.value
-            if candidate_value > best_value:
-                best_value = candidate_value
-                best_choice = (old_option, replacement)
-
-        if best_choice is None:
-            return None
-        old_option, replacement = best_choice
-        return config.replace(old_option, replacement, added=option)
 
 
 def configuration_summary(configuration: CacheConfiguration) -> dict[int, int]:

@@ -352,34 +352,3 @@ def value_rows(options_by_key: Mapping[str, Sequence[CachingOption]], max_weight
             values += ladder
             weights.update(option.weight for option in fitting)
     return rows, weights, sum(map(abs, values))
-
-
-def best_option_value(options: Sequence[CachingOption]) -> float:
-    """The largest absolute value among a key's options (0 if none)."""
-    return max((option.value for option in options), default=0.0)
-
-
-def option_with_weight(options: Sequence[CachingOption], weight: int) -> CachingOption | None:
-    """The option with exactly ``weight`` cached chunks, if one exists.
-
-    This is ``SearchOption(AllOptions, W, Key)`` from the paper's RELAX
-    procedure (Fig. 5): the shrunk replacement must have exactly the weight
-    that keeps the configuration's total weight unchanged.
-    """
-    for option in options:
-        if option.weight == weight:
-            return option
-    return None
-
-
-def option_with_weight_at_most(options: Sequence[CachingOption], max_weight: int) -> CachingOption | None:
-    """The most valuable option whose weight does not exceed ``max_weight``.
-
-    Options are generated at region boundaries, so an exact weight may not
-    exist; this helper returns the best fitting smaller option (used by the
-    greedy baselines and by callers that can tolerate a weight decrease).
-    """
-    fitting = [option for option in options if option.weight <= max_weight]
-    if not fitting:
-        return None
-    return max(fitting, key=lambda option: (option.value, -option.weight))

@@ -62,13 +62,14 @@ def _checkout(root: Path, side: str, rates, log: Path, correct=True,
     return root
 
 
-def _main(bench_pairs, tmp_path, parent_rates, change_rates, pairs=10, **change):
+def _main(bench_pairs, tmp_path, parent_rates, change_rates, pairs=10,
+          workload="engine_clean", **change):
     log = tmp_path / "runs.log"
     parent = _checkout(tmp_path / "parent", "parent", parent_rates, log)
     changed = _checkout(tmp_path / "change", "change", change_rates, log, **change)
     out = tmp_path / "pairs.json"
     code = bench_pairs.main([
-        "--parent", str(parent), "--change", str(changed), "--workload", "engine_clean",
+        "--parent", str(parent), "--change", str(changed), "--workload", workload,
         "--pairs", str(pairs), "--first-seed", "40", "--claim", "ops_per_ref_s",
         "--out", str(out)])
     return code, json.loads(out.read_text()), log.read_text().splitlines()
@@ -135,6 +136,27 @@ def test_a_moved_model_reading_or_a_failed_run_fails_the_tool(
     code, document, _ = _main(bench_pairs, tmp_path / "failed", [100.0], [130.0],
                               pairs=2, correct=False)
     assert code == 1 and not document["summary"]["all_correct"]
+
+
+def test_wall_clock_workloads_hold_model_readings_to_their_bounds(
+        bench_pairs, tmp_path, monkeypatch):
+    """``wire_hot`` / ``wire_rw`` arrivals are wall-clock: their ``model_*`` wobble."""
+    monkeypatch.setattr(bench_pairs, "DEFAULT_COMMAND", (sys.executable, "bench/run.py"))
+    # A fifth-digit wobble, as the parent shows against itself: not a failure.
+    code, document, _ = _main(bench_pairs, tmp_path / "wobble", [100.0], [130.0],
+                              pairs=2, workload="wire_hot", model_shift=0.001)
+    summary = document["summary"]
+    assert code == 0 and summary["decision_only_agree"] is None
+    assert summary["metrics"]["model_read_ms"]["verdict"] == "within"
+    # Past the 3 % bound it is worse, and the tool fails.
+    code, document, _ = _main(bench_pairs, tmp_path / "moved", [100.0], [130.0],
+                              pairs=2, workload="wire_rw", model_shift=100.0)
+    assert code == 1
+    assert document["summary"]["metrics"]["model_read_ms"]["verdict"] == "worse"
+    # The same wobble on a deterministic workload still fails the tool.
+    code, document, _ = _main(bench_pairs, tmp_path / "exact", [100.0], [130.0],
+                              pairs=2, workload="engine_faulted", model_shift=0.001)
+    assert code == 1 and document["summary"]["decision_only_agree"] is False
 
 
 def _main_many(bench_pairs, tmp_path, capsys, workload, claim):

@@ -47,16 +47,6 @@ class TestCacheConfiguration:
         assert EMPTY_CONFIGURATION.value == 0.0
         assert len(EMPTY_CONFIGURATION) == 0
 
-    def test_with_option_and_lookup(self):
-        option = make_option("a", 3, 30.0)
-        config = EMPTY_CONFIGURATION.with_option(option)
-        assert config.weight == 3
-        assert config.value == pytest.approx(30.0)
-        assert config.has_key("a")
-        assert config.option_for("a") is option
-        assert config.chunks_for("a") == (0, 1, 2)
-        assert config.chunks_for("b") == ()
-
     def test_duplicate_key_rejected(self):
         option = make_option("a", 1, 1.0)
         with pytest.raises(ValueError):
@@ -67,16 +57,6 @@ class TestCacheConfiguration:
         assert config.chunk_ids() == frozenset(
             {ChunkId("a", 0), ChunkId("a", 1), ChunkId("b", 0)}
         )
-
-    def test_replace_total_and_partial(self):
-        old = make_option("a", 5, 50.0)
-        config = CacheConfiguration(options=(old, make_option("b", 2, 10.0)))
-        shrunk = config.replace(old, make_option("a", 3, 30.0), added=make_option("c", 2, 40.0))
-        assert shrunk.weight == 7
-        assert shrunk.has_key("c") and shrunk.option_for("a").weight == 3
-        evicted = config.replace(old, None)
-        assert not evicted.has_key("a")
-        assert evicted.weight == 2
 
     def test_configuration_summary(self):
         config = CacheConfiguration(options=(

@@ -19,8 +19,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.knapsack import KnapsackSolver, ReferenceKnapsackSolver
+from repro.core.knapsack import KnapsackSolver
 from repro.core.options import OptionTable
+
+from reference.knapsack import ReferenceKnapsackSolver
 
 _spec = importlib.util.spec_from_file_location(
     "freeze_reconfig", Path(__file__).resolve().parents[1] / "golden" / "freeze_reconfig.py")

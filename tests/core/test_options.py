@@ -7,8 +7,6 @@ from repro.core.options import (
     baseline_read_latency,
     generate_caching_options,
     needed_chunks,
-    option_with_weight,
-    option_with_weight_at_most,
 )
 from repro.geo.topology import TABLE1_FRANKFURT_LATENCIES
 
@@ -129,23 +127,6 @@ class TestGenerationEdgeCases:
 
 
 class TestOptionLookups:
-    def make_options(self):
-        return [
-            CachingOption("k", (1,), 1, 100.0, 100.0, 2.0, 900.0),
-            CachingOption("k", (1, 2, 3), 3, 300.0, 200.0, 2.0, 700.0),
-            CachingOption("k", (1, 2, 3, 4, 5), 5, 500.0, 200.0, 2.0, 500.0),
-        ]
-
-    def test_option_with_weight_exact(self):
-        options = self.make_options()
-        assert option_with_weight(options, 3).weight == 3
-        assert option_with_weight(options, 4) is None
-
-    def test_option_with_weight_at_most(self):
-        options = self.make_options()
-        assert option_with_weight_at_most(options, 4).weight == 3
-        assert option_with_weight_at_most(options, 0) is None
-
     def test_option_validation(self):
         with pytest.raises(ValueError):
             CachingOption("k", (1, 2), 3, 1.0, 1.0, 1.0, 1.0)

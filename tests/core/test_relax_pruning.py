@@ -16,11 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.backend import ErasureCodedStore
 from repro.core.agar_node import AgarNode
-from repro.core.knapsack import KnapsackSolver, ReferenceKnapsackSolver
+from repro.core.knapsack import KnapsackSolver
 from repro.core.options import CachingOption
 from repro.experiments.ablation import synthetic_options
 from repro.geo import default_topology
 from repro.workload.workload import generate_request_ranks, zipfian_workload
+
+from reference.knapsack import ReferenceKnapsackSolver
 
 MEGABYTE = 1024 * 1024
 

@@ -11,9 +11,11 @@ import random
 
 import pytest
 
-from repro.core.knapsack import KnapsackSolver, ReferenceKnapsackSolver
+from repro.core.knapsack import KnapsackSolver
 from repro.core.options import CachingOption
 from repro.experiments.ablation import synthetic_options
+
+from reference.knapsack import ReferenceKnapsackSolver
 
 
 def random_options(rng: random.Random, key_count: int) -> dict[str, list[CachingOption]]:
