@@ -293,7 +293,7 @@ def test_bench_engine_hedged_faulted(benchmark, settings):
     fetches against the per-link quantile deadline, and emergency knapsack
     reconfiguration on the outage's onset and recovery.  Guards the
     per-chunk cost of the resilient composition path (which replaces the
-    batched stateless wave dispatch whenever resilience is active).
+    batched wave dispatch whenever resilience is active).
     """
     workload = zipfian_workload(
         1.1, request_count=20, object_count=settings.object_count, seed=settings.seed,

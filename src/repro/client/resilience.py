@@ -5,7 +5,7 @@ This module hosts the *policy* pieces of the recovery-aware resilience tier:
 * :class:`ResilienceConfig` — the frozen knob block nested under
   :class:`~repro.client.strategies.ClientConfig`.  When ``active`` the read
   strategies route every read through the resilient composition path (and the
-  engine's batched stateless wave dispatch steps aside, because per-read draw
+  engine's batched wave dispatch steps aside, because per-read draw
   counts are no longer fixed).
 * :class:`BackoffPolicy` — deterministic exponential backoff with seeded
   jitter.  The jitter is a *stateless* splitmix64 hash of

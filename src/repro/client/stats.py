@@ -250,14 +250,15 @@ class LatencyStats:
         self._buffer = buffer
         return buffer
 
-    def record_miss_block(self, latencies_ms, chunks_from_backend_each: int) -> None:
-        """Batched twin of :meth:`record_read` for a block of uniform misses.
+    def record_block(self, latencies_ms, cache_chunks, chunks_per_read: int) -> None:
+        """Batched twin of :meth:`record_read` for a block of plain reads.
 
-        Equivalent to one ``record_read(latency, HitType.MISS,
-        chunks_from_backend=chunks_from_backend_each)`` call per entry, in
-        order.  The engine's stateless wave dispatch lands whole blocks of
-        backend misses whose only varying field is the latency, so the
-        buffer append and every counter bump collapse into one call.
+        Equivalent to one ``record_read`` call per entry, in order, for reads
+        that each took ``chunks_per_read`` chunks, ``cache_chunks[i]`` of them
+        from the local cache and the rest from the backend (``None``: every
+        read a backend miss) — no neighbour chunk, no fault, no resilience.
+        The engine's batched wave dispatch lands whole blocks of such reads,
+        so the buffer append and every counter bump collapse into one call.
         """
         block = np.asarray(latencies_ms, dtype=np.float64)
         size = block.shape[0]
@@ -271,12 +272,23 @@ class LatencyStats:
             while capacity < needed:
                 capacity *= 2
             buffer = np.empty(capacity, dtype=np.float64)
-            buffer[:count] = self._buffer
+            buffer[:count] = self._buffer[:count]
             self._buffer = buffer
         buffer[count:needed] = block
         self._count = needed
-        self.misses += size
-        self.backend_chunks_total += chunks_from_backend_each * size
+        chunks = chunks_per_read * size
+        if cache_chunks is None:
+            self.misses += size
+            self.backend_chunks_total += chunks
+            return
+        full = cache_chunks.count(chunks_per_read)
+        misses = cache_chunks.count(0)
+        cached = sum(cache_chunks)
+        self.full_hits += full
+        self.partial_hits += size - full - misses
+        self.misses += misses
+        self.cache_chunks_total += cached
+        self.backend_chunks_total += chunks - cached
 
     # ------------------------------------------------------------------ #
     # Aggregates

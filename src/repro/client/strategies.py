@@ -47,7 +47,8 @@ class _Selection:
     """
 
     __slots__ = ("positions", "count", "groups", "fetches", "region_runs",
-                 "regions", "chunks", "replanned", "failed", "hedge_position")
+                 "regions", "chunks", "replanned", "failed", "hedge_position",
+                 "cache_hits", "cache_expected_ms", "cache_jitter")
 
     def __init__(self, plan: "_ReadPlan", positions: tuple[int, ...],
                  replanned: bool, failed: bool, hedge_position: int,
@@ -59,6 +60,9 @@ class _Selection:
         self.replanned = replanned
         self.failed = failed
         self.hedge_position = hedge_position
+        self.cache_hits = cache_hits
+        self.cache_expected_ms = plan.cache_expected_ms
+        self.cache_jitter = plan.cache_jitter
         # Draw groups: the selection grouped by identical (expected, σ)
         # pairs.  Chunks read over links with bit-equal expected latency and
         # jitter (typically: same backend region) produce samples that are
@@ -86,6 +90,30 @@ class _Selection:
             by_region.setdefault(region, []).append(offset)
         self.region_runs = tuple((region, tuple(offsets))
                                  for region, offsets in by_region.items())
+
+    def slowest(self, samples) -> float:
+        """The slowest chunk of one read on a fully jittered path, no brownout.
+
+        ``samples`` is the read's block of z draws — the cache hits first,
+        then the selection in order.  The cache chunks share one link, so
+        their largest z decides; each draw group needs one ``exp`` at its
+        largest z.
+        """
+        exp = math.exp
+        slowest = 0.0
+        if self.cache_hits:
+            slowest = self.cache_expected_ms * exp(
+                self.cache_jitter * max(samples[:self.cache_hits]))
+        for expected, jitter, first, rest in self.groups:
+            largest = samples[first]
+            for offset in rest:
+                candidate = samples[offset]
+                if candidate > largest:
+                    largest = candidate
+            sample = expected * exp(jitter * largest)
+            if sample > slowest:
+                slowest = sample
+        return slowest
 
 
 class _ReadPlan:
@@ -284,12 +312,13 @@ class ReadStrategy(ABC):
 
     name: str = "base"
 
-    #: Engine wave dispatch: True on strategies whose read body is
-    #: stateless (no cache probes, a fixed draw count per read), letting
-    #: the engine sample a whole ready-set's jitter in one call and compose
-    #: the reads through :meth:`compose_indexed_batch`.  The engine batches
-    #: only when every selected region's strategy opts in, the topology is
-    #: fully jittered, and no fault is active.
+    #: Engine wave dispatch: True on strategies whose unfaulted,
+    #: non-resilient reads take a fixed draw count (one per chunk on a fully
+    #: jittered topology), letting the engine sample a whole wave's jitter in
+    #: one call and compose the reads through :meth:`compose_indexed_wave`.
+    #: The engine batches only when every selected region's strategy opts
+    #: in, the topology is fully jittered, no region collaborates or runs
+    #: resilient reads, and no fault is active.
     supports_indexed_batch: bool = False
 
     #: False on strategies without a cache: their plans carry no chunk ids.
@@ -368,7 +397,7 @@ class ReadStrategy(ABC):
     def resilience_active(self) -> bool:
         """True when reads compose with timeouts, retries and hedges.
 
-        The engine's batched stateless wave dispatch checks this: resilient
+        The engine's batched wave dispatch checks this: resilient
         reads no longer consume a fixed number of jitter draws, so waves must
         dispatch per event.
         """
@@ -406,7 +435,7 @@ class ReadStrategy(ABC):
         buckets (both empty on an unavailable read).  The serving tier
         (:mod:`repro.serve`) uses this to serve real bytes for precisely the
         chunks the decision named and to build its per-request ledger.  The
-        engine's batched wave composer (:meth:`compose_indexed_batch`) is not
+        engine's batched wave composer (:meth:`compose_indexed_wave`) is not
         a read entry point and fires nothing.  Pass ``None`` to uninstall.
         """
         self._decision_sink = sink
@@ -556,6 +585,29 @@ class ReadStrategy(ABC):
     def _read_plan(self, plan: _ReadPlan, now: float) -> ReadResult:
         """The strategy's read: locate ``k`` chunks of ``plan.key``, compose."""
 
+    def compose_indexed_wave(self, ranks: Sequence[int], times: Sequence[float],
+                             draws: np.ndarray, clock,
+                             kept: list[ReadResult] | None
+                             ) -> tuple[list[float], list[int] | None]:
+        """One engine wave's reads of this region, in event order.
+
+        Strategies with :attr:`supports_indexed_batch` only.  ``draws`` is
+        the wave's slice of the jitter stream — one row of ``data_chunks`` z
+        values per read — which the engine takes through a single
+        ``take_standard_normals_array`` call, so every read sees exactly the
+        values its per-event :meth:`read_indexed` would have drawn.  Every
+        other effect of the read happens as :meth:`read_indexed` would do it,
+        at its own simulated time (written to ``clock``).  Returns the
+        latencies and, per read, the chunks it took from the local cache
+        (``None``: none at all); with ``kept`` a list, the
+        :class:`ReadResult` of every read is appended to it.
+
+        Only valid while no fault is active (the engine checks per wave;
+        fault transitions land on block boundaries, so the flag is constant
+        across a wave).
+        """
+        raise NotImplementedError
+
     def _plan_for(self, key: str) -> _ReadPlan:
         """The read plan of ``key``, built and interned on first use."""
         plan = self._plans.get(key)
@@ -658,20 +710,8 @@ class ReadStrategy(ABC):
             slowest = 0.0
             brownouts = self._brownouts
             if plan.all_jitter_positive and brownouts is None:
-                samples = self._latency.take_standard_normals(cache_hits + backend_count)
-                if cache_hits:
-                    slowest = plan.cache_expected_ms * exp(
-                        plan.cache_jitter * max(samples[:cache_hits])
-                    )
-                for expected, jitter, first, rest in selection.groups:
-                    largest = samples[first]
-                    for offset in rest:
-                        candidate = samples[offset]
-                        if candidate > largest:
-                            largest = candidate
-                    sample = expected * exp(jitter * largest)
-                    if sample > slowest:
-                        slowest = sample
+                slowest = selection.slowest(
+                    self._latency.take_standard_normals(cache_hits + backend_count))
             else:
                 expected_by_position = plan.nearest_expected_ms
                 jitter_by_position = plan.nearest_jitter
@@ -889,51 +929,14 @@ class BackendReadStrategy(ReadStrategy):
         selection = plan.select((), (), self._down_backends)
         return self._compose(plan, now, (), selection, degraded=selection.replanned)
 
-    def compose_indexed_batch(self, ranks: Sequence[int], times: Sequence[float],
-                              draws: np.ndarray) -> list[ReadResult]:
-        """:meth:`compose_indexed_batch_latencies` plus the :class:`ReadResult`s.
+    def compose_indexed_wave(self, ranks, times, draws, clock, kept):
+        """:meth:`ReadStrategy.compose_indexed_wave`, vectorized.
 
-        For kept runs: one result per row, each a plain backend miss with
-        the latency the kernel composed.
-        """
-        latencies = self.compose_indexed_batch_latencies(ranks, draws)
-        plans = self._indexed_plans
-        results = []
-        for rank, time_s, latency_ms in zip(ranks, times, latencies):
-            plan = plans[rank]
-            selection = plan.select(())
-            results.append(ReadResult(
-                key=plan.key,
-                latency_ms=latency_ms,
-                hit_type=HitType.MISS,
-                chunks_from_cache=0,
-                chunks_from_backend=selection.count,
-                backend_regions=selection.regions,
-                started_at_s=time_s,
-            ))
-        return results
-
-    def compose_indexed_batch_latencies(self, ranks: Sequence[int],
-                                        draws: np.ndarray) -> list[float]:
-        """The latencies of one engine wave of indexed reads, vectorized.
-
-        ``draws`` is the wave's slice of the jitter stream — one row of
-        ``data_chunks`` z values per read, in event order.  The engine takes
-        the whole wave's draws through a single
-        ``take_standard_normals_array`` call, so every read sees exactly the
-        values its per-event dispatch would have drawn (a backend read on a
-        fully jittered topology consumes one draw per fetched chunk, no
-        more).  The composition itself is unchanged — per draw group,
-        ``expected * exp(σ · max z)`` with the same float operation order —
-        only the group maxima are reduced in numpy across the wave, so
-        latencies are bit-identical to sequential ``read_indexed`` calls.
-        Every read in a stateless wave is a plain backend miss, so when
-        results are not kept the latencies are all the engine needs (the
-        stats side collapses into one ``record_miss_block`` call).
-
-        Only valid while no fault is active (the engine checks per wave;
-        fault transitions land on block boundaries, so the flag is constant
-        across a wave).
+        A backend read touches no state, so the reads group by key: per draw
+        group, ``expected * exp(σ · max z)`` with the same float operation
+        order as :meth:`_compose`, only the group maxima are reduced in numpy
+        across the key's rows, so latencies are bit-identical to sequential
+        ``read_indexed`` calls.  Every read is a plain backend miss.
         """
         exp = math.exp
         overhead = self._overhead_ms
@@ -968,7 +971,13 @@ class BackendReadStrategy(ReadStrategy):
                 if include_decode:
                     total += decode
                 latencies[row] = total
-        return latencies
+        if kept is not None:
+            for rank, time_s, latency_ms in zip(ranks, times, latencies):
+                plan = plans[rank]
+                selection = plan.select(())
+                kept.append(ReadResult(plan.key, latency_ms, HitType.MISS, 0,
+                                       selection.count, selection.regions, time_s))
+        return latencies, None
 
 
 
@@ -1232,6 +1241,12 @@ class AgarReadStrategy(ReadStrategy):
         self._hint_overhead_ms = self._node.request_monitor.processing_overhead_ms
         # Whose current configuration a remembered hint is checked against.
         self._cache_manager = self._node.cache_manager
+        # Wave batching needs one draw per chunk; a cache hit draws one only
+        # over a jittered cache link (the engine checks the backend links).
+        try:
+            self.supports_indexed_batch = self._latency.cache_link(client_region).jitter > 0.0
+        except KeyError:
+            self.supports_indexed_batch = False
 
     @property
     def node(self) -> AgarNode:
@@ -1271,9 +1286,13 @@ class AgarReadStrategy(ReadStrategy):
         if self._emergency_reconfig:
             self._node.emergency_reconfigure(now, self._down_backends)
 
-    def _read_plan(self, plan: _ReadPlan, now: float) -> ReadResult:
-        # The Agar node (popularity monitor, knapsack) is control-plane state
-        # that survives an AZ failure; only the cache data path goes dark.
+    def _locate(self, plan: _ReadPlan, now: float) -> tuple[tuple[int, ...], list[int]]:
+        """Count the read, resolve its hints and probe the cache for them.
+
+        Returns ``(hit positions, hinted positions that missed)``.  The Agar
+        node (popularity monitor, knapsack) is control-plane state that
+        survives an AZ failure; only the cache data path goes dark.
+        """
         node = self._node
         node.count_request(plan.key, now)
         # After the count: a piggy-backed period check may just have
@@ -1282,20 +1301,34 @@ class AgarReadStrategy(ReadStrategy):
         hint = plan.hint
         if hint is None or hint[0] is not configuration:
             hint = plan.hinted_under(configuration)
-        cache = node.cache
-
-        hit_positions: tuple[int, ...] = ()
-        missing_positions: list[int] = []
         hinted_positions = hint[1]
-        if hinted_positions and not self._cache_down:
-            hit_offsets = cache.probe(hint[2])
-            if len(hit_offsets) == len(hinted_positions):
-                hit_positions = hinted_positions
-            else:
-                hit_positions = tuple([hinted_positions[offset]
-                                       for offset in hit_offsets])
-                missing_positions = [position for position in hinted_positions
-                                     if position not in hit_positions]
+        if not hinted_positions or self._cache_down:
+            return (), []
+        hit_offsets = node.cache.probe(hint[2])
+        if len(hit_offsets) == len(hinted_positions):
+            return hinted_positions, []
+        hit_positions = tuple([hinted_positions[offset] for offset in hit_offsets])
+        return hit_positions, [position for position in hinted_positions
+                               if position not in hit_positions]
+
+    def _write_back(self, plan: _ReadPlan, fetched: tuple[int, ...],
+                    missing_positions: list[int]) -> None:
+        """Cache the hinted chunks the read fetched from the backend.
+
+        Done by a separate thread pool in the prototype (§V-A), so never
+        charged; ``fetched`` are the selection's nearest positions (none on
+        an unavailable read).  Needed position p (furthest first) is nearest
+        position k-1-p.
+        """
+        last = plan.data_chunks - 1
+        put = self._node.cache.put
+        chunks = plan.needed_chunks
+        for position in missing_positions:
+            if last - position in fetched:
+                put(chunks[position])
+
+    def _read_plan(self, plan: _ReadPlan, now: float) -> ReadResult:
+        hit_positions, missing_positions = self._locate(plan, now)
 
         # §VI: needed chunks that missed the local cache but are pinned by a
         # collaborating neighbour are read from that neighbour's cache —
@@ -1320,20 +1353,46 @@ class AgarReadStrategy(ReadStrategy):
             extra_overhead_ms=self._hint_overhead_ms,
             degraded=self._cache_down or selection.replanned,
         )
-
-        # Write the hinted chunks the client had to fetch from the backend into
-        # the cache (done by a separate thread pool in the prototype, §V-A);
-        # an unavailable read fetched none.
         if missing_positions:
-            # Needed position p (furthest first) is nearest position k-1-p.
-            fetched = selection.positions
-            last = plan.data_chunks - 1
-            put = cache.put
-            chunks = plan.needed_chunks
-            for position in missing_positions:
-                if last - position in fetched:
-                    put(chunks[position])
+            self._write_back(plan, selection.positions, missing_positions)
         return result
+
+    def compose_indexed_wave(self, ranks, times, draws, clock, kept):
+        """:meth:`ReadStrategy.compose_indexed_wave`: :meth:`_read_plan` per read.
+
+        The same :meth:`_locate`, selection and :meth:`_write_back` against
+        the live node and cache, in event order; only the draws come from
+        the wave's row and the result is a latency and a cache-chunk count.
+        The engine batches Agar regions only without collaboration (no
+        neighbour chunks) and with a jittered cache link, so the grouped
+        composition of :meth:`_compose` always applies.
+        """
+        plans = self._indexed_plans
+        locate = self._locate
+        base_ms = self._overhead_ms + self._hint_overhead_ms
+        include_decode = self._include_decode
+        latencies: list[float] = []
+        cached: list[int] = []
+        for rank, now, samples in zip(ranks, times, draws.tolist()):
+            clock._now_s = now
+            plan = plans[rank] or self._indexed_plan(rank)
+            hit_positions, missing_positions = locate(plan, now)
+            selection = plan.select(hit_positions)
+            total = base_ms + selection.slowest(samples)
+            if include_decode:
+                total += plan.decode_ms
+            if missing_positions:
+                self._write_back(plan, selection.positions, missing_positions)
+            latencies.append(total)
+            cache_hits = selection.cache_hits
+            cached.append(cache_hits)
+            if kept is not None:
+                kept.append(ReadResult(
+                    plan.key, total,
+                    (HitType.MISS if not cache_hits else
+                     HitType.PARTIAL if selection.count else HitType.FULL),
+                    cache_hits, selection.count, selection.regions, now))
+        return latencies, cached
 
 
 def is_strategy_name(name: str) -> bool:

@@ -265,35 +265,25 @@ class EngineOptions:
         deployment-wide config was derived from the default capacity.
         """
         effective_clients = self.clients_per_region if clients is None else clients
-        if self.region_specs:
+        if not self.region_specs:
             return tuple(
-                engine_region_spec(spec, strategy, effective_clients)
-                for spec in self.region_specs
+                RegionSpec(region=region, clients=effective_clients, strategy=strategy)
+                for region in self.effective_regions(default_regions)
             )
-        return tuple(
-            RegionSpec(region=region, clients=effective_clients, strategy=strategy)
-            for region in self.effective_regions(default_regions)
-        )
-
-
-def engine_region_spec(option: RegionSpecOption, strategy: str,
-                        clients: int) -> RegionSpec:
-    """One engine :class:`RegionSpec` from a CLI region option.
-
-    Applies the option's strategy/cache overrides; an Agar region with its
-    own cache size also gets Agar tunables adapted to that size.
-    """
-    effective_strategy = option.strategy or strategy
-    agar = None
-    if option.cache_capacity_bytes is not None and effective_strategy == "agar":
-        agar = agar_config_for_capacity(option.cache_capacity_bytes)
-    return RegionSpec(
-        region=option.region,
-        clients=clients,
-        strategy=effective_strategy,
-        cache_capacity_bytes=option.cache_capacity_bytes,
-        agar=agar,
-    )
+        specs = []
+        for option in self.region_specs:
+            effective_strategy = option.strategy or strategy
+            agar = None
+            if option.cache_capacity_bytes is not None and effective_strategy == "agar":
+                agar = agar_config_for_capacity(option.cache_capacity_bytes)
+            specs.append(RegionSpec(
+                region=option.region,
+                clients=effective_clients,
+                strategy=effective_strategy,
+                cache_capacity_bytes=option.cache_capacity_bytes,
+                agar=agar,
+            ))
+        return tuple(specs)
 
 
 def agar_config_for_capacity(cache_capacity_bytes: int) -> AgarNodeConfig:

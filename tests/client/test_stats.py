@@ -1,6 +1,8 @@
 """Tests for read results and latency statistics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.client.stats import HitType, LatencyStats, ReadResult
 
@@ -93,6 +95,39 @@ class TestLatencyStats:
         assert merged.hit_ratio == pytest.approx(0.5)
         # Originals untouched.
         assert first.count == 1 and second.count == 1
+
+
+class TestRecordBlock:
+    """``record_block`` is ``record_read`` per entry, in order."""
+
+    @staticmethod
+    def per_read(latencies, cache_chunks, chunks_per_read, initial):
+        stats = LatencyStats(capacity=1)
+        for latency, cached in initial:
+            stats.record_read(latency, HitType.PARTIAL, cached, 1)
+        for latency, cached in zip(latencies, cache_chunks or [0] * len(latencies)):
+            hit = (HitType.MISS if not cached else
+                   HitType.FULL if cached == chunks_per_read else HitType.PARTIAL)
+            stats.record_read(latency, hit, cached, chunks_per_read - cached)
+        return stats
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 9), data=st.data(),
+           initial=st.lists(st.tuples(st.floats(0, 1e3), st.integers(0, 3)), max_size=3),
+           backend_only=st.booleans())
+    def test_equals_record_read_per_entry(self, k, data, initial, backend_only):
+        latencies = data.draw(st.lists(st.floats(0, 1e4), max_size=40))
+        cache_chunks = (None if backend_only else
+                        data.draw(st.lists(st.integers(0, k), min_size=len(latencies),
+                                           max_size=len(latencies))))
+        expected = self.per_read(latencies, cache_chunks, k, initial)
+        block = self.per_read([], None, k, initial)
+        block.record_block(latencies, cache_chunks, k)
+        assert block.latencies_ms == expected.latencies_ms
+        assert block.summary() == expected.summary()
+        for counter in ("full_hits", "partial_hits", "misses",
+                        "cache_chunks_total", "backend_chunks_total"):
+            assert getattr(block, counter) == getattr(expected, counter), counter
 
 
 class TestMergeAll:

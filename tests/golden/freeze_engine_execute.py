@@ -9,7 +9,7 @@ agar / lru-5 / lfu-5 / backend deployment; §VI collaboration (neighbour
 catalog installed, so hinted and neighbour chunks interleave); the 1 × 1
 piggy-backed shape (``auto_reconfigure`` on); the zero-jitter ``table1``
 topology (tie-guarded heap path); Poisson open loop; ``keep_results=True`` with
-``warmup_requests > 0``; and a backend-only kept run (the stateless wave
+``warmup_requests > 0``; and a backend-only kept run (the batched wave
 dispatch) — it runs ``execute(deployment, seed)`` twice against one
 deployment (the second run reads a warm cache) and records two SHA-256
 digests per run:

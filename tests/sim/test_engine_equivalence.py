@@ -25,6 +25,7 @@ import pytest
 
 from repro.client.resilience import ResilienceConfig
 from repro.client.strategies import ClientConfig
+from repro.core.agar_node import AgarNodeConfig
 from repro.sim.engine import (
     EngineConfig,
     EventEngine,
@@ -322,6 +323,100 @@ class TestLaneSchedulerEquivalence:
         deployment = engine.build_deployment()
         reference = engine.execute_reference(deployment, 5)
         assert_results_identical(via_run, reference)
+
+
+def _agar_wave_shapes() -> dict[str, tuple[EngineConfig, bool]]:
+    """Agar deployments for the batched wave: ``(config, keep_results)``.
+
+    Enough clients that waves reach the batched dispatch's minimum size, few
+    enough that small waves still dispatch per event in the same run.
+    """
+    def config(regions, **overrides):
+        return EngineConfig(workload=workload(requests=40), regions=regions,
+                            cache_capacity_bytes=4 * MEGABYTE, **overrides)
+
+    one = (RegionSpec("frankfurt", clients=120),)
+    three = tuple(RegionSpec(region, clients=48)
+                  for region in ("frankfurt", "sydney", "dublin"))
+    return {
+        "one_region_unkept_warmup": (config(one, warmup_requests=7), False),
+        "one_region_kept": (config(one), True),
+        "three_regions_unkept_warmup": (config(three, warmup_requests=5), False),
+        "three_regions_kept_warmup": (config(three, warmup_requests=5), True),
+        # Piggy-backed reconfiguration: a read's count_request installs a
+        # configuration in the middle of a wave.
+        "auto_reconfiguration": (config(
+            (RegionSpec("frankfurt", clients=60), RegionSpec("tokyo", clients=60)),
+            timer_reconfiguration=False,
+            agar=AgarNodeConfig(reconfiguration_period_s=4.0)), False),
+        "collaborative": (config(
+            (RegionSpec("frankfurt", clients=60), RegionSpec("dublin", clients=60)),
+            collaboration=True), True),
+    }
+
+
+def _agar_state(deployment):
+    """What a read changes besides its result: caches, counts, the stream."""
+    state = []
+    for strategy in deployment.strategies:
+        cache = strategy.cache
+        stats = cache.stats
+        state.append((stats.chunk_hits, stats.chunk_misses, stats.insertions,
+                      stats.evictions, strategy.node.request_monitor.requests_seen,
+                      len(strategy.node.reconfiguration_history())))
+        # Probe recency has no public view; every read writes it at its time.
+        state.append(sorted((chunk_id.key, chunk_id.index, entry.last_access,
+                             entry.access_count)
+                            for chunk_id, entry in cache._entries.items()))
+    state.append(deployment.store.topology.latency.next_standard_normal())
+    return state
+
+
+class TestAgarWaveEquivalence:
+    """Agar regions compose whole waves through ``compose_indexed_wave``;
+    ``execute`` must still equal ``execute_reference`` bit for bit, state
+    included, and collaborative deployments must stay per event."""
+
+    @staticmethod
+    def spy_on_waves(deployment):
+        """Count wave composes, and those during which a configuration landed."""
+        seen = {"waves": 0, "installs": 0}
+        for strategy in deployment.strategies:
+            compose = strategy.compose_indexed_wave
+            history = strategy.node.reconfiguration_history
+
+            def counted(*wave, compose=compose, history=history):
+                before = len(history())
+                outcome = compose(*wave)
+                seen["waves"] += 1
+                seen["installs"] += len(history()) > before
+                return outcome
+
+            strategy.compose_indexed_wave = counted
+        return seen
+
+    @pytest.mark.parametrize("shape", sorted(_agar_wave_shapes()))
+    def test_bit_identical(self, shape):
+        config, keep = _agar_wave_shapes()[shape]
+        outcomes, states = [], []
+        for method in ("execute", "execute_reference"):
+            engine = EventEngine(config, keep_results=keep)
+            engine.topology.latency.reseed(config.topology_seed + 3)
+            deployment = engine.build_deployment()
+            seen = self.spy_on_waves(deployment)
+            outcomes.append([getattr(engine, method)(deployment, seed) for seed in (3, 4)])
+            states.append(_agar_state(deployment))
+            if method == "execute":
+                waves = seen
+        for fast, reference in zip(*outcomes):
+            assert_results_identical(fast, reference)
+        assert states[0] == states[1]
+        if shape == "collaborative":
+            assert waves["waves"] == 0
+        else:
+            assert waves["waves"] > 0
+        if shape == "auto_reconfiguration":
+            assert waves["installs"] > 0
 
 
 class TestResilienceEquivalence:
@@ -731,16 +826,28 @@ class TestShardFailures:
         engine.topology.latency.reseed(config.topology_seed + 5)
         deployment = engine.build_deployment()
         failing, healthy = deployment.strategies
+        # A read reaches the strategy per event (read_indexed) or in a
+        # batched wave (compose_indexed_wave): inject at both entry points.
         failing.read_indexed = fail
+        failing.compose_indexed_wave = lambda ranks, *wave: fail(ranks[0], None)
         healthy_read = healthy.read_indexed
+        healthy_wave = healthy.compose_indexed_wave
         pending = [self.STALL_S]
 
-        def stalled(key_index, now):
+        def stall():
             if pending:
                 time.sleep(pending.pop())
+
+        def stalled(key_index, now):
+            stall()
             return healthy_read(key_index, now)
 
+        def stalled_wave(*wave):
+            stall()
+            return healthy_wave(*wave)
+
         healthy.read_indexed = stalled
+        healthy.compose_indexed_wave = stalled_wave
         return engine, deployment
 
     @staticmethod
