@@ -47,8 +47,7 @@ class _Selection:
     """
 
     __slots__ = ("positions", "count", "groups", "fetches", "region_runs",
-                 "regions", "chunks", "replanned", "failed", "hedge_position",
-                 "cache_hits", "cache_expected_ms", "cache_jitter")
+                 "regions", "chunks", "replanned", "failed", "hedge_position")
 
     def __init__(self, plan: "_ReadPlan", positions: tuple[int, ...],
                  replanned: bool, failed: bool, hedge_position: int,
@@ -60,9 +59,6 @@ class _Selection:
         self.replanned = replanned
         self.failed = failed
         self.hedge_position = hedge_position
-        self.cache_hits = cache_hits
-        self.cache_expected_ms = plan.cache_expected_ms
-        self.cache_jitter = plan.cache_jitter
         # Draw groups: the selection grouped by identical (expected, σ)
         # pairs.  Chunks read over links with bit-equal expected latency and
         # jitter (typically: same backend region) produce samples that are
@@ -91,19 +87,19 @@ class _Selection:
         self.region_runs = tuple((region, tuple(offsets))
                                  for region, offsets in by_region.items())
 
-    def slowest(self, samples) -> float:
+    def slowest(self, plan: "_ReadPlan", cache_hits: int, samples) -> float:
         """The slowest chunk of one read on a fully jittered path, no brownout.
 
-        ``samples`` is the read's block of z draws — the cache hits first,
-        then the selection in order.  The cache chunks share one link, so
-        their largest z decides; each draw group needs one ``exp`` at its
-        largest z.
+        ``samples`` is the read's block of z draws — the ``cache_hits``
+        first, then the selection in order.  The cache chunks share one
+        link, so their largest z decides; each draw group needs one ``exp``
+        at its largest z.
         """
         exp = math.exp
         slowest = 0.0
-        if self.cache_hits:
-            slowest = self.cache_expected_ms * exp(
-                self.cache_jitter * max(samples[:self.cache_hits]))
+        if cache_hits:
+            slowest = plan.cache_expected_ms * exp(
+                plan.cache_jitter * max(samples[:cache_hits]))
         for expected, jitter, first, rest in self.groups:
             largest = samples[first]
             for offset in rest:
@@ -711,6 +707,7 @@ class ReadStrategy(ABC):
             brownouts = self._brownouts
             if plan.all_jitter_positive and brownouts is None:
                 slowest = selection.slowest(
+                    plan, cache_hits,
                     self._latency.take_standard_normals(cache_hits + backend_count))
             else:
                 expected_by_position = plan.nearest_expected_ms
@@ -930,47 +927,21 @@ class BackendReadStrategy(ReadStrategy):
         return self._compose(plan, now, (), selection, degraded=selection.replanned)
 
     def compose_indexed_wave(self, ranks, times, draws, clock, kept):
-        """:meth:`ReadStrategy.compose_indexed_wave`, vectorized.
+        """:meth:`ReadStrategy.compose_indexed_wave`: :meth:`_compose` per read.
 
-        A backend read touches no state, so the reads group by key: per draw
-        group, ``expected * exp(σ · max z)`` with the same float operation
-        order as :meth:`_compose`, only the group maxima are reduced in numpy
-        across the key's rows, so latencies are bit-identical to sequential
-        ``read_indexed`` calls.  Every read is a plain backend miss.
+        A backend read touches no state and is a plain miss: its latency is
+        the same :meth:`_Selection.slowest` over the wave's row of draws.
         """
-        exp = math.exp
+        plans = self._indexed_plans
         overhead = self._overhead_ms
         include_decode = self._include_decode
-        plans = self._indexed_plans
-        by_rank: dict[int, list[int]] = {}
-        for row, rank in enumerate(ranks):
-            bucket = by_rank.get(rank)
-            if bucket is None:
-                by_rank[rank] = [row]
-            else:
-                bucket.append(row)
-        latencies = [0.0] * len(ranks)
-        for rank, rows in by_rank.items():
+        latencies: list[float] = []
+        for rank, samples in zip(ranks, draws.tolist()):
             plan = plans[rank] or self._indexed_plan(rank)
-            decode = plan.decode_ms
-            block = draws[rows]
-            columns = []
-            for expected, jitter, first, rest in plan.select(()).groups:
-                if rest:
-                    column = block[:, (first, *rest)].max(axis=1)
-                else:
-                    column = block[:, first]
-                columns.append((expected, jitter, column.tolist()))
-            for j, row in enumerate(rows):
-                slowest = 0.0
-                for expected, jitter, largest in columns:
-                    sample = expected * exp(jitter * largest[j])
-                    if sample > slowest:
-                        slowest = sample
-                total = overhead + slowest
-                if include_decode:
-                    total += decode
-                latencies[row] = total
+            total = overhead + plan.select(()).slowest(plan, 0, samples)
+            if include_decode:
+                total += plan.decode_ms
+            latencies.append(total)
         if kept is not None:
             for rank, time_s, latency_ms in zip(ranks, times, latencies):
                 plan = plans[rank]
@@ -1224,6 +1195,7 @@ class AgarReadStrategy(ReadStrategy):
     """
 
     name = "agar"
+    supports_indexed_batch = True
 
     def __init__(self, store: ErasureCodedStore, client_region: str, cache_capacity_bytes: int,
                  node_config: AgarNodeConfig | None = None,
@@ -1241,12 +1213,6 @@ class AgarReadStrategy(ReadStrategy):
         self._hint_overhead_ms = self._node.request_monitor.processing_overhead_ms
         # Whose current configuration a remembered hint is checked against.
         self._cache_manager = self._node.cache_manager
-        # Wave batching needs one draw per chunk; a cache hit draws one only
-        # over a jittered cache link (the engine checks the backend links).
-        try:
-            self.supports_indexed_batch = self._latency.cache_link(client_region).jitter > 0.0
-        except KeyError:
-            self.supports_indexed_batch = False
 
     @property
     def node(self) -> AgarNode:
@@ -1364,7 +1330,7 @@ class AgarReadStrategy(ReadStrategy):
         the live node and cache, in event order; only the draws come from
         the wave's row and the result is a latency and a cache-chunk count.
         The engine batches Agar regions only without collaboration (no
-        neighbour chunks) and with a jittered cache link, so the grouped
+        neighbour chunks) and on fully jittered topologies, so the grouped
         composition of :meth:`_compose` always applies.
         """
         plans = self._indexed_plans
@@ -1378,13 +1344,13 @@ class AgarReadStrategy(ReadStrategy):
             plan = plans[rank] or self._indexed_plan(rank)
             hit_positions, missing_positions = locate(plan, now)
             selection = plan.select(hit_positions)
-            total = base_ms + selection.slowest(samples)
+            cache_hits = len(hit_positions)
+            total = base_ms + selection.slowest(plan, cache_hits, samples)
             if include_decode:
                 total += plan.decode_ms
             if missing_positions:
                 self._write_back(plan, selection.positions, missing_positions)
             latencies.append(total)
-            cache_hits = selection.cache_hits
             cached.append(cache_hits)
             if kept is not None:
                 kept.append(ReadResult(

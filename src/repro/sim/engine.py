@@ -152,8 +152,8 @@ _TIMER_FAULT = 2
 #: block record, one scatter of completions), so smaller waves are cheaper per
 #: event.  Measured on 1–512 closed-loop Agar clients over one and two
 #: regions: at 8, two regions of 32 clients (≈ 6 reads a wave) ran 8 % slower
-#: than per event, at 16 within run-to-run noise of it.  Both dispatches are
-#: bit-identical.
+#: than per event, at 16 within run-to-run noise of it.  Backend-only shapes
+#: (1 × 1 to 2 × 256 clients) agree.  Both dispatches are bit-identical.
 _BATCH_MIN_READS = 16
 
 
