@@ -1,4 +1,4 @@
-"""Exact work counts of two benchmark shapes, frozen at the commits named in the file.
+"""Exact work counts of three benchmark shapes, frozen at the commits named in the file.
 
 ``tests/golden/work_counts.json`` was produced by
 ``tests/golden/freeze_work_counts.py``.  The ``reconfig`` edition: 30 periods
@@ -7,7 +7,10 @@ period the candidate, option and DP work counters, the configured chunks,
 the value's bits and a digest of the installed chunk ids.  The
 ``engine_clean`` edition: one ``execute`` per seed of the engine benchmark's
 clean shape, per region the hit classes, chunk totals, cache counters,
-requests seen and a latency digest, plus the jitter stream's position.  A
+requests seen and a latency digest, plus the jitter stream's position.  The
+``engine_faulted`` edition: the same for the faulted engine shape, plus the
+degraded, unavailable, retried and hedged reads and, per periodic or
+emergency reconfiguration, the DP counters and installed chunks.  A
 speed-up must reproduce every count; a change that moves one on purpose
 regenerates the file (``--force``) and says why.
 """
@@ -28,12 +31,15 @@ _spec.loader.exec_module(freeze)
 GOLDEN = json.loads((GOLDEN_DIR / "work_counts.json").read_text())
 
 
+ENGINE_EDITIONS = ("engine_clean", "engine_faulted")
+
+
 def test_golden_file_covers_every_seed():
-    assert sorted(set(GOLDEN) - {"generated_at_commit", "engine_clean"}) == sorted(
-        f"seed{seed}" for seed in freeze.SEEDS)
+    seeds = sorted(f"seed{seed}" for seed in freeze.SEEDS)
+    assert sorted(set(GOLDEN) - {"generated_at_commit", *ENGINE_EDITIONS}) == seeds
     assert all(len(GOLDEN[f"seed{seed}"]) == freeze.PERIODS for seed in freeze.SEEDS)
-    assert sorted(set(GOLDEN["engine_clean"]) - {"generated_at_commit"}) == sorted(
-        f"seed{seed}" for seed in freeze.SEEDS)
+    for edition in ENGINE_EDITIONS:
+        assert sorted(set(GOLDEN[edition]) - {"generated_at_commit"}) == seeds
 
 
 @pytest.mark.parametrize("seed", freeze.SEEDS)
@@ -45,4 +51,17 @@ def test_every_period_reproduces(seed):
 
 @pytest.mark.parametrize("seed", freeze.SEEDS)
 def test_engine_clean_reproduces(seed):
-    assert freeze.run_engine_clean(seed) == GOLDEN["engine_clean"][f"seed{seed}"]
+    assert freeze.run_engine(seed) == GOLDEN["engine_clean"][f"seed{seed}"]
+
+
+@pytest.mark.parametrize("seed", freeze.SEEDS)
+def test_engine_faulted_reproduces(seed):
+    assert freeze.run_engine(seed, faulted=True) == GOLDEN["engine_faulted"][f"seed{seed}"]
+
+
+def test_engine_faulted_covers_both_triggers():
+    """Each region re-solves on the timer and on the outage's onset and recovery."""
+    for run in (GOLDEN["engine_faulted"][f"seed{seed}"] for seed in freeze.SEEDS):
+        for region in run["regions"].values():
+            triggers = [entry["trigger"] for entry in region["reconfigurations"]]
+            assert triggers.count("emergency") >= 2 and "periodic" in triggers

@@ -1,7 +1,7 @@
-"""Freeze the exact work counts of two end-to-end benchmark shapes.
+"""Freeze the exact work counts of three end-to-end benchmark shapes.
 
 A timer can only see a regression of about twice its run-to-run spread; the
-work a run does is exact for a seed.  The file holds two editions.
+work a run does is exact for a seed.  The file holds three editions.
 
 ``reconfig`` (the top-level ``seed7`` / ``seed101`` entries and their
 ``generated_at_commit``): the shape of ``bench/run.py --workload reconfig``
@@ -28,6 +28,18 @@ hits, misses, insertions and evictions, the node's ``requests_seen`` and a
 SHA-256 of ``latencies_array()``; per run the simulated duration and the
 jitter stream's position (its next four draws).  Seeds 7 and 101.
 
+``engine_faulted`` (the ``"engine_faulted"`` entry, with its own
+``generated_at_commit``): the shape of ``bench/run.py --workload
+engine_faulted`` — 2 regions × 128 resilient Agar clients × 110 reads over
+the same objects and cache, ``sao_paulo`` down from 20 s to 50 s, one retry,
+hedging and emergency reconfiguration.  Per region it records what the
+``engine_clean`` edition does plus the degraded and unavailable reads, the
+retries, hedged reads and hedge wins, and one entry per reconfiguration —
+periodic or emergency — with the record's counts, value bits and installed
+chunk digest (the emergency re-solves run under a down region, which the
+``reconfig`` edition never does); per run the same stream position.
+Seeds 7 and 101.
+
 Only public API is driven, so the same script runs unchanged on any commit.
 
 Generate the editions missing from the file (refuses to overwrite one
@@ -50,9 +62,12 @@ import sys
 from pathlib import Path
 
 from repro.backend import ErasureCodedStore
+from repro.client.resilience import ResilienceConfig
+from repro.client.strategies import ClientConfig
 from repro.core.agar_node import AgarNode
 from repro.geo import default_topology
 from repro.sim.engine import EngineConfig, EventEngine, RegionSpec
+from repro.sim.faults import FaultSchedule, RegionOutage
 from repro.workload.workload import (WorkloadSpec, generate_request_ranks,
                                      zipfian_workload)
 
@@ -67,7 +82,7 @@ PERIOD_S = 30.0
 PERIODS = 30
 SKEW = 1.1
 SEEDS = (7, 101)
-EDITIONS = ("reconfig", "engine_clean")
+EDITIONS = ("reconfig", "engine_clean", "engine_faulted")
 
 # Spelled out rather than read off the dataclass: a field added later must
 # not silently change the file.
@@ -83,6 +98,14 @@ def installed_digest(configuration) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def record_entry(record, configuration) -> dict:
+    """A record's counts, its value bits and the configuration it installed."""
+    entry = {name: getattr(record, name) for name in COUNT_FIELDS}
+    entry["configuration_value"] = record.configuration_value.hex()
+    entry["installed"] = installed_digest(configuration)
+    return entry
+
+
 def run_seed(seed: int) -> list[dict]:
     """One entry per period: the record's counts, its value bits, the install."""
     store = ErasureCodedStore(default_topology(seed=seed))
@@ -96,36 +119,74 @@ def run_seed(seed: int) -> list[dict]:
         for rank in generate_request_ranks(workload).tolist():
             record_request(workload.key_for_rank(rank))
         record = node.reconfigure(PERIOD_S * (period + 1))
-        entry = {name: getattr(record, name) for name in COUNT_FIELDS}
-        entry["configuration_value"] = record.configuration_value.hex()
-        entry["installed"] = installed_digest(node.current_configuration)
-        periods.append(entry)
+        periods.append(record_entry(record, node.current_configuration))
     return periods
 
 
-def engine_clean_config(seed: int) -> EngineConfig:
-    """``bench/run.py --workload engine_clean``'s deployment for ``seed``."""
+def engine_config(seed: int, faulted: bool = False) -> EngineConfig:
+    """``bench/run.py --workload engine_clean`` (or ``engine_faulted``)'s deployment."""
+    if not faulted:
+        return EngineConfig(
+            workload=WorkloadSpec(object_count=300, object_size=MEBIBYTE,
+                                  request_count=160, seed=seed),
+            regions=(RegionSpec("frankfurt", clients=256),
+                     RegionSpec("dublin", clients=256)),
+            cache_capacity_bytes=10 * MEBIBYTE, topology_seed=seed)
     return EngineConfig(
         workload=WorkloadSpec(object_count=300, object_size=MEBIBYTE,
-                              request_count=160, seed=seed),
-        regions=(RegionSpec("frankfurt", clients=256),
-                 RegionSpec("dublin", clients=256)),
-        cache_capacity_bytes=10 * MEBIBYTE, topology_seed=seed)
+                              request_count=110, seed=seed),
+        regions=(RegionSpec("frankfurt", clients=128),
+                 RegionSpec("dublin", clients=128)),
+        cache_capacity_bytes=10 * MEBIBYTE, topology_seed=seed,
+        faults=FaultSchedule([RegionOutage("sao_paulo", 20.0, 50.0)]),
+        client=ClientConfig(resilience=ResilienceConfig(
+            retry_budget=1, timeout_factor=1.1, hedge=True, hedge_quantile=0.7,
+            hedge_min_samples=8, emergency_reconfiguration=True)))
 
 
-def run_engine_clean(seed: int) -> dict:
-    """One ``execute`` of a fresh ``engine_clean`` deployment: what it did."""
-    config = engine_clean_config(seed)
+def watch_reconfigurations(node) -> list[dict]:
+    """Log every reconfiguration ``node`` runs: its trigger and what it installed.
+
+    Wraps the node's public ``reconfigure`` and ``emergency_reconfigure`` on
+    the instance; an emergency re-solve runs through ``reconfigure`` too.
+    """
+    log: list[dict] = []
+    reconfigure, emergency_reconfigure = node.reconfigure, node.emergency_reconfigure
+    trigger = ["periodic"]
+
+    def logged_reconfigure(now):
+        record = reconfigure(now)
+        log.append({"trigger": trigger[0],
+                    **record_entry(record, node.current_configuration)})
+        return record
+
+    def logged_emergency_reconfigure(now, down_regions):
+        trigger[0] = "emergency"
+        try:
+            return emergency_reconfigure(now, down_regions)
+        finally:
+            trigger[0] = "periodic"
+
+    node.reconfigure = logged_reconfigure
+    node.emergency_reconfigure = logged_emergency_reconfigure
+    return log
+
+
+def run_engine(seed: int, faulted: bool = False) -> dict:
+    """One ``execute`` of a fresh ``engine_clean`` / ``engine_faulted`` deployment."""
+    config = engine_config(seed, faulted)
     engine = EventEngine(config)
     latency = engine.topology.latency
     latency.reseed(config.topology_seed + seed)
     deployment = engine.build_deployment()
+    logs = {strategy.client_region: watch_reconfigurations(strategy.node)
+            for strategy in deployment.strategies if faulted}
     result = engine.execute(deployment, seed)
     regions = {}
     for strategy in deployment.strategies:
         stats = result.regions[strategy.client_region].stats
         cache = strategy.cache.stats
-        regions[strategy.client_region] = {
+        region = regions[strategy.client_region] = {
             "full_hits": stats.full_hits,
             "partial_hits": stats.partial_hits,
             "misses": stats.misses,
@@ -139,15 +200,24 @@ def run_engine_clean(seed: int) -> dict:
             "latencies": hashlib.sha256(
                 stats.latencies_array().tobytes()).hexdigest(),
         }
+        if faulted:
+            region.update({
+                "degraded_reads": stats.degraded_reads,
+                "unavailable_reads": stats.unavailable_reads,
+                "retries": stats.retries_total,
+                "hedged_reads": stats.hedged_reads,
+                "hedge_wins": stats.hedge_wins,
+                "reconfigurations": logs[strategy.client_region],
+            })
     return {"regions": regions,
             "duration_s": result.duration_s.hex(),
             "next_draws": [latency.next_standard_normal().hex() for _ in range(4)]}
 
 
 def build(edition: str) -> dict:
-    if edition == "engine_clean":
-        return {f"seed{seed}": run_engine_clean(seed) for seed in SEEDS}
-    return {f"seed{seed}": run_seed(seed) for seed in SEEDS}
+    if edition == "reconfig":
+        return {f"seed{seed}": run_seed(seed) for seed in SEEDS}
+    return {f"seed{seed}": run_engine(seed, edition == "engine_faulted") for seed in SEEDS}
 
 
 def _commit() -> str:
@@ -165,18 +235,20 @@ def main(argv: list[str] | None = None) -> int:
                         help="regenerate the editions work_counts.json already has")
     args = parser.parse_args(argv)
     existing = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
-    have = {"reconfig": "seed7" in existing, "engine_clean": "engine_clean" in existing}
-    todo = [edition for edition in EDITIONS if args.force or not have[edition]]
+    engines = EDITIONS[1:]
+    editions = {edition: existing[edition] for edition in engines if edition in existing}
+    if "seed7" in existing:
+        editions["reconfig"] = {name: existing[name] for name in existing
+                                if name not in engines}
+    todo = [edition for edition in EDITIONS if args.force or edition not in editions]
     if not todo:
         print(f"{GOLDEN_PATH} has every edition; pass --force to regenerate them",
               file=sys.stderr)
         return 2
     commit = _commit()
-    reconfig = ({"generated_at_commit": commit, **build("reconfig")}
-                if "reconfig" in todo else
-                {name: existing[name] for name in existing if name != "engine_clean"})
-    engine_clean = ({"generated_at_commit": commit, **build("engine_clean")}
-                    if "engine_clean" in todo else existing["engine_clean"])
+    for edition in todo:
+        editions[edition] = {"generated_at_commit": commit, **build(edition)}
+    reconfig = editions["reconfig"]
     # One period (or one engine seed) per line: a moved count shows as one
     # changed line.
     lines = [f' "generated_at_commit": {json.dumps(reconfig["generated_at_commit"])}']
@@ -184,10 +256,12 @@ def main(argv: list[str] | None = None) -> int:
         periods = ",\n  ".join(json.dumps(entry, sort_keys=True, separators=(",", ":"))
                                for entry in reconfig[name])
         lines.append(f" {json.dumps(name)}: [\n  {periods}\n ]")
-    runs = ",\n  ".join(f"{json.dumps(name)}: "
-                        f"{json.dumps(engine_clean[name], sort_keys=True, separators=(',', ':'))}"
-                        for name in sorted(engine_clean))
-    lines.append(f' "engine_clean": {{\n  {runs}\n }}')
+    for edition in engines:
+        runs = ",\n  ".join(
+            f"{json.dumps(name)}: "
+            f"{json.dumps(editions[edition][name], sort_keys=True, separators=(',', ':'))}"
+            for name in sorted(editions[edition]))
+        lines.append(f' {json.dumps(edition)}: {{\n  {runs}\n }}')
     GOLDEN_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")
     print(f"wrote {', '.join(todo)} to {GOLDEN_PATH}")
     return 0
