@@ -4,7 +4,8 @@
 Runs the pytest-benchmark micro-suite (knapsack solver, Reed-Solomon codec,
 request monitor, engine scale-out, faulted replay, collaborative sharding),
 writes the
-results to ``BENCH_<date>.json`` in the repository root, and compares the
+results to ``BENCH_<date>.json`` in the repository root (summary statistics
+only: the raw per-round samples are dropped), and compares the
 guarded benchmarks against ``benchmarks/baseline.json``.  The run fails
 (exit code 1) if a guarded benchmark's mean regresses beyond its tolerance
 band relative to the baseline.
@@ -200,6 +201,18 @@ def run_suite(json_path: pathlib.Path, smoke: bool = False,
     return completed.returncode
 
 
+def strip_samples(json_path: pathlib.Path) -> None:
+    """Drop every benchmark's raw per-round samples (``stats.data``) from a result file.
+
+    The gate, ``--compare`` and ``tools/reseed_baseline.py`` read the summary
+    statistics only; the samples made a committed artifact thousands of lines.
+    """
+    payload = json.loads(json_path.read_text())
+    for entry in payload.get("benchmarks", []):
+        entry.get("stats", {}).pop("data", None)
+    json_path.write_text(json.dumps(payload, indent=4) + "\n")
+
+
 def load_means(json_path: pathlib.Path) -> dict[str, float]:
     """Extract {benchmark name: mean seconds} from a pytest-benchmark JSON."""
     payload = json.loads(json_path.read_text())
@@ -325,6 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     if return_code != 0:
         print(f"benchmark suite failed with exit code {return_code}", file=sys.stderr)
         return return_code
+    strip_samples(json_path)
     if arguments.smoke:
         print(f"smoke mode: guarded benchmarks ran (results in {json_path}); "
               "no baseline comparison.")

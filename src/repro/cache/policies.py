@@ -120,7 +120,7 @@ class PinnedConfigurationPolicy(EvictionPolicy):
     name = "agar-pinned"
 
     def __init__(self, strict_admission: bool = True) -> None:
-        self._pinned: set[ChunkId] = set()
+        self._pinned: frozenset[ChunkId] = frozenset()
         self._strict_admission = strict_admission
 
     @property
@@ -129,8 +129,8 @@ class PinnedConfigurationPolicy(EvictionPolicy):
         return frozenset(self._pinned)
 
     def set_configuration(self, chunk_ids: set[ChunkId] | frozenset[ChunkId]) -> None:
-        """Install a new target configuration (replaces the previous one)."""
-        self._pinned = set(chunk_ids)
+        """Install a new target configuration (replaces the previous one; a set is copied)."""
+        self._pinned = frozenset(chunk_ids)
 
     def is_pinned(self, chunk_id: ChunkId) -> bool:
         """True if ``chunk_id`` is part of the current configuration."""
@@ -149,7 +149,7 @@ class PinnedConfigurationPolicy(EvictionPolicy):
         ).chunk_id
 
     def reset(self) -> None:
-        self._pinned.clear()
+        self._pinned = frozenset()
 
 
 def policy_by_name(name: str) -> EvictionPolicy:

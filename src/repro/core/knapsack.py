@@ -16,20 +16,20 @@ programming heuristic:
   the dataset size.
 
 :class:`KnapsackSolver` runs that heuristic over arrays.  ``MaxV`` is one
-head node per weight slot — the last-added node of a chain of option nodes,
-which carries the configuration's running total value and weight — beside a
-float array of those totals and bool arrays of the slots that are occupied
-and of those whose state does not hold the key being processed yet.  Keys are ranked, and
+head row per weight slot — the last-added node of a chain of option nodes,
+kept as rows of a NumPy node pool that carry the configuration's running
+total value and weight — beside a float array of those totals and bool arrays
+of the occupied slots and of those whose state lacks the current key.  Keys are ranked, and
 the bounds below sized, from the option *values* alone; a key's options are
 looked up when the DP reaches it, so a mapping that creates them on demand
 (:class:`~repro.core.options.OptionTable`) creates them for the head of the
 ranking only.  A relaxation pass is skipped outright when a table-wide lower
 bound on what shrinking any chosen object would cost already exceeds the
 option's value, and state by state from a per-state bound when it does not;
-an addition pass is one gather–compare–scatter over the slot arrays; only the
-states whose running total is within rounding of the best are re-summed to
-pick the winner, and only the winner is materialized as a
-:class:`CacheConfiguration`.  The paper's pseudo-code transcribed directly,
+an addition pass is one gather–compare–scatter over the slot arrays that
+stores its batch as pool rows; only the states whose running total is within
+rounding of the best are re-summed to pick the winner, and only the winner is
+materialized as a :class:`CacheConfiguration`.  The paper's pseudo-code transcribed directly,
 with a configuration object per state, is the test suite's oracle
 (``tests/reference/knapsack.py``).
 
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -103,11 +104,8 @@ class CacheConfiguration:
 
     def chunk_ids(self) -> frozenset[ChunkId]:
         """All chunk ids named by the configuration (what the cache should pin)."""
-        ids = set()
-        for option in self.options:
-            for index in option.chunk_indices:
-                ids.add(ChunkId(key=option.key, index=index))
-        return frozenset(ids)
+        return frozenset(ChunkId(option.key, index)
+                         for option in self.options for index in option.chunk_indices)
 
     def __len__(self) -> int:
         return len(self.options)
@@ -116,9 +114,6 @@ class CacheConfiguration:
 EMPTY_CONFIGURATION = CacheConfiguration()
 
 _INF = float("inf")
-
-#: Stands in for the replacement entry of a total eviction: no option, no value.
-_EVICTED = (None, 0.0)
 
 #: Relaxation-pruning slack as a share of the instance's total option value.
 #: The float candidate ``((base - old) + replacement) + new`` of a relax scan
@@ -159,78 +154,111 @@ class SolverResult:
     relax_improved: int = 0
 
 
-# A chain node is the list
+# A chain node is a row of the solve's node pool (:class:`_Pool`).  Four
+# arrays hold, per row, the index of the node's entry — ``(option, value,
+# weight, loss, by_weight)`` in ``_Pool.entries`` — the ``parent`` row of the
+# node added before it (−1 for none), and the running ``total`` value and
+# chain ``weight`` of the configuration whose head the node is.  A chain is
+# its configuration in reverse insertion order, and no state is a Python
+# object the garbage collector tracks.  ``by_weight`` maps each weight of the
+# entry's key to the index of its first option of that weight
+# (``SearchOption`` of Fig. 5, see :func:`_index_options`).
 #
-#     [option, value, weight, by_weight, parent, loss, min_loss, total, total_weight]
-#
-# ``parent`` links to the node added before it, so a chain is its
-# configuration in reverse insertion order and the relax scan touches only
-# list cells — no property calls.  ``by_weight`` is the node's key's
-# exact-weight index (``SearchOption`` of Fig. 5, see :func:`_index_options`).
-# ``total`` and ``total_weight`` are the running value and weight of the chain
-# up to and including the node: the DP's total of the configuration whose
-# head the node is.
-#
-# A node's ``loss`` has one entry per distinct option weight ``w`` of the
-# instance: the value given up by shrinking the node to make room for an
-# option of weight ``w`` (``inf`` when the node is lighter than ``w``).  Its
-# ``min_loss`` is the entry-wise minimum of ``loss`` over the node and its
+# An entry's ``loss`` has one value per distinct option weight ``w`` of the
+# instance: what shrinking the option to make room for an option of weight
+# ``w`` gives up (``inf`` when it is lighter than ``w``).  A row's
+# ``min_loss`` is the entry-wise minimum of ``loss`` over the row and its
 # ancestors — at the head of a chain, the bound
-# :meth:`KnapsackSolver._relax_pass` prunes that state with.  It stays ``None``
-# until :func:`_min_loss` is asked for it: most states are replaced before any
-# pass looks at them one by one.
+# :meth:`KnapsackSolver._relax_pass` prunes that state with.  It is kept per
+# row once :meth:`_Pool.min_loss` is asked for it: most states are replaced
+# before any pass looks at them one by one.
 
 
-def _min_loss(node: list) -> tuple[float, ...]:
-    """``node``'s ``min_loss``, filled in on it and on the ancestors it needed."""
-    unresolved = []
-    while node is not None and node[6] is None:
-        unresolved.append(node)
-        node = node[4]
-    bound = None if node is None else node[6]
-    while unresolved:
-        node = unresolved.pop()
-        bound = node[6] = node[5] if bound is None else tuple(map(min, bound, node[5]))
-    return bound
+class _Pool:
+    """The chain nodes of one solve, as rows of four arrays grown by doubling."""
 
+    __slots__ = ("entries", "entry", "parent", "total", "weight", "ids", "size", "views", "min_losses")
 
-def _nodes_in_order(head: list | None) -> list[list]:
-    """The nodes of ``head``'s chain in insertion order."""
-    nodes: list[list] = []
-    while head is not None:
-        nodes.append(head)
-        head = head[4]
-    nodes.reverse()
-    return nodes
+    def __init__(self, rows: int) -> None:
+        self.entries: list[tuple] = []
+        self.entry = np.empty(rows, dtype=np.int64)
+        self.parent = np.empty(rows, dtype=np.int64)
+        self.total = np.empty(rows)
+        self.weight = np.empty(rows, dtype=np.int64)
+        self.ids = np.arange(rows)
+        self.size = 0
+        # ``entry`` and ``parent`` read as plain ints, faster than ``item``.
+        self.views = memoryview(self.entry), memoryview(self.parent)
+        self.min_losses: dict[int, tuple[float, ...]] = {}
 
+    def append(self, entry, parent, total, weight: Sequence[int]) -> np.ndarray:
+        """Store a row per ``weight`` given (each other field as many, or one for all); their ids."""
+        start = self.size
+        self.size += len(weight)
+        if self.size > len(self.ids):
+            rows = max(self.size, 2 * len(self.ids))
+            for name in ("entry", "parent", "total", "weight"):
+                setattr(self, name, np.resize(getattr(self, name), rows))
+            self.ids = np.arange(rows)
+            self.views = memoryview(self.entry), memoryview(self.parent)
+        rows = slice(start, self.size)
+        self.entry[rows] = entry
+        self.parent[rows] = parent
+        self.total[rows] = total
+        self.weight[rows] = weight
+        return self.ids[rows]
 
-def _materialize(head: list | None) -> CacheConfiguration:
-    """The configuration whose chain ends at ``head`` (``None``: the empty one)."""
-    return CacheConfiguration(options=tuple(node[0] for node in _nodes_in_order(head)))
+    def chain(self, row: int) -> list[int]:
+        """The entries of the chain ending at ``row``, in insertion order."""
+        entry, parent = self.views
+        entries = []
+        while row >= 0:
+            entries.append(entry[row])
+            row = parent[row]
+        return entries[::-1]
 
+    def min_loss(self, row: int) -> tuple[float, ...]:
+        """``row``'s ``min_loss``, kept for it and for the ancestors it needed."""
+        memo = self.min_losses
+        entry, parent = self.views
+        unresolved = []
+        while row >= 0 and row not in memo:
+            unresolved.append(row)
+            row = parent[row]
+        bound = memo.get(row)
+        for row in reversed(unresolved):
+            loss = self.entries[entry[row]][3]
+            bound = memo[row] = loss if bound is None else tuple(map(min, bound, loss))
+        return bound
 
-def _ranked(head: list | None) -> tuple[float, int]:
-    """What a materialized table ranks a state by.
+    def materialize(self, row: int) -> CacheConfiguration:
+        """The configuration whose chain ends at ``row`` (−1: the empty one)."""
+        return CacheConfiguration(options=tuple(self.entries[entry][0]
+                                                for entry in self.chain(row)))
 
-    The configuration's own value — ``sum`` of its options in insertion
-    order, which need not equal the DP's running total bit for bit — then
-    the lighter one.
-    """
-    if head is None:
-        return 0.0, 0
-    return sum([node[1] for node in _nodes_in_order(head)]), -head[8]
+    def ranked(self, row: int) -> tuple[float, int]:
+        """What a materialized table ranks a state by.
+
+        The configuration's own value — ``sum`` of its options in insertion
+        order, which need not equal the DP's running total bit for bit — then
+        the lighter one.
+        """
+        if row < 0:
+            return 0.0, 0
+        return sum([self.entries[entry][1] for entry in self.chain(row)]), -self.weight.item(row)
 
 
 class _LazyTable(Mapping):
-    """The ``MaxV`` table, materialized from the head nodes on first access."""
+    """The ``MaxV`` table, materialized from the head rows on first access."""
 
-    def __init__(self, states: list[list | None]) -> None:
-        self._states = states
+    def __init__(self, heads: np.ndarray, pool: _Pool) -> None:
+        self._heads = heads
+        self._pool = pool
 
     @cached_property
     def _table(self) -> dict[int, CacheConfiguration]:
-        return {slot: _materialize(head)
-                for slot, head in enumerate(self._states) if head is not None or not slot}
+        return {slot: self._pool.materialize(head)
+                for slot, head in enumerate(self._heads.tolist()) if head >= 0 or not slot}
 
     def __getitem__(self, slot: int) -> CacheConfiguration:
         return self._table[slot]
@@ -245,8 +273,8 @@ class _LazyTable(Mapping):
 class _Table:
     """``MaxV`` as arrays over the weight slots, and what lets a pass skip most of it.
 
-    ``states[w]`` is the head node of the configuration at weight slot ``w``;
-    slot 0 holds the empty configuration, which has no node (``None``, as an
+    ``heads[w]`` is the pool row that heads the configuration at weight slot
+    ``w``; slot 0 holds the empty configuration, which has no row (−1, as an
     empty slot has).  ``occupied`` says which slots hold a configuration,
     ``values`` their running totals (whatever it holds elsewhere is never
     read), ``unheld`` which of them do not hold the key being processed yet:
@@ -261,10 +289,11 @@ class _Table:
     ``max_slot`` is the highest occupied slot.
     """
 
-    __slots__ = ("states", "values", "occupied", "unheld", "light", "floor", "max_slot")
+    __slots__ = ("pool", "heads", "values", "occupied", "unheld", "light", "floor", "max_slot")
 
     def __init__(self, capacity: int, columns: int) -> None:
-        self.states: list[list | None] = [None] * (capacity + 1)
+        self.pool = _Pool(4 * (capacity + 1))
+        self.heads = np.full(capacity + 1, -1, dtype=np.int64)
         self.values = np.zeros(capacity + 1)
         self.occupied = np.zeros(capacity + 1, dtype=bool)
         self.occupied[0] = True
@@ -273,8 +302,8 @@ class _Table:
         self.floor = (_INF,) * columns
         self.max_slot = 0
 
-    def winner(self, slack: float) -> list | None:
-        """The head of the state a materialized table ranks first (:func:`_ranked`).
+    def winner(self, slack: float) -> int:
+        """The head row of the state a materialized table ranks first (:meth:`_Pool.ranked`).
 
         ``max`` over every state keeps the first maximum in slot order.  A
         state's ``sum`` is within ``slack`` of its running total, so one more
@@ -288,15 +317,14 @@ class _Table:
         threshold = top - 2.0 * slack
         if -_INF < threshold and top < _INF:
             slots = slots[totals >= threshold]
-        states = self.states
-        return states[max(slots.tolist(), key=lambda slot: _ranked(states[slot]))]
+        return max(self.heads[slots].tolist(), key=self.pool.ranked)
 
 
 class KnapsackSolver:
     """The paper's dynamic-programming heuristic for cache configuration.
 
-    The DP runs over head nodes of option chains in a weight-indexed array,
-    with per-option weight/value read once, key membership and occupancy as
+    The DP runs over the head rows of option chains (a NumPy node pool) in a
+    weight-indexed array, per-option weight/value read once, key membership and occupancy as
     bool arrays and parent-pointer reconstruction.  It decides exactly as the
     paper's pseudo-code transcribed with a configuration object per state
     (``tests/reference/knapsack.py``): same table slot by slot, same winner,
@@ -352,6 +380,7 @@ class KnapsackSolver:
         slack = _PRUNE_SLACK * total_value
 
         table = _Table(capacity, len(weights))
+        entries = table.pool.entries
         keys_since_full: int | None = None
         keys_processed = 0
         stopped_early = False
@@ -363,16 +392,15 @@ class KnapsackSolver:
             for row in ranking:
                 usable = [option for option in options_by_key[row[1]]
                           if option.weight <= capacity]
-                entries, by_weight = _index_options(usable, weights)
                 np.copyto(table.unheld, table.occupied)
-                for entry in entries:
+                for entry in _index_options(usable, weights, entries):
                     if self._use_relax:
-                        counts = self._relax_pass(table, entry, by_weight,
-                                                  column[entry[2]], slack)
+                        counts = self._relax_pass(table, entry, column[entries[entry][2]],
+                                                  slack)
                         scans += counts[0]
                         pruned += counts[1]
                         improved += counts[2]
-                    self._addition_pass(table, entry, by_weight)
+                    self._addition_pass(table, entry)
                 keys_processed += 1
 
                 if self._stop_after_extra_keys is not None:
@@ -386,7 +414,8 @@ class KnapsackSolver:
 
         # A chain holds at most one option per key processed.
         winner = table.winner(_SUM_SLACK * (keys_processed + 2) * total_value)
-        return SolverResult(best=_materialize(winner), table=_LazyTable(table.states),
+        return SolverResult(best=table.pool.materialize(winner),
+                            table=_LazyTable(table.heads, table.pool),
                             keys_processed=keys_processed, stopped_early=stopped_early,
                             relax_scans=scans, relax_pruned=pruned, relax_improved=improved)
 
@@ -397,22 +426,24 @@ class KnapsackSolver:
     # ------------------------------------------------------------------ #
     # DP passes
     # ------------------------------------------------------------------ #
-    def _addition_pass(self, table: _Table, entry: tuple, by_weight: dict) -> None:
+    def _addition_pass(self, table: _Table, entry: int) -> None:
         """Fig. 4 lines 14–21: extend existing configurations with ``entry``'s option.
 
         A source is an occupied slot whose state lacks the key; it adds to
         the slot of its weight plus the option's and is stored there when
         that slot is empty or holds less.  Sources are the states as they
         were before the pass: an addition must not feed another addition of
-        the same option.  The sources that are not light go as one batch —
-        a slot ``t`` is the target of one of them at most, ``t − weight``, so
-        each compares against the occupant its target had before the pass.
-        The light ones (usually none) follow in slot order against the live
-        table: one that reaches ``t`` sits above ``t − weight``, so that is
-        the order a sweep over all sources in slot order meets them in.
+        the same option.  The sources that are not light go as one batch of
+        new pool rows — a slot ``t`` is the target of one of them at most,
+        ``t − weight``, so each compares against the occupant its target had
+        before the pass.  The light ones (usually none) follow in slot order
+        against the live table: one that reaches ``t`` sits above
+        ``t − weight``, so that is the order a sweep over all sources in slot
+        order meets them in.
         """
-        option, value, weight, loss = entry
-        states = table.states
+        pool = table.pool
+        _, value, weight, loss, _ = pool.entries[entry]
+        heads = table.heads
         values = table.values
         occupied = table.occupied
         unheld = table.unheld
@@ -422,19 +453,15 @@ class KnapsackSolver:
         chosen = unheld[:reach] & (~occupied[weight:] | (values[weight:] < totals))
         tail = ()
         if light:
-            tail = [states[slot] for slot in sorted(light) if unheld[slot]]
+            tail = [heads.item(slot) for slot in sorted(light) if unheld[slot]]
             chosen[[slot for slot in light if slot < reach]] = False
         sources = chosen.nonzero()[0]
         stored = len(sources) > 0
         if stored:
             targets = sources + weight
             totals = totals[sources]
-            # Downwards: a target lies above its source, so every source is
-            # read before an addition of this batch can land on it.
-            for source, target, total in zip(sources[::-1].tolist(), targets[::-1].tolist(),
-                                             totals[::-1].tolist()):
-                states[target] = [option, value, weight, by_weight, states[source], loss,
-                                  None, total, target]
+            # Every source's head is read before any target's is replaced.
+            heads[targets] = pool.append(entry, heads[sources], totals, targets)
             values[targets] = totals
             occupied[targets] = True
             unheld[targets] = False
@@ -442,27 +469,26 @@ class KnapsackSolver:
                 light.difference_update(targets.tolist())
             table.max_slot = max(table.max_slot, int(targets[-1]))
         if tail:
-            stored = self._add_light(table, entry, by_weight, tail) or stored
+            stored = self._add_light(table, entry, tail) or stored
         if stored:
             table.floor = tuple(map(min, table.floor, loss))
 
-    def _add_light(self, table: _Table, entry: tuple, by_weight: dict,
-                   sources: list[list]) -> bool:
-        """An addition pass's light sources, in slot order; whether one was stored."""
-        option, value, weight, loss = entry
+    def _add_light(self, table: _Table, entry: int, sources: list[int]) -> bool:
+        """An addition pass's light source rows, in slot order; whether one was stored."""
+        pool = table.pool
+        _, value, weight, _, _ = pool.entries[entry]
         capacity = self._capacity
-        states = table.states
+        heads = table.heads
         stored = False
         for source in sources:
-            target = source[8] + weight
+            target = pool.weight.item(source) + weight
             if target > capacity:
                 continue
-            total = source[7] + value
-            existing = states[target]
-            if existing is not None and not existing[7] < total:
+            total = pool.total.item(source) + value
+            existing = heads.item(target)
+            if existing >= 0 and not pool.total.item(existing) < total:
                 continue
-            states[target] = [option, value, weight, by_weight, source, loss, None,
-                              total, target]
+            heads[target] = pool.append(entry, source, total, [target])[0]
             table.values[target] = total
             table.occupied[target] = True
             table.unheld[target] = False
@@ -471,8 +497,8 @@ class KnapsackSolver:
             stored = True
         return stored
 
-    def _relax_pass(self, table: _Table, entry: tuple, by_weight: dict,
-                    column: int, slack: float) -> tuple[int, int, int]:
+    def _relax_pass(self, table: _Table, entry: int, column: int,
+                    slack: float) -> tuple[int, int, int]:
         """Fig. 4 lines 10–12 / Fig. 5: improve configurations at constant weight slot.
 
         A swap gains ``option value − loss`` over the state, so a state whose
@@ -482,38 +508,40 @@ class KnapsackSolver:
         clears that bar; anything closer — every exact tie included — gets
         the full scan.  Returns ``(scanned, pruned, improved)`` state counts.
         """
-        option_value = entry[1]
+        pool = table.pool
+        option_value = pool.entries[entry][1]
         unheld = table.unheld
         if table.floor[column] - option_value > slack:
             # Every state with a chain that does not hold the key yet: all
             # unheld slots but slot 0's empty configuration.
             return 0, int(np.count_nonzero(unheld)) - 1, 0
-        states = table.states
+        heads = table.heads
+        memo = pool.min_losses
         scans = pruned = improved = 0
-        for slot in unheld.nonzero()[0].tolist():
-            head = states[slot]
-            if head is None:
+        slots = unheld.nonzero()[0]
+        for slot, head in zip(slots.tolist(), heads[slots].tolist()):
+            if head < 0:
                 continue
-            min_loss = head[6] or _min_loss(head)
+            min_loss = memo.get(head) or pool.min_loss(head)
             if min_loss[column] - option_value > slack:
                 pruned += 1
                 continue
             scans += 1
-            better = _relax(head, entry, by_weight)
-            if better is not None and better[7] > head[7]:
-                states[slot] = better
-                table.values[slot] = better[7]
+            better = _relax(pool, head, entry, column, slack)
+            if better is not None:
+                heads[slot] = better
+                table.values[slot] = pool.total[better]
                 unheld[slot] = False
-                if better[8] < slot:
+                if pool.weight[better] < slot:
                     table.light.add(slot)
                 else:
                     table.light.discard(slot)
-                table.floor = tuple(map(min, table.floor, _min_loss(better)))
+                table.floor = tuple(map(min, table.floor, pool.min_loss(better)))
                 improved += 1
         return scans, pruned, improved
 
 
-def _relax(head: list, entry: tuple, by_weight: dict) -> list | None:
+def _relax(pool: _Pool, head: int, entry: int, column: int, slack: float) -> int | None:
     """Fig. 5: make room for ``entry``'s option by shrinking one already-chosen object.
 
     The replacement option must have *exactly* the weight freed by the swap
@@ -523,86 +551,97 @@ def _relax(head: list, entry: tuple, by_weight: dict) -> list | None:
     may be evicted entirely ("the replacement can be total"), which keeps the
     weight bounded by ``w``.
 
-    Returns the head of the best improved chain, or ``None`` if no
+    Returns the head row of the best improved chain, or ``None`` if no
     replacement increases the value.
     """
-    option, option_value, option_weight, loss = entry
-    base_value = head[7]
+    entries = pool.entries
+    entry_of, parent_of = pool.views
+    _, option_value, option_weight, _, _ = entries[entry]
+    base_value = pool.total.item(head)
     best_value = base_value
-    best_node: list | None = None
-    best_replacement: tuple | None = None
+    best_node = -1
+    best_replacement = None
 
     # The chain is in reverse insertion order.  The reference scans in
     # insertion order and keeps the *first* candidate achieving the best
     # value, so here a later (= earlier-inserted) candidate may take over on
     # equality: strictly-better than the base, at-least-as-good as the
-    # incumbent.
+    # incumbent.  The walk stops at the first node whose ``min_loss`` — over
+    # it and every node below it — clears the option's value by more than
+    # ``slack``: by the prune's argument none of those nodes improves the state.
+    min_losses = pool.min_losses
     node = head
-    while node is not None:
-        freed_weight = node[2] - option_weight
+    while node >= 0 and not min_losses[node][column] - option_value > slack:
+        _, node_value, node_weight, _, by_weight = entries[entry_of[node]]
+        freed_weight = node_weight - option_weight
         if freed_weight >= 0:
             # A negative freed weight means the new option is larger than
             # the old one; swapping would exceed the slot's weight.
             replacement = None
             replacement_value = 0.0
             if freed_weight >= 1:
-                replacement = node[3].get(freed_weight)
+                replacement = by_weight.get(freed_weight)
                 if replacement is not None:
-                    replacement_value = replacement[1]
-            candidate_value = base_value - node[1] + replacement_value + option_value
+                    replacement_value = entries[replacement][1]
+            candidate_value = base_value - node_value + replacement_value + option_value
             if candidate_value > base_value and candidate_value >= best_value:
                 best_value = candidate_value
                 best_node = node
                 best_replacement = replacement
-        node = node[4]
+        node = parent_of[node]
 
-    if best_node is None:
+    if best_node < 0:
         return None
 
-    # Rebuild the chain in insertion order with the swap applied, exactly as
-    # the reference's configuration derivation would, and recompute the
-    # running totals as the ordered sum so floats match it bit for bit.
-    value = 0.0
-    weight = 0
-    chain: list | None = None
-    for existing in _nodes_in_order(head):
-        if existing is best_node:
-            if best_replacement is None:
-                continue
-            kept_option, kept_value, kept_weight, kept_loss = best_replacement
-        else:
-            kept_option, kept_value, kept_weight, _, _, kept_loss, _, _, _ = existing
-        value += kept_value
-        weight += kept_weight
-        chain = [kept_option, kept_value, kept_weight, existing[3], chain, kept_loss, None,
-                 value, weight]
-    return [option, option_value, option_weight, by_weight, chain, loss, None,
-            value + option_value, weight + option_weight]
+    # Rebuild the chain from the swapped node on, in insertion order, with
+    # the swap applied.  A running total is the left-to-right sum of its
+    # chain's values, as the reference's configuration derivation adds them,
+    # so the rows below the swap are shared and the floats match bit for bit.
+    rebuilt = [entry]
+    node = head
+    while node != best_node:
+        rebuilt.append(entry_of[node])
+        node = parent_of[node]
+    if best_replacement is not None:
+        rebuilt.append(best_replacement)
+    rebuilt.reverse()
+    parent = parent_of[best_node]
+    value, weight = (pool.total.item(parent), pool.weight.item(parent)) if parent >= 0 else (0.0, 0)
+    totals = list(accumulate([entries[kept][1] for kept in rebuilt], initial=value))[1:]
+    if not totals[-1] > base_value:
+        return None
+    weights = list(accumulate([entries[kept][2] for kept in rebuilt], initial=weight))[1:]
+    start = pool.size
+    return pool.append(rebuilt, [parent, *range(start, start + len(rebuilt) - 1)],
+                       totals, weights).item(-1)
 
 
-def _index_options(options: Sequence[CachingOption],
-                   weights: Sequence[int]) -> tuple[list[tuple], dict[int, tuple]]:
-    """One key's ``(option, value, weight, loss)`` entries and exact-weight index.
+def _index_options(options: Sequence[CachingOption], weights: Sequence[int],
+                   entries: list[tuple]) -> range:
+    """Register one key's ``(option, value, weight, loss, by_weight)`` entries.
 
-    Entries come back in increasing weight (the order the DP offers them);
-    the index keeps the *first* option of a weight, as the paper's
-    ``SearchOption`` scan over the key's options does.  ``loss[i]`` is what
-    shrinking the option by ``weights[i]`` gives up: its value minus that of
-    the key's option of exactly the remaining weight (nothing, when there is
-    none and the object is evicted).
+    Appends them to ``entries`` in increasing weight (the order the DP offers
+    them) and returns their indices.  ``by_weight`` maps a weight to the
+    index of the key's *first* option of it, as the paper's ``SearchOption``
+    scan over the key's options finds it.  ``loss[i]`` is what shrinking the
+    option by ``weights[i]`` gives up: its value minus that of the key's
+    option of exactly the remaining weight (nothing, when there is none and
+    the object is evicted).
     """
-    entries: list[tuple] = []
-    by_weight: dict[int, tuple] = {}
+    start = len(entries)
+    by_weight: dict[int, int] = {}
+    first_values: dict[int, float] = {}
     # Lightest first, so an option's lighter siblings are already indexed.
     for option in sorted(options, key=attrgetter("weight")):
         weight = option.weight
         value = option.value
-        entry = (option, value, weight, tuple(
-            _INF if weight < shrink else value - by_weight.get(weight - shrink, _EVICTED)[1]
-            for shrink in weights))
-        entries.append(entry)
-        by_weight.setdefault(weight, entry)
-    return entries, by_weight
+        loss = tuple(_INF if weight < shrink else value - first_values.get(weight - shrink, 0.0)
+                     for shrink in weights)
+        if weight not in by_weight:
+            by_weight[weight] = len(entries)
+            first_values[weight] = value
+        entries.append((option, value, weight, loss, by_weight))
+    return range(start, len(entries))
 
 
 def configuration_summary(configuration: CacheConfiguration) -> dict[int, int]:

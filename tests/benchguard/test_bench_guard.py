@@ -214,6 +214,47 @@ class TestMainCompareMode:
             run_bench.DEFAULT_TOLERANCES[updated_name]
 
 
+class TestStrippedArtifacts:
+    """A result file keeps its summary statistics and loses the raw samples."""
+
+    @pytest.fixture(scope="class")
+    def reseed_baseline(self):
+        path = _RUN_BENCH.parents[1] / "tools" / "reseed_baseline.py"
+        spec = importlib.util.spec_from_file_location("reseed_baseline_under_test", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def _unstripped(self, tmp_path) -> pathlib.Path:
+        payload = _bench_json({"a": 12.5, "b": 0.75})
+        for index, entry in enumerate(payload["benchmarks"]):
+            entry["stats"].update(median=entry["stats"]["mean"], rounds=3,
+                                  data=[0.01 * index, 0.02, 0.03])
+        path = tmp_path / "BENCH_unstripped.json"
+        path.write_text(json.dumps(payload, indent=4))
+        return path
+
+    def test_both_readers_see_the_same_means(self, run_bench, reseed_baseline, tmp_path):
+        unstripped = self._unstripped(tmp_path)
+        stripped = tmp_path / "BENCH_stripped.json"
+        stripped.write_text(unstripped.read_text())
+        run_bench.strip_samples(stripped)
+        assert "data" in unstripped.read_text() and "data" not in stripped.read_text()
+        for path in (unstripped, stripped):
+            assert run_bench.load_means(path) == {"a": 0.0125, "b": 0.00075}
+            assert run_bench.load_baseline(path) == ({"a": 0.0125, "b": 0.00075}, {})
+            assert reseed_baseline.artifact_means(path) == {"a": 0.0125, "b": 0.00075}
+        stats = json.loads(stripped.read_text())["benchmarks"][0]["stats"]
+        assert stats == {"mean": 0.0125, "median": 0.0125, "rounds": 3}
+
+    def test_committed_artifacts_carry_no_samples(self, run_bench):
+        artifacts = sorted(run_bench.REPO_ROOT.glob("BENCH_*.json"))
+        assert artifacts
+        for path in artifacts:
+            for entry in json.loads(path.read_text())["benchmarks"]:
+                assert "mean" in entry["stats"] and "data" not in entry["stats"], path.name
+
+
 class TestSelectors:
     def test_every_guarded_benchmark_has_a_selector(self, run_bench):
         selectors = run_bench.selectors_for(run_bench.GUARDED_BENCHMARKS)

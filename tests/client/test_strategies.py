@@ -11,6 +11,7 @@ from repro.client.strategies import (
     PeriodicLFUStrategy,
     make_strategy,
 )
+from repro.erasure import ChunkId
 
 MEGABYTE = 1024 * 1024
 
@@ -118,6 +119,31 @@ class TestPeriodicLFUStrategy:
     def test_validation(self, store):
         with pytest.raises(ValueError):
             PeriodicLFUStrategy(store, "frankfurt", MEGABYTE, chunks_per_object=0)
+
+    def test_the_installed_set_is_the_policys_own(self, store):
+        """Mutating the set a reconfiguration passes in leaves the pinned chunks alone."""
+        strategy = PeriodicLFUStrategy(store, "frankfurt", 10 * MEGABYTE, chunks_per_object=7,
+                                       reconfiguration_period_s=10.0)
+        policy = strategy.cache.policy
+        passed = []
+        install = policy.set_configuration
+
+        def recording(chunk_ids):
+            passed.append(chunk_ids)
+            install(chunk_ids)
+
+        policy.set_configuration = recording
+        now = 0.0
+        for _ in range(5):
+            strategy.read("object-0", now=now)
+            now += 3.0
+        assert passed and isinstance(passed[-1], set)
+        pinned = policy.pinned
+        assert len(pinned) == 7
+        passed[-1].clear()
+        passed[-1].add(ChunkId("intruder", 0))
+        assert policy.pinned == pinned
+        assert not policy.is_pinned(ChunkId("intruder", 0))
 
 
 class TestAgarStrategy:

@@ -57,11 +57,12 @@ def spying():
     addition = KnapsackSolver._addition_pass
     add_light = KnapsackSolver._add_light
 
-    def spy_addition(self, table, entry, by_weight):
-        weight = entry[2]
+    def spy_addition(self, table, entry):
+        weight = table.pool.entries[entry][2]
         reached: dict[int, list[int]] = {}
         for slot in sorted(table.light):
-            target = table.states[slot][8] + weight
+            # The light state's chain weight: the row its slot heads.
+            target = int(table.pool.weight[table.heads[slot]]) + weight
             if table.unheld[slot] and target <= self.capacity_weight:
                 reached.setdefault(target, []).append(slot)
         for target, slots in reached.items():
@@ -69,11 +70,11 @@ def spying():
             if (len(slots) > 1 and source >= 0 and table.unheld[source]
                     and source not in table.light):
                 seen["shared"].append((target, source, slots))
-        return addition(self, table, entry, by_weight)
+        return addition(self, table, entry)
 
-    def spy_add_light(self, table, entry, by_weight, sources):
+    def spy_add_light(self, table, entry, sources):
         seen["light_visits"] += len(sources)
-        return add_light(self, table, entry, by_weight, sources)
+        return add_light(self, table, entry, sources)
 
     with mock.patch.object(KnapsackSolver, "_addition_pass", spy_addition), \
             mock.patch.object(KnapsackSolver, "_add_light", spy_add_light):

@@ -125,23 +125,18 @@ def run_seed(seed: int) -> list[dict]:
 
 def engine_config(seed: int, faulted: bool = False) -> EngineConfig:
     """``bench/run.py --workload engine_clean`` (or ``engine_faulted``)'s deployment."""
-    if not faulted:
-        return EngineConfig(
-            workload=WorkloadSpec(object_count=300, object_size=MEBIBYTE,
-                                  request_count=160, seed=seed),
-            regions=(RegionSpec("frankfurt", clients=256),
-                     RegionSpec("dublin", clients=256)),
-            cache_capacity_bytes=10 * MEBIBYTE, topology_seed=seed)
+    clients, reads, faults = (128, 110, {
+        "faults": FaultSchedule([RegionOutage("sao_paulo", 20.0, 50.0)]),
+        "client": ClientConfig(resilience=ResilienceConfig(
+            retry_budget=1, timeout_factor=1.1, hedge=True, hedge_quantile=0.7,
+            hedge_min_samples=8, emergency_reconfiguration=True)),
+    }) if faulted else (256, 160, {})
     return EngineConfig(
         workload=WorkloadSpec(object_count=300, object_size=MEBIBYTE,
-                              request_count=110, seed=seed),
-        regions=(RegionSpec("frankfurt", clients=128),
-                 RegionSpec("dublin", clients=128)),
-        cache_capacity_bytes=10 * MEBIBYTE, topology_seed=seed,
-        faults=FaultSchedule([RegionOutage("sao_paulo", 20.0, 50.0)]),
-        client=ClientConfig(resilience=ResilienceConfig(
-            retry_budget=1, timeout_factor=1.1, hedge=True, hedge_quantile=0.7,
-            hedge_min_samples=8, emergency_reconfiguration=True)))
+                              request_count=reads, seed=seed),
+        regions=(RegionSpec("frankfurt", clients=clients),
+                 RegionSpec("dublin", clients=clients)),
+        cache_capacity_bytes=10 * MEBIBYTE, topology_seed=seed, **faults)
 
 
 def watch_reconfigurations(node) -> list[dict]:
