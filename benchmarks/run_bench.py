@@ -51,7 +51,6 @@ GUARDED_BENCHMARKS = (
     "test_bench_reed_solomon_encode",
     "test_bench_reed_solomon_decode_with_parity",
     "test_bench_codec_encode_many",
-    "test_bench_codec_packed_numba",
     "test_bench_codec_decode_small",
     "test_bench_codec_rebuild_row_large",
     "test_bench_request_monitor",
@@ -84,7 +83,6 @@ _BENCH_FILES = {
     "test_bench_serve_wire_degraded": "test_bench_serve_wire.py",
     "test_bench_fig6_frankfurt": "test_bench_fig6.py",
     "test_bench_codec_encode_many": "test_bench_codec.py",
-    "test_bench_codec_packed_numba": "test_bench_codec.py",
     "test_bench_codec_decode_small": "test_bench_codec.py",
     "test_bench_codec_rebuild_row_large": "test_bench_codec.py",
     "test_bench_request_monitor": "test_bench_monitor.py",
@@ -109,7 +107,6 @@ DEFAULT_TOLERANCES = {
     "test_bench_reed_solomon_encode": 0.25,
     "test_bench_reed_solomon_decode_with_parity": 0.25,
     "test_bench_codec_encode_many": 0.30,
-    "test_bench_codec_packed_numba": 0.35,
     # One 16 KiB decode (~20 us alone, ~30 us inside a suite since ISSUE 20):
     # half C calls, half the interpreter around them, so it sees interpreter
     # and allocator noise the MiB-sized codec rows average out.

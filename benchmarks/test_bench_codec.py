@@ -1,13 +1,10 @@
-"""Codec kernel-tier microbenchmarks: batched throughput per backend.
+"""Codec kernel microbenchmarks: batched throughput and the cold read.
 
-``test_bench_codec_encode_many`` is the guarded benchmark: batched RS(9, 3)
-parity generation through the default ``numpy`` packed-gather backend.  On
-top of the guarded timing it sweeps every *available* backend (``numba``
-joins automatically when importable) over the same batch and records the
-per-backend encode/decode MB/s — and the numba-vs-numpy ratio — in the
-benchmark's ``extra_info``, which lands in ``BENCH_<date>.json``.  That is
-how the NumPy-vs-JIT gap is tracked per commit without making numba a
-dependency.
+``test_bench_codec_encode_many`` is the guarded batched benchmark: RS(9, 3)
+parity generation through the packed-gather kernel over a ≈ 20 MiB batch.
+On top of the guarded timing it records the batch's encode and worst-case
+decode MB/s in the benchmark's ``extra_info``, which lands in
+``BENCH_<date>.json``.
 
 ``test_bench_codec_decode_small`` guards the other regime: one 16 KiB object
 through ``ErasureCodec.decode``, the serving tier's body-cache miss — one
@@ -22,7 +19,7 @@ import numpy as np
 
 from conftest import emit
 
-from repro.erasure import ErasureCodec, ReedSolomon, available_backends
+from repro.erasure import ErasureCodec, ReedSolomon
 
 #: Batch geometry: 24 objects of 9 × 96 KiB data shards (RS(9, 3)) — ≈ 20 MiB
 #: of data per encode_many call, large enough that kernel throughput (not
@@ -34,10 +31,6 @@ SHARD_LEN = 96 * 1024
 
 #: Data bytes processed by one batched encode call.
 DATA_BYTES = OBJECTS * DATA_SHARDS * SHARD_LEN
-
-#: Backends skipped by the MB/s sweep (the naive reference needs minutes at
-#: this size; its correctness is covered by the equivalence suite).
-SWEEP_SKIP = {"naive"}
 
 
 def _data_stack() -> np.ndarray:
@@ -55,86 +48,25 @@ def _best_seconds(call, repeats: int = 3) -> float:
 
 
 def test_bench_codec_encode_many(benchmark):
-    """Batched RS(9, 3) encode throughput (numpy backend), per-backend MB/s."""
+    """Batched RS(9, 3) encode throughput, plus encode and decode MB/s."""
     stack = _data_stack()
-    rs = ReedSolomon(DATA_SHARDS, PARITY_SHARDS, backend="numpy")
+    rs = ReedSolomon(DATA_SHARDS, PARITY_SHARDS)
     encoded = benchmark(rs.encode_many, stack)
     assert encoded.shape == (OBJECTS, DATA_SHARDS + PARITY_SHARDS, SHARD_LEN)
 
     # Worst-case decode pattern: all m data shards lost, parity in their place.
     survivors = tuple(range(PARITY_SHARDS, DATA_SHARDS + PARITY_SHARDS))
-
-    encode_rates: dict[str, float] = {}
-    decode_rates: dict[str, float] = {}
-    for name, ok in sorted(available_backends().items()):
-        if not ok or name in SWEEP_SKIP:
-            continue
-        backend_rs = ReedSolomon(DATA_SHARDS, PARITY_SHARDS, backend=name)
-        backend_rs.encode_many(stack[:1])  # warm caches / trigger any JIT
-        encode_rates[name] = DATA_BYTES / _best_seconds(
-            lambda: backend_rs.encode_many(stack)) / 1e6
-        degraded = encoded[:, list(survivors), :]
-        backend_rs.decode_many(degraded[:1], survivors)
-        decoded = backend_rs.decode_many(degraded, survivors)
-        assert np.array_equal(decoded, stack)  # backends must agree bit-for-bit
-        decode_rates[name] = DATA_BYTES / _best_seconds(
-            lambda: backend_rs.decode_many(degraded, survivors)) / 1e6
-
-    benchmark.extra_info["encode_MBps_per_backend"] = {
-        name: round(rate, 1) for name, rate in encode_rates.items()}
-    benchmark.extra_info["decode_MBps_per_backend"] = {
-        name: round(rate, 1) for name, rate in decode_rates.items()}
-    if "numba" in encode_rates:
-        benchmark.extra_info["numba_vs_numpy_encode"] = round(
-            encode_rates["numba"] / encode_rates["numpy"], 2)
-        benchmark.extra_info["numba_vs_numpy_decode"] = round(
-            decode_rates["numba"] / decode_rates["numpy"], 2)
-
-    lines = [
-        f"  {name:>6}: encode {encode_rates[name]:8.1f} MB/s, "
-        f"decode {decode_rates[name]:8.1f} MB/s"
-        for name in encode_rates
-    ]
-    emit("Codec backend throughput (batched RS(9,3), "
-         f"{OBJECTS} × {DATA_SHARDS} × {SHARD_LEN // 1024} KiB)",
-         "\n".join(lines) or "  (no fast backends available)")
-
-
-def test_bench_codec_packed_numba(benchmark):
-    """Packed-gather JIT tier: batched RS(9, 3) encode via ``numba-packed``.
-
-    The registry degrades the packed backend to ``numpy`` when numba is
-    absent, so the benchmark stays guarded on every CI leg: numpy-only hosts
-    time (and baseline) the fallback, while the numba leg times the packed
-    uint64 gather kernel itself.  The resolved backend lands in
-    ``extra_info`` so the artifact records which tier actually ran, and the
-    output is checked bit-for-bit against the numpy backend either way.
-    """
-    stack = _data_stack()
-    rs = ReedSolomon(DATA_SHARDS, PARITY_SHARDS, backend="numba-packed")
-    resolved = rs.backend.name
-    rs.encode_many(stack[:1])  # trigger any JIT compile outside the timing
-
-    encoded = benchmark(rs.encode_many, stack)
-
-    reference = ReedSolomon(DATA_SHARDS, PARITY_SHARDS, backend="numpy")
-    assert np.array_equal(encoded, reference.encode_many(stack))
-
-    survivors = tuple(range(PARITY_SHARDS, DATA_SHARDS + PARITY_SHARDS))
     degraded = encoded[:, list(survivors), :]
-    rs.decode_many(degraded[:1], survivors)
-    decoded = rs.decode_many(degraded, survivors)
-    assert np.array_equal(decoded, stack)
+    assert np.array_equal(rs.decode_many(degraded, survivors), stack)
+    encode_rate = DATA_BYTES / _best_seconds(lambda: rs.encode_many(stack)) / 1e6
+    decode_rate = DATA_BYTES / _best_seconds(
+        lambda: rs.decode_many(degraded, survivors)) / 1e6
 
-    encode_s = _best_seconds(lambda: rs.encode_many(stack))
-    decode_s = _best_seconds(lambda: rs.decode_many(degraded, survivors))
-    benchmark.extra_info["resolved_backend"] = resolved
-    benchmark.extra_info["encode_MBps"] = round(DATA_BYTES / encode_s / 1e6, 1)
-    benchmark.extra_info["decode_MBps"] = round(DATA_BYTES / decode_s / 1e6, 1)
-    emit("Packed-gather codec tier (requested numba-packed, "
-         f"resolved {resolved})",
-         f"  encode {DATA_BYTES / encode_s / 1e6:8.1f} MB/s, "
-         f"decode {DATA_BYTES / decode_s / 1e6:8.1f} MB/s")
+    benchmark.extra_info["encode_MBps"] = round(encode_rate, 1)
+    benchmark.extra_info["decode_MBps"] = round(decode_rate, 1)
+    emit("Codec throughput (batched RS(9,3), "
+         f"{OBJECTS} × {DATA_SHARDS} × {SHARD_LEN // 1024} KiB)",
+         f"  encode {encode_rate:8.1f} MB/s, decode {decode_rate:8.1f} MB/s")
 
 
 def test_bench_codec_batched_vs_looped(benchmark):
@@ -145,7 +77,7 @@ def test_bench_codec_batched_vs_looped(benchmark):
     """
     rng = np.random.default_rng(7)
     small = rng.integers(0, 256, (64, DATA_SHARDS, 2048), dtype=np.uint8)
-    rs = ReedSolomon(DATA_SHARDS, PARITY_SHARDS, backend="numpy")
+    rs = ReedSolomon(DATA_SHARDS, PARITY_SHARDS)
 
     batched = benchmark(rs.encode_many, small)
 

@@ -37,6 +37,7 @@ class PopularityTracker:
         >>> for _ in range(100):
         ...     tracker.record_access("key1")
         >>> tracker.end_period()
+        {'key1': 80.0}
         >>> tracker.popularity("key1")
         80.0
     """

@@ -6,15 +6,6 @@ the same contract: split an object into ``k`` data chunks plus ``m`` parity
 chunks such that any ``k`` chunks reconstruct the object.
 """
 
-from repro.erasure.backends import (
-    BACKEND_ENV_VAR,
-    CodecBackend,
-    available_backends,
-    backend_available,
-    backend_names,
-    get_backend,
-    register_backend,
-)
 from repro.erasure.chunk import (
     Chunk,
     ChunkId,
@@ -28,10 +19,8 @@ from repro.erasure.matrix import SingularMatrixError
 from repro.erasure.reed_solomon import DecodingError, ReedSolomon
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "Chunk",
     "ChunkId",
-    "CodecBackend",
     "DecodingError",
     "EncodedObject",
     "ErasureCodec",
@@ -42,9 +31,4 @@ __all__ = [
     "PAPER_PARAMS",
     "ReedSolomon",
     "SingularMatrixError",
-    "available_backends",
-    "backend_available",
-    "backend_names",
-    "get_backend",
-    "register_backend",
 ]

@@ -13,7 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.erasure.backends import CodecBackend
 from repro.erasure.chunk import Chunk, ChunkId, ErasureCodingParams, ObjectMetadata
 from repro.erasure.reed_solomon import DecodingError, ReedSolomon
 
@@ -41,9 +40,6 @@ class ErasureCodec:
         params: the ``(k, m)`` parameters; defaults to the paper's RS(9, 3).
         construction: Reed-Solomon matrix construction (``"cauchy"`` or
             ``"vandermonde"``).
-        backend: GF(256) kernel backend name or instance (see
-            :mod:`repro.erasure.backends`); ``None`` consults
-            ``$REPRO_CODEC_BACKEND`` and defaults to ``numpy``.
 
     Example:
         >>> from repro.erasure import ErasureCodec, ErasureCodingParams
@@ -56,21 +52,16 @@ class ErasureCodec:
         True
     """
 
-    def __init__(self, params: ErasureCodingParams | None = None, construction: str = "cauchy",
-                 backend: str | CodecBackend | None = None) -> None:
+    def __init__(self, params: ErasureCodingParams | None = None,
+                 construction: str = "cauchy") -> None:
         self._params = params or ErasureCodingParams(9, 3)
         self._rs = ReedSolomon(self._params.data_chunks, self._params.parity_chunks,
-                               construction, backend=backend)
+                               construction)
 
     @property
     def params(self) -> ErasureCodingParams:
         """The ``(k, m)`` parameters this codec was built with."""
         return self._params
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the GF(256) kernel backend executing this codec."""
-        return self._rs.backend.name
 
     def _wrap_shards(self, key: str, size: int, shards: Sequence[np.ndarray],
                      version: int) -> EncodedObject:

@@ -7,8 +7,8 @@ symbols are bytes, which keeps chunk data as plain ``bytes``/NumPy ``uint8``
 arrays.
 
 The module exposes both scalar operations (``gf_add``, ``gf_mul``, ...) used by
-the matrix routines and vectorised NumPy kernels (``gf_mul_bytes``,
-``gf_addmul_bytes``) used on chunk payloads, where throughput matters.
+the matrix routines and the one payload kernel, :class:`PackedGFMatrix`, which
+every encode and decode runs through.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray]:
 
 _EXP_TABLE, _LOG_TABLE = _build_tables()
 
-#: Full 256x256 multiplication table; 64 KiB, lets NumPy multiply chunk
-#: payloads by a constant with a single fancy-indexing pass.  Built with one
+#: Full 256x256 multiplication table (64 KiB), from which
+#: :class:`PackedGFMatrix` builds its per-column tables.  Built with one
 #: vectorised outer sum of logarithms instead of a 65k-iteration Python loop;
 #: the zero row/column are patched afterwards (log(0) is undefined).
 _MUL_TABLE = _EXP_TABLE[_LOG_TABLE[:, None] + _LOG_TABLE[None, :]].astype(np.uint8)
@@ -135,50 +135,6 @@ def gf_log(a: int) -> int:
     if a == 0:
         raise GaloisError("log of zero is undefined in GF(256)")
     return int(_LOG_TABLE[a])
-
-
-def gf_multiplication_table() -> np.ndarray:
-    """Read-only view of the full 256×256 GF(256) multiplication table.
-
-    The pluggable kernel backends (:mod:`repro.erasure.backends`) share this
-    one table, which is what makes their outputs bit-identical by
-    construction: every backend evaluates the same entries, only the loop
-    structure differs.
-    """
-    view = _MUL_TABLE.view()
-    view.flags.writeable = False
-    return view
-
-
-def gf_mul_bytes(coefficient: int, data: np.ndarray) -> np.ndarray:
-    """Multiply every byte of ``data`` by a constant ``coefficient``.
-
-    Args:
-        coefficient: field element in ``[0, 255]``.
-        data: ``uint8`` array of payload bytes.
-
-    Returns:
-        A new ``uint8`` array of the same shape.
-    """
-    if coefficient == 0:
-        return np.zeros_like(data)
-    if coefficient == 1:
-        return data.copy()
-    return _MUL_TABLE[coefficient][data]
-
-
-def gf_addmul_bytes(accumulator: np.ndarray, coefficient: int, data: np.ndarray) -> None:
-    """In-place ``accumulator ^= coefficient * data`` over GF(256).
-
-    This is the inner loop of Reed-Solomon encoding: the accumulator holds a
-    parity chunk being built up as a linear combination of data chunks.
-    """
-    if coefficient == 0:
-        return
-    if coefficient == 1:
-        np.bitwise_xor(accumulator, data, out=accumulator)
-        return
-    np.bitwise_xor(accumulator, _MUL_TABLE[coefficient][data], out=accumulator)
 
 
 #: Shard bytes a kernel step processes.  A packed-gather step fills one
@@ -301,28 +257,6 @@ class PackedGFMatrix:
                 (col, None if coefficient == 1 else tables[col].tobytes())
                 for col, coefficient in enumerate(coefficients.tolist()) if coefficient
             ])
-
-    @property
-    def simple_rows(self) -> list[tuple[int, np.ndarray]]:
-        """``(row, source shard indices)`` pairs of the XOR-only rows.
-
-        Public so alternative executors of the packed layout (the numba
-        packed backend) can share the exact row classification instead of
-        re-deriving it.
-        """
-        return self._simple_rows
-
-    @property
-    def packed_groups(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, type]]:
-        """The dense row groups as ``(rows, coefficients, tables, lane)``.
-
-        ``tables`` is the ``(cols, 256)`` packed gather table of the group —
-        the layout contract shared by every packed executor: byte ``b`` of
-        input shard ``col`` contributes ``tables[col][b]``, whose bits
-        ``8·j .. 8·j+7`` hold the GF(256) product for the group's ``j``-th
-        output row.
-        """
-        return self._groups
 
     def apply(self, shards, block: int = GF_MATMUL_BLOCK) -> np.ndarray:
         """Compute ``matrix @ shards`` over GF(256).

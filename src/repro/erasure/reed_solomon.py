@@ -14,8 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.erasure.backends import CodecBackend, MatrixOperator, get_backend
-from repro.erasure.galois import shard_bytes
+from repro.erasure.galois import PackedGFMatrix, gf_matmul_bytes, shard_bytes
 from repro.erasure.matrix import (
     decode_matrix,
     submatrix,
@@ -59,11 +58,6 @@ class ReedSolomon:
         parity_shards: ``m``.
         construction: matrix construction, ``"cauchy"`` (default) or
             ``"vandermonde"``.
-        backend: GF(256) kernel backend — a name (``"numpy"``, ``"numba"``,
-            ``"naive"``), a :class:`~repro.erasure.backends.CodecBackend`
-            instance, or ``None`` to consult ``$REPRO_CODEC_BACKEND`` /
-            the default.  All backends are bit-identical; see
-            :mod:`repro.erasure.backends`.
 
     Example:
         >>> rs = ReedSolomon(4, 2)
@@ -73,8 +67,7 @@ class ReedSolomon:
         b'hello erasure world!'
     """
 
-    def __init__(self, data_shards: int, parity_shards: int, construction: str = "cauchy",
-                 backend: str | CodecBackend | None = None) -> None:
+    def __init__(self, data_shards: int, parity_shards: int, construction: str = "cauchy") -> None:
         if data_shards <= 0:
             raise ValueError("data_shards must be positive")
         if parity_shards < 0:
@@ -84,17 +77,15 @@ class ReedSolomon:
         self._data_shards = data_shards
         self._parity_shards = parity_shards
         self._construction = construction
-        self._backend = get_backend(backend)
         self._matrix = systematic_encoding_matrix(data_shards, parity_shards, construction)
         # The parity rows never change: compile their operator once.
         self._parity_op = (
-            self._backend.compile_matrix(self._matrix[data_shards:, :])
-            if parity_shards else None
+            PackedGFMatrix(self._matrix[data_shards:, :]) if parity_shards else None
         )
         # Decode plans per surviving-shard pattern, built on demand.
         self._decode_ops: dict[tuple[int, ...], tuple] = {}
         # Per-parity-row operators for verify()'s short-circuit, built lazily.
-        self._parity_row_ops: list[MatrixOperator] | None = None
+        self._parity_row_ops: list[PackedGFMatrix] | None = None
 
     @property
     def data_shards(self) -> int:
@@ -115,11 +106,6 @@ class ReedSolomon:
     def encoding_matrix(self) -> np.ndarray:
         """Copy of the ``(k + m) × k`` systematic encoding matrix."""
         return self._matrix.copy()
-
-    @property
-    def backend(self) -> "CodecBackend":
-        """The GF(256) kernel backend executing this code's operators."""
-        return self._backend
 
     # ------------------------------------------------------------------ #
     # Encoding
@@ -237,7 +223,7 @@ class ReedSolomon:
         return indices, payloads, shard_size
 
     def _decode_plan(self, survivors: tuple[int, ...]
-                     ) -> tuple[list[int], list[int], MatrixOperator | None]:
+                     ) -> tuple[list[int], list[int], PackedGFMatrix | None]:
         """What a survivor pattern leaves to compute.
 
         Returns the data rows present among ``survivors`` (sorted, so they
@@ -256,7 +242,7 @@ class ReedSolomon:
             operator = None
             if missing:
                 inverse = decode_matrix(self._matrix, list(survivors), self._data_shards)
-                operator = self._backend.compile_matrix(inverse[missing])
+                operator = PackedGFMatrix(inverse[missing])
             cached = self._decode_ops[survivors] = (present, missing, operator)
         return cached
 
@@ -384,7 +370,7 @@ class ReedSolomon:
             raise DecodingError(f"shard index {target_index} out of range")
         data_matrix = self.decode_shards(available)
         row = submatrix(self._matrix, [target_index])
-        return self._backend.matmul(row, data_matrix)[0]
+        return gf_matmul_bytes(row, data_matrix)[0]
 
     def verify(self, shards: dict[int, np.ndarray]) -> bool:
         """Check that a *complete* shard set is consistent with the code.
@@ -399,9 +385,8 @@ class ReedSolomon:
         data = [shard_bytes(shards[index]) for index in range(self._data_shards)]
         if self._parity_row_ops is None:
             self._parity_row_ops = [
-                self._backend.compile_matrix(
-                    self._matrix[self._data_shards + offset:
-                                 self._data_shards + offset + 1, :])
+                PackedGFMatrix(self._matrix[self._data_shards + offset:
+                                            self._data_shards + offset + 1, :])
                 for offset in range(self._parity_shards)
             ]
         for offset, row_op in enumerate(self._parity_row_ops):

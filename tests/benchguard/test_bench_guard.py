@@ -255,6 +255,14 @@ class TestStrippedArtifacts:
                 assert "mean" in entry["stats"] and "data" not in entry["stats"], path.name
 
 
+class TestNewestArtifact:
+    def test_it_records_every_guarded_benchmark(self, run_bench):
+        """The newest committed ``BENCH_*.json`` is a full ``make bench`` run."""
+        newest = sorted(run_bench.REPO_ROOT.glob("BENCH_*.json"))[-1]
+        missing = set(run_bench.GUARDED_BENCHMARKS) - set(run_bench.load_means(newest))
+        assert not missing, f"{newest.name} lacks {sorted(missing)}"
+
+
 class TestSelectors:
     def test_every_guarded_benchmark_has_a_selector(self, run_bench):
         selectors = run_bench.selectors_for(run_bench.GUARDED_BENCHMARKS)

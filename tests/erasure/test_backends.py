@@ -1,166 +1,36 @@
-"""Cross-backend equivalence suite for the pluggable GF(256) kernel tier.
+"""Codec behaviour on its one GF(256) kernel, checked against the scalar oracle.
 
-Every registered backend must produce **bit-identical** shards: they share
-one multiplication table, so any divergence is a kernel bug.  The suite
-covers the flat kernels, full encode round-trips under *every* erasure
-pattern up to ``m`` losses (any ``k`` of ``k + m`` shards), and the batched
-``encode_many``/``decode_many`` API against looped single-object calls.
-
-The ``numba`` backend joins the matrix automatically when it is importable;
-without numba the suite runs on ``naive`` + ``numpy`` and additionally
-asserts the registry's gated fallback behaviour.
+The kernel on random matrices and on one coefficient; full encode round-trips under *every* erasure pattern up to ``m`` losses (any
+``k`` of ``k + m`` shards), ``reconstruct_shard``, the batched
+``encode_many``/``decode_many`` API against looped single-object calls and
+its zero-copy views.  Each parametrised case runs twice through the
+``kernel`` fixture: ``numpy`` is the kernel as shipped, ``naive`` checks its
+every application against ``naive_matmul`` (``tests/reference/codec.py``).
 """
 
 import itertools
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.erasure import ErasureCodec, ErasureCodingParams, ReedSolomon
-from repro.erasure.backends import (
-    BACKEND_ENV_VAR,
-    CodecBackend,
-    NaiveBackend,
-    NumpyBackend,
-    backend_available,
-    backend_names,
-    default_backend_name,
-    get_backend,
-    probe_backend,
-    register_backend,
-)
-from repro.erasure.galois import gf_mul
+from repro.erasure import DecodingError, ErasureCodec, ErasureCodingParams, ReedSolomon
+from repro.erasure.galois import PackedGFMatrix, gf_matmul_bytes, gf_mul
 
-#: Backends exercised by the equivalence matrix; the numba variants only
-#: when numba is importable.
-EQUIVALENCE_BACKENDS = [
-    name for name in ("naive", "numpy", "numba", "numba-packed")
-    if backend_available(name)
-]
+from reference.codec import naive_matmul
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+KERNELS = ("naive", "numpy")
 
 
-def scalar_matmul(matrix: np.ndarray, shards: np.ndarray) -> np.ndarray:
-    rows, cols = matrix.shape
-    out = np.zeros((rows, shards.shape[1]), dtype=np.uint8)
-    for row in range(rows):
-        for col in range(cols):
-            coefficient = int(matrix[row, col])
-            for position in range(shards.shape[1]):
-                out[row, position] ^= gf_mul(coefficient, int(shards[col, position]))
-    return out
+def expected_shards(rs: ReedSolomon, data: bytes) -> np.ndarray:
+    """Every shard of ``data`` by the definition: the encoding matrix times
+    the split data, in scalar arithmetic."""
+    return naive_matmul(rs.encoding_matrix, rs.split(data))
 
 
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert {"naive", "numpy", "numba", "numba-packed"} <= set(backend_names())
-
-    def test_numpy_and_naive_always_available(self):
-        assert backend_available("numpy")
-        assert backend_available("naive")
-
-    def test_get_backend_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert default_backend_name() == "numpy"
-        assert get_backend().name == "numpy"
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "naive")
-        assert get_backend().name == "naive"
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "naive")
-        assert get_backend("numpy").name == "numpy"
-
-    def test_instances_pass_through(self):
-        backend = NaiveBackend()
-        assert get_backend(backend) is backend
-
-    def test_instances_are_singletons_per_name(self):
-        assert get_backend("numpy") is get_backend("numpy")
-
-    def test_unknown_backend_falls_back_with_one_warning(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            backend = get_backend("no-such-kernel")
-            again = get_backend("no-such-kernel")
-        assert backend.name == "numpy"
-        assert again.name == "numpy"
-        fallback_warnings = [w for w in caught
-                             if issubclass(w.category, RuntimeWarning)]
-        assert len(fallback_warnings) == 1  # one-time, not per call
-        assert "no-such-kernel" in str(fallback_warnings[0].message)
-
-    def test_strict_mode_raises_instead_of_falling_back(self):
-        with pytest.raises(ValueError, match="unavailable"):
-            get_backend("no-such-kernel", fallback=False)
-
-    def test_probe_rejects_miscompiling_backend(self):
-        class LyingBackend(NumpyBackend):
-            name = "lying"
-
-            def matmul(self, matrix, shards):
-                return super().matmul(matrix, shards) ^ 1  # corrupt every byte
-
-        register_backend("lying", LyingBackend)
-        try:
-            assert not backend_available("lying")
-            assert "incorrect" in probe_backend("lying")
-        finally:
-            # Leave the registry clean for other tests.
-            register_backend("lying", LyingBackend)
-            import repro.erasure.backends as backends_module
-            backends_module._FACTORIES.pop("lying", None)
-            backends_module._PROBE_RESULTS.pop("lying", None)
-
-    def test_probe_result_is_cached(self):
-        calls = []
-
-        class CountingBackend(NumpyBackend):
-            name = "counting"
-
-            def __init__(self):
-                calls.append(1)
-                super().__init__()
-
-        register_backend("counting", CountingBackend)
-        try:
-            assert backend_available("counting")
-            assert backend_available("counting")
-            assert len(calls) == 1
-        finally:
-            import repro.erasure.backends as backends_module
-            backends_module._FACTORIES.pop("counting", None)
-            backends_module._PROBE_RESULTS.pop("counting", None)
-            backends_module._INSTANCES.pop("counting", None)
-
-    def test_register_backend_names_are_case_insensitive(self):
-        register_backend("MiXeD", NaiveBackend)
-        try:
-            assert get_backend("mixed", fallback=False).name == "naive"
-            assert get_backend("MIXED", fallback=False).name == "naive"
-        finally:
-            import repro.erasure.backends as backends_module
-            backends_module._FACTORIES.pop("mixed", None)
-            backends_module._PROBE_RESULTS.pop("mixed", None)
-            backends_module._INSTANCES.pop("mixed", None)
-
-    @pytest.mark.parametrize("name", ["numba", "numba-packed"])
-    def test_numba_gated_never_a_hard_dependency(self, name):
-        """Whether or not numba is installed, resolving it must not raise."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            backend = get_backend(name)
-        assert backend.name in (name, "numpy")
-
-
-@pytest.mark.parametrize("backend_name", EQUIVALENCE_BACKENDS)
+@pytest.mark.parametrize("kernel", KERNELS, indirect=True)
 class TestKernelEquivalence:
-    def test_matmul_matches_scalar_definition(self, backend_name):
-        backend = get_backend(backend_name, fallback=False)
+    def test_matmul_matches_scalar_definition(self, kernel):
         rng = np.random.default_rng(7)
         for _ in range(5):
             rows = int(rng.integers(1, 13))
@@ -168,82 +38,61 @@ class TestKernelEquivalence:
             length = int(rng.integers(1, 64))
             matrix = rng.integers(0, 256, (rows, cols), dtype=np.uint8)
             shards = rng.integers(0, 256, (cols, length), dtype=np.uint8)
-            expected = scalar_matmul(matrix, shards)
-            assert np.array_equal(backend.matmul(matrix, shards), expected)
-            operator = backend.compile_matrix(matrix)
-            assert np.array_equal(operator.apply(shards), expected)
+            expected = naive_matmul(matrix, shards)
+            assert np.array_equal(gf_matmul_bytes(matrix, shards), expected)
+            assert np.array_equal(PackedGFMatrix(matrix).apply(shards), expected)
 
-    def test_mul_and_addmul_match_scalar_definition(self, backend_name):
-        backend = get_backend(backend_name, fallback=False)
+    def test_mul_and_addmul_match_scalar_definition(self, kernel):
+        """One coefficient times a shard, alone and added to another shard:
+        the kernel's zero, copy, XOR and translated one-row cases."""
         rng = np.random.default_rng(8)
         data = rng.integers(0, 256, 97, dtype=np.uint8)
         for coefficient in (0, 1, 2, 29, 255):
             expected = np.array([gf_mul(coefficient, int(b)) for b in data],
                                 dtype=np.uint8)
-            assert np.array_equal(backend.mul_bytes(coefficient, data), expected)
+            product = PackedGFMatrix(np.array([[coefficient]], dtype=np.uint8))
+            assert np.array_equal(product.apply([data])[0], expected)
             accumulator = rng.integers(0, 256, 97, dtype=np.uint8)
-            reference = accumulator ^ expected
-            backend.addmul_bytes(accumulator, coefficient, data)
-            assert np.array_equal(accumulator, reference)
-
-    def test_addmul_updates_non_contiguous_accumulator(self, backend_name):
-        """addmul must update a strided accumulator view in place (a
-        reshape-based implementation would XOR into a silent copy)."""
-        backend = get_backend(backend_name, fallback=False)
-        rng = np.random.default_rng(9)
-        data = rng.integers(0, 256, 50, dtype=np.uint8)
-        for coefficient in (1, 29):
-            buffer = rng.integers(0, 256, 100, dtype=np.uint8)
-            view = buffer[::2]
-            expected = view ^ np.array(
-                [gf_mul(coefficient, int(b)) for b in data], dtype=np.uint8)
-            backend.addmul_bytes(view, coefficient, data)
-            assert np.array_equal(view, expected)
+            addmul = PackedGFMatrix(np.array([[1, coefficient]], dtype=np.uint8))
+            assert np.array_equal(addmul.apply([accumulator, data])[0],
+                                  accumulator ^ expected)
 
 
-@pytest.mark.parametrize("backend_name", EQUIVALENCE_BACKENDS)
+@pytest.mark.parametrize("kernel", KERNELS, indirect=True)
 @pytest.mark.parametrize("k,m", [(4, 2), (3, 3), (2, 1)])
 class TestRoundTripAllPatterns:
-    def test_all_erasure_patterns_bit_identical(self, backend_name, k, m):
-        """Every survivor pattern (any k of k+m shards) round-trips and every
-        backend produces byte-identical shards and decodes."""
-        reference = ReedSolomon(k, m, backend="numpy")
-        rs = ReedSolomon(k, m, backend=backend_name)
+    def test_all_erasure_patterns_bit_identical(self, kernel, k, m):
+        """Every survivor pattern (any k of k+m shards) round-trips, and the
+        shards and decodes are the scalar definition's bytes."""
+        rs = ReedSolomon(k, m)
         payload = bytes(np.random.default_rng(k * 16 + m).integers(
             0, 256, 61, dtype=np.uint8))
 
-        expected_shards = reference.encode(payload)
         shards = rs.encode(payload)
         assert len(shards) == k + m
-        for mine, theirs in zip(shards, expected_shards):
-            assert np.array_equal(mine, theirs)
+        assert np.array_equal(np.stack(shards), expected_shards(rs, payload))
 
         for survivors in itertools.combinations(range(k + m), k):
             available = {index: shards[index] for index in survivors}
             assert rs.decode_data(available, len(payload)) == payload
-            expected_matrix = reference.decode_shards(
-                {index: expected_shards[index] for index in survivors})
-            assert np.array_equal(rs.decode_shards(available), expected_matrix)
+            assert np.array_equal(rs.decode_shards(available), rs.split(payload))
 
-    def test_reconstruct_every_shard(self, backend_name, k, m):
-        rs = ReedSolomon(k, m, backend=backend_name)
-        reference = ReedSolomon(k, m, backend="numpy")
+    def test_reconstruct_every_shard(self, kernel, k, m):
+        rs = ReedSolomon(k, m)
         payload = bytes(np.random.default_rng(99).integers(0, 256, 40, dtype=np.uint8))
         shards = rs.encode(payload)
+        expected = expected_shards(rs, payload)
         for target in range(k + m):
             available = {i: s for i, s in enumerate(shards) if i != target}
             rebuilt = rs.reconstruct_shard(available, target)
-            expected = reference.reconstruct_shard(
-                {i: s for i, s in enumerate(reference.encode(payload)) if i != target},
-                target)
-            assert np.array_equal(rebuilt, expected)
+            assert np.array_equal(rebuilt, expected[target])
             assert np.array_equal(rebuilt, shards[target])
 
 
-@pytest.mark.parametrize("backend_name", EQUIVALENCE_BACKENDS)
+@pytest.mark.parametrize("kernel", KERNELS, indirect=True)
 class TestBatchedEquivalence:
-    def test_encode_many_equals_looped_encode(self, backend_name):
-        rs = ReedSolomon(4, 2, backend=backend_name)
+    def test_encode_many_equals_looped_encode(self, kernel):
+        rs = ReedSolomon(4, 2)
         rng = np.random.default_rng(11)
         stack = rng.integers(0, 256, (6, 4, 33), dtype=np.uint8)
         batched = rs.encode_many(stack)
@@ -253,8 +102,8 @@ class TestBatchedEquivalence:
             for index, shard in enumerate(looped):
                 assert np.array_equal(batched[position, index], shard)
 
-    def test_decode_many_equals_looped_decode(self, backend_name):
-        rs = ReedSolomon(4, 2, backend=backend_name)
+    def test_decode_many_equals_looped_decode(self, kernel):
+        rs = ReedSolomon(4, 2)
         rng = np.random.default_rng(12)
         stack = rng.integers(0, 256, (5, 4, 21), dtype=np.uint8)
         encoded = rs.encode_many(stack)
@@ -267,11 +116,11 @@ class TestBatchedEquivalence:
                 assert np.array_equal(batched[position], looped)
                 assert np.array_equal(batched[position], stack[position])
 
-    def test_decode_many_systematic_path_is_zero_copy(self, backend_name):
+    def test_decode_many_systematic_path_is_zero_copy(self, kernel):
         """When the data shards themselves survive in the stack's leading
         columns, decode_many returns a view of the input — no defensive
         copies on the batched path."""
-        rs = ReedSolomon(4, 2, backend=backend_name)
+        rs = ReedSolomon(4, 2)
         rng = np.random.default_rng(15)
         stack = rng.integers(0, 256, (3, 4, 17), dtype=np.uint8)
         encoded = rs.encode_many(stack)
@@ -288,10 +137,10 @@ class TestBatchedEquivalence:
         assert np.shares_memory(wider, subset)
         assert np.array_equal(wider, stack)
 
-    def test_decode_many_reconstruction_avoids_defensive_copies(self, backend_name):
+    def test_decode_many_reconstruction_avoids_defensive_copies(self, kernel):
         """A reconstructed batch comes back as a view of the decode
         operator's output (possibly non-contiguous) with the right values."""
-        rs = ReedSolomon(4, 2, backend=backend_name)
+        rs = ReedSolomon(4, 2)
         rng = np.random.default_rng(16)
         stack = rng.integers(0, 256, (4, 4, 19), dtype=np.uint8)
         encoded = rs.encode_many(stack)
@@ -299,17 +148,15 @@ class TestBatchedEquivalence:
         assert recovered.base is not None
         assert np.array_equal(recovered, stack)
 
-    def test_encode_returns_data_shards_as_views(self, backend_name):
+    def test_encode_returns_data_shards_as_views(self, kernel):
         """Single-object encode hands out the split matrix's rows as views
         (the batched ingest path relies on this to stay zero-copy)."""
-        rs = ReedSolomon(4, 2, backend=backend_name)
+        rs = ReedSolomon(4, 2)
         shards = rs.encode(b"zero copy please" * 4)
         assert all(shard.base is not None for shard in shards[:4])
 
-    def test_decode_many_validates_input(self, backend_name):
-        from repro.erasure import DecodingError
-
-        rs = ReedSolomon(4, 2, backend=backend_name)
+    def test_decode_many_validates_input(self, kernel):
+        rs = ReedSolomon(4, 2)
         stack = np.zeros((2, 3, 8), dtype=np.uint8)
         with pytest.raises(DecodingError):
             rs.decode_many(stack, (0, 1, 2))  # too few shards
@@ -322,8 +169,8 @@ class TestBatchedEquivalence:
         with pytest.raises(ValueError):
             rs.decode_many(np.zeros((4, 8), dtype=np.uint8), (0, 1, 2, 3))
 
-    def test_codec_encode_many_mixed_sizes(self, backend_name):
-        codec = ErasureCodec(ErasureCodingParams(4, 2), backend=backend_name)
+    def test_codec_encode_many_mixed_sizes(self, kernel):
+        codec = ErasureCodec(ErasureCodingParams(4, 2))
         rng = np.random.default_rng(13)
         items = [
             (f"object-{index}", bytes(rng.integers(0, 256, size, dtype=np.uint8)))
@@ -338,8 +185,8 @@ class TestBatchedEquivalence:
             assert [c.payload for c in encoded.chunks] == \
                 [c.payload for c in single.chunks]
 
-    def test_codec_decode_many_mixed_patterns(self, backend_name):
-        codec = ErasureCodec(ErasureCodingParams(4, 2), backend=backend_name)
+    def test_codec_decode_many_mixed_patterns(self, kernel):
+        codec = ErasureCodec(ErasureCodingParams(4, 2))
         rng = np.random.default_rng(14)
         items = [(f"object-{index}", bytes(rng.integers(0, 256, 80, dtype=np.uint8)))
                  for index in range(4)]
@@ -353,49 +200,6 @@ class TestBatchedEquivalence:
         assert decoded == [data for _, data in items]
 
 
-class TestNumbaPackedLayout:
-    """The packed numba operator shares :class:`PackedGFMatrix`'s layout;
-    its kernel arithmetic — transcribed to plain Python here — must match
-    the numpy executor bit-for-bit.  This runs regardless of whether numba
-    is installed: the operator takes the kernel as an argument, so the
-    layout plumbing (row classification, uint64 table widening, group
-    dispatch) is testable without a JIT."""
-
-    def test_packed_operator_matches_numpy_with_reference_kernel(self):
-        from repro.erasure.backends import _NUMBA_BLOCK, _NumbaPackedOperator
-
-        def reference_kernel(shards, tables, cols_used, rows_out, out):
-            # Literal transcription of the njit loop in backends.py.
-            length = shards.shape[1]
-            blocks = (length + _NUMBA_BLOCK - 1) // _NUMBA_BLOCK
-            for block_index in range(blocks):
-                start = block_index * _NUMBA_BLOCK
-                end = min(start + _NUMBA_BLOCK, length)
-                for position in range(start, end):
-                    accumulator = np.uint64(0)
-                    for j in range(cols_used.shape[0]):
-                        col = cols_used[j]
-                        accumulator ^= tables[col, shards[col, position]]
-                    packed = accumulator
-                    for r in range(rows_out.shape[0]):
-                        out[rows_out[r], position] = np.uint8(
-                            packed & np.uint64(0xFF))
-                        packed = packed >> np.uint64(8)
-
-        rng = np.random.default_rng(7)
-        for _ in range(12):
-            rows = int(rng.integers(1, 14))
-            cols = int(rng.integers(1, 14))
-            length = int(rng.integers(1, 80))
-            matrix = rng.integers(0, 256, (rows, cols), dtype=np.uint8)
-            if rows > 2:
-                matrix[0] %= 2  # force an XOR-only row into the mix
-            shards = rng.integers(0, 256, (cols, length), dtype=np.uint8)
-            operator = _NumbaPackedOperator(matrix, reference_kernel)
-            expected = NumpyBackend().matmul(matrix, shards)
-            assert np.array_equal(operator.apply(shards), expected)
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     data=st.binary(min_size=0, max_size=200),
@@ -403,23 +207,16 @@ class TestNumbaPackedLayout:
     m=st.integers(min_value=0, max_value=3),
     seed=st.integers(min_value=0, max_value=2**31),
 )
-def test_property_round_trip_identical_across_backends(data, k, m, seed):
-    """Random payloads, geometries and survivor patterns: all available
-    backends emit byte-identical shards and reconstruct the payload."""
+def test_property_round_trip_matches_the_scalar_definition(data, k, m, seed):
+    """Random payloads, geometries and survivor patterns: the shards are the
+    scalar definition's and any ``k`` of them reconstruct the payload."""
     rng = np.random.default_rng(seed)
-    codecs = {name: ReedSolomon(k, m, backend=name)
-              for name in EQUIVALENCE_BACKENDS}
-    reference_shards = None
+    rs = ReedSolomon(k, m)
+    shards = rs.encode(data)
+    assert np.array_equal(np.stack(shards), expected_shards(rs, data))
     survivors = sorted(rng.choice(k + m, size=k, replace=False).tolist())
-    for name, rs in codecs.items():
-        shards = rs.encode(data)
-        if reference_shards is None:
-            reference_shards = shards
-        else:
-            for mine, theirs in zip(shards, reference_shards):
-                assert np.array_equal(mine, theirs), name
-        available = {index: shards[index] for index in survivors}
-        assert rs.decode_data(available, len(data)) == data, name
+    available = {index: shards[index] for index in survivors}
+    assert rs.decode_data(available, len(data)) == data
 
 
 class TestStoreBatchedIngest:

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.erasure.backends import NaiveBackend
-from repro.erasure.galois import (
-    GF_MATMUL_BLOCK,
-    PackedGFMatrix,
-    gf_addmul_bytes,
-    gf_matmul_bytes,
-    gf_mul,
-)
+from repro.erasure.galois import GF_MATMUL_BLOCK, PackedGFMatrix, gf_matmul_bytes, gf_mul
+
+from reference.codec import addmul_bytes, naive_matmul
 
 
 def scalar_matmul(matrix: np.ndarray, shards: np.ndarray) -> np.ndarray:
@@ -137,7 +132,7 @@ def test_blocked_apply_equals_the_scalar_definition(matrix, block, span_kind, se
             "3b+7": 3 * block + 7}[span_kind]
     shards = np.random.default_rng(seed).integers(
         0, 256, (matrix.shape[1], span), dtype=np.uint8)
-    expected = NaiveBackend().matmul(matrix, shards)
+    expected = naive_matmul(matrix, shards)
     out = PackedGFMatrix(matrix).apply(shards, block=block)
     assert out.dtype == np.uint8 and out.shape == expected.shape
     assert np.array_equal(out, expected)
@@ -148,7 +143,7 @@ def vector_matmul(matrix: np.ndarray, shards: np.ndarray) -> np.ndarray:
     out = np.zeros((matrix.shape[0], shards.shape[1]), dtype=np.uint8)
     for row in range(matrix.shape[0]):
         for col in range(matrix.shape[1]):
-            gf_addmul_bytes(out[row], int(matrix[row, col]), shards[col])
+            addmul_bytes(out[row], int(matrix[row, col]), shards[col])
     return out
 
 
@@ -169,19 +164,19 @@ def test_lane_width_follows_group_size():
     rng = np.random.default_rng(5)
     for rows, lane in ((1, np.uint8), (2, np.uint16), (3, np.uint32),
                        (4, np.uint32), (5, np.uint64), (8, np.uint64)):
-        (group,) = PackedGFMatrix(rng.integers(2, 256, (rows, 3), dtype=np.uint8)).packed_groups
+        (group,) = PackedGFMatrix(rng.integers(2, 256, (rows, 3), dtype=np.uint8))._groups
         assert group[3] is lane and group[2].dtype == lane
 
 
 def test_a_group_has_one_kernel_chosen_by_its_row_count():
     """Two to eight rows are gathered; a lone row is translated by the rows of
-    the one-byte-lane table ``packed_groups`` still publishes for it."""
+    the one-byte-lane table its group still builds."""
     rng = np.random.default_rng(7)
     for rows in range(1, 18):
         matrix = rng.integers(2, 256, (rows, 5), dtype=np.uint8)
         matrix[-1, 1:3] = 0, 1
         operator = PackedGFMatrix(matrix)
-        sizes = [group[0].size for group in operator.packed_groups]
+        sizes = [group[0].size for group in operator._groups]
         assert sizes == [8] * (rows // 8) + [rows % 8] * (rows % 8 > 0)
         assert [group[0].size for group in operator._gathered] == \
             [size for size in sizes if size > 1]
@@ -189,7 +184,7 @@ def test_a_group_has_one_kernel_chosen_by_its_row_count():
             assert operator._lone is None
             continue
         row, terms = operator._lone
-        tables = operator.packed_groups[-1][2]
+        tables = operator._groups[-1][2]
         assert row == rows - 1 and tables.dtype == np.uint8
         assert terms == [(0, tables[0].tobytes()), (2, None),
                          (3, tables[3].tobytes()), (4, tables[4].tobytes())]
@@ -276,8 +271,8 @@ def test_lone_rows_equal_the_scalar_definition(matrix, block, span_kind, operand
             "3b+7": 3 * block + 7}[span_kind]
     shards = np.random.default_rng(seed).integers(
         0, 256, (matrix.shape[1], span), dtype=np.uint8)
-    assert PackedGFMatrix(matrix).packed_groups[-1][0].size == 1
-    expected = NaiveBackend().matmul(matrix, shards)
+    assert PackedGFMatrix(matrix)._groups[-1][0].size == 1
+    expected = naive_matmul(matrix, shards)
     out = PackedGFMatrix(matrix).apply(OPERANDS[operand](shards), block=block)
     assert out.dtype == np.uint8 and out.shape == expected.shape
     assert np.array_equal(out, expected)
@@ -297,7 +292,7 @@ def lone_row_case(request):
     once per span (the naive loop costs ≈ 1 µs per byte per coefficient)."""
     shards = np.random.default_rng(request.param).integers(
         0, 256, (LONE_ROW.shape[1], request.param), dtype=np.uint8)
-    return shards, NaiveBackend().matmul(LONE_ROW, shards)
+    return shards, naive_matmul(LONE_ROW, shards)
 
 
 @pytest.mark.parametrize("operand", sorted(OPERANDS))
@@ -315,7 +310,7 @@ def test_the_oracle_takes_the_same_operands(operand):
     rng = np.random.default_rng(8)
     matrix = rng.integers(0, 256, (3, 4), dtype=np.uint8)
     shards = rng.integers(0, 256, (4, 37), dtype=np.uint8)
-    assert np.array_equal(NaiveBackend().matmul(matrix, OPERANDS[operand](shards)),
+    assert np.array_equal(naive_matmul(matrix, OPERANDS[operand](shards)),
                           scalar_matmul(matrix, shards))
 
 

@@ -15,9 +15,9 @@ Generate (refuses to overwrite without ``--force``)::
 
     PYTHONPATH=src python tests/golden/freeze_codec.py
 
-``tests/erasure/test_codec_golden.py`` recomputes every case on every
-available kernel backend and compares it with the committed
-``tests/golden/codec.json``.
+``tests/erasure/test_codec_golden.py`` recomputes every case, with and
+without every kernel call checked against the scalar definition, and
+compares it with the committed ``tests/golden/codec.json``.
 """
 
 from __future__ import annotations

@@ -4,15 +4,20 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.client.resilience import ResilienceConfig
 from repro.client.strategies import ClientConfig
 from repro.serve import gateway as gateway_module
 from repro.serve import protocol
 from repro.serve.gateway import ServeCluster
 from repro.serve.ledger import ledger_from_lines
+from repro.sim.engine import EngineConfig, RegionSpec
 from repro.sim.faults import FaultSchedule, RegionOutage
+from repro.workload.workload import WorkloadSpec
 
-from serve_helpers import http_get, http_put, raw_exchange, start_cluster, tiny_config
+from serve_helpers import (MEGABYTE, http_get, http_post, http_put, raw_exchange,
+                           start_cluster, tiny_config)
 
 
 def _request(text: str, body: bytes = b""):
@@ -382,3 +387,53 @@ def test_stats_count_retries_and_hedges(run):
     assert {name: wire[name] for name in decided} == decided
     assert (stats.retries_total, stats.hedged_reads, stats.hedge_wins) == tuple(
         decided.values())
+
+
+def _region_b_after_a_put(run) -> tuple[dict, bytes, bytes]:
+    """Warm region B's Agar cache on a key, PUT a same-size body through
+    region A, and return the headers and body of B's first GET afterwards
+    together with the body that was PUT."""
+    config = EngineConfig(
+        workload=WorkloadSpec(object_count=4, object_size=4096,
+                              request_count=60, seed=7),
+        regions=[RegionSpec(region="frankfurt", clients=1, strategy="agar"),
+                 RegionSpec(region="dublin", clients=1, strategy="agar")],
+        cache_capacity_bytes=MEGABYTE)
+
+    async def scenario():
+        cluster = await start_cluster(config, payloads=True)
+        try:
+            region_a = cluster.addresses["frankfurt"]
+            region_b = cluster.addresses["dublin"]
+            for _ in range(5):
+                await http_get(region_b, "/objects/object-0")
+            status, _, _ = await http_post(region_b, "/admin/tick?at=30.0")
+            assert status == 200
+            for _ in range(5):
+                _, headers, _ = await http_get(region_b, "/objects/object-0")
+                if int(headers["x-agar-cache-chunks"]) > 0:
+                    break
+            else:
+                raise AssertionError("region B never served object-0 from its cache")
+            blob = bytes(range(256))[::-1] * 16
+            status, _, _ = await http_put(region_a, "/objects/object-0", blob)
+            assert status == 204
+            status, headers, body = await http_get(region_b, "/objects/object-0")
+            assert status == 200
+            return headers, body, blob
+        finally:
+            await cluster.stop()
+
+    return run(scenario())
+
+
+def test_a_put_in_one_region_reaches_another_regions_body(run):
+    _, body, blob = _region_b_after_a_put(run)
+    assert body == blob
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_a_put_in_one_region_leaves_no_stale_cache_hit_in_another(run):
+    """After a PUT, no region may report cached chunks of the old version."""
+    headers, _, _ = _region_b_after_a_put(run)
+    assert headers["x-agar-cache-chunks"] == "0"
