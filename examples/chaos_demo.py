@@ -15,8 +15,9 @@ One scenario, all on loopback sockets with ephemeral ports:
    restored), the client's reconnect/retry/failover counters, and the
    conservation check — every intended request is a latency sample, an
    unavailable read, or a failover completion;
-4. show the durable decision ledger around the cut: reads, then ``crash``,
-   then ``recovery``, then reads again — one history across two processes.
+4. show the decision ledger around the cut: reads, then ``crash``, then
+   ``recovery``, then reads again — one in-memory history across two gateway
+   instances of the same process.
 
 Run with:  PYTHONPATH=src python examples/chaos_demo.py
 """
@@ -101,7 +102,7 @@ async def main() -> None:
         assert (stats.count + stats.unavailable_reads + conns.failed_over
                 == result.requests), "conservation must hold"
 
-    print("\n== the durable ledger around the cut (frankfurt) ==")
+    print("\n== the ledger around the cut (frankfurt) ==")
     cut = next(i for i, e in enumerate(ledger) if e.kind == KIND_CRASH)
     for entry in ledger[max(cut - 2, 0):cut + 4]:
         marker = " <--" if entry.kind in (KIND_CRASH, KIND_RECOVERY) else ""

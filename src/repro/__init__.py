@@ -17,7 +17,7 @@ This package contains the full system, built from scratch in Python:
   workload generator, the read strategies, the event engine and the
   experiment driver;
 * :mod:`repro.experiments` — one driver per table/figure of the paper;
-* :mod:`repro.extensions` — §VI extensions (collaboration, writes, TinyLFU).
+* :mod:`repro.extensions` — §VI extensions (collaboration, writes).
 
 Quickstart::
 

@@ -124,7 +124,7 @@ class EvictionPolicy(ABC):
     The cache calls the ``on_*`` hooks as entries are inserted, hit and
     evicted, and :meth:`select_victim` when it needs space.  Policies may also
     veto admissions (:meth:`admits`), which is how the Agar pinned
-    configuration and TinyLFU-style admission control plug in.
+    configuration plugs in.
     """
 
     name: str = "base"

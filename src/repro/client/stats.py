@@ -335,9 +335,7 @@ class LatencyStats:
             return 0.0
         if not 0.0 <= percentile <= 100.0:
             raise ValueError("percentile must be between 0 and 100")
-        ordered = np.sort(self._buffer[: self._count])
-        rank = max(0, math.ceil(percentile / 100.0 * self._count) - 1)
-        return float(ordered[rank])
+        return _nearest_rank(np.sort(self._buffer[: self._count]), percentile)
 
     @property
     def median_latency_ms(self) -> float:

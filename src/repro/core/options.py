@@ -141,7 +141,6 @@ def generate_caching_options(
     data_chunks: int,
     parity_chunks: int,
     cache_read_ms: float = 0.0,
-    include_all_weights: bool = False,
 ) -> list[CachingOption]:
     """Generate the caching options for one object (paper §IV-A).
 
@@ -155,10 +154,6 @@ def generate_caching_options(
         parity_chunks: ``m``.
         cache_read_ms: latency of a local cache read; it is the residual
             latency of the full-replica option (all ``k`` chunks cached).
-        include_all_weights: also emit the dominated intermediate weights
-            (same improvement as the previous region boundary).  The paper's
-            algorithm only needs the boundary options; the flag exists for
-            ablation experiments.
 
     Returns:
         Options sorted by increasing weight.  Empty if the object has no
@@ -181,23 +176,6 @@ def generate_caching_options(
         group_end = position
         while group_end < len(needed) and needed[group_end].region == region:
             group_end += 1
-
-        if include_all_weights:
-            # Intermediate weights: caching part of the region's chunks leaves
-            # the region on the critical path, so the residual does not change.
-            for partial_end in range(position + 1, group_end):
-                cached_partial = needed[:partial_end]
-                options.append(
-                    CachingOption(
-                        key=key,
-                        chunk_indices=tuple(chunk.index for chunk in cached_partial),
-                        weight=len(cached_partial),
-                        latency_improvement_ms=max(baseline - previous_residual, 0.0),
-                        marginal_improvement_ms=0.0,
-                        popularity=popularity,
-                        residual_latency_ms=previous_residual,
-                    )
-                )
 
         cached = needed[:group_end]
         if group_end < len(needed):

@@ -51,16 +51,12 @@ class RequestMonitor:
         cache_manager: the cache manager whose configuration provides hints.
         alpha: EWMA weight of the current period's frequency.
         processing_overhead_ms: per-request processing cost charged to reads.
-        tracker: optionally supply a popularity tracker (e.g. the TinyLFU-style
-            approximate tracker from ``repro.extensions.tinylfu``) instead of
-            the exact EWMA tracker.
     """
 
     def __init__(self, cache_manager: CacheManager, alpha: float = DEFAULT_ALPHA,
-                 processing_overhead_ms: float = DEFAULT_PROCESSING_OVERHEAD_MS,
-                 tracker: PopularityTracker | None = None) -> None:
+                 processing_overhead_ms: float = DEFAULT_PROCESSING_OVERHEAD_MS) -> None:
         self._cache_manager = cache_manager
-        self._popularity = tracker if tracker is not None else PopularityTracker(alpha=alpha)
+        self._popularity = PopularityTracker(alpha=alpha)
         self._processing_overhead_ms = processing_overhead_ms
         self._requests_seen = 0
 

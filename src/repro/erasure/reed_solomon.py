@@ -9,7 +9,6 @@ exactly the contract the paper's storage backend relies on (§II-A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,26 +27,6 @@ _DECODE_CACHE_LIMIT = 256
 
 class DecodingError(ValueError):
     """Raised when reconstruction is impossible (too few shards, bad sizes)."""
-
-
-@dataclass(frozen=True)
-class ShardSet:
-    """A (possibly partial) collection of shards for one encoded blob.
-
-    Attributes:
-        shards: mapping from shard index to its payload array.
-        shard_size: common length of every shard in bytes.
-    """
-
-    shards: dict[int, np.ndarray]
-    shard_size: int
-
-    def available_indices(self) -> list[int]:
-        """Shard indices present in this set, sorted ascending."""
-        return sorted(self.shards)
-
-    def __len__(self) -> int:
-        return len(self.shards)
 
 
 class ReedSolomon:

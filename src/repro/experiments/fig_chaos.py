@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.report import Table
+from repro.client.stats import _nearest_rank
 from repro.experiments.common import ExperimentSettings
 from repro.serve.chaos import (ChaosInjector, ChaosSchedule, ConnectionReset,
                                GatewayCrash, SocketStall)
@@ -97,12 +98,6 @@ class ChaosVariantResult:
         return float(np.mean([r.restored_fraction for r in self.recoveries]))
 
 
-def _p99(latencies: list[float]) -> float:
-    if not latencies:
-        return 0.0
-    return float(np.percentile(np.asarray(latencies), 99.0))
-
-
 def _partition_p99(results: dict[str, RegionWireResult],
                    crash_at_s: float | None,
                    ) -> tuple[float, float, float]:
@@ -120,7 +115,8 @@ def _partition_p99(results: dict[str, RegionWireResult],
                 during.append(sample.latency_ms)
             else:
                 after.append(sample.latency_ms)
-    return _p99(before), _p99(during), _p99(after)
+    return tuple(_nearest_rank(np.sort(part), 99.0) if part else 0.0
+                 for part in (before, during, after))
 
 
 async def _run_variant(name: str, config: EngineConfig, spec: WireLoadSpec,

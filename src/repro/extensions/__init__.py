@@ -2,18 +2,12 @@
 
 * :mod:`repro.extensions.collaboration` — content exchange between nearby caches.
 * :mod:`repro.extensions.writes` — write-through writes with cache coherence.
-* :mod:`repro.extensions.tinylfu` — approximate request statistics (count-min sketch).
 """
 
 from repro.extensions.collaboration import (
     CollaborationCoordinator,
     NeighborAnnouncement,
     discount_options,
-)
-from repro.extensions.tinylfu import (
-    ApproximatePopularityTracker,
-    CountMinSketch,
-    SketchParameters,
 )
 from repro.extensions.writes import (
     CoherenceStats,
@@ -23,12 +17,9 @@ from repro.extensions.writes import (
 )
 
 __all__ = [
-    "ApproximatePopularityTracker",
     "CoherenceStats",
     "CollaborationCoordinator",
-    "CountMinSketch",
     "NeighborAnnouncement",
-    "SketchParameters",
     "StaleWriteError",
     "WriteCoordinator",
     "WriteRecord",

@@ -34,8 +34,8 @@ from repro.serve.gateway import GatewaySettings, RegionGateway, ServeCluster
 from repro.serve.ledger import LedgerEntry, ledger_from_lines, ledger_to_lines
 from repro.serve.loadgen import (ConnectionStats, RegionWireResult,
                                  WireLoadSpec, WireResilience, run_wire_load,
-                                 run_wire_load_sync, wire_report_table)
-from repro.serve.replay import replay_trace, replay_trace_sync
+                                 wire_report_table)
+from repro.serve.replay import replay_trace
 from repro.serve.supervisor import (ClusterSupervisor, RecoveryRecord,
                                     SupervisorConfig, recovery_report_table)
 from repro.serve.trace import SimTrace, TraceOp, trace_and_ledgers
@@ -65,9 +65,7 @@ __all__ = [
     "ledger_to_lines",
     "recovery_report_table",
     "replay_trace",
-    "replay_trace_sync",
     "run_wire_load",
-    "run_wire_load_sync",
     "trace_and_ledgers",
     "wire_report_table",
 ]

@@ -119,7 +119,9 @@ def crash_entry(at: float) -> LedgerEntry:
     """The ledger entry marking a detected gateway crash.
 
     Appended by the supervisor when it takes a region down for recovery, so
-    the durable ledger records exactly where the decision stream was cut.
+    the ledger — an in-memory list the supervisor hands to the new instance
+    in the same process, not a durable log (ROADMAP item 1 A2) — records
+    exactly where the decision stream was cut.
     """
     return LedgerEntry(kind=KIND_CRASH, at=at)
 

@@ -881,13 +881,6 @@ async def run_wire_load(addresses: Mapping[str, tuple[str, int]],
     return results
 
 
-def run_wire_load_sync(addresses: Mapping[str, tuple[str, int]],
-                       spec: WireLoadSpec, seed: int = 0,
-                       ) -> dict[str, RegionWireResult]:
-    """Blocking wrapper around :func:`run_wire_load`."""
-    return asyncio.run(run_wire_load(addresses, spec, seed))
-
-
 def wire_report_table(results: Mapping[str, RegionWireResult],
                       title: str = "Wire-level serving latency") -> Table:
     """The wire twin of the simulated report tables (same stats source)."""

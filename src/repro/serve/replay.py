@@ -110,9 +110,3 @@ async def replay_trace(addresses: Mapping[str, tuple[str, int]],
         _replay_region(name, addresses[name], trace.regions[name])
         for name in names))
     return dict(zip(names, results))
-
-
-def replay_trace_sync(addresses: Mapping[str, tuple[str, int]],
-                      trace: SimTrace) -> dict[str, list[LedgerEntry]]:
-    """Blocking wrapper around :func:`replay_trace`."""
-    return asyncio.run(replay_trace(addresses, trace))

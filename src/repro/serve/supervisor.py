@@ -8,8 +8,9 @@ on their old port with a **warm-recovery protocol**:
 1.  Build a fresh strategy exactly as a cold restart would
     (:meth:`ServeCluster.rebuild_strategy` — shared durable store and
     clock, empty cache, cold popularity state).
-2.  Replay the tail of the region's decision ledger — the durable log that
-    survives the process — through the fresh strategy.  Two passes when the
+2.  Replay the tail of the region's decision ledger — the crashed
+    instance's in-memory list, handed on within the same process (it is not
+    durable; ROADMAP item 1 A2) — through the fresh strategy.  Two passes when the
     strategy reconfigures on a timer (first pass rebuilds popularity
     statistics, a ``tick`` re-solves the caching configuration, the second
     pass fills the cache under that configuration); one pass for plain
@@ -248,8 +249,9 @@ class ClusterSupervisor:
             region, strategy, corpse.store, corpse.clock,
             fault_states=corpse._fault_states, settings=corpse.settings,
             epoch=corpse.started_at)
-        # The ledger is the durable log: the new instance appends to the
-        # same history the old one wrote.  The dynamic-fault queue rides
+        # The ledger is the crashed instance's in-memory list, not a durable
+        # log (ROADMAP item 1 A2): the new instance appends to the same list
+        # the old one wrote.  The dynamic-fault queue rides
         # along so wire-installed windows still expire on schedule.
         gateway.ledger = corpse.ledger
         gateway._dynamic_faults = list(corpse._dynamic_faults)

@@ -58,10 +58,12 @@ per-client generators (block and scalar draws consume the same bit stream).
 Timer events (few per deployment) live in a small residual heap consulted
 before each arrival.
 
-The previous heap loop is retained verbatim as
-:meth:`EventEngine.execute_reference`; the equivalence suite
+The heap loop it replaced is the test oracle ``execute_heap`` in
+``tests/reference/heap_scheduler.py``: the equivalence suite
 (``tests/sim/test_engine_equivalence.py``) asserts the lane scheduler is
-bit-identical to it on every supported shape.
+bit-identical to it on every supported shape, and
+``tests/golden/engine_execute.json`` pins :meth:`EventEngine.execute` itself
+across versions.
 
 :meth:`EventEngine.execute_sharded` additionally runs deployments with one
 worker process per region (fork: the populated :class:`ErasureCodedStore` is
@@ -105,10 +107,8 @@ from repro.sim.clock import SimulationClock
 from repro.sim.faults import FaultSchedule, FaultState
 from repro.workload.workload import (
     ArrivalSpec,
-    Request,
     WorkloadSpec,
     generate_request_ranks,
-    generate_requests,
 )
 
 #: Seed stride between the request streams of concurrent clients.  Client 0
@@ -119,12 +119,6 @@ CLIENT_SEED_STRIDE = 7919
 #: Mixed into the per-client Poisson arrival seeds so arrival times are
 #: independent of the request streams and the latency jitter.
 _ARRIVAL_SEED_TAG = 104729
-
-#: Event priorities: timers fire before request arrivals at equal timestamps,
-#: mirroring the legacy behaviour of reconfiguring before the triggering read
-#: is recorded into the new period.
-_PRIO_TIMER = 0
-_PRIO_ARRIVAL = 1
 
 #: How many exponential inter-arrival samples an open-loop lane pre-draws per
 #: refill.  Block and scalar draws consume the same per-client bit stream.
@@ -142,7 +136,8 @@ _SUBSHARD_SEED_TAG = 32452843
 #: Timer kinds of the lane scheduler's residual heap.  Fault transitions are
 #: one-shot (never re-pushed) and are pushed before the periodic timers, so at
 #: equal timestamps a fault state change precedes a collaboration round or a
-#: reconfiguration tick in both schedulers.
+#: reconfiguration tick, as in the heap loop of
+#: ``tests/reference/heap_scheduler.py``.
 _TIMER_COLLAB = 0
 _TIMER_REGION = 1
 _TIMER_FAULT = 2
@@ -181,7 +176,7 @@ class RegionSpec:
             other shard (sub-shard 0 announces for the region); the region's
             stats merge via ``LatencyStats.merge_all``.  ``1`` (default) is
             bit-identical to pre-sharding behaviour; the unsharded
-            ``execute`` / ``execute_reference`` ignore the split entirely.
+            ``execute`` ignores the split entirely.
     """
 
     region: str
@@ -236,8 +231,8 @@ class EngineConfig:
             (bit-compatible with the legacy driver), timer-driven otherwise.
         faults: optional fault schedule (``repro.sim.faults``).  Its state
             transitions become one-shot timer events consumed identically by
-            :meth:`EventEngine.execute`, :meth:`EventEngine.execute_reference`
-            and :meth:`EventEngine.execute_sharded`; schedule times are
+            :meth:`EventEngine.execute` and
+            :meth:`EventEngine.execute_sharded`; schedule times are
             relative to each run's start.
     """
 
@@ -398,23 +393,6 @@ class EngineResult:
             throughput_rps=self.throughput_rps,
             neighbor_chunks=merged.neighbor_chunks_total,
         )
-
-
-class _ClientState:
-    """One client's request stream and (for open loop) arrival generator.
-
-    Used only by :meth:`EventEngine.execute_reference`; the lane scheduler
-    keeps client state in parallel arrays instead.
-    """
-
-    __slots__ = ("region_index", "requests", "next_index", "arrival_rng")
-
-    def __init__(self, region_index: int, requests: list[Request],
-                 arrival_rng: np.random.Generator | None) -> None:
-        self.region_index = region_index
-        self.requests = requests
-        self.next_index = 0
-        self.arrival_rng = arrival_rng
 
 
 @dataclass
@@ -762,7 +740,7 @@ class _LaneRun:
             if block_start >= horizon:
                 break
             # Timers due before (or exactly at) the next arrival fire first —
-            # the reference's (time, priority, seq) order with _PRIO_TIMER 0.
+            # the reference's (time, priority, seq) order, timers at priority 0.
             while timer_heap and timer_heap[0][0] <= block_start:
                 timer_time, _seq, kind, region_index, period = heappop(timer_heap)
                 clock._now_s = timer_time
@@ -1308,180 +1286,14 @@ class EventEngine:
         persists across calls, which models repeated YCSB runs against a
         long-running system (the paper's warm-cache repetition).
 
-        This is the lane-scheduler fast path (see the module docstring); it
-        is bit-identical to :meth:`execute_reference` on every supported
-        shape, as asserted by ``tests/sim/test_engine_equivalence.py``.
+        This is the lane scheduler (see the module docstring); it is
+        bit-identical to the heap loop of ``tests/reference/heap_scheduler.py``
+        on every supported shape, as asserted by
+        ``tests/sim/test_engine_equivalence.py``, and
+        ``tests/golden/engine_execute.json`` pins it across versions.
         """
         outcome = self._run_lanes(deployment, seed, range(len(self._config.regions)))
         return self._assemble_result(deployment, outcome)
-
-    def execute_reference(self, deployment: EngineDeployment, seed: int) -> EngineResult:
-        """The PR 2 heap loop, retained verbatim as the reference scheduler.
-
-        One global binary heap over ``(time, priority, seq, payload)`` tuples,
-        one :class:`Request` object per read.  :meth:`execute` must reproduce
-        this bit-for-bit; the equivalence suite compares the two on every
-        supported shape, the same way the engine originally proved itself
-        against the pre-engine closed loop.  (One semantic addition since the
-        PR 2 loop: collaborative rounds install the §VI neighbour catalogs —
-        applied to both schedulers in lockstep.)
-        """
-        config = self._config
-        clock = deployment.clock
-        strategies = deployment.strategies
-        arrival = config.arrival
-        timer_mode = config.uses_timer_reconfiguration
-        warmup = config.warmup_requests
-        keep = self._keep_results
-        start = clock.now()
-
-        # Per-region statistics, preallocated for the expected request count.
-        per_client_requests = config.workload.request_count
-        region_stats = [
-            LatencyStats(capacity=max(spec.clients * per_client_requests, 1))
-            for spec in config.regions
-        ]
-        region_kept: list[list[ReadResult]] = [[] for _ in config.regions]
-        last_completion = start
-
-        # Client request streams (region-major numbering; client 0 replays the
-        # legacy driver's stream for the same seed).
-        clients: list[_ClientState] = []
-        for region_index, spec in enumerate(config.regions):
-            for _ in range(spec.clients):
-                global_index = len(clients)
-                stream_seed = seed + CLIENT_SEED_STRIDE * global_index
-                requests = generate_requests(config.workload, seed=stream_seed)
-                arrival_rng = None
-                if arrival.is_open_loop:
-                    arrival_rng = np.random.default_rng(
-                        (seed, _ARRIVAL_SEED_TAG, global_index)
-                    )
-                clients.append(_ClientState(region_index, requests, arrival_rng))
-
-        # Event queue: (time, priority, insertion seq, payload).
-        heap: list[tuple[float, int, int, tuple]] = []
-        seq = 0
-
-        def push(time_s: float, priority: int, payload: tuple) -> None:
-            nonlocal seq
-            heapq.heappush(heap, (time_s, priority, seq, payload))
-            seq += 1
-
-        outstanding = 0
-        mean_interarrival = arrival.mean_interarrival_s if arrival.is_open_loop else 0.0
-        for global_index, state in enumerate(clients):
-            if not state.requests:
-                continue
-            outstanding += len(state.requests)
-            if arrival.is_open_loop:
-                first = start + state.arrival_rng.exponential(mean_interarrival)
-            else:
-                first = start
-            push(first, _PRIO_ARRIVAL, ("arrival", global_index))
-
-        # Fault schedule: initial state now, one one-shot priority-0 event
-        # per transition.  Pushed before the periodic timers so equal-time
-        # ties resolve fault-first, matching the lane scheduler's heap order.
-        fault_states: tuple[FaultState, ...] = ()
-        faults = config.faults
-        if faults is not None and not faults.is_empty:
-            initial = faults.initial_state
-            for strategy in strategies:
-                strategy.set_fault_state(initial)
-            for strategy in strategies:
-                strategy.react_to_fault(start)
-            transitions = faults.transitions
-            fault_states = tuple(state for _, state in transitions)
-            for index, (offset, _state) in enumerate(transitions):
-                push(start + offset, _PRIO_TIMER, ("fault", index))
-
-        # Periodic timers: either one collaborative exchange for the whole
-        # deployment, or one reconfiguration timer per region with periodic
-        # work.  In timer mode the strategies' own period checks are disabled.
-        neighbor_profiles = (self._neighbor_profiles()
-                             if deployment.coordinator is not None else None)
-        if timer_mode:
-            for strategy in strategies:
-                strategy.set_external_reconfiguration(True)
-            if deployment.coordinator is not None:
-                period = config.collaboration_period_s
-                if period is None:
-                    agar = config.agar or AgarNodeConfig()
-                    period = agar.reconfiguration_period_s
-                push(start + period, _PRIO_TIMER, ("collab", period))
-            else:
-                for region_index, strategy in enumerate(strategies):
-                    period = strategy.reconfiguration_period_s
-                    if period is not None:
-                        push(start + period, _PRIO_TIMER, ("reconfig", region_index, period))
-
-        advance_to = clock.advance_to
-        while heap:
-            time_s, _priority, _seq, payload = heapq.heappop(heap)
-            kind = payload[0]
-            if kind == "arrival":
-                global_index = payload[1]
-                state = clients[global_index]
-                request = state.requests[state.next_index]
-                state.next_index += 1
-                region_index = state.region_index
-                advance_to(time_s)
-                result = strategies[region_index].read(request.key, now=time_s)
-                completion = time_s + result.latency_ms / 1000.0
-                if completion > last_completion:
-                    last_completion = completion
-                if request.sequence >= warmup:
-                    region_stats[region_index].record(result)
-                if keep:
-                    region_kept[region_index].append(result)
-                outstanding -= 1
-                if state.next_index < len(state.requests):
-                    if arrival.is_open_loop:
-                        next_time = time_s + state.arrival_rng.exponential(mean_interarrival)
-                    else:
-                        next_time = completion
-                    push(next_time, _PRIO_ARRIVAL, ("arrival", global_index))
-            elif outstanding > 0:
-                # Timers only fire (and reschedule) while requests remain.
-                advance_to(time_s)
-                if kind == "fault":
-                    # One-shot fault transition: install, never re-push.
-                    state = fault_states[payload[1]]
-                    for strategy in strategies:
-                        strategy.set_fault_state(state)
-                    for strategy in strategies:
-                        strategy.react_to_fault(time_s)
-                elif kind == "collab":
-                    period = payload[1]
-                    deployment.coordinator.reconfigure_all(time_s)
-                    _install_neighbor_catalogs(deployment, neighbor_profiles)
-                    push(time_s + period, _PRIO_TIMER, ("collab", period))
-                else:
-                    region_index, period = payload[1], payload[2]
-                    strategies[region_index].tick(time_s)
-                    push(time_s + period, _PRIO_TIMER, ("reconfig", region_index, period))
-
-        end = max(clock.now(), last_completion)
-        advance_to(end)
-        duration = end - start
-
-        regions: dict[str, RegionRunResult] = {}
-        for region_index, spec in enumerate(config.regions):
-            regions[spec.region] = RegionRunResult(
-                region=spec.region,
-                strategy=spec.strategy,
-                clients=spec.clients,
-                stats=region_stats[region_index],
-                duration_s=duration,
-                cache_snapshot=strategies[region_index].cache_snapshot(),
-                results=region_kept[region_index],
-            )
-        return EngineResult(
-            workload_name=config.workload.name,
-            duration_s=duration,
-            regions=regions,
-        )
 
     # ------------------------------------------------------------------ #
     # Lane scheduler (the fast path behind execute / execute_sharded)
@@ -1506,12 +1318,12 @@ class EventEngine:
         lane replays the same request stream whether it runs in a full
         in-process pass or in a single-region shard.
 
-        Event order, jitter draws and arithmetic replicate
-        :meth:`execute_reference` exactly: ties at equal timestamps resolve
-        timers-first then insertion order — preserved by the lane layout at
-        the start-time collision, and by explicit per-lane schedule sequence
-        numbers on topologies where zero-jitter links make exact ties
-        systematic — so the two paths are bit-identical.  The loop itself
+        Event order, jitter draws and arithmetic replicate the heap loop of
+        ``tests/reference/heap_scheduler.py`` exactly: ties at equal
+        timestamps resolve timers-first then insertion order — preserved by
+        the lane layout at the start-time collision, and by explicit per-lane
+        schedule sequence numbers on topologies where zero-jitter links make
+        exact ties systematic — so the two paths are bit-identical.  The loop itself
         lives in :class:`_LaneRun` (resumable for sharded collaboration);
         this wrapper drains one run to completion.
         """

@@ -6,7 +6,6 @@ from repro.workload.workload import (
     DEFAULT_KEY_PREFIX,
     PAPER_WORKLOAD,
     ArrivalSpec,
-    MultiRegionWorkload,
     Request,
     WorkloadSpec,
     generate_requests,
@@ -30,7 +29,6 @@ __all__ = [
     "ArrivalSpec",
     "DEFAULT_KEY_PREFIX",
     "KeyDistribution",
-    "MultiRegionWorkload",
     "PAPER_WORKLOAD",
     "Request",
     "UniformDistribution",

@@ -144,51 +144,6 @@ def poisson_arrivals(rate_rps: float) -> ArrivalSpec:
     return ArrivalSpec(process=ARRIVAL_POISSON, rate_rps=rate_rps)
 
 
-@dataclass(frozen=True)
-class MultiRegionWorkload:
-    """A deployment-wide workload: one request stream per client per region.
-
-    Every client replays an independent stream drawn from ``base`` (with a
-    distinct derived seed), so ``request_count`` is per client and the
-    deployment issues ``total_clients * request_count`` reads.
-
-    Attributes:
-        base: the per-client workload specification.
-        regions: client regions of the deployment.
-        clients_per_region: concurrent clients per region.
-        arrival: arrival process shared by all clients.
-    """
-
-    base: WorkloadSpec
-    regions: tuple[str, ...]
-    clients_per_region: int = 1
-    arrival: ArrivalSpec = ArrivalSpec()
-
-    def __post_init__(self) -> None:
-        if not self.regions:
-            raise ValueError("at least one region is required")
-        if len(set(self.regions)) != len(self.regions):
-            raise ValueError("regions must be distinct")
-        if self.clients_per_region <= 0:
-            raise ValueError("clients_per_region must be positive")
-
-    @property
-    def total_clients(self) -> int:
-        """Number of concurrent clients across all regions."""
-        return len(self.regions) * self.clients_per_region
-
-    @property
-    def total_requests(self) -> int:
-        """Total reads the deployment issues per run."""
-        return self.total_clients * self.base.request_count
-
-    @property
-    def name(self) -> str:
-        """Report label, e.g. ``"zipf-1.1 x2regions x4clients"``."""
-        return (f"{self.base.name} x{len(self.regions)}regions "
-                f"x{self.clients_per_region}clients")
-
-
 def uniform_workload(request_count: int = 1000, object_count: int = 300,
                      object_size: int = DEFAULT_OBJECT_SIZE, seed: int = 42) -> WorkloadSpec:
     """The paper's uniform workload variant (§V-C)."""

@@ -105,16 +105,6 @@ class TestGenerationEdgeCases:
             generate_caching_options("k", round_robin_chunks, frankfurt_latencies,
                                      popularity=-1.0, data_chunks=9, parity_chunks=3)
 
-    def test_include_all_weights(self, round_robin_chunks, frankfurt_latencies):
-        options = generate_caching_options(
-            "k", round_robin_chunks, frankfurt_latencies, popularity=5.0,
-            data_chunks=9, parity_chunks=3, include_all_weights=True,
-        )
-        assert [option.weight for option in options] == list(range(1, 10))
-        # Intermediate weights are dominated: same improvement as the boundary below.
-        by_weight = {option.weight: option for option in options}
-        assert by_weight[2].latency_improvement_ms == pytest.approx(by_weight[1].latency_improvement_ms)
-
     def test_uniform_distances_yield_flat_middle(self, round_robin_chunks):
         flat = {region: 400.0 for region in round_robin_chunks}
         options = generate_caching_options(

@@ -223,8 +223,8 @@ class TestChaosAcceptance:
                 record = await supervisor.recover("frankfurt")
                 assert record.restored_fraction >= 0.9
                 ledger = cluster.gateways["frankfurt"].ledger
-                # The durable log keeps the full pre-crash history, then the
-                # crash/recovery pair, in order.
+                # The handed-on ledger keeps the full pre-crash history, then
+                # the crash/recovery pair, in order.
                 assert ledger[:len(before)] == before
                 kinds = [e.kind for e in ledger[len(before):]]
                 assert kinds == [KIND_CRASH, KIND_RECOVERY]

@@ -8,8 +8,9 @@ invariants must hold:
 * accounting closes: every issued request is either a latency sample or an
   unavailable read, and the per-read resilience counters never double-count;
 * simulated time is monotone within each client's request stream;
-* the lane scheduler stays bit-identical to the reference heap loop (and, on
-  a sampled subset, the sharded path to its in-process fallback).
+* the lane scheduler stays bit-identical to the heap loop of
+  ``tests/reference/heap_scheduler.py`` (and, on a sampled subset, the
+  sharded path to its in-process fallback).
 
 The example counts are deliberately small — each example is a full engine
 run — so the soak stays inside the tier-1 time budget.
@@ -40,6 +41,8 @@ from repro.sim.faults import (
     RegionOutage,
 )
 from repro.workload.workload import ArrivalSpec, zipfian_workload
+
+from reference.heap_scheduler import execute_heap
 
 MEGABYTE = 1024 * 1024
 
@@ -160,11 +163,11 @@ class TestChaosSoak:
                                              strategies):
         config = chaos_config(schedule, resilience, strategies)
         outcomes = []
-        for method in ("execute", "execute_reference"):
+        for execute in (EventEngine.execute, execute_heap):
             engine = EventEngine(config, keep_results=True)
             engine.topology.latency.reseed(config.topology_seed + 3)
             deployment = engine.build_deployment()
-            outcomes.append(getattr(engine, method)(deployment, 3))
+            outcomes.append(execute(engine, deployment, 3))
         fast, reference = outcomes
         assert_results_identical(fast, reference)
         assert_invariants(fast, config)

@@ -1,8 +1,8 @@
 """Bit-identical equivalence of the lane scheduler against the heap loop.
 
-The PR that introduced the calendar/lane scheduler (``EventEngine.execute``)
-kept the previous global-heap event loop verbatim as
-``EventEngine.execute_reference``.  This suite drives both over every
+The calendar/lane scheduler (``EventEngine.execute``) replaced a global-heap
+event loop, kept verbatim as the oracle ``execute_heap`` in
+``tests/reference/heap_scheduler.py``.  This suite drives both over every
 supported deployment shape — closed loop, Poisson arrivals, multi-region,
 heterogeneous strategies and cache sizes, collaboration, timer-driven and
 piggybacked reconfiguration, warm repeated runs — and asserts the outcomes are
@@ -33,6 +33,8 @@ from repro.sim.engine import (
 )
 from repro.sim.faults import AZFailure, BackendBrownout, FaultSchedule, RegionOutage
 from repro.workload.workload import poisson_arrivals, zipfian_workload
+
+from reference.heap_scheduler import execute_heap
 
 MEGABYTE = 1024 * 1024
 
@@ -239,19 +241,23 @@ def assert_results_identical(fast, reference):
                 reference_region.cache_snapshot.chunks_per_key
 
 
+#: The scheduler under test and its oracle, both ``(engine, deployment, seed)``.
+SCHEDULERS = (EventEngine.execute, execute_heap)
+
+
 def run_both(config: EngineConfig, seeds=(3, 4)):
-    """Run execute and execute_reference over the same (warm) deployment."""
+    """Run execute and execute_heap over the same (warm) deployment."""
     outcomes = []
-    for method in ("execute", "execute_reference"):
+    for execute in SCHEDULERS:
         engine = EventEngine(config, keep_results=True)
         engine.topology.latency.reseed(config.topology_seed + seeds[0])
         deployment = engine.build_deployment()
-        outcomes.append([getattr(engine, method)(deployment, seed) for seed in seeds])
+        outcomes.append([execute(engine, deployment, seed) for seed in seeds])
     return outcomes
 
 
 class TestLaneSchedulerEquivalence:
-    """execute must reproduce execute_reference bit-for-bit on every shape."""
+    """execute must reproduce execute_heap bit-for-bit on every shape."""
 
     @pytest.mark.parametrize("shape", sorted(_shapes()))
     def test_bit_identical(self, shape):
@@ -289,12 +295,12 @@ class TestLaneSchedulerEquivalence:
                 cache_capacity_bytes=5 * MEGABYTE,
             )
             outcomes = []
-            for method in ("execute", "execute_reference"):
+            for execute in SCHEDULERS:
                 topology = factory()
                 assert not topology.latency.fully_jittered
                 engine = EventEngine(config, topology=topology, keep_results=True)
                 deployment = engine.build_deployment()
-                outcomes.append(getattr(engine, method)(deployment, 3))
+                outcomes.append(execute(engine, deployment, 3))
             assert_results_identical(*outcomes)
 
     @pytest.mark.parametrize("shape", ["backend_closed_warmup",
@@ -306,11 +312,11 @@ class TestLaneSchedulerEquivalence:
         recorded latencies and counters must still match the reference."""
         config = _shapes()[shape]
         outcomes = []
-        for method in ("execute", "execute_reference"):
+        for execute in SCHEDULERS:
             engine = EventEngine(config, keep_results=False)
             engine.topology.latency.reseed(config.topology_seed + 3)
             deployment = engine.build_deployment()
-            outcomes.append(getattr(engine, method)(deployment, 3))
+            outcomes.append(execute(engine, deployment, 3))
         assert_results_identical(*outcomes)
 
     def test_run_uses_lane_scheduler(self):
@@ -321,7 +327,7 @@ class TestLaneSchedulerEquivalence:
         engine = EventEngine(config, keep_results=True)
         engine.topology.latency.reseed(config.topology_seed + 5)
         deployment = engine.build_deployment()
-        reference = engine.execute_reference(deployment, 5)
+        reference = execute_heap(engine, deployment, 5)
         assert_results_identical(via_run, reference)
 
 
@@ -374,7 +380,7 @@ def _agar_state(deployment):
 
 class TestAgarWaveEquivalence:
     """Agar regions compose whole waves through ``compose_indexed_wave``;
-    ``execute`` must still equal ``execute_reference`` bit for bit, state
+    ``execute`` must still equal ``execute_heap`` bit for bit, state
     included, and collaborative deployments must stay per event."""
 
     @staticmethod
@@ -399,14 +405,14 @@ class TestAgarWaveEquivalence:
     def test_bit_identical(self, shape):
         config, keep = _agar_wave_shapes()[shape]
         outcomes, states = [], []
-        for method in ("execute", "execute_reference"):
+        for execute in SCHEDULERS:
             engine = EventEngine(config, keep_results=keep)
             engine.topology.latency.reseed(config.topology_seed + 3)
             deployment = engine.build_deployment()
             seen = self.spy_on_waves(deployment)
-            outcomes.append([getattr(engine, method)(deployment, seed) for seed in (3, 4)])
+            outcomes.append([execute(engine, deployment, seed) for seed in (3, 4)])
             states.append(_agar_state(deployment))
-            if method == "execute":
+            if execute is EventEngine.execute:
                 waves = seen
         for fast, reference in zip(*outcomes):
             assert_results_identical(fast, reference)

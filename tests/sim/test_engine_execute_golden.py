@@ -4,7 +4,8 @@
 ``tests/golden/freeze_engine_execute.py`` on the commit *before* the read path
 learnt to remember a key's hints per installed configuration, to probe the
 cache once per read and to record a read as it is.  ``execute ≡
-execute_reference`` compares two schedulers of one commit; reproducing this
+execute_heap`` (``tests/reference/heap_scheduler.py``) compares two schedulers
+of one commit; reproducing this
 file pins ``execute`` — latencies, kept reads, cache churn counters, per-entry
 recency, request counts and the jitter stream's position — across versions.
 A legitimate behaviour change regenerates the file in its own commit

@@ -7,7 +7,6 @@ from repro.workload.workload import (
     ARRIVAL_POISSON,
     PAPER_WORKLOAD,
     ArrivalSpec,
-    MultiRegionWorkload,
     WorkloadSpec,
     generate_requests,
     iter_requests,
@@ -106,29 +105,6 @@ class TestArrivalSpec:
             ArrivalSpec(process=ARRIVAL_POISSON, rate_rps=0.0)
         with pytest.raises(ValueError):
             ArrivalSpec(process=ARRIVAL_CLOSED, rate_rps=1.0)
-
-
-class TestMultiRegionWorkload:
-    def test_totals_and_name(self):
-        deployment = MultiRegionWorkload(
-            base=zipfian_workload(1.1, request_count=100, object_count=20),
-            regions=("frankfurt", "sydney"),
-            clients_per_region=4,
-            arrival=poisson_arrivals(2.0),
-        )
-        assert deployment.total_clients == 8
-        assert deployment.total_requests == 800
-        assert "x2regions" in deployment.name
-        assert "x4clients" in deployment.name
-
-    def test_validation(self):
-        base = zipfian_workload(1.1, request_count=10, object_count=5)
-        with pytest.raises(ValueError):
-            MultiRegionWorkload(base=base, regions=())
-        with pytest.raises(ValueError):
-            MultiRegionWorkload(base=base, regions=("a", "a"))
-        with pytest.raises(ValueError):
-            MultiRegionWorkload(base=base, regions=("a",), clients_per_region=0)
 
 
 class TestGenerateRequestRanks:
