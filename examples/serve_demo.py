@@ -23,7 +23,7 @@ from repro.analysis.report import Table
 from repro.serve.gateway import ServeCluster
 from repro.serve.ledger import diff_ledgers
 from repro.serve.loadgen import WireLoadSpec, run_wire_load, wire_report_table
-from repro.serve.protocol import parse_response
+from repro.serve.protocol import exchange, parse_response, render_request
 from repro.serve.replay import replay_trace
 from repro.serve.trace import run_and_trace
 from repro.sim.engine import EngineConfig, EngineResult, RegionSpec
@@ -47,16 +47,7 @@ CONFIG = EngineConfig(
 
 async def http(address: tuple[str, int], request: bytes,
                ) -> tuple[int, dict, bytes]:
-    reader, writer = await asyncio.open_connection(*address)
-    try:
-        writer.write(request)
-        await writer.drain()
-        writer.write_eof()
-        raw = await reader.read()
-    finally:
-        writer.close()
-        await writer.wait_closed()
-    parsed = parse_response(raw)
+    parsed = parse_response(await exchange(address, request))
     assert parsed is not None, "gateway sent no parseable response"
     return parsed[0]
 
@@ -64,12 +55,11 @@ async def http(address: tuple[str, int], request: bytes,
 async def put_and_get(cluster: ServeCluster) -> None:
     address = cluster.addresses["frankfurt"]
     body = b"breaking-news " * 64
-    put = (f"PUT /objects/demo-article HTTP/1.1\r\nHost: demo\r\n"
-           f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+    put = render_request("PUT", "/objects/demo-article", "demo", body=body)
     status, _, _ = await http(address, put)
     print(f"PUT /objects/demo-article           -> {status}")
 
-    get = b"GET /objects/demo-article HTTP/1.1\r\nHost: demo\r\n\r\n"
+    get = render_request("GET", "/objects/demo-article", "demo")
     for attempt in ("first read (cold)", "second read    "):
         status, headers, payload = await http(address, get)
         decision = {name: value for name, value in headers.items()

@@ -38,7 +38,8 @@ import time
 from dataclasses import dataclass, field
 
 from repro.client.resilience import hash_unit_interval
-from repro.serve.protocol import parse_response
+from repro.serve.protocol import (exchange, hang_up, parse_response,
+                                  render_request)
 from repro.sim.faults import FaultSchedule
 
 
@@ -324,32 +325,19 @@ class ChaosInjector:
         gateway = self.cluster.gateways.get(region)
         if gateway is None or gateway.port is None:
             return False
-        address = (gateway.settings.host, gateway.port)
-        payload = body.encode()
-        request = (f"POST /admin/fault HTTP/1.1\r\nHost: chaos\r\n"
-                   f"Content-Length: {len(payload)}\r\n"
-                   f"Content-Type: application/json\r\n"
-                   f"Connection: close\r\n\r\n").encode() + payload
+        request = render_request("POST", "/admin/fault", "chaos",
+                                 {"Content-Type": "application/json"},
+                                 body.encode())
         try:
-            reader, writer = await asyncio.open_connection(*address)
-        except OSError:
-            return False
-        try:
-            writer.write(request)
-            await writer.drain()
-            raw = await asyncio.wait_for(reader.read(), timeout=1.0)
+            reply = await asyncio.wait_for(
+                exchange((gateway.settings.host, gateway.port), request),
+                timeout=1.0)
         except (OSError, asyncio.TimeoutError):
             return False
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-        parsed = parse_response(raw, 0)
+        parsed = parse_response(reply)
         if parsed is None:
             return False
-        (status, _headers, _body), _offset = parsed
+        (status, _headers, _body), _end = parsed
         # A 409 means this window already landed on this gateway (e.g. a
         # retry raced a successful install): converged, not failed.
         return status == 200 or status == 409
@@ -384,8 +372,4 @@ async def _slowloris_peer(address: tuple[str, int], duration_s: float,
     except (ConnectionResetError, BrokenPipeError, OSError):
         pass  # the gateway crashed under us — mission accomplished anyway
     finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
+        await hang_up(writer)

@@ -36,6 +36,7 @@ recovery cycles of the chaos tier likewise consume draws no replay reproduces.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import math
 import re
@@ -48,9 +49,9 @@ from repro.client.stats import LatencyStats, ReadResult
 from repro.client.strategies import make_strategy
 from repro.serve.ledger import (DYNAMIC_FAULT_INDEX, LedgerEntry, fault_entry,
                                 ledger_to_lines, read_entry, tick_entry)
-from repro.serve.protocol import (DEFAULT_MAX_BODY_BYTES, HttpRequest,
-                                  ProtocolError, build_response,
-                                  error_response, parse_decimal,
+from repro.serve.protocol import (DEFAULT_MAX_BODY_BYTES, READ_BYTES,
+                                  HttpRequest, ProtocolError, build_response,
+                                  error_response, hang_up, parse_decimal,
                                   parse_request)
 from repro.sim.clock import SimulationClock
 from repro.sim.engine import (EngineConfig, EngineDeployment, EventEngine,
@@ -60,7 +61,6 @@ from repro.sim.faults import (AZFailure, BackendBrownout, FaultSchedule,
 
 _KEY_PATTERN = re.compile(r"[A-Za-z0-9._-]{1,200}")
 _OBJECTS_PREFIX = "/objects/"
-_READ_CHUNK = 1 << 16
 #: Decision patterns whose header lines a gateway keeps rendered (cleared
 #: when full); a whole ``wire_hot`` run sees five.
 DECISION_HEADS_CAP = 256
@@ -199,7 +199,7 @@ class RegionGateway:
                 stall = self._stall_until - time.monotonic()
                 if stall > 0:
                     await asyncio.sleep(stall)
-                data = await reader.read(_READ_CHUNK)
+                data = await reader.read(READ_BYTES)
                 if not data:
                     if buffer:
                         # Truncated request (EOF mid-headers or mid-body):
@@ -207,7 +207,7 @@ class RegionGateway:
                         self.errors_total += 1
                         writer.write(b"".join(error_response(
                             ProtocolError(400, "truncated request"))))
-                        with _suppress_connection_errors():
+                        with contextlib.suppress(OSError):
                             await writer.drain()
                     break
                 buffer += data
@@ -253,9 +253,7 @@ class RegionGateway:
             pass
         finally:
             self._connections.discard(writer)
-            with _suppress_connection_errors():
-                writer.close()
-                await writer.wait_closed()
+            await hang_up(writer)
 
     # ------------------------------------------------------------------ #
     # Dispatch
@@ -611,17 +609,6 @@ class RegionGateway:
     def install_initial_fault(self, state, at: float = 0.0) -> None:
         """Mirror the engine's t=0 fault install (ledger ``fault_index=-1``)."""
         self._install_fault_state(state, at, -1)
-
-
-class _suppress_connection_errors:
-    """Tiny context manager: ignore errors while tearing a socket down."""
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return exc_type is not None and issubclass(
-            exc_type, (ConnectionResetError, BrokenPipeError, OSError))
 
 
 class ServeCluster:

@@ -50,7 +50,9 @@ from repro.analysis.report import Table
 from repro.client.resilience import (BackoffPolicy, EwmaQuantileTracker,
                                      ResilienceConfig)
 from repro.client.stats import HitType, LatencyStats, ReadResult
-from repro.serve.protocol import parse_response
+from repro.serve.protocol import (exchange, hang_up, parse_response,
+                                  pop_response, read_response,
+                                  render_request)
 from repro.workload.workload import (ArrivalSpec, WorkloadSpec,
                                      generate_request_ranks)
 
@@ -198,7 +200,7 @@ class RegionWireResult:
 
 
 def _request_bytes(key: str) -> bytes:
-    return (f"GET /objects/{key} HTTP/1.1\r\nHost: loadgen\r\n\r\n").encode()
+    return render_request("GET", f"/objects/{key}", "loadgen")
 
 
 class _RegionRun:
@@ -242,9 +244,9 @@ class _RegionRun:
 
 
 async def _drain_responses(reader: asyncio.StreamReader, buffer: bytearray,
-                           offset: int, pending: deque, run: _RegionRun,
-                           minimum: int, origin: float) -> int:
-    """Consume at least ``minimum`` buffered/incoming responses.
+                           pending: deque, run: _RegionRun,
+                           origin: float) -> int:
+    """Consume the next response and every further one already buffered.
 
     Returns the number of responses consumed — callers must count completions
     from this value, not from ``len(pending)`` deltas, because a concurrent
@@ -252,26 +254,15 @@ async def _drain_responses(reader: asyncio.StreamReader, buffer: bytearray,
     """
     perf = time.perf_counter
     consumed = 0
-    while True:
-        parsed = parse_response(buffer, offset)
-        while parsed is None:
-            if consumed >= minimum:
-                if offset:
-                    del buffer[:offset]
-                return consumed
-            if offset:
-                del buffer[:offset]
-                offset = 0
-            data = await reader.read(1 << 16)
-            if not data:
-                raise ConnectionError("gateway closed during load run")
-            buffer += data
-            parsed = parse_response(buffer, offset)
-        (status, headers, _body), offset = parsed
+    response = await read_response(reader, buffer)
+    while response is not None:
+        status, headers, _body = response
         started = pending.popleft()
         run.record((perf() - started) * 1000.0, status, headers,
                    started_at_s=started - origin)
         consumed += 1
+        response = pop_response(buffer)
+    return consumed
 
 
 async def _closed_worker(address: tuple[str, int], keys: list[str],
@@ -301,15 +292,11 @@ async def _closed_worker(address: tuple[str, int], keys: list[str],
                     sent += 1
                 writer.write(b"".join(batch))
             await writer.drain()
-            done += await _drain_responses(reader, buffer, 0, pending, run,
-                                           1, origin)
+            done += await _drain_responses(reader, buffer, pending, run,
+                                           origin)
     finally:
         run.connections.requests_sent += sent
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
+        await hang_up(writer)
 
 
 async def _open_worker(address: tuple[str, int], keys: list[str],
@@ -349,18 +336,14 @@ async def _open_worker(address: tuple[str, int], keys: list[str],
             if not pending:
                 await asyncio.sleep(0.001)
                 continue
-            done += await _drain_responses(reader, buffer, 0, pending, run,
-                                           1, run_origin)
+            done += await _drain_responses(reader, buffer, pending, run,
+                                           run_origin)
 
     try:
         await asyncio.gather(sender(), receiver())
     finally:
         run.connections.requests_sent += sent_total
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
+        await hang_up(writer)
 
 
 # --------------------------------------------------------------------- #
@@ -386,39 +369,16 @@ async def _one_shot_request(address: tuple[str, int], request: bytes,
 
     Returns ``(status, headers, elapsed_ms)`` or ``None`` on any failure.
     """
-    perf = time.perf_counter
-    started = perf()
+    started = time.perf_counter()
     try:
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(*address), timeout=timeout_s)
+        reply = await asyncio.wait_for(exchange(address, request), timeout_s)
     except (OSError, asyncio.TimeoutError):
         return None
-    try:
-        writer.write(request)
-        await writer.drain()
-        buffer = bytearray()
-        deadline = started + timeout_s
-        while True:
-            parsed = parse_response(buffer, 0)
-            if parsed is not None:
-                (status, headers, _body), _offset = parsed
-                return status, headers, (perf() - started) * 1000.0
-            remaining = deadline - perf()
-            if remaining <= 0:
-                return None
-            data = await asyncio.wait_for(reader.read(1 << 16),
-                                          timeout=remaining)
-            if not data:
-                return None
-            buffer += data
-    except (OSError, asyncio.TimeoutError):
+    parsed = parse_response(reply)
+    if parsed is None:
         return None
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
+    (status, headers, _body), _end = parsed
+    return status, headers, (time.perf_counter() - started) * 1000.0
 
 
 class _ResilientWorker:
@@ -644,18 +604,11 @@ class _ResilientWorker:
                 self.spare_writer.write(request)
                 await self.spare_writer.drain()
                 conn.requests_sent += 1
-                while True:
-                    parsed = parse_response(self.spare_buffer, 0)
-                    if parsed is not None:
-                        (status, headers, _body), offset = parsed
-                        del self.spare_buffer[:offset]
-                        return status, headers, (perf() - started) * 1000.0
-                    data = await asyncio.wait_for(
-                        self.spare_reader.read(1 << 16), timeout=timeout_s)
-                    if not data:
-                        raise ConnectionError("spare closed")
-                    self.spare_buffer += data
-            except (OSError, ConnectionError, asyncio.TimeoutError):
+                status, headers, _body = await asyncio.wait_for(
+                    read_response(self.spare_reader, self.spare_buffer),
+                    timeout=timeout_s)
+                return status, headers, (perf() - started) * 1000.0
+            except (OSError, asyncio.TimeoutError):
                 transport = self.spare_writer.transport
                 if transport is not None:
                     transport.abort()
@@ -692,28 +645,23 @@ class _ResilientWorker:
             except (OSError, ConnectionError):
                 self._lost_connection()
 
-    def _consume(self, data: bytes) -> None:
-        self.buffer += data
-        offset = 0
+    def _consume(self, response) -> None:
+        """Account ``response`` and every further one already buffered."""
         perf = time.perf_counter
-        while True:
-            parsed = parse_response(self.buffer, offset)
-            if parsed is None:
-                break
-            (status, headers, _body), offset = parsed
+        while response is not None:
+            status, headers, _body = response
+            response = pop_response(self.buffer)
             entry = self.pending.popleft()
             if entry.done:
                 continue  # the hedge already answered; discard the duplicate
-            now = perf()
             if status == 200:
-                self.trackers["home"].observe((now - entry.sent_at) * 1000.0)
+                self.trackers["home"].observe(
+                    (perf() - entry.sent_at) * 1000.0)
             self._finish(entry, status, headers, hedge_won=False)
             if self.hedge_entry is entry:
                 self.hedge_task.cancel()
                 self.hedge_task = None
                 self.hedge_entry = None
-        if offset:
-            del self.buffer[:offset]
 
     def _launch_hedge(self, entry: _Pending) -> None:
         entry.hedged = True
@@ -764,7 +712,8 @@ class _ResilientWorker:
         if oldest is None and wait_until == float("inf"):
             return  # closed loop with an empty window: send immediately
         if self.read_task is None:
-            self.read_task = asyncio.ensure_future(self.reader.read(1 << 16))
+            self.read_task = asyncio.ensure_future(
+                read_response(self.reader, self.buffer))
         waits = {self.read_task}
         if self.hedge_task is not None:
             waits.add(self.hedge_task)
@@ -778,13 +727,11 @@ class _ResilientWorker:
             task = self.read_task
             self.read_task = None
             try:
-                data = task.result()
-            except (OSError, ConnectionError):
-                data = b""
-            if not data:
+                response = task.result()
+            except OSError:
                 self._lost_connection()
                 return
-            self._consume(data)
+            self._consume(response)
             return
         if not done:
             now = perf()
@@ -816,13 +763,8 @@ class _ResilientWorker:
             if self.hedge_task is not None:
                 self.hedge_task.cancel()
             for writer in (self.writer, self.spare_writer):
-                if writer is None:
-                    continue
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionResetError, BrokenPipeError, OSError):
-                    pass
+                if writer is not None:
+                    await hang_up(writer)
 
 
 async def run_wire_load(addresses: Mapping[str, tuple[str, int]],

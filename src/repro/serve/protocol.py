@@ -1,6 +1,6 @@
-"""Minimal dependency-free HTTP/1.1 framing for the serving tier.
+"""Minimal dependency-free HTTP/1.1 framing for the serving tier, both sides.
 
-Hand-rolled on purpose: the container ships no HTTP framework, and the
+Hand-rolled on purpose: the toolchain ships no HTTP framework, and the
 gateway needs pipelining-friendly buffer parsing to reach its throughput
 target on one core.  The parser works over an accumulated byte buffer and
 returns one complete request at a time (or ``None`` while incomplete), so a
@@ -10,13 +10,27 @@ writes it back in one syscall.
 
 Malformed input never raises anything but :class:`ProtocolError`, which maps
 to a clean 4xx/5xx response — the property-test contract of the serving
-tier.  Chunked transfer encoding is deliberately unsupported (501).
+tier.  The same holds for :func:`parse_response` on whatever a peer answers.
+Chunked transfer encoding is deliberately unsupported (501).
+
+The client side lives here too, so every client in the repository — the load
+generator, the replay driver, the supervisor's health probe, the chaos
+injector, the examples and the test helpers — frames its traffic one way:
+:func:`render_request` writes a request, :func:`read_response` reads the next
+response off a keep-alive connection (:func:`pop_response` when the bytes are
+already buffered), :func:`exchange` does a whole request on a connection of
+its own, and :func:`hang_up` closes a connection.  The end-to-end harness in
+``bench/`` keeps a client of its own on purpose: it must offer the same load
+whatever this module does.
 """
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Mapping
 
 MAX_REQUEST_LINE_BYTES = 8192
 MAX_HEADER_BYTES = 32768
@@ -24,6 +38,8 @@ DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Distinct ``(status, body length, content type, keep-alive)`` framing blocks
 #: kept rendered; a serving run needs a handful.
 FRAMING_MEMO_CAP = 256
+#: Bytes asked of a socket per read, on either side of a connection.
+READ_BYTES = 1 << 16
 
 _REASONS = {
     200: "OK",
@@ -44,6 +60,9 @@ _REASONS = {
 }
 
 _SUPPORTED_VERSIONS = (b"HTTP/1.1", b"HTTP/1.0")
+
+#: ``(status, headers with lower-case names, body)`` of one response.
+Response = tuple[int, dict[str, str], bytes]
 
 
 class ProtocolError(Exception):
@@ -198,12 +217,32 @@ def error_response(error: ProtocolError, keep_alive: bool = False,
                           content_type="text/plain")
 
 
+# --------------------------------------------------------------------- #
+# Client side
+# --------------------------------------------------------------------- #
+def render_request(method: str, target: str, host: str,
+                   headers: Mapping[str, str] | None = None,
+                   body: bytes = b"") -> bytes:
+    """One HTTP/1.1 request as bytes.
+
+    The request line, ``Host``, ``headers`` in their order, a
+    ``Content-Length`` when there is a body, the blank line, the body.
+    """
+    head = f"{method} {target} HTTP/1.1\r\nHost: {host}\r\n"
+    for name, value in (headers or {}).items():
+        head += f"{name}: {value}\r\n"
+    if body:
+        head += f"Content-Length: {len(body)}\r\n"
+    return (head + "\r\n").encode() + body
+
+
 def parse_response(buffer: bytes | bytearray, offset: int = 0,
-                   ) -> tuple[tuple[int, dict[str, str], bytes], int] | None:
-    """Client-side twin of :func:`parse_request` for the load generator.
+                   ) -> tuple[Response, int] | None:
+    """Client-side twin of :func:`parse_request`.
 
     Returns ``((status, headers, body), next_offset)`` or ``None`` while the
-    response is incomplete.
+    response is incomplete; raises :class:`ProtocolError` on a status line or
+    ``Content-Length`` it cannot read.
     """
     head_end = buffer.find(b"\r\n\r\n", offset)
     if head_end < 0:
@@ -219,9 +258,68 @@ def parse_response(buffer: bytes | bytearray, offset: int = 0,
         if sep:
             headers[name_b.decode("latin-1").lower()] = (
                 value_b.strip().decode("latin-1"))
-    length = int(headers.get("content-length", "0"))
+    length = parse_decimal(headers.get("content-length", "0"))
+    if length is None:
+        raise ProtocolError(500, "invalid Content-Length in response")
     body_start = head_end + 4
     if len(buffer) - body_start < length:
         return None
     body = bytes(buffer[body_start:body_start + length])
     return (status, headers, body), body_start + length
+
+
+def pop_response(buffer: bytearray) -> Response | None:
+    """Take the first complete response off the front of ``buffer``.
+
+    ``None``, with ``buffer`` untouched, while that response is incomplete.
+    """
+    parsed = parse_response(buffer)
+    if parsed is None:
+        return None
+    response, end = parsed
+    del buffer[:end]
+    return response
+
+
+async def read_response(reader: asyncio.StreamReader,
+                        buffer: bytearray) -> Response:
+    """The next response on a keep-alive connection.
+
+    Reads until ``buffer`` holds a complete response and takes it off; the
+    bytes of later pipelined responses stay in ``buffer`` for the next call.
+    Raises ``ConnectionError`` when the peer hangs up first.
+    """
+    while (response := pop_response(buffer)) is None:
+        data = await reader.read(READ_BYTES)
+        if not data:
+            raise ConnectionError("connection closed before a whole response")
+        buffer += data
+    return response
+
+
+async def exchange(address: tuple[str, int], request: bytes) -> bytes:
+    """Every byte a server answers to ``request`` on a connection of its own.
+
+    Connects, sends ``request`` (one request or a pipelined batch),
+    half-closes so the server sees the end of its input, reads until the
+    server hangs up, and hangs up.  Split the reply with
+    :func:`parse_response` or :func:`pop_response`.
+    """
+    reader, writer = await asyncio.open_connection(*address)
+    try:
+        writer.write(request)
+        await writer.drain()
+        writer.write_eof()
+        return await reader.read()
+    finally:
+        await hang_up(writer)
+
+
+async def hang_up(writer: asyncio.StreamWriter) -> None:
+    """Close a connection and wait until it is closed.
+
+    A peer that went first (reset, broken pipe) is not an error here.
+    """
+    writer.close()
+    with contextlib.suppress(OSError):
+        await writer.wait_closed()

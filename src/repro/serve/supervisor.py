@@ -44,10 +44,9 @@ from dataclasses import dataclass, field
 
 from repro.serve.gateway import RegionGateway, ServeCluster
 from repro.serve.ledger import KIND_READ, crash_entry, recovery_entry
-from repro.serve.protocol import parse_response
+from repro.serve.protocol import exchange, parse_response, render_request
 
-_HEALTH_REQUEST = (b"GET /healthz HTTP/1.1\r\nHost: supervisor\r\n"
-                   b"Connection: close\r\n\r\n")
+_HEALTH_REQUEST = render_request("GET", "/healthz", "supervisor")
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,27 +185,14 @@ class ClusterSupervisor:
         if gateway.port is None:
             return False
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(gateway.settings.host, gateway.port),
+            reply = await asyncio.wait_for(
+                exchange((gateway.settings.host, gateway.port),
+                         _HEALTH_REQUEST),
                 timeout=self.config.health_timeout_s)
         except (OSError, asyncio.TimeoutError):
             return False
-        try:
-            writer.write(_HEALTH_REQUEST)
-            await writer.drain()
-            raw = await asyncio.wait_for(
-                reader.read(), timeout=self.config.health_timeout_s)
-        except (OSError, asyncio.TimeoutError):
-            return False
-        finally:
-            writer.close()
-            with contextlib.suppress(OSError, ConnectionResetError):
-                await writer.wait_closed()
-        parsed = parse_response(raw, 0)
-        if parsed is None:
-            return False
-        (status, _headers, _body), _offset = parsed
-        return status == 200
+        parsed = parse_response(reply)
+        return parsed is not None and parsed[0][0] == 200
 
     # ------------------------------------------------------------------ #
     # Recovery

@@ -38,7 +38,7 @@ from repro.erasure.chunk import ChunkId
 from repro.geo import default_topology, table1_topology
 from repro.serve.gateway import ServeCluster
 from repro.serve.ledger import ledger_to_lines
-from repro.serve.protocol import parse_response
+from repro.serve.protocol import hang_up, read_response
 from repro.sim.engine import EngineConfig, EventEngine, RegionSpec
 from repro.sim.faults import CLEAR_STATE, FaultSchedule, FaultState, RegionOutage
 from repro.workload.workload import (
@@ -263,23 +263,14 @@ async def _wire_exchange() -> str:
 
         sender = asyncio.ensure_future(send())
         buffer = bytearray()
-        offset = 0
         digest = hashlib.sha256()
         for _ in requests:
-            while (parsed := parse_response(buffer, offset)) is None:
-                data = await reader.read(1 << 16)
-                assert data, "gateway closed the connection early"
-                buffer += data
-            (status, headers, payload), offset = parsed
+            status, headers, payload = await read_response(reader, buffer)
             digest.update(repr((status, sorted(
                 (name, value) for name, value in headers.items()
                 if name.startswith("x-agar-")), zlib.crc32(payload))).encode())
         await sender
-        # Half-close and drain so the gateway's handler ends on its own.
-        writer.write_eof()
-        await reader.read()
-        writer.close()
-        await writer.wait_closed()
+        await hang_up(writer)
         digest.update(ledger_to_lines(cluster.gateways[REGION].ledger).encode())
         return digest.hexdigest()
     finally:

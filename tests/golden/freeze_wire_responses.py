@@ -11,8 +11,8 @@ reads under installed fault states (a degraded 200 and a 503 with fewer than
 ``POST /admin/tick``, ``/healthz``, ``/ledger``, an HTTP/1.0 request, a
 ``Connection: close`` one, a truncated request and one 12-request pipelined
 segment hashed as a whole.  ``/stats`` carries wall-clock latencies and is
-left out.  Only the wire is driven, so the same script runs unchanged on any
-commit.
+left out.  Only the wire is driven, through the client side of
+``repro.serve.protocol``.
 
 Generate (refuses to overwrite without ``--force``)::
 
@@ -33,7 +33,7 @@ import sys
 from pathlib import Path
 
 from repro.serve.gateway import ServeCluster
-from repro.serve.protocol import parse_response
+from repro.serve.protocol import exchange, parse_response
 from repro.sim.engine import EngineConfig, RegionSpec
 from repro.sim.faults import FaultSchedule, RegionOutage
 from repro.workload.workload import WorkloadSpec
@@ -160,22 +160,6 @@ def scenarios() -> list[tuple[str, EngineConfig, bool, list[tuple[str, bytes]]]]
     out.append(("agar/faults", config("agar", FAULTS), True, fault_script()))
     out.append(("lru-3/misc", config("lru-3"), True, misc_script()))
     return out
-
-
-async def exchange(address: tuple[str, int], payload: bytes) -> bytes:
-    """Send ``payload``, half-close, return every byte the gateway answered."""
-    reader, writer = await asyncio.open_connection(*address)
-    try:
-        writer.write(payload)
-        await writer.drain()
-        writer.write_eof()
-        return await reader.read()
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except OSError:
-            pass
 
 
 def describe(raw: bytes) -> dict:

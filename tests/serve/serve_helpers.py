@@ -3,15 +3,14 @@
 Everything runs on loopback sockets with ephemeral ports and small virtual
 workloads, so the suite stays fast while exercising the real wire path.
 Pytest puts this directory on ``sys.path`` when collecting the suite, so
-test modules import this module by name.
+test modules import this module by name.  Requests go out and responses come
+back through the client side of :mod:`repro.serve.protocol`.
 """
 
 from __future__ import annotations
 
-import asyncio
-
 from repro.serve.gateway import ServeCluster
-from repro.serve.protocol import parse_response
+from repro.serve.protocol import exchange, pop_response, render_request
 from repro.sim.engine import EngineConfig, RegionSpec
 from repro.workload.workload import WorkloadSpec
 
@@ -40,59 +39,34 @@ async def start_cluster(config: EngineConfig, **kwargs) -> ServeCluster:
 
 async def raw_exchange(address: tuple[str, int], payload: bytes,
                        responses: int = 1) -> list[tuple[int, dict, bytes]]:
-    """Send raw bytes, read up to ``responses`` complete responses, close."""
-    reader, writer = await asyncio.open_connection(*address)
-    try:
-        writer.write(payload)
-        await writer.drain()
-        writer.write_eof()
-        raw = await reader.read()
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
+    """Send raw bytes, return up to ``responses`` complete responses."""
+    buffer = bytearray(await exchange(address, payload))
     out = []
-    offset = 0
-    for _ in range(responses):
-        parsed = parse_response(raw, offset)
-        if parsed is None:
-            break
-        item, offset = parsed
-        out.append(item)
+    while len(out) < responses and (response := pop_response(buffer)):
+        out.append(response)
     return out
+
+
+async def _one(address: tuple[str, int], request: bytes,
+               ) -> tuple[int, dict, bytes]:
+    responses = await raw_exchange(address, request)
+    assert responses, f"no response for {request[:40]!r}"
+    return responses[0]
 
 
 async def http_get(address: tuple[str, int], path: str,
                    headers: dict[str, str] | None = None,
                    ) -> tuple[int, dict, bytes]:
-    extra = "".join(f"{name}: {value}\r\n"
-                    for name, value in (headers or {}).items())
-    request = (f"GET {path} HTTP/1.1\r\nHost: t\r\n{extra}"
-               f"Connection: close\r\n\r\n").encode()
-    responses = await raw_exchange(address, request)
-    assert responses, f"no response for GET {path}"
-    return responses[0]
+    return await _one(address, render_request("GET", path, "t", headers))
 
 
 async def http_put(address: tuple[str, int], path: str, body: bytes,
                    ) -> tuple[int, dict, bytes]:
-    request = (f"PUT {path} HTTP/1.1\r\nHost: t\r\n"
-               f"Content-Length: {len(body)}\r\n"
-               f"Connection: close\r\n\r\n").encode() + body
-    responses = await raw_exchange(address, request)
-    assert responses, f"no response for PUT {path}"
-    return responses[0]
+    return await _one(address, render_request("PUT", path, "t", body=body))
 
 
 async def http_post(address: tuple[str, int], path: str, body: bytes = b"",
                     content_type: str = "application/json",
                     ) -> tuple[int, dict, bytes]:
-    request = (f"POST {path} HTTP/1.1\r\nHost: t\r\n"
-               f"Content-Type: {content_type}\r\n"
-               f"Content-Length: {len(body)}\r\n"
-               f"Connection: close\r\n\r\n").encode() + body
-    responses = await raw_exchange(address, request)
-    assert responses, f"no response for POST {path}"
-    return responses[0]
+    return await _one(address, render_request(
+        "POST", path, "t", {"Content-Type": content_type}, body))

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from repro.serve.protocol import (DEFAULT_MAX_BODY_BYTES, ProtocolError,
                                   build_response, parse_request,
-                                  parse_response)
+                                  parse_response, read_response,
+                                  render_request)
 
 from serve_helpers import http_get, http_put, raw_exchange, start_cluster, tiny_config
 
@@ -106,6 +107,81 @@ def test_response_roundtrip(status, body):
     assert got_body == body
     assert headers["x-test"] == "1"
     assert consumed == len(raw)
+
+
+@_SETTINGS
+@given(st.binary(max_size=2048))
+@example(b"HTTP/1.1 200 OK\r\nContent-Length: " + _INT_REFUSES[0] + b"\r\n\r\n")
+@example(b"HTTP/1.1 200 OK\r\nContent-Length: " + _INT_REFUSES[1] + b"\r\n\r\n")
+def test_arbitrary_bytes_never_crash_the_response_parser(data):
+    """Whatever a peer answers parses, asks for more, or is a ProtocolError
+    (an unreadable ``Content-Length`` used to escape as ``ValueError``)."""
+    try:
+        parsed = parse_response(data)
+    except ProtocolError:
+        return
+    if parsed is not None:
+        assert 0 < parsed[1] <= len(data)
+
+
+_TOKEN = "abcdefghijklmnopqrstuvwxyz0123456789"
+
+
+@_SETTINGS
+@given(st.sampled_from(["GET", "PUT", "POST"]),
+       st.text(alphabet=_TOKEN + "-._/", max_size=40),
+       st.dictionaries(st.text(alphabet=_TOKEN, min_size=1, max_size=12),
+                       st.text(alphabet=_TOKEN, max_size=20), max_size=4),
+       st.binary(max_size=256))
+def test_rendered_requests_parse_back(method, path, headers, body):
+    named = {f"X-{name}": value for name, value in headers.items()}
+    raw = render_request(method, "/" + path, "h", named, body)
+    request, consumed = parse_request(raw)
+    assert consumed == len(raw)
+    assert (request.method, request.path, request.body) == (
+        method, "/" + path, body)
+    assert request.keep_alive
+    assert request.headers["host"] == "h"
+    for name, value in named.items():
+        assert request.headers[name.lower()] == value
+
+
+class _ChunkedReader:
+    """A stream reader that hands ``data`` out in ``sizes``-byte pieces."""
+
+    def __init__(self, data: bytes, sizes: list[int]) -> None:
+        self.pieces = []
+        position = 0
+        while position < len(data):
+            size = sizes[len(self.pieces) % len(sizes)]
+            self.pieces.append(data[position:position + size])
+            position += size
+
+    async def read(self, _limit: int) -> bytes:
+        return self.pieces.pop(0) if self.pieces else b""
+
+
+@_SETTINGS
+@given(st.lists(st.tuples(st.integers(min_value=100, max_value=599),
+                          st.binary(max_size=300)), min_size=1, max_size=5),
+       st.lists(st.integers(min_value=1, max_value=64), min_size=1,
+                max_size=8))
+def test_read_response_frames_pipelined_replies_however_they_arrive(
+        replies, sizes):
+    wire = b"".join(b"".join(build_response(status, body))
+                    for status, body in replies)
+
+    async def scenario():
+        reader = _ChunkedReader(wire, sizes)
+        buffer = bytearray()
+        got = [await read_response(reader, buffer) for _ in replies]
+        with pytest.raises(ConnectionError):
+            await read_response(reader, buffer)
+        return got, buffer
+
+    got, buffer = asyncio.run(scenario())
+    assert [(status, body) for status, _, body in got] == replies
+    assert buffer == b""
 
 
 def test_oversized_declared_body_is_413():
