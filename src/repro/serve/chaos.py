@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.client.resilience import hash_unit_interval
-from repro.serve.protocol import (exchange, hang_up, parse_response,
+from repro.serve.protocol import (ProtocolError, fetch, hang_up,
                                   render_request)
 from repro.sim.faults import FaultSchedule
 
@@ -326,18 +326,15 @@ class ChaosInjector:
         if gateway is None or gateway.port is None:
             return False
         request = render_request("POST", "/admin/fault", "chaos",
-                                 {"Content-Type": "application/json"},
+                                 {"Content-Type": "application/json",
+                                  "Connection": "close"},
                                  body.encode())
         try:
-            reply = await asyncio.wait_for(
-                exchange((gateway.settings.host, gateway.port), request),
+            (status, _headers, _body), _elapsed_ms = await asyncio.wait_for(
+                fetch((gateway.settings.host, gateway.port), request),
                 timeout=1.0)
-        except (OSError, asyncio.TimeoutError):
+        except (OSError, asyncio.TimeoutError, ProtocolError):
             return False
-        parsed = parse_response(reply)
-        if parsed is None:
-            return False
-        (status, _headers, _body), _end = parsed
         # A 409 means this window already landed on this gateway (e.g. a
         # retry raced a successful install): converged, not failed.
         return status == 200 or status == 409

@@ -50,7 +50,7 @@ from repro.analysis.report import Table
 from repro.client.resilience import (BackoffPolicy, EwmaQuantileTracker,
                                      ResilienceConfig)
 from repro.client.stats import HitType, LatencyStats, ReadResult
-from repro.serve.protocol import (exchange, hang_up, parse_response,
+from repro.serve.protocol import (ProtocolError, fetch, hang_up,
                                   pop_response, read_response,
                                   render_request)
 from repro.workload.workload import (ArrivalSpec, WorkloadSpec,
@@ -369,16 +369,12 @@ async def _one_shot_request(address: tuple[str, int], request: bytes,
 
     Returns ``(status, headers, elapsed_ms)`` or ``None`` on any failure.
     """
-    started = time.perf_counter()
     try:
-        reply = await asyncio.wait_for(exchange(address, request), timeout_s)
-    except (OSError, asyncio.TimeoutError):
+        (status, headers, _body), elapsed_ms = await asyncio.wait_for(
+            fetch(address, request), timeout_s)
+    except (OSError, asyncio.TimeoutError, ProtocolError):
         return None
-    parsed = parse_response(reply)
-    if parsed is None:
-        return None
-    (status, headers, _body), _end = parsed
-    return status, headers, (time.perf_counter() - started) * 1000.0
+    return status, headers, elapsed_ms
 
 
 class _ResilientWorker:
@@ -608,7 +604,7 @@ class _ResilientWorker:
                     read_response(self.spare_reader, self.spare_buffer),
                     timeout=timeout_s)
                 return status, headers, (perf() - started) * 1000.0
-            except (OSError, asyncio.TimeoutError):
+            except (OSError, asyncio.TimeoutError, ProtocolError):
                 transport = self.spare_writer.transport
                 if transport is not None:
                     transport.abort()
@@ -728,7 +724,7 @@ class _ResilientWorker:
             self.read_task = None
             try:
                 response = task.result()
-            except OSError:
+            except (OSError, ProtocolError):
                 self._lost_connection()
                 return
             self._consume(response)

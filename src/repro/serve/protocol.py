@@ -18,8 +18,10 @@ generator, the replay driver, the supervisor's health probe, the chaos
 injector, the examples and the test helpers — frames its traffic one way:
 :func:`render_request` writes a request, :func:`read_response` reads the next
 response off a keep-alive connection (:func:`pop_response` when the bytes are
-already buffered), :func:`exchange` does a whole request on a connection of
-its own, and :func:`hang_up` closes a connection.  The end-to-end harness in
+already buffered), :func:`fetch` sends one request on a connection of its own
+and returns as soon as its response is whole, :func:`exchange` returns every
+byte a server answers until it hangs up, and :func:`hang_up` closes a
+connection.  The end-to-end harness in
 ``bench/`` keeps a client of its own on purpose: it must offer the same load
 whatever this module does.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -236,22 +239,24 @@ def render_request(method: str, target: str, host: str,
     return (head + "\r\n").encode() + body
 
 
-def parse_response(buffer: bytes | bytearray, offset: int = 0,
+def parse_response(buffer: bytes | bytearray,
                    ) -> tuple[Response, int] | None:
     """Client-side twin of :func:`parse_request`.
 
-    Returns ``((status, headers, body), next_offset)`` or ``None`` while the
-    response is incomplete; raises :class:`ProtocolError` on a status line or
-    ``Content-Length`` it cannot read.
+    Returns ``((status, headers, body), end)`` for the response at the front
+    of ``buffer`` or ``None`` while it is incomplete; raises
+    :class:`ProtocolError` on a status line or ``Content-Length`` it cannot
+    read.
     """
-    head_end = buffer.find(b"\r\n\r\n", offset)
+    head_end = buffer.find(b"\r\n\r\n")
     if head_end < 0:
         return None
-    lines = bytes(buffer[offset:head_end]).split(b"\r\n")
+    lines = bytes(buffer[:head_end]).split(b"\r\n")
     status_parts = lines[0].split(b" ", 2)
-    if len(status_parts) < 2 or not status_parts[1].isdigit():
-        raise ProtocolError(500, f"malformed status line: {lines[0]!r}")
-    status = int(status_parts[1])
+    status = (parse_decimal(status_parts[1].decode("latin-1"))
+              if len(status_parts) >= 2 else None)
+    if status is None:
+        raise ProtocolError(500, f"malformed status line: {lines[0][:80]!r}")
     headers: dict[str, str] = {}
     for raw in lines[1:]:
         name_b, sep, value_b = raw.partition(b":")
@@ -297,13 +302,32 @@ async def read_response(reader: asyncio.StreamReader,
     return response
 
 
+async def fetch(address: tuple[str, int], request: bytes,
+                ) -> tuple[Response, float]:
+    """One request on a connection of its own, and its response.
+
+    Connects, sends ``request``, reads one response and hangs up without
+    waiting for the server to close.  Returns the response and the
+    milliseconds from the call until it was whole, taken before the hang-up.
+    """
+    started = time.perf_counter()
+    reader, writer = await asyncio.open_connection(*address)
+    try:
+        writer.write(request)
+        await writer.drain()
+        response = await read_response(reader, bytearray())
+        return response, (time.perf_counter() - started) * 1000.0
+    finally:
+        await hang_up(writer)
+
+
 async def exchange(address: tuple[str, int], request: bytes) -> bytes:
     """Every byte a server answers to ``request`` on a connection of its own.
 
     Connects, sends ``request`` (one request or a pipelined batch),
     half-closes so the server sees the end of its input, reads until the
     server hangs up, and hangs up.  Split the reply with
-    :func:`parse_response` or :func:`pop_response`.
+    :func:`pop_response`.
     """
     reader, writer = await asyncio.open_connection(*address)
     try:

@@ -44,9 +44,10 @@ from dataclasses import dataclass, field
 
 from repro.serve.gateway import RegionGateway, ServeCluster
 from repro.serve.ledger import KIND_READ, crash_entry, recovery_entry
-from repro.serve.protocol import exchange, parse_response, render_request
+from repro.serve.protocol import ProtocolError, fetch, render_request
 
-_HEALTH_REQUEST = render_request("GET", "/healthz", "supervisor")
+_HEALTH_REQUEST = render_request("GET", "/healthz", "supervisor",
+                                 {"Connection": "close"})
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,14 +186,12 @@ class ClusterSupervisor:
         if gateway.port is None:
             return False
         try:
-            reply = await asyncio.wait_for(
-                exchange((gateway.settings.host, gateway.port),
-                         _HEALTH_REQUEST),
+            (status, _headers, _body), _elapsed_ms = await asyncio.wait_for(
+                fetch((gateway.settings.host, gateway.port), _HEALTH_REQUEST),
                 timeout=self.config.health_timeout_s)
-        except (OSError, asyncio.TimeoutError):
+        except (OSError, asyncio.TimeoutError, ProtocolError):
             return False
-        parsed = parse_response(reply)
-        return parsed is not None and parsed[0][0] == 200
+        return status == 200
 
     # ------------------------------------------------------------------ #
     # Recovery

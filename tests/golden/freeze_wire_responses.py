@@ -33,7 +33,7 @@ import sys
 from pathlib import Path
 
 from repro.serve.gateway import ServeCluster
-from repro.serve.protocol import exchange, parse_response
+from repro.serve.protocol import exchange, pop_response
 from repro.sim.engine import EngineConfig, RegionSpec
 from repro.sim.faults import FaultSchedule, RegionOutage
 from repro.workload.workload import WorkloadSpec
@@ -165,14 +165,14 @@ def scenarios() -> list[tuple[str, EngineConfig, bool, list[tuple[str, bytes]]]]
 def describe(raw: bytes) -> dict:
     """Digest of a reply plus what a reader needs to see what it pinned."""
     responses = []
-    offset = 0
-    while (parsed := parse_response(raw, offset)) is not None:
-        (status, headers, _), offset = parsed
+    buffer = bytearray(raw)
+    while (response := pop_response(buffer)) is not None:
+        status, headers, _ = response
         responses.append(" ".join(filter(None, (
             str(status), headers.get("x-agar-hit"), headers.get("x-agar-body"),
             "degraded" if headers.get("x-agar-degraded") == "1" else None))))
-    if offset != len(raw):
-        raise SystemExit(f"reply does not split into responses: {raw[offset:]!r}")
+    if buffer:
+        raise SystemExit(f"reply does not split into responses: {bytes(buffer)!r}")
     return {"responses": responses, "bytes": len(raw),
             "sha256": hashlib.sha256(raw).hexdigest()}
 

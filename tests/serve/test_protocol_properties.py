@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.serve.protocol import (DEFAULT_MAX_BODY_BYTES, ProtocolError,
-                                  build_response, parse_request,
+                                  build_response, fetch, parse_request,
                                   parse_response, read_response,
                                   render_request)
 
@@ -25,9 +25,9 @@ from serve_helpers import http_get, http_put, raw_exchange, start_cluster, tiny_
 _SETTINGS = settings(max_examples=120, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
 
-#: ``Content-Length`` values that pass ``str.isdigit`` after the latin-1 decode
-#: but that ``int`` refuses: a Unicode digit, and more digits than ``int``'s
-#: 4,300-digit conversion limit.  Random bytes never find either.
+#: Status or ``Content-Length`` values that pass ``str.isdigit`` after the
+#: latin-1 decode but that ``int`` refuses: a Unicode digit, and more digits
+#: than ``int``'s 4,300-digit conversion limit.  Random bytes never find either.
 _INT_REFUSES = (b"\xb2", b"9" * 4301)
 
 
@@ -113,9 +113,12 @@ def test_response_roundtrip(status, body):
 @given(st.binary(max_size=2048))
 @example(b"HTTP/1.1 200 OK\r\nContent-Length: " + _INT_REFUSES[0] + b"\r\n\r\n")
 @example(b"HTTP/1.1 200 OK\r\nContent-Length: " + _INT_REFUSES[1] + b"\r\n\r\n")
+@example(b"HTTP/1.1 " + _INT_REFUSES[0] + b" OK\r\n\r\n")
+@example(b"HTTP/1.1 " + _INT_REFUSES[1] + b" OK\r\n\r\n")
 def test_arbitrary_bytes_never_crash_the_response_parser(data):
     """Whatever a peer answers parses, asks for more, or is a ProtocolError
-    (an unreadable ``Content-Length`` used to escape as ``ValueError``)."""
+    (an unreadable status or ``Content-Length`` used to escape as
+    ``ValueError``)."""
     try:
         parsed = parse_response(data)
     except ProtocolError:
@@ -182,6 +185,36 @@ def test_read_response_frames_pipelined_replies_however_they_arrive(
     got, buffer = asyncio.run(scenario())
     assert [(status, body) for status, _, body in got] == replies
     assert buffer == b""
+
+
+def test_fetch_returns_before_the_server_hangs_up():
+    """A one-shot request is answered once its response is whole, not when
+    the server closes: a server that keeps the connection open must not hold
+    the caller (the hedge's latency and the health probe's deadline)."""
+
+    async def scenario():
+        hold = asyncio.Event()
+
+        async def answer_and_linger(reader, writer):
+            await reader.readuntil(b"\r\n\r\n")
+            writer.write(b"".join(build_response(200, b"ok")))
+            await writer.drain()
+            await hold.wait()
+            writer.close()
+
+        server = await asyncio.start_server(answer_and_linger, "127.0.0.1", 0)
+        address = server.sockets[0].getsockname()[:2]
+        async with server:
+            try:
+                return await asyncio.wait_for(
+                    fetch(address, render_request("GET", "/", "t")),
+                    timeout=5.0)
+            finally:
+                hold.set()
+
+    (status, _headers, body), elapsed_ms = asyncio.run(scenario())
+    assert (status, body) == (200, b"ok")
+    assert 0 < elapsed_ms < 5000
 
 
 def test_oversized_declared_body_is_413():
