@@ -253,9 +253,9 @@ def parse_response(buffer: bytes | bytearray,
         return None
     lines = bytes(buffer[:head_end]).split(b"\r\n")
     status_parts = lines[0].split(b" ", 2)
-    status = (parse_decimal(status_parts[1].decode("latin-1"))
-              if len(status_parts) >= 2 else None)
-    if status is None:
+    # A status code is three ASCII digits (``bytes.isdigit`` is ASCII-only).
+    code = status_parts[1] if len(status_parts) >= 2 else b""
+    if len(code) != 3 or not code.isdigit():
         raise ProtocolError(500, f"malformed status line: {lines[0][:80]!r}")
     headers: dict[str, str] = {}
     for raw in lines[1:]:
@@ -270,7 +270,7 @@ def parse_response(buffer: bytes | bytearray,
     if len(buffer) - body_start < length:
         return None
     body = bytes(buffer[body_start:body_start + length])
-    return (status, headers, body), body_start + length
+    return (int(code), headers, body), body_start + length
 
 
 def pop_response(buffer: bytearray) -> Response | None:
