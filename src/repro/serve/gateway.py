@@ -47,8 +47,8 @@ from repro.backend.object_store import (ErasureCodedStore,
                                         ObjectNotFoundError)
 from repro.client.stats import LatencyStats, ReadResult
 from repro.client.strategies import make_strategy
-from repro.serve.ledger import (DYNAMIC_FAULT_INDEX, LedgerEntry, fault_entry,
-                                ledger_to_lines, read_entry, tick_entry)
+from repro.serve.ledger import (DYNAMIC_FAULT_INDEX, Ledger, LedgerEntry,
+                                fault_entry, read_entry, tick_entry)
 from repro.serve.protocol import (DEFAULT_MAX_BODY_BYTES, READ_BYTES,
                                   HttpRequest, ProtocolError, build_response,
                                   error_response, hang_up, parse_decimal,
@@ -94,7 +94,7 @@ class RegionGateway:
         self.store = store
         self.clock = clock
         self.settings = settings or GatewaySettings()
-        self.ledger: list[LedgerEntry] = []
+        self.ledger = Ledger()
         self.wire_stats = LatencyStats()
         self.requests_total = 0
         self.puts_total = 0
@@ -499,7 +499,7 @@ class RegionGateway:
         start = parse_decimal(request.query.get("start", "0"))
         if start is None:
             raise ProtocolError(400, "invalid ledger start")
-        text = ledger_to_lines(self.ledger[start:])
+        text = self.ledger.lines(start)
         return build_response(200, text.encode(),
                               keep_alive=request.keep_alive,
                               content_type="text/plain")

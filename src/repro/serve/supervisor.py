@@ -9,8 +9,9 @@ on their old port with a **warm-recovery protocol**:
     (:meth:`ServeCluster.rebuild_strategy` — shared durable store and
     clock, empty cache, cold popularity state).
 2.  Replay the tail of the region's decision ledger — the crashed
-    instance's in-memory list, handed on within the same process (it is not
-    durable; ROADMAP item 1 A2) — through the fresh strategy.  Two passes when the
+    instance's in-memory record log, handed on within the same process (it
+    is not durable; ROADMAP item 1 A2) — through the fresh strategy, walking
+    back from the end only as far as the tail reaches.  Two passes when the
     strategy reconfigures on a timer (first pass rebuilds popularity
     statistics, a ``tick`` re-solves the caching configuration, the second
     pass fills the cache under that configuration); one pass for plain
@@ -40,10 +41,13 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.serve.gateway import RegionGateway, ServeCluster
-from repro.serve.ledger import KIND_READ, crash_entry, recovery_entry
+from repro.serve.ledger import (KIND_READ, LedgerEntry, crash_entry,
+                                recovery_entry)
 from repro.serve.protocol import ProtocolError, fetch, render_request
 
 _HEALTH_REQUEST = render_request("GET", "/healthz", "supervisor",
@@ -210,9 +214,7 @@ class ClusterSupervisor:
         mode = "warm" if config.warm_recovery else "cold"
         entries_replayed = 0
         if config.warm_recovery and config.replay_tail > 0:
-            tail = [entry for entry in corpse.ledger
-                    if entry.kind == KIND_READ and not entry.failed]
-            tail = tail[-config.replay_tail:]
+            tail = read_tail(corpse.ledger, config.replay_tail)
             # Pass 1 rebuilds popularity statistics (and, for LRU/LFU, the
             # cache itself).  The fresh strategy has no decision sink and
             # does not touch the shared clock, so replay reads are invisible
@@ -234,9 +236,9 @@ class ClusterSupervisor:
             region, strategy, corpse.store, corpse.clock,
             fault_states=corpse._fault_states, settings=corpse.settings,
             epoch=corpse.started_at)
-        # The ledger is the crashed instance's in-memory list, not a durable
-        # log (ROADMAP item 1 A2): the new instance appends to the same list
-        # the old one wrote.  The dynamic-fault queue rides
+        # The ledger is the crashed instance's in-memory record log, not a
+        # durable one (ROADMAP item 1 A2): the new instance appends to the
+        # same `Ledger` the old one wrote.  The dynamic-fault queue rides
         # along so wire-installed windows still expire on schedule.
         gateway.ledger = corpse.ledger
         gateway._dynamic_faults = list(corpse._dynamic_faults)
@@ -262,6 +264,20 @@ class ClusterSupervisor:
             cache_chunks_restored=chunks_restored)
         self.recoveries.append(record)
         return record
+
+
+def read_tail(ledger: Sequence[LedgerEntry],
+              count: int) -> list[LedgerEntry]:
+    """The last ``count`` successful reads of ``ledger``, in event order.
+
+    Walks the ledger backwards and stops at the ``count``-th read, so a
+    recovery decodes the tail it replays, not the whole history.
+    """
+    tail = list(islice((entry for entry in reversed(ledger)
+                        if entry.kind == KIND_READ and not entry.failed),
+                       count))
+    tail.reverse()
+    return tail
 
 
 def recovery_report_table(recoveries: list[RecoveryRecord]) -> str:

@@ -16,17 +16,20 @@ import asyncio
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.client.resilience import ResilienceConfig
 from repro.client.strategies import ClientConfig
 from repro.serve.chaos import ChaosInjector, ChaosSchedule, GatewayCrash
 from repro.serve.gateway import ServeCluster
-from repro.serve.ledger import (KIND_CRASH, KIND_READ, KIND_RECOVERY,
-                                ledger_from_lines, ledger_to_lines)
+from repro.serve.ledger import (KIND_CRASH, KIND_READ, KIND_RECOVERY, Ledger,
+                                LedgerEntry, fault_entry, ledger_from_lines,
+                                ledger_to_lines, tick_entry)
 from repro.serve.loadgen import (WireLoadSpec, WireResilience, run_wire_load,
                                  wire_report_table)
 from repro.serve.supervisor import (ClusterSupervisor, SupervisorConfig,
-                                    recovery_report_table)
+                                    read_tail, recovery_report_table)
 from repro.serve.trace import run_and_trace
 from repro.sim.engine import EngineConfig, RegionSpec
 from repro.workload.workload import ArrivalSpec, WorkloadSpec
@@ -121,6 +124,41 @@ def _p99_after(results, cut_s: float) -> float:
                  if not sample.failed and sample.started_at_s >= cut_s]
     assert latencies, "no post-recovery samples — crash scheduled too late"
     return float(np.percentile(np.asarray(latencies), 99.0))
+
+
+_HISTORY = {
+    "read": lambda at: LedgerEntry(KIND_READ, at, f"object-{int(at) % 7}"),
+    "failed": lambda at: LedgerEntry(KIND_READ, at, "object-0", failed=True),
+    "tick": tick_entry,
+    "fault": lambda at: fault_entry(at, 0),
+}
+
+
+class _Walked(list):
+    """A list that counts the entries a backward walk decoded."""
+
+    walked = 0
+
+    def __reversed__(self):
+        for entry in super().__reversed__():
+            self.walked += 1
+            yield entry
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(sorted(_HISTORY)), max_size=60),
+       st.integers(min_value=1, max_value=70))
+def test_read_tail_is_the_filtered_tail_and_walks_only_that_far(kinds,
+                                                                count):
+    entries = [_HISTORY[kind](float(at)) for at, kind in enumerate(kinds)]
+    whole = [entry for entry in entries
+             if entry.kind == KIND_READ and not entry.failed][-count:]
+    assert read_tail(Ledger(entries), count) == whole
+    walked = _Walked(entries)
+    assert read_tail(walked, count) == whole
+    reach = len(entries) - entries.index(whole[0]) if whole else 0
+    if len(whole) == count:
+        assert walked.walked == reach
 
 
 class TestChaosAcceptance:

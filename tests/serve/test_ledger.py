@@ -1,4 +1,4 @@
-"""Canonical ledger encoding: exact round-trips and divergence reporting."""
+"""Canonical ledger encoding, the record log, and divergence reporting."""
 
 from __future__ import annotations
 
@@ -7,25 +7,43 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.client.stats import HitType, ReadResult
-from repro.serve.ledger import (KIND_FAULT, KIND_READ, KIND_TICK, LedgerEntry,
+from repro.serve.ledger import (KIND_CRASH, KIND_FAULT, KIND_READ,
+                                KIND_RECOVERY, KIND_TICK, Ledger, LedgerEntry,
                                 diff_ledgers, fault_entry, ledger_from_lines,
                                 ledger_to_lines, read_entry, tick_entry)
 
+#: The integer fields' ranges, as wide as the record format stores them.
+_WIDTHS = {
+    "cache_chunks": (0, 2**32 - 1),
+    "backend_chunks": (0, 2**16 - 1),
+    "neighbor_chunks": (0, 2**16 - 1),
+    "fault_index": (-2**31, 2**31 - 1),
+}
+
 _keys = st.text(alphabet=st.sampled_from(
-    "abcdefghijklmnopqrstuvwxyz0123456789.-_"), min_size=1, max_size=20)
+    "abcdefghijklmnopqrstuvwxyz0123456789.-_äßé€日本"), min_size=1,
+    max_size=20)
+
+
+def _counts(field):
+    low, high = _WIDTHS[field]
+    return st.integers(min_value=low, max_value=high)
+
+
 _entries = st.builds(
     LedgerEntry,
-    kind=st.sampled_from([KIND_READ, KIND_TICK, KIND_FAULT]),
+    kind=st.sampled_from([KIND_READ, KIND_TICK, KIND_FAULT, KIND_CRASH,
+                          KIND_RECOVERY]),
     at=st.floats(allow_nan=False, allow_infinity=False, width=64),
     key=_keys,
-    hit=st.sampled_from(["full", "partial", "miss", ""]),
-    cache_chunks=st.integers(min_value=0, max_value=20),
-    backend_chunks=st.integers(min_value=0, max_value=20),
-    neighbor_chunks=st.integers(min_value=0, max_value=20),
-    backend_regions=st.tuples() | st.tuples(_keys) | st.tuples(_keys, _keys),
+    hit=st.sampled_from(["full", "partial", "miss", "warm", "cold", ""]),
+    cache_chunks=_counts("cache_chunks"),
+    backend_chunks=_counts("backend_chunks"),
+    neighbor_chunks=_counts("neighbor_chunks"),
+    backend_regions=st.lists(_keys, max_size=4).map(tuple),
     degraded=st.booleans(),
     failed=st.booleans(),
-    fault_index=st.integers(min_value=-1, max_value=50),
+    fault_index=_counts("fault_index"),
 )
 
 
@@ -89,3 +107,72 @@ def test_diff_reports_first_divergence():
     short = base[:2]
     diff = diff_ledgers(base, short)
     assert diff is not None and "lengths differ" in diff
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_entries, max_size=30), st.integers(-35, 35) | st.none(),
+       st.integers(-35, 35) | st.none(),
+       st.integers(-4, 4).filter(bool) | st.none())
+def test_record_log_reads_back_as_the_list(entries, start, stop, step):
+    ledger = Ledger(entries)
+    assert list(ledger) == entries
+    assert list(reversed(ledger)) == entries[::-1]
+    assert len(ledger) == len(entries)
+    assert ledger == entries and entries == ledger
+    assert ledger == Ledger(entries)
+    # `==` forgives 1 == True and 0.0 == -0.0; the canonical text does not.
+    assert ledger_to_lines(ledger) == ledger_to_lines(entries)
+    for index in range(-len(entries) - 2, len(entries) + 2):
+        if -len(entries) <= index < len(entries):
+            assert ledger[index] == entries[index]
+            assert type(ledger[index]) is LedgerEntry
+        else:
+            with pytest.raises(IndexError):
+                ledger[index]
+    assert ledger[start:stop:step] == entries[start:stop:step]
+    if start is not None:
+        assert ledger.lines(start) == ledger_to_lines(entries[start:])
+
+
+@pytest.mark.parametrize("field", sorted(_WIDTHS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_value_outside_its_field_raises(field, data):
+    low, high = _WIDTHS[field]
+    edges = [LedgerEntry(**{**_FIELDS, field: low}),
+             LedgerEntry(**{**_FIELDS, field: high})]
+    ledger = Ledger(edges)
+    value = data.draw(st.integers(max_value=low - 1)
+                      | st.integers(min_value=high + 1) | st.just(1.0))
+    with pytest.raises(ValueError, match="does not fit"):
+        ledger.append(LedgerEntry(**{**_FIELDS, field: value}))
+    assert ledger == edges
+
+
+def test_an_intern_table_past_its_id_width_raises():
+    ledger = Ledger(LedgerEntry(KIND_TICK, 0.0, hit=str(n)) for n in range(256))
+    with pytest.raises(ValueError, match="does not fit"):
+        ledger.append(LedgerEntry(KIND_TICK, 0.0, hit="256"))
+    assert len(ledger) == 256 and ledger[-1].hit == "255"
+
+
+def test_record_log_is_an_append_only_sequence():
+    entries = [LedgerEntry(**_FIELDS), LedgerEntry(**_OTHER), tick_entry(4.0)]
+    ledger = Ledger()
+    assert ledger == [] and not ledger and ledger.lines() == ""
+    seen = []
+    for entry in entries:
+        ledger.append(entry)
+    for entry in ledger:  # a reader sees appends made while it iterates
+        seen.append(entry)
+        if len(ledger) < 5:
+            ledger.append(fault_entry(5.0, -2))
+    assert seen == list(ledger) == entries + [fault_entry(5.0, -2)] * 2
+    assert ledger != entries and ledger != seen[:-1] + [tick_entry(9.0)]
+    assert ledger.index(tick_entry(4.0)) == 2 and tick_entry(4.0) in ledger
+    assert ledger.lines(-1) == fault_entry(5.0, -2).to_line() + "\n"
+    assert ledger.lines(99) == ""
+    with pytest.raises(TypeError):
+        ledger["0"]
+    with pytest.raises(TypeError):
+        hash(ledger)
