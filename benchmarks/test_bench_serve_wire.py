@@ -146,8 +146,7 @@ def test_bench_serve_wire_degraded(benchmark, settings):
     spec = WireLoadSpec(
         workload=config.workload, connections=1, pipeline_depth=64,
         requests_per_connection=requests,
-        resilience=WireResilience(retry_budget=2, base_timeout_ms=250.0,
-                                  backoff_cap_ms=50.0))
+        resilience=WireResilience(base_timeout_ms=250.0, backoff_cap_ms=50.0))
     schedule = ChaosSchedule(wire_faults=(GatewayCrash("frankfurt", 0.3),))
 
     async def serve_and_load():

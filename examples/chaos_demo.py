@@ -54,14 +54,13 @@ SPEC = WireLoadSpec(
     arrival=ArrivalSpec(process="poisson", rate_rps=500.0),
     connections=1,
     requests_per_connection=200,
-    resilience=WireResilience(retry_budget=2, base_timeout_ms=150.0,
-                              backoff_cap_ms=25.0),
+    resilience=WireResilience(base_timeout_ms=150.0, backoff_cap_ms=25.0),
 )
 
 
 async def main() -> None:
     schedule = ChaosSchedule(
-        wire_faults=(GatewayCrash("frankfurt", CRASH_AT_S),), seed=SEED)
+        wire_faults=(GatewayCrash("frankfurt", CRASH_AT_S),))
     print("== chaos schedule ==")
     print(schedule.describe())
 

@@ -364,13 +364,21 @@ class LatencyStats:
         return self._count / duration_s
 
     def summary(self) -> dict[str, float]:
-        """Dictionary summary used by the experiment reports."""
+        """Dictionary summary used by the experiment reports.
+
+        The three percentiles come from one sort of the buffer.
+        """
+        median = p95 = p99 = 0.0
+        if self._count:
+            ordered = np.sort(self._buffer[: self._count])
+            median, p95, p99 = (_nearest_rank(ordered, percentile)
+                                for percentile in (50.0, 95.0, 99.0))
         return {
             "reads": float(self.count),
             "mean_latency_ms": self.mean_latency_ms,
-            "median_latency_ms": self.median_latency_ms,
-            "p95_latency_ms": self.p95_latency_ms,
-            "p99_latency_ms": self.p99_latency_ms,
+            "median_latency_ms": median,
+            "p95_latency_ms": p95,
+            "p99_latency_ms": p99,
             "hit_ratio": self.hit_ratio,
             "full_hit_ratio": self.full_hit_ratio,
             "partial_hit_ratio": self.partial_hit_ratio,

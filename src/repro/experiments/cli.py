@@ -43,7 +43,7 @@ from repro.experiments.fig8_sweeps import agar_lead_by_group, render_sweep, run_
 from repro.experiments.fig9_popularity import render_fig9, run_fig9
 from repro.experiments.fig10_cache_contents import render_fig10, run_fig10
 from repro.experiments.fig_chaos import (
-    FigChaosOptions,
+    CHAOS_REGIONS,
     render_fig_chaos,
     run_fig_chaos,
 )
@@ -56,7 +56,7 @@ from repro.experiments.multiregion import (
     run_multiregion_scaling,
 )
 from repro.experiments.serve_wire import (
-    ServeWireOptions,
+    SERVE_REGIONS,
     render_serve_wire,
     run_serve_wire,
 )
@@ -188,10 +188,8 @@ def _run_one(name: str, settings: ExperimentSettings, out,
         rows = run_multiregion_scaling(settings, options=engine)
         print(render_multiregion(rows, options=engine).render(), file=out)
     elif name == "fig_chaos":
-        chaos_options = FigChaosOptions()
-        if extra.get("chaos_regions"):
-            chaos_options = FigChaosOptions(regions=extra["chaos_regions"])
-        chaos_results = run_fig_chaos(settings, chaos_options)
+        chaos_results = run_fig_chaos(
+            settings, regions=extra.get("chaos_regions") or CHAOS_REGIONS)
         print(render_fig_chaos(chaos_results).render(), file=out)
         for variant in chaos_results:
             if not variant.recoveries:
@@ -201,11 +199,9 @@ def _run_one(name: str, settings: ExperimentSettings, out,
                   f"{variant.mean_restored_fraction * 100.0:.0f}% of "
                   f"pre-crash cache restored", file=out)
     elif name == "serve":
-        serve_options = ServeWireOptions(
-            regions=tuple(extra.get("serve_regions") or ("frankfurt",)),
-            rate_rps=extra.get("serve_rate_rps"),
-        )
-        results = run_serve_wire(settings, serve_options)
+        results = run_serve_wire(
+            settings, regions=extra.get("serve_regions") or SERVE_REGIONS,
+            rate_rps=extra.get("serve_rate_rps"))
         print(render_serve_wire(results).render(), file=out)
         for region, result in results.items():
             print(f"{region}: {result.throughput_rps:.0f} req/s measured over "

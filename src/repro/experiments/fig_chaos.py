@@ -27,6 +27,7 @@ socket stall across both regions).
 from __future__ import annotations
 
 import asyncio
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,18 +50,15 @@ WIRE_OBJECT_SIZE_CAP = 64 * 1024
 #: The window around a crash used for the "during" percentile (seconds).
 DISRUPTION_WINDOW_S = 0.25
 
-
-@dataclass(frozen=True, slots=True)
-class FigChaosOptions:
-    """Deployment and disturbance shape of the chaos experiment."""
-
-    regions: tuple[str, str] = ("frankfurt", "dublin")
-    strategy: str = "lru-5"
-    connections: int = 2
-    rate_rps: float = 300.0          #: open-loop rate per connection
-    crash_fraction: float = 0.35     #: crash time as a fraction of the run
-    retry_budget: int = 2
-    base_timeout_ms: float = 150.0
+#: The two regions of the cluster: the first crashes.
+CHAOS_REGIONS = ("frankfurt", "dublin")
+STRATEGY = "lru-5"
+CONNECTIONS = 2
+#: Open-loop rate per connection.
+RATE_RPS = 300.0
+#: Crash time as a fraction of the run.
+CRASH_FRACTION = 0.35
+BASE_TIMEOUT_MS = 150.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,10 +166,9 @@ async def _run_variant(name: str, config: EngineConfig, spec: WireLoadSpec,
 
 
 def run_fig_chaos(settings: ExperimentSettings,
-                  options: FigChaosOptions | None = None,
+                  regions: Sequence[str] = CHAOS_REGIONS,
                   ) -> list[ChaosVariantResult]:
     """Sweep crash/restart schedules against a live 2-region cluster."""
-    options = options or FigChaosOptions()
     workload = WorkloadSpec(
         object_count=settings.object_count,
         object_size=min(settings.object_size, WIRE_OBJECT_SIZE_CAP),
@@ -180,32 +177,30 @@ def run_fig_chaos(settings: ExperimentSettings,
     )
     config = EngineConfig(
         workload=workload,
-        regions=[RegionSpec(region=name, clients=1, strategy=options.strategy)
-                 for name in options.regions],
+        regions=[RegionSpec(region=name, clients=1, strategy=STRATEGY)
+                 for name in regions],
         cache_capacity_bytes=settings.cache_capacity_bytes,
         topology_seed=settings.seed,
     )
-    per_connection = max(
-        workload.request_count // max(options.connections, 1), 1)
+    per_connection = max(workload.request_count // CONNECTIONS, 1)
     spec = WireLoadSpec(
         workload=workload,
-        arrival=ArrivalSpec(process="poisson", rate_rps=options.rate_rps),
-        connections=options.connections,
+        arrival=ArrivalSpec(process="poisson", rate_rps=RATE_RPS),
+        connections=CONNECTIONS,
         requests_per_connection=per_connection,
-        resilience=WireResilience(retry_budget=options.retry_budget,
-                                  base_timeout_ms=options.base_timeout_ms,
+        resilience=WireResilience(base_timeout_ms=BASE_TIMEOUT_MS,
                                   backoff_cap_ms=50.0),
         keep_samples=True,
     )
-    duration_s = per_connection / options.rate_rps
-    crash_at = options.crash_fraction * duration_s
-    primary, secondary = options.regions[0], options.regions[1]
+    duration_s = per_connection / RATE_RPS
+    crash_at = CRASH_FRACTION * duration_s
+    primary, secondary = regions
     crash = ChaosSchedule(wire_faults=(GatewayCrash(primary, crash_at),))
     compound = ChaosSchedule(wire_faults=(
         GatewayCrash(primary, crash_at),
         ConnectionReset(secondary, crash_at * 0.6),
         SocketStall(secondary, crash_at * 1.4,
-                    min(0.1, options.base_timeout_ms / 2000.0)),
+                    min(0.1, BASE_TIMEOUT_MS / 2000.0)),
     ))
     variants = [
         ("clean", None, True),

@@ -15,7 +15,7 @@ gateway overhead rather than local socket throughput.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 from repro.analysis.report import Table
 from repro.experiments.common import ExperimentSettings
@@ -27,24 +27,17 @@ from repro.workload.workload import ArrivalSpec, WorkloadSpec
 
 MEGABYTE = 1024 * 1024
 WIRE_OBJECT_SIZE_CAP = 64 * 1024
-
-
-@dataclass(frozen=True, slots=True)
-class ServeWireOptions:
-    """Deployment shape of the wire experiment."""
-
-    regions: tuple[str, ...] = ("frankfurt",)
-    strategy: str = "agar"
-    connections: int = 4
-    pipeline_depth: int = 32
-    rate_rps: float | None = None  # None = closed loop
+SERVE_REGIONS = ("frankfurt",)
 
 
 def run_serve_wire(settings: ExperimentSettings,
-                   options: ServeWireOptions | None = None,
+                   regions: Sequence[str] = SERVE_REGIONS,
+                   rate_rps: float | None = None,
                    ) -> dict[str, RegionWireResult]:
-    """Serve one wire run and return the per-region measured results."""
-    options = options or ServeWireOptions()
+    """Serve one wire run and return the per-region measured results.
+
+    Every region runs Agar; ``rate_rps=None`` drives it closed loop.
+    """
     workload = WorkloadSpec(
         object_count=settings.object_count,
         object_size=min(settings.object_size, WIRE_OBJECT_SIZE_CAP),
@@ -53,16 +46,14 @@ def run_serve_wire(settings: ExperimentSettings,
     )
     config = EngineConfig(
         workload=workload,
-        regions=[RegionSpec(region=name, clients=1, strategy=options.strategy)
-                 for name in options.regions],
+        regions=[RegionSpec(region=name, clients=1, strategy="agar")
+                 for name in regions],
         cache_capacity_bytes=settings.cache_capacity_bytes,
         topology_seed=settings.seed,
     )
-    arrival = (ArrivalSpec(process="poisson", rate_rps=options.rate_rps)
-               if options.rate_rps else ArrivalSpec())
-    spec = WireLoadSpec(workload=workload, arrival=arrival,
-                        connections=options.connections,
-                        pipeline_depth=options.pipeline_depth)
+    arrival = (ArrivalSpec(process="poisson", rate_rps=rate_rps)
+               if rate_rps else ArrivalSpec())
+    spec = WireLoadSpec(workload=workload, arrival=arrival)
 
     async def serve_and_load() -> dict[str, RegionWireResult]:
         cluster = ServeCluster.from_config(config, seed=settings.seed,

@@ -18,7 +18,7 @@ simulation test suite an oracle for the served path:
   sockets and collect their ledgers.
 - :mod:`repro.serve.loadgen` — open/closed-loop wire load generation with
   ``LatencyStats``-based reporting, plus the resilient wire client
-  (deadlines, backoff, hedging, failover) for chaos runs.
+  (deadlines, backoff, failover) for chaos runs.
 - :mod:`repro.serve.chaos` — seeded wire-level fault injection against a
   live cluster: gateway crashes, connection resets, socket stalls,
   slowloris peers, and dynamically delivered modeled fault windows.

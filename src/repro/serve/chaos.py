@@ -1,9 +1,9 @@
-"""Wire-level chaos: seeded disturbance schedules against a live cluster.
+"""Wire-level chaos: disturbance schedules against a live cluster.
 
 The simulator's fault vocabulary (:mod:`repro.sim.faults`) perturbs the
 *model* — which backends answer, how slow the links are.  This module adds
 the disturbances only a real serving tier can experience, and compiles both
-kinds into one seeded, wall-clock-ordered action list executed against a
+kinds into one wall-clock-ordered action list executed against a
 running :class:`~repro.serve.gateway.ServeCluster`:
 
 * :class:`GatewayCrash` — the region's gateway dies like a SIGKILL'd
@@ -14,7 +14,7 @@ running :class:`~repro.serve.gateway.ServeCluster`:
   aborted (RST); the gateway itself keeps serving, clients must reconnect.
 * :class:`SocketStall` — the gateway freezes for a window (stop-the-world
   pause): connections stay open but nothing makes progress, exercising
-  client deadlines and hedging.
+  client deadlines and retries.
 * :class:`SlowlorisPeer` — the injector itself becomes a misbehaving peer,
   dribbling an eternally incomplete request one byte at a time to occupy a
   connection without ever issuing a request.
@@ -23,11 +23,10 @@ running :class:`~repro.serve.gateway.ServeCluster`:
   wire** as dynamic ``POST /admin/fault`` installs at each window's start —
   the same validated JSON path any external operator would use.
 
-Everything is deterministic given the schedule and seed: optional start-time
-jitter comes from the same splitmix64 hash the resilience tier uses, never
-from a global RNG.  Execution is wall-clock ordered; installs that fail
-because a gateway is down are retried until they land (the supervisor
-restarts gateways on their old port, so addresses stay stable).
+A schedule compiles to the same action list every time.  Execution is
+wall-clock ordered; installs that fail because a gateway is down are retried
+until they land (the supervisor restarts gateways on their old port, so
+addresses stay stable).
 """
 
 from __future__ import annotations
@@ -35,12 +34,16 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.client.resilience import hash_unit_interval
 from repro.serve.protocol import (ProtocolError, fetch, hang_up,
                                   render_request)
 from repro.sim.faults import FaultSchedule
+
+#: Wall seconds between retries of fault installs a down gateway refused.
+RETRY_INTERVAL_S = 0.05
+#: How long a finished schedule keeps retrying those installs.
+DRAIN_TIMEOUT_S = 3.0
 
 
 def _validate_at(what: str, at_s: float) -> None:
@@ -121,28 +124,22 @@ class ChaosAction:
 
 @dataclass(frozen=True)
 class ChaosSchedule:
-    """A seeded timeline of wire disturbances plus optional engine faults.
+    """A timeline of wire disturbances plus optional engine faults.
 
     ``wire_faults`` act on the live gateways directly; ``fault_schedule``
     windows are delivered over the wire as dynamic ``/admin/fault`` installs
     at their start times (validated server-side exactly like engine-side
-    schedules).  ``jitter_s`` deterministically perturbs each action's start
-    by up to ±``jitter_s`` seconds via a splitmix64 hash of ``(seed, index)``
-    — chaos runs are reproducible for a given (schedule, seed) pair.
+    schedules).
     """
 
     wire_faults: tuple[WireFault, ...] = ()
     fault_schedule: FaultSchedule | None = None
-    seed: int = 0
-    jitter_s: float = 0.0
 
     def __post_init__(self) -> None:
         for fault in self.wire_faults:
             if not isinstance(fault, (GatewayCrash, ConnectionReset,
                                       SocketStall, SlowlorisPeer)):
                 raise TypeError(f"not a wire fault: {fault!r}")
-        if self.jitter_s < 0:
-            raise ValueError("jitter_s must be non-negative")
 
     def compile(self) -> tuple[ChaosAction, ...]:
         """The sorted wall-clock action list this schedule executes as."""
@@ -165,16 +162,6 @@ class ChaosSchedule:
                 actions.append(ChaosAction(at_s=fault.start_s, kind="fault",
                                            region="",
                                            fault_body=json.dumps(body)))
-        if self.jitter_s > 0.0:
-            jittered = []
-            for index, action in enumerate(actions):
-                offset = self.jitter_s * (
-                    2.0 * hash_unit_interval(self.seed, index) - 1.0)
-                jittered.append(ChaosAction(
-                    at_s=max(action.at_s + offset, 0.0), kind=action.kind,
-                    region=action.region, duration_s=action.duration_s,
-                    fault_body=action.fault_body))
-            actions = jittered
         return tuple(sorted(actions, key=lambda a: (a.at_s, a.kind, a.region)))
 
     def crash_count(self) -> int:
@@ -222,13 +209,9 @@ class ChaosInjector:
     always converges once the supervisor has restarted the crashed gateways.
     """
 
-    def __init__(self, cluster, schedule: ChaosSchedule,
-                 retry_interval_s: float = 0.05,
-                 drain_timeout_s: float = 3.0) -> None:
+    def __init__(self, cluster, schedule: ChaosSchedule) -> None:
         self.cluster = cluster
         self.schedule = schedule
-        self.retry_interval_s = retry_interval_s
-        self.drain_timeout_s = drain_timeout_s
         self.log: list[ChaosEvent] = []
         self._pending_installs: list[tuple[str, str]] = []  # (region, body)
         self._peers: list[asyncio.Task] = []
@@ -249,9 +232,9 @@ class ChaosInjector:
                 await asyncio.sleep(delay)
             await self._retry_pending(origin)
             await self._execute(action, origin)
-        deadline = time.perf_counter() + self.drain_timeout_s
+        deadline = time.perf_counter() + DRAIN_TIMEOUT_S
         while self._pending_installs and time.perf_counter() < deadline:
-            await asyncio.sleep(self.retry_interval_s)
+            await asyncio.sleep(RETRY_INTERVAL_S)
             await self._retry_pending(origin)
         for peer in self._peers:
             try:

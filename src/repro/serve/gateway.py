@@ -49,10 +49,9 @@ from repro.client.stats import LatencyStats, ReadResult
 from repro.client.strategies import make_strategy
 from repro.serve.ledger import (DYNAMIC_FAULT_INDEX, Ledger, LedgerEntry,
                                 fault_entry, read_entry, tick_entry)
-from repro.serve.protocol import (DEFAULT_MAX_BODY_BYTES, READ_BYTES,
-                                  HttpRequest, ProtocolError, build_response,
-                                  error_response, hang_up, parse_decimal,
-                                  parse_request)
+from repro.serve.protocol import (READ_BYTES, HttpRequest, ProtocolError,
+                                  build_response, error_response, hang_up,
+                                  parse_decimal, parse_request)
 from repro.sim.clock import SimulationClock
 from repro.sim.engine import (EngineConfig, EngineDeployment, EventEngine,
                               _install_neighbor_catalogs)
@@ -64,21 +63,19 @@ _OBJECTS_PREFIX = "/objects/"
 #: Decision patterns whose header lines a gateway keeps rendered (cleared
 #: when full); a whole ``wire_hot`` run sees five.
 DECISION_HEADS_CAP = 256
+#: Decoded objects kept in a gateway's own body cache, keyed by
+#: ``(key, version)`` — standard serving-tier design: the erasure decode runs
+#: once per object version, not once per request.  The cache never touches
+#: strategy decisions (the strategy is consulted on every read and its chunk
+#: decision is recorded either way).
+BODY_CACHE_OBJECTS = 4096
 
 
 @dataclass(slots=True)
 class GatewaySettings:
-    """Knobs shared by every gateway of a cluster."""
+    """What every gateway of a cluster shares: the address it binds."""
 
     host: str = "127.0.0.1"
-    max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
-    serve_payloads: bool = True
-    #: Decoded objects kept in the gateway's own body cache, keyed by
-    #: ``(key, version)`` — standard serving-tier design: the erasure decode
-    #: runs once per object version, not once per request.  The cache never
-    #: touches strategy decisions (the strategy is consulted on every read
-    #: and its chunk decision is recorded either way).  0 disables.
-    body_cache_objects: int = 4096
 
 
 class RegionGateway:
@@ -111,7 +108,8 @@ class RegionGateway:
         self._decided: tuple[list, list] | None = None
         self._last_result: ReadResult | None = None
         self._server: asyncio.AbstractServer | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
+        #: Each accepted connection and the task that serves it.
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._stall_until = 0.0
         self.port: int | None = None
         strategy.set_decision_sink(self._decision_sink)
@@ -135,10 +133,22 @@ class RegionGateway:
         return self.settings.host, self.port
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop listening, close every accepted connection, and return once
+        each of their handlers has.
+
+        An idle keep-alive client would otherwise keep its handler alive:
+        past the end of the event loop (which then cancels it), or, where
+        ``wait_closed`` waits for accepted connections, forever.
+        """
+        if self._server is None:
+            return
+        self._server.close()
+        while self._connections:
+            handlers = list(self._connections.values())
+            self.reset_connections()
+            await asyncio.wait(handlers)
+        await self._server.wait_closed()
+        self._server = None
 
     # ------------------------------------------------------------------ #
     # Chaos hooks (wire-level fault injection)
@@ -180,7 +190,7 @@ class RegionGateway:
         Models a stop-the-world pause (GC, CPU starvation, packet-level
         stall): accepted connections stay open but no request makes progress
         until the stall elapses.  Clients with deadlines will time out and
-        retry or hedge.
+        retry.
         """
         self._stall_until = max(self._stall_until,
                                 time.monotonic() + duration_s)
@@ -191,9 +201,8 @@ class RegionGateway:
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
         buffer = bytearray()
-        max_body = self.settings.max_body_bytes
         perf = time.perf_counter
-        self._connections.add(writer)
+        self._connections[writer] = asyncio.current_task()
         try:
             while not self.crashed:
                 stall = self._stall_until - time.monotonic()
@@ -218,7 +227,7 @@ class RegionGateway:
                 close = False
                 while True:
                     try:
-                        parsed = parse_request(buffer, offset, max_body)
+                        parsed = parse_request(buffer, offset)
                     except ProtocolError as error:
                         self.errors_total += 1
                         out += error_response(error)
@@ -252,7 +261,7 @@ class RegionGateway:
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             pass
         finally:
-            self._connections.discard(writer)
+            self._connections.pop(writer, None)
             await hang_up(writer)
 
     # ------------------------------------------------------------------ #
@@ -382,7 +391,7 @@ class RegionGateway:
                                   self._decision_headers(result, indices),
                                   keep_alive=request.keep_alive,
                                   content_type="text/plain")
-        if self.settings.serve_payloads and decided is not None:
+        if decided is not None:
             cache_chunks, backend_chunks = decided
             indices = [placed.index for placed in cache_chunks]
             indices += [placed.index for placed in backend_chunks]
@@ -415,11 +424,9 @@ class RegionGateway:
         if any(chunk.payload is None for chunk in chunks.values()):
             return b"", "virtual"
         body = store.codec.decode(metadata, chunks)
-        capacity = self.settings.body_cache_objects
-        if capacity > 0:
-            if len(body_cache) >= capacity:
-                del body_cache[next(iter(body_cache))]
-            body_cache[cache_slot] = body
+        if len(body_cache) >= BODY_CACHE_OBJECTS:
+            del body_cache[next(iter(body_cache))]
+        body_cache[cache_slot] = body
         return body, "decoded"
 
     def _decision_headers(self, result: ReadResult, indices: list[int],
@@ -478,18 +485,18 @@ class RegionGateway:
     # Introspection routes
     # ------------------------------------------------------------------ #
     def _get_stats(self, request: HttpRequest) -> tuple[bytes, bytes]:
-        stats = self.wire_stats
+        summary = self.wire_stats.summary()
         payload = {
             "region": self.region,
             "requests_total": self.requests_total,
             "puts_total": self.puts_total,
             "errors_total": self.errors_total,
             "ledger_entries": len(self.ledger),
-            "wire": dict(stats.summary(),
-                         count=stats.count,
-                         p50_ms=stats.percentile(50.0) if stats.count else 0.0,
-                         p95_ms=stats.percentile(95.0) if stats.count else 0.0,
-                         p99_ms=stats.percentile(99.0) if stats.count else 0.0),
+            "wire": dict(summary,
+                         count=self.wire_stats.count,
+                         p50_ms=summary["median_latency_ms"],
+                         p95_ms=summary["p95_latency_ms"],
+                         p99_ms=summary["p99_latency_ms"]),
         }
         return build_response(200, json.dumps(payload).encode(),
                               keep_alive=request.keep_alive,

@@ -17,17 +17,15 @@ With a :class:`WireResilience` policy on the spec, each connection becomes a
 **resilient client** — the wire port of the simulator's
 :class:`~repro.client.resilience.ResilienceConfig` semantics:
 
-* per-request deadlines from a per-endpoint EWMA-quantile tracker scaled by
-  ``timeout_factor`` (``base_timeout_ms`` until the tracker warms up);
+* per-request deadlines from an EWMA-quantile tracker of the home
+  gateway's p95, times :data:`TIMEOUT_FACTOR` (``base_timeout_ms`` until the
+  tracker warms up);
 * deterministic seeded exponential backoff between reconnect attempts
   (:class:`~repro.client.resilience.BackoffPolicy`, keyed by lane);
-* optional **hedging**: when the oldest in-flight request exceeds the home
-  endpoint's tracked quantile, a duplicate is raced on a spare gateway and
-  whichever answer lands first wins;
-* **failover**: requests that exhaust ``retry_budget`` against a dead or
-  stalled home gateway complete against the spare instead.
+* **failover**: requests that exhaust :data:`RETRY_BUDGET` against a dead or
+  stalled home gateway complete against the spare gateway instead.
 
-Retries/hedges flow into the shared :class:`LatencyStats` counters;
+Retries flow into the shared :class:`LatencyStats` counters;
 connection-level accounting (opens, reconnects, requests per connection,
 timeouts, failovers) lands in :class:`ConnectionStats` — both surface in
 :func:`wire_report_table`.  The conservation invariant of a resilient run is
@@ -47,12 +45,10 @@ from typing import Mapping
 import numpy as np
 
 from repro.analysis.report import Table
-from repro.client.resilience import (BackoffPolicy, EwmaQuantileTracker,
-                                     ResilienceConfig)
+from repro.client.resilience import BackoffPolicy, EwmaQuantileTracker
 from repro.client.stats import HitType, LatencyStats, ReadResult
-from repro.serve.protocol import (ProtocolError, fetch, hang_up,
-                                  pop_response, read_response,
-                                  render_request)
+from repro.serve.protocol import (ProtocolError, hang_up, pop_response,
+                                  read_response, render_request)
 from repro.workload.workload import (ArrivalSpec, WorkloadSpec,
                                      generate_request_ranks)
 
@@ -61,70 +57,32 @@ from repro.workload.workload import (ArrivalSpec, WorkloadSpec,
 CONNECTION_SEED_STRIDE = 7919
 
 
+#: Resends of one request (across reconnects) before it fails over to the
+#: spare gateway.
+RETRY_BUDGET = 2
+#: Floor under the tracked deadline.
+MIN_TIMEOUT_MS = 20.0
+#: A warmed-up deadline is the home gateway's tracked p95 times this.
+TIMEOUT_FACTOR = 4.0
+
+
 @dataclass(frozen=True, slots=True)
 class WireResilience:
     """Resilient wire-client policy (the wire port of ResilienceConfig).
 
     Attributes:
-        retry_budget: resends of one request (across reconnects) before it
-            fails over to the spare gateway; 0 fails over immediately.
-        base_timeout_ms: per-request deadline before the endpoint's latency
-            tracker warms up (also bounds hedge/failover/spare reads).
-        min_timeout_ms: floor under the tracked deadline.
-        timeout_factor: warmed-up deadline is ``tracked_quantile × factor``.
-        backoff_base_ms / backoff_multiplier / backoff_jitter / backoff_seed:
-            :class:`BackoffPolicy` parameters for reconnect pacing.
-        backoff_cap_ms: ceiling on any single backoff sleep (a wire client
-            facing a supervised cluster should re-probe briskly).
-        hedge: race a duplicate of the oldest straggler on the spare gateway
-            once the home tracker is warm.
-        hedge_quantile / hedge_ewma_alpha / hedge_min_samples:
-            :class:`EwmaQuantileTracker` parameters, per endpoint.
-        failover: complete budget-exhausted requests against the spare
-            gateway (off = they become unavailable reads).
+        base_timeout_ms: per-request deadline before the home gateway's
+            latency tracker warms up; also bounds each spare read.
+        backoff_cap_ms: ceiling on any single reconnect backoff sleep (a
+            wire client facing a supervised cluster should re-probe briskly).
     """
 
-    retry_budget: int = 2
     base_timeout_ms: float = 250.0
-    min_timeout_ms: float = 20.0
-    timeout_factor: float = 4.0
-    backoff_base_ms: float = 5.0
-    backoff_multiplier: float = 2.0
-    backoff_jitter: float = 0.5
-    backoff_seed: int = 0
     backoff_cap_ms: float = 250.0
-    hedge: bool = False
-    hedge_quantile: float = 0.95
-    hedge_ewma_alpha: float = 0.05
-    hedge_min_samples: int = 16
-    failover: bool = True
 
     def __post_init__(self) -> None:
-        if self.retry_budget < 0:
-            raise ValueError("retry_budget must be non-negative")
-        if self.base_timeout_ms <= 0 or self.min_timeout_ms <= 0:
-            raise ValueError("timeouts must be positive")
-        if self.timeout_factor <= 1.0:
-            raise ValueError("timeout_factor must exceed 1.0")
-
-    @classmethod
-    def from_config(cls, config: ResilienceConfig,
-                    **overrides) -> "WireResilience":
-        """Port a simulator ResilienceConfig onto the wire client."""
-        fields = dict(
-            retry_budget=config.retry_budget,
-            timeout_factor=max(config.timeout_factor, 1.5),
-            backoff_base_ms=config.backoff_base_ms,
-            backoff_multiplier=config.backoff_multiplier,
-            backoff_jitter=config.backoff_jitter,
-            backoff_seed=config.backoff_seed,
-            hedge=config.hedge,
-            hedge_quantile=config.hedge_quantile,
-            hedge_ewma_alpha=config.hedge_ewma_alpha,
-            hedge_min_samples=config.hedge_min_samples,
-        )
-        fields.update(overrides)
-        return cls(**fields)
+        if self.base_timeout_ms <= 0:
+            raise ValueError("base_timeout_ms must be positive")
 
 
 @dataclass(slots=True)
@@ -133,9 +91,8 @@ class ConnectionStats:
 
     connections_opened: int = 0
     reconnects: int = 0
-    requests_sent: int = 0       #: wire sends, including resends and hedges
+    requests_sent: int = 0       #: wire sends, including resends
     timeouts: int = 0            #: deadline expiries that forced a reconnect
-    hedges_sent: int = 0
     failed_over: int = 0         #: requests completed via the spare gateway
 
     @property
@@ -150,7 +107,6 @@ class ConnectionStats:
         self.reconnects += other.reconnects
         self.requests_sent += other.requests_sent
         self.timeouts += other.timeouts
-        self.hedges_sent += other.hedges_sent
         self.failed_over += other.failed_over
 
 
@@ -216,8 +172,7 @@ class _RegionRun:
 
     def record(self, latency_ms: float, status: int,
                headers: Mapping[str, str], *, key: str = "",
-               started_at_s: float = 0.0, retries: int = 0,
-               hedged: bool = False, hedge_won: bool = False) -> None:
+               started_at_s: float = 0.0, retries: int = 0) -> None:
         if status != 200 and status != 503:
             self.errors += 1
             return
@@ -233,14 +188,13 @@ class _RegionRun:
         failed = status == 503
         self.stats.record_read(
             latency_ms, hit_type, cache_chunks, backend_chunks,
-            neighbor_chunks, degraded, failed, retries, hedged, hedge_won)
+            neighbor_chunks, degraded, failed, retries)
         if self.samples is not None:
             self.samples.append(ReadResult(
                 key, latency_ms, hit_type, cache_chunks, backend_chunks,
                 started_at_s=started_at_s,
                 chunks_from_neighbors=neighbor_chunks, degraded=degraded,
-                failed=failed, retries=retries, hedged=hedged,
-                hedge_won=hedge_won))
+                failed=failed, retries=retries))
 
 
 async def _drain_responses(reader: asyncio.StreamReader, buffer: bytearray,
@@ -350,31 +304,15 @@ async def _open_worker(address: tuple[str, int], keys: list[str],
 # Resilient wire client
 # --------------------------------------------------------------------- #
 class _Pending:
-    """One intended request's lifecycle across resends and hedges."""
+    """One intended request's lifecycle across resends."""
 
-    __slots__ = ("key", "origin", "sent_at", "attempts", "hedged", "done")
+    __slots__ = ("key", "origin", "sent_at", "attempts")
 
     def __init__(self, key: str, origin: float, sent_at: float) -> None:
         self.key = key
         self.origin = origin     #: perf time latency is measured from
         self.sent_at = sent_at   #: perf time of the latest (re)send
         self.attempts = 0        #: resends after the first send
-        self.hedged = False
-        self.done = False
-
-
-async def _one_shot_request(address: tuple[str, int], request: bytes,
-                            timeout_s: float):
-    """One request over a throwaway connection (the hedge path).
-
-    Returns ``(status, headers, elapsed_ms)`` or ``None`` on any failure.
-    """
-    try:
-        (status, headers, _body), elapsed_ms = await asyncio.wait_for(
-            fetch(address, request), timeout_s)
-    except (OSError, asyncio.TimeoutError, ProtocolError):
-        return None
-    return status, headers, elapsed_ms
 
 
 class _ResilientWorker:
@@ -385,10 +323,9 @@ class _ResilientWorker:
     connection loss and gateway refusal by reconnecting with deterministic
     backoff, resending undone requests in order, and failing requests over
     to the spare gateway once their budget is spent.  Response alignment is
-    positional (HTTP/1.1 pipelining), so a reconnect voids the old pipeline:
-    only undone requests are resent, and hedge-completed entries keep their
-    pending slot while the home connection lives so the duplicate home
-    response is consumed and discarded.
+    positional (HTTP/1.1 pipelining), so ``pending`` holds exactly the
+    undone requests of the home connection, oldest first, and a reconnect
+    voids the old pipeline: every pending request is resent.
     """
 
     def __init__(self, address, spare, keys, schedule, depth,
@@ -403,30 +340,19 @@ class _ResilientWorker:
         self.res = res
         self.lane = lane
         self.run_origin = run_origin
-        self.backoff = BackoffPolicy(res.backoff_base_ms,
-                                     res.backoff_multiplier,
-                                     res.backoff_jitter, res.backoff_seed)
-        self.trackers = {
-            "home": EwmaQuantileTracker(res.hedge_quantile,
-                                        res.hedge_ewma_alpha,
-                                        res.hedge_min_samples),
-            "spare": EwmaQuantileTracker(res.hedge_quantile,
-                                         res.hedge_ewma_alpha,
-                                         res.hedge_min_samples),
-        }
+        self.backoff = BackoffPolicy()
+        #: The home gateway's p95, which the deadline scales.
+        self.tracker = EwmaQuantileTracker()
         self.reader: asyncio.StreamReader | None = None
         self.writer: asyncio.StreamWriter | None = None
         self.buffer = bytearray()
         self.pending: deque[_Pending] = deque()
-        self.inflight = 0             #: undone entries in ``pending``
         self.sent = 0
         self.finished = 0
         self.connect_failures = 0
         self.ever_connected = False
         self.rendered: dict[str, bytes] = {}
         self.read_task: asyncio.Task | None = None
-        self.hedge_task: asyncio.Task | None = None
-        self.hedge_entry: _Pending | None = None
         self.spare_reader: asyncio.StreamReader | None = None
         self.spare_writer: asyncio.StreamWriter | None = None
         self.spare_buffer = bytearray()
@@ -438,28 +364,18 @@ class _ResilientWorker:
         return request
 
     def _timeout_s(self) -> float:
-        tracker = self.trackers["home"]
+        tracker = self.tracker
         if tracker.ready:
-            return max(tracker.estimate * self.res.timeout_factor,
-                       self.res.min_timeout_ms) / 1000.0
+            return max(tracker.estimate * TIMEOUT_FACTOR,
+                       MIN_TIMEOUT_MS) / 1000.0
         return self.res.base_timeout_ms / 1000.0
 
-    def _oldest_undone(self) -> _Pending | None:
-        for entry in self.pending:
-            if not entry.done:
-                return entry
-        return None
-
-    def _finish(self, entry: _Pending, status: int, headers,
-                hedge_won: bool) -> None:
-        entry.done = True
-        self.inflight -= 1
+    def _finish(self, entry: _Pending, status: int, headers) -> None:
         self.finished += 1
         latency_ms = (time.perf_counter() - entry.origin) * 1000.0
         self.region_run.record(latency_ms, status, headers, key=entry.key,
                         started_at_s=entry.origin - self.run_origin,
-                        retries=entry.attempts, hedged=entry.hedged,
-                        hedge_won=hedge_won)
+                        retries=entry.attempts)
 
     # ------------------------------------------------------------------ #
     # Connection management
@@ -484,8 +400,8 @@ class _ResilientWorker:
                 *self.address)
         except OSError:
             self.connect_failures += 1
-            if (self.spare is not None and self.res.failover
-                    and self.connect_failures > self.res.retry_budget):
+            if (self.spare is not None
+                    and self.connect_failures > RETRY_BUDGET):
                 await self._drain_via_spare()
             delay_ms = self.backoff.delay_ms(
                 self.lane, min(self.connect_failures, 16))
@@ -498,26 +414,20 @@ class _ResilientWorker:
         self.ever_connected = True
         self.connect_failures = 0
         self.buffer.clear()
-        # The old pipeline is void: keep only undone entries and resend
-        # them in order (reads are idempotent); budget-exhausted entries
-        # fail over instead.
+        # The old pipeline is void: resend every pending entry in order
+        # (reads are idempotent); budget-exhausted entries fail over instead.
         survivors: deque[_Pending] = deque()
         batch: list[bytes] = []
         now = time.perf_counter()
         for entry in self.pending:
-            if entry.done:
-                continue
             entry.attempts += 1
-            if (entry.attempts > self.res.retry_budget
-                    and self.spare is not None and self.res.failover):
-                self.inflight -= 1
+            if entry.attempts > RETRY_BUDGET and self.spare is not None:
                 await self._failover(entry)
                 continue
             entry.sent_at = now
             survivors.append(entry)
             batch.append(self._render(entry.key))
         self.pending = survivors
-        self.inflight = len(survivors)
         if batch:
             conn.requests_sent += len(batch)
             try:
@@ -530,16 +440,12 @@ class _ResilientWorker:
         """Home is refusing connections: push stuck work to the spare."""
         survivors: deque[_Pending] = deque()
         for entry in self.pending:
-            if entry.done:
-                continue
             entry.attempts += 1
-            if entry.attempts > self.res.retry_budget:
-                self.inflight -= 1
+            if entry.attempts > RETRY_BUDGET:
                 await self._failover(entry)
             else:
                 survivors.append(entry)
         self.pending = survivors
-        self.inflight = len(survivors)
         # New work that came due during the outage goes straight over,
         # one pipeline window at a time so a brief crash does not dump the
         # whole stream onto the spare.
@@ -549,7 +455,7 @@ class _ResilientWorker:
         while self.sent < total and moved < self.depth:
             now = perf()
             if self.schedule is None:
-                if self.inflight or self.pending:
+                if self.pending:
                     break
                 origin = now
             else:
@@ -557,31 +463,29 @@ class _ResilientWorker:
                     break
                 origin = float(self.schedule[self.sent])
             entry = _Pending(self.keys[self.sent], origin, now)
-            entry.attempts = self.res.retry_budget + 1
+            entry.attempts = RETRY_BUDGET + 1
             self.sent += 1
             moved += 1
             await self._failover(entry)
 
     async def _failover(self, entry: _Pending) -> None:
         """Complete one entry via the spare gateway (or as unavailable)."""
-        entry.done = True
         self.finished += 1
-        result = await self._spare_fetch(entry.key)
-        if result is None:
-            # Both endpoints unreachable: an honest unavailable read.
-            self.region_run.record(0.0, 503, {}, key=entry.key,
-                            started_at_s=entry.origin - self.run_origin,
-                            retries=entry.attempts)
+        if await self._spare_fetch(entry.key):
+            self.region_run.connections.failed_over += 1
             return
-        _status, _headers, elapsed_ms = result
-        self.region_run.connections.failed_over += 1
-        self.trackers["spare"].observe(elapsed_ms)
+        # Both endpoints unreachable: an honest unavailable read.
+        self.region_run.record(0.0, 503, {}, key=entry.key,
+                        started_at_s=entry.origin - self.run_origin,
+                        retries=entry.attempts)
 
-    async def _spare_fetch(self, key: str):
-        """One request over the persistent spare connection (two attempts)."""
+    async def _spare_fetch(self, key: str) -> bool:
+        """One request over the persistent spare connection (two attempts).
+
+        True once the spare has answered, whatever its status.
+        """
         if self.spare is None:
-            return None
-        perf = time.perf_counter
+            return False
         conn = self.region_run.connections
         request = self._render(key)
         timeout_s = self.res.base_timeout_ms / 1000.0
@@ -595,22 +499,21 @@ class _ResilientWorker:
                     continue
                 conn.connections_opened += 1
                 self.spare_buffer.clear()
-            started = perf()
             try:
                 self.spare_writer.write(request)
                 await self.spare_writer.drain()
                 conn.requests_sent += 1
-                status, headers, _body = await asyncio.wait_for(
+                await asyncio.wait_for(
                     read_response(self.spare_reader, self.spare_buffer),
                     timeout=timeout_s)
-                return status, headers, (perf() - started) * 1000.0
+                return True
             except (OSError, asyncio.TimeoutError, ProtocolError):
                 transport = self.spare_writer.transport
                 if transport is not None:
                     transport.abort()
                 self.spare_writer = None
                 self.spare_reader = None
-        return None
+        return False
 
     # ------------------------------------------------------------------ #
     # Send / receive / timers
@@ -621,7 +524,7 @@ class _ResilientWorker:
         now = time.perf_counter()
         while self.sent < total:
             if self.schedule is None:
-                if self.inflight >= self.depth:
+                if len(self.pending) >= self.depth:
                     break
                 origin = now
             else:
@@ -630,7 +533,6 @@ class _ResilientWorker:
                 origin = float(self.schedule[self.sent])
             entry = _Pending(self.keys[self.sent], origin, now)
             self.pending.append(entry)
-            self.inflight += 1
             batch.append(self._render(entry.key))
             self.sent += 1
         if batch:
@@ -648,78 +550,25 @@ class _ResilientWorker:
             status, headers, _body = response
             response = pop_response(self.buffer)
             entry = self.pending.popleft()
-            if entry.done:
-                continue  # the hedge already answered; discard the duplicate
             if status == 200:
-                self.trackers["home"].observe(
-                    (perf() - entry.sent_at) * 1000.0)
-            self._finish(entry, status, headers, hedge_won=False)
-            if self.hedge_entry is entry:
-                self.hedge_task.cancel()
-                self.hedge_task = None
-                self.hedge_entry = None
-
-    def _launch_hedge(self, entry: _Pending) -> None:
-        entry.hedged = True
-        self.region_run.connections.hedges_sent += 1
-        self.hedge_entry = entry
-        self.hedge_task = asyncio.ensure_future(_one_shot_request(
-            self.spare, self._render(entry.key),
-            self.res.base_timeout_ms / 1000.0))
-
-    def _finish_hedge(self) -> None:
-        task = self.hedge_task
-        entry = self.hedge_entry
-        self.hedge_task = None
-        self.hedge_entry = None
-        try:
-            result = task.result()
-        except (asyncio.CancelledError, OSError):
-            result = None
-        if result is None or entry is None or entry.done:
-            return
-        status, headers, elapsed_ms = result
-        self.trackers["spare"].observe(elapsed_ms)
-        self._finish(entry, status, headers, hedge_won=True)
-        # The entry keeps its pending slot: the home response (if the home
-        # connection survives) is consumed and discarded by _consume.
-
-    def _hedge_due_at(self, oldest: _Pending) -> float | None:
-        if (not self.res.hedge or self.spare is None
-                or self.hedge_task is not None or oldest.hedged):
-            return None
-        tracker = self.trackers["home"]
-        if not tracker.ready:
-            return None
-        return oldest.sent_at + tracker.estimate / 1000.0
+                self.tracker.observe((perf() - entry.sent_at) * 1000.0)
+            self._finish(entry, status, headers)
 
     async def _wait_for_event(self) -> None:
         perf = time.perf_counter
-        oldest = self._oldest_undone()
         wait_until = float("inf")
-        hedge_at = None
-        if oldest is not None:
-            wait_until = oldest.sent_at + self._timeout_s()
-            hedge_at = self._hedge_due_at(oldest)
-            if hedge_at is not None:
-                wait_until = min(wait_until, hedge_at)
+        if self.pending:
+            wait_until = self.pending[0].sent_at + self._timeout_s()
         if self.schedule is not None and self.sent < len(self.keys):
             wait_until = min(wait_until, float(self.schedule[self.sent]))
-        if oldest is None and wait_until == float("inf"):
+        if wait_until == float("inf"):
             return  # closed loop with an empty window: send immediately
         if self.read_task is None:
             self.read_task = asyncio.ensure_future(
                 read_response(self.reader, self.buffer))
-        waits = {self.read_task}
-        if self.hedge_task is not None:
-            waits.add(self.hedge_task)
-        timeout = (None if wait_until == float("inf")
-                   else max(wait_until - perf(), 0.0))
-        done, _ = await asyncio.wait(waits, timeout=timeout,
-                                     return_when=asyncio.FIRST_COMPLETED)
-        if self.hedge_task is not None and self.hedge_task in done:
-            self._finish_hedge()
-        if self.read_task in done:
+        done, _ = await asyncio.wait({self.read_task},
+                                     timeout=max(wait_until - perf(), 0.0))
+        if done:
             task = self.read_task
             self.read_task = None
             try:
@@ -728,19 +577,12 @@ class _ResilientWorker:
                 self._lost_connection()
                 return
             self._consume(response)
-            return
-        if not done:
-            now = perf()
-            oldest = self._oldest_undone()
-            if oldest is None:
-                return
-            if hedge_at is not None and now >= hedge_at and not oldest.hedged:
-                self._launch_hedge(oldest)
-            elif now >= oldest.sent_at + self._timeout_s():
-                # Deadline expired: declare the connection suspect, force a
-                # reconnect (which resends or fails over the stuck entries).
-                self.region_run.connections.timeouts += 1
-                self._lost_connection()
+        elif (self.pending
+              and perf() >= self.pending[0].sent_at + self._timeout_s()):
+            # Deadline expired: declare the connection suspect, force a
+            # reconnect (which resends or fails over the stuck entries).
+            self.region_run.connections.timeouts += 1
+            self._lost_connection()
 
     async def run(self) -> None:
         total = len(self.keys)
@@ -756,8 +598,6 @@ class _ResilientWorker:
         finally:
             if self.read_task is not None:
                 self.read_task.cancel()
-            if self.hedge_task is not None:
-                self.hedge_task.cancel()
             for writer in (self.writer, self.spare_writer):
                 if writer is not None:
                     await hang_up(writer)

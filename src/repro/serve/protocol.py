@@ -111,7 +111,6 @@ def parse_decimal(text: str) -> int | None:
 
 
 def parse_request(buffer: bytes | bytearray, offset: int = 0,
-                  max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
                   ) -> tuple[HttpRequest, int] | None:
     """Parse one complete request starting at ``offset``.
 
@@ -164,8 +163,9 @@ def parse_request(buffer: bytes | bytearray, offset: int = 0,
     length = parse_decimal(headers.get("content-length", "0"))
     if length is None:
         raise ProtocolError(400, "invalid Content-Length")
-    if length > max_body_bytes:
-        raise ProtocolError(413, f"body exceeds {max_body_bytes} byte cap")
+    if length > DEFAULT_MAX_BODY_BYTES:
+        raise ProtocolError(413,
+                            f"body exceeds {DEFAULT_MAX_BODY_BYTES} byte cap")
 
     body_start = head_end + 4
     if len(buffer) - body_start < length:

@@ -52,6 +52,12 @@ from repro.serve.protocol import ProtocolError, fetch, render_request
 
 _HEALTH_REQUEST = render_request("GET", "/healthz", "supervisor",
                                  {"Connection": "close"})
+#: Per-probe deadline: a gateway that cannot answer ``/healthz`` within it
+#: has failed (this covers stalls, not just refused connections), and the
+#: first failed probe starts its recovery.
+HEALTH_TIMEOUT_S = 0.25
+#: Trailing successful read entries a warm recovery replays.
+REPLAY_TAIL = 512
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,29 +66,16 @@ class SupervisorConfig:
 
     Attributes:
         poll_interval_s: wall seconds between health-check sweeps.
-        health_timeout_s: per-probe deadline; a gateway that cannot answer
-            ``/healthz`` within it counts as failed (covers stalls, not just
-            refused connections).
-        failure_threshold: consecutive failed probes before recovery starts
-            (1 = recover on first miss; raise it to ride out brief stalls).
         warm_recovery: replay the ledger tail into the fresh strategy; when
             False the gateway restarts cold (empty cache).
-        replay_tail: how many trailing successful read entries to replay.
     """
 
     poll_interval_s: float = 0.03
-    health_timeout_s: float = 0.25
-    failure_threshold: int = 1
     warm_recovery: bool = True
-    replay_tail: int = 512
 
     def __post_init__(self) -> None:
-        if self.poll_interval_s <= 0 or self.health_timeout_s <= 0:
-            raise ValueError("supervisor intervals must be positive")
-        if self.failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if self.replay_tail < 0:
-            raise ValueError("replay_tail must be non-negative")
+        if self.poll_interval_s <= 0:
+            raise ValueError("poll_interval_s must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,7 +124,6 @@ class ClusterSupervisor:
         self.recoveries: list[RecoveryRecord] = []
         self.probes_total = 0
         self.probe_failures = 0
-        self._failures: dict[str, int] = {}
         self._task: asyncio.Task | None = None
         self._stopping = False
 
@@ -175,15 +167,9 @@ class ClusterSupervisor:
                 gateway = self.cluster.gateways[region]
                 healthy = await self._probe(gateway)
                 self.probes_total += 1
-                if healthy:
-                    self._failures[region] = 0
-                    continue
-                self.probe_failures += 1
-                misses = self._failures.get(region, 0) + 1
-                self._failures[region] = misses
-                if misses >= self.config.failure_threshold:
+                if not healthy:
+                    self.probe_failures += 1
                     await self.recover(region)
-                    self._failures[region] = 0
 
     async def _probe(self, gateway: RegionGateway) -> bool:
         """One ``GET /healthz`` over a real socket; False on refuse/timeout."""
@@ -192,7 +178,7 @@ class ClusterSupervisor:
         try:
             (status, _headers, _body), _elapsed_ms = await asyncio.wait_for(
                 fetch((gateway.settings.host, gateway.port), _HEALTH_REQUEST),
-                timeout=self.config.health_timeout_s)
+                timeout=HEALTH_TIMEOUT_S)
         except (OSError, asyncio.TimeoutError, ProtocolError):
             return False
         return status == 200
@@ -213,8 +199,8 @@ class ClusterSupervisor:
         strategy = cluster.rebuild_strategy(region)
         mode = "warm" if config.warm_recovery else "cold"
         entries_replayed = 0
-        if config.warm_recovery and config.replay_tail > 0:
-            tail = read_tail(corpse.ledger, config.replay_tail)
+        if config.warm_recovery:
+            tail = read_tail(corpse.ledger, REPLAY_TAIL)
             # Pass 1 rebuilds popularity statistics (and, for LRU/LFU, the
             # cache itself).  The fresh strategy has no decision sink and
             # does not touch the shared clock, so replay reads are invisible

@@ -21,13 +21,15 @@ from hypothesis import strategies as st
 
 from repro.client.resilience import ResilienceConfig
 from repro.client.strategies import ClientConfig
-from repro.serve.chaos import ChaosInjector, ChaosSchedule, GatewayCrash
+from repro.serve.chaos import (ChaosInjector, ChaosSchedule, GatewayCrash,
+                               SlowlorisPeer)
 from repro.serve.gateway import ServeCluster
 from repro.serve.ledger import (KIND_CRASH, KIND_READ, KIND_RECOVERY, Ledger,
                                 LedgerEntry, fault_entry, ledger_from_lines,
                                 ledger_to_lines, tick_entry)
 from repro.serve.loadgen import (WireLoadSpec, WireResilience, run_wire_load,
                                  wire_report_table)
+from repro.serve.protocol import hang_up, read_response, render_request
 from repro.serve.supervisor import (ClusterSupervisor, SupervisorConfig,
                                     read_tail, recovery_report_table)
 from repro.serve.trace import run_and_trace
@@ -58,8 +60,7 @@ def resilient_spec(config: EngineConfig) -> WireLoadSpec:
         arrival=ArrivalSpec(process="poisson", rate_rps=RATE_RPS),
         connections=1,
         requests_per_connection=PER_CONNECTION,
-        resilience=WireResilience(retry_budget=2, base_timeout_ms=120.0,
-                                  backoff_cap_ms=25.0),
+        resilience=WireResilience(base_timeout_ms=120.0, backoff_cap_ms=25.0),
         keep_samples=True,
     )
 
@@ -166,7 +167,7 @@ class TestChaosAcceptance:
         config = two_region_config()
         spec = resilient_spec(config)
         schedule = ChaosSchedule(
-            wire_faults=(GatewayCrash("frankfurt", CRASH_AT_S),), seed=7)
+            wire_faults=(GatewayCrash("frankfurt", CRASH_AT_S),))
 
         clean_results, clean_recoveries, _, _ = run(
             _chaos_run(config, spec, None))
@@ -270,6 +271,52 @@ class TestChaosAcceptance:
                 await cluster.stop()
 
         run(scenario())
+
+
+def test_a_slowloris_peer_holds_its_connection_and_nothing_else(run):
+    """While a peer dribbles a request that never completes into a gateway,
+    GETs on another connection are all answered, the ledger holds exactly
+    those reads, and ``stop()`` returns with the peer still attached."""
+    keys = [f"object-{index % 5}" for index in range(20)]
+
+    async def scenario():
+        cluster = await start_cluster(tiny_config())
+        gateway = cluster.gateways["frankfurt"]
+        injector = ChaosInjector(cluster, ChaosSchedule(
+            wire_faults=(SlowlorisPeer("frankfurt", 0.0, duration_s=5.0),)))
+        chaos = asyncio.ensure_future(injector.run())
+        try:
+            for _ in range(100):
+                if gateway._connections:
+                    break
+                await asyncio.sleep(0.01)
+            assert len(gateway._connections) == 1
+            reader, writer = await asyncio.open_connection(
+                *cluster.addresses["frankfurt"])
+            statuses = []
+            try:
+                buffer = bytearray()
+                for key in keys:
+                    writer.write(render_request("GET", f"/objects/{key}", "t"))
+                    await writer.drain()
+                    status, _, _ = await read_response(reader, buffer)
+                    statuses.append(status)
+            finally:
+                await hang_up(writer)
+            ledger = list(gateway.ledger)
+            assert not chaos.done()
+            await asyncio.wait_for(cluster.stop(), 1.0)
+            log = await asyncio.wait_for(chaos, 6.0)
+            return statuses, ledger, log
+        finally:
+            chaos.cancel()
+            await cluster.stop()
+
+    statuses, ledger, log = run(scenario())
+    assert statuses == [200] * len(keys)
+    assert [(entry.kind, entry.key) for entry in ledger] == [
+        (KIND_READ, key) for key in keys]
+    assert [(event.kind, event.ok) for event in log] == [("slowloris", True)]
 
 
 class TestRecordedDeployments:

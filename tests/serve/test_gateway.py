@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
 
+import numpy as np
 import pytest
 
 from repro.client.resilience import ResilienceConfig
+from repro.client.stats import HitType
 from repro.client.strategies import ClientConfig
 from repro.serve import gateway as gateway_module
 from repro.serve import protocol
@@ -50,6 +53,146 @@ def test_healthz_and_stats(run):
             await cluster.stop()
 
     run(scenario())
+
+
+def test_stats_body_keys_types_and_counters(run):
+    """The exact shape of ``/stats``: key order and value types at the top
+    level and under ``wire``, with every counter that does not depend on
+    the wall clock checked by value."""
+    async def scenario():
+        cluster = await start_cluster(tiny_config())
+        try:
+            address = cluster.addresses["frankfurt"]
+            for at, key in ((1.0, "object-0"), (2.0, "object-0"),
+                            (3.0, "object-1")):
+                status, _, _ = await http_get(address, f"/objects/{key}",
+                                              {"X-Replay-At": repr(at)})
+                assert status == 200
+            status, _, _ = await http_get(address, "/objects/never-stored")
+            assert status == 404
+            status, _, _ = await http_put(address, "/objects/object-2",
+                                          b"x" * (32 * 1024))
+            assert status == 204
+            status, headers, body = await http_get(address, "/stats")
+            assert status == 200
+            assert headers["content-type"] == "application/json"
+            return json.loads(body)
+        finally:
+            await cluster.stop()
+
+    payload = run(scenario())
+    assert list(payload) == ["region", "requests_total", "puts_total",
+                             "errors_total", "ledger_entries", "wire"]
+    assert {name: payload[name] for name in list(payload)[:5]} == {
+        "region": "frankfurt", "requests_total": 6, "puts_total": 1,
+        "errors_total": 1, "ledger_entries": 3}
+    wire = payload["wire"]
+    assert list(wire) == [
+        "reads", "mean_latency_ms", "median_latency_ms", "p95_latency_ms",
+        "p99_latency_ms", "hit_ratio", "full_hit_ratio", "partial_hit_ratio",
+        "cache_chunks", "backend_chunks", "neighbor_chunks",
+        "degraded_reads", "unavailable_reads", "retries_total",
+        "hedged_reads", "hedge_wins", "count", "p50_ms", "p95_ms", "p99_ms"]
+    assert {name: type(value) for name, value in wire.items()} == dict(
+        {name: float for name in wire}, count=int)
+    wall_clock = {"mean_latency_ms", "median_latency_ms", "p95_latency_ms",
+                  "p99_latency_ms", "p50_ms", "p95_ms", "p99_ms"}
+    assert {name: value for name, value in wire.items()
+            if name not in wall_clock} == {
+        "reads": 3.0, "hit_ratio": 1 / 3, "full_hit_ratio": 0.0,
+        "partial_hit_ratio": 1 / 3, "cache_chunks": 3.0,
+        "backend_chunks": 24.0, "neighbor_chunks": 0.0,
+        "degraded_reads": 0.0, "unavailable_reads": 0.0,
+        "retries_total": 0.0, "hedged_reads": 0.0, "hedge_wins": 0.0,
+        "count": 3}
+    assert (wire["p50_ms"], wire["p95_ms"], wire["p99_ms"]) == (
+        wire["median_latency_ms"], wire["p95_latency_ms"],
+        wire["p99_latency_ms"])
+
+
+def test_stats_sorts_the_latency_buffer_once(monkeypatch):
+    """One ``/stats`` request sorts the recorded latencies once, and its
+    percentiles are the ones :meth:`LatencyStats.percentile` gives."""
+    cluster = ServeCluster.from_config(tiny_config())
+    gateway = cluster.gateways["frankfurt"]
+    latencies = np.random.default_rng(7).exponential(2.0, 1000)
+    for latency in latencies:
+        gateway.wire_stats.record_read(float(latency), HitType.MISS)
+    sorts = []
+    real_sort = np.sort
+
+    def counting_sort(*args, **kwargs):
+        sorts.append(args[0].shape)
+        return real_sort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", counting_sort)
+    _, body = gateway._dispatch(_request("GET /stats HTTP/1.1\r\n\r\n"))
+    assert sorts == [(1000,)]
+    monkeypatch.undo()
+    wire = json.loads(body)["wire"]
+    stats = gateway.wire_stats
+    assert (wire["p50_ms"], wire["p95_ms"], wire["p99_ms"]) == (
+        stats.percentile(50.0), stats.percentile(95.0),
+        stats.percentile(99.0))
+
+
+#: The exact response to a method and path the gateway has no route for.
+ROUTE_MISSES = {
+    "PUT /nowhere": b"HTTP/1.1 404 Not Found\r\nContent-Length: 25\r\n"
+                    b"Content-Type: text/plain\r\nConnection: keep-alive\r\n"
+                    b"\r\nno route for PUT /nowhere",
+    "POST /nowhere": b"HTTP/1.1 404 Not Found\r\nContent-Length: 26\r\n"
+                     b"Content-Type: text/plain\r\nConnection: keep-alive\r\n"
+                     b"\r\nno route for POST /nowhere",
+    "POST /objects/object-0": b"HTTP/1.1 404 Not Found\r\nContent-Length: 35\r\n"
+                              b"Content-Type: text/plain\r\n"
+                              b"Connection: keep-alive\r\n"
+                              b"\r\nno route for POST /objects/object-0",
+    "GET /admin/tick": b"HTTP/1.1 404 Not Found\r\nContent-Length: 28\r\n"
+                       b"Content-Type: text/plain\r\nConnection: keep-alive\r\n"
+                       b"\r\nno route for GET /admin/tick",
+    "HEAD /healthz": b"HTTP/1.1 405 Method Not Allowed\r\nContent-Length: 25\r\n"
+                     b"Content-Type: text/plain\r\nConnection: keep-alive\r\n"
+                     b"\r\nmethod HEAD not supported",
+}
+
+
+@pytest.mark.parametrize("request_line", ROUTE_MISSES)
+def test_route_misses_answer_exactly(run, request_line):
+    """The bytes a gateway answers to a method and path it has no route
+    for, over a socket, with the connection kept open."""
+    async def scenario():
+        cluster = await start_cluster(tiny_config())
+        try:
+            address = cluster.addresses["frankfurt"]
+            return await protocol.exchange(
+                address, f"{request_line} HTTP/1.1\r\nHost: t\r\n\r\n".encode())
+        finally:
+            await cluster.stop()
+
+    assert run(scenario()) == ROUTE_MISSES[request_line]
+
+
+def test_stop_closes_an_idle_keep_alive_connection(run):
+    """``stop()`` returns while a client still holds a keep-alive
+    connection, and leaves no connection handler running."""
+    async def scenario():
+        cluster = await start_cluster(tiny_config())
+        address = cluster.addresses["frankfurt"]
+        reader, writer = await asyncio.open_connection(*address)
+        try:
+            writer.write(protocol.render_request("GET", "/healthz", "t"))
+            await writer.drain()
+            status, headers, _ = await protocol.read_response(
+                reader, bytearray())
+            assert status == 200 and headers["connection"] == "keep-alive"
+            await asyncio.wait_for(cluster.stop(), 2.0)
+            return [task for task in asyncio.all_tasks()
+                    if task.get_coro().__name__ == "_serve_connection"]
+        finally:
+            await protocol.hang_up(writer)
+
+    assert run(scenario()) == []
 
 
 def test_ledger_endpoint_pagination(run):

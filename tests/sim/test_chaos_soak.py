@@ -213,7 +213,7 @@ wire_fault_windows = st.one_of(
               st.floats(min_value=0.05, max_value=0.2)))
 
 
-def _wire_schedule(crashes, window, seed) -> ChaosSchedule:
+def _wire_schedule(crashes, window) -> ChaosSchedule:
     faults = None
     if window is not None:
         kind, region, start, length = window
@@ -221,7 +221,7 @@ def _wire_schedule(crashes, window, seed) -> ChaosSchedule:
         faults = FaultSchedule([fault_type(region, start, start + length)])
     return ChaosSchedule(
         wire_faults=tuple(GatewayCrash(region, at) for region, at in crashes),
-        fault_schedule=faults, seed=seed)
+        fault_schedule=faults)
 
 
 async def _wire_chaos_run(schedule: ChaosSchedule, seed: int):
@@ -237,8 +237,7 @@ async def _wire_chaos_run(schedule: ChaosSchedule, seed: int):
         workload=config.workload,
         arrival=ArrivalSpec(process="poisson", rate_rps=WIRE_RATE_RPS),
         connections=1, requests_per_connection=WIRE_REQUESTS,
-        resilience=WireResilience(retry_budget=2, base_timeout_ms=120.0,
-                                  backoff_cap_ms=25.0))
+        resilience=WireResilience(base_timeout_ms=120.0, backoff_cap_ms=25.0))
     cluster = ServeCluster.from_config(config, seed=seed, payloads=True)
     async with cluster:
         supervisor_config = SupervisorConfig(poll_interval_s=0.02)
@@ -265,7 +264,7 @@ class TestWireChaosSoak:
            seed=st.integers(min_value=0, max_value=2**16))
     def test_wire_conservation_and_ledger_integrity(self, crashes, window,
                                                     seed):
-        schedule = _wire_schedule(crashes, window, seed)
+        schedule = _wire_schedule(crashes, window)
         results, recoveries, crash_log, cluster, healthy = asyncio.run(
             _wire_chaos_run(schedule, seed))
 
