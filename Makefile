@@ -20,19 +20,23 @@ coverage:
 	fi
 
 ## Check intra-repo markdown links, run the two wire entry points of the
-## README at the minimal smoke scale and the two examples that read a
-## decision ledger (what the CI docs job runs).  The entry points' output is
-## wall-clock, so exiting 0 is all that can be asked of them here; the
-## examples assert on their ledgers (serve_demo: replayed ledgers are
-## bit-identical; chaos_demo: a crash entry is recorded).  The simulated
-## figures are not run: tier-1 replays them and compares their output with
-## tests/golden/figures.json.
+## README at the minimal smoke scale and every example (what the CI docs job
+## runs).  The entry points' output is wall-clock, so exiting 0 is all that
+## can be asked of them here; the two examples that read a decision ledger
+## assert on it (serve_demo: replayed ledgers are bit-identical; chaos_demo:
+## a crash entry is recorded), the others run the library end to end
+## (quickstart: store put / get_object, codec, Agar configuration).  The
+## simulated figures are not run: tier-1 replays them and compares their
+## output with tests/golden/figures.json.
+EXAMPLES := $(sort $(wildcard examples/*.py))
 docs-check:
 	$(PYTHON) tools/check_markdown_links.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.experiments.cli serve --smoke
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.experiments.cli fig_chaos --smoke
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/serve_demo.py
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/chaos_demo.py
+	for example in $(EXAMPLES); do \
+		echo "== $$example"; \
+		PYTHONPATH=$(PYTHONPATH) $(PYTHON) $$example || exit 1; \
+	done
 
 ## Run the guarded hot-path benchmarks, write BENCH_<date>.json and fail on
 ## a >20% regression vs benchmarks/baseline.json.

@@ -9,7 +9,7 @@ This package contains the full system, built from scratch in Python:
 
 * :mod:`repro.erasure` — GF(256) Reed-Solomon coding (the Longhair stand-in);
 * :mod:`repro.geo` — regions, the wide-area latency model and topologies;
-* :mod:`repro.backend` — per-region buckets and the erasure-coded object store;
+* :mod:`repro.backend` — the erasure-coded object store and chunk placement;
 * :mod:`repro.cache` — the bounded chunk cache with LRU/LFU/pinned policies;
 * :mod:`repro.core` — Agar itself: caching options, the knapsack DP, the
   Region Manager, Request Monitor, Cache Manager and the AgarNode;
@@ -29,7 +29,7 @@ Quickstart::
     hints = node.on_request("object-0", now=0.0)
 """
 
-from repro.backend import ErasureCodedStore, RegionBucket, RoundRobinPlacement
+from repro.backend import ErasureCodedStore, RoundRobinPlacement
 from repro.cache import ChunkCache, LFUEvictionPolicy, LRUEvictionPolicy, PinnedConfigurationPolicy
 from repro.client import (
     AgarReadStrategy,
@@ -101,7 +101,6 @@ __all__ = [
     "ReadResult",
     "ReedSolomon",
     "Region",
-    "RegionBucket",
     "RegionManager",
     "RegionSpec",
     "RequestMonitor",

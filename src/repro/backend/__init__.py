@@ -1,10 +1,10 @@
-"""Backend substrate: per-region buckets and the erasure-coded object store.
+"""Backend substrate: the erasure-coded object store and chunk placement.
 
 Stands in for the Amazon S3 buckets of the paper's deployment (Fig. 1).
 """
 
-from repro.backend.bucket import BucketStats, ChunkNotFoundError, RegionBucket
 from repro.backend.object_store import (
+    ChunkNotFoundError,
     ErasureCodedStore,
     ObjectNotFoundError,
     StoreDescription,
@@ -17,13 +17,11 @@ from repro.backend.placement import (
 )
 
 __all__ = [
-    "BucketStats",
     "ChunkNotFoundError",
     "ErasureCodedStore",
     "ExplicitPlacement",
     "ObjectNotFoundError",
     "PlacementPolicy",
-    "RegionBucket",
     "RoundRobinPlacement",
     "SpreadPlacement",
     "StoreDescription",

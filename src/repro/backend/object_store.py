@@ -1,15 +1,19 @@
 """The geo-distributed erasure-coded object store.
 
-:class:`ErasureCodedStore` ties the codec, a placement policy and one
-:class:`~repro.backend.bucket.RegionBucket` per region into the storage system
-of Fig. 1: ``put`` encodes an object and scatters its chunks round-robin across
-regions; ``get_chunk`` serves individual chunks; the metadata catalog records
-where every chunk lives so that clients (and Agar's Region Manager) can plan
-reads without touching payloads.
+:class:`ErasureCodedStore` ties the codec and a placement policy into the
+storage system of Fig. 1: ``put`` encodes an object and places its chunks
+round-robin across regions; ``get_chunk`` serves individual chunks; the
+metadata catalog records where every chunk lives so that clients (and Agar's
+Region Manager) can plan reads without touching payloads.  The paper's
+per-region buckets are dumb storage (wide-area latency is charged by the
+latency model, not here), so the store keeps one record per object: its
+metadata, placement included, and, for an object written with a payload, the
+tuple of its ``k + m`` chunks.
 
 Objects can be stored with real payloads (exercising the Reed-Solomon code) or
 *virtually* (sizes and placement only), which is what the large-scale
-experiments use; see :meth:`ErasureCodedStore.populate`.
+experiments use; see :meth:`ErasureCodedStore.populate`.  A virtual object's
+chunks are built only when asked for, and the engine's read path never asks.
 """
 
 from __future__ import annotations
@@ -17,15 +21,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.backend.bucket import ChunkNotFoundError, RegionBucket
 from repro.backend.placement import PlacementPolicy, RoundRobinPlacement
 from repro.erasure.chunk import Chunk, ChunkId, ErasureCodingParams, ObjectMetadata
-from repro.erasure.codec import EncodedObject, ErasureCodec
+from repro.erasure.codec import ErasureCodec
 from repro.geo.topology import Topology
 
 
 class ObjectNotFoundError(KeyError):
     """Raised when an object key is not present in the store's catalog."""
+
+
+class ChunkNotFoundError(KeyError):
+    """Raised when an object has no chunk at the requested index."""
 
 
 @dataclass(frozen=True)
@@ -60,11 +67,10 @@ class ErasureCodedStore:
         self._params = params or ErasureCodingParams(9, 3)
         self._placement = placement or RoundRobinPlacement()
         self._codec = codec or ErasureCodec(self._params)
-        self._buckets = {name: RegionBucket(region=name) for name in topology.region_names}
         self._catalog: dict[str, ObjectMetadata] = {}
-        # The ids the buckets hold each object's chunks under, by chunk index:
-        # a fetch reuses them instead of building (validating, hashing) its own.
-        self._chunk_ids: dict[str, tuple[ChunkId, ...]] = {}
+        # The k + m chunks of each object written with a payload, by index.
+        # A virtual object has no entry: its chunks are built on request.
+        self._chunks: dict[str, tuple[Chunk, ...]] = {}
         # Each object's placement shape, kept from its first request until the
         # object is written again or deleted; equal shapes are one object.
         self._placement_shapes: dict[str, tuple[tuple[str, tuple[int, ...]], ...]] = {}
@@ -88,11 +94,6 @@ class ErasureCodedStore:
         """The codec used to encode and decode objects."""
         return self._codec
 
-    def bucket(self, region: str) -> RegionBucket:
-        """Return the bucket hosted in ``region``."""
-        self._topology.validate_region(region)
-        return self._buckets[region]
-
     def keys(self) -> list[str]:
         """All object keys currently stored, sorted."""
         return sorted(self._catalog)
@@ -107,9 +108,9 @@ class ErasureCodedStore:
     # Writes
     # ------------------------------------------------------------------ #
     def put(self, key: str, data: bytes, version: int = 0) -> ObjectMetadata:
-        """Encode ``data`` and scatter its chunks across the regions."""
+        """Encode ``data`` and place its chunks across the regions."""
         encoded = self._codec.encode(key, data, version=version)
-        return self._store_encoded(encoded)
+        return self._store(encoded.metadata, tuple(encoded.chunks))
 
     def put_many(self, items: Sequence[tuple[str, bytes]],
                  version: int = 0) -> list[ObjectMetadata]:
@@ -118,29 +119,37 @@ class ErasureCodedStore:
         The whole batch goes through :meth:`ErasureCodec.encode_many`, which
         applies the parity operator once per group of equally sized objects —
         the fast path for bulk ingest (:meth:`populate` with real payloads
-        uses it).  Placement and metadata are identical to repeated
+        uses it).  Placement, metadata and chunks are identical to repeated
         :meth:`put` calls.
         """
-        encoded_objects = self._codec.encode_many(items, version=version)
-        return [self._store_encoded(encoded) for encoded in encoded_objects]
+        return [self._store(encoded.metadata, tuple(encoded.chunks))
+                for encoded in self._codec.encode_many(items, version=version)]
 
     def put_virtual(self, key: str, object_size: int, version: int = 0) -> ObjectMetadata:
-        """Store an object without payloads (metadata and placement only)."""
-        encoded = self._codec.encode_virtual(key, object_size, version=version)
-        return self._store_encoded(encoded)
+        """Store an object without payloads (metadata and placement only).
 
-    def _store_encoded(self, encoded: EncodedObject) -> ObjectMetadata:
-        metadata = encoded.metadata
-        placement = self._placement.place(
-            metadata.key, metadata.params.total_chunks, self._topology.region_names
-        )
-        metadata.chunk_locations = dict(placement)
-        for chunk in encoded.chunks:
-            region = placement[chunk.index]
-            self._buckets[region].put(chunk)
-        self._catalog[metadata.key] = metadata
-        self._chunk_ids[metadata.key] = tuple([chunk.chunk_id for chunk in encoded.chunks])
-        self._placement_shapes.pop(metadata.key, None)
+        The simulator's objects: the caching problem depends only on chunk
+        sizes and placement, so no chunk is built until one is asked for.
+        """
+        params = self._codec.params
+        metadata = ObjectMetadata(key=key, size=object_size, params=params,
+                                  chunk_size=params.chunk_size(object_size),
+                                  version=version)
+        return self._store(metadata, None)
+
+    def _store(self, metadata: ObjectMetadata,
+               chunks: tuple[Chunk, ...] | None) -> ObjectMetadata:
+        """Place the object's chunks and record it (``chunks`` is ``None``
+        for a virtual object)."""
+        key = metadata.key
+        metadata.chunk_locations = dict(self._placement.place(
+            key, metadata.params.total_chunks, self._topology.region_names))
+        self._catalog[key] = metadata
+        if chunks is None:
+            self._chunks.pop(key, None)
+        else:
+            self._chunks[key] = chunks
+        self._placement_shapes.pop(key, None)
         return metadata
 
     def populate(self, object_count: int, object_size: int, key_prefix: str = "object",
@@ -185,12 +194,10 @@ class ErasureCodedStore:
         Raises:
             ObjectNotFoundError: if the key is unknown.
         """
-        metadata = self.metadata(key)
-        chunk_ids = self._chunk_ids.pop(key)
-        self._placement_shapes.pop(key, None)
-        for index, region in metadata.chunk_locations.items():
-            self._buckets[region].delete(chunk_ids[index])
+        self.metadata(key)
         del self._catalog[key]
+        self._chunks.pop(key, None)
+        self._placement_shapes.pop(key, None)
 
     # ------------------------------------------------------------------ #
     # Reads
@@ -207,33 +214,29 @@ class ErasureCodedStore:
             raise ObjectNotFoundError(f"object {key!r} not found") from None
 
     def get_chunk(self, key: str, index: int) -> Chunk:
-        """Fetch one chunk from whichever bucket stores it."""
+        """Fetch chunk ``index`` of ``key`` (payload-less for a virtual object)."""
         metadata = self.metadata(key)
-        try:
-            region = metadata.chunk_locations[index]
-        except KeyError:
-            raise ChunkNotFoundError(f"object {key!r} has no chunk {index}") from None
-        return self._buckets[region].get(self._chunk_ids[key][index])
+        if index not in metadata.chunk_locations:
+            raise ChunkNotFoundError(f"object {key!r} has no chunk {index}")
+        stored = self._chunks.get(key)
+        return stored[index] if stored is not None else _payloadless(metadata, index)
 
     def get_chunks(self, key: str, indices: Iterable[int]) -> dict[int, Chunk]:
         """Fetch several chunks of one object with a single catalog lookup.
 
-        The serving tier's per-request fetch: one metadata resolution instead
-        of one per chunk.  Raises :class:`ChunkNotFoundError` on any unknown
-        index.
+        The serving tier's per-request fetch: one metadata resolution, then
+        an index into the object's stored chunks.  Raises
+        :class:`ChunkNotFoundError` on any unknown index.
         """
         metadata = self.metadata(key)
         locations = metadata.chunk_locations
-        chunk_ids = self._chunk_ids[key]
-        buckets = self._buckets
+        stored = self._chunks.get(key)
         chunks: dict[int, Chunk] = {}
         for index in indices:
-            try:
-                region = locations[index]
-            except KeyError:
-                raise ChunkNotFoundError(
-                    f"object {key!r} has no chunk {index}") from None
-            chunks[index] = buckets[region].get(chunk_ids[index])
+            if index not in locations:
+                raise ChunkNotFoundError(f"object {key!r} has no chunk {index}")
+            chunks[index] = (stored[index] if stored is not None
+                             else _payloadless(metadata, index))
         return chunks
 
     def chunk_region(self, key: str, index: int) -> str:
@@ -298,8 +301,10 @@ class ErasureCodedStore:
     # ------------------------------------------------------------------ #
     def describe(self) -> StoreDescription:
         """Summarise what is stored (object count, bytes, chunk fan-out)."""
-        total_object_bytes = sum(meta.size for meta in self._catalog.values())
-        total_stored_bytes = sum(bucket.used_bytes for bucket in self._buckets.values())
+        catalog = self._catalog.values()
+        total_object_bytes = sum(meta.size for meta in catalog)
+        total_stored_bytes = sum(meta.chunk_size * len(meta.chunk_locations)
+                                 for meta in catalog)
         return StoreDescription(
             object_count=len(self._catalog),
             total_object_bytes=total_object_bytes,
@@ -307,3 +312,11 @@ class ErasureCodedStore:
             chunks_per_object=self._params.total_chunks,
             regions=tuple(self._topology.region_names),
         )
+
+
+def _payloadless(metadata: ObjectMetadata, index: int) -> Chunk:
+    """Chunk ``index`` of a virtual object: its id, size and version, no payload."""
+    return Chunk(chunk_id=ChunkId(key=metadata.key, index=index),
+                 size=metadata.chunk_size, payload=None,
+                 is_parity=index >= metadata.params.data_chunks,
+                 version=metadata.version)

@@ -65,7 +65,8 @@ class ErasureCodec:
 
     def _wrap_shards(self, key: str, size: int, shards: Sequence[np.ndarray],
                      version: int) -> EncodedObject:
-        """Package encoded shard arrays as an :class:`EncodedObject`."""
+        """Package encoded shard arrays (or the rows of one 2-D array) as an
+        :class:`EncodedObject`."""
         chunk_size = shards[0].shape[0] if len(shards) else 0
         metadata = ObjectMetadata(
             key=key,
@@ -95,10 +96,10 @@ class ErasureCodec:
                     version: int = 0) -> list[EncodedObject]:
         """Encode a batch of ``(key, data)`` objects with batched kernels.
 
-        Objects are grouped by shard size (objects of equal size share a
-        group) and each group is encoded through
+        Objects of equal size are copied into the zero-padded rows of one
+        ``(objects, k · shard)`` array and encoded through
         :meth:`ReedSolomon.encode_many` — one parity-operator application per
-        group instead of one per object, which is what lets the per-call
+        size instead of one per object, which is what lets the per-call
         Python overhead amortise when populating a store or running an
         encode-heavy benchmark.  Output order matches input order and every
         chunk is bit-identical to what :meth:`encode` would produce.
@@ -106,46 +107,18 @@ class ErasureCodec:
         results: list[EncodedObject | None] = [None] * len(items)
         groups: dict[int, list[int]] = {}
         for position, (key, data) in enumerate(items):
-            groups.setdefault(self._rs.shard_size(len(data)), []).append(position)
-        for positions in groups.values():
-            stack = np.stack([self._rs.split(items[position][1])
-                              for position in positions])
-            encoded = self._rs.encode_many(stack)
+            groups.setdefault(len(data), []).append(position)
+        k = self._params.data_chunks
+        for size, positions in groups.items():
+            shard = max(self._rs.shard_size(size), 1)
+            rows = np.zeros((len(positions), k * shard), dtype=np.uint8)
+            for row, position in zip(rows, positions):
+                row[:size] = np.frombuffer(items[position][1], dtype=np.uint8)
+            encoded = self._rs.encode_many(rows.reshape(len(positions), k, shard))
             for row, position in enumerate(positions):
-                key, data = items[position]
-                shards = encoded[row]
                 results[position] = self._wrap_shards(
-                    key, len(data), [shards[i] for i in range(shards.shape[0])],
-                    version,
-                )
+                    items[position][0], size, encoded[row], version)
         return results  # type: ignore[return-value] — every slot is filled above
-
-    def encode_virtual(self, key: str, object_size: int, version: int = 0) -> EncodedObject:
-        """Encode an object *virtually*: correct sizes and ids, no payloads.
-
-        The simulator uses virtual chunks so experiments with hundreds of 1 MB
-        objects do not spend their time copying bytes; the caching problem only
-        depends on chunk sizes and placement.
-        """
-        chunk_size = self._params.chunk_size(object_size)
-        metadata = ObjectMetadata(
-            key=key,
-            size=object_size,
-            params=self._params,
-            chunk_size=chunk_size,
-            version=version,
-        )
-        chunks = [
-            Chunk(
-                chunk_id=ChunkId(key=key, index=index),
-                size=chunk_size,
-                payload=None,
-                is_parity=index >= self._params.data_chunks,
-                version=version,
-            )
-            for index in range(self._params.total_chunks)
-        ]
-        return EncodedObject(metadata=metadata, chunks=chunks)
 
     @staticmethod
     def _payloads(metadata: ObjectMetadata, chunks: dict[int, Chunk]) -> dict[int, bytes]:

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.backend import ErasureCodedStore, ObjectNotFoundError, SpreadPlacement
+from repro.backend import (ChunkNotFoundError, ErasureCodedStore, ObjectNotFoundError,
+                           SpreadPlacement)
 from repro.backend.placement import ExplicitPlacement
-from repro.backend.bucket import ChunkNotFoundError
 from repro.erasure import ErasureCodingParams
 
 MEGABYTE = 1024 * 1024
@@ -35,17 +35,20 @@ class TestPopulateAndCatalog:
         assert description.object_count == 20
         assert description.chunks_per_object == 12
         assert description.total_object_bytes == 20 * MEGABYTE
-        # Virtual objects still account for chunk sizes in the buckets.
+        # Virtual objects still account for the chunks they place.
         assert description.total_stored_bytes == 20 * 12 * store.metadata("object-0").chunk_size
 
     def test_delete_removes_chunks(self, store):
-        region = store.chunk_region("object-0", 0)
-        assert "object-0" in store.bucket(region).keys()
+        assert store.get_chunk("object-0", 0).key == "object-0"
         store.delete("object-0")
         assert "object-0" not in store
-        assert "object-0" not in store.bucket(region).keys()
+        with pytest.raises(ObjectNotFoundError):
+            store.get_chunk("object-0", 0)
         with pytest.raises(ObjectNotFoundError):
             store.chunks_by_region("object-0")
+        assert store.describe().object_count == 19
+        with pytest.raises(ObjectNotFoundError):
+            store.delete("object-0")
 
 
 class TestChunkAccess:
@@ -60,6 +63,41 @@ class TestChunkAccess:
             store.get_chunk("object-1", 99)
         with pytest.raises(ChunkNotFoundError):
             store.chunk_region("object-1", 99)
+
+
+class TestObjectRecords:
+    """One record per object: its metadata and, with a payload, its chunks."""
+
+    def test_put_then_get_chunk_returns_the_stored_chunk(self, topology):
+        store = ErasureCodedStore(topology, params=ErasureCodingParams(4, 2))
+        store.put("a", bytes(range(40)))
+        chunk = store.get_chunk("a", 5)
+        assert chunk is store.get_chunk("a", 5) is store.get_chunks("a", [5])[5]
+        assert (chunk.key, chunk.index, chunk.size, chunk.is_parity) == ("a", 5, 10, True)
+        assert store.describe().total_stored_bytes == 6 * 10
+
+    def test_a_reput_replaces_the_chunks(self, topology):
+        store = ErasureCodedStore(topology, params=ErasureCodingParams(4, 2))
+        store.put("a", b"x" * 40)
+        store.put("a", b"y" * 80, version=1)
+        assert len(store) == 1
+        assert {chunk.version for chunk in store.get_chunks("a", range(6)).values()} == {1}
+        assert store.get_object("a") == b"y" * 80
+        assert store.describe().total_stored_bytes == 6 * 20
+        store.put_virtual("a", 80, version=2)
+        assert store.get_chunk("a", 0).payload is None
+        assert store.describe().total_stored_bytes == 6 * 20
+
+    def test_chunks_by_region_lists_indices_sorted(self, topology):
+        assignments = {"a": {index: "tokyo" if index in (5, 1, 9) else "dublin"
+                             for index in reversed(range(12))}}
+        store = ErasureCodedStore(topology, placement=ExplicitPlacement(assignments))
+        store.put_virtual("a", MEGABYTE)
+        store.put_virtual("b", MEGABYTE)
+        grouped = store.chunks_by_region("a")
+        assert grouped["tokyo"] == [1, 5, 9]
+        assert grouped["dublin"] == [0, 2, 3, 4, 6, 7, 8, 10, 11]
+        assert store.keys() == ["a", "b"]
 
 
 class TestRealPayloads:

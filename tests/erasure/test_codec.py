@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.erasure import DecodingError, ErasureCodec, ErasureCodingParams
+from repro.backend import ChunkNotFoundError, ErasureCodedStore
+from repro.erasure import ChunkId, DecodingError, ErasureCodec, ErasureCodingParams
 
 
 @pytest.fixture
@@ -27,11 +28,20 @@ class TestEncode:
         assert codec.params.data_chunks == 9
         assert codec.params.parity_chunks == 3
 
-    def test_virtual_encode_has_no_payloads(self, codec):
-        encoded = codec.encode_virtual("key", 1000)
-        assert all(chunk.payload is None for chunk in encoded.chunks)
-        assert encoded.metadata.chunk_size == 250
-        assert len(encoded.chunks) == 6
+    def test_virtual_encode_has_no_payloads(self, codec, topology):
+        # A virtual object is never encoded: the store keeps its metadata and
+        # builds payload-less chunks when they are asked for.
+        store = ErasureCodedStore(topology, params=codec.params, codec=codec)
+        metadata = store.put_virtual("key", 1000)
+        assert metadata.chunk_size == 250
+        chunks = [store.get_chunk("key", index) for index in range(6)]
+        assert all(chunk.payload is None for chunk in chunks)
+        assert [chunk.chunk_id for chunk in chunks] == [ChunkId("key", index)
+                                                        for index in range(6)]
+        assert {chunk.size for chunk in chunks} == {250}
+        assert [chunk.is_parity for chunk in chunks] == [False] * 4 + [True] * 2
+        with pytest.raises(ChunkNotFoundError):
+            store.get_chunk("key", 6)
 
     def test_version_propagates(self, codec):
         encoded = codec.encode("key", b"abcd", version=7)
