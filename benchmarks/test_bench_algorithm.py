@@ -75,8 +75,11 @@ def test_bench_reconfiguration_catalogue_scaling(benchmark):
     ranking order): the solver reaches the same keys and the same options are
     created at every size, so ten times the catalogue may cost at most 2.5
     times the run (5.8 times before options were stamped on reach).  One round
-    reconfigures once at each size; sizes are compared on their fastest round.
+    reconfigures once at each size, back to back, so the two sizes of a round
+    share the machine's state; the bound holds for the median round's ratio.
+    The fastest round of each size is reported.
     """
+    import statistics
     import time
 
     from repro.backend import ErasureCodedStore
@@ -107,9 +110,10 @@ def test_bench_reconfiguration_catalogue_scaling(benchmark):
                    f"{records[objects].options_generated})"
                    for objects, ms in fastest.items()))
     benchmark.extra_info["ms_per_size"] = {str(objects): round(ms, 2) for objects, ms in fastest.items()}
-    benchmark.extra_info["ratio_3000_to_300"] = round(fastest[3000] / fastest[300], 2)
+    ratio = statistics.median(large / small for large, small in zip(timings[3000], timings[300]))
+    benchmark.extra_info["ratio_3000_to_300"] = round(ratio, 2)
     assert len({(record.keys_processed, record.options_stamped) for record in records.values()}) == 1
-    assert fastest[3000] <= 2.5 * fastest[300]
+    assert ratio <= 2.5
 
 
 def test_bench_knapsack_solver(benchmark):
