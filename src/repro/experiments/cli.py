@@ -375,6 +375,14 @@ def main(argv: list[str] | None = None, out=sys.stdout) -> int:
                 parser.error("--collaboration with partially pinned --region "
                              "strategies is ambiguous for fig6/fig7; pin every "
                              "region or drop --collaboration")
+    chaos_extra: dict = {}
+    if args.regions and "fig_chaos" in names:
+        parts = tuple(part.strip() for part in args.regions.split(",")
+                      if part.strip())
+        if len(parts) != 2:
+            parser.error("fig_chaos drives a 2-region cluster; pass "
+                         "exactly two regions in --regions")
+        chaos_extra["chaos_regions"] = parts
     for name in names:
         engine = (_engine_options(args, for_multiregion=(name == "multiregion"),
                                   region_specs=region_specs)
@@ -386,15 +394,7 @@ def main(argv: list[str] | None = None, out=sys.stdout) -> int:
         elif name == "fig_failures":
             extra = failures_extra
         elif name == "fig_chaos":
-            extra = {}
-            if args.regions:
-                parts = tuple(part.strip()
-                              for part in args.regions.split(",")
-                              if part.strip())
-                if len(parts) != 2:
-                    parser.error("fig_chaos drives a 2-region cluster; pass "
-                                 "exactly two regions in --regions")
-                extra["chaos_regions"] = parts
+            extra = chaos_extra
         elif name == "serve":
             extra = {}
             if args.regions:

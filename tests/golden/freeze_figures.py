@@ -3,11 +3,12 @@
 ``tests/experiments`` asserts shapes and inequalities; nothing pins a figure's
 numbers across versions, so a driver edit that moved a paper number by one ulp
 would pass.  This file records the full text ``cli.main(argv + ["--smoke"],
-out=buffer)`` prints for 19 commands — every simulated figure in its paper
-setting (one client in one region) and through each engine flag: several
-regions and clients, a single region, heterogeneous ``--region`` deployments,
-Poisson arrivals, §VI collaboration, the sharded executor, an outage sweep —
-plus the rows of ``run_agar_variants(ExperimentSettings.smoke())`` by ``repr``.
+out=buffer)`` prints for 21 commands — Table I, the Fig. 9 popularity CDFs
+and every simulated figure in its paper setting (one client in one region),
+and each simulated figure through each engine flag: several regions and
+clients, a single region, heterogeneous ``--region`` deployments, Poisson
+arrivals, §VI collaboration, the sharded executor, an outage sweep — plus
+the rows of ``run_agar_variants(ExperimentSettings.smoke())`` by ``repr``.
 The wire experiments (``serve``, ``fig_chaos``) print wall-clock numbers and
 are left out.  Only the CLI and one public runner are driven, so the same
 script runs unchanged on any commit.
@@ -39,11 +40,13 @@ GOLDEN_PATH = Path(__file__).with_name("figures.json")
 ABLATION = "run_agar_variants"
 
 COMMANDS: tuple[str, ...] = (
+    "table1",
     "fig2",
     "fig6",
     "fig7",
     "fig8a",
     "fig8b",
+    "fig9",
     "fig10",
     "multiregion",
     "fig_collab",
