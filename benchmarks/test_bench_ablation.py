@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the reproduction's own design choices.
 
 * solver quality: the paper's DP heuristic vs the exact MCKP optimum vs greedy
   (§II-D argues greedy is inadequate; the DP should be near-optimal);
@@ -42,8 +42,8 @@ def test_bench_agar_variants(benchmark, settings):
     by_variant = {row.variant: row for row in rows}
     default = by_variant["default (alpha=0.2, 30s)"]
     literal = by_variant["literal alpha=0.8"]
-    # The history-weighted EWMA interpretation (DESIGN.md §3) should not be
-    # worse than the literal reading, and usually improves both metrics.
+    # The history-weighted EWMA interpretation (core/agar_node.py) should not
+    # be worse than the literal reading, and usually improves both metrics.
     assert default.mean_latency_ms <= literal.mean_latency_ms * 1.03
     assert default.hit_ratio >= literal.hit_ratio - 0.03
     # The online LFU baseline is at least as strong as the paper's periodic one.

@@ -15,6 +15,7 @@ from repro.core.knapsack import KnapsackSolver
 from repro.erasure import ErasureCodec, ErasureCodingParams
 from repro.experiments.ablation import synthetic_options
 from repro.experiments.microbench import run_capacity_scaling, run_microbench
+from repro.geo.latency import DEFAULT_OBJECT_SIZE
 
 
 def test_bench_request_processing(benchmark, settings):
@@ -26,7 +27,7 @@ def test_bench_request_processing(benchmark, settings):
     from repro.geo import default_topology
 
     store = ErasureCodedStore(default_topology(seed=settings.seed))
-    store.populate(settings.object_count, settings.object_size)
+    store.populate(settings.object_count, DEFAULT_OBJECT_SIZE)
     node = AgarNode("frankfurt", store, cache_capacity_bytes=10 * 1024 * 1024)
 
     benchmark(node.request_monitor.record_request, "object-1")
@@ -43,7 +44,7 @@ def test_bench_reconfiguration(benchmark, settings):
     from repro.workload.workload import generate_requests
 
     store = ErasureCodedStore(default_topology(seed=settings.seed))
-    store.populate(settings.object_count, settings.object_size)
+    store.populate(settings.object_count, DEFAULT_OBJECT_SIZE)
     node = AgarNode("frankfurt", store, cache_capacity_bytes=10 * 1024 * 1024)
     for request in generate_requests(settings.workload(1.1), seed=settings.seed):
         node.request_monitor.record_request(request.key)
@@ -56,8 +57,7 @@ def test_bench_reconfiguration(benchmark, settings):
 
 def test_bench_reconfiguration_scaling(benchmark, settings):
     """§VI: the algorithm's cost grows with the cache size, not the dataset size."""
-    rows = benchmark.pedantic(run_capacity_scaling, kwargs={"settings": settings,
-                                                            "cache_sizes_mb": (5, 10, 20, 50)},
+    rows = benchmark.pedantic(run_capacity_scaling, kwargs={"settings": settings},
                               rounds=1, iterations=1)
     emit("Reconfiguration time vs cache size",
          "\n".join(f"  {row.cache_capacity_mb:5.0f} MB -> {row.reconfiguration_ms:8.1f} ms"

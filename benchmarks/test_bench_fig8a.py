@@ -40,7 +40,7 @@ def test_bench_fig8a_cache_size(benchmark, settings):
     # ...and its lead shrinks once the cache fits all popular data.  (At very
     # large caches the quick-scale runs can even show a deficit, because online
     # baselines cache everything they see while Agar waits for its next
-    # reconfiguration period — see EXPERIMENTS.md.)
+    # reconfiguration period.)
     assert leads[f"{sizes[-1]}MB"] <= max(leads[f"{size}MB"] for size in sizes[:-1]) + 1.0
     assert min(leads.values()) > -25.0
     benchmark.extra_info["leads_pct"] = {group: round(lead, 1) for group, lead in leads.items()}

@@ -12,13 +12,14 @@ from conftest import emit
 from repro.backend import ErasureCodedStore
 from repro.core.agar_node import AgarNode
 from repro.geo import default_topology
+from repro.geo.latency import DEFAULT_OBJECT_SIZE
 from repro.workload.workload import generate_requests
 
 
 def test_bench_request_monitor(benchmark, settings):
     """Per-request monitor overhead over the quick-scale Zipfian stream."""
     store = ErasureCodedStore(default_topology(seed=settings.seed))
-    store.populate(settings.object_count, settings.object_size)
+    store.populate(settings.object_count, DEFAULT_OBJECT_SIZE)
     node = AgarNode("frankfurt", store, cache_capacity_bytes=10 * 1024 * 1024)
     monitor = node.request_monitor
     keys = [request.key for request in

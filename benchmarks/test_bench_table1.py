@@ -18,7 +18,7 @@ def test_bench_table1(benchmark):
 
 
 def test_bench_table1_calibrated(benchmark):
-    """Same probes on the calibrated evaluation topology (EXPERIMENTS.md)."""
+    """Same probes on the calibrated evaluation topology."""
     rows = benchmark.pedantic(run_table1_calibrated, rounds=3, iterations=1)
     emit("Table I equivalent — calibrated evaluation topology", render_table1(
         rows, title="Calibrated per-chunk read latency from Frankfurt").render())

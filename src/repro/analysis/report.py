@@ -8,7 +8,8 @@ same rows/series a figure plots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 
 @dataclass
@@ -24,6 +25,22 @@ class Table:
     title: str
     columns: Sequence[str]
     rows: list[Sequence[object]] = field(default_factory=list)
+
+    @classmethod
+    def from_rows(cls, title: str,
+                  columns: Sequence[tuple[str, str | Callable[[Any], object]]],
+                  rows: Iterable[Any]) -> "Table":
+        """One table row per item of ``rows``.
+
+        Each column is a ``(header, getter)`` pair: the getter is an attribute
+        name or a function of the item.
+        """
+        getters = [getter if callable(getter) else attrgetter(getter)
+                   for _, getter in columns]
+        table = cls(title=title, columns=[header for header, _ in columns])
+        for row in rows:
+            table.add_row(*[getter(row) for getter in getters])
+        return table
 
     def add_row(self, *values: object) -> None:
         """Append one row; must match the number of columns."""

@@ -29,9 +29,9 @@ DEFAULT_RECONFIGURATION_PERIOD_S = 30.0
 #: states a weighting coefficient of 0.8 (§IV-A); we interpret it as the weight
 #: of the accumulated history (i.e. 0.2 on the current period), which is the
 #: reading that yields stable popularity estimates at the paper's 30-second
-#: period and reproduces its results — see DESIGN.md §3 and the EWMA ablation
-#: benchmark for the comparison with the literal reading (0.8 on the current
-#: period).
+#: period and reproduces its results — see the EWMA ablation benchmark
+#: (``benchmarks/test_bench_ablation.py``) for the comparison with the literal
+#: reading (0.8 on the current period).
 DEFAULT_CURRENT_PERIOD_WEIGHT = 0.2
 
 

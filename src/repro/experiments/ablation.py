@@ -1,11 +1,11 @@
-"""Ablation experiments for the design choices DESIGN.md calls out.
+"""Ablation experiments for the reproduction's own design choices.
 
 These go beyond the paper's figures and quantify:
 
 * solver quality — the paper's DP heuristic vs. the exact MCKP optimum vs. the
   greedy baselines (§II-D argues greedy is inadequate);
 * the EWMA interpretation — weight of the current period in the popularity
-  EWMA (see DESIGN.md §3);
+  EWMA (see ``DEFAULT_CURRENT_PERIOD_WEIGHT`` in ``core/agar_node.py``);
 * the relaxation step — running the DP with and without RELAX;
 * the LFU baseline interpretation — the paper's periodic LFU vs. an online
   cumulative LFU.
@@ -22,9 +22,9 @@ from repro.core.greedy import solve_greedy_density, solve_greedy_marginal
 from repro.core.knapsack import KnapsackSolver
 from repro.core.options import CachingOption, generate_caching_options
 from repro.core.agar_node import AgarNodeConfig
-from repro.experiments.common import ExperimentSettings
+from repro.experiments.common import CLIENT_REGION, ExperimentSettings
 from repro.geo.topology import default_topology
-from repro.sim.engine import EngineConfig, RegionSpec
+from repro.sim.engine import RegionSpec
 from repro.sim.simulation import run_many
 from repro.workload.zipfian import ZipfianDistribution
 
@@ -40,11 +40,12 @@ class SolverQualityRow:
     greedy_marginal_gap_pct: float
 
 
-def synthetic_options(object_count: int = 60, skew: float = 1.1, seed: int = 7,
-                      client_region: str = "frankfurt") -> dict[str, list[CachingOption]]:
-    """Caching options for a synthetic Zipf-popular object population."""
+def synthetic_options(object_count: int = 60, skew: float = 1.1,
+                      seed: int = 7) -> dict[str, list[CachingOption]]:
+    """Caching options for a synthetic Zipf-popular object population, seen
+    from :data:`CLIENT_REGION`."""
     topology = default_topology(seed=seed)
-    latencies = topology.expected_read_latencies(client_region)
+    latencies = topology.expected_read_latencies(CLIENT_REGION)
     regions = topology.region_names
     distribution = ZipfianDistribution(object_count, skew=skew, seed=seed)
     probabilities = distribution.probabilities()
@@ -66,25 +67,19 @@ def synthetic_options(object_count: int = 60, skew: float = 1.1, seed: int = 7,
 
 
 def run_solver_quality(capacities: tuple[int, ...] = (18, 45, 90, 180),
-                       object_count: int = 60, seed: int = 7) -> list[SolverQualityRow]:
+                       object_count: int = 60) -> list[SolverQualityRow]:
     """Compare the DP heuristic and the greedy baselines against the exact optimum."""
-    options_by_key = synthetic_options(object_count=object_count, seed=seed)
+    options_by_key = synthetic_options(object_count=object_count)
     rows = []
     for capacity in capacities:
-        exact = solve_exact(options_by_key, capacity)
-        heuristic = KnapsackSolver(capacity).solve_configuration(options_by_key)
-        no_relax = KnapsackSolver(capacity, use_relax=False).solve_configuration(options_by_key)
-        greedy_density = solve_greedy_density(options_by_key, capacity)
-        greedy_marginal = solve_greedy_marginal(options_by_key, capacity)
-        rows.append(
-            SolverQualityRow(
-                capacity_chunks=capacity,
-                heuristic_gap_pct=optimality_gap(heuristic.value, exact.value) * 100.0,
-                heuristic_no_relax_gap_pct=optimality_gap(no_relax.value, exact.value) * 100.0,
-                greedy_density_gap_pct=optimality_gap(greedy_density.value, exact.value) * 100.0,
-                greedy_marginal_gap_pct=optimality_gap(greedy_marginal.value, exact.value) * 100.0,
-            )
-        )
+        exact = solve_exact(options_by_key, capacity).value
+        # In the order of the row's gap fields.
+        solutions = (KnapsackSolver(capacity).solve_configuration(options_by_key),
+                     KnapsackSolver(capacity, use_relax=False).solve_configuration(options_by_key),
+                     solve_greedy_density(options_by_key, capacity),
+                     solve_greedy_marginal(options_by_key, capacity))
+        rows.append(SolverQualityRow(capacity, *(optimality_gap(solution.value, exact) * 100.0
+                                                 for solution in solutions)))
     return rows
 
 
@@ -97,11 +92,10 @@ class AgarVariantRow:
     hit_ratio: float
 
 
-def run_agar_variants(settings: ExperimentSettings | None = None,
-                      client_region: str = "frankfurt") -> list[AgarVariantRow]:
-    """Compare Agar configurations: EWMA weight, reconfiguration period, relaxation."""
+def run_agar_variants(settings: ExperimentSettings | None = None) -> list[AgarVariantRow]:
+    """Compare Agar configurations (EWMA weight, reconfiguration period) and
+    the LFU interpretations, from :data:`CLIENT_REGION`."""
     settings = settings or ExperimentSettings.quick()
-    workload = settings.workload(skew=1.1)
     variants: dict[str, AgarNodeConfig] = {
         "default (alpha=0.2, 30s)": AgarNodeConfig(),
         "literal alpha=0.8": AgarNodeConfig(alpha=0.8),
@@ -114,14 +108,9 @@ def run_agar_variants(settings: ExperimentSettings | None = None,
              ("online LFU-7", "lfu-online-7", None)]
     rows = []
     for label, strategy, node_config in legs:
-        config = EngineConfig(
-            workload=workload,
-            regions=(RegionSpec(client_region, strategy=strategy),),
-            cache_capacity_bytes=settings.cache_capacity_bytes,
-            agar=node_config,
-            topology_seed=settings.seed,
-        )
-        aggregate = run_many(config, runs=settings.runs).regions[client_region]
+        config = settings.deployment((RegionSpec(CLIENT_REGION, strategy=strategy),),
+                                     agar=node_config)
+        aggregate = run_many(config, runs=settings.runs).regions[CLIENT_REGION]
         rows.append(
             AgarVariantRow(
                 variant=label,

@@ -24,51 +24,81 @@ honour one of them rejects it.  Heterogeneous deployments use the
 repeatable ``--region NAME[:STRATEGY[:CACHE]]`` form: each region can pin its
 own read strategy and cache size (e.g. ``--region eu:agar:256MB --region
 ap:lfu-5:64MB``); either override may be omitted (``sydney::64MB``).
+
+:data:`EXPERIMENTS` is the index of the package: one :class:`Experiment` per
+subcommand, in the order ``all`` runs them.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable
 
-from repro.experiments.common import (
-    EVALUATION_REGIONS,
-    EngineOptions,
-    ExperimentSettings,
-    RegionSpecOption,
-)
+from repro.experiments.common import EngineOptions, ExperimentSettings, RegionSpecOption
 from repro.experiments.fig2_motivating import render_fig2, run_fig2
-from repro.experiments.fig6_policies import agar_advantage, render_fig6, render_fig7, run_policy_comparison
-from repro.experiments.fig8_sweeps import agar_lead_by_group, render_sweep, run_fig8a, run_fig8b
+from repro.experiments.fig6_policies import (agar_advantage, check_pins, render_fig6,
+                                             render_fig7, run_policy_comparison)
+from repro.experiments.fig8_sweeps import (agar_lead_by_group, check_no_cache_size,
+                                           check_no_pinned_strategy, render_sweep,
+                                           run_fig8a, run_fig8b)
 from repro.experiments.fig9_popularity import render_fig9, run_fig9
 from repro.experiments.fig10_cache_contents import render_fig10, run_fig10
-from repro.experiments.fig_chaos import (
-    CHAOS_REGIONS,
-    render_fig_chaos,
-    run_fig_chaos,
-)
-from repro.experiments.fig_collab import render_fig_collab, run_fig_collab
-from repro.experiments.fig_failures import render_fig_failures, run_fig_failures
+from repro.experiments.fig_chaos import (CHAOS_REGIONS, check_regions, render_fig_chaos,
+                                         run_fig_chaos)
+from repro.experiments.fig_collab import check_pairing, render_fig_collab, run_fig_collab
+from repro.experiments.fig_failures import (DEFAULT_FAULT_REGION, DEFAULT_OUTAGE_FRACTIONS,
+                                            DEFAULT_REGIONS, check_sweep, render_fig_failures,
+                                            run_fig_failures)
 from repro.experiments.microbench import run_capacity_scaling, run_microbench
-from repro.experiments.multiregion import (
-    DEFAULT_ARRIVAL_RATE_RPS,
-    render_multiregion,
-    run_multiregion_scaling,
-)
-from repro.experiments.serve_wire import (
-    SERVE_REGIONS,
-    render_serve_wire,
-    run_serve_wire,
-)
+from repro.experiments.multiregion import (DEFAULT_OPTIONS, render_multiregion,
+                                           run_multiregion_scaling)
+from repro.experiments.serve_wire import SERVE_REGIONS, render_serve_wire, run_serve_wire
 from repro.experiments.table1_latency import render_table1, run_table1
+from repro.geo.topology import default_topology
 
-EXPERIMENTS = ("table1", "fig2", "fig6", "fig7", "fig8a", "fig8b", "fig9", "fig10",
-               "fig_collab", "fig_failures", "fig_chaos", "microbench",
-               "multiregion", "serve")
+#: The experiment-specific flags by their ``args`` name, as usage errors
+#: spell them, in the order they are checked.
+FLAGS = {
+    "regions": "--regions",
+    "region": "--region",
+    "clients_per_region": "--clients-per-region",
+    "arrival_rate": "--arrival-rate",
+    "collaboration": "--collaboration/--no-collaboration",
+    "neighbor_read_ms": "--neighbor-read-ms",
+    "collab_period": "--collab-period",
+    "outage_fraction": "--outage-fraction",
+    "fault_region": "--fault-region",
+    "sharded": "--sharded",
+}
 
-#: Experiments that understand the engine flags.
-ENGINE_EXPERIMENTS = ("fig6", "fig7", "fig8a", "fig8b", "fig_collab", "fig_failures",
-                      "multiregion")
+#: The engine flags: an experiment taking all of them is an engine experiment.
+ENGINE = ("regions", "region", "clients_per_region", "arrival_rate", "collaboration")
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One subcommand: its flags, its checks, its run and its report.
+
+    Attributes:
+        name: the subcommand.
+        run: ``run(settings, args)`` runs the experiment on the parsed flags.
+        render: the printed report of what ``run`` returned.
+        flags: the :data:`FLAGS` it takes.
+        refuse: flags of ``flags`` that it turns down when named on its own,
+            with the reason (``all`` passes them on regardless).
+        check: ``check(args)`` raises ``ValueError`` for flag values the
+            runner would refuse; called before any experiment runs.
+    """
+
+    name: str
+    run: Callable[[ExperimentSettings, argparse.Namespace], Any]
+    render: Callable[[Any], str]
+    flags: tuple[str, ...] = ()
+    refuse: dict[str, str] = field(default_factory=dict)
+    check: Callable[[argparse.Namespace], None] = lambda args: None
 
 
 def _settings(args: argparse.Namespace) -> ExperimentSettings:
@@ -78,7 +108,7 @@ def _settings(args: argparse.Namespace) -> ExperimentSettings:
 
 
 def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
-    """Parse a comma-separated list of positive floats for a sweep flag."""
+    """Parse a comma-separated list of finite, positive floats for a sweep flag."""
     values = []
     for part in text.split(","):
         part = part.strip()
@@ -88,6 +118,8 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
             value = float(part)
         except ValueError:
             raise ValueError(f"malformed {flag} value {part!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} values must be finite, got {part!r}")
         if value <= 0:
             raise ValueError(f"{flag} values must be positive, got {part!r}")
         values.append(value)
@@ -96,131 +128,169 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _engine_options(args: argparse.Namespace, for_multiregion: bool,
-                    region_specs: tuple[RegionSpecOption, ...] | None
-                    ) -> EngineOptions | None:
-    """Build engine options from the CLI flags.
+def _parse_values(args: argparse.Namespace) -> None:
+    """Replace the text of the value flags in ``args`` with parsed values, and
+    check every region name once against the topology."""
+    for dest in ("neighbor_read_ms", "collab_period", "outage_fraction"):
+        if getattr(args, dest) is not None:
+            setattr(args, dest, _parse_float_list(getattr(args, dest), FLAGS[dest]))
+    if args.regions is not None:
+        args.regions = tuple(name.strip() for name in args.regions.split(",") if name.strip())
+        if not args.regions:
+            raise ValueError("--regions needs at least one region")
+    if args.region:
+        args.region = tuple(RegionSpecOption.parse(text) for text in args.region)
+    known = default_topology().region_names
+    for flag, names in (("--regions", args.regions or ()),
+                        ("--region", [spec.region for spec in args.region or ()]),
+                        ("--fault-region", [args.fault_region] if args.fault_region else [])):
+        for name in names:
+            if name not in known:
+                raise ValueError(f"unknown region {name!r} in {flag} "
+                                 f"(expected one of {', '.join(known)})")
+        if len(set(names)) != len(names):
+            raise ValueError(f"{flag} names a region more than once")
 
-    ``multiregion`` is a multi-region experiment, so missing flags fall back
-    to the acceptance scenario's defaults (two regions, 4 clients each,
-    Poisson arrivals, collaboration on); the figure runners only leave the
-    paper's setting when a flag is given explicitly.  ``region_specs`` are the
-    already parsed/validated ``--region`` values.
-    """
-    regions = None
-    if args.regions:
-        regions = tuple(name.strip() for name in args.regions.split(",") if name.strip())
-    if for_multiregion:
-        return EngineOptions(
-            regions=None if region_specs else (regions or EVALUATION_REGIONS),
-            clients_per_region=args.clients_per_region or 4,
-            arrival_rate_rps=args.arrival_rate or DEFAULT_ARRIVAL_RATE_RPS,
-            collaboration=True if args.collaboration is None else args.collaboration,
-            region_specs=region_specs,
-        )
+
+def _engine_options(args: argparse.Namespace) -> EngineOptions | None:
+    """Engine options of the flags given, for the figure runners, which only
+    leave the paper's setting when a flag is given explicitly."""
     options = EngineOptions(
-        regions=regions,
+        regions=args.regions,
         clients_per_region=args.clients_per_region or 1,
         arrival_rate_rps=args.arrival_rate,
         collaboration=bool(args.collaboration),
-        region_specs=region_specs,
+        region_specs=args.region,
     )
     return options if options.active else None
 
 
-def _run_one(name: str, settings: ExperimentSettings, out,
-             engine: EngineOptions | None = None,
-             extra: dict | None = None) -> None:
-    extra = extra or {}
-    if name == "table1":
-        print(render_table1(run_table1()).render(), file=out)
-    elif name == "fig2":
-        print(render_fig2(run_fig2(settings)).render(), file=out)
-    elif name in ("fig6", "fig7"):
-        rows = run_policy_comparison(settings, engine=engine)
-        if name == "fig6":
-            print(render_fig6(rows).render(), file=out)
-            for region in sorted({row.region for row in rows}):
-                summary = agar_advantage(rows, region)
-                if not summary:
-                    continue
-                print(
-                    f"{region}: Agar {summary['vs_best_pct']:.1f}% lower latency than the best "
-                    f"static policy ({summary['best_other']}), {summary['vs_worst_pct']:.1f}% lower "
-                    f"than the worst ({summary['worst_other']})",
-                    file=out,
-                )
-        else:
-            print(render_fig7(rows).render(), file=out)
-    elif name == "fig8a":
-        points = run_fig8a(settings, engine=engine)
-        print(render_sweep(points, "Figure 8a — average latency (ms) vs cache size").render(), file=out)
-        for group, lead in sorted(agar_lead_by_group(points).items()):
-            print(f"{group}: Agar {lead:+.1f}% vs best static policy", file=out)
-    elif name == "fig8b":
-        points = run_fig8b(settings, engine=engine)
-        print(render_sweep(points, "Figure 8b — average latency (ms) vs workload").render(), file=out)
-        for group, lead in sorted(agar_lead_by_group(points).items()):
-            print(f"{group}: Agar {lead:+.1f}% vs best static policy", file=out)
-    elif name == "fig9":
-        print(render_fig9(run_fig9(settings)).render(), file=out)
-    elif name == "fig10":
-        print(render_fig10(run_fig10(settings)).render(), file=out)
-    elif name == "fig_collab":
-        result = run_fig_collab(
-            settings,
-            options=engine,
-            neighbor_read_ms_values=extra.get("neighbor_read_ms"),
-            periods=extra.get("collab_periods"),
-            sharded=bool(extra.get("sharded")),
-        )
-        print(render_fig_collab(result), file=out)
-    elif name == "fig_failures":
-        result = run_fig_failures(
-            settings,
-            options=engine,
-            outage_fractions=extra.get("outage_fractions"),
-            fault_region=extra.get("fault_region") or "sao_paulo",
-            sharded=bool(extra.get("sharded")),
-        )
-        print(render_fig_failures(result), file=out)
-    elif name == "multiregion":
-        rows = run_multiregion_scaling(settings, options=engine)
-        print(render_multiregion(rows, options=engine).render(), file=out)
-    elif name == "fig_chaos":
-        chaos_results = run_fig_chaos(
-            settings, regions=extra.get("chaos_regions") or CHAOS_REGIONS)
-        print(render_fig_chaos(chaos_results).render(), file=out)
-        for variant in chaos_results:
-            if not variant.recoveries:
-                continue
-            print(f"{variant.name}: {len(variant.recoveries)} recoveries, "
-                  f"mean {variant.mean_recovery_ms:.1f} ms, "
-                  f"{variant.mean_restored_fraction * 100.0:.0f}% of "
-                  f"pre-crash cache restored", file=out)
-    elif name == "serve":
-        results = run_serve_wire(
-            settings, regions=extra.get("serve_regions") or SERVE_REGIONS,
-            rate_rps=extra.get("serve_rate_rps"))
-        print(render_serve_wire(results).render(), file=out)
-        for region, result in results.items():
-            print(f"{region}: {result.throughput_rps:.0f} req/s measured over "
-                  f"{result.requests} wire requests ({result.errors} errors)",
-                  file=out)
-    elif name == "microbench":
-        result = run_microbench(settings)
-        print(
-            f"request processing: {result.request_processing_ms:.3f} ms/request "
-            f"(paper: ~0.5 ms)\n"
-            f"reconfiguration:    {result.reconfiguration_ms:.1f} ms for a "
-            f"{result.cache_capacity_mb:.0f} MB cache, {result.candidate_keys} candidate objects "
-            f"(paper: ~5 ms)",
-            file=out,
-        )
-        for row in run_capacity_scaling(settings):
-            print(f"  cache {row.cache_capacity_mb:5.0f} MB -> reconfiguration {row.reconfiguration_ms:8.1f} ms", file=out)
-    else:
-        raise ValueError(f"unknown experiment {name!r}")
+def _text(render: Callable[[Any], Any]) -> Callable[[Any], str]:
+    """A report of a runner whose render returns a ``Table``."""
+    return lambda result: render(result).render()
+
+
+def _render_fig6(rows) -> str:
+    summaries = {region: agar_advantage(rows, region)
+                 for region in sorted({row.region for row in rows})}
+    return "\n".join([render_fig6(rows).render(), *(
+        f"{region}: Agar {summary['vs_best_pct']:.1f}% lower latency than the best "
+        f"static policy ({summary['best_other']}), {summary['vs_worst_pct']:.1f}% lower "
+        f"than the worst ({summary['worst_other']})"
+        for region, summary in summaries.items() if summary)])
+
+
+def _render_sweep(title: str) -> Callable[[Any], str]:
+    def render(points) -> str:
+        return "\n".join([render_sweep(points, title).render(), *(
+            f"{group}: Agar {lead:+.1f}% vs best static policy"
+            for group, lead in sorted(agar_lead_by_group(points).items()))])
+    return render
+
+
+def _render_fig_chaos(variants) -> str:
+    return "\n".join([render_fig_chaos(variants).render(), *(
+        f"{variant.name}: {len(variant.recoveries)} recoveries, "
+        f"mean {variant.mean_recovery_ms:.1f} ms, "
+        f"{variant.mean_restored_fraction * 100.0:.0f}% of pre-crash cache restored"
+        for variant in variants if variant.recoveries)])
+
+
+def _render_serve(results) -> str:
+    return "\n".join([render_serve_wire(results).render(), *(
+        f"{region}: {result.throughput_rps:.0f} req/s measured over "
+        f"{result.requests} wire requests ({result.errors} errors)"
+        for region, result in results.items())])
+
+
+def _render_microbench(result) -> str:
+    single, scaling = result
+    return "\n".join([
+        f"request processing: {single.request_processing_ms:.3f} ms/request (paper: ~0.5 ms)",
+        f"reconfiguration:    {single.reconfiguration_ms:.1f} ms for a "
+        f"{single.cache_capacity_mb:.0f} MB cache, {single.candidate_keys} candidate objects "
+        f"(paper: ~5 ms)",
+        *(f"  cache {row.cache_capacity_mb:5.0f} MB -> reconfiguration "
+          f"{row.reconfiguration_ms:8.1f} ms" for row in scaling)])
+
+
+def _run_multiregion(settings: ExperimentSettings, args: argparse.Namespace):
+    """``multiregion`` is a multi-region experiment: the flags given override
+    its acceptance scenario (:data:`DEFAULT_OPTIONS`) one by one."""
+    given = {"regions": args.regions, "clients_per_region": args.clients_per_region,
+             "arrival_rate_rps": args.arrival_rate, "collaboration": args.collaboration}
+    options = replace(DEFAULT_OPTIONS, **{name: value for name, value in given.items()
+                                          if value is not None})
+    if args.region:
+        options = replace(options, regions=None, region_specs=args.region)
+    return run_multiregion_scaling(settings, options=options), options
+
+
+def _check_fig8a(args: argparse.Namespace) -> None:
+    check_no_pinned_strategy(_engine_options(args))
+    check_no_cache_size(_engine_options(args))
+
+
+EXPERIMENTS: tuple[Experiment, ...] = (
+    Experiment("table1", lambda settings, args: run_table1(), _text(render_table1)),
+    Experiment("fig2", lambda settings, args: run_fig2(settings), _text(render_fig2)),
+    Experiment("fig6", lambda settings, args: run_policy_comparison(
+        settings, engine=_engine_options(args)), _render_fig6, ENGINE,
+        check=lambda args: check_pins(_engine_options(args))),
+    Experiment("fig7", lambda settings, args: run_policy_comparison(
+        settings, engine=_engine_options(args)), _text(render_fig7), ENGINE,
+        check=lambda args: check_pins(_engine_options(args))),
+    Experiment("fig8a", lambda settings, args: run_fig8a(settings, engine=_engine_options(args)),
+               _render_sweep("Figure 8a — average latency (ms) vs cache size"), ENGINE,
+               check=_check_fig8a),
+    Experiment("fig8b", lambda settings, args: run_fig8b(settings, engine=_engine_options(args)),
+               _render_sweep("Figure 8b — average latency (ms) vs workload"), ENGINE,
+               check=lambda args: check_no_pinned_strategy(_engine_options(args))),
+    Experiment("fig9", lambda settings, args: run_fig9(settings), _text(render_fig9)),
+    Experiment("fig10", lambda settings, args: run_fig10(settings), _text(render_fig10)),
+    Experiment("fig_collab", lambda settings, args: run_fig_collab(
+        settings, options=_engine_options(args), neighbor_read_ms_values=args.neighbor_read_ms,
+        periods=args.collab_period, sharded=args.sharded), render_fig_collab,
+        (*ENGINE, "neighbor_read_ms", "collab_period", "sharded"), refuse={
+            "region": "fig_collab sweeps fixed-strategy (agar) pairings; use "
+                      "--regions to override the pairing",
+            "collaboration": "fig_collab compares collaboration against independent "
+                             "caches itself; --collaboration/--no-collaboration does "
+                             "not apply"},
+        check=lambda args: check_pairing(args.regions) if args.regions else None),
+    Experiment("fig_failures", lambda settings, args: run_fig_failures(
+        settings, options=_engine_options(args), outage_fractions=args.outage_fraction,
+        fault_region=args.fault_region or DEFAULT_FAULT_REGION, sharded=args.sharded),
+        render_fig_failures, (*ENGINE, "outage_fraction", "fault_region", "sharded"), refuse={
+            "region": "fig_failures sweeps the strategy itself; use --regions to "
+                      "override the client regions",
+            "collaboration": "fig_failures sweeps collaboration on/off itself; "
+                             "--collaboration/--no-collaboration does not apply"},
+        check=lambda args: check_sweep(args.regions or DEFAULT_REGIONS,
+                                       args.fault_region or DEFAULT_FAULT_REGION,
+                                       args.outage_fraction or DEFAULT_OUTAGE_FRACTIONS)),
+    Experiment("fig_chaos", lambda settings, args: run_fig_chaos(
+        settings, regions=args.regions or CHAOS_REGIONS), _render_fig_chaos, ("regions",),
+        check=lambda args: check_regions(args.regions or CHAOS_REGIONS)),
+    Experiment("microbench", lambda settings, args: (
+        run_microbench(settings), run_capacity_scaling(settings)), _render_microbench),
+    Experiment("multiregion", _run_multiregion,
+               lambda result: render_multiregion(*result).render(), ENGINE),
+    Experiment("serve", lambda settings, args: run_serve_wire(
+        settings, regions=args.regions or SERVE_REGIONS, rate_rps=args.arrival_rate),
+        _render_serve, ("regions", "arrival_rate")),
+)
+
+
+def _flag_error(flag: str, name: str) -> str:
+    """The usage error for ``flag`` given to experiment ``name``, which does
+    not take it: the experiments that do, engine experiments first."""
+    takers = [experiment.name for experiment in sorted(
+        EXPERIMENTS, key=lambda experiment: not set(ENGINE) <= set(experiment.flags))
+        if flag in experiment.flags]
+    if flag in ENGINE:
+        return f"{FLAGS[flag]} does not apply to {name} (only to {', '.join(takers)})"
+    return f"{FLAGS[flag]} only applies to {'/'.join(takers)}"
 
 
 def main(argv: list[str] | None = None, out=sys.stdout) -> int:
@@ -229,7 +299,8 @@ def main(argv: list[str] | None = None, out=sys.stdout) -> int:
         prog="agar-experiments",
         description="Regenerate the tables and figures of the Agar paper (ICDCS 2017).",
     )
-    parser.add_argument("experiment", choices=(*EXPERIMENTS, "all"),
+    parser.add_argument("experiment",
+                        choices=(*(experiment.name for experiment in EXPERIMENTS), "all"),
                         help="which table/figure to regenerate")
     parser.add_argument("--quick", action="store_true",
                         help="reduced scale (2 runs x 400 reads) instead of the paper's 5 x 1000")
@@ -276,134 +347,38 @@ def main(argv: list[str] | None = None, out=sys.stdout) -> int:
     args = parser.parse_args(argv)
     if args.clients_per_region is not None and args.clients_per_region <= 0:
         parser.error("--clients-per-region must be positive")
+    if args.arrival_rate is not None and not math.isfinite(args.arrival_rate):
+        parser.error("--arrival-rate must be finite")
     if args.arrival_rate is not None and args.arrival_rate <= 0:
         parser.error("--arrival-rate must be positive")
     if args.region and args.regions:
         parser.error("--region and --regions are mutually exclusive")
     if args.quick and args.smoke:
         parser.error("--quick and --smoke are mutually exclusive")
+    selected = [experiment for experiment in EXPERIMENTS
+                if args.experiment in (experiment.name, "all")]
     if args.experiment != "all":
         # Naming one experiment and handing it a flag it would ignore is a
         # usage error, not a silent one-client run.  (`all` passes each flag
-        # on to the experiments that understand it.)
-        for flag, value, also in (
-                ("--regions", args.regions, ("fig_chaos", "serve")),
-                ("--region", args.region, ()),
-                ("--clients-per-region", args.clients_per_region, ()),
-                ("--arrival-rate", args.arrival_rate, ("serve",)),
-                ("--collaboration/--no-collaboration", args.collaboration, ())):
-            accepted = (*ENGINE_EXPERIMENTS, *also)
-            if value is not None and args.experiment not in accepted:
-                parser.error(f"{flag} does not apply to {args.experiment} "
-                             f"(only to {', '.join(accepted)})")
-    fig_collab_selected = args.experiment in ("fig_collab", "all")
-    fig_failures_selected = args.experiment in ("fig_failures", "all")
-    if not fig_collab_selected:
-        for flag, value in (("--neighbor-read-ms", args.neighbor_read_ms),
-                            ("--collab-period", args.collab_period)):
-            if value is not None:
-                parser.error(f"{flag} only applies to fig_collab")
-    if not fig_failures_selected:
-        for flag, value in (("--outage-fraction", args.outage_fraction),
-                            ("--fault-region", args.fault_region)):
-            if value is not None:
-                parser.error(f"{flag} only applies to fig_failures")
-    if args.sharded and not (fig_collab_selected or fig_failures_selected):
-        parser.error("--sharded only applies to fig_collab/fig_failures")
-    if args.experiment == "fig_collab":
-        if args.region:
-            parser.error("fig_collab sweeps fixed-strategy (agar) pairings; "
-                         "use --regions to override the pairing")
-        if args.regions and len([r for r in args.regions.split(",") if r.strip()]) < 2:
-            parser.error("fig_collab needs at least two regions in --regions "
-                         "(a pairing)")
-        if args.collaboration is not None:
-            parser.error("fig_collab compares collaboration against "
-                         "independent caches itself; --collaboration/"
-                         "--no-collaboration does not apply")
-    if args.experiment == "fig_failures":
-        if args.region:
-            parser.error("fig_failures sweeps the strategy itself; use "
-                         "--regions to override the client regions")
-        if args.collaboration is not None:
-            parser.error("fig_failures sweeps collaboration on/off itself; "
-                         "--collaboration/--no-collaboration does not apply")
-    collab_extra: dict = {}
-    failures_extra: dict = {}
+        # on to the experiments that take it.)
+        (experiment,) = selected
+        for flag in FLAGS:
+            if getattr(args, flag) == parser.get_default(flag):
+                continue
+            if flag in experiment.refuse:
+                parser.error(experiment.refuse[flag])
+            if flag not in experiment.flags:
+                parser.error(_flag_error(flag, experiment.name))
     try:
-        if args.neighbor_read_ms:
-            collab_extra["neighbor_read_ms"] = _parse_float_list(
-                args.neighbor_read_ms, "--neighbor-read-ms")
-        if args.collab_period:
-            collab_extra["collab_periods"] = _parse_float_list(
-                args.collab_period, "--collab-period")
-        if args.outage_fraction:
-            fractions = _parse_float_list(args.outage_fraction, "--outage-fraction")
-            if any(fraction >= 1.0 for fraction in fractions):
-                raise ValueError("--outage-fraction values must be below 1")
-            failures_extra["outage_fractions"] = fractions
+        _parse_values(args)
+        for experiment in selected:
+            experiment.check(args)
     except ValueError as error:
         parser.error(str(error))
-    if args.fault_region:
-        failures_extra["fault_region"] = args.fault_region
-    collab_extra["sharded"] = args.sharded
-    failures_extra["sharded"] = args.sharded
-    region_specs = None
-    if args.region:
-        try:
-            region_specs = tuple(RegionSpecOption.parse(text) for text in args.region)
-        except ValueError as error:
-            parser.error(str(error))
     settings = _settings(args)
-
-    names = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
-    if region_specs:
-        # Fig. 8 sweeps strategies (8a additionally sweeps the cache size),
-        # so heterogeneous overrides that fight the sweep are rejected up
-        # front with a usage error instead of a runner traceback.
-        if any(name in ("fig8a", "fig8b") for name in names) and \
-                any(spec.strategy is not None for spec in region_specs):
-            parser.error("--region with a pinned strategy is not valid for "
-                         "fig8a/fig8b (strategy sweeps); use fig6 or multiregion")
-        if "fig8a" in names and \
-                any(spec.cache_capacity_bytes is not None for spec in region_specs):
-            parser.error("--region with a cache size is not valid for fig8a "
-                         "(it sweeps the cache size)")
-        if args.collaboration and any(name in ("fig6", "fig7") for name in names):
-            pinned_count = sum(spec.strategy is not None for spec in region_specs)
-            if 0 < pinned_count < len(region_specs):
-                parser.error("--collaboration with partially pinned --region "
-                             "strategies is ambiguous for fig6/fig7; pin every "
-                             "region or drop --collaboration")
-    chaos_extra: dict = {}
-    if args.regions and "fig_chaos" in names:
-        parts = tuple(part.strip() for part in args.regions.split(",")
-                      if part.strip())
-        if len(parts) != 2:
-            parser.error("fig_chaos drives a 2-region cluster; pass "
-                         "exactly two regions in --regions")
-        chaos_extra["chaos_regions"] = parts
-    for name in names:
-        engine = (_engine_options(args, for_multiregion=(name == "multiregion"),
-                                  region_specs=region_specs)
-                  if name in ENGINE_EXPERIMENTS else None)
-        print(f"=== {name} ===", file=out)
-        extra = None
-        if name == "fig_collab":
-            extra = collab_extra
-        elif name == "fig_failures":
-            extra = failures_extra
-        elif name == "fig_chaos":
-            extra = chaos_extra
-        elif name == "serve":
-            extra = {}
-            if args.regions:
-                extra["serve_regions"] = tuple(
-                    part.strip() for part in args.regions.split(",")
-                    if part.strip())
-            if args.arrival_rate:
-                extra["serve_rate_rps"] = args.arrival_rate
-        _run_one(name, settings, out, engine=engine, extra=extra)
+    for experiment in selected:
+        print(f"=== {experiment.name} ===", file=out)
+        print(experiment.render(experiment.run(settings, args)), file=out)
         print(file=out)
     return 0
 

@@ -9,13 +9,13 @@ in a faster "quick" mode used by the benchmark suite and CI.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from repro.client.strategies import is_strategy_name
 from repro.core.agar_node import AgarNodeConfig
 from repro.core.cache_manager import CacheManagerConfig
-from repro.geo.latency import DEFAULT_OBJECT_SIZE
-from repro.sim.engine import RegionSpec
+from repro.sim.engine import EngineConfig, RegionSpec
 from repro.workload.workload import (
     ArrivalSpec,
     WorkloadSpec,
@@ -26,6 +26,15 @@ from repro.workload.workload import (
 
 #: 1 MiB, the paper's object size.
 MEGABYTE = 1024 * 1024
+
+#: Object size of the wire experiments: the paper's 1 MB objects are about
+#: backend placement, not loopback bandwidth, so over sockets they are capped
+#: and the measurement tracks gateway overhead rather than local throughput.
+WIRE_OBJECT_SIZE = 64 * 1024
+
+#: Client region of the single-region experiments (Table I, Fig. 8, the
+#: microbenchmarks and the ablations).
+CLIENT_REGION = "frankfurt"
 
 #: The strategy line-up of Fig. 6 / Fig. 7.
 FIG6_STRATEGIES: tuple[str, ...] = (
@@ -61,8 +70,8 @@ class ExperimentSettings:
     Attributes:
         runs: repetitions per configuration (paper: 5).
         request_count: reads per run (paper: 1,000).
-        object_count: objects in the store (paper: 300).
-        object_size: bytes per object (paper: 1 MB).
+        object_count: objects in the store (paper: 300 of 1 MB, the size
+            every experiment uses: ``DEFAULT_OBJECT_SIZE``).
         cache_capacity_bytes: default cache size (paper: 10 MB).
         seed: base seed for workloads and latency jitter.
     """
@@ -70,7 +79,6 @@ class ExperimentSettings:
     runs: int = 5
     request_count: int = 1000
     object_count: int = 300
-    object_size: int = DEFAULT_OBJECT_SIZE
     cache_capacity_bytes: int = 10 * MEGABYTE
     seed: int = 42
 
@@ -97,19 +105,28 @@ class ExperimentSettings:
     def workload(self, skew: float | None = 1.1) -> WorkloadSpec:
         """Build the experiment workload (Zipfian by default, uniform if ``skew`` is None)."""
         if skew is None:
-            return uniform_workload(
-                request_count=self.request_count,
-                object_count=self.object_count,
-                object_size=self.object_size,
-                seed=self.seed,
-            )
-        return zipfian_workload(
-            skew,
-            request_count=self.request_count,
-            object_count=self.object_count,
-            object_size=self.object_size,
-            seed=self.seed,
-        )
+            return uniform_workload(request_count=self.request_count,
+                                    object_count=self.object_count, seed=self.seed)
+        return zipfian_workload(skew, request_count=self.request_count,
+                                object_count=self.object_count, seed=self.seed)
+
+    def wire_workload(self) -> WorkloadSpec:
+        """The Zipf 1.1 workload with :data:`WIRE_OBJECT_SIZE` objects."""
+        return replace(self.workload(), object_size=WIRE_OBJECT_SIZE)
+
+    def deployment(self, regions: Sequence[RegionSpec], **fields) -> EngineConfig:
+        """One deployment of these settings.
+
+        The workload is :meth:`workload` (Zipf 1.1), the cache
+        ``cache_capacity_bytes`` with Agar tunables adapted to it
+        (:func:`agar_config_for_capacity`), the jitter seeded with ``seed``;
+        ``fields`` override these or set further :class:`EngineConfig` fields.
+        """
+        capacity = fields.get("cache_capacity_bytes", self.cache_capacity_bytes)
+        config = {"workload": self.workload(), "cache_capacity_bytes": capacity,
+                  "agar": agar_config_for_capacity(capacity),
+                  "topology_seed": self.seed, **fields}
+        return EngineConfig(regions=tuple(regions), **config)
 
     def with_requests(self, request_count: int) -> "ExperimentSettings":
         """Copy of the settings with a different request count."""
@@ -224,8 +241,8 @@ class EngineOptions:
     def __post_init__(self) -> None:
         if self.clients_per_region <= 0:
             raise ValueError("clients_per_region must be positive")
-        if self.arrival_rate_rps is not None and self.arrival_rate_rps <= 0:
-            raise ValueError("arrival_rate_rps must be positive")
+        if self.arrival_rate_rps is not None and not 0 < self.arrival_rate_rps < math.inf:
+            raise ValueError("arrival_rate_rps must be finite and positive")
         if self.region_specs is not None:
             if self.regions is not None:
                 raise ValueError("give either regions or region_specs, not both")
@@ -265,13 +282,10 @@ class EngineOptions:
         deployment-wide config was derived from the default capacity.
         """
         effective_clients = self.clients_per_region if clients is None else clients
-        if not self.region_specs:
-            return tuple(
-                RegionSpec(region=region, clients=effective_clients, strategy=strategy)
-                for region in self.effective_regions(default_regions)
-            )
+        options = self.region_specs or tuple(
+            RegionSpecOption(region) for region in self.effective_regions(default_regions))
         specs = []
-        for option in self.region_specs:
+        for option in options:
             effective_strategy = option.strategy or strategy
             agar = None
             if option.cache_capacity_bytes is not None and effective_strategy == "agar":

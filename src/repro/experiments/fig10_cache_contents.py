@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.report import Table
-from repro.experiments.common import MEGABYTE, ExperimentSettings, agar_config_for_capacity
-from repro.sim.engine import EngineConfig, RegionSpec
+from repro.experiments.common import MEGABYTE, ExperimentSettings
+from repro.sim.engine import RegionSpec
 from repro.sim.simulation import run_many
 
 #: The four scenarios of Fig. 10.
@@ -33,7 +33,6 @@ class Fig10Snapshot:
     cache_capacity_bytes: int
     chunk_histogram: dict[int, int] = field(default_factory=dict)
     space_share: dict[int, float] = field(default_factory=dict)
-    cached_objects: int = 0
     cached_chunks: int = 0
 
     @property
@@ -46,16 +45,10 @@ def run_fig10(settings: ExperimentSettings | None = None,
               scenarios: tuple[tuple[str, int], ...] = FIG10_SCENARIOS) -> list[Fig10Snapshot]:
     """Run Agar in each scenario and snapshot its cache contents."""
     settings = settings or ExperimentSettings.quick()
-    workload = settings.workload(skew=1.1)
     snapshots = []
     for region, capacity in scenarios:
-        config = EngineConfig(
-            workload=workload,
-            regions=(RegionSpec(region, strategy="agar"),),
-            cache_capacity_bytes=capacity,
-            agar=agar_config_for_capacity(capacity),
-            topology_seed=settings.seed,
-        )
+        config = settings.deployment((RegionSpec(region, strategy="agar"),),
+                                     cache_capacity_bytes=capacity)
         last_run = run_many(config, runs=settings.runs).results[-1]
         snapshot = last_run.regions[region].cache_snapshot
         histogram = snapshot.chunk_count_histogram() if snapshot else {}
@@ -70,7 +63,6 @@ def run_fig10(settings: ExperimentSettings | None = None,
                 cache_capacity_bytes=capacity,
                 chunk_histogram=dict(sorted(histogram.items(), reverse=True)),
                 space_share=dict(sorted(share.items(), reverse=True)),
-                cached_objects=sum(histogram.values()),
                 cached_chunks=total_chunks,
             )
         )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.analysis.report import Table
 from repro.experiments.common import FIG2_CHUNK_COUNTS, MEGABYTE, ExperimentSettings
-from repro.sim.engine import EngineConfig, RegionSpec
+from repro.sim.engine import RegionSpec
 from repro.sim.simulation import run_many
 
 #: Cache size that comfortably fits the full working set — the paper gives each
@@ -36,17 +36,12 @@ def run_fig2(settings: ExperimentSettings | None = None,
              chunk_counts: tuple[int, ...] = FIG2_CHUNK_COUNTS) -> list[Fig2Point]:
     """Run the motivating experiment and return one point per (region, c)."""
     settings = settings or ExperimentSettings.quick()
-    workload = settings.workload(skew=1.1)
     points = []
     for region in regions:
         for cached_chunks in chunk_counts:
             strategy = "backend" if cached_chunks == 0 else f"lru-{cached_chunks}"
-            config = EngineConfig(
-                workload=workload,
-                regions=(RegionSpec(region, strategy=strategy),),
-                cache_capacity_bytes=INFINITE_CACHE_BYTES,
-                topology_seed=settings.seed,
-            )
+            config = settings.deployment((RegionSpec(region, strategy=strategy),),
+                                         cache_capacity_bytes=INFINITE_CACHE_BYTES)
             result = run_many(config, runs=settings.runs).regions[region]
             points.append(
                 Fig2Point(

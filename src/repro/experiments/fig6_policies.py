@@ -7,6 +7,7 @@ workload; Fig. 7 plots the corresponding hit ratios (full + partial hits).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.analysis.report import Table, improvement_summary
@@ -31,6 +32,22 @@ class PolicyComparisonRow:
     full_hit_ratio: float
 
 
+def check_pins(engine: EngineOptions | None) -> None:
+    """Raise ``ValueError`` for collaboration with partially pinned strategies.
+
+    Collaboration only activates in the all-agar sweep deployment, so a
+    pinned region's rows would average collaborative and non-collaborative
+    systems: a number that matches neither.
+    """
+    if engine is None or not engine.collaboration:
+        return
+    specs = engine.region_specs or ()
+    if 0 < sum(spec.strategy is not None for spec in specs) < len(specs):
+        raise ValueError("--collaboration with partially pinned --region "
+                         "strategies is ambiguous for fig6/fig7; pin every "
+                         "region or drop --collaboration")
+
+
 def run_policy_comparison(settings: ExperimentSettings | None = None,
                           regions: tuple[str, ...] = EVALUATION_REGIONS,
                           strategies: tuple[str, ...] = FIG6_STRATEGIES,
@@ -44,29 +61,17 @@ def run_policy_comparison(settings: ExperimentSettings | None = None,
     process and (for Agar) cache collaboration.
     """
     settings = settings or ExperimentSettings.quick()
+    check_pins(engine)
     capacity = cache_capacity_bytes or settings.cache_capacity_bytes
     options = engine or EngineOptions()
 
     if options.active:
-        deployment_regions = options.effective_regions(regions)
-        sweep_strategies = list(strategies)
-        pinned = {spec.region for spec in options.region_specs or ()
-                  if spec.strategy is not None}
-        if pinned and len(pinned) == len(deployment_regions):
-            # Every region pins its strategy (--region NAME:STRATEGY...): the
-            # sweep would rerun the identical heterogeneous deployment per
-            # strategy, so one run suffices.
-            sweep_strategies = sweep_strategies[:1]
-        elif pinned and options.collaboration:
-            # Collaboration only activates in the all-agar sweep deployment,
-            # so a pinned region's rows would average collaborative and
-            # non-collaborative systems — refuse rather than report a number
-            # that matches neither.
-            raise ValueError(
-                "collaboration with partially pinned --region strategies is "
-                "ambiguous for fig6/fig7; pin every region or drop "
-                "--collaboration"
-            )
+        # When every region pins its strategy (--region NAME:STRATEGY...) the
+        # sweep would rerun the identical heterogeneous deployment per
+        # strategy, so one run suffices.
+        specs = options.region_specs or ()
+        sweep_strategies = (strategies[:1] if specs and all(spec.strategy for spec in specs)
+                            else strategies)
         sweeps = [{strategy: options.build_region_specs(regions, strategy)
                    for strategy in sweep_strategies}]
     else:
@@ -108,50 +113,37 @@ def run_policy_comparison(settings: ExperimentSettings | None = None,
     ]
 
 
-def _row_strategies(rows: list[PolicyComparisonRow]) -> list[str]:
-    """Distinct strategies in first-appearance order (regions may differ
-    when ``--region`` pins per-region strategies)."""
-    ordered: list[str] = []
-    for row in rows:
-        if row.strategy not in ordered:
-            ordered.append(row.strategy)
-    return ordered
+def _strategy_table(rows: list[PolicyComparisonRow], title: str,
+                    column: Callable[[str], str],
+                    value: Callable[[PolicyComparisonRow], float],
+                    skip: tuple[str, ...] = ()) -> Table:
+    """One row per strategy, one column per region; a region pinned to one
+    strategy (heterogeneous ``--region`` deployments) only has values for
+    that strategy, and its other cells render as ``-``."""
+    regions = sorted({row.region for row in rows})
+    cells = {(row.region, row.strategy): value(row) for row in rows}
+    table = Table(title=title, columns=("strategy", *map(column, regions)))
+    # Distinct strategies in first-appearance order (regions may differ when
+    # ``--region`` pins per-region strategies).
+    for strategy in dict.fromkeys(row.strategy for row in rows):
+        if strategy not in skip:
+            table.add_row(strategy, *[cells.get((region, strategy), "-") for region in regions])
+    return table
 
 
 def render_fig6(rows: list[PolicyComparisonRow]) -> Table:
-    """Fig. 6: average read latency per strategy and region.
-
-    A region pinned to one strategy (heterogeneous ``--region`` deployments)
-    only has values for that strategy; other cells render as ``-``.
-    """
-    regions = sorted({row.region for row in rows})
-    lookup = {(row.region, row.strategy): row.mean_latency_ms for row in rows}
-    table = Table(
-        title="Figure 6 — average read latency (ms): Agar vs LRU/LFU vs Backend",
-        columns=("strategy", *regions),
-    )
-    for strategy in _row_strategies(rows):
-        table.add_row(strategy, *[lookup.get((region, strategy), "-")
-                                  for region in regions])
-    return table
+    """Fig. 6: average read latency per strategy and region."""
+    return _strategy_table(
+        rows, "Figure 6 — average read latency (ms): Agar vs LRU/LFU vs Backend",
+        str, lambda row: row.mean_latency_ms)
 
 
 def render_fig7(rows: list[PolicyComparisonRow]) -> Table:
     """Fig. 7: hit ratio (full + partial) per caching strategy and region."""
-    regions = sorted({row.region for row in rows})
-    lookup = {(row.region, row.strategy): row.hit_ratio for row in rows}
-    table = Table(
-        title="Figure 7 — cache hit ratio (full + partial hits)",
-        columns=("strategy", *[f"{region} (%)" for region in regions]),
-    )
-    for strategy in _row_strategies(rows):
-        if strategy == "backend":
-            continue
-        table.add_row(strategy, *[
-            lookup[(region, strategy)] * 100.0 if (region, strategy) in lookup else "-"
-            for region in regions
-        ])
-    return table
+    return _strategy_table(
+        rows, "Figure 7 — cache hit ratio (full + partial hits)",
+        lambda region: f"{region} (%)", lambda row: row.hit_ratio * 100.0,
+        skip=("backend",))
 
 
 def agar_advantage(rows: list[PolicyComparisonRow], region: str) -> dict[str, float]:

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.report import Table, improvement_summary
-from repro.core.agar_node import AgarNodeConfig
 from repro.experiments.common import (
+    CLIENT_REGION,
     FIG8A_CACHE_SIZES_MB,
     FIG8B_SKEWS,
     FIG8_STRATEGIES,
@@ -25,52 +25,26 @@ from repro.sim.simulation import run_comparison
 from repro.workload.workload import WorkloadSpec
 
 
-def _compare_strategies(workload: WorkloadSpec, strategies: list[str],
-                        client_region: str, cache_capacity_bytes: int,
-                        settings: ExperimentSettings,
-                        agar_config: AgarNodeConfig | None = None,
-                        engine: EngineOptions | None = None
-                        ) -> dict[str, tuple[float, float]]:
-    """One sweep point: ``{strategy: (mean_latency_ms, hit_ratio)}``.
+def check_no_pinned_strategy(engine: EngineOptions | None) -> None:
+    """Raise ``ValueError`` if engine options pin per-region strategies.
 
-    The paper's setting is one client in ``client_region``; engine options
-    replace it with their own regions, client count, arrival process and
-    collaboration (metrics averaged over the deployment's regions, which all
-    carry the same request count).
-
-    Raises:
-        ValueError: if engine options pin per-region strategies — Fig. 8
-            compares strategies, so a pinned region would report the same
-            deployment under every strategy label (use ``fig6`` or
-            ``multiregion`` for heterogeneous-strategy deployments; per-region
-            cache sizes remain valid here).
+    Fig. 8 compares strategies, so a pinned region would report the same
+    deployment under every strategy label (``fig6`` and ``multiregion`` take
+    heterogeneous-strategy deployments; per-region cache sizes remain valid
+    in Fig. 8b).
     """
-    options = engine or EngineOptions()
-    pinned = [spec.region for spec in options.region_specs or ()
-              if spec.strategy is not None]
-    if pinned:
-        raise ValueError(
-            f"fig8 sweeps strategies; pinned per-region strategies "
-            f"(--region, offending: {pinned}) belong to fig6/multiregion"
-        )
-    comparison = run_comparison(
-        workload=workload,
-        deployments={strategy: options.build_region_specs((client_region,), strategy)
-                     for strategy in strategies},
-        cache_capacity_bytes=cache_capacity_bytes,
-        runs=settings.runs,
-        agar_config=agar_config,
-        topology_seed=settings.seed,
-        arrival=options.arrival_spec(),
-        collaboration=options.collaboration,
-    )
-    return {
-        strategy: (
-            sum(a.mean_latency_ms for a in runs.regions.values()) / len(runs.regions),
-            sum(a.hit_ratio for a in runs.regions.values()) / len(runs.regions),
-        )
-        for strategy, runs in comparison.items()
-    }
+    if any(spec.strategy is not None for spec in engine and engine.region_specs or ()):
+        raise ValueError("--region with a pinned strategy is not valid for "
+                         "fig8a/fig8b (strategy sweeps); use fig6 or multiregion")
+
+
+def check_no_cache_size(engine: EngineOptions | None) -> None:
+    """Raise ``ValueError`` if engine options carry per-region cache sizes,
+    which would fight Fig. 8a's cache-size sweep."""
+    if any(spec.cache_capacity_bytes is not None
+           for spec in engine and engine.region_specs or ()):
+        raise ValueError("--region with a cache size is not valid for fig8a "
+                         "(it sweeps the cache size)")
 
 
 @dataclass(frozen=True)
@@ -83,93 +57,69 @@ class SweepPoint:
     hit_ratio: float
 
 
+def _sweep(settings: ExperimentSettings, engine: EngineOptions | None,
+           legs: list[tuple[str, WorkloadSpec, int, tuple[str, ...]]]) -> list[SweepPoint]:
+    """One point per strategy of each ``(group, workload, cache_capacity_bytes,
+    strategies)`` leg.
+
+    The paper's setting is one client in :data:`CLIENT_REGION`; engine options
+    replace it with their own regions, client count, arrival process and
+    collaboration (metrics averaged over the deployment's regions, which all
+    carry the same request count).
+    """
+    options = engine or EngineOptions()
+    points = []
+    for group, workload, capacity, strategies in legs:
+        comparison = run_comparison(
+            workload=workload,
+            deployments={strategy: options.build_region_specs((CLIENT_REGION,), strategy)
+                         for strategy in strategies},
+            cache_capacity_bytes=capacity,
+            runs=settings.runs,
+            agar_config=agar_config_for_capacity(capacity),
+            topology_seed=settings.seed,
+            arrival=options.arrival_spec(),
+            collaboration=options.collaboration,
+        )
+        for strategy, runs in comparison.items():
+            regions = runs.regions.values()
+            points.append(SweepPoint(
+                group, strategy,
+                mean_latency_ms=sum(a.mean_latency_ms for a in regions) / len(regions),
+                hit_ratio=sum(a.hit_ratio for a in regions) / len(regions)))
+    return points
+
+
 def run_fig8a(settings: ExperimentSettings | None = None,
               cache_sizes_mb: tuple[int, ...] = FIG8A_CACHE_SIZES_MB,
               strategies: tuple[str, ...] = FIG8_STRATEGIES,
-              client_region: str = "frankfurt",
-              include_backend_bar: bool = True,
               engine: EngineOptions | None = None) -> list[SweepPoint]:
-    """Vary the cache size with the workload fixed at Zipf 1.1 (Fig. 8a).
-
-    Raises:
-        ValueError: if engine options carry per-region cache sizes — this
-            figure sweeps the cache size itself, so a per-region override
-            would silently fight the sweep.
-    """
+    """Vary the cache size with the workload fixed at Zipf 1.1 (Fig. 8a),
+    after the 0 MB backend bar."""
     settings = settings or ExperimentSettings.quick()
-    if engine is not None:
-        sized = [spec.region for spec in engine.region_specs or ()
-                 if spec.cache_capacity_bytes is not None]
-        if sized:
-            raise ValueError(
-                f"fig8a sweeps the cache size; per-region cache overrides "
-                f"(--region, offending: {sized}) conflict with the sweep"
-            )
+    check_no_pinned_strategy(engine)
+    check_no_cache_size(engine)
     workload = settings.workload(skew=1.1)
-    points: list[SweepPoint] = []
-
-    if include_backend_bar:
-        metrics = _compare_strategies(
-            workload, ["backend"], client_region, 0, settings, engine=engine,
-        )
-        points.append(
-            SweepPoint(group="0MB", strategy="backend",
-                       mean_latency_ms=metrics["backend"][0],
-                       hit_ratio=metrics["backend"][1])
-        )
-
-    for size_mb in cache_sizes_mb:
-        capacity = size_mb * MEGABYTE
-        metrics = _compare_strategies(
-            workload, list(strategies), client_region, capacity, settings,
-            agar_config=agar_config_for_capacity(capacity), engine=engine,
-        )
-        for strategy, (mean_latency_ms, hit_ratio) in metrics.items():
-            points.append(
-                SweepPoint(group=f"{size_mb}MB", strategy=strategy,
-                           mean_latency_ms=mean_latency_ms, hit_ratio=hit_ratio)
-            )
-    return points
+    return _sweep(settings, engine, [("0MB", workload, 0, ("backend",))] + [
+        (f"{size_mb}MB", workload, size_mb * MEGABYTE, strategies)
+        for size_mb in cache_sizes_mb])
 
 
 def run_fig8b(settings: ExperimentSettings | None = None,
               skews: tuple[float, ...] = FIG8B_SKEWS,
               strategies: tuple[str, ...] = FIG8_STRATEGIES,
-              client_region: str = "frankfurt",
-              include_uniform: bool = True,
               include_backend_bar: bool = True,
               engine: EngineOptions | None = None) -> list[SweepPoint]:
-    """Vary the workload with the cache fixed at 10 MB (Fig. 8b)."""
+    """Vary the workload over uniform and ``skews`` with the cache fixed at
+    10 MB (Fig. 8b), after the backend bar on the uniform workload."""
     settings = settings or ExperimentSettings.quick()
-    capacity = settings.cache_capacity_bytes
-    points: list[SweepPoint] = []
-
-    workloads: list[tuple[str, WorkloadSpec]] = []
-    if include_uniform:
-        workloads.append(("uniform", settings.workload(skew=None)))
+    check_no_pinned_strategy(engine)
+    workloads = [("uniform", settings.workload(skew=None))]
     workloads.extend((f"zipf-{skew:g}", settings.workload(skew=skew)) for skew in skews)
-
-    if include_backend_bar:
-        metrics = _compare_strategies(
-            workloads[0][1], ["backend"], client_region, 0, settings, engine=engine,
-        )
-        points.append(
-            SweepPoint(group="backend", strategy="backend",
-                       mean_latency_ms=metrics["backend"][0],
-                       hit_ratio=metrics["backend"][1])
-        )
-
-    for group, workload in workloads:
-        metrics = _compare_strategies(
-            workload, list(strategies), client_region, capacity, settings,
-            agar_config=agar_config_for_capacity(capacity), engine=engine,
-        )
-        for strategy, (mean_latency_ms, hit_ratio) in metrics.items():
-            points.append(
-                SweepPoint(group=group, strategy=strategy,
-                           mean_latency_ms=mean_latency_ms, hit_ratio=hit_ratio)
-            )
-    return points
+    bar = [("backend", workloads[0][1], 0, ("backend",))] if include_backend_bar else []
+    return _sweep(settings, engine, bar + [
+        (group, workload, settings.cache_capacity_bytes, strategies)
+        for group, workload in workloads])
 
 
 def render_sweep(points: list[SweepPoint], title: str) -> Table:
@@ -185,14 +135,10 @@ def render_sweep(points: list[SweepPoint], title: str) -> Table:
 
 def agar_lead_by_group(points: list[SweepPoint]) -> dict[str, float]:
     """Agar's latency advantage (%) over the best static policy, per sweep group."""
-    leads: dict[str, float] = {}
-    groups = {point.group for point in points if point.strategy == "agar"}
-    for group in groups:
-        latencies = {
-            point.strategy: point.mean_latency_ms
-            for point in points
-            if point.group == group
-        }
-        summary = improvement_summary(latencies, subject="agar", exclude=("backend",))
-        leads[group] = summary["vs_best_pct"]
-    return leads
+    def lead(group: str) -> float:
+        latencies = {point.strategy: point.mean_latency_ms
+                     for point in points if point.group == group}
+        return improvement_summary(latencies, subject="agar", exclude=("backend",))["vs_best_pct"]
+
+    return {group: lead(group) for group in {point.group for point in points
+                                             if point.strategy == "agar"}}

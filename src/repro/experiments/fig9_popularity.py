@@ -31,14 +31,12 @@ class Fig9Series:
 
 def run_fig9(settings: ExperimentSettings | None = None,
              skews: tuple[float, ...] = FIG9_SKEWS,
-             max_objects: int = 50,
              include_empirical: bool = True) -> list[Fig9Series]:
     """Compute the popularity CDFs of Fig. 9.
 
     Args:
         settings: experiment scale (object count, request count, seed).
         skews: Zipf exponents to plot.
-        max_objects: x-axis limit (the paper plots the 50 most popular objects).
         include_empirical: also sample a request stream per skew and compute the
             empirical CDF, validating the generator against the analytic curve.
     """
@@ -56,9 +54,8 @@ def run_fig9(settings: ExperimentSettings | None = None,
             )
             requests = generate_requests(workload)
             counts = request_frequency(requests)
-            per_rank = np.zeros(settings.object_count)
-            for rank in range(settings.object_count):
-                per_rank[rank] = counts.get(workload.key_for_rank(rank), 0)
+            per_rank = np.array([counts.get(workload.key_for_rank(rank), 0)
+                                 for rank in range(settings.object_count)], dtype=float)
             # Empirical popularity is sorted by observed frequency, mirroring
             # how one would read it off a trace without knowing true ranks.
             ordered = np.sort(per_rank)[::-1]

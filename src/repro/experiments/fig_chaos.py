@@ -43,9 +43,7 @@ from repro.serve.loadgen import (RegionWireResult, WireLoadSpec,
 from repro.serve.supervisor import (ClusterSupervisor, RecoveryRecord,
                                     SupervisorConfig)
 from repro.sim.engine import EngineConfig, RegionSpec
-from repro.workload.workload import ArrivalSpec, WorkloadSpec
-
-WIRE_OBJECT_SIZE_CAP = 64 * 1024
+from repro.workload.workload import poisson_arrivals
 
 #: The window around a crash used for the "during" percentile (seconds).
 DISRUPTION_WINDOW_S = 0.25
@@ -121,12 +119,9 @@ async def _run_variant(name: str, config: EngineConfig, spec: WireLoadSpec,
                        schedule: ChaosSchedule | None, warm: bool,
                        seed: int) -> ChaosVariantResult:
     cluster = ServeCluster.from_config(config, seed=seed, payloads=True)
-    crash_count = schedule.crash_count() if schedule is not None else 0
-    crash_at = None
-    if schedule is not None:
-        crash_times = [fault.at_s for fault in schedule.wire_faults
-                       if isinstance(fault, GatewayCrash)]
-        crash_at = min(crash_times) if crash_times else None
+    faults = schedule.wire_faults if schedule is not None else ()
+    crash_times = [fault.at_s for fault in faults if isinstance(fault, GatewayCrash)]
+    crash_count, crash_at = len(crash_times), min(crash_times, default=None)
     async with cluster:
         supervisor_config = SupervisorConfig(poll_interval_s=0.02,
                                              warm_recovery=warm)
@@ -147,45 +142,39 @@ async def _run_variant(name: str, config: EngineConfig, spec: WireLoadSpec,
                     break
                 await asyncio.sleep(0.02)
             recoveries = tuple(supervisor.recoveries)
-    requests = sum(result.requests for result in results.values())
-    completed = sum(result.stats.count + result.connections.failed_over
-                    for result in results.values())
-    unavailable = sum(result.stats.unavailable_reads
-                      for result in results.values())
-    failed_over = sum(result.connections.failed_over
-                      for result in results.values())
-    reconnects = sum(result.connections.reconnects
-                     for result in results.values())
+    regions = results.values()
+    failed_over = sum(result.connections.failed_over for result in regions)
     p99_before, p99_during, p99_after = _partition_p99(results, crash_at)
     return ChaosVariantResult(
-        name=name, requests=requests, completed=completed,
-        unavailable=unavailable, failed_over=failed_over,
-        reconnects=reconnects, crashes=crash_count, recoveries=recoveries,
-        p99_before_ms=p99_before, p99_during_ms=p99_during,
-        p99_after_ms=p99_after)
+        name=name, requests=sum(result.requests for result in regions),
+        completed=sum(result.stats.count for result in regions) + failed_over,
+        unavailable=sum(result.stats.unavailable_reads for result in regions),
+        failed_over=failed_over,
+        reconnects=sum(result.connections.reconnects for result in regions),
+        crashes=crash_count, recoveries=recoveries, p99_before_ms=p99_before,
+        p99_during_ms=p99_during, p99_after_ms=p99_after)
+
+
+def check_regions(regions: Sequence[str]) -> None:
+    """Raise ``ValueError`` unless ``regions`` names the cluster's two regions."""
+    if len(regions) != 2:
+        raise ValueError("fig_chaos drives a 2-region cluster; pass exactly "
+                         "two regions in --regions")
 
 
 def run_fig_chaos(settings: ExperimentSettings,
                   regions: Sequence[str] = CHAOS_REGIONS,
                   ) -> list[ChaosVariantResult]:
     """Sweep crash/restart schedules against a live 2-region cluster."""
-    workload = WorkloadSpec(
-        object_count=settings.object_count,
-        object_size=min(settings.object_size, WIRE_OBJECT_SIZE_CAP),
-        request_count=settings.request_count,
-        seed=settings.seed,
-    )
-    config = EngineConfig(
-        workload=workload,
-        regions=[RegionSpec(region=name, clients=1, strategy=STRATEGY)
-                 for name in regions],
-        cache_capacity_bytes=settings.cache_capacity_bytes,
-        topology_seed=settings.seed,
-    )
+    check_regions(regions)
+    workload = settings.wire_workload()
+    config = settings.deployment(
+        [RegionSpec(region=name, strategy=STRATEGY) for name in regions],
+        workload=workload)
     per_connection = max(workload.request_count // CONNECTIONS, 1)
     spec = WireLoadSpec(
         workload=workload,
-        arrival=ArrivalSpec(process="poisson", rate_rps=RATE_RPS),
+        arrival=poisson_arrivals(RATE_RPS),
         connections=CONNECTIONS,
         requests_per_connection=per_connection,
         resilience=WireResilience(base_timeout_ms=BASE_TIMEOUT_MS,
@@ -217,16 +206,13 @@ def run_fig_chaos(settings: ExperimentSettings,
 
 def render_fig_chaos(results: list[ChaosVariantResult]) -> Table:
     """Availability / recovery-lag / p99-phase table, one row per variant."""
-    table = Table(
-        title="Chaos tier — availability and recovery over live gateways",
-        columns=["variant", "requests", "avail %", "unavail", "failover",
-                 "reconn", "crashes", "recovery ms", "restored %",
-                 "p99 before", "p99 during", "p99 after"])
-    for result in results:
-        table.add_row(
-            result.name, result.requests, result.availability * 100.0,
-            result.unavailable, result.failed_over, result.reconnects,
-            result.crashes, result.mean_recovery_ms,
-            result.mean_restored_fraction * 100.0,
-            result.p99_before_ms, result.p99_during_ms, result.p99_after_ms)
-    return table
+    return Table.from_rows(
+        "Chaos tier — availability and recovery over live gateways",
+        (("variant", "name"), ("requests", "requests"),
+         ("avail %", lambda result: result.availability * 100.0),
+         ("unavail", "unavailable"), ("failover", "failed_over"),
+         ("reconn", "reconnects"), ("crashes", "crashes"),
+         ("recovery ms", "mean_recovery_ms"),
+         ("restored %", lambda result: result.mean_restored_fraction * 100.0),
+         ("p99 before", "p99_before_ms"), ("p99 during", "p99_during_ms"),
+         ("p99 after", "p99_after_ms")), results)

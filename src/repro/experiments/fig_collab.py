@@ -30,13 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.report import Table, percent_difference
-from repro.experiments.common import (
-    EngineOptions,
-    ExperimentSettings,
-    agar_config_for_capacity,
-)
+from repro.experiments.common import EngineOptions, ExperimentSettings
 from repro.extensions.collaboration import announcement_of, overlap_between
-from repro.sim.engine import EngineConfig, EngineResult, RegionSpec
+from repro.sim.engine import EngineResult, RegionSpec
 from repro.sim.simulation import DEPLOYMENT_LABEL, RegionAggregate, run_many
 
 #: Neighbour-read latencies swept by default (ms).  The span deliberately
@@ -190,16 +186,8 @@ def _run_point(settings: ExperimentSettings, regions: tuple[str, ...],
                period_s: float, neighbor_read_ms: float,
                sharded: bool) -> _RunAggregate:
     """Run one deployment (collaborative or independent) and aggregate it."""
-    capacity = settings.cache_capacity_bytes
-    config = EngineConfig(
-        workload=settings.workload(skew=1.1),
-        regions=tuple(
-            RegionSpec(region=region, clients=clients_per_region, strategy="agar")
-            for region in regions
-        ),
-        cache_capacity_bytes=capacity,
-        agar=agar_config_for_capacity(capacity),
-        topology_seed=settings.seed,
+    config = settings.deployment(
+        [RegionSpec(region, clients=clients_per_region) for region in regions],
         arrival=arrival,
         collaboration=collaboration,
         collaboration_period_s=period_s if collaboration else None,
@@ -245,6 +233,13 @@ def compute_crossover(pairing: str, period_s: float,
                         wins_below=wins_below, monotonic=sign_changes <= 1)
 
 
+def check_pairing(pairing: tuple[str, ...]) -> None:
+    """Raise ``ValueError`` unless ``pairing`` names at least two regions."""
+    if len(pairing) < 2:
+        raise ValueError("fig_collab needs at least two regions in --regions "
+                         "(a pairing)")
+
+
 def run_fig_collab(settings: ExperimentSettings | None = None,
                    options: EngineOptions | None = None,
                    neighbor_read_ms_values: tuple[float, ...] | None = None,
@@ -279,8 +274,8 @@ def run_fig_collab(settings: ExperimentSettings | None = None,
     overlaps: list[OverlapRow] = []
     crossovers: list[CrossoverRow] = []
     for pairing in pairings:
-        if len(pairing) < 2:
-            raise ValueError(f"a pairing needs at least two regions, got {pairing!r}")
+        check_pairing(pairing)
+    for pairing in pairings:
         label = "+".join(pairing)
         # The independent baseline depends on neither neighbor_read_ms nor
         # the collaboration period: one run per pairing serves every point.
@@ -321,12 +316,8 @@ def run_fig_collab(settings: ExperimentSettings | None = None,
                             collab_overlap_chunks=collab.overlap.get(pair_key, 0),
                             independent_overlap_chunks=independent.overlap.get(pair_key, 0),
                         ))
-                aggregate_points.append((
-                    neighbor_read_ms,
-                    percent_difference(
-                        independent.aggregates[DEPLOYMENT_LABEL].mean_latency_ms,
-                        collab.aggregates[DEPLOYMENT_LABEL].mean_latency_ms),
-                ))
+                # The deployment-wide row went in last.
+                aggregate_points.append((neighbor_read_ms, rows[-1].advantage_pct))
             crossovers.append(compute_crossover(label, period_s, aggregate_points))
     return CollabSweepResult(rows=rows, overlaps=overlaps, crossovers=crossovers,
                              sharded=sharded)
@@ -335,40 +326,22 @@ def run_fig_collab(settings: ExperimentSettings | None = None,
 def render_fig_collab(result: CollabSweepResult) -> str:
     """Render the sweep as the figure-style report (tables + crossover lines)."""
     mode = "sharded engine" if result.sharded else "in-process engine"
-    sweep_table = Table(
-        title=f"Collaboration sweep — collaborative vs independent caches ({mode})",
-        columns=("pairing", "period (s)", "neighbor read (ms)", "region",
-                 "collab mean (ms)", "indep mean (ms)", "advantage (%)",
-                 "collab hit (%)", "indep hit (%)", "collab nbr chunks"),
-    )
-    for row in result.rows:
-        sweep_table.add_row(
-            row.pairing,
-            row.period_s,
-            row.neighbor_read_ms,
-            row.region,
-            row.collab_mean_ms,
-            row.independent_mean_ms,
-            row.advantage_pct,
-            row.collab_hit_ratio * 100.0,
-            row.independent_hit_ratio * 100.0,
-            row.collab_neighbor_chunks,
-        )
-
-    overlap_table = Table(
-        title="Cache-content overlap between the paired regions (identical pinned chunks)",
-        columns=("pairing", "pair", "period (s)", "neighbor read (ms)",
-                 "collab overlap", "indep overlap"),
-    )
-    for overlap in result.overlaps:
-        overlap_table.add_row(
-            overlap.pairing,
-            overlap.pair,
-            overlap.period_s,
-            overlap.neighbor_read_ms,
-            overlap.collab_overlap_chunks,
-            overlap.independent_overlap_chunks,
-        )
+    sweep_table = Table.from_rows(
+        f"Collaboration sweep — collaborative vs independent caches ({mode})",
+        (("pairing", "pairing"), ("period (s)", "period_s"),
+         ("neighbor read (ms)", "neighbor_read_ms"), ("region", "region"),
+         ("collab mean (ms)", "collab_mean_ms"),
+         ("indep mean (ms)", "independent_mean_ms"),
+         ("advantage (%)", "advantage_pct"),
+         ("collab hit (%)", lambda row: row.collab_hit_ratio * 100.0),
+         ("indep hit (%)", lambda row: row.independent_hit_ratio * 100.0),
+         ("collab nbr chunks", "collab_neighbor_chunks")), result.rows)
+    overlap_table = Table.from_rows(
+        "Cache-content overlap between the paired regions (identical pinned chunks)",
+        (("pairing", "pairing"), ("pair", "pair"), ("period (s)", "period_s"),
+         ("neighbor read (ms)", "neighbor_read_ms"),
+         ("collab overlap", "collab_overlap_chunks"),
+         ("indep overlap", "independent_overlap_chunks")), result.overlaps)
 
     lines = [sweep_table.render(), ""]
     lines.append("Crossover (collaboration vs independent, deployment-wide mean):")

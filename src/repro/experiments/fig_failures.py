@@ -24,18 +24,14 @@ the in-process and the sharded engine.  See ``docs/failures.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.analysis.report import Table, percent_difference
 from repro.client.resilience import ResilienceConfig
-from repro.client.stats import LatencyWindow, windowed_latency_series
+from repro.client.stats import LatencyStats, LatencyWindow, windowed_latency_series
 from repro.client.strategies import ClientConfig
-from repro.experiments.common import (
-    EngineOptions,
-    ExperimentSettings,
-    agar_config_for_capacity,
-)
-from repro.sim.engine import EngineConfig, EngineResult, RegionSpec
+from repro.experiments.common import EngineOptions, ExperimentSettings
+from repro.sim.engine import EngineResult, RegionSpec
 from repro.sim.faults import FaultSchedule, RegionOutage
 from repro.sim.simulation import run_many
 
@@ -77,18 +73,11 @@ DEFAULT_LEGS: tuple[tuple, ...] = (
 
 def _normalize_legs(legs) -> tuple[tuple[str, bool, bool], ...]:
     """Accept (strategy, collab) or (strategy, collab, hedged) leg tuples."""
-    normalized = []
     for leg in legs:
-        if len(leg) == 2:
-            strategy, collaboration = leg
-            hedged = False
-        elif len(leg) == 3:
-            strategy, collaboration, hedged = leg
-        else:
+        if len(leg) not in (2, 3):
             raise ValueError(f"malformed leg {leg!r} (expected "
                              "(strategy, collaboration[, hedged]))")
-        normalized.append((strategy, bool(collaboration), bool(hedged)))
-    return tuple(normalized)
+    return tuple((leg[0], bool(leg[1]), len(leg) == 3 and bool(leg[2])) for leg in legs)
 
 
 def _leg_label(strategy: str, collaboration: bool, hedged: bool) -> str:
@@ -165,37 +154,11 @@ class FailureSweepResult:
     #: leg label — the recovery curve worth plotting.
     series: dict[str, list[LatencyWindow]]
     fault_region: str
-    window_s: float
     sharded: bool
     #: ``FaultSchedule.describe()`` of each leg's longest outage, keyed by
     #: the leg label (the injected windows differ per leg because they are
     #: placed relative to the leg's own clean duration).
     schedules: dict[str, str] | None = None
-
-
-def _build_config(settings: ExperimentSettings, regions: tuple[str, ...],
-                  strategy: str, clients: int, arrival, collaboration: bool,
-                  faults: FaultSchedule | None,
-                  resilience: ResilienceConfig | None = None) -> EngineConfig:
-    capacity = settings.cache_capacity_bytes
-    client = (ClientConfig(resilience=resilience) if resilience is not None
-              else ClientConfig())
-    return EngineConfig(
-        workload=settings.workload(skew=1.1),
-        regions=tuple(
-            RegionSpec(region=region, clients=clients, strategy=strategy)
-            for region in regions
-        ),
-        cache_capacity_bytes=capacity,
-        agar=agar_config_for_capacity(capacity),
-        topology_seed=settings.seed,
-        arrival=arrival,
-        client=client,
-        collaboration=collaboration,
-        collaboration_period_s=30.0 if collaboration else None,
-        timer_reconfiguration=True,
-        faults=faults,
-    )
 
 
 def _reaction_lag_s(deployment) -> float | None:
@@ -204,11 +167,8 @@ def _reaction_lag_s(deployment) -> float | None:
     Sharded runs mutate deepcopies/forked copies of the deployment, so their
     lags are not observable here; the column shows "-" in sharded mode.
     """
-    lags: list[float] = []
-    for strategy in deployment.strategies:
-        node = getattr(strategy, "node", None)
-        if node is not None:
-            lags.extend(node.fault_reaction_lags_s)
+    nodes = [getattr(strategy, "node", None) for strategy in deployment.strategies]
+    lags = [lag for node in nodes if node is not None for lag in node.fault_reaction_lags_s]
     return sum(lags) / len(lags) if lags else None
 
 
@@ -224,44 +184,42 @@ def _duration_s(results: list[EngineResult]) -> float:
 def _collect_reads(results: list[EngineResult]):
     """Every retained ReadResult across runs and regions (shared time axis:
     each run restarts its clock at zero, so windows pool the repetitions)."""
-    reads = []
-    for result in results:
-        for region_result in result.regions.values():
-            reads.extend(region_result.results)
-    return reads
-
-
-def _merged_stats(results: list[EngineResult]):
-    merged = results[0].overall_stats()
-    for result in results[1:]:
-        merged = merged.merge(result.overall_stats())
-    return merged
+    return [read for result in results
+            for region_result in result.regions.values()
+            for read in region_result.results]
 
 
 def _phase_p99(windows: list[LatencyWindow], start_s: float,
                end_s: float | None) -> float:
     """Max windowed p99 over [start_s, end_s) — the phase's worst window."""
-    values = [
-        window.p99_ms
-        for window in windows
-        if window.reads > 0 and window.start_s >= start_s
-        and (end_s is None or window.start_s < end_s)
-    ]
-    return max(values) if values else 0.0
+    return max((window.p99_ms for window in windows
+                if window.reads > 0 and window.start_s >= start_s
+                and (end_s is None or window.start_s < end_s)), default=0.0)
 
 
 def _recovery_windows(windows: list[LatencyWindow], outage_end_s: float,
                       baseline_p99_ms: float) -> int | None:
     """Windows after the repair until p99 re-enters the recovery band."""
-    position = 0
-    for window in windows:
-        if window.start_s < outage_end_s:
-            continue
-        if window.reads == 0 or \
-                window.p99_ms <= baseline_p99_ms * RECOVERY_TOLERANCE:
-            return position
-        position += 1
-    return None
+    after = [window for window in windows if window.start_s >= outage_end_s]
+    return next((position for position, window in enumerate(after)
+                 if window.reads == 0
+                 or window.p99_ms <= baseline_p99_ms * RECOVERY_TOLERANCE), None)
+
+
+def check_sweep(regions: tuple[str, ...], fault_region: str,
+                fractions: tuple[float, ...]) -> None:
+    """Raise ``ValueError`` for a sweep that cannot run: a fault region among
+    the client regions, or no outage fraction, or one outside (0, 1)."""
+    if fault_region in regions:
+        raise ValueError(
+            f"fault region {fault_region!r} is a client region; take down a "
+            "backend-only region so clients keep running")
+    if not fractions:
+        raise ValueError("outage_fractions must not be empty")
+    if any(not fraction > 0.0 for fraction in fractions):
+        raise ValueError("--outage-fraction values must be positive")
+    if any(fraction >= 1.0 for fraction in fractions):
+        raise ValueError("--outage-fraction values must be below 1")
 
 
 def run_fig_failures(settings: ExperimentSettings | None = None,
@@ -283,33 +241,29 @@ def run_fig_failures(settings: ExperimentSettings | None = None,
     clients = options.clients_per_region
     arrival = options.arrival_spec()
     regions = options.regions or DEFAULT_REGIONS
-    if fault_region in regions:
-        raise ValueError(
-            f"fault region {fault_region!r} is a client region; take down a "
-            "backend-only region so clients keep running")
     fractions = (DEFAULT_OUTAGE_FRACTIONS if outage_fractions is None
                  else tuple(sorted(outage_fractions)))
-    if not fractions:
-        raise ValueError("outage_fractions must not be empty")
-    if any(not 0.0 < fraction < 1.0 for fraction in fractions):
-        raise ValueError("outage fractions must lie strictly between 0 and 1")
+    check_sweep(regions, fault_region, fractions)
     legs = _normalize_legs(DEFAULT_LEGS if legs is None else legs)
 
     rows: list[FailurePointRow] = []
     series: dict[str, list[LatencyWindow]] = {}
     schedules: dict[str, str] = {}
-    window_s = 0.0
     for strategy, collaboration, hedged in legs:
         resilience = DEFAULT_HEDGED_RESILIENCE if hedged else None
-        clean_config = _build_config(settings, regions, strategy, clients,
-                                     arrival, collaboration, faults=None,
-                                     resilience=resilience)
+        clean_config = settings.deployment(
+            [RegionSpec(region, clients=clients, strategy=strategy) for region in regions],
+            arrival=arrival,
+            client=ClientConfig(resilience=resilience),
+            collaboration=collaboration,
+            collaboration_period_s=30.0 if collaboration else None,
+            timer_reconfiguration=True,
+        )
         clean_runs = run_many(clean_config, runs=settings.runs, sharded=sharded,
                               keep_results=True).results
         duration = _duration_s(clean_runs)
-        window_s = max(window_s, duration / WINDOWS_PER_RUN)
         leg_window = duration / WINDOWS_PER_RUN
-        clean_stats = _merged_stats(clean_runs)
+        clean_stats = LatencyStats.merge_all(run.overall_stats() for run in clean_runs)
         clean_windows = windowed_latency_series(
             _collect_reads(clean_runs), leg_window, end_s=duration)
         outage_start = duration * OUTAGE_START_FRACTION
@@ -321,13 +275,11 @@ def run_fig_failures(settings: ExperimentSettings | None = None,
                 RegionOutage(fault_region, start_s=outage_start,
                              end_s=outage_end),
             ])
-            config = _build_config(settings, regions, strategy, clients,
-                                   arrival, collaboration, faults=faults,
-                                   resilience=resilience)
-            faulted = run_many(config, runs=settings.runs, sharded=sharded,
-                               keep_results=True)
+            # The leg's clean deployment with the outage scheduled.
+            faulted = run_many(replace(clean_config, faults=faults), runs=settings.runs,
+                               sharded=sharded, keep_results=True)
             runs = faulted.results
-            stats = _merged_stats(runs)
+            stats = LatencyStats.merge_all(run.overall_stats() for run in runs)
             reads = _collect_reads(runs)
             faulted_duration = max(duration, _duration_s(runs))
             windows = windowed_latency_series(reads, leg_window,
@@ -366,45 +318,32 @@ def run_fig_failures(settings: ExperimentSettings | None = None,
                 series[leg_label] = windows
                 schedules[leg_label] = faults.describe()
     return FailureSweepResult(rows=rows, series=series,
-                              fault_region=fault_region, window_s=window_s,
+                              fault_region=fault_region,
                               sharded=sharded, schedules=schedules)
+
+
+def _or_dash(value: int | None) -> int | str:
+    return "-" if value is None else value
 
 
 def render_fig_failures(result: FailureSweepResult) -> str:
     """Render the sweep as a figure-style report (table + recovery curves)."""
     mode = "sharded engine" if result.sharded else "in-process engine"
-    table = Table(
-        title=(f"Outage sweep — {result.fault_region} down, degraded reads "
-               f"and recovery ({mode})"),
-        columns=("leg", "hedging", "outage (frac)", "outage (s)", "reads",
-                 "degraded", "unavailable", "retries", "hedges (won)",
-                 "mean (ms)", "clean mean (ms)", "slowdown (%)",
-                 "p99 before", "p99 during", "p99 after",
-                 "recovery (windows)", "recovery lag (windows)",
-                 "reaction lag (s)"),
-    )
-    for row in result.rows:
-        table.add_row(
-            row.leg,
-            "on" if row.hedged else "off",
-            row.outage_fraction,
-            row.outage_end_s - row.outage_start_s,
-            row.reads,
-            row.degraded_reads,
-            row.unavailable_reads,
-            row.retries_total,
-            f"{row.hedged_reads} ({row.hedge_wins})",
-            row.mean_ms,
-            row.clean_mean_ms,
-            row.slowdown_pct,
-            row.p99_before_ms,
-            row.p99_during_ms,
-            row.p99_after_ms,
-            "-" if row.recovery_windows is None else row.recovery_windows,
-            "-" if row.recovery_lag_windows is None
-            else row.recovery_lag_windows,
-            "-" if row.reaction_lag_s is None else f"{row.reaction_lag_s:.2f}",
-        )
+    table = Table.from_rows(
+        f"Outage sweep — {result.fault_region} down, degraded reads and recovery ({mode})",
+        (("leg", "leg"), ("hedging", lambda row: "on" if row.hedged else "off"),
+         ("outage (frac)", "outage_fraction"),
+         ("outage (s)", lambda row: row.outage_end_s - row.outage_start_s),
+         ("reads", "reads"), ("degraded", "degraded_reads"),
+         ("unavailable", "unavailable_reads"), ("retries", "retries_total"),
+         ("hedges (won)", lambda row: f"{row.hedged_reads} ({row.hedge_wins})"),
+         ("mean (ms)", "mean_ms"), ("clean mean (ms)", "clean_mean_ms"),
+         ("slowdown (%)", "slowdown_pct"), ("p99 before", "p99_before_ms"),
+         ("p99 during", "p99_during_ms"), ("p99 after", "p99_after_ms"),
+         ("recovery (windows)", lambda row: _or_dash(row.recovery_windows)),
+         ("recovery lag (windows)", lambda row: _or_dash(row.recovery_lag_windows)),
+         ("reaction lag (s)", lambda row: "-" if row.reaction_lag_s is None
+          else f"{row.reaction_lag_s:.2f}")), result.rows)
     lines = [table.render(), ""]
     if result.schedules:
         lines.append("Injected fault windows (longest sweep point per leg):")

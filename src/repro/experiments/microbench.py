@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from repro.backend.object_store import ErasureCodedStore
 from repro.core.agar_node import AgarNode, AgarNodeConfig
 from repro.core.cache_manager import CacheManagerConfig
-from repro.experiments.common import MEGABYTE, ExperimentSettings
+from repro.experiments.common import CLIENT_REGION, MEGABYTE, ExperimentSettings
+from repro.geo.latency import DEFAULT_OBJECT_SIZE
 from repro.geo.topology import default_topology
 from repro.workload.workload import generate_requests
 
@@ -30,22 +31,22 @@ class MicrobenchResult:
     candidate_keys: int
 
 
+#: Cache sizes of the §VI reconfiguration-time scaling (MB).
+SCALING_CACHE_SIZES_MB: tuple[int, ...] = (5, 10, 20, 50)
+
+
 def run_microbench(settings: ExperimentSettings | None = None,
-                   cache_capacity_bytes: int = 10 * MEGABYTE,
-                   client_region: str = "frankfurt",
-                   use_early_stop: bool = True) -> MicrobenchResult:
-    """Measure per-request processing and reconfiguration time of one Agar node."""
+                   cache_capacity_bytes: int = 10 * MEGABYTE) -> MicrobenchResult:
+    """Measure per-request processing and reconfiguration time of one Agar
+    node in :data:`CLIENT_REGION`, with the dynamic program's early stop."""
     settings = settings or ExperimentSettings.quick()
     topology = default_topology(seed=settings.seed)
     store = ErasureCodedStore(topology)
-    store.populate(settings.object_count, settings.object_size)
+    store.populate(settings.object_count, DEFAULT_OBJECT_SIZE)
 
-    manager_config = CacheManagerConfig(
-        stop_after_extra_keys=25 if use_early_stop else None,
-    )
     node = AgarNode(
-        client_region, store, cache_capacity_bytes,
-        config=AgarNodeConfig(manager=manager_config),
+        CLIENT_REGION, store, cache_capacity_bytes,
+        config=AgarNodeConfig(manager=CacheManagerConfig(stop_after_extra_keys=25)),
     )
 
     workload = settings.workload(skew=1.1)
@@ -69,8 +70,7 @@ def run_microbench(settings: ExperimentSettings | None = None,
     )
 
 
-def run_capacity_scaling(settings: ExperimentSettings | None = None,
-                         cache_sizes_mb: tuple[int, ...] = (5, 10, 20, 50)) -> list[MicrobenchResult]:
+def run_capacity_scaling(settings: ExperimentSettings | None = None) -> list[MicrobenchResult]:
     """Reconfiguration time as a function of cache size, at a fixed catalogue (§VI).
 
     The other axis — a fixed cache over a growing catalogue — is
@@ -79,5 +79,5 @@ def run_capacity_scaling(settings: ExperimentSettings | None = None,
     settings = settings or ExperimentSettings.quick()
     return [
         run_microbench(settings, cache_capacity_bytes=size_mb * MEGABYTE)
-        for size_mb in cache_sizes_mb
+        for size_mb in SCALING_CACHE_SIZES_MB
     ]

@@ -10,23 +10,19 @@ trade-off it causes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.analysis.report import Table
-from repro.experiments.common import (
-    EVALUATION_REGIONS,
-    EngineOptions,
-    ExperimentSettings,
-    agar_config_for_capacity,
-)
-from repro.sim.engine import EngineConfig
+from repro.experiments.common import EVALUATION_REGIONS, EngineOptions, ExperimentSettings
 from repro.sim.simulation import RegionAggregate, run_many
 
 #: Client counts swept by the scaling experiment.
 DEFAULT_CLIENT_SCALING: tuple[int, ...] = (1, 2, 4, 8)
 
-#: Default per-client Poisson arrival rate (requests/second).
-DEFAULT_ARRIVAL_RATE_RPS = 2.0
+#: The acceptance scenario: Frankfurt + Sydney, 4 clients each, Poisson
+#: arrivals at 2 req/s per client, collaboration on.
+DEFAULT_OPTIONS = EngineOptions(regions=EVALUATION_REGIONS, clients_per_region=4,
+                                arrival_rate_rps=2.0, collaboration=True)
 
 
 @dataclass(frozen=True)
@@ -51,23 +47,13 @@ class MultiRegionRow:
 
 
 def _row_from_aggregate(clients: int, aggregate: RegionAggregate) -> MultiRegionRow:
-    return MultiRegionRow(
-        clients_per_region=clients,
-        region=aggregate.region,
-        strategy=aggregate.strategy,
-        mean_latency_ms=aggregate.mean_latency_ms,
-        p50_latency_ms=aggregate.p50_latency_ms,
-        p95_latency_ms=aggregate.p95_latency_ms,
-        p99_latency_ms=aggregate.p99_latency_ms,
-        hit_ratio=aggregate.hit_ratio,
-        throughput_rps=aggregate.throughput_rps,
-        neighbor_chunks=aggregate.neighbor_chunks,
-    )
+    """The row of ``aggregate``: every other field has its aggregate's name."""
+    return MultiRegionRow(clients, *(getattr(aggregate, field.name)
+                                     for field in fields(MultiRegionRow)[1:]))
 
 
 def run_multiregion_scaling(settings: ExperimentSettings | None = None,
                             options: EngineOptions | None = None,
-                            strategy: str = "agar",
                             client_scaling: tuple[int, ...] | None = None
                             ) -> list[MultiRegionRow]:
     """Sweep concurrent clients per region on a fixed multi-region deployment.
@@ -78,37 +64,24 @@ def run_multiregion_scaling(settings: ExperimentSettings | None = None,
     is not already included).  Heterogeneous deployments (per-region strategy
     and cache size) come from ``options.region_specs``; each sweep point
     reports its regions plus the deployment-wide aggregate row (``all``).
+    Regions without a pinned strategy run Agar.
     """
     settings = settings or ExperimentSettings.quick()
-    options = options or EngineOptions(
-        regions=EVALUATION_REGIONS,
-        clients_per_region=4,
-        arrival_rate_rps=DEFAULT_ARRIVAL_RATE_RPS,
-        collaboration=True,
-    )
+    options = options or DEFAULT_OPTIONS
     regions = options.effective_regions(EVALUATION_REGIONS)
     arrival = options.arrival_spec()
     if client_scaling is None:
         client_scaling = tuple(sorted(set(DEFAULT_CLIENT_SCALING)
                                       | {options.clients_per_region}))
-    capacity = settings.cache_capacity_bytes
-    workload = settings.workload(skew=1.1)
-
     rows: list[MultiRegionRow] = []
     for clients in client_scaling:
         deployment_regions = options.build_region_specs(
-            EVALUATION_REGIONS, strategy, clients=clients
+            EVALUATION_REGIONS, "agar", clients=clients
         )
         all_agar = all(spec.strategy == "agar" for spec in deployment_regions)
-        config = EngineConfig(
-            workload=workload,
-            regions=deployment_regions,
-            cache_capacity_bytes=capacity,
-            agar=agar_config_for_capacity(capacity),
-            topology_seed=settings.seed,
-            arrival=arrival,
-            collaboration=options.collaboration and all_agar,
-        )
+        config = settings.deployment(
+            deployment_regions, arrival=arrival,
+            collaboration=options.collaboration and all_agar)
         aggregates = run_many(config, runs=settings.runs)
         for region in regions:
             rows.append(_row_from_aggregate(clients, aggregates.regions[region]))
@@ -129,23 +102,11 @@ def render_multiregion(rows: list[MultiRegionRow],
                 if options.arrival_rate_rps else "closed loop")
         collab = "collaboration on" if options.collaboration else "collaboration off"
         title += f" ({loop}, {collab})"
-    table = Table(
-        title=title,
-        columns=("clients/region", "region", "strategy", "mean (ms)", "p50 (ms)",
-                 "p95 (ms)", "p99 (ms)", "hit ratio (%)", "throughput (req/s)",
-                 "neighbor chunks"),
-    )
-    for row in rows:
-        table.add_row(
-            row.clients_per_region,
-            row.region,
-            row.strategy,
-            row.mean_latency_ms,
-            row.p50_latency_ms,
-            row.p95_latency_ms,
-            row.p99_latency_ms,
-            row.hit_ratio * 100.0,
-            row.throughput_rps,
-            row.neighbor_chunks,
-        )
-    return table
+    return Table.from_rows(title, (
+        ("clients/region", "clients_per_region"), ("region", "region"),
+        ("strategy", "strategy"), ("mean (ms)", "mean_latency_ms"),
+        ("p50 (ms)", "p50_latency_ms"), ("p95 (ms)", "p95_latency_ms"),
+        ("p99 (ms)", "p99_latency_ms"),
+        ("hit ratio (%)", lambda row: row.hit_ratio * 100.0),
+        ("throughput (req/s)", "throughput_rps"),
+        ("neighbor chunks", "neighbor_chunks")), rows)

@@ -7,9 +7,7 @@ same table format as the simulated runs — the serving twin of the Fig. 6
 latency experiment, with real request framing, scheduling and payload
 reconstruction on the measured path.
 
-Objects are capped at 64 KiB on the wire (the paper's 1 MB objects are
-about backend placement, not loopback bandwidth), so the measurement tracks
-gateway overhead rather than local socket throughput.
+Objects are capped at ``WIRE_OBJECT_SIZE`` (64 KiB) on the wire.
 """
 
 from __future__ import annotations
@@ -22,11 +20,9 @@ from repro.experiments.common import ExperimentSettings
 from repro.serve.gateway import ServeCluster
 from repro.serve.loadgen import (RegionWireResult, WireLoadSpec,
                                  run_wire_load, wire_report_table)
-from repro.sim.engine import EngineConfig, RegionSpec
-from repro.workload.workload import ArrivalSpec, WorkloadSpec
+from repro.sim.engine import RegionSpec
+from repro.workload.workload import ArrivalSpec, poisson_arrivals
 
-MEGABYTE = 1024 * 1024
-WIRE_OBJECT_SIZE_CAP = 64 * 1024
 SERVE_REGIONS = ("frankfurt",)
 
 
@@ -38,21 +34,11 @@ def run_serve_wire(settings: ExperimentSettings,
 
     Every region runs Agar; ``rate_rps=None`` drives it closed loop.
     """
-    workload = WorkloadSpec(
-        object_count=settings.object_count,
-        object_size=min(settings.object_size, WIRE_OBJECT_SIZE_CAP),
-        request_count=settings.request_count,
-        seed=settings.seed,
-    )
-    config = EngineConfig(
-        workload=workload,
-        regions=[RegionSpec(region=name, clients=1, strategy="agar")
-                 for name in regions],
-        cache_capacity_bytes=settings.cache_capacity_bytes,
-        topology_seed=settings.seed,
-    )
-    arrival = (ArrivalSpec(process="poisson", rate_rps=rate_rps)
-               if rate_rps else ArrivalSpec())
+    workload = settings.wire_workload()
+    config = settings.deployment(
+        [RegionSpec(name) for name in regions],
+        workload=workload)
+    arrival = poisson_arrivals(rate_rps) if rate_rps else ArrivalSpec()
     spec = WireLoadSpec(workload=workload, arrival=arrival)
 
     async def serve_and_load() -> dict[str, RegionWireResult]:

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from repro.analysis.report import Table
 from repro.backend.object_store import ErasureCodedStore
 from repro.core.region_manager import RegionManager
+from repro.experiments.common import CLIENT_REGION
+from repro.geo.latency import DEFAULT_OBJECT_SIZE
 from repro.geo.topology import TABLE1_FRANKFURT_LATENCIES, Topology, default_topology, table1_topology
+
+#: Objects placed before probing, so the Region Manager has a catalogue to
+#: describe.
+PROBE_OBJECTS = 10
 
 
 @dataclass(frozen=True)
@@ -26,39 +32,31 @@ class Table1Row:
     measured_ms: float
 
 
-def run_table1(client_region: str = "frankfurt", topology: Topology | None = None,
-               object_count: int = 10, object_size: int = 1024 * 1024) -> list[Table1Row]:
-    """Measure per-region chunk-read latency estimates via the Region Manager.
+def run_table1(topology: Topology | None = None) -> list[Table1Row]:
+    """Measure per-region chunk-read latency estimates from Frankfurt (the
+    paper's Table I) via the Region Manager.
 
-    Args:
-        client_region: region to probe from (the paper reports Frankfurt).
-        topology: topology to probe; defaults to the ``table1`` preset.
-        object_count / object_size: small working set placed before probing so
-            the Region Manager has a catalog to describe.
+    ``topology`` defaults to the ``table1`` preset.
     """
     topology = topology or table1_topology()
     store = ErasureCodedStore(topology)
-    store.populate(object_count, object_size)
-    manager = RegionManager(client_region, store)
-    estimates = manager.latency_estimates()
-
-    rows = []
-    for region in topology.region_names:
-        paper = TABLE1_FRANKFURT_LATENCIES.get(region) if client_region == "frankfurt" else None
-        rows.append(Table1Row(region=region, paper_ms=paper, measured_ms=estimates[region]))
+    store.populate(PROBE_OBJECTS, DEFAULT_OBJECT_SIZE)
+    estimates = RegionManager(CLIENT_REGION, store).latency_estimates()
+    rows = [Table1Row(region=region, paper_ms=TABLE1_FRANKFURT_LATENCIES.get(region),
+                      measured_ms=estimates[region])
+            for region in topology.region_names]
     rows.sort(key=lambda row: row.measured_ms)
     return rows
 
 
-def run_table1_calibrated(client_region: str = "frankfurt") -> list[Table1Row]:
-    """Same measurement on the calibrated evaluation topology (for EXPERIMENTS.md)."""
-    return run_table1(client_region=client_region, topology=default_topology())
+def run_table1_calibrated() -> list[Table1Row]:
+    """Same measurement on the calibrated evaluation topology."""
+    return run_table1(topology=default_topology())
 
 
 def render_table1(rows: list[Table1Row], title: str = "Table I — read latency from Frankfurt") -> Table:
     """Render the rows as an aligned text table."""
-    table = Table(title=title, columns=("region", "paper (ms)", "measured (ms)"))
-    for row in rows:
-        paper = f"{row.paper_ms:.0f}" if row.paper_ms is not None else "-"
-        table.add_row(row.region, paper, row.measured_ms)
-    return table
+    return Table.from_rows(title, (
+        ("region", "region"),
+        ("paper (ms)", lambda row: "-" if row.paper_ms is None else f"{row.paper_ms:.0f}"),
+        ("measured (ms)", "measured_ms")), rows)

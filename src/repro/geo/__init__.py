@@ -1,7 +1,7 @@
 """Geo-distribution substrate: regions, latency model and topologies.
 
 Replaces the paper's physical six-region AWS deployment (Fig. 1) with a
-deterministic latency model; see DESIGN.md §1 for the substitution rationale.
+deterministic latency model.
 """
 
 from repro.geo.latency import (

@@ -9,7 +9,7 @@ Two presets are provided:
   experiments.  It preserves the *ordering* of Table I from Frankfurt but is
   bandwidth-dominated for 1 MB objects, so backend reads average ≈1 s and the
   non-linear curve of Fig. 2 (turning point around 7 chunks for Frankfurt,
-  3–5 for Sydney) is preserved.  See DESIGN.md §5 for the calibration notes.
+  3–5 for Sydney) is preserved.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def _model_from_matrix(matrix: dict[str, dict[str, float]],
 #: Calibrated expected per-chunk read latencies (ms) for the evaluation
 #: topology.  Rows are client regions, columns backend regions.  The Frankfurt
 #: row preserves the ordering of the paper's Table I; magnitudes are calibrated
-#: so the figure shapes of §V hold (see DESIGN.md §5).
+#: so the figure shapes of §V hold.
 DEFAULT_LATENCY_MATRIX: dict[str, dict[str, float]] = {
     "frankfurt": {
         "frankfurt": 60.0, "dublin": 200.0, "n_virginia": 400.0,

@@ -9,6 +9,7 @@ request stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
@@ -121,8 +122,8 @@ class ArrivalSpec:
         if self.process not in (ARRIVAL_CLOSED, ARRIVAL_POISSON):
             raise ValueError("process must be 'closed' or 'poisson'")
         if self.process == ARRIVAL_POISSON:
-            if self.rate_rps is None or self.rate_rps <= 0:
-                raise ValueError("poisson arrivals need a positive rate_rps")
+            if self.rate_rps is None or not 0 < self.rate_rps < math.inf:
+                raise ValueError("poisson arrivals need a finite, positive rate_rps")
         elif self.rate_rps is not None:
             raise ValueError("closed-loop arrivals take no rate_rps")
 

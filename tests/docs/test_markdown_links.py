@@ -1,6 +1,7 @@
 """The documentation front door stays navigable: links resolve, docs exist."""
 
 import pathlib
+import re
 import sys
 
 import pytest
@@ -49,3 +50,26 @@ def test_checker_flags_broken_links(tmp_path, monkeypatch):
     monkeypatch.setattr(check_markdown_links, "REPO_ROOT", tmp_path)
     failures = check_markdown_links.broken_links(document)
     assert [target for target, _ in failures] == ["does-not-exist.md"]
+
+
+def cited_markdown(root: pathlib.Path) -> list[tuple[str, str]]:
+    """``(file:line, name)`` of every ``*.md`` name cited under ``src/`` and
+    ``benchmarks/``."""
+    cited = []
+    for directory in ("src", "benchmarks"):
+        for path in sorted((root / directory).rglob("*")):
+            if not path.is_file() or path.suffix not in (".py", ".json", ".md"):
+                continue
+            for number, line in enumerate(path.read_text().splitlines(), 1):
+                for name in re.findall(r"[\w./-]*\w\.md\b", line):
+                    cited.append((f"{path.relative_to(root)}:{number}", name))
+    return cited
+
+
+def test_markdown_names_cited_in_code_resolve():
+    """A citation resolves from the repo root or from docs/."""
+    cited = cited_markdown(REPO_ROOT)
+    assert "docs/collaboration.md" in {name for _, name in cited}
+    assert [(where, name) for where, name in cited
+            if not (REPO_ROOT / name).is_file()
+            and not (REPO_ROOT / "docs" / name).is_file()] == []

@@ -1,15 +1,16 @@
-"""Every option of the serving tier is set by some caller.
+"""Every option of the serving tier and of the experiments is set by some caller.
 
 A defaulted field that no caller sets to anything but its default is a
 constant dressed as an option: it widens the API, and the code that only a
 different value would reach goes untested.  This scan reads every call in
 ``src/``, ``tests/``, ``examples/`` and ``benchmarks/`` that constructs one
-of the serving tier's option objects, or that calls one of its experiment
-entry points, and fails on a defaulted field or keyword that no call passes
-a non-default value.  A literal equal to the default counts as unset; any
-other expression counts as set; positional arguments count.  A field that
-must stay an option although nothing in the repository varies it goes in
-``ALLOWED`` with its reason.
+of the serving tier's option objects or the experiments' settings and
+engine options, or that calls an experiment entry point, and fails on a
+defaulted field or keyword that no call passes a non-default value.  A
+literal equal to the default counts as unset; any other expression counts
+as set; positional arguments count.  A field that must stay an option
+although nothing in the repository varies it goes in ``ALLOWED`` with its
+reason.
 """
 
 import ast
@@ -17,8 +18,20 @@ import dataclasses
 import inspect
 import pathlib
 
+from repro.experiments.ablation import run_agar_variants, run_solver_quality, synthetic_options
+from repro.experiments.common import EngineOptions, ExperimentSettings, RegionSpecOption
+from repro.experiments.fig2_motivating import run_fig2
+from repro.experiments.fig6_policies import run_policy_comparison
+from repro.experiments.fig8_sweeps import run_fig8a, run_fig8b
+from repro.experiments.fig9_popularity import run_fig9
+from repro.experiments.fig10_cache_contents import run_fig10
 from repro.experiments.fig_chaos import run_fig_chaos
+from repro.experiments.fig_collab import run_fig_collab
+from repro.experiments.fig_failures import run_fig_failures
+from repro.experiments.microbench import run_capacity_scaling, run_microbench
+from repro.experiments.multiregion import run_multiregion_scaling
 from repro.experiments.serve_wire import run_serve_wire
+from repro.experiments.table1_latency import run_table1, run_table1_calibrated
 from repro.serve.chaos import ChaosSchedule
 from repro.serve.gateway import GatewaySettings
 from repro.serve.loadgen import WireLoadSpec, WireResilience
@@ -27,7 +40,13 @@ from repro.serve.supervisor import SupervisorConfig
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 SCANNED = ("src", "tests", "examples", "benchmarks")
 TARGETS = (GatewaySettings, SupervisorConfig, WireResilience, WireLoadSpec,
-           ChaosSchedule, run_serve_wire, run_fig_chaos)
+           ChaosSchedule, run_serve_wire, run_fig_chaos,
+           ExperimentSettings, EngineOptions, RegionSpecOption,
+           run_table1, run_table1_calibrated, run_fig2, run_policy_comparison,
+           run_fig8a, run_fig8b, run_fig9, run_fig10, run_fig_collab,
+           run_fig_failures, run_microbench, run_capacity_scaling,
+           run_multiregion_scaling, run_agar_variants, run_solver_quality,
+           synthetic_options)
 
 #: ``(target, option)`` pairs that stay options with nothing setting them.
 ALLOWED = {

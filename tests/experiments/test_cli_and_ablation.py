@@ -107,27 +107,65 @@ class TestEngineFlagsOnlyWhereHonoured:
     def test_flags_still_reach_the_experiments_that_take_them(self, monkeypatch):
         """``--regions`` / ``--arrival-rate`` stay valid for the wire
         experiments, every flag for the engine experiments and for ``all``."""
+        from dataclasses import replace
+
         from repro.experiments import cli as cli_module
 
         seen = []
-        monkeypatch.setattr(
-            cli_module, "_run_one",
-            lambda name, settings, out, engine=None, extra=None:
-                seen.append((name, engine, extra)))
+        monkeypatch.setattr(cli_module, "EXPERIMENTS", tuple(
+            replace(experiment, render=str,
+                    run=lambda settings, args, name=experiment.name:
+                        seen.append((name, args)))
+            for experiment in cli_module.EXPERIMENTS))
         run = lambda argv: main([*argv, "--smoke"], out=io.StringIO())  # noqa: E731
+        engine = cli_module._engine_options
 
         assert run(["serve", "--regions", "frankfurt,sydney", "--arrival-rate", "50"]) == 0
-        assert seen[-1][2] == {"serve_regions": ("frankfurt", "sydney"),
-                               "serve_rate_rps": 50.0}
+        assert (seen[-1][1].regions, seen[-1][1].arrival_rate) == \
+            (("frankfurt", "sydney"), 50.0)
         assert run(["fig_chaos", "--regions", "frankfurt,dublin"]) == 0
-        assert seen[-1][2] == {"chaos_regions": ("frankfurt", "dublin")}
+        assert seen[-1][1].regions == ("frankfurt", "dublin")
         assert run(["fig8b", "--clients-per-region", "2", "--arrival-rate", "3",
                     "--collaboration", "--region", "frankfurt::20MB"]) == 0
-        assert seen[-1][1].clients_per_region == 2
+        assert engine(seen[-1][1]).clients_per_region == 2
         seen.clear()
         assert run(["all", "--clients-per-region", "2"]) == 0
-        engines = {name: engine for name, engine, _ in seen}
-        assert engines["fig2"] is None and engines["fig6"].clients_per_region == 2
+        fig2 = next(one for one in cli_module.EXPERIMENTS if one.name == "fig2")
+        assert "clients_per_region" not in fig2.flags
+        assert engine(dict(seen)["fig6"]).clients_per_region == 2
+
+
+class TestExperimentTable:
+    """The subcommands, the order ``all`` runs them in and the dispatch are
+    the rows of ``cli.EXPERIMENTS``."""
+
+    def test_choices_order_and_dispatch_come_from_the_table(self, monkeypatch, capsys):
+        from repro.experiments import cli as cli_module
+
+        ran = []
+        monkeypatch.setattr(cli_module, "EXPERIMENTS", tuple(
+            cli_module.Experiment(name, lambda settings, args, name=name: ran.append(name)
+                                  or name.upper(), lambda result: f"<{result}>")
+            for name in ("second", "first")))
+        out = io.StringIO()
+        assert main(["all", "--smoke"], out=out) == 0
+        assert ran == ["second", "first"]
+        assert out.getvalue() == "=== second ===\n<SECOND>\n\n=== first ===\n<FIRST>\n\n"
+        out = io.StringIO()
+        assert main(["first"], out=out) == 0
+        assert out.getvalue() == "=== first ===\n<FIRST>\n\n"
+        with pytest.raises(SystemExit) as error:
+            main(["table1"], out=io.StringIO())
+        assert error.value.code == 2
+        assert "invalid choice: 'table1'" in capsys.readouterr().err
+
+    def test_the_table_runs_every_subcommand_in_the_paper_order(self):
+        from repro.experiments.cli import EXPERIMENTS
+
+        assert [experiment.name for experiment in EXPERIMENTS] == [
+            "table1", "fig2", "fig6", "fig7", "fig8a", "fig8b", "fig9", "fig10",
+            "fig_collab", "fig_failures", "fig_chaos", "microbench",
+            "multiregion", "serve"]
 
 
 class TestCliEngine:

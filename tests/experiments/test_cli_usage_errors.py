@@ -32,6 +32,19 @@ USAGE_ERRORS = (
     "fig8a --region frankfurt::64MB",
     "fig6 --collaboration --region frankfurt:agar --region sydney",
     "fig_chaos --regions frankfurt",
+    # Region names are checked against the topology once, for every flag.
+    "fig6 --regions atlantis",
+    "serve --regions atlantis",
+    "fig6 --region atlantis:agar",
+    "fig_failures --fault-region atlantis",
+    "fig_failures --fault-region frankfurt",
+    "fig_collab --regions frankfurt,frankfurt",
+    "fig6 --region frankfurt --region frankfurt",
+    "multiregion --regions ,",
+    # Sweep values must be finite.
+    "fig_collab --neighbor-read-ms nan",
+    "fig_collab --collab-period inf",
+    "fig_failures --outage-fraction nan",
 )
 
 
@@ -42,3 +55,26 @@ def test_usage_error_exits_2_and_prints_nothing(argv):
         main([*argv.split(), "--smoke"], out=out)
     assert error.value.code == 2
     assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_non_finite_arrival_rate_is_a_usage_error(rate, monkeypatch):
+    """A NaN rate passed ``rate <= 0`` and the run never ended; the settings
+    are built only after every check passed, so failing there keeps a bad
+    rate from ever running."""
+    from repro.experiments import cli
+
+    monkeypatch.setattr(cli, "_settings",
+                        lambda args: pytest.fail(f"--arrival-rate {rate} was accepted"))
+    for experiment in ("fig6", "serve"):
+        with pytest.raises(SystemExit) as error:
+            main([experiment, "--arrival-rate", rate], out=io.StringIO())
+        assert error.value.code == 2
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+def test_engine_options_reject_non_finite_rates(rate):
+    from repro.experiments.common import EngineOptions
+
+    with pytest.raises(ValueError, match="finite"):
+        EngineOptions(arrival_rate_rps=rate)

@@ -2,29 +2,15 @@
 
 import pytest
 
-from repro.experiments import (
-    ExperimentSettings,
-    diversity_check,
-    nonlinearity_check,
-    render_fig2,
-    render_fig6,
-    render_fig7,
-    render_fig9,
-    render_fig10,
-    render_sweep,
-    render_table1,
-    run_fig10,
-    run_fig2,
-    run_fig8a,
-    run_fig8b,
-    run_fig9,
-    run_policy_comparison,
-    run_table1,
-)
-from repro.experiments.fig6_policies import agar_advantage
-from repro.experiments.fig8_sweeps import agar_lead_by_group
+from repro.experiments.common import ExperimentSettings
+from repro.experiments.fig2_motivating import nonlinearity_check, render_fig2, run_fig2
+from repro.experiments.fig6_policies import (agar_advantage, render_fig6, render_fig7,
+                                             run_policy_comparison)
+from repro.experiments.fig8_sweeps import agar_lead_by_group, render_sweep, run_fig8a, run_fig8b
+from repro.experiments.fig9_popularity import render_fig9, run_fig9
+from repro.experiments.fig10_cache_contents import diversity_check, render_fig10, run_fig10
 from repro.experiments.microbench import run_microbench
-from repro.experiments.table1_latency import run_table1_calibrated
+from repro.experiments.table1_latency import render_table1, run_table1, run_table1_calibrated
 from repro.geo.topology import TABLE1_FRANKFURT_LATENCIES
 
 TINY = ExperimentSettings(runs=1, request_count=80, object_count=40, seed=7)
@@ -122,7 +108,7 @@ class TestFig8:
 
     def test_fig8b_uniform_vs_skewed(self):
         points = run_fig8b(TINY, skews=(1.1,), strategies=("agar", "lfu-9"),
-                           include_uniform=True, include_backend_bar=False)
+                           include_backend_bar=False)
         groups = {point.group for point in points}
         assert groups == {"uniform", "zipf-1.1"}
         by_group = {}
@@ -139,7 +125,7 @@ class TestFig9:
     def test_cdf_series_and_example(self):
         # The paper's example reads the CDF over its 300-object population.
         settings = ExperimentSettings(runs=1, request_count=300, object_count=300, seed=7)
-        series = run_fig9(settings, skews=(0.5, 1.1), max_objects=50, include_empirical=True)
+        series = run_fig9(settings, skews=(0.5, 1.1), include_empirical=True)
         assert len(series) == 2
         skew11 = next(one for one in series if one.skew == 1.1)
         # Paper's reading example: the 5 most popular objects ≈ 40 % of requests.

@@ -106,6 +106,12 @@ class TestArrivalSpec:
         with pytest.raises(ValueError):
             ArrivalSpec(process=ARRIVAL_CLOSED, rate_rps=1.0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, rate):
+        """A NaN rate passed ``rate <= 0`` and never let a run end."""
+        with pytest.raises(ValueError, match="finite"):
+            poisson_arrivals(rate)
+
 
 class TestGenerateRequestRanks:
     """The struct-of-arrays stream must mirror generate_requests exactly."""
