@@ -1059,7 +1059,8 @@ class PeriodicLFUStrategy(ReadStrategy):
         client_region: client/cache region.
         cache_capacity_bytes: capacity of the local cache.
         chunks_per_object: ``c`` — chunks kept per cached object.
-        reconfiguration_period_s: statistics/reconfiguration period (paper: 30 s).
+        reconfiguration_period_s: statistics/reconfiguration period (paper:
+            30 s); finite and positive.
         alpha: EWMA weight of the current period (same convention as Agar).
         clock: optional simulated-time callable.
         config: client latency constants.
@@ -1077,6 +1078,9 @@ class PeriodicLFUStrategy(ReadStrategy):
         data_chunks = store.params.data_chunks
         if not 1 <= chunks_per_object <= data_chunks:
             raise ValueError(f"chunks_per_object must be in 1..{data_chunks}")
+        if not (math.isfinite(reconfiguration_period_s)
+                and reconfiguration_period_s > 0):
+            raise ValueError("reconfiguration_period_s must be finite and positive")
         self._chunks_per_object = chunks_per_object
         self.name = f"lfu-{chunks_per_object}"
         self._period_s = reconfiguration_period_s

@@ -8,6 +8,7 @@ the popularity period and recomputes the static cache configuration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.backend.object_store import ErasureCodedStore
@@ -41,7 +42,7 @@ class AgarNodeConfig:
 
     Attributes:
         reconfiguration_period_s: how often the cache configuration is
-            recomputed (paper: 30 s).
+            recomputed (paper: 30 s); finite and positive.
         alpha: EWMA weight of the *current* period's access frequency (see
             :data:`DEFAULT_CURRENT_PERIOD_WEIGHT` for how this maps onto the
             paper's α = 0.8).
@@ -60,6 +61,11 @@ class AgarNodeConfig:
     processing_overhead_ms: float = DEFAULT_PROCESSING_OVERHEAD_MS
     manager: CacheManagerConfig = CacheManagerConfig()
     warm_start: bool = False
+
+    def __post_init__(self) -> None:
+        period = self.reconfiguration_period_s
+        if not (math.isfinite(period) and period > 0):
+            raise ValueError("reconfiguration_period_s must be finite and positive")
 
 
 class AgarNode:

@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from repro.backend.object_store import (ErasureCodedStore,
                                         ObjectNotFoundError)
 from repro.client.stats import LatencyStats, ReadResult
-from repro.client.strategies import make_strategy
 from repro.serve.ledger import (DYNAMIC_FAULT_INDEX, Ledger, LedgerEntry,
                                 fault_entry, read_entry, tick_entry)
 from repro.serve.protocol import (READ_BYTES, HttpRequest, ProtocolError,
@@ -54,7 +53,7 @@ from repro.serve.protocol import (READ_BYTES, HttpRequest, ProtocolError,
                                   parse_decimal, parse_request)
 from repro.sim.clock import SimulationClock
 from repro.sim.engine import (EngineConfig, EngineDeployment, EventEngine,
-                              _install_neighbor_catalogs)
+                              _install_neighbor_catalogs, make_region_strategy)
 from repro.sim.faults import (AZFailure, BackendBrownout, FaultSchedule,
                               RegionOutage)
 
@@ -704,19 +703,9 @@ class ServeCluster:
         exactly the state a restarted process boots into.  The supervisor's
         warm-recovery protocol then replays the ledger tail on top.
         """
-        spec = self.config.regions[self.region_index(region)]
-        strategy = make_strategy(
-            spec.strategy,
-            store=self.deployment.store,
-            client_region=spec.region,
-            cache_capacity_bytes=(
-                spec.cache_capacity_bytes
-                if spec.cache_capacity_bytes is not None
-                else self.config.cache_capacity_bytes),
-            clock=self.deployment.clock,
-            client_config=self.config.client,
-            node_config=spec.agar if spec.agar is not None else self.config.agar,
-        )
+        strategy = make_region_strategy(
+            self.config, self.config.regions[self.region_index(region)],
+            self.deployment.store, self.deployment.clock)
         if self.config.uses_timer_reconfiguration:
             strategy.set_external_reconfiguration(True)
         return strategy

@@ -9,7 +9,7 @@ then replay the trace against a live :class:`~repro.serve.gateway.ServeCluster`
 and compare its ledgers entry-for-entry.
 
 Timer reconstruction mirrors the engine's scheduler contract exactly
-(see ``_LaneRun.run_until``):
+(see ``_LaneRun.run_until`` and its ``_fire_timers`` phase):
 
 - a timer at time ``T`` fires before the first arrival with
   ``started_at_s >= T`` and after every arrival with ``started_at_s < T``
@@ -96,9 +96,8 @@ def trace_and_ledgers(config: EngineConfig, result: EngineResult,
                       ) -> tuple[SimTrace, dict[str, list[LedgerEntry]]]:
     """The replayable trace and expected ledgers of one kept engine run.
 
-    ``result`` must come from a fresh run with ``keep_results=True`` (the
-    kept lists include warmup reads, so any ``warmup_requests`` value is
-    fine).  ``seed`` records the per-run seed used (defaults to the
+    ``result`` must come from a fresh run with ``keep_results=True``.
+    ``seed`` records the per-run seed used (defaults to the
     workload's), so the replay side can deploy an identical cluster.
     """
     _check_supported(config)

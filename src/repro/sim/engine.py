@@ -95,7 +95,6 @@ from repro.cache.base import CacheSnapshot
 from repro.client.stats import LatencyStats, ReadResult
 from repro.client.strategies import ClientConfig, ReadStrategy, make_strategy
 from repro.core.agar_node import AgarNodeConfig
-from repro.erasure.chunk import ErasureCodingParams
 from repro.extensions.collaboration import (
     CollaborationCoordinator,
     NeighborAnnouncement,
@@ -127,11 +126,6 @@ _ARRIVAL_BLOCK = 256
 #: Mixed into the per-region jitter seeds of sharded execution, so each shard
 #: draws from its own deterministic latency-jitter stream.
 _SHARD_SEED_TAG = 15485863
-
-#: Mixed into a region's jitter seed per intra-region sub-shard.  Sub-shard 0
-#: keeps the region's historical seed, so ``shards=1`` regions stay
-#: bit-identical to pre-sharding runs.
-_SUBSHARD_SEED_TAG = 32452843
 
 #: Timer kinds of the lane scheduler's residual heap.  Fault transitions are
 #: one-shot (never re-pushed) and are pushed before the periodic timers, so at
@@ -168,15 +162,6 @@ class RegionSpec:
             deployment-wide :attr:`EngineConfig.agar`.  Regions with a
             capacity override usually pair it with tunables adapted to that
             capacity (see ``agar_config_for_capacity``).
-        shards: how many :meth:`EventEngine.execute_sharded` workers this
-            region's clients split across (intra-region sharding for hot
-            regions).  Each sub-shard runs a contiguous slice of the region's
-            lanes against its own strategy/cache copy and its own derived
-            jitter stream, through the same segments and rounds as every
-            other shard (sub-shard 0 announces for the region); the region's
-            stats merge via ``LatencyStats.merge_all``.  ``1`` (default) is
-            bit-identical to pre-sharding behaviour; the unsharded
-            ``execute`` ignores the split entirely.
     """
 
     region: str
@@ -184,17 +169,12 @@ class RegionSpec:
     strategy: str = "agar"
     cache_capacity_bytes: int | None = None
     agar: AgarNodeConfig | None = None
-    shards: int = 1
 
     def __post_init__(self) -> None:
         if self.clients <= 0:
             raise ValueError("clients must be positive")
         if self.cache_capacity_bytes is not None and self.cache_capacity_bytes <= 0:
             raise ValueError("cache_capacity_bytes must be positive when set")
-        if self.shards <= 0:
-            raise ValueError("shards must be positive")
-        if self.shards > self.clients:
-            raise ValueError("shards cannot exceed clients")
 
 
 @dataclass(frozen=True)
@@ -205,24 +185,22 @@ class EngineConfig:
         workload: per-client workload (``request_count`` reads per client).
         regions: the client regions of the deployment.
         cache_capacity_bytes: per-region cache capacity.
-        params: erasure-coding parameters (paper: RS(9, 3)).
         client: client latency constants.
         agar: Agar node tunables (``agar`` strategy regions only).
         topology_seed: seed for latency jitter.
-        warmup_requests: per-client requests excluded from statistics.
         arrival: arrival process shared by all clients.
         collaboration: wire the regions' Agar nodes through a
             :class:`CollaborationCoordinator` (§VI); requires every region to
             run the ``agar`` strategy and implies timer-driven reconfiguration.
-        collaboration_period_s: collaborative exchange period (defaults to the
-            Agar reconfiguration period).
+        collaboration_period_s: collaborative exchange period, finite and
+            positive (defaults to the Agar reconfiguration period).
         neighbor_read_ms: expected cross-region cache read latency (ms) used
             for §VI neighbour reads and option discounting.  A float applies
             the same flat expectation to every region (the historical
-            behaviour); ``None`` derives a per-region expectation from the
-            topology's per-pair neighbour links
-            (:meth:`~repro.geo.topology.Topology.neighbor_link`, nearest
-            collaboration partner).  Either way the neighbour link's jitter σ
+            behaviour) and must be finite and non-negative; ``None`` derives
+            a per-region expectation from the topology's per-pair neighbour
+            links (:meth:`~repro.geo.topology.Topology.neighbor_link`,
+            nearest collaboration partner).  Either way the neighbour link's jitter σ
             comes from the topology, so neighbour reads draw log-normal
             jitter like any other link.
         timer_reconfiguration: drive periodic reconfiguration from engine
@@ -239,11 +217,9 @@ class EngineConfig:
     workload: WorkloadSpec
     regions: tuple[RegionSpec, ...]
     cache_capacity_bytes: int = 10 * 1024 * 1024
-    params: ErasureCodingParams = ErasureCodingParams(9, 3)
     client: ClientConfig = ClientConfig()
     agar: AgarNodeConfig | None = None
     topology_seed: int = 0
-    warmup_requests: int = 0
     arrival: ArrivalSpec = ArrivalSpec()
     collaboration: bool = False
     collaboration_period_s: float | None = None
@@ -264,10 +240,14 @@ class EngineConfig:
                     f"collaboration requires the 'agar' strategy in every region "
                     f"(offending: {bad})"
                 )
-        if self.warmup_requests < 0:
-            raise ValueError("warmup_requests must be non-negative")
-        if self.neighbor_read_ms is not None and self.neighbor_read_ms < 0:
-            raise ValueError("neighbor_read_ms must be non-negative (or None)")
+        period = self.collaboration_period_s
+        if period is not None and not (math.isfinite(period) and period > 0):
+            raise ValueError("collaboration_period_s must be finite and positive "
+                             "(or None)")
+        latency = self.neighbor_read_ms
+        if latency is not None and not (math.isfinite(latency) and latency >= 0):
+            raise ValueError("neighbor_read_ms must be finite and non-negative "
+                             "(or None)")
 
     @property
     def total_clients(self) -> int:
@@ -287,6 +267,28 @@ class EngineConfig:
             return self.timer_reconfiguration
         return not (len(self.regions) == 1 and self.regions[0].clients == 1
                     and not self.arrival.is_open_loop)
+
+
+def make_region_strategy(config: EngineConfig, spec: RegionSpec,
+                         store: ErasureCodedStore, clock: SimulationClock
+                         ) -> ReadStrategy:
+    """A fresh strategy for one region of ``config``.
+
+    The region's own cache capacity and Agar tunables win; without them the
+    deployment-wide ones apply.  The engine builds every region through this,
+    and the serving tier rebuilds a restarted region's strategy with it.
+    """
+    return make_strategy(
+        spec.strategy,
+        store=store,
+        client_region=spec.region,
+        cache_capacity_bytes=(spec.cache_capacity_bytes
+                              if spec.cache_capacity_bytes is not None
+                              else config.cache_capacity_bytes),
+        clock=clock,
+        client_config=config.client,
+        node_config=spec.agar if spec.agar is not None else config.agar,
+    )
 
 
 @dataclass
@@ -395,19 +397,10 @@ class EngineResult:
         )
 
 
-@dataclass
-class _LaneOutcome:
-    """What one lane-scheduler pass produces, keyed by region index."""
-
-    stats: dict[int, LatencyStats]
-    kept: dict[int, list[ReadResult]]
-    duration: float
-
-
 class _LaneRun:
     """One resumable lane-scheduler pass over a subset of a deployment.
 
-    This is the state of :meth:`EventEngine._run_lanes` lifted into an object
+    This is the state of :meth:`EventEngine.execute` lifted into an object
     so execution can *pause*: :meth:`run_until` processes every event strictly
     before a time limit and returns, leaving all lane state (next-event
     times, rank positions, pre-drawn arrival blocks, tie-guard sequence
@@ -423,7 +416,7 @@ class _LaneRun:
     (priority 0) fires before arrivals at ``T`` (priority 1).
 
     ``external_collaboration=True`` — passed by every :class:`_Shard`, only
-    :meth:`EventEngine._run_lanes` does not — suppresses the in-loop
+    :meth:`EventEngine.execute` does not — suppresses the in-loop
     collaboration timer; the caller drives the rounds between
     :meth:`run_until` calls instead (the residual timer heap then holds only
     the one-shot fault transitions, if any — collaborative deployments have
@@ -432,72 +425,68 @@ class _LaneRun:
     exactly on a segment boundary ``T`` stays pending at the pause and fires
     attached to the next segment's first arrival at or after ``T`` — the same
     state every read at time ≥ ``T`` would see in-process.
+
+    Construction runs three phases — :meth:`_build_lanes`,
+    :meth:`_schedule_timers`, :meth:`_bind_regions` — and :meth:`run_until`
+    five, along the engine-event path: :meth:`_fire_timers`, then either
+    :meth:`_extract_wave`, a wave read (:meth:`_read_wave_batched` or
+    :meth:`_read_wave_per_event`) and :meth:`_land`, or :meth:`_drain_block`.
+    Each phase is one call per wave, block or timer, never one per event.
     """
 
     def __init__(self, engine: "EventEngine", deployment: EngineDeployment,
                  seed: int, region_indices, *,
-                 external_collaboration: bool = False,
-                 lane_shard: tuple[int, int] | None = None) -> None:
+                 external_collaboration: bool = False) -> None:
         config = engine._config
         self._deployment = deployment
         self._config = config
         self._keep = engine._keep_results
-        clock = deployment.clock
-        self._clock = clock
-        strategies = deployment.strategies
-        arrival = config.arrival
-        self._open_loop = arrival.is_open_loop
-        timer_mode = config.uses_timer_reconfiguration
-        self._warmup = config.warmup_requests
+        self._clock = deployment.clock
+        self._open_loop = config.arrival.is_open_loop
+        self.start = self._clock.now()
+        self.region_indices = list(region_indices)
+        self._build_lanes(seed)
+        self._schedule_timers(engine, external_collaboration)
+        self._bind_regions(engine)
+        self.remaining = self.lanes
+        self.last_completion = self.start
+
+    def _build_lanes(self, seed: int) -> None:
+        """One lane per client of the selected regions, with its first event.
+
+        Struct-of-arrays lanes.  Ranks are plain Python lists (fastest scalar
+        indexing); next-event times live in a float64 array for the
+        vectorized ready-set extraction.  Open-loop lanes draw exponential
+        blocks per client lazily on first use (a million closed-loop lanes
+        allocate no arrival state at all, and a million open-loop lanes no
+        per-lane empties).  Client numbering is region-major over the *full*
+        deployment, so a lane replays the same request and arrival streams
+        whether it runs in :meth:`EventEngine.execute` or in its region's
+        shard.
+        """
+        config = self._config
         workload = config.workload
-        self.start = clock.now()
-
-        region_indices = list(region_indices)
-        self.region_indices = region_indices
-        selected = set(region_indices)
-
+        strategies = self._deployment.strategies
         # Shared key space; per-key plans are interned lazily on first read.
         keys = [workload.key_for_rank(rank) for rank in range(workload.object_count)]
-        for region_index in region_indices:
+        for region_index in self.region_indices:
             strategies[region_index].prepare_indexed_reads(keys)
 
-        per_client_requests = workload.request_count
-        self.region_stats = {
-            region_index: LatencyStats(
-                capacity=max(config.regions[region_index].clients * per_client_requests, 1)
-            )
-            for region_index in region_indices
-        }
-        self.region_kept: dict[int, list[ReadResult]] = {
-            region_index: [] for region_index in region_indices
-        }
-
-        # Struct-of-arrays lanes.  Ranks are plain Python lists (fastest
-        # scalar indexing); next-event times live in a float64 array for the
-        # vectorized ready-set extraction.  Open-loop lanes draw exponential
-        # blocks per client lazily on first use (a million closed-loop lanes
-        # allocate no arrival state at all, and a million open-loop lanes no
-        # per-lane empties).
+        selected = set(self.region_indices)
         lane_region: list[int] = []
         self.lane_ranks: list[list[int]] = []
         self.lane_rng: list[np.random.Generator] = []
         self.lane_block: list[list[float] | None] = []
         self.lane_block_pos: list[int] = []
-        self.mean_interarrival = arrival.mean_interarrival_s if self._open_loop else 0.0
-        # Intra-region sharding: this run owns only the contiguous
-        # [low, high) slice of each selected region's clients.  Global client
-        # numbering is unchanged, so a lane replays the same request and
-        # arrival streams regardless of which sub-shard runs it.
-        shard_index, shard_count = lane_shard if lane_shard is not None else (0, 1)
-        global_index = 0
+        self.mean_interarrival = (config.arrival.mean_interarrival_s
+                                  if self._open_loop else 0.0)
+        first_client = 0
         for region_index, spec in enumerate(config.regions):
-            low = shard_index * spec.clients // shard_count
-            high = (shard_index + 1) * spec.clients // shard_count
-            for position in range(spec.clients):
-                client_index = global_index
-                global_index += 1
-                if region_index not in selected or not low <= position < high:
-                    continue
+            clients = range(first_client, first_client + spec.clients)
+            first_client += spec.clients
+            if region_index not in selected:
+                continue
+            for client_index in clients:
                 ranks = generate_request_ranks(
                     workload, seed=seed + CLIENT_SEED_STRIDE * client_index
                 )
@@ -517,7 +506,9 @@ class _LaneRun:
 
         lanes = len(lane_region)
         self.lanes = lanes
-
+        self.lane_region = lane_region
+        self.lane_pos = [0] * lanes
+        self.lane_end = [len(ranks) for ranks in self.lane_ranks]
         self.next_time = np.empty(max(lanes, 1), dtype=np.float64)
         if self._open_loop:
             for lane in range(lanes):
@@ -525,25 +516,31 @@ class _LaneRun:
         else:
             self.next_time[:lanes] = self.start
 
-        # Residual priority structure: the deployment's few periodic timers
-        # plus the one-shot fault transitions.
+    def _schedule_timers(self, engine: "EventEngine",
+                         external_collaboration: bool) -> None:
+        """The residual timer heap: one-shot fault transitions, then the
+        deployment's few periodic timers.
+
+        Fault transitions are pushed before the periodic timers (lower seq),
+        and unconditionally — faults fire in piggyback/legacy reconfiguration
+        mode too.  The state at t=0 is installed here.  Each fault entry's
+        slot carries its transition index; a periodic entry's carries its
+        region index (``-1`` for the collaboration round).
+        """
+        config = self._config
+        deployment = self._deployment
+        strategies = deployment.strategies
         self.timer_heap: list[tuple[float, int, int, int, float]] = []
         self.timer_seq = 0
-
-        # Fault schedule: install the state at t=0 and push one one-shot
-        # timer per transition.  Pushed before the periodic timers (lower
-        # seq), and unconditionally — faults fire in piggyback/legacy
-        # reconfiguration mode too.  Each entry's region_index slot carries
-        # the transition index instead.
         self._fault_states: tuple[FaultState, ...] = ()
         self._fault_targets = [strategies[region_index].set_fault_state
-                               for region_index in region_indices]
+                               for region_index in self.region_indices]
         # Fault *reaction* hooks fire after every install (initial state and
         # each transition) so fault-reactive reconfiguration sees onset and
         # recovery alike.  The hook consumes no latency-model draws, so
         # per-shard invocation (only this run's regions) stays bit-identical.
         self._react_targets = [strategies[region_index].react_to_fault
-                               for region_index in region_indices]
+                               for region_index in self.region_indices]
         faults = config.faults
         if faults is not None and not faults.is_empty:
             initial = faults.initial_state
@@ -554,52 +551,55 @@ class _LaneRun:
             transitions = faults.transitions
             self._fault_states = tuple(state for _, state in transitions)
             for index, (offset, _state) in enumerate(transitions):
-                heapq.heappush(
-                    self.timer_heap,
-                    (self.start + offset, self.timer_seq, _TIMER_FAULT, index, 0.0),
-                )
-                self.timer_seq += 1
+                self._push_timer(self.start + offset, _TIMER_FAULT, index, 0.0)
 
         self._neighbor_profiles = (engine._neighbor_profiles()
                                    if deployment.coordinator is not None else None)
-        if timer_mode:
-            for region_index in region_indices:
-                strategies[region_index].set_external_reconfiguration(True)
-            if deployment.coordinator is not None:
-                if not external_collaboration:
-                    period = engine._collaboration_period()
-                    heapq.heappush(
-                        self.timer_heap,
-                        (self.start + period, self.timer_seq, _TIMER_COLLAB, -1, period),
-                    )
-                    self.timer_seq += 1
-            else:
-                for region_index in region_indices:
-                    period = strategies[region_index].reconfiguration_period_s
-                    if period is not None:
-                        heapq.heappush(
-                            self.timer_heap,
-                            (self.start + period, self.timer_seq, _TIMER_REGION,
-                             region_index, period),
-                        )
-                        self.timer_seq += 1
+        if not config.uses_timer_reconfiguration:
+            return
+        for region_index in self.region_indices:
+            strategies[region_index].set_external_reconfiguration(True)
+        if deployment.coordinator is not None:
+            if not external_collaboration:
+                period = engine._collaboration_period()
+                self._push_timer(self.start + period, _TIMER_COLLAB, -1, period)
+            return
+        for region_index in self.region_indices:
+            period = strategies[region_index].reconfiguration_period_s
+            if period is not None:
+                self._push_timer(self.start + period, _TIMER_REGION,
+                                 region_index, period)
 
-        # Per-region bound callables reached through the lane's region index:
-        # a few bound methods per deployment instead of three per lane (at a
-        # million lanes the per-lane bound-method lists alone cost hundreds of
-        # megabytes), at the price of one extra list index per event.
-        self.lane_region = lane_region
+    def _bind_regions(self, engine: "EventEngine") -> None:
+        """Per-region statistics and bound callables, and the wave dispatch.
+
+        Per-region bound callables are reached through the lane's region
+        index: a few bound methods per deployment instead of three per lane
+        (at a million lanes the per-lane bound-method lists alone cost
+        hundreds of megabytes), at the price of one extra list index per
+        event.
+        """
+        config = self._config
+        strategies = self._deployment.strategies
+        region_indices = self.region_indices
+        per_client_requests = config.workload.request_count
+        self.region_stats = {
+            region_index: LatencyStats(
+                capacity=max(config.regions[region_index].clients * per_client_requests, 1)
+            )
+            for region_index in region_indices
+        }
+        self.region_kept: dict[int, list[ReadResult]] = {
+            region_index: [] for region_index in region_indices
+        }
         region_count = len(config.regions)
         self.region_read: list = [None] * region_count
         self.region_record: list = [None] * region_count
         self.region_kept_lists: list = [None] * region_count
         for region_index in region_indices:
-            strategy = strategies[region_index]
-            self.region_read[region_index] = strategy.read_indexed
+            self.region_read[region_index] = strategies[region_index].read_indexed
             self.region_record[region_index] = self.region_stats[region_index].record
             self.region_kept_lists[region_index] = self.region_kept[region_index]
-        self.lane_pos = [0] * lanes
-        self.lane_end = [len(ranks) for ranks in self.lane_ranks]
 
         # Exact event-time ties between lanes must resolve in the reference's
         # insertion order.  With jitter on every link a collision is a
@@ -612,8 +612,8 @@ class _LaneRun:
         # scheduled with (mirroring the reference's push counter) and tied
         # lanes resolve to the smallest one.
         self.guard_ties = not engine._topology.latency.fully_jittered
-        self.lane_schedule_seq = list(range(lanes)) if self.guard_ties else None
-        self.schedule_counter = lanes
+        self.lane_schedule_seq = list(range(self.lanes)) if self.guard_ties else None
+        self.schedule_counter = self.lanes
 
         # Wave dispatch (closed loop, jittered topologies): every read costs
         # at least the client overhead, so arrivals inside
@@ -628,9 +628,11 @@ class _LaneRun:
         # keeps every region's event order.
         self._min_gap = (0.0 if self._open_loop
                          else config.client.overhead_ms / 1000.0)
+        self._use_waves = self._min_gap > 0.0 and not self.guard_ties
+        self._only_region = region_indices[0] if len(region_indices) == 1 else -1
         self._selected_strategies = [strategies[region_index]
                                      for region_index in region_indices]
-        self._latency_model = deployment.store.topology.latency
+        self._latency_model = self._deployment.store.topology.latency
         self.region_wave: list = [None] * region_count
         self.region_record_block: list = [None] * region_count
         # Resilient reads (retry budgets, hedging) and §VI neighbour reads
@@ -639,20 +641,20 @@ class _LaneRun:
         # wave dispatch stays valid because such a read still costs at least
         # the client overhead.
         self._draws_per_read = 0
-        if (not self.guard_ties and not self._open_loop and self._min_gap > 0.0
-                and deployment.coordinator is None
+        if (self._use_waves and self._deployment.coordinator is None
                 and all(strategy.supports_indexed_batch
                         and not strategy.resilience_active
                         for strategy in self._selected_strategies)):
-            self._draws_per_read = deployment.store.params.data_chunks
+            self._draws_per_read = self._deployment.store.params.data_chunks
             for region_index in region_indices:
                 self.region_wave[region_index] = (
                     strategies[region_index].compose_indexed_wave)
                 self.region_record_block[region_index] = (
                     self.region_stats[region_index].record_block)
 
-        self.remaining = lanes
-        self.last_completion = self.start
+    def _push_timer(self, at: float, kind: int, slot: int, period: float) -> None:
+        heapq.heappush(self.timer_heap, (at, self.timer_seq, kind, slot, period))
+        self.timer_seq += 1
 
     def _next_interarrival(self, lane: int) -> float:
         block = self.lane_block[lane]
@@ -681,32 +683,205 @@ class _LaneRun:
         Batched ready-set draining: each step of the outer loop fires the
         timers due at the earliest pending arrival, computes the *safe
         horizon* — the earliest residual timer still pending (the only
-        cross-lane interaction point), capped by ``limit`` — and extracts
-        every lane whose next event falls strictly inside it in one
-        vectorized mask over ``next_time``.  The block drains through a small
-        local heap: arrivals rescheduled inside the horizon re-enter it,
-        later ones just update ``next_time`` for the next step.  Event times
-        are monotone non-decreasing (a closed-loop completion is never before
-        its arrival, an open-loop gap never negative), so no lane outside the
+        cross-lane interaction point), capped by ``limit`` — and processes
+        the lanes whose next event falls strictly inside it.  Closed-loop
+        lanes on a jittered topology go one wave at a time (see
+        :meth:`_extract_wave`); every other shape drains the whole block
+        through a small local heap (:meth:`_drain_block`).  Event times are
+        monotone non-decreasing (a closed-loop completion is never before its
+        arrival, an open-loop gap never negative), so no lane outside the
         block can produce an event inside the horizon and the global event
         order — and with it every jitter draw — is exactly the reference
-        scheduler's.  A timer-free run drains in a single block; per-event
-        work drops from an O(lanes) ``argmin`` to an O(log block) heap pop.
+        scheduler's.
         """
+        horizon = math.inf if limit is None else limit
+        timer_heap = self.timer_heap
+        minimum = self.next_time.min
+        use_waves = self._use_waves
+        batched = self._draws_per_read > 0
+        selected_strategies = self._selected_strategies
+
+        while self.remaining:
+            block_start = float(minimum())
+            if block_start >= horizon:
+                break
+            # Timers due before (or exactly at) the next arrival fire first —
+            # the reference's (time, priority, seq) order, timers at priority 0.
+            if timer_heap and timer_heap[0][0] <= block_start:
+                self._fire_timers(block_start)
+
+            # Safe horizon of this block: every arrival strictly before the
+            # earliest pending timer (all due ones just fired, so the heap
+            # top is > block_start) can be processed without a lane/timer
+            # interaction; the run limit caps it further.
+            block_end = timer_heap[0][0] if timer_heap else horizon
+            if block_end > horizon:
+                block_end = horizon
+
+            if not use_waves:
+                self._drain_block(block_end)
+                continue
+            lanes, times, ranks = self._extract_wave(block_start, block_end)
+            if (batched and len(lanes) >= _BATCH_MIN_READS
+                    and not any(strategy._faulted
+                                for strategy in selected_strategies)):
+                self._read_wave_batched(lanes, times, ranks)
+            else:
+                self._read_wave_per_event(lanes, times, ranks)
+
+    def _fire_timers(self, block_start: float) -> None:
+        """Fire every timer due at or before ``block_start``, in heap order.
+
+        A fault transition installs its state and is not re-pushed; a
+        periodic timer (collaboration round or region tick) runs and pushes
+        its next occurrence.
+        """
+        timer_heap = self.timer_heap
         deployment = self._deployment
         clock = self._clock
-        strategies = deployment.strategies
-        open_loop = self._open_loop
-        warmup = self._warmup
-        keep = self._keep
-        horizon = math.inf if limit is None else limit
+        while timer_heap and timer_heap[0][0] <= block_start:
+            timer_time, _seq, kind, slot, period = heapq.heappop(timer_heap)
+            clock._now_s = timer_time
+            if kind == _TIMER_FAULT:
+                state = self._fault_states[slot]
+                for install in self._fault_targets:
+                    install(state)
+                for react in self._react_targets:
+                    react(timer_time)
+                continue
+            if kind == _TIMER_COLLAB:
+                deployment.coordinator.reconfigure_all(timer_time)
+                _install_neighbor_catalogs(deployment, self._neighbor_profiles)
+            else:
+                deployment.strategies[slot].tick(timer_time)
+            self._push_timer(timer_time + period, kind, slot, period)
 
+    def _extract_wave(self, block_start: float, block_end: float
+                      ) -> tuple[list[int], list[float], list[int]]:
+        """The lanes, times and ranks of the wave starting at ``block_start``.
+
+        Closed-loop wave: a read's completion lands at least ``min_gap``
+        (= client overhead, the latency floor on every path, faults
+        included) after its arrival, so nothing dispatched inside
+        ``[block_start, block_start + min_gap)`` can be rescheduled back into
+        that window.  The window's arrivals are sorted once — ties keep
+        ascending lane order, exactly the drain heap's (time, lane) rule —
+        and processed with no heap at all.
+        """
+        wave_end = block_start + self._min_gap
+        if wave_end > block_end:
+            wave_end = block_end
         next_time = self.next_time
-        timer_heap = self.timer_heap
-        timer_seq = self.timer_seq
-        fault_states = self._fault_states
-        fault_targets = self._fault_targets
-        react_targets = self._react_targets
+        ready = np.flatnonzero(next_time < wave_end)
+        unordered_times = next_time[ready]
+        order = unordered_times.argsort(kind="stable")
+        lanes = ready[order].tolist()
+        lane_ranks = self.lane_ranks
+        lane_pos = self.lane_pos
+        return (lanes, unordered_times[order].tolist(),
+                [lane_ranks[lane][lane_pos[lane]] for lane in lanes])
+
+    def _read_wave_batched(self, lanes: list[int], times: list[float],
+                           ranks: list[int]) -> None:
+        """Read a wave with one jitter sample, then one wave compose and one
+        block record per region, and land each region's reads.
+
+        The sample is taken once for the whole wave because the stream is
+        shared across regions and must be consumed in global event order.
+        Records land in per-region stats, whose order each region's ascending
+        row subset preserves.
+        """
+        count = len(lanes)
+        draws_per_read = self._draws_per_read
+        draws = self._latency_model.take_standard_normals_array(
+            draws_per_read * count).reshape(count, draws_per_read)
+        if self._only_region >= 0:
+            region_groups = [(self._only_region, lanes, ranks, times, draws)]
+        else:
+            lane_region = self.lane_region
+            rows_by_region: dict[int, list[int]] = {}
+            for row, lane in enumerate(lanes):
+                rows_by_region.setdefault(lane_region[lane], []).append(row)
+            region_groups = [
+                (region_index, [lanes[row] for row in rows],
+                 [ranks[row] for row in rows], [times[row] for row in rows],
+                 draws[rows])
+                for region_index, rows in rows_by_region.items()]
+        clock = self._clock
+        keep = self._keep
+        for region_index, row_lanes, row_ranks, row_times, row_draws in region_groups:
+            latencies, cached = self.region_wave[region_index](
+                row_ranks, row_times, row_draws, clock,
+                self.region_kept_lists[region_index] if keep else None)
+            self.region_record_block[region_index](latencies, cached, draws_per_read)
+            self._land(row_lanes, row_times, latencies)
+        clock._now_s = times[-1]
+
+    def _read_wave_per_event(self, lanes: list[int], times: list[float],
+                             ranks: list[int]) -> None:
+        """Read a wave one ``read_indexed`` at a time, then land it."""
+        clock = self._clock
+        lane_region = self.lane_region
+        region_read = self.region_read
+        region_record = self.region_record
+        region_kept = self.region_kept_lists
+        keep = self._keep
+        latencies: list[float] = []
+        add_latency = latencies.append
+        for lane, event_time, rank in zip(lanes, times, ranks):
+            clock._now_s = event_time
+            region_index = lane_region[lane]
+            result = region_read[region_index](rank, event_time)
+            region_record[region_index](result)
+            if keep:
+                region_kept[region_index].append(result)
+            add_latency(result.latency_ms)
+        self._land(lanes, times, latencies)
+
+    def _land(self, lanes: list[int], times: list[float], latencies_ms) -> None:
+        """Complete a wave's reads: completion times, the last completion and
+        lane positions; reschedule each lane at its completion or retire it.
+
+        Nothing is rescheduled into its own wave, so nothing has read
+        ``next_time`` since the extraction: one store per wave, not one NumPy
+        scalar store per event.
+        """
+        lane_pos = self.lane_pos
+        lane_end = self.lane_end
+        last_completion = self.last_completion
+        infinity = math.inf
+        retired = 0
+        upcoming_times: list[float] = []
+        schedule = upcoming_times.append
+        for lane, event_time, latency_ms in zip(lanes, times, latencies_ms):
+            completion = event_time + latency_ms / 1000.0
+            if completion > last_completion:
+                last_completion = completion
+            position = lane_pos[lane] + 1
+            lane_pos[lane] = position
+            if position < lane_end[lane]:
+                schedule(completion)
+            else:
+                schedule(infinity)
+                retired += 1
+        self.next_time[lanes] = upcoming_times
+        self.last_completion = last_completion
+        self.remaining -= retired
+
+    def _drain_block(self, block_end: float) -> None:
+        """Process every event before ``block_end`` through a local heap.
+
+        The block's due lanes are extracted in one vectorized mask over
+        ``next_time``; arrivals rescheduled inside the block re-enter the
+        heap, later ones just update ``next_time`` for the next step.  Per-event
+        work is an O(log block) heap pop instead of an O(lanes) ``argmin``.
+        This loop keeps its own completion bookkeeping, because it pushes
+        reschedules back into its heap.
+        """
+        clock = self._clock
+        open_loop = self._open_loop
+        keep = self._keep
+        next_time = self.next_time
         guard_ties = self.guard_ties
         lane_schedule_seq = self.lane_schedule_seq
         schedule_counter = self.schedule_counter
@@ -720,218 +895,62 @@ class _LaneRun:
         next_interarrival = self._next_interarrival
         remaining = self.remaining
         last_completion = self.last_completion
-        minimum = next_time.min
         heappush = heapq.heappush
         heappop = heapq.heappop
-        heapify = heapq.heapify
         infinity = math.inf
-        min_gap = self._min_gap
-        use_waves = min_gap > 0.0 and not guard_ties
-        draws_per_read = self._draws_per_read
-        selected_strategies = self._selected_strategies
-        latency_model = self._latency_model
-        region_wave = self.region_wave
-        region_record_block = self.region_record_block
-        single_region = len(self.region_indices) == 1
-        only_region = self.region_indices[0] if single_region else -1
 
-        while remaining:
-            block_start = float(minimum())
-            if block_start >= horizon:
-                break
-            # Timers due before (or exactly at) the next arrival fire first —
-            # the reference's (time, priority, seq) order, timers at priority 0.
-            while timer_heap and timer_heap[0][0] <= block_start:
-                timer_time, _seq, kind, region_index, period = heappop(timer_heap)
-                clock._now_s = timer_time
-                if kind == _TIMER_FAULT:
-                    # One-shot fault transition (region_index carries the
-                    # transition index): install and do not re-push.
-                    state = fault_states[region_index]
-                    for install in fault_targets:
-                        install(state)
-                    for react in react_targets:
-                        react(timer_time)
-                    continue
-                if kind == _TIMER_COLLAB:
-                    deployment.coordinator.reconfigure_all(timer_time)
-                    _install_neighbor_catalogs(deployment, self._neighbor_profiles)
-                else:
-                    strategies[region_index].tick(timer_time)
-                heappush(timer_heap, (timer_time + period, timer_seq, kind, region_index, period))
-                timer_seq += 1
+        ready = np.flatnonzero(next_time < block_end)
+        ready_list = ready.tolist()
+        ready_times = next_time[ready].tolist()
+        # Batched rank lookup for the block's due events.
+        block_ranks = [lane_ranks[lane][lane_pos[lane]] for lane in ready_list]
 
-            # Safe horizon of this block: every arrival strictly before the
-            # earliest pending timer (all due ones just fired, so the heap
-            # top is > block_start) can be processed without a lane/timer
-            # interaction; the run limit caps it further.
-            block_end = timer_heap[0][0] if timer_heap else horizon
-            if block_end > horizon:
-                block_end = horizon
-
-            if use_waves:
-                # Closed-loop wave: a read's completion lands at least
-                # min_gap (= client overhead, the latency floor on every
-                # path, faults included) after its arrival, so nothing
-                # dispatched inside [block_start, block_start + min_gap) can
-                # be rescheduled back into that window.  Sort the window's
-                # arrivals once — ties keep ascending lane order, exactly the
-                # drain heap's (time, lane) rule — and process them with no
-                # heap at all.
-                wave_end = block_start + min_gap
-                if wave_end > block_end:
-                    wave_end = block_end
-                ready = np.flatnonzero(next_time < wave_end)
-                unordered_times = next_time[ready]
-                order = unordered_times.argsort(kind="stable")
-                times_arr = unordered_times[order]
-                wave_order = ready[order]
-                wave_lanes = wave_order.tolist()
-                wave_ranks = [lane_ranks[lane][lane_pos[lane]]
-                              for lane in wave_lanes]
-
-                if (draws_per_read and len(wave_lanes) >= _BATCH_MIN_READS
-                        and not any(strategy._faulted
-                                    for strategy in selected_strategies)):
-                    # Batched wave: one jitter sample for the whole wave (the
-                    # stream is shared across regions, so it must be taken
-                    # once, in global event order), then one wave compose
-                    # and one block record per region.  Records land in
-                    # per-region stats, whose order each region's ascending
-                    # row subset preserves.
-                    count = len(wave_lanes)
-                    draws = latency_model.take_standard_normals_array(
-                        draws_per_read * count).reshape(count, draws_per_read)
-                    times_list = times_arr.tolist()
-                    if single_region:
-                        region_groups = [(only_region, wave_lanes, wave_ranks,
-                                          times_list, draws)]
-                    else:
-                        rows_by_region: dict[int, list[int]] = {}
-                        for row, lane in enumerate(wave_lanes):
-                            rows_by_region.setdefault(
-                                lane_region[lane], []).append(row)
-                        region_groups = [
-                            (region_index, [wave_lanes[row] for row in rows],
-                             [wave_ranks[row] for row in rows],
-                             [times_list[row] for row in rows], draws[rows])
-                            for region_index, rows in rows_by_region.items()]
-                    for (region_index, row_lanes, row_ranks, row_times,
-                         row_draws) in region_groups:
-                        latencies, cached = region_wave[region_index](
-                            row_ranks, row_times, row_draws, clock,
-                            region_kept[region_index] if keep else None)
-                        if warmup:
-                            rows = [row for row, lane in enumerate(row_lanes)
-                                    if lane_pos[lane] >= warmup]
-                            region_record_block[region_index](
-                                [latencies[row] for row in rows],
-                                None if cached is None else [cached[row] for row in rows],
-                                draws_per_read)
-                        else:
-                            region_record_block[region_index](
-                                latencies, cached, draws_per_read)
-                        upcoming_times = []
-                        schedule = upcoming_times.append
-                        for lane, event_time, latency_ms in zip(
-                                row_lanes, row_times, latencies):
-                            completion = event_time + latency_ms / 1000.0
-                            if completion > last_completion:
-                                last_completion = completion
-                            position = lane_pos[lane] + 1
-                            lane_pos[lane] = position
-                            if position < lane_end[lane]:
-                                schedule(completion)
-                            else:
-                                schedule(infinity)
-                                remaining -= 1
-                        next_time[row_lanes] = upcoming_times
-                    clock._now_s = times_list[-1]
-                else:
-                    upcoming_times = []
-                    schedule = upcoming_times.append
-                    for lane, event_time, rank in zip(
-                            wave_lanes, times_arr.tolist(), wave_ranks):
-                        clock._now_s = event_time
-                        region_index = lane_region[lane]
-                        result = region_read[region_index](rank, event_time)
-                        completion = event_time + result.latency_ms / 1000.0
-                        if completion > last_completion:
-                            last_completion = completion
-                        position = lane_pos[lane]
-                        if position >= warmup:
-                            region_record[region_index](result)
-                        if keep:
-                            region_kept[region_index].append(result)
-                        position += 1
-                        lane_pos[lane] = position
-                        if position < lane_end[lane]:
-                            schedule(completion)
-                        else:
-                            schedule(infinity)
-                            remaining -= 1
-                    # Nothing is rescheduled into its own wave, so nothing
-                    # has read next_time since the extraction: one store per
-                    # wave (as above), not one NumPy scalar store per event.
-                    next_time[wave_order] = upcoming_times
-                continue
-
-            ready = np.flatnonzero(next_time < block_end)
-            ready_list = ready.tolist()
-            ready_times = next_time[ready].tolist()
-            # Batched rank lookup for the block's due events.
-            block_ranks = [lane_ranks[lane][lane_pos[lane]] for lane in ready_list]
-
-            # Drain the block in exact event order through a local heap.
-            # Entry layouts make heap ties resolve exactly like the reference:
-            # (time, lane, rank) pops the smallest lane index at equal times
-            # (the argmin/insertion-order rule); tie-guarded topologies use
-            # (time, schedule_seq, lane, rank), the reference's push counter.
-            if guard_ties:
-                local = [(event_time, lane_schedule_seq[lane], lane, rank)
-                         for event_time, lane, rank
-                         in zip(ready_times, ready_list, block_ranks)]
+        # Entry layouts make heap ties resolve exactly like the reference:
+        # (time, lane, rank) pops the smallest lane index at equal times
+        # (the argmin/insertion-order rule); tie-guarded topologies use
+        # (time, schedule_seq, lane, rank), the reference's push counter.
+        if guard_ties:
+            local = [(event_time, lane_schedule_seq[lane], lane, rank)
+                     for event_time, lane, rank
+                     in zip(ready_times, ready_list, block_ranks)]
+        else:
+            local = list(zip(ready_times, ready_list, block_ranks))
+        heapq.heapify(local)
+        while local:
+            entry = heappop(local)
+            event_time = entry[0]
+            lane = entry[-2]
+            # Direct slot write instead of clock.advance_to: the drain
+            # order guarantees monotonically non-decreasing event times,
+            # so the method call and its past-check are pure overhead.
+            clock._now_s = event_time
+            region_index = lane_region[lane]
+            result = region_read[region_index](entry[-1], event_time)
+            completion = event_time + result.latency_ms / 1000.0
+            if completion > last_completion:
+                last_completion = completion
+            region_record[region_index](result)
+            if keep:
+                region_kept[region_index].append(result)
+            position = lane_pos[lane] + 1
+            lane_pos[lane] = position
+            if position < lane_end[lane]:
+                upcoming = (event_time + next_interarrival(lane) if open_loop
+                            else completion)
+                next_time[lane] = upcoming
+                if guard_ties:
+                    sequence = schedule_counter
+                    schedule_counter += 1
+                    lane_schedule_seq[lane] = sequence
+                    if upcoming < block_end:
+                        heappush(local, (upcoming, sequence, lane,
+                                         lane_ranks[lane][position]))
+                elif upcoming < block_end:
+                    heappush(local, (upcoming, lane, lane_ranks[lane][position]))
             else:
-                local = list(zip(ready_times, ready_list, block_ranks))
-            heapify(local)
-            while local:
-                entry = heappop(local)
-                event_time = entry[0]
-                lane = entry[-2]
-                # Direct slot write instead of clock.advance_to: the drain
-                # order guarantees monotonically non-decreasing event times,
-                # so the method call and its past-check are pure overhead.
-                clock._now_s = event_time
-                region_index = lane_region[lane]
-                result = region_read[region_index](entry[-1], event_time)
-                completion = event_time + result.latency_ms / 1000.0
-                if completion > last_completion:
-                    last_completion = completion
-                position = lane_pos[lane]
-                if position >= warmup:
-                    region_record[region_index](result)
-                if keep:
-                    region_kept[region_index].append(result)
-                position += 1
-                lane_pos[lane] = position
-                if position < lane_end[lane]:
-                    upcoming = (event_time + next_interarrival(lane) if open_loop
-                                else completion)
-                    next_time[lane] = upcoming
-                    if guard_ties:
-                        sequence = schedule_counter
-                        schedule_counter += 1
-                        lane_schedule_seq[lane] = sequence
-                        if upcoming < block_end:
-                            heappush(local, (upcoming, sequence, lane,
-                                             lane_ranks[lane][position]))
-                    elif upcoming < block_end:
-                        heappush(local, (upcoming, lane, lane_ranks[lane][position]))
-                else:
-                    next_time[lane] = infinity
-                    remaining -= 1
+                next_time[lane] = infinity
+                remaining -= 1
 
-        self.timer_seq = timer_seq
         self.schedule_counter = schedule_counter
         self.remaining = remaining
         self.last_completion = last_completion
@@ -945,26 +964,27 @@ class _LaneRun:
         if boundary > self._clock.now():
             self._clock._now_s = boundary
 
-    def finish(self) -> _LaneOutcome:
-        """Close the run: final clock advance, duration, collected outcome."""
+    def finish(self) -> float:
+        """Close the run with a final clock advance; returns its duration."""
         clock = self._clock
         end = clock.now()
         if self.last_completion > end:
             end = self.last_completion
         clock.advance_to(end)
-        return _LaneOutcome(
-            stats=self.region_stats, kept=self.region_kept, duration=end - self.start
+        return end - self.start
+
+    def region_result(self, region_index: int, duration: float) -> RegionRunResult:
+        """One region's share of the finished run as its run result."""
+        spec = self._config.regions[region_index]
+        return RegionRunResult(
+            region=spec.region,
+            strategy=spec.strategy,
+            clients=spec.clients,
+            stats=self.region_stats[region_index],
+            duration_s=duration,
+            cache_snapshot=self._deployment.strategies[region_index].cache_snapshot(),
+            results=self.region_kept[region_index],
         )
-
-
-def _subshard_jitter_seed(seed: int, region_index: int, shard_index: int) -> int:
-    """Deterministic jitter seed of one ``(region, sub-shard)`` job.
-
-    Sub-shard 0 keeps the region's per-region seed, so single-shard regions
-    reproduce pre-sharding runs bit-exactly.
-    """
-    return (seed + _SHARD_SEED_TAG * (region_index + 1)
-            + _SUBSHARD_SEED_TAG * shard_index)
 
 
 def _install_neighbor_catalogs(deployment: EngineDeployment,
@@ -980,24 +1000,28 @@ def _install_neighbor_catalogs(deployment: EngineDeployment,
     fault taking a neighbour region down darks exactly that neighbour's
     entries instead of the whole merged view.
     """
-    announcements = deployment.coordinator.announcements()
-    by_region = {a.region: a.pinned_chunks for a in announcements}
+    pinned = {a.region: a.pinned_chunks for a in deployment.coordinator.announcements()}
     for strategy in deployment.strategies:
-        catalog = {region: pinned for region, pinned in by_region.items()
-                   if region != strategy.client_region}
         expected_ms, sigma = profiles[strategy.client_region]
-        strategy.set_neighbor_catalog(catalog, expected_ms, sigma)
+        strategy.set_neighbor_catalog(
+            _neighbor_catalog(pinned, strategy.client_region), expected_ms, sigma)
+
+
+def _neighbor_catalog(pinned: dict[str, frozenset], region: str
+                      ) -> dict[str, frozenset]:
+    """The chunks every region but ``region`` pins, keyed by that region."""
+    return {owner: chunks for owner, chunks in pinned.items() if owner != region}
 
 
 class _Shard:
-    """One ``(region, sub-shard)`` job of sharded execution.
+    """One region's job in sharded execution.
 
     Owns everything a shard does to its private deployment — a forked
     worker's copy-on-write inheritance or a deep copy (both mutate only their
     own copy, bit-identically): it reseeds the latency model with the
-    sub-shard's jitter seed, builds the resumable lane run over the region's
-    ``shard_index``-th contiguous client slice, and answers the three calls of
-    the §VI round protocol that :meth:`EventEngine.execute_sharded` drives.
+    region's jitter seed, builds the resumable lane run over the region's
+    clients, and answers the three calls of the §VI round protocol that
+    :meth:`EventEngine.execute_sharded` drives.
 
     Any strategy shards, so the region's node, its neighbour-link profile and
     its announcements exist only when the deployment has a coordinator;
@@ -1006,18 +1030,13 @@ class _Shard:
     """
 
     def __init__(self, engine: "EventEngine", deployment: EngineDeployment,
-                 seed: int, region_index: int, shard_index: int,
-                 shard_count: int) -> None:
+                 seed: int, region_index: int) -> None:
         deployment.store.topology.latency.reseed(
-            _subshard_jitter_seed(seed, region_index, shard_index)
-        )
-        self._engine = engine
-        self._deployment = deployment
+            seed + _SHARD_SEED_TAG * (region_index + 1))
         self._region_index = region_index
         self._strategy = deployment.strategies[region_index]
         self._run = _LaneRun(engine, deployment, seed, [region_index],
-                             external_collaboration=True,
-                             lane_shard=(shard_index, shard_count))
+                             external_collaboration=True)
         self._node = None
         if deployment.coordinator is not None:
             self._node = self._strategy.node
@@ -1054,8 +1073,7 @@ class _Shard:
 
     def finish(self) -> RegionRunResult:
         """Close the lane run and wrap it as the region's run result."""
-        return self._engine._region_result(
-            self._deployment, self._region_index, self._run.finish())
+        return self._run.region_result(self._region_index, self._run.finish())
 
 
 class _LocalShard(_Shard):
@@ -1111,9 +1129,8 @@ class _PipeShard:
                                        args=(worker_end, engine, *job))
         self._worker.start()
         worker_end.close()
-        _deployment, _seed, region_index, shard_index, _shard_count = job
-        self._label = (f"region {engine._config.regions[region_index].region!r} "
-                       f"sub-shard {shard_index}")
+        _deployment, _seed, region_index = job
+        self._label = f"region {engine._config.regions[region_index].region!r}"
 
     def send(self, method: str, *arguments) -> None:
         try:
@@ -1224,7 +1241,7 @@ class EventEngine:
                 bytes while staying decision-equivalent to simulated runs.
         """
         config = self._config
-        store = ErasureCodedStore(self._topology, params=config.params)
+        store = ErasureCodedStore(self._topology)
         store.populate(
             object_count=config.workload.object_count,
             object_size=config.workload.object_size,
@@ -1233,22 +1250,8 @@ class EventEngine:
             seed=config.workload.seed,
         )
         clock = SimulationClock()
-        strategies = [
-            make_strategy(
-                spec.strategy,
-                store=store,
-                client_region=spec.region,
-                cache_capacity_bytes=(
-                    spec.cache_capacity_bytes
-                    if spec.cache_capacity_bytes is not None
-                    else config.cache_capacity_bytes
-                ),
-                clock=clock,
-                client_config=config.client,
-                node_config=spec.agar if spec.agar is not None else config.agar,
-            )
-            for spec in config.regions
-        ]
+        strategies = [make_region_strategy(config, spec, store, clock)
+                      for spec in config.regions]
 
         coordinator = None
         if config.collaboration:
@@ -1286,14 +1289,23 @@ class EventEngine:
         persists across calls, which models repeated YCSB runs against a
         long-running system (the paper's warm-cache repetition).
 
-        This is the lane scheduler (see the module docstring); it is
-        bit-identical to the heap loop of ``tests/reference/heap_scheduler.py``
-        on every supported shape, as asserted by
-        ``tests/sim/test_engine_equivalence.py``, and
+        This is the lane scheduler (see the module docstring), drained to
+        completion in one :class:`_LaneRun` over every region.  Event order,
+        jitter draws and arithmetic replicate the heap loop of
+        ``tests/reference/heap_scheduler.py`` exactly on every supported
+        shape, as asserted by ``tests/sim/test_engine_equivalence.py``, and
         ``tests/golden/engine_execute.json`` pins it across versions.
         """
-        outcome = self._run_lanes(deployment, seed, range(len(self._config.regions)))
-        return self._assemble_result(deployment, outcome)
+        config = self._config
+        run = _LaneRun(self, deployment, seed, range(len(config.regions)))
+        run.run_until(None)
+        duration = run.finish()
+        return EngineResult(
+            workload_name=config.workload.name,
+            duration_s=duration,
+            regions={spec.region: run.region_result(region_index, duration)
+                     for region_index, spec in enumerate(config.regions)},
+        )
 
     # ------------------------------------------------------------------ #
     # Lane scheduler (the fast path behind execute / execute_sharded)
@@ -1306,55 +1318,6 @@ class EventEngine:
             agar = config.agar or AgarNodeConfig()
             period = agar.reconfiguration_period_s
         return period
-
-    def _run_lanes(self, deployment: EngineDeployment, seed: int,
-                   region_indices) -> _LaneOutcome:
-        """Run the lane scheduler over the clients of ``region_indices``.
-
-        Every client is one lane with at most one outstanding event; the next
-        event is the ``argmin`` of the per-lane next-event times, with the few
-        timer events kept in a small residual heap consulted first.  Global
-        client numbering stays region-major over the *full* deployment, so a
-        lane replays the same request stream whether it runs in a full
-        in-process pass or in a single-region shard.
-
-        Event order, jitter draws and arithmetic replicate the heap loop of
-        ``tests/reference/heap_scheduler.py`` exactly: ties at equal
-        timestamps resolve timers-first then insertion order — preserved by
-        the lane layout at the start-time collision, and by explicit per-lane
-        schedule sequence numbers on topologies where zero-jitter links make
-        exact ties systematic — so the two paths are bit-identical.  The loop itself
-        lives in :class:`_LaneRun` (resumable for sharded collaboration);
-        this wrapper drains one run to completion.
-        """
-        run = _LaneRun(self, deployment, seed, region_indices)
-        run.run_until(None)
-        return run.finish()
-
-    def _region_result(self, deployment: EngineDeployment, region_index: int,
-                       outcome: _LaneOutcome) -> RegionRunResult:
-        """Wrap one region's share of a lane pass as its run result."""
-        spec = self._config.regions[region_index]
-        return RegionRunResult(
-            region=spec.region,
-            strategy=spec.strategy,
-            clients=spec.clients,
-            stats=outcome.stats[region_index],
-            duration_s=outcome.duration,
-            cache_snapshot=deployment.strategies[region_index].cache_snapshot(),
-            results=outcome.kept[region_index],
-        )
-
-    def _assemble_result(self, deployment: EngineDeployment,
-                         outcome: _LaneOutcome) -> EngineResult:
-        """Build the full-deployment :class:`EngineResult` of one lane pass."""
-        config = self._config
-        return EngineResult(
-            workload_name=config.workload.name,
-            duration_s=outcome.duration,
-            regions={spec.region: self._region_result(deployment, region_index, outcome)
-                     for region_index, spec in enumerate(config.regions)},
-        )
 
     # ------------------------------------------------------------------ #
     # Process-parallel region sharding
@@ -1428,62 +1391,46 @@ class EventEngine:
         if processes is None:
             processes = "fork" in multiprocessing.get_all_start_methods()
 
-        # One worker per (region, sub-shard): a region with shards > 1 splits
-        # its lanes across that many workers (intra-region sharding), each an
-        # independent lane slice (own node/cache copies) moving through the
-        # same segment/round boundaries; the region's outward announcement is
-        # its sub-shard 0's (the designated announcer).
-        jobs = [(region_index, shard_index, spec.shards)
-                for region_index, spec in enumerate(config.regions)
-                for shard_index in range(spec.shards)]
-
         shards: list[_PipeShard | _LocalShard] = []
         announcements: list[NeighborAnnouncement | None] = [None] * region_count
         catalogs: list[dict[str, frozenset] | None] = [None] * region_count
         try:
-            if processes and len(jobs) > 1:
+            if processes and region_count > 1:
                 context = multiprocessing.get_context("fork")
-                for job in jobs:
-                    shards.append(_PipeShard(context, self, deployment, seed, *job))
+                for region_index in range(region_count):
+                    shards.append(_PipeShard(context, self, deployment, seed,
+                                             region_index))
             else:
-                for job in jobs:
-                    shards.append(_LocalShard(self, copy.deepcopy(deployment), seed, *job))
+                for region_index in range(region_count):
+                    shards.append(_LocalShard(self, copy.deepcopy(deployment), seed,
+                                              region_index))
             while True:
-                for (region_index, _shard, _count), shard in zip(jobs, shards):
-                    shard.send("segment", boundary, catalogs[region_index])
+                for shard, catalog in zip(shards, catalogs):
+                    shard.send("segment", boundary, catalog)
                 total_remaining = 0
-                for (region_index, shard_index, _count), shard in zip(jobs, shards):
-                    remaining, announcement = shard.receive()
-                    if shard_index == 0:
-                        announcements[region_index] = announcement
+                for region_index, shard in enumerate(shards):
+                    remaining, announcements[region_index] = shard.receive()
                     total_remaining += remaining
                 if total_remaining == 0:
                     break
-                for region_index in range(region_count):
-                    neighbours = [announcements[other] for other in range(region_count)
-                                  if other != region_index]
-                    for (job_region, shard_index, _count), shard in zip(jobs, shards):
-                        if job_region != region_index:
-                            continue
-                        shard.send("round", boundary, neighbours)
-                        announcement = shard.receive()
-                        if shard_index == 0:
-                            announcements[region_index] = announcement
+                for region_index, shard in enumerate(shards):
+                    shard.send("round", boundary,
+                               [announcement for other, announcement
+                                in enumerate(announcements) if other != region_index])
+                    announcements[region_index] = shard.receive()
                 # The next segment starts with the round's *final* catalogs
                 # (every region's new configuration), matching the in-process
-                # engine, which installs catalogs after the whole round —
-                # keyed by provenance, like _install_neighbor_catalogs.
-                catalogs = [
-                    {config.regions[other].region: announcements[other].pinned_chunks
-                     for other in range(region_count) if other != region_index}
-                    for region_index in range(region_count)
-                ]
+                # engine, which installs catalogs after the whole round.
+                pinned = {spec.region: announcement.pinned_chunks
+                          for spec, announcement in zip(config.regions, announcements)}
+                catalogs = [_neighbor_catalog(pinned, spec.region)
+                            for spec in config.regions]
                 boundary += period
             # Every worker is asked to finish before any reply is collected,
             # so the workers pickle their results side by side.
             for shard in shards:
                 shard.send("finish")
-            shard_results = [shard.receive() for shard in shards]
+            region_results = [shard.receive() for shard in shards]
         except BaseException:
             for shard in shards:
                 shard.terminate()
@@ -1491,7 +1438,6 @@ class EventEngine:
         for shard in shards:
             shard.join()
 
-        region_results = self._merge_shard_results(jobs, shard_results)
         if coordinator is not None:
             coordinator.install_announcements(announcements)
         return EngineResult(
@@ -1499,35 +1445,6 @@ class EventEngine:
             duration_s=max(result.duration_s for result in region_results),
             regions={result.region: result for result in region_results},
         )
-
-    def _merge_shard_results(self, jobs, shard_results) -> list[RegionRunResult]:
-        """Fold per-(region, sub-shard) results into per-region results.
-
-        Stats merge through ``LatencyStats.merge_all`` (one buffer pass),
-        kept results concatenate in sub-shard order, the duration is the
-        slowest sub-shard's, and the reported cache snapshot is sub-shard
-        0's (the sub-shards' caches are independent copies; snapshot-based
-        assertions should pin ``shards=1``).
-        """
-        by_region: dict[int, list[RegionRunResult]] = {}
-        for (region_index, _shard_index, _shard_count), result in zip(jobs, shard_results):
-            by_region.setdefault(region_index, []).append(result)
-        merged: list[RegionRunResult] = []
-        for region_index, parts in by_region.items():
-            if len(parts) == 1:
-                merged.append(parts[0])
-                continue
-            spec = self._config.regions[region_index]
-            merged.append(RegionRunResult(
-                region=spec.region,
-                strategy=spec.strategy,
-                clients=spec.clients,
-                stats=LatencyStats.merge_all(part.stats for part in parts),
-                duration_s=max(part.duration_s for part in parts),
-                cache_snapshot=parts[0].cache_snapshot,
-                results=[result for part in parts for result in part.results],
-            ))
-        return merged
 
     def run_sharded(self, seed: int | None = None,
                     processes: bool | None = None) -> EngineResult:

@@ -120,6 +120,12 @@ class TestPeriodicLFUStrategy:
         with pytest.raises(ValueError):
             PeriodicLFUStrategy(store, "frankfurt", MEGABYTE, chunks_per_object=0)
 
+    @pytest.mark.parametrize("period", [0.0, -1.0, float("nan"), float("inf")])
+    def test_period_must_be_finite_and_positive(self, store, period):
+        with pytest.raises(ValueError, match="reconfiguration_period_s"):
+            PeriodicLFUStrategy(store, "frankfurt", MEGABYTE, chunks_per_object=3,
+                                reconfiguration_period_s=period)
+
     def test_the_installed_set_is_the_policys_own(self, store):
         """Mutating the set a reconfiguration passes in leaves the pinned chunks alone."""
         strategy = PeriodicLFUStrategy(store, "frankfurt", 10 * MEGABYTE, chunks_per_object=7,

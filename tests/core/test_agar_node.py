@@ -71,6 +71,13 @@ class TestLifecycle:
         assert len(node.reconfiguration_history()) == 1
         assert node.request_monitor.popularity_tracker.alpha == 0.5
 
+    @pytest.mark.parametrize("period", [0.0, -1.0, float("nan"), float("inf")])
+    def test_period_must_be_finite_and_positive(self, period):
+        """A period at or below zero re-arms the engine's reconfiguration
+        timer at once, so a run never ends; a non-finite one never fires."""
+        with pytest.raises(ValueError, match="reconfiguration_period_s"):
+            AgarNodeConfig(reconfiguration_period_s=period)
+
 
 class TestConfigurationBehaviour:
     def test_popular_objects_preferred(self, node):

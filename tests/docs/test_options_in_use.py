@@ -4,9 +4,12 @@ A defaulted field that no caller sets to anything but its default is a
 constant dressed as an option: it widens the API, and the code that only a
 different value would reach goes untested.  This scan reads every call in
 ``src/``, ``tests/``, ``examples/`` and ``benchmarks/`` that constructs one
-of the serving tier's option objects or the experiments' settings and
-engine options, or that calls an experiment entry point, and fails on a
-defaulted field or keyword that no call passes a non-default value.  A
+of the serving tier's option objects, the experiments' settings and engine
+options or the engine's own configuration, or that calls an experiment entry
+point, and fails on a defaulted field or keyword that no call passes a
+non-default value.  The keywords of ``ExperimentSettings.deployment(...)``,
+which passes them on to :class:`EngineConfig`, count as ``EngineConfig``
+options.  A
 literal equal to the default counts as unset; any other expression counts
 as set; positional arguments count.  A field that must stay an option
 although nothing in the repository varies it goes in ``ALLOWED`` with its
@@ -36,6 +39,7 @@ from repro.serve.chaos import ChaosSchedule
 from repro.serve.gateway import GatewaySettings
 from repro.serve.loadgen import WireLoadSpec, WireResilience
 from repro.serve.supervisor import SupervisorConfig
+from repro.sim.engine import EngineConfig, RegionSpec
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 SCANNED = ("src", "tests", "examples", "benchmarks")
@@ -46,7 +50,11 @@ TARGETS = (GatewaySettings, SupervisorConfig, WireResilience, WireLoadSpec,
            run_fig8a, run_fig8b, run_fig9, run_fig10, run_fig_collab,
            run_fig_failures, run_microbench, run_capacity_scaling,
            run_multiregion_scaling, run_agar_variants, run_solver_quality,
-           synthetic_options)
+           synthetic_options, EngineConfig, RegionSpec)
+
+#: Calls whose keywords are another target's options: the method passes them
+#: through ``**fields``, where the scan cannot follow them.
+KEYWORDS_OF = {"deployment": EngineConfig}
 
 #: ``(target, option)`` pairs that stay options with nothing setting them.
 ALLOWED = {
@@ -95,11 +103,15 @@ def options_set(source: str, targets=TARGETS) -> dict[str, set[str]]:
         func = node.func
         name = (func.id if isinstance(func, ast.Name)
                 else func.attr if isinstance(func, ast.Attribute) else None)
+        forwarded = name in KEYWORDS_OF
+        if forwarded:
+            name = KEYWORDS_OF[name].__name__
         if name not in shapes:
             continue
         names, defaults = shapes[name]
-        passed = [(names[index], arg) for index, arg in enumerate(node.args)
-                  if index < len(names) and not isinstance(arg, ast.Starred)]
+        passed = [] if forwarded else [
+            (names[index], arg) for index, arg in enumerate(node.args)
+            if index < len(names) and not isinstance(arg, ast.Starred)]
         passed += [(keyword.arg, keyword.value) for keyword in node.keywords
                    if keyword.arg is not None]
         found[name] |= {option for option, value in passed
@@ -144,4 +156,15 @@ repro.serve.supervisor.SupervisorConfig(*args, **kwargs)
     assert options_set(source, (WireResilience, SupervisorConfig)) == {
         "WireResilience": {"base_timeout_ms", "backoff_cap_ms"},
         "SupervisorConfig": set(),
+    }
+
+
+def test_deployment_keywords_count_as_engine_options():
+    source = """
+settings.deployment(regions, neighbor_read_ms=value, topology_seed=0)
+settings.deployment((RegionSpec("frankfurt", clients=2),), True)
+"""
+    assert options_set(source, (EngineConfig, RegionSpec)) == {
+        "EngineConfig": {"neighbor_read_ms"},
+        "RegionSpec": {"clients"},
     }

@@ -2,17 +2,16 @@
 
 ``execute ≡ execute_reference`` compares two schedulers of the *same* commit,
 and ``engine_sharded.json`` pins the sharded executor; this file pins the
-unsharded one across versions.  For ten deployment shapes — the
+unsharded one across versions.  For eight deployment shapes — the
 ``engine_clean`` smoke shape (2 × agar, closed loop); the same under a
 ``RegionOutage`` with retries, hedging and emergency reconfiguration; a mixed
 agar / lru-5 / lfu-5 / backend deployment; §VI collaboration (neighbour
 catalog installed, so hinted and neighbour chunks interleave); the 1 × 1
 piggy-backed shape (``auto_reconfigure`` on); the zero-jitter ``table1``
-topology (tie-guarded heap path); Poisson open loop; ``keep_results=True`` with
-``warmup_requests > 0``; and a backend-only kept run (the batched wave
-dispatch), with and without warm-up — it runs ``execute(deployment, seed)`` twice against one
-deployment (the second run reads a warm cache) and records two SHA-256
-digests per run:
+topology (tie-guarded heap path); Poisson open loop; and a backend-only
+``keep_results=True`` run (the batched wave dispatch) — it runs
+``execute(deployment, seed)`` twice against one deployment (the second run
+reads a warm cache) and records two SHA-256 digests per run:
 
 ``reads``
     ``repr(duration_s)`` and, per region, the name, the bytes of
@@ -118,14 +117,6 @@ def shapes() -> dict[str, Shape]:
         "poisson_open_loop": Shape(_config(
             (RegionSpec("frankfurt", clients=4), RegionSpec("sydney", clients=4)),
             requests=120, arrival=poisson_arrivals(2.0))),
-        "kept_with_warmup": Shape(_config(
-            (RegionSpec("frankfurt", clients=3),
-             RegionSpec("sydney", clients=3, strategy="lfu-5")),
-            requests=110, warmup_requests=12), keep_results=True),
-        "backend_waves_kept": Shape(_config(
-            (RegionSpec("frankfurt", clients=6, strategy="backend"),
-             RegionSpec("tokyo", clients=5, strategy="backend")),
-            requests=40, warmup_requests=3), keep_results=True),
         "backend_kept_waves": Shape(_config(
             (RegionSpec("frankfurt", clients=6, strategy="backend"),
              RegionSpec("tokyo", clients=5, strategy="backend")),

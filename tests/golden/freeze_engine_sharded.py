@@ -2,10 +2,9 @@
 
 The equivalence suite pins sharded runs fork ≡ in-process and run ≡ rerun —
 two executions of the *same* code.  This file pins them across versions: for
-seven deployment shapes (mixed agar / lfu-5 / backend regions; a region split
-over three sub-shards; an outage plus a brownout; Poisson open loop; hedged and
-retried reads under an outage; §VI collaboration; collaboration with a split
-region) it runs ``execute_sharded(deployment, seed)`` twice against one cold
+five deployment shapes (mixed agar / lfu-5 / backend regions; an outage plus a
+brownout; Poisson open loop; hedged and retried reads under an outage; §VI
+collaboration) it runs ``execute_sharded(deployment, seed)`` twice against one cold
 parent deployment with ``keep_results=True`` and records, per run, a SHA-256
 over the run's ``repr(duration_s)`` and, per region, the name,
 ``repr(duration_s)``, the bytes of ``stats.latencies_array()``, the sorted
@@ -62,9 +61,6 @@ def shapes() -> dict[str, EngineConfig]:
             (RegionSpec("frankfurt", clients=4),
              RegionSpec("sydney", clients=4, strategy="lfu-5"),
              RegionSpec("tokyo", clients=3, strategy="backend"))),
-        "split_three_ways": _config(
-            (RegionSpec("frankfurt", clients=6, shards=3),
-             RegionSpec("sydney", clients=4, strategy="lfu-5"))),
         "outage_and_brownout": _config(
             (RegionSpec("frankfurt", clients=4),
              RegionSpec("dublin", clients=4, strategy="lfu-5")),
@@ -86,10 +82,6 @@ def shapes() -> dict[str, EngineConfig]:
             (RegionSpec("frankfurt", clients=4),
              RegionSpec("sydney", clients=4)),
             requests=120, collaboration=True),
-        "collaborative_split": _config(
-            (RegionSpec("frankfurt", clients=4, shards=2),
-             RegionSpec("sydney", clients=2)),
-            requests=90, collaboration=True),
     }
 
 

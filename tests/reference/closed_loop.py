@@ -26,7 +26,7 @@ def run_closed_loop(config: EngineConfig, seed: int) -> RegionRunResult:
     topology = default_topology(seed=config.topology_seed)
     topology.latency.reseed(config.topology_seed + seed)
 
-    store = ErasureCodedStore(topology, params=config.params)
+    store = ErasureCodedStore(topology)
     store.populate(
         object_count=config.workload.object_count,
         object_size=config.workload.object_size,
@@ -50,8 +50,7 @@ def run_closed_loop(config: EngineConfig, seed: int) -> RegionRunResult:
     for request in requests:
         result = strategy.read(request.key, now=clock.now())
         clock.advance_ms(result.latency_ms)
-        if request.sequence >= config.warmup_requests:
-            stats.record(result)
+        stats.record(result)
 
     return RegionRunResult(
         region=spec.region,

@@ -63,7 +63,6 @@ def execute_heap(engine: EventEngine, deployment: EngineDeployment,
     strategies = deployment.strategies
     arrival = config.arrival
     timer_mode = config.uses_timer_reconfiguration
-    warmup = config.warmup_requests
     keep = engine._keep_results
     start = clock.now()
 
@@ -163,8 +162,7 @@ def execute_heap(engine: EventEngine, deployment: EngineDeployment,
             completion = time_s + result.latency_ms / 1000.0
             if completion > last_completion:
                 last_completion = completion
-            if request.sequence >= warmup:
-                region_stats[region_index].record(result)
+            region_stats[region_index].record(result)
             if keep:
                 region_kept[region_index].append(result)
             outstanding -= 1

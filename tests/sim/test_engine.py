@@ -111,17 +111,6 @@ class TestLegacyEquivalence:
                 getattr(legacy_result.stats, attribute)
         assert engine_result.duration_s == legacy_result.duration_s
 
-    def test_bit_identical_with_warmup(self):
-        config = single_region_config(
-            "lfu-7", workload=small_workload(requests=60, objects=12),
-            warmup_requests=20)
-        engine_result = EventEngine(config).run(seed=5).regions["frankfurt"]
-        legacy_result = run_closed_loop(config, seed=5)
-        assert engine_result.stats.count == legacy_result.stats.count == 40
-        assert np.array_equal(
-            engine_result.stats.latencies_array(), legacy_result.stats.latencies_array()
-        )
-
     def test_cache_snapshots_match(self):
         config = single_region_config("agar")
         engine_snapshot = EventEngine(config).run(seed=2).regions["frankfurt"].cache_snapshot
@@ -301,6 +290,18 @@ class TestTimersAndCollaboration:
     def test_negative_neighbor_read_ms_rejected(self):
         with pytest.raises(ValueError):
             multi_region_config(neighbor_read_ms=-1.0)
+
+    @pytest.mark.parametrize("latency", [float("nan"), float("inf")])
+    def test_non_finite_neighbor_read_ms_rejected(self, latency):
+        with pytest.raises(ValueError, match="neighbor_read_ms"):
+            multi_region_config(neighbor_read_ms=latency)
+
+    @pytest.mark.parametrize("period", [0.0, -5.0, float("nan"), float("inf")])
+    def test_collaboration_period_must_be_finite_and_positive(self, period):
+        """A period at or below zero re-arms its timer at once, so the run
+        never leaves its timer loop; a non-finite one never fires."""
+        with pytest.raises(ValueError, match="collaboration_period_s"):
+            multi_region_config(collaboration=True, collaboration_period_s=period)
 
     def test_warm_deployment_persists_across_executes(self):
         config = multi_region_config(strategy="lfu-5", clients=2)

@@ -88,12 +88,11 @@ def _shapes() -> dict[str, EngineConfig]:
                                 cache_capacity_bytes=2 * MEGABYTE)),
             cache_capacity_bytes=5 * MEGABYTE,
         ),
-        "warmup_lru": EngineConfig(
+        "lru_two_regions": EngineConfig(
             workload=base,
             regions=(RegionSpec("frankfurt", clients=2, strategy="lru-5"),
                      RegionSpec("sydney", clients=2, strategy="lru-5")),
             cache_capacity_bytes=5 * MEGABYTE,
-            warmup_requests=30,
         ),
         "timer_single_region": EngineConfig(
             workload=base,
@@ -144,16 +143,15 @@ def _shapes() -> dict[str, EngineConfig]:
         ),
         # Shapes forcing wave/block horizon truncation in the batched
         # drainer: the closed-loop backend shape drives the fully batched
-        # wave dispatch (with warmup filtering), the brownout window forces
+        # wave dispatch, the brownout window forces
         # the mid-run fallback to per-event waves and the recovery back to
         # batched ones, and the mixed timer shape truncates waves at
         # reconfiguration timers between arrivals.
-        "backend_closed_warmup": EngineConfig(
+        "backend_closed": EngineConfig(
             workload=base,
             regions=(RegionSpec("frankfurt", clients=3, strategy="backend"),
                      RegionSpec("sydney", clients=3, strategy="backend")),
             cache_capacity_bytes=5 * MEGABYTE,
-            warmup_requests=30,
         ),
         "faulted_brownout_backend_closed": EngineConfig(
             workload=base,
@@ -303,7 +301,7 @@ class TestLaneSchedulerEquivalence:
                 outcomes.append(execute(engine, deployment, 3))
             assert_results_identical(*outcomes)
 
-    @pytest.mark.parametrize("shape", ["backend_closed_warmup",
+    @pytest.mark.parametrize("shape", ["backend_closed",
                                        "faulted_brownout_backend_closed",
                                        "closed_2regions_multiclient"])
     def test_bit_identical_unkept_stats(self, shape):
@@ -345,10 +343,10 @@ def _agar_wave_shapes() -> dict[str, tuple[EngineConfig, bool]]:
     three = tuple(RegionSpec(region, clients=48)
                   for region in ("frankfurt", "sydney", "dublin"))
     return {
-        "one_region_unkept_warmup": (config(one, warmup_requests=7), False),
+        "one_region_unkept": (config(one), False),
         "one_region_kept": (config(one), True),
-        "three_regions_unkept_warmup": (config(three, warmup_requests=5), False),
-        "three_regions_kept_warmup": (config(three, warmup_requests=5), True),
+        "three_regions_unkept": (config(three), False),
+        "three_regions_kept": (config(three), True),
         # Piggy-backed reconfiguration: a read's count_request installs a
         # configuration in the middle of a wave.
         "auto_reconfiguration": (config(
@@ -482,17 +480,6 @@ class TestResilienceEquivalence:
         second = EventEngine(config).run_sharded(seed=5)
         assert_results_identical(first, second)
 
-    def test_resilient_split_region_fork_matches_in_process(self):
-        config = self.resilient_config(
-            regions=(RegionSpec("frankfurt", clients=4, shards=2),
-                     RegionSpec("dublin", clients=2)),
-        )
-        forked = EventEngine(config, keep_results=True).run_sharded(
-            seed=5, processes=True)
-        sequential = EventEngine(config, keep_results=True).run_sharded(
-            seed=5, processes=False)
-        assert_results_identical(forked, sequential)
-
     def test_resilient_collaborative_fork_matches_in_process(self):
         """Hedged reads over per-neighbour (provenance-aware) catalogs with a
         client-region AZ failure: the round protocol's catalogs and the
@@ -587,95 +574,6 @@ class TestShardedDeterminism:
                 assert not snapshot.chunks_per_key
 
 
-class TestIntraRegionSharding:
-    """``RegionSpec.shards`` splits one region's clients across several
-    workers.  Sub-shard 0 reuses the region's historical jitter seed, so
-    ``shards=1`` stays bit-identical to the pre-sharding contract; higher
-    sub-shards derive independent streams, so splitting changes jitter
-    interleavings but must never change the request streams themselves."""
-
-    def split_config(self, shards=2, clients=6, requests=80):
-        return EngineConfig(
-            workload=workload(requests=requests),
-            regions=(RegionSpec("frankfurt", clients=clients, shards=shards),
-                     RegionSpec("sydney", clients=4, strategy="lfu-5")),
-            cache_capacity_bytes=5 * MEGABYTE,
-        )
-
-    def test_fork_matches_in_process_fallback(self):
-        config = self.split_config()
-        forked = EventEngine(config, keep_results=True).run_sharded(
-            seed=5, processes=True)
-        sequential = EventEngine(config, keep_results=True).run_sharded(
-            seed=5, processes=False)
-        assert_results_identical(forked, sequential)
-
-    def test_split_region_is_reproducible(self):
-        config = self.split_config(shards=3)
-        first = EventEngine(config).run_sharded(seed=5)
-        second = EventEngine(config).run_sharded(seed=5)
-        assert_results_identical(first, second)
-
-    def test_single_shard_matches_historical_seeding(self):
-        """shards=1 must be bit-identical to a spec without the field."""
-        explicit = self.split_config(shards=1)
-        implicit = EngineConfig(
-            workload=workload(requests=80),
-            regions=(RegionSpec("frankfurt", clients=6),
-                     RegionSpec("sydney", clients=4, strategy="lfu-5")),
-            cache_capacity_bytes=5 * MEGABYTE,
-        )
-        first = EventEngine(explicit, keep_results=True).run_sharded(seed=5)
-        second = EventEngine(implicit, keep_results=True).run_sharded(seed=5)
-        assert_results_identical(first, second)
-
-    def test_split_preserves_request_streams(self):
-        """Splitting a region redistributes its clients, not their reads:
-        the merged region replays the same multiset of requests (and total
-        count) as the unsplit run, and the merged stats account for every
-        sub-shard's clients."""
-        whole = EventEngine(self.split_config(shards=1),
-                            keep_results=True).run_sharded(seed=5)
-        split = EventEngine(self.split_config(shards=3),
-                            keep_results=True).run_sharded(seed=5)
-        for region in whole.regions:
-            whole_keys = sorted(r.key for r in whole.regions[region].results)
-            split_keys = sorted(r.key for r in split.regions[region].results)
-            assert split_keys == whole_keys
-        merged = split.regions["frankfurt"]
-        assert merged.clients == 6
-        assert merged.stats.count == whole.regions["frankfurt"].stats.count
-
-    def test_uneven_split_covers_every_client(self):
-        """clients not divisible by shards still covers each client once."""
-        config = self.split_config(shards=4, clients=6)
-        split = EventEngine(config, keep_results=True).run_sharded(seed=5)
-        whole = EventEngine(self.split_config(shards=1, clients=6),
-                            keep_results=True).run_sharded(seed=5)
-        assert split.regions["frankfurt"].stats.count == \
-            whole.regions["frankfurt"].stats.count
-
-    def test_faulted_split_fork_matches_in_process(self):
-        config = EngineConfig(
-            workload=workload(requests=80),
-            regions=(RegionSpec("frankfurt", clients=6, shards=2),
-                     RegionSpec("dublin", clients=4)),
-            cache_capacity_bytes=5 * MEGABYTE,
-            faults=FaultSchedule([RegionOutage("sao_paulo", 10.0, 40.0)]),
-        )
-        forked = EventEngine(config, keep_results=True).run_sharded(
-            seed=5, processes=True)
-        sequential = EventEngine(config, keep_results=True).run_sharded(
-            seed=5, processes=False)
-        assert_results_identical(forked, sequential)
-
-    def test_shards_validation(self):
-        with pytest.raises(ValueError, match="shards must be positive"):
-            RegionSpec("frankfurt", clients=4, shards=0)
-        with pytest.raises(ValueError, match="shards cannot exceed clients"):
-            RegionSpec("frankfurt", clients=2, shards=3)
-
-
 class TestCollaborativeSharding:
     """§VI deployments shard through the message-passing round protocol:
     workers pause at collaboration-period boundaries, exchange announcements
@@ -763,40 +661,6 @@ class TestCollaborativeSharding:
         sharded = EventEngine(config).run_sharded(seed=2)
         assert sharded.regions["frankfurt"].stats.count == 2 * 60
 
-    def test_intra_region_split_fork_matches_in_process(self):
-        """A region split across sub-shards still runs the round protocol:
-        every sub-shard receives the region's neighbour catalogs, sub-shard 0
-        is the region's designated announcer, and the forked path matches the
-        in-process one bit-for-bit."""
-        config = EngineConfig(
-            workload=workload(requests=90),
-            regions=(RegionSpec("frankfurt", clients=4, shards=2),
-                     RegionSpec("sydney", clients=2)),
-            cache_capacity_bytes=5 * MEGABYTE,
-            collaboration=True,
-        )
-        forked = EventEngine(config, keep_results=True).run_sharded(
-            seed=5, processes=True)
-        sequential = EventEngine(config, keep_results=True).run_sharded(
-            seed=5, processes=False)
-        assert_results_identical(forked, sequential)
-        assert forked.regions["frankfurt"].stats.count == 4 * 90
-
-    def test_intra_region_split_publishes_announcements(self):
-        config = EngineConfig(
-            workload=workload(requests=90),
-            regions=(RegionSpec("frankfurt", clients=4, shards=2),
-                     RegionSpec("sydney", clients=2)),
-            cache_capacity_bytes=5 * MEGABYTE,
-            collaboration=True,
-        )
-        engine = EventEngine(config)
-        engine.topology.latency.reseed(config.topology_seed + 5)
-        deployment = engine.build_deployment()
-        engine.execute_sharded(deployment, 5)
-        announcements = deployment.coordinator.announcements()
-        assert {a.region for a in announcements} == {"frankfurt", "sydney"}
-
     def test_warm_deployment_runs_from_current_clock(self):
         """Boundaries are anchored at the deployment clock's current time, so
         repeated sharded runs against one parent deployment stay aligned."""
@@ -819,11 +683,11 @@ class TestShardFailures:
     #: than the failure takes to reach the parent, so an orphan is caught.
     STALL_S = 5.0
 
-    def failing_deployment(self, fail, shards=1, collaboration=False):
+    def failing_deployment(self, fail, collaboration=False):
         """Region 0's reads call ``fail``; region 1 outlives the failure."""
         config = EngineConfig(
             workload=workload(requests=80),
-            regions=(RegionSpec("frankfurt", clients=4, shards=shards),
+            regions=(RegionSpec("frankfurt", clients=4),
                      RegionSpec("sydney", clients=4)),
             cache_capacity_bytes=5 * MEGABYTE,
             collaboration=collaboration,
@@ -862,10 +726,9 @@ class TestShardFailures:
 
     @pytest.mark.parametrize("collaboration", [False, True],
                              ids=["independent", "collaborative"])
-    @pytest.mark.parametrize("shards", [1, 2], ids=["whole", "split"])
-    def test_failing_shard_raises_and_leaves_no_worker(self, shards, collaboration):
+    def test_failing_shard_raises_and_leaves_no_worker(self, collaboration):
         engine, deployment = self.failing_deployment(
-            self.boom, shards=shards, collaboration=collaboration)
+            self.boom, collaboration=collaboration)
         started = time.monotonic()
         with pytest.raises(LookupError, match="no plan for key"):
             engine.execute_sharded(deployment, 5, processes=True)
@@ -886,12 +749,12 @@ class TestShardFailures:
         assert multiprocessing.active_children() == []
 
     def test_dead_worker_is_named(self):
-        """A worker that exits without replying is reported by region,
-        sub-shard and exit code — not as a bare ``EOFError``."""
+        """A worker that exits without replying is reported by region and
+        exit code — not as a bare ``EOFError``."""
         engine, deployment = self.failing_deployment(
-            lambda key_index, now: os._exit(3), shards=2)
+            lambda key_index, now: os._exit(3))
         with pytest.raises(RuntimeError,
-                           match=r"'frankfurt'.*sub-shard 0.*exit code 3"):
+                           match=r"'frankfurt'.*exit code 3"):
             engine.execute_sharded(deployment, 5, processes=True)
         assert multiprocessing.active_children() == []
 

@@ -40,9 +40,6 @@ def test_shape_reproduces(name):
 def test_the_shapes_are_not_one_run():
     """Every shape and every run hashes to its own digests: the second run
     reads the cache the first one filled."""
-    # backend_kept_waves is backend_waves_kept without warm-up, which filters
-    # only the statistics, so the two shapes share their state digests.
     digests = [run[part] for name in freeze.shapes()
-               for run in GOLDEN[name]["runs"] for part in ("reads", "state")
-               if (name, part) != ("backend_waves_kept", "state")]
+               for run in GOLDEN[name]["runs"] for part in ("reads", "state")]
     assert len(set(digests)) == len(digests)

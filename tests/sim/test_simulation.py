@@ -79,10 +79,6 @@ class TestSimulation:
         second = run_once(single_client_config("lru-5"), seed=4)
         assert first.mean_latency_ms != pytest.approx(second.mean_latency_ms, rel=1e-6)
 
-    def test_warmup_requests_excluded(self):
-        config = single_client_config("lfu-9", warmup_requests=20)
-        assert run_once(config, seed=1).stats.count == 40
-
     def test_keep_results(self):
         result = run_once(single_client_config("backend"), seed=1, keep_results=True)
         assert len(result.results) == 60
@@ -218,17 +214,6 @@ class TestRunComparison:
         assert latency["backend"] > latency["lru-5"] * 0.5
         for runs in comparison.values():
             assert runs.regions["frankfurt"].runs == 1
-
-    def test_warmup_requests_exposed(self):
-        """ISSUE 2 satellite: warm-up exclusion stays reachable from the
-        driver — it is an ``EngineConfig`` field, which ``run_many`` honours."""
-        config = single_client_config(
-            "lru-5", workload=small_workload(requests=50, objects=10))
-        full = run_many(config, runs=2).regions["frankfurt"]
-        warmed = run_many(replace(config, warmup_requests=20), runs=2).regions["frankfurt"]
-        # 20 of 50 requests per run are excluded from the statistics, and the
-        # excluded cold misses can only improve the reported latency.
-        assert warmed.mean_latency_ms <= full.mean_latency_ms
 
     def test_each_label_is_its_own_run_many(self):
         workload = small_workload(requests=50, objects=10)
