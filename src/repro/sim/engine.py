@@ -431,7 +431,8 @@ class _LaneRun:
     five, along the engine-event path: :meth:`_fire_timers`, then either
     :meth:`_extract_wave`, a wave read (:meth:`_read_wave_batched` or
     :meth:`_read_wave_per_event`) and :meth:`_land`, or :meth:`_drain_block`.
-    Each phase is one call per wave, block or timer, never one per event.
+    Phases are called per wave (``_land`` once per region of a batched
+    wave), per block or per batch of due timers, never per event.
     """
 
     def __init__(self, engine: "EventEngine", deployment: EngineDeployment,
