@@ -317,6 +317,29 @@ class TestLaneSchedulerEquivalence:
             outcomes.append(execute(engine, deployment, 3))
         assert_results_identical(*outcomes)
 
+    @pytest.mark.parametrize("keep_results", [True, False], ids=["kept", "unkept"])
+    @pytest.mark.parametrize("dispatch", ["per_event_wave", "brownout_wave",
+                                          "batched_wave", "drain_heap"])
+    def test_every_read_is_recorded(self, dispatch, keep_results):
+        """Each dispatch records every read it lands: waves read per event
+        (six backend clients), the per-event fallback a brownout forces, the
+        batched Agar wave (48 clients a region) and the drain heap of an
+        open-loop shape.  Every client issues the whole workload, so a region
+        records clients × requests reads."""
+        shapes = _shapes()
+        config = {
+            "per_event_wave": shapes["backend_closed"],
+            "brownout_wave": shapes["faulted_brownout_backend_closed"],
+            "batched_wave": _agar_wave_shapes()["three_regions_kept"][0],
+            "drain_heap": shapes["backend_poisson"],
+        }[dispatch]
+        result = EventEngine(config, keep_results=keep_results).run(seed=3)
+        for spec in config.regions:
+            region = result.regions[spec.region]
+            assert region.clients == spec.clients
+            assert region.stats.count == spec.clients * config.workload.request_count
+            assert len(region.results) == (region.stats.count if keep_results else 0)
+
     def test_run_uses_lane_scheduler(self):
         """EventEngine.run (the public cold-run entry) equals the reference."""
         config = _shapes()["closed_2regions_multiclient"]
@@ -560,6 +583,23 @@ class TestShardedDeterminism:
         first = EventEngine(config).run_sharded(seed=5)
         second = EventEngine(config).run_sharded(seed=5)
         assert_results_identical(first, second)
+
+    @pytest.mark.parametrize("processes", [True, False], ids=["forked", "in-process"])
+    def test_each_region_records_all_its_clients(self, processes):
+        """One job per region: a region's clients, however many, all run in
+        its shard, and every read they issue is recorded."""
+        config = EngineConfig(
+            workload=workload(requests=80),
+            regions=(RegionSpec("frankfurt", clients=6),
+                     RegionSpec("sydney", clients=3, strategy="lfu-5")),
+            cache_capacity_bytes=5 * MEGABYTE,
+        )
+        result = EventEngine(config, keep_results=True).run_sharded(
+            seed=5, processes=processes)
+        for spec in config.regions:
+            region = result.regions[spec.region]
+            assert region.clients == spec.clients
+            assert region.stats.count == len(region.results) == spec.clients * 80
 
     def test_parent_deployment_left_cold(self):
         """Sharded workers mutate copies; the caller's deployment stays cold."""
