@@ -9,8 +9,10 @@ headers in their order, body.  Covered: the ``agar``, ``lru-3`` and
 reads under installed fault states (a degraded 200 and a 503 with fewer than
 ``k`` chunks reachable), 404 unknown key, 400 bad key, PUT 201 / 204 / 409,
 ``POST /admin/tick``, ``/healthz``, ``/ledger``, an HTTP/1.0 request, a
-``Connection: close`` one, a truncated request and one 12-request pipelined
-segment hashed as a whole.  ``/stats`` carries wall-clock latencies and is
+``Connection: close`` one, a truncated request, one 12-request pipelined
+segment hashed as a whole, and the JSON body form of ``POST /admin/fault``
+(an outage, a brownout and an AZ failure installed, an overlapping window
+refused with a 409, and every malformed install refused with a 400).  ``/stats`` carries wall-clock latencies and is
 left out.  Only the wire is driven, through the client side of
 ``repro.serve.protocol``.
 
@@ -74,8 +76,18 @@ def put(key: str, body: bytes) -> bytes:
             f"Content-Length: {len(body)}\r\n\r\n").encode() + body
 
 
-def post(target: str) -> bytes:
-    return f"POST {target} HTTP/1.1\r\nHost: g\r\n\r\n".encode()
+def post(target: str, body: bytes = b"") -> bytes:
+    length = f"Content-Length: {len(body)}\r\n" if body else ""
+    return f"POST {target} HTTP/1.1\r\nHost: g\r\n{length}\r\n".encode() + body
+
+
+def fault_body(**overrides) -> bytes:
+    """A ``POST /admin/fault`` body: a ``sao_paulo`` outage on ``[5, 15)``
+    with ``overrides`` applied; a ``None`` override drops the field."""
+    body = {"kind": "outage", "region": "sao_paulo",
+            "start_s": 5.0, "end_s": 15.0}
+    body.update(overrides)
+    return json.dumps({k: v for k, v in body.items() if v is not None}).encode()
 
 
 def read_script() -> list[tuple[str, bytes]]:
@@ -106,6 +118,46 @@ def fault_script() -> list[tuple[str, bytes]]:
         ("clear/install", post("/admin/fault?index=3&at=40.0")),
         ("clear/get-after", get("object-0", 41.0)),
         ("fault-index-out-of-range", post("/admin/fault?index=9&at=42.0")),
+    ]
+
+
+def fault_body_script() -> list[tuple[str, bytes]]:
+    """Dynamic fault windows installed by body, then every refused install."""
+    refused = [
+        ("missing-index", "/admin/fault?at=5.0", b""),
+        ("index-and-body", "/admin/fault?index=0&at=5.0", fault_body()),
+        ("bad-index", "/admin/fault?index=x&at=5.0", b""),
+        ("index-99", "/admin/fault?index=99&at=5.0", b""),
+        ("index-minus-1", "/admin/fault?index=-1&at=5.0", b""),
+        ("not-json", "/admin/fault?at=5.0", b"{not json"),
+        ("not-an-object", "/admin/fault?at=5.0", b"[1, 2]"),
+        ("unknown-kind", "/admin/fault?at=5.0", fault_body(kind="meteor")),
+        ("unknown-region", "/admin/fault?at=5.0", fault_body(region="atlantis")),
+        ("region-not-a-string", "/admin/fault?at=5.0", fault_body(region=7)),
+        ("no-start", "/admin/fault?at=5.0", fault_body(start_s=None)),
+        ("no-end", "/admin/fault?at=5.0", fault_body(end_s=None)),
+        ("start-not-a-number", "/admin/fault?at=5.0",
+         fault_body(start_s="soon")),
+        ("start-nan", "/admin/fault?at=5.0",
+         b'{"kind": "outage", "region": "sao_paulo", "start_s": NaN, '
+         b'"end_s": 5.0}'),
+        ("multiplier-on-outage", "/admin/fault?at=5.0",
+         fault_body(multiplier=2.0)),
+        ("unknown-field", "/admin/fault?at=5.0", fault_body(color="red")),
+        ("end-before-start", "/admin/fault?at=5.0",
+         fault_body(start_s=9.0, end_s=3.0)),
+        ("tick-with-body", "/admin/tick?at=5.0", b"{}"),
+    ]
+    return [
+        ("outage/install", post("/admin/fault?at=1.0", fault_body())),
+        ("brownout/install", post("/admin/fault?at=2.0", fault_body(
+            kind="brownout", region="tokyo", end_s=25.0, multiplier=2.5))),
+        ("az/install", post("/admin/fault?at=3.0", fault_body(
+            kind="az", region="dublin", start_s=6.0, end_s=20.0))),
+        ("overlap/refused", post("/admin/fault?at=4.0", fault_body(
+            start_s=10.0, end_s=25.0))),
+        *((f"refused/{label}", post(target, body))
+          for label, target, body in refused),
     ]
 
 
@@ -159,6 +211,8 @@ def scenarios() -> list[tuple[str, EngineConfig, bool, list[tuple[str, bytes]]]]
             out.append((name, config(strategy), payloads, read_script()))
     out.append(("agar/faults", config("agar", FAULTS), True, fault_script()))
     out.append(("lru-3/misc", config("lru-3"), True, misc_script()))
+    out.append(("lru-3/fault-bodies", config("lru-3"), True,
+                fault_body_script()))
     return out
 
 

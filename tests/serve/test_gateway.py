@@ -173,6 +173,43 @@ def test_route_misses_answer_exactly(run, request_line):
     assert run(scenario()) == ROUTE_MISSES[request_line]
 
 
+#: The exact response to a GET whose handler raised, by ``Connection`` header.
+HANDLER_EXCEPTIONS = {
+    "": b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 26\r\n"
+        b"Content-Type: text/plain\r\nConnection: keep-alive\r\n"
+        b"\r\nRuntimeError: disk on fire",
+    "Connection: close\r\n": b"HTTP/1.1 500 Internal Server Error\r\n"
+                               b"Content-Length: 26\r\n"
+                               b"Content-Type: text/plain\r\n"
+                               b"Connection: close\r\n"
+                               b"\r\nRuntimeError: disk on fire",
+}
+
+
+@pytest.mark.parametrize("connection", HANDLER_EXCEPTIONS,
+                         ids=["keep-alive", "close"])
+def test_handler_exception_answers_500_exactly(run, monkeypatch, connection):
+    """A handler that raises gets a 500 naming the exception, framed like
+    every other response of the request, and counts as an error."""
+    def read(key, at):
+        raise RuntimeError("disk on fire")
+
+    async def scenario():
+        cluster = await start_cluster(tiny_config())
+        try:
+            gateway = cluster.gateways["frankfurt"]
+            monkeypatch.setattr(gateway.strategy, "read", read)
+            reply = await protocol.exchange(
+                cluster.addresses["frankfurt"],
+                f"GET /objects/object-0 HTTP/1.1\r\nHost: t\r\n"
+                f"{connection}\r\n".encode())
+            return reply, gateway.errors_total
+        finally:
+            await cluster.stop()
+
+    assert run(scenario()) == (HANDLER_EXCEPTIONS[connection], 1)
+
+
 def test_stop_closes_an_idle_keep_alive_connection(run):
     """``stop()`` returns while a client still holds a keep-alive
     connection, and leaves no connection handler running."""

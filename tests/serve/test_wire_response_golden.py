@@ -29,7 +29,7 @@ SCENARIOS = {name: rest for name, *rest in freeze.scenarios()}
 
 
 def test_golden_file_covers_every_scenario():
-    assert GOLDEN["generated_at_commit"].startswith("7a55248")
+    assert GOLDEN["generated_at_commit"].startswith("8dfb7d4")
     assert list(GOLDEN)[1:] == list(SCENARIOS)
     for name, (_, _, steps) in SCENARIOS.items():
         assert list(GOLDEN[name]) == [label for label, _ in steps]
