@@ -26,29 +26,38 @@ running :class:`~repro.serve.gateway.ServeCluster`:
 A schedule compiles to the same action list every time.  Execution is
 wall-clock ordered; installs that fail because a gateway is down are retried
 until they land (the supervisor restarts gateways on their old port, so
-addresses stay stable).
+addresses stay stable).  An install a gateway refuses (a 400: a region it
+does not serve) is logged as a failed event with the gateway's answer and
+not retried.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 import time
 from dataclasses import dataclass
 
 from repro.serve.protocol import (ProtocolError, fetch, hang_up,
                                   render_request)
-from repro.sim.faults import FaultSchedule
+from repro.sim.faults import FaultSchedule, fault_to_dict
 
-#: Wall seconds between retries of fault installs a down gateway refused.
+#: Wall seconds between retries of fault installs that found no gateway.
 RETRY_INTERVAL_S = 0.05
 #: How long a finished schedule keeps retrying those installs.
 DRAIN_TIMEOUT_S = 3.0
 
 
 def _validate_at(what: str, at_s: float) -> None:
-    if at_s < 0:
-        raise ValueError(f"{what}: at_s must be non-negative, got {at_s}")
+    if not (math.isfinite(at_s) and at_s >= 0):
+        raise ValueError(
+            f"{what}: at_s must be finite and non-negative, got {at_s}")
+
+
+def _validate_duration(what: str, duration_s: float) -> None:
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValueError(f"{what}: duration_s must be finite and positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,8 +92,7 @@ class SocketStall:
 
     def __post_init__(self) -> None:
         _validate_at("SocketStall", self.at_s)
-        if self.duration_s <= 0:
-            raise ValueError("SocketStall: duration_s must be positive")
+        _validate_duration("SocketStall", self.duration_s)
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,8 +105,7 @@ class SlowlorisPeer:
 
     def __post_init__(self) -> None:
         _validate_at("SlowlorisPeer", self.at_s)
-        if self.duration_s <= 0:
-            raise ValueError("SlowlorisPeer: duration_s must be positive")
+        _validate_duration("SlowlorisPeer", self.duration_s)
 
 
 #: Any single wire-level disturbance.
@@ -106,9 +113,6 @@ WireFault = GatewayCrash | ConnectionReset | SocketStall | SlowlorisPeer
 
 _WIRE_KINDS = {GatewayCrash: "crash", ConnectionReset: "reset",
                SocketStall: "stall", SlowlorisPeer: "slowloris"}
-
-_FAULT_KIND_NAMES = {"RegionOutage": "outage", "BackendBrownout": "brownout",
-                     "AZFailure": "az"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,22 +156,10 @@ class ChaosSchedule:
                                        duration_s=duration))
         if self.fault_schedule is not None:
             for fault in self.fault_schedule.faults:
-                body = {"kind": _FAULT_KIND_NAMES[type(fault).__name__],
-                        "region": fault.region,
-                        "start_s": fault.start_s,
-                        "end_s": fault.end_s}
-                multiplier = getattr(fault, "multiplier", None)
-                if multiplier is not None:
-                    body["multiplier"] = multiplier
-                actions.append(ChaosAction(at_s=fault.start_s, kind="fault",
-                                           region="",
-                                           fault_body=json.dumps(body)))
+                actions.append(ChaosAction(
+                    at_s=fault.start_s, kind="fault", region="",
+                    fault_body=json.dumps(fault_to_dict(fault))))
         return tuple(sorted(actions, key=lambda a: (a.at_s, a.kind, a.region)))
-
-    def crash_count(self) -> int:
-        """Number of gateway crashes the schedule will inject."""
-        return sum(1 for fault in self.wire_faults
-                   if isinstance(fault, GatewayCrash))
 
     def describe(self) -> str:
         """Human-readable listing (the wire twin of FaultSchedule.describe)."""
@@ -207,6 +199,8 @@ class ChaosInjector:
     that fail because a gateway is down are queued and retried before every
     subsequent action and in a bounded drain loop at the end, so a schedule
     always converges once the supervisor has restarted the crashed gateways.
+    An install the gateway answers with a refusal is logged failed, with the
+    status and the gateway's reason, and never retried.
     """
 
     def __init__(self, cluster, schedule: ChaosSchedule) -> None:
@@ -250,13 +244,14 @@ class ChaosInjector:
         now = time.perf_counter() - origin
         if action.kind == "fault":
             for region in self.cluster.gateways:
-                ok = await self._install_fault(region, action.fault_body)
-                if not ok:
+                outcome = await self._install_fault(region, action.fault_body)
+                if outcome is None:
                     self._pending_installs.append((region, action.fault_body))
+                    outcome = False, "queued for retry"
+                ok, detail = outcome
                 self.log.append(ChaosEvent(
                     at_s=action.at_s, executed_at_s=now, kind="fault",
-                    region=region, ok=ok,
-                    detail=action.fault_body if ok else "queued for retry"))
+                    region=region, ok=ok, detail=detail or action.fault_body))
             return
         gateway = self.cluster.gateways.get(action.region)
         if gateway is None:
@@ -295,32 +290,39 @@ class ChaosInjector:
     async def _retry_pending(self, origin: float) -> None:
         still_pending: list[tuple[str, str]] = []
         for region, body in self._pending_installs:
-            if await self._install_fault(region, body):
-                self.log.append(ChaosEvent(
-                    at_s=-1.0, executed_at_s=time.perf_counter() - origin,
-                    kind="fault", region=region, ok=True,
-                    detail="retried install landed"))
-            else:
+            outcome = await self._install_fault(region, body)
+            if outcome is None:
                 still_pending.append((region, body))
+                continue
+            ok, detail = outcome
+            self.log.append(ChaosEvent(
+                at_s=-1.0, executed_at_s=time.perf_counter() - origin,
+                kind="fault", region=region, ok=ok,
+                detail=detail or "retried install landed"))
         self._pending_installs = still_pending
 
-    async def _install_fault(self, region: str, body: str) -> bool:
+    async def _install_fault(self, region: str, body: str,
+                             ) -> tuple[bool, str] | None:
+        """Whether the window landed and, if refused, the gateway's answer;
+        ``None`` when the gateway could not be reached (retry later)."""
         gateway = self.cluster.gateways.get(region)
         if gateway is None or gateway.port is None:
-            return False
+            return None
         request = render_request("POST", "/admin/fault", "chaos",
                                  {"Content-Type": "application/json",
                                   "Connection": "close"},
                                  body.encode())
         try:
-            (status, _headers, _body), _elapsed_ms = await asyncio.wait_for(
+            status, _headers, reason = await asyncio.wait_for(
                 fetch((gateway.settings.host, gateway.port), request),
                 timeout=1.0)
         except (OSError, asyncio.TimeoutError, ProtocolError):
-            return False
+            return None
         # A 409 means this window already landed on this gateway (e.g. a
         # retry raced a successful install): converged, not failed.
-        return status == 200 or status == 409
+        if status == 200 or status == 409:
+            return True, ""
+        return False, f"refused: {status} {reason.decode('latin-1')}"
 
 
 #: The eternally incomplete header the slowloris peer dribbles.

@@ -19,6 +19,11 @@ Two time modes coexist per request:
   the strategy runs, so cache recency — and with it every decision — matches
   the simulation exactly.
 
+:data:`ROUTES` is the one table of what a gateway serves.  Each handler
+returns ``(status, body, content type, header lines)``, and
+:meth:`RegionGateway._dispatch` frames every response once, for the
+request's ``Connection``: refusals and a raising handler's 500 included.
+
 :class:`ServeCluster` builds one gateway per region from an
 :class:`~repro.sim.engine.EngineConfig`, mirroring the engine's deployment
 sequence (reseed, build, initial fault install, external-reconfiguration
@@ -54,11 +59,14 @@ from repro.serve.protocol import (READ_BYTES, HttpRequest, ProtocolError,
 from repro.sim.clock import SimulationClock
 from repro.sim.engine import (EngineConfig, EngineDeployment, EventEngine,
                               _install_neighbor_catalogs, make_region_strategy)
-from repro.sim.faults import (AZFailure, BackendBrownout, FaultSchedule,
-                              RegionOutage)
+from repro.sim.faults import FaultSchedule, fault_from_dict
 
 _KEY_PATTERN = re.compile(r"[A-Za-z0-9._-]{1,200}")
 _OBJECTS_PREFIX = "/objects/"
+_TEXT = "text/plain"
+#: What a route handler answers: status, body, content type and any extra
+#: header lines (rendered, each ending in CRLF).  ``_dispatch`` frames it.
+Answer = tuple[int, bytes, str, bytes]
 #: Decision patterns whose header lines a gateway keeps rendered (cleared
 #: when full); a whole ``wire_hot`` run sees five.
 DECISION_HEADS_CAP = 256
@@ -98,7 +106,6 @@ class RegionGateway:
         self.started_at = time.perf_counter() if epoch is None else epoch
         self.crashed = False
         self.current_fault_state = None
-        self.last_fault_index: int | None = None
         self._fault_states = fault_states
         self._dynamic_faults: list = []
         self._dynamic_transitions: list[tuple[float, object]] = []
@@ -267,44 +274,30 @@ class RegionGateway:
     # Dispatch
     # ------------------------------------------------------------------ #
     def _dispatch(self, request: HttpRequest) -> tuple[bytes, bytes]:
-        """Route one request; never raises — errors become clean responses."""
+        """Route one request and frame its answer for the request's
+        connection; never raises (a raising handler gets a 500)."""
         self.requests_total += 1
+        method = request.method
+        path = request.path
         try:
-            return self._route(request)
+            # The prefix first: object reads are the hot path.
+            route = _OBJECTS_PREFIX if path.startswith(_OBJECTS_PREFIX) else path
+            handler = _ROUTES.get((method, route))
+            if handler is None:
+                if method in _METHODS:
+                    raise ProtocolError(404, f"no route for {method} {path}")
+                raise ProtocolError(405, f"method {method} not supported")
+            status, body, content_type, headers = handler(self, request)
         except ProtocolError as error:
             self.errors_total += 1
             return error_response(error, keep_alive=request.keep_alive)
         except Exception as error:  # noqa: BLE001 — the 5xx contract
             self.errors_total += 1
-            detail = f"{type(error).__name__}: {error}"
-            return build_response(500, detail.encode(),
-                                  keep_alive=request.keep_alive,
-                                  content_type="text/plain")
-
-    def _route(self, request: HttpRequest) -> tuple[bytes, bytes]:
-        method = request.method
-        path = request.path
-        if method == "GET":
-            if path.startswith(_OBJECTS_PREFIX):
-                return self._get_object(request)
-            if path == "/healthz":
-                return build_response(200, b"ok\n", content_type="text/plain")
-            if path == "/stats":
-                return self._get_stats(request)
-            if path == "/ledger":
-                return self._get_ledger(request)
-            raise ProtocolError(404, f"no route for GET {path}")
-        if method == "PUT":
-            if path.startswith(_OBJECTS_PREFIX):
-                return self._put_object(request)
-            raise ProtocolError(404, f"no route for PUT {path}")
-        if method == "POST":
-            if path == "/admin/tick":
-                return self._admin_tick(request)
-            if path == "/admin/fault":
-                return self._admin_fault(request)
-            raise ProtocolError(404, f"no route for POST {path}")
-        raise ProtocolError(405, f"method {method} not supported")
+            status, body, content_type, headers = (
+                500, f"{type(error).__name__}: {error}".encode(), _TEXT, b"")
+        return build_response(status, body, headers,
+                              keep_alive=request.keep_alive,
+                              content_type=content_type)
 
     # ------------------------------------------------------------------ #
     # Time
@@ -365,7 +358,7 @@ class RegionGateway:
                        backend_chunks: list) -> None:
         self._decided = (cache_chunks, backend_chunks)
 
-    def _get_object(self, request: HttpRequest) -> tuple[bytes, bytes]:
+    def _get_object(self, request: HttpRequest) -> Answer:
         key = self._object_key(request.path)
         store = self.store
         try:
@@ -386,19 +379,15 @@ class RegionGateway:
         body_kind = "none"
         indices: list[int] = []
         if result.failed:
-            return build_response(503, b"read unavailable under faults\n",
-                                  self._decision_headers(result, indices),
-                                  keep_alive=request.keep_alive,
-                                  content_type="text/plain")
+            return (503, b"read unavailable under faults\n", _TEXT,
+                    self._decision_headers(result, indices))
         if decided is not None:
             cache_chunks, backend_chunks = decided
             indices = [placed.index for placed in cache_chunks]
             indices += [placed.index for placed in backend_chunks]
             body, body_kind = self._object_body(key, metadata, indices)
-        return build_response(
-            200, body, self._decision_headers(
-                result, indices, f"X-Agar-Body: {body_kind}\r\n"),
-            keep_alive=request.keep_alive)
+        return 200, body, "application/octet-stream", self._decision_headers(
+            result, indices, f"X-Agar-Body: {body_kind}\r\n")
 
     def _object_body(self, key: str, metadata, indices: list[int],
                      ) -> tuple[bytes, str]:
@@ -455,7 +444,7 @@ class RegionGateway:
         return lines + (f"X-Agar-Model-Ms: {result.latency_ms!r}\r\n"
                         f"{tail}").encode("latin-1")
 
-    def _put_object(self, request: HttpRequest) -> tuple[bytes, bytes]:
+    def _put_object(self, request: HttpRequest) -> Answer:
         key = self._object_key(request.path)
         body = request.body
         if not body:
@@ -476,14 +465,12 @@ class RegionGateway:
             # No request can ask for the superseded version again.
             self._body_cache.pop((key, existing.version), None)
         self.puts_total += 1
-        status = 204 if existing is not None else 201
-        return build_response(status, b"", keep_alive=request.keep_alive,
-                              content_type="text/plain")
+        return 204 if existing is not None else 201, b"", _TEXT, b""
 
     # ------------------------------------------------------------------ #
     # Introspection routes
     # ------------------------------------------------------------------ #
-    def _get_stats(self, request: HttpRequest) -> tuple[bytes, bytes]:
+    def _get_stats(self, request: HttpRequest) -> Answer:
         summary = self.wire_stats.summary()
         payload = {
             "region": self.region,
@@ -497,46 +484,38 @@ class RegionGateway:
                          p95_ms=summary["p95_latency_ms"],
                          p99_ms=summary["p99_latency_ms"]),
         }
-        return build_response(200, json.dumps(payload).encode(),
-                              keep_alive=request.keep_alive,
-                              content_type="application/json")
+        return 200, json.dumps(payload).encode(), "application/json", b""
 
-    def _get_ledger(self, request: HttpRequest) -> tuple[bytes, bytes]:
+    def _get_ledger(self, request: HttpRequest) -> Answer:
         start = parse_decimal(request.query.get("start", "0"))
         if start is None:
             raise ProtocolError(400, "invalid ledger start")
-        text = self.ledger.lines(start)
-        return build_response(200, text.encode(),
-                              keep_alive=request.keep_alive,
-                              content_type="text/plain")
+        return 200, self.ledger.lines(start).encode(), _TEXT, b""
 
     # ------------------------------------------------------------------ #
     # Admin routes (trace replay)
     # ------------------------------------------------------------------ #
-    def _admin_tick(self, request: HttpRequest) -> tuple[bytes, bytes]:
+    def _admin_tick(self, request: HttpRequest) -> Answer:
         if request.body:
             raise ProtocolError(400, "tick takes no body")
         at = self._request_time(request)
         self.strategy.tick(at)
         self.ledger.append(tick_entry(at))
-        return build_response(200, b"", content_type="text/plain",
-                              keep_alive=request.keep_alive)
+        return 200, b"", _TEXT, b""
 
-    _FAULT_KINDS = {"outage": RegionOutage, "brownout": BackendBrownout,
-                    "az": AZFailure}
-
-    def _admin_fault(self, request: HttpRequest) -> tuple[bytes, bytes]:
+    def _admin_fault(self, request: HttpRequest) -> Answer:
         """Install a fault state: precompiled by index, or dynamic by body.
 
         The index form (``?index=k``) installs entry ``k`` of the schedule
         the cluster was deployed with — the trace-replay path.  The body
-        form POSTs a JSON fault window (``{"kind", "region", "start_s",
-        "end_s"[, "multiplier"]}``, times relative to cluster start) which
-        is validated like an engine-side :class:`FaultSchedule` — malformed
-        definitions get a 400, windows overlapping an already-installed
-        dynamic window of the same kind and region get a 409 — and then
-        compiled into lazily applied transitions (``fault_index=-2``
-        ledger entries).  Mixing both forms in one request is a 400.
+        form POSTs a fault window in the wire form of
+        :func:`~repro.sim.faults.fault_from_dict` (times relative to cluster
+        start) which is validated like an engine-side :class:`FaultSchedule`
+        — malformed definitions get a 400, windows overlapping an
+        already-installed dynamic window of the same kind and region get a
+        409 — and then compiled into lazily applied transitions
+        (``fault_index=-2`` ledger entries).  Mixing both forms in one
+        request is a 400.
         """
         index_text = request.query.get("index")
         if index_text is not None and request.body:
@@ -553,10 +532,14 @@ class RegionGateway:
                 raise ProtocolError(400, f"fault index {index} out of range")
             at = self._request_time(request)
             self._install_fault_state(self._fault_states[index], at, index)
-            self.last_fault_index = index
-            return build_response(200, b"", content_type="text/plain",
-                                  keep_alive=request.keep_alive)
-        fault = self._parse_fault_body(request.body)
+            return 200, b"", _TEXT, b""
+        try:
+            fault = fault_from_dict(json.loads(request.body),
+                                    self.store.topology.has_region)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise ProtocolError(400, "malformed fault body (not JSON)") from None
+        except ValueError as error:
+            raise ProtocolError(400, str(error)) from None
         try:
             schedule = FaultSchedule([*self._dynamic_faults, fault])
         except ValueError as error:
@@ -571,50 +554,24 @@ class RegionGateway:
                                   DYNAMIC_FAULT_INDEX)
         payload = {"installed": len(self._dynamic_faults),
                    "pending_transitions": len(self._dynamic_transitions)}
-        return build_response(200, json.dumps(payload).encode(),
-                              keep_alive=request.keep_alive,
-                              content_type="application/json")
+        return 200, json.dumps(payload).encode(), "application/json", b""
 
-    def _parse_fault_body(self, body: bytes):
-        try:
-            raw = json.loads(body)
-        except ValueError:
-            raise ProtocolError(400, "malformed fault body (not JSON)") from None
-        if not isinstance(raw, dict):
-            raise ProtocolError(400, "fault body must be a JSON object")
-        kind = raw.get("kind")
-        fault_type = self._FAULT_KINDS.get(kind)
-        if fault_type is None:
-            raise ProtocolError(
-                400, f"unknown fault kind {kind!r} "
-                     f"(expected one of {sorted(self._FAULT_KINDS)})")
-        region = raw.get("region")
-        if not isinstance(region, str) or not self.store.topology.has_region(region):
-            raise ProtocolError(400, f"unknown fault region {region!r}")
-        kwargs = {}
-        for field_name in ("start_s", "end_s", "multiplier"):
-            if field_name not in raw:
-                continue
-            value = raw[field_name]
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ProtocolError(400, f"fault {field_name} must be a "
-                                         "finite number")
-            kwargs[field_name] = float(value)
-        if "start_s" not in kwargs or "end_s" not in kwargs:
-            raise ProtocolError(400, "fault body needs start_s and end_s")
-        if "multiplier" in kwargs and fault_type is not BackendBrownout:
-            raise ProtocolError(400, "multiplier only applies to brownouts")
-        unknown = set(raw) - {"kind", "region", "start_s", "end_s", "multiplier"}
-        if unknown:
-            raise ProtocolError(400, f"unknown fault fields {sorted(unknown)}")
-        try:
-            return fault_type(region=region, **kwargs)
-        except ValueError as error:
-            raise ProtocolError(400, str(error)) from None
 
-    def install_initial_fault(self, state, at: float = 0.0) -> None:
-        """Mirror the engine's t=0 fault install (ledger ``fault_index=-1``)."""
-        self._install_fault_state(state, at, -1)
+#: Every route the gateway serves, one row each: method, path, handler.  The
+#: ``/objects/`` rows match by prefix (``/objects/<key>``), the others the
+#: whole path.  ``_dispatch`` answers a path no row of the request's method
+#: names with a 404, and a method no row names with a 405.
+ROUTES = (
+    ("GET", _OBJECTS_PREFIX, RegionGateway._get_object),
+    ("PUT", _OBJECTS_PREFIX, RegionGateway._put_object),
+    ("GET", "/healthz", lambda gateway, request: (200, b"ok\n", _TEXT, b"")),
+    ("GET", "/stats", RegionGateway._get_stats),
+    ("GET", "/ledger", RegionGateway._get_ledger),
+    ("POST", "/admin/tick", RegionGateway._admin_tick),
+    ("POST", "/admin/fault", RegionGateway._admin_fault),
+)
+_ROUTES = {(method, path): handler for method, path, handler in ROUTES}
+_METHODS = frozenset(method for method, _ in _ROUTES)
 
 
 class ServeCluster:
@@ -673,9 +630,10 @@ class ServeCluster:
             for spec, strategy in zip(config.regions, deployment.strategies)
         }
         if faults is not None and not faults.is_empty:
-            initial = faults.initial_state
+            # The engine's t=0 install, ledgered with ``fault_index=-1``.
             for name in names:
-                gateways[name].install_initial_fault(initial, 0.0)
+                gateways[name]._install_fault_state(
+                    faults.initial_state, 0.0, -1)
         return cls(config, deployment, gateways, epoch=epoch,
                    neighbor_profiles=neighbor_profiles)
 

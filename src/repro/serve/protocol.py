@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -302,21 +301,17 @@ async def read_response(reader: asyncio.StreamReader,
     return response
 
 
-async def fetch(address: tuple[str, int], request: bytes,
-                ) -> tuple[Response, float]:
+async def fetch(address: tuple[str, int], request: bytes) -> Response:
     """One request on a connection of its own, and its response.
 
     Connects, sends ``request``, reads one response and hangs up without
-    waiting for the server to close.  Returns the response and the
-    milliseconds from the call until it was whole, taken before the hang-up.
+    waiting for the server to close.
     """
-    started = time.perf_counter()
     reader, writer = await asyncio.open_connection(*address)
     try:
         writer.write(request)
         await writer.drain()
-        response = await read_response(reader, bytearray())
-        return response, (time.perf_counter() - started) * 1000.0
+        return await read_response(reader, bytearray())
     finally:
         await hang_up(writer)
 

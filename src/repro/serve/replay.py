@@ -15,9 +15,10 @@ from __future__ import annotations
 import asyncio
 from typing import Mapping
 
-from repro.serve.ledger import LedgerEntry, ledger_from_lines
+from repro.serve.ledger import (KIND_FAULT, KIND_READ, LedgerEntry,
+                                ledger_from_lines)
 from repro.serve.protocol import hang_up, read_response, render_request
-from repro.serve.trace import KIND_FAULT, KIND_READ, SimTrace
+from repro.serve.trace import SimTrace
 
 _WINDOW = 128
 

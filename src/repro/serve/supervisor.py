@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -74,8 +75,9 @@ class SupervisorConfig:
     warm_recovery: bool = True
 
     def __post_init__(self) -> None:
-        if self.poll_interval_s <= 0:
-            raise ValueError("poll_interval_s must be positive")
+        if not (math.isfinite(self.poll_interval_s)
+                and self.poll_interval_s > 0):
+            raise ValueError("poll_interval_s must be finite and positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,7 +178,7 @@ class ClusterSupervisor:
         if gateway.port is None:
             return False
         try:
-            (status, _headers, _body), _elapsed_ms = await asyncio.wait_for(
+            status, _headers, _body = await asyncio.wait_for(
                 fetch((gateway.settings.host, gateway.port), _HEALTH_REQUEST),
                 timeout=HEALTH_TIMEOUT_S)
         except (OSError, asyncio.TimeoutError, ProtocolError):
@@ -229,7 +231,6 @@ class ClusterSupervisor:
         gateway.ledger = corpse.ledger
         gateway._dynamic_faults = list(corpse._dynamic_faults)
         gateway._dynamic_transitions = list(corpse._dynamic_transitions)
-        gateway.last_fault_index = corpse.last_fault_index
         if corpse.current_fault_state is not None:
             # Reinstall silently: the install is already in the ledger.
             strategy.set_fault_state(corpse.current_fault_state)

@@ -32,15 +32,12 @@ the chaos tier); only this oracle's equivalence claim does not extend to them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from repro.serve.ledger import (LedgerEntry, fault_entry, read_entry,
-                                tick_entry)
+from repro.serve.ledger import (KIND_FAULT, KIND_READ, KIND_TICK, LedgerEntry,
+                                fault_entry, read_entry, tick_entry)
 from repro.sim.engine import EngineConfig, EngineResult, EventEngine
-
-KIND_READ = "read"
-KIND_TICK = "tick"
-KIND_FAULT = "fault"
 
 _PRIO_FAULT = 0
 _PRIO_TICK = 1
@@ -63,10 +60,6 @@ class SimTrace:
     seed: int
     start: float
     regions: dict[str, tuple[TraceOp, ...]]
-
-    @property
-    def total_ops(self) -> int:
-        return sum(len(ops) for ops in self.regions.values())
 
 
 def _check_supported(config: EngineConfig) -> None:
@@ -147,8 +140,9 @@ def trace_and_ledgers(config: EngineConfig, result: EngineResult,
             # not a replayed op.
             ledger.append(fault_entry(start, -1))
         position = 0
-        for read in results:
-            arrival = read.started_at_s
+        # ``None`` closes the walk: every timer left fires after the reads.
+        for read in (*results, None):
+            arrival = math.inf if read is None else read.started_at_s
             while position < len(timers) and timers[position][0] <= arrival:
                 fire, priority, index = timers[position]
                 position += 1
@@ -158,15 +152,9 @@ def trace_and_ledgers(config: EngineConfig, result: EngineResult,
                 else:
                     ops.append(TraceOp(KIND_TICK, fire))
                     ledger.append(tick_entry(fire))
-            ops.append(TraceOp(KIND_READ, arrival, key=read.key))
-            ledger.append(read_entry(read))
-        for fire, priority, index in timers[position:]:
-            if priority == _PRIO_FAULT:
-                ops.append(TraceOp(KIND_FAULT, fire, fault_index=index))
-                ledger.append(fault_entry(fire, index))
-            else:
-                ops.append(TraceOp(KIND_TICK, fire))
-                ledger.append(tick_entry(fire))
+            if read is not None:
+                ops.append(TraceOp(KIND_READ, arrival, key=read.key))
+                ledger.append(read_entry(read))
         trace_regions[name] = tuple(ops)
         ledgers[name] = ledger
 

@@ -21,15 +21,23 @@ schedule is data, not callbacks, it serialises across the process boundary of
 scheduler, the reference scheduler, and sharded runs bit-identically.
 
 All times are simulated seconds **relative to the start of the run**; a
-windowed fault is active on the half-open interval ``[start_s, end_s)``.
+windowed fault is active on the half-open interval ``[start_s, end_s)``,
+whose bounds are finite.  A fault's wire form is the JSON object of a
+``POST /admin/fault`` body: :func:`fault_to_dict` writes it (the chaos
+injector) and :func:`fault_from_dict` reads it (the gateway).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields
 
 
 def _validate_window(what: str, start_s: float, end_s: float) -> None:
+    if not (math.isfinite(start_s) and math.isfinite(end_s)):
+        raise ValueError(
+            f"{what}: start_s and end_s must be finite, got [{start_s}, {end_s})")
     if start_s < 0:
         raise ValueError(f"{what}: start_s must be non-negative, got {start_s}")
     if end_s <= start_s:
@@ -73,10 +81,9 @@ class BackendBrownout:
 
     def __post_init__(self) -> None:
         _validate_window("BackendBrownout", self.start_s, self.end_s)
-        if self.multiplier <= 0:
-            raise ValueError(
-                f"BackendBrownout: multiplier must be positive, got {self.multiplier}"
-            )
+        if not (math.isfinite(self.multiplier) and self.multiplier > 0):
+            raise ValueError("BackendBrownout: multiplier must be finite and "
+                             f"positive, got {self.multiplier}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,6 +106,46 @@ class AZFailure:
 
 #: Any single schedulable disturbance.
 Fault = RegionOutage | BackendBrownout | AZFailure
+
+#: Each fault type by the ``kind`` that names it in its wire form.
+FAULT_KINDS = {"outage": RegionOutage, "brownout": BackendBrownout,
+               "az": AZFailure}
+_KIND_NAMES = {fault_type: kind for kind, fault_type in FAULT_KINDS.items()}
+_NUMBER_FIELDS = ("start_s", "end_s", "multiplier")
+
+
+def fault_to_dict(fault: Fault) -> dict:
+    """The wire form of ``fault``: its kind, then its fields in order."""
+    return {"kind": _KIND_NAMES[type(fault)],
+            **{item.name: getattr(fault, item.name) for item in fields(fault)}}
+
+
+def fault_from_dict(raw: object, has_region: Callable[[str], bool]) -> Fault:
+    """The fault a decoded wire form describes, in a region ``has_region``
+    accepts; the ``ValueError`` names the first thing wrong with it."""
+    if not isinstance(raw, dict):
+        raise ValueError("fault body must be a JSON object")
+    kind = raw.get("kind")
+    fault_type = FAULT_KINDS.get(kind) if isinstance(kind, str) else None
+    if fault_type is None:
+        raise ValueError(f"unknown fault kind {kind!r} "
+                         f"(expected one of {sorted(FAULT_KINDS)})")
+    region = raw.get("region")
+    if not isinstance(region, str) or not has_region(region):
+        raise ValueError(f"unknown fault region {region!r}")
+    numbers = {name: raw[name] for name in _NUMBER_FIELDS if name in raw}
+    for name, value in numbers.items():
+        if not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ValueError(f"fault {name} must be a finite number")
+    if "start_s" not in numbers or "end_s" not in numbers:
+        raise ValueError("fault body needs start_s and end_s")
+    if "multiplier" in numbers and fault_type is not BackendBrownout:
+        raise ValueError("multiplier only applies to brownouts")
+    unknown = set(raw) - {"kind", "region", *_NUMBER_FIELDS}
+    if unknown:
+        raise ValueError(f"unknown fault fields {sorted(unknown)}")
+    return fault_type(region=region,
+                      **{name: float(value) for name, value in numbers.items()})
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,6 +13,8 @@ ledgers record every decision, only ``run_and_trace`` refuses them.
 from __future__ import annotations
 
 import asyncio
+import math
+import time
 
 import numpy as np
 import pytest
@@ -21,8 +23,9 @@ from hypothesis import strategies as st
 
 from repro.client.resilience import ResilienceConfig
 from repro.client.strategies import ClientConfig
-from repro.serve.chaos import (ChaosInjector, ChaosSchedule, GatewayCrash,
-                               SlowlorisPeer)
+from repro.serve.chaos import (DRAIN_TIMEOUT_S, ChaosInjector, ChaosSchedule,
+                               ConnectionReset, GatewayCrash, SlowlorisPeer,
+                               SocketStall)
 from repro.serve.gateway import ServeCluster
 from repro.serve.ledger import (KIND_CRASH, KIND_READ, KIND_RECOVERY, Ledger,
                                 LedgerEntry, fault_entry, ledger_from_lines,
@@ -34,6 +37,7 @@ from repro.serve.supervisor import (ClusterSupervisor, SupervisorConfig,
                                     read_tail, recovery_report_table)
 from repro.serve.trace import run_and_trace
 from repro.sim.engine import EngineConfig, RegionSpec
+from repro.sim.faults import FaultSchedule, RegionOutage
 from repro.workload.workload import ArrivalSpec, WorkloadSpec
 
 from serve_helpers import MEGABYTE, http_get, start_cluster, tiny_config
@@ -366,3 +370,52 @@ class TestRecordedDeployments:
                     assert status == 200
 
         run(scenario())
+
+
+def test_a_refused_fault_install_is_logged_and_not_retried(run):
+    """A window the gateways refuse (a region they do not serve) gives one
+    failed event per gateway carrying the gateway's answer, and the injector
+    returns at once instead of retrying it as if the gateways were down."""
+    schedule = ChaosSchedule(fault_schedule=FaultSchedule(
+        [RegionOutage("atlantis", 0.0, 5.0)]))
+
+    async def scenario():
+        cluster = await start_cluster(two_region_config())
+        try:
+            started = time.perf_counter()
+            log = await asyncio.wait_for(ChaosInjector(cluster, schedule).run(),
+                                         timeout=DRAIN_TIMEOUT_S / 2)
+            return log, time.perf_counter() - started, cluster.ledgers()
+        finally:
+            await cluster.stop()
+
+    log, elapsed_s, ledgers = run(scenario())
+    assert elapsed_s < DRAIN_TIMEOUT_S / 4
+    refusal = "refused: 400 unknown fault region 'atlantis'"
+    assert [(event.kind, event.region, event.ok, event.detail)
+            for event in log] == [("fault", "frankfurt", False, refusal),
+                                  ("fault", "dublin", False, refusal)]
+    assert ledgers == {"frankfurt": [], "dublin": []}
+
+
+@pytest.mark.parametrize("action", (GatewayCrash, ConnectionReset,
+                                    SocketStall, SlowlorisPeer))
+@pytest.mark.parametrize("at_s", (math.nan, math.inf), ids=("nan", "inf"))
+def test_a_non_finite_action_time_is_refused(action, at_s):
+    with pytest.raises(ValueError, match="finite"):
+        action("frankfurt", at_s)
+
+
+@pytest.mark.parametrize("action", (SocketStall, SlowlorisPeer))
+@pytest.mark.parametrize("duration_s", (math.nan, math.inf),
+                         ids=("nan", "inf"))
+def test_a_non_finite_duration_is_refused(action, duration_s):
+    with pytest.raises(ValueError, match="finite"):
+        action("frankfurt", 1.0, duration_s=duration_s)
+
+
+@pytest.mark.parametrize("interval_s", (math.nan, math.inf),
+                         ids=("nan", "inf"))
+def test_a_non_finite_poll_interval_is_refused(interval_s):
+    with pytest.raises(ValueError, match="finite"):
+        SupervisorConfig(poll_interval_s=interval_s)

@@ -210,6 +210,28 @@ def test_handler_exception_answers_500_exactly(run, monkeypatch, connection):
     assert run(scenario()) == (HANDLER_EXCEPTIONS[connection], 1)
 
 
+@pytest.mark.parametrize("request_bytes, connection", [
+    (b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n", "keep-alive"),
+    (b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+     "close"),
+    (b"GET /healthz HTTP/1.0\r\n\r\n", "close"),
+], ids=["http11", "http11-close", "http10"])
+def test_healthz_answers_the_connection_the_request_asked_for(
+        run, request_bytes, connection):
+    """The health probe sends ``Connection: close``; the answer must say
+    ``close`` too, as every other route's does."""
+    async def scenario():
+        cluster = await start_cluster(tiny_config())
+        try:
+            return await raw_exchange(cluster.addresses["frankfurt"],
+                                      request_bytes)
+        finally:
+            await cluster.stop()
+
+    [(status, headers, body)] = run(scenario())
+    assert (status, headers["connection"], body) == (200, connection, b"ok\n")
+
+
 def test_stop_closes_an_idle_keep_alive_connection(run):
     """``stop()`` returns while a client still holds a keep-alive
     connection, and leaves no connection handler running."""

@@ -190,7 +190,7 @@ def test_read_response_frames_pipelined_replies_however_they_arrive(
 def test_fetch_returns_before_the_server_hangs_up():
     """A one-shot request is answered once its response is whole, not when
     the server closes: a server that keeps the connection open must not hold
-    the caller (the hedge's latency and the health probe's deadline)."""
+    the caller (the health probe's deadline)."""
 
     async def scenario():
         hold = asyncio.Event()
@@ -212,9 +212,8 @@ def test_fetch_returns_before_the_server_hangs_up():
             finally:
                 hold.set()
 
-    (status, _headers, body), elapsed_ms = asyncio.run(scenario())
+    status, _headers, body = asyncio.run(scenario())
     assert (status, body) == (200, b"ok")
-    assert 0 < elapsed_ms < 5000
 
 
 def test_oversized_declared_body_is_413():

@@ -56,6 +56,22 @@ class TestFaultSchedule:
         with pytest.raises(ValueError):
             BackendBrownout("tokyo", start_s=0.0, end_s=5.0, multiplier=0.0)
 
+    @pytest.mark.parametrize("fault_type",
+                             (RegionOutage, BackendBrownout, AZFailure))
+    @pytest.mark.parametrize("bound", ("start_s", "end_s"))
+    @pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf),
+                             ids=("nan", "inf", "-inf"))
+    def test_non_finite_window_bound_refused(self, fault_type, bound, value):
+        window = {"start_s": 10.0, "end_s": 20.0, bound: value}
+        with pytest.raises(ValueError, match="finite"):
+            fault_type("sydney", **window)
+
+    @pytest.mark.parametrize("multiplier", (math.nan, math.inf),
+                             ids=("nan", "inf"))
+    def test_non_finite_multiplier_refused(self, multiplier):
+        with pytest.raises(ValueError, match="finite"):
+            BackendBrownout("tokyo", 0.0, 5.0, multiplier=multiplier)
+
     def test_empty_schedule(self):
         schedule = FaultSchedule([])
         assert schedule.is_empty
