@@ -108,9 +108,9 @@ class AZFailure:
 Fault = RegionOutage | BackendBrownout | AZFailure
 
 #: Each fault type by the ``kind`` that names it in its wire form.
-FAULT_KINDS = {"outage": RegionOutage, "brownout": BackendBrownout,
-               "az": AZFailure}
-_KIND_NAMES = {fault_type: kind for kind, fault_type in FAULT_KINDS.items()}
+_KINDS = {"outage": RegionOutage, "brownout": BackendBrownout,
+          "az": AZFailure}
+_KIND_NAMES = {fault_type: kind for kind, fault_type in _KINDS.items()}
 _NUMBER_FIELDS = ("start_s", "end_s", "multiplier")
 
 
@@ -126,10 +126,10 @@ def fault_from_dict(raw: object, has_region: Callable[[str], bool]) -> Fault:
     if not isinstance(raw, dict):
         raise ValueError("fault body must be a JSON object")
     kind = raw.get("kind")
-    fault_type = FAULT_KINDS.get(kind) if isinstance(kind, str) else None
+    fault_type = _KINDS.get(kind) if isinstance(kind, str) else None
     if fault_type is None:
         raise ValueError(f"unknown fault kind {kind!r} "
-                         f"(expected one of {sorted(FAULT_KINDS)})")
+                         f"(expected one of {sorted(_KINDS)})")
     region = raw.get("region")
     if not isinstance(region, str) or not has_region(region):
         raise ValueError(f"unknown fault region {region!r}")
