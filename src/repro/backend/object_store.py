@@ -7,8 +7,11 @@ metadata catalog records where every chunk lives so that clients (and Agar's
 Region Manager) can plan reads without touching payloads.  The paper's
 per-region buckets are dumb storage (wide-area latency is charged by the
 latency model, not here), so the store keeps one record per object: its
-metadata, placement included, and, for an object written with a payload, the
-tuple of its ``k + m`` chunks.
+metadata, placement included, and, for an object written with a payload, one
+immutable ``bytes`` block holding its ``k + m`` encoded chunks back to back.
+A :class:`Chunk` is built only when a caller asks for one (``get_chunk``, or
+an item of the read-only view ``get_chunks`` returns); the codec decodes from
+that view's payload slices without building any.
 
 Objects can be stored with real payloads (exercising the Reed-Solomon code) or
 *virtually* (sizes and placement only), which is what the large-scale
@@ -22,7 +25,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.backend.placement import PlacementPolicy, RoundRobinPlacement
-from repro.erasure.chunk import Chunk, ChunkId, ErasureCodingParams, ObjectMetadata
+from repro.erasure.chunk import (BlockChunks, Chunk, ErasureCodingParams, ObjectMetadata,
+                                 block_chunk)
 from repro.erasure.codec import ErasureCodec
 from repro.geo.topology import Topology
 
@@ -68,9 +72,10 @@ class ErasureCodedStore:
         self._placement = placement or RoundRobinPlacement()
         self._codec = codec or ErasureCodec(self._params)
         self._catalog: dict[str, ObjectMetadata] = {}
-        # The k + m chunks of each object written with a payload, by index.
-        # A virtual object has no entry: its chunks are built on request.
-        self._chunks: dict[str, tuple[Chunk, ...]] = {}
+        # The encoded block of each object written with a payload: its k + m
+        # chunks back to back, chunk_size bytes each.  A virtual object has
+        # no entry.  Chunks of either kind are built on request.
+        self._blocks: dict[str, bytes] = {}
         # Each object's placement shape, kept from its first request until the
         # object is written again or deleted; equal shapes are one object.
         self._placement_shapes: dict[str, tuple[tuple[str, tuple[int, ...]], ...]] = {}
@@ -110,7 +115,7 @@ class ErasureCodedStore:
     def put(self, key: str, data: bytes, version: int = 0) -> ObjectMetadata:
         """Encode ``data`` and place its chunks across the regions."""
         encoded = self._codec.encode(key, data, version=version)
-        return self._store(encoded.metadata, tuple(encoded.chunks))
+        return self._store(encoded.metadata, encoded.block)
 
     def put_many(self, items: Sequence[tuple[str, bytes]],
                  version: int = 0) -> list[ObjectMetadata]:
@@ -122,7 +127,7 @@ class ErasureCodedStore:
         uses it).  Placement, metadata and chunks are identical to repeated
         :meth:`put` calls.
         """
-        return [self._store(encoded.metadata, tuple(encoded.chunks))
+        return [self._store(encoded.metadata, encoded.block)
                 for encoded in self._codec.encode_many(items, version=version)]
 
     def put_virtual(self, key: str, object_size: int, version: int = 0) -> ObjectMetadata:
@@ -137,18 +142,17 @@ class ErasureCodedStore:
                                   version=version)
         return self._store(metadata, None)
 
-    def _store(self, metadata: ObjectMetadata,
-               chunks: tuple[Chunk, ...] | None) -> ObjectMetadata:
-        """Place the object's chunks and record it (``chunks`` is ``None``
-        for a virtual object)."""
+    def _store(self, metadata: ObjectMetadata, block: bytes | None) -> ObjectMetadata:
+        """Place the object's chunks and record it (``block`` is ``None`` for
+        a virtual object)."""
         key = metadata.key
         metadata.chunk_locations = dict(self._placement.place(
             key, metadata.params.total_chunks, self._topology.region_names))
         self._catalog[key] = metadata
-        if chunks is None:
-            self._chunks.pop(key, None)
+        if block is None:
+            self._blocks.pop(key, None)
         else:
-            self._chunks[key] = chunks
+            self._blocks[key] = block
         self._placement_shapes.pop(key, None)
         return metadata
 
@@ -196,7 +200,7 @@ class ErasureCodedStore:
         """
         self.metadata(key)
         del self._catalog[key]
-        self._chunks.pop(key, None)
+        self._blocks.pop(key, None)
         self._placement_shapes.pop(key, None)
 
     # ------------------------------------------------------------------ #
@@ -218,26 +222,23 @@ class ErasureCodedStore:
         metadata = self.metadata(key)
         if index not in metadata.chunk_locations:
             raise ChunkNotFoundError(f"object {key!r} has no chunk {index}")
-        stored = self._chunks.get(key)
-        return stored[index] if stored is not None else _payloadless(metadata, index)
+        return block_chunk(metadata, self._blocks.get(key), index)
 
-    def get_chunks(self, key: str, indices: Iterable[int]) -> dict[int, Chunk]:
+    def get_chunks(self, key: str, indices: Iterable[int]) -> BlockChunks:
         """Fetch several chunks of one object with a single catalog lookup.
 
-        The serving tier's per-request fetch: one metadata resolution, then
-        an index into the object's stored chunks.  Raises
-        :class:`ChunkNotFoundError` on any unknown index.
+        The serving tier's per-request fetch: one metadata resolution, then a
+        read-only ``{index: Chunk}`` view over the object's stored block, in
+        the order asked for (``block`` is ``None`` for a virtual object).
+        Raises :class:`ChunkNotFoundError` on any unknown index.
         """
         metadata = self.metadata(key)
         locations = metadata.chunk_locations
-        stored = self._chunks.get(key)
-        chunks: dict[int, Chunk] = {}
-        for index in indices:
-            if index not in locations:
-                raise ChunkNotFoundError(f"object {key!r} has no chunk {index}")
-            chunks[index] = (stored[index] if stored is not None
-                             else _payloadless(metadata, index))
-        return chunks
+        chosen = dict.fromkeys(indices)
+        if not chosen.keys() <= locations.keys():
+            index = next(index for index in chosen if index not in locations)
+            raise ChunkNotFoundError(f"object {key!r} has no chunk {index}")
+        return BlockChunks(metadata, self._blocks.get(key), chosen)
 
     def chunk_region(self, key: str, index: int) -> str:
         """Return the region storing chunk ``index`` of ``key``."""
@@ -282,19 +283,11 @@ class ErasureCodedStore:
     def get_object(self, key: str, prefer_data_chunks: bool = True) -> bytes:
         """Read and decode a full object (only for objects stored with payloads)."""
         metadata = self.metadata(key)
-        wanted = metadata.params.data_chunks
         indices = metadata.data_chunk_indices + metadata.parity_chunk_indices
         if not prefer_data_chunks:
-            indices = list(reversed(indices))
-        collected: dict[int, Chunk] = {}
-        for index in indices:
-            chunk = self.get_chunk(key, index)
-            if chunk.payload is None:
-                continue
-            collected[index] = chunk
-            if len(collected) >= wanted:
-                break
-        return self._codec.decode(metadata, collected)
+            indices.reverse()
+        return self._codec.decode(
+            metadata, self.get_chunks(key, indices[:metadata.params.data_chunks]))
 
     # ------------------------------------------------------------------ #
     # Reporting
@@ -312,11 +305,3 @@ class ErasureCodedStore:
             chunks_per_object=self._params.total_chunks,
             regions=tuple(self._topology.region_names),
         )
-
-
-def _payloadless(metadata: ObjectMetadata, index: int) -> Chunk:
-    """Chunk ``index`` of a virtual object: its id, size and version, no payload."""
-    return Chunk(chunk_id=ChunkId(key=metadata.key, index=index),
-                 size=metadata.chunk_size, payload=None,
-                 is_parity=index >= metadata.params.data_chunks,
-                 version=metadata.version)

@@ -424,11 +424,12 @@ class ReadStrategy(ABC):
     def set_decision_sink(self, sink) -> None:
         """Install a callback observing every read decision.
 
-        ``sink(result, cache_chunks, backend_chunks)`` fires once per
-        :meth:`read` or :meth:`read_indexed` call with the composed
+        ``sink(result, cache_chunks, backend_chunks, neighbor_chunks)`` fires
+        once per :meth:`read` or :meth:`read_indexed` call with the composed
         :class:`ReadResult` and the exact :class:`PlacedChunk` lists the
-        strategy planned to fetch from the local cache and the backend
-        buckets (both empty on an unavailable read).  The serving tier
+        strategy planned to fetch from the local cache, the backend buckets
+        and a collaborating neighbour's cache (all empty on an unavailable
+        read; the last empty unless §VI collaboration served a chunk).  The serving tier
         (:mod:`repro.serve`) uses this to serve real bytes for precisely the
         chunks the decision named and to build its per-request ledger.  The
         engine's batched wave composer (:meth:`compose_indexed_wave`) is not
@@ -659,7 +660,7 @@ class ReadStrategy(ABC):
         return plan
 
     def _compose(self, plan: _ReadPlan, now: float, hit_positions: tuple[int, ...],
-                 selection: _Selection, neighbor_count: int = 0,
+                 selection: _Selection, neighbor_positions: tuple[int, ...] = (),
                  extra_overhead_ms: float = 0.0, degraded: bool = False) -> ReadResult:
         """Sample per-chunk latencies and build the read result.
 
@@ -674,8 +675,9 @@ class ReadStrategy(ABC):
         monotonic) instead of one per chunk.  Otherwise chunks are sampled
         one by one: a zero-σ link draws nothing, and a backend chunk read
         from a browned-out region has its sampled latency multiplied by the
-        brownout factor.  ``neighbor_count`` chunks come from a collaborating
-        neighbour's cache (see :meth:`set_neighbor_catalog`).  When
+        brownout factor.  The chunks at ``neighbor_positions`` (needed order)
+        come from a collaborating neighbour's cache (see
+        :meth:`set_neighbor_catalog`).  When
         resilience is active :meth:`_compose_resilient` does the sampling.
 
         A ``failed`` selection is an unavailable read: fewer than ``k``
@@ -685,13 +687,14 @@ class ReadStrategy(ABC):
         only as :attr:`LatencyStats.unavailable_reads`.
         """
         cache_hits = len(hit_positions)
+        neighbor_count = len(neighbor_positions)
         sink = self._decision_sink
         if selection.failed:
             result = ReadResult(
                 plan.key, self._overhead_ms + extra_overhead_ms, HitType.MISS,
                 cache_hits, 0, (), now, neighbor_count, False, True)
             if sink is not None:
-                sink(result, [], [])
+                sink(result, [], [], [])
             return result
         backend_count = selection.count
         if cache_hits and plan.cache_expected_ms is None:
@@ -763,7 +766,7 @@ class ReadStrategy(ABC):
         if sink is not None:
             needed = plan.needed
             sink(result, [needed[position] for position in hit_positions],
-                 selection.chunks)
+                 selection.chunks, [needed[position] for position in neighbor_positions])
         return result
 
     def _compose_resilient(self, plan: _ReadPlan, cache_hits: int,
@@ -1319,7 +1322,7 @@ class AgarReadStrategy(ReadStrategy):
 
         selection = plan.select(hit_positions, neighbor_positions, self._down_backends)
         result = self._compose(
-            plan, now, hit_positions, selection, len(neighbor_positions),
+            plan, now, hit_positions, selection, neighbor_positions,
             extra_overhead_ms=self._hint_overhead_ms,
             degraded=self._cache_down or selection.replanned,
         )

@@ -5,10 +5,15 @@ A stored object is split into ``k`` data chunks and ``m`` redundant chunks
 :class:`ChunkId` — the object key plus the chunk index — so the cache, the
 backend buckets and the Agar algorithm can all reason about individual chunks
 without carrying the payload around.
+
+An encoded object's payloads live in one ``bytes`` block, its ``k + m``
+chunks back to back (:func:`block_chunk`); :class:`BlockChunks` is the
+read-only ``{index: Chunk}`` view of some of them that the store hands out.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 
@@ -172,3 +177,57 @@ class ObjectMetadata:
             KeyError: if the chunk has not been placed.
         """
         return self.chunk_locations[index]
+
+
+def block_chunk(metadata: ObjectMetadata, block: bytes | None, index: int) -> Chunk:
+    """Chunk ``index`` of the object ``metadata`` describes, built anew.
+
+    ``block`` is the object's ``k + m`` encoded chunks back to back,
+    ``metadata.chunk_size`` bytes each; ``None`` (a virtual object) gives a
+    chunk with its id, size and version but no payload.
+    """
+    size = metadata.chunk_size
+    payload = None if block is None else block[index * size:(index + 1) * size]
+    return Chunk(ChunkId(metadata.key, index), size, payload,
+                 index >= metadata.params.data_chunks, metadata.version)
+
+
+class BlockChunks(Mapping):
+    """Read-only ``{index: Chunk}`` view of some chunks of one stored object.
+
+    Holds the object's metadata, its encoded block (``None`` for a virtual
+    object) and the chosen indices in the order asked for.  Looking an index
+    up builds its :class:`Chunk` (:func:`block_chunk`) each time; the codec
+    takes the payloads straight from the block (:meth:`payloads`), so a
+    decode builds no chunk.
+    """
+
+    __slots__ = ("metadata", "block", "_indices")
+
+    def __init__(self, metadata: ObjectMetadata, block: bytes | None,
+                 indices: dict[int, None]) -> None:
+        self.metadata = metadata
+        self.block = block
+        self._indices = indices
+
+    def __getitem__(self, index: int) -> Chunk:
+        if index not in self._indices:
+            raise KeyError(index)
+        return block_chunk(self.metadata, self.block, index)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._indices)
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    def __contains__(self, index: object) -> bool:
+        return index in self._indices
+
+    def payloads(self) -> dict[int, bytes]:
+        """The chosen chunks' payloads by index; empty for a virtual object."""
+        block = self.block
+        if block is None:
+            return {}
+        size = self.metadata.chunk_size
+        return {index: block[index * size:(index + 1) * size] for index in self._indices}

@@ -1,28 +1,40 @@
-"""High-level erasure codec: whole objects in, :class:`Chunk` objects out.
+"""High-level erasure codec: whole objects in, encoded chunks out.
 
 The codec is the bridge between application-level objects (``bytes`` keyed by a
 string) and the chunk-level world the backend, caches and Agar algorithm live
-in.  It mirrors the role Longhair plays in the paper's modified YCSB client
+in.  An encoded object is its metadata plus one block of its ``k + m`` chunk
+payloads back to back; :class:`Chunk` objects are built from it on request.  It mirrors the role Longhair plays in the paper's modified YCSB client
 (§V-A): encode on write, decode once ``k`` chunks have been gathered on read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.erasure.chunk import Chunk, ChunkId, ErasureCodingParams, ObjectMetadata
+from repro.erasure.chunk import (BlockChunks, Chunk, ChunkId, ErasureCodingParams,
+                                 ObjectMetadata, block_chunk)
 from repro.erasure.reed_solomon import DecodingError, ReedSolomon
 
 
 @dataclass(frozen=True)
 class EncodedObject:
-    """Result of encoding one object: its metadata plus all ``k + m`` chunks."""
+    """Result of encoding one object: its metadata plus its encoded block.
+
+    ``block`` holds the ``k + m`` chunks' payloads back to back,
+    ``metadata.chunk_size`` bytes each: the form the store keeps.
+    """
 
     metadata: ObjectMetadata
-    chunks: list[Chunk]
+    block: bytes
+
+    @property
+    def chunks(self) -> list[Chunk]:
+        """All ``k + m`` chunks, built from the block on each call."""
+        return [block_chunk(self.metadata, self.block, index)
+                for index in range(self.metadata.params.total_chunks)]
 
     def data_chunks(self) -> list[Chunk]:
         """The first ``k`` chunks (original data)."""
@@ -63,34 +75,18 @@ class ErasureCodec:
         """The ``(k, m)`` parameters this codec was built with."""
         return self._params
 
-    def _wrap_shards(self, key: str, size: int, shards: Sequence[np.ndarray],
-                     version: int) -> EncodedObject:
-        """Package encoded shard arrays (or the rows of one 2-D array) as an
-        :class:`EncodedObject`."""
-        chunk_size = shards[0].shape[0] if len(shards) else 0
-        metadata = ObjectMetadata(
-            key=key,
-            size=size,
-            params=self._params,
-            chunk_size=chunk_size,
-            version=version,
-        )
-        chunks = []
-        for index, shard in enumerate(shards):
-            chunks.append(
-                Chunk(
-                    chunk_id=ChunkId(key=key, index=index),
-                    size=chunk_size,
-                    payload=shard.tobytes(),
-                    is_parity=index >= self._params.data_chunks,
-                    version=version,
-                )
-            )
-        return EncodedObject(metadata=metadata, chunks=chunks)
+    def _encoded(self, key: str, size: int, chunk_size: int, block: bytes,
+                 version: int) -> EncodedObject:
+        """Package one object's encoded block as an :class:`EncodedObject`."""
+        metadata = ObjectMetadata(key=key, size=size, params=self._params,
+                                  chunk_size=chunk_size, version=version)
+        return EncodedObject(metadata=metadata, block=block)
 
     def encode(self, key: str, data: bytes, version: int = 0) -> EncodedObject:
         """Encode an object into ``k + m`` chunks with real payloads."""
-        return self._wrap_shards(key, len(data), self._rs.encode(data), version)
+        shards = self._rs.encode(data)
+        return self._encoded(key, len(data), shards[0].shape[0], b"".join(shards),
+                             version)
 
     def encode_many(self, items: Sequence[tuple[str, bytes]],
                     version: int = 0) -> list[EncodedObject]:
@@ -101,8 +97,10 @@ class ErasureCodec:
         :meth:`ReedSolomon.encode_many` — one parity-operator application per
         size instead of one per object, which is what lets the per-call
         Python overhead amortise when populating a store or running an
-        encode-heavy benchmark.  Output order matches input order and every
-        chunk is bit-identical to what :meth:`encode` would produce.
+        encode-heavy benchmark.  Each object's block is one row of the
+        encoded ``(objects, k + m, shard)`` array.  Output order matches input
+        order and every block is bit-identical to what :meth:`encode` would
+        produce.
         """
         results: list[EncodedObject | None] = [None] * len(items)
         groups: dict[int, list[int]] = {}
@@ -116,20 +114,33 @@ class ErasureCodec:
                 row[:size] = np.frombuffer(items[position][1], dtype=np.uint8)
             encoded = self._rs.encode_many(rows.reshape(len(positions), k, shard))
             for row, position in enumerate(positions):
-                results[position] = self._wrap_shards(
-                    items[position][0], size, encoded[row], version)
+                results[position] = self._encoded(
+                    items[position][0], size, shard, encoded[row].tobytes(), version)
         return results  # type: ignore[return-value] — every slot is filled above
 
     @staticmethod
-    def _payloads(metadata: ObjectMetadata, chunks: dict[int, Chunk]) -> dict[int, bytes]:
+    def _payloads(metadata: ObjectMetadata, chunks: Mapping[int, Chunk]) -> dict[int, bytes]:
         """Payloads of the payload-bearing chunks by index (virtual chunks are
         skipped), every one of the version ``metadata`` describes.
+
+        A :class:`BlockChunks` view (what the store's ``get_chunks`` returns)
+        hands over its payload slices without building a chunk; its chunks
+        are all of the version of the record it was fetched from.
 
         Raises:
             DecodingError: a payload belongs to another version of the
                 object — decoding across versions yields bytes of neither.
         """
         version = metadata.version
+        if type(chunks) is BlockChunks:
+            payloads = chunks.payloads()
+            stored = chunks.metadata.version
+            if payloads and stored != version:
+                raise DecodingError(
+                    f"chunk {next(iter(payloads))} of {metadata.key!r} is version "
+                    f"{stored} but the object's metadata is version {version}"
+                )
+            return payloads
         payloads = {}
         for index, chunk in chunks.items():
             payload = chunk.payload
@@ -143,13 +154,14 @@ class ErasureCodec:
             payloads[index] = payload
         return payloads
 
-    def decode(self, metadata: ObjectMetadata, chunks: dict[int, Chunk]) -> bytes:
+    def decode(self, metadata: ObjectMetadata, chunks: Mapping[int, Chunk]) -> bytes:
         """Reconstruct the original object from any ``k`` chunks.
 
         Args:
             metadata: the object's metadata (for the original length).
-            chunks: mapping from chunk index to :class:`Chunk`; at least ``k``
-                entries with real payloads are required.
+            chunks: mapping from chunk index to :class:`Chunk` (a plain
+                ``dict`` or the store's :class:`BlockChunks` view); at least
+                ``k`` entries with real payloads are required.
 
         Raises:
             DecodingError: if fewer than ``k`` payload-bearing chunks are
@@ -163,7 +175,7 @@ class ErasureCodec:
             )
         return self._rs.decode_data(payloads, metadata.size)
 
-    def decode_many(self, objects: Sequence[tuple[ObjectMetadata, dict[int, Chunk]]]
+    def decode_many(self, objects: Sequence[tuple[ObjectMetadata, Mapping[int, Chunk]]]
                     ) -> list[bytes]:
         """Decode a batch of objects with batched kernels.
 
@@ -212,7 +224,8 @@ class ErasureCodec:
                 results[position] = flat[: metadata.size].tobytes()
         return results  # type: ignore[return-value] — every slot is filled above
 
-    def reconstruct_chunk(self, metadata: ObjectMetadata, chunks: dict[int, Chunk], target_index: int) -> Chunk:
+    def reconstruct_chunk(self, metadata: ObjectMetadata, chunks: Mapping[int, Chunk],
+                          target_index: int) -> Chunk:
         """Rebuild a single missing chunk (repair path) from any ``k`` survivors."""
         with_payload = {
             index: np.frombuffer(payload, dtype=np.uint8)

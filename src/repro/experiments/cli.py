@@ -26,7 +26,8 @@ own read strategy and cache size (e.g. ``--region eu:agar:256MB --region
 ap:lfu-5:64MB``); either override may be omitted (``sydney::64MB``).
 
 :data:`EXPERIMENTS` is the index of the package: one :class:`Experiment` per
-subcommand, in the order ``all`` runs them.
+subcommand, in the order ``all`` runs them; ``all`` runs a ``run`` shared by
+consecutive rows once (``fig6`` and ``fig7`` render one policy comparison).
 """
 
 from __future__ import annotations
@@ -226,6 +227,11 @@ def _run_multiregion(settings: ExperimentSettings, args: argparse.Namespace):
     return run_multiregion_scaling(settings, options=options), options
 
 
+def _run_policy_comparison(settings: ExperimentSettings, args: argparse.Namespace):
+    """The one run behind ``fig6`` and ``fig7``: ``all`` renders both from it."""
+    return run_policy_comparison(settings, engine=_engine_options(args))
+
+
 def _check_fig8a(args: argparse.Namespace) -> None:
     check_no_pinned_strategy(_engine_options(args))
     check_no_cache_size(_engine_options(args))
@@ -234,12 +240,10 @@ def _check_fig8a(args: argparse.Namespace) -> None:
 EXPERIMENTS: tuple[Experiment, ...] = (
     Experiment("table1", lambda settings, args: run_table1(), _text(render_table1)),
     Experiment("fig2", lambda settings, args: run_fig2(settings), _text(render_fig2)),
-    Experiment("fig6", lambda settings, args: run_policy_comparison(
-        settings, engine=_engine_options(args)), _render_fig6, ENGINE,
-        check=lambda args: check_pins(_engine_options(args))),
-    Experiment("fig7", lambda settings, args: run_policy_comparison(
-        settings, engine=_engine_options(args)), _text(render_fig7), ENGINE,
-        check=lambda args: check_pins(_engine_options(args))),
+    Experiment("fig6", _run_policy_comparison, _render_fig6, ENGINE,
+               check=lambda args: check_pins(_engine_options(args))),
+    Experiment("fig7", _run_policy_comparison, _text(render_fig7), ENGINE,
+               check=lambda args: check_pins(_engine_options(args))),
     Experiment("fig8a", lambda settings, args: run_fig8a(settings, engine=_engine_options(args)),
                _render_sweep("Figure 8a — average latency (ms) vs cache size"), ENGINE,
                check=_check_fig8a),
@@ -376,9 +380,12 @@ def main(argv: list[str] | None = None, out=sys.stdout) -> int:
     except ValueError as error:
         parser.error(str(error))
     settings = _settings(args)
+    ran = None   # (run, its result): consecutive rows sharing a run reuse it
     for experiment in selected:
         print(f"=== {experiment.name} ===", file=out)
-        print(experiment.render(experiment.run(settings, args)), file=out)
+        if ran is None or ran[0] is not experiment.run:
+            ran = (experiment.run, experiment.run(settings, args))
+        print(experiment.render(ran[1]), file=out)
         print(file=out)
     return 0
 

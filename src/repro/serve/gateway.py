@@ -111,7 +111,7 @@ class RegionGateway:
         self._dynamic_transitions: list[tuple[float, object]] = []
         self._body_cache: dict[tuple[str, int], bytes] = {}
         self._decision_heads: dict[tuple, bytes] = {}
-        self._decided: tuple[list, list] | None = None
+        self._decided: tuple[list, list, list] | None = None
         self._last_result: ReadResult | None = None
         self._server: asyncio.AbstractServer | None = None
         #: Each accepted connection and the task that serves it.
@@ -355,8 +355,8 @@ class RegionGateway:
         return key
 
     def _decision_sink(self, result: ReadResult, cache_chunks: list,
-                       backend_chunks: list) -> None:
-        self._decided = (cache_chunks, backend_chunks)
+                       backend_chunks: list, neighbor_chunks: list) -> None:
+        self._decided = (cache_chunks, backend_chunks, neighbor_chunks)
 
     def _get_object(self, request: HttpRequest) -> Answer:
         key = self._object_key(request.path)
@@ -382,9 +382,7 @@ class RegionGateway:
             return (503, b"read unavailable under faults\n", _TEXT,
                     self._decision_headers(result, indices))
         if decided is not None:
-            cache_chunks, backend_chunks = decided
-            indices = [placed.index for placed in cache_chunks]
-            indices += [placed.index for placed in backend_chunks]
+            indices = [placed.index for chunks in decided for placed in chunks]
             body, body_kind = self._object_body(key, metadata, indices)
         return 200, body, "application/octet-stream", self._decision_headers(
             result, indices, f"X-Agar-Body: {body_kind}\r\n")
@@ -409,7 +407,7 @@ class RegionGateway:
         if len(take) < needed:
             return b"", "short"
         chunks = store.get_chunks(key, take)
-        if any(chunk.payload is None for chunk in chunks.values()):
+        if chunks.block is None:
             return b"", "virtual"
         body = store.codec.decode(metadata, chunks)
         if len(body_cache) >= BODY_CACHE_OBJECTS:

@@ -72,7 +72,7 @@ class TestObjectRecords:
         store = ErasureCodedStore(topology, params=ErasureCodingParams(4, 2))
         store.put("a", bytes(range(40)))
         chunk = store.get_chunk("a", 5)
-        assert chunk is store.get_chunk("a", 5) is store.get_chunks("a", [5])[5]
+        assert chunk == store.get_chunk("a", 5) == store.get_chunks("a", [5])[5]
         assert (chunk.key, chunk.index, chunk.size, chunk.is_parity) == ("a", 5, 10, True)
         assert store.describe().total_stored_bytes == 6 * 10
 

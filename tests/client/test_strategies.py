@@ -490,7 +490,7 @@ class TestEntryPoints:
         strategy = make_strategy(name, store, "frankfurt", 2 * MEGABYTE)
         decided = []
         strategy.set_decision_sink(
-            lambda result, cache_chunks, backend_chunks: decided.append(
+            lambda result, cache_chunks, backend_chunks, neighbor_chunks: decided.append(
                 ([placed.index for placed in cache_chunks],
                  [placed.index for placed in backend_chunks])))
         return strategy, keys, decided

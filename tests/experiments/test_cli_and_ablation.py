@@ -159,6 +159,28 @@ class TestExperimentTable:
         assert error.value.code == 2
         assert "invalid choice: 'table1'" in capsys.readouterr().err
 
+    def test_all_runs_the_policy_comparison_once_for_fig6_and_fig7(self, monkeypatch):
+        """``fig6`` and ``fig7`` render one run under ``all``, and print what
+        each prints when named on its own."""
+        from repro.experiments import cli as cli_module
+
+        alone = {}
+        for name in ("fig6", "fig7"):
+            out = io.StringIO()
+            assert main([name, "--smoke"], out=out) == 0
+            alone[name] = out.getvalue()
+        calls = []
+        real = cli_module.run_policy_comparison
+        monkeypatch.setattr(cli_module, "run_policy_comparison",
+                            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+        monkeypatch.setattr(cli_module, "EXPERIMENTS", tuple(
+            experiment for experiment in cli_module.EXPERIMENTS
+            if experiment.name in alone))
+        out = io.StringIO()
+        assert main(["all", "--smoke"], out=out) == 0
+        assert len(calls) == 1
+        assert out.getvalue() == alone["fig6"] + alone["fig7"]
+
     def test_the_table_runs_every_subcommand_in_the_paper_order(self):
         from repro.experiments.cli import EXPERIMENTS
 

@@ -159,7 +159,10 @@ def strategy_digests(strategy_name: str, scenario: str, entry: str,
 
     sink_hash = hashlib.sha256()
 
-    def sink(result, cache_chunks, backend_chunks) -> None:
+    # The digest covers the cache and backend lists; the neighbour list
+    # defaults so that the script also runs where the sink had three
+    # arguments.
+    def sink(result, cache_chunks, backend_chunks, neighbor_chunks=()) -> None:
         sink_hash.update((
             ",".join(str(placed.index) for placed in cache_chunks) + "|"
             + ",".join(str(placed.index) for placed in backend_chunks) + "\n"

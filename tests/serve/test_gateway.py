@@ -566,11 +566,12 @@ def test_stats_count_retries_and_hedges(run):
         try:
             gateway = cluster.gateways["frankfurt"]
 
-            def tap(result, cache_chunks, backend_chunks):
+            def tap(result, cache_chunks, backend_chunks, neighbor_chunks):
                 decided["retries_total"] += result.retries
                 decided["hedged_reads"] += result.hedged
                 decided["hedge_wins"] += result.hedge_won
-                gateway._decision_sink(result, cache_chunks, backend_chunks)
+                gateway._decision_sink(result, cache_chunks, backend_chunks,
+                                       neighbor_chunks)
 
             gateway.strategy.set_decision_sink(tap)
             address = cluster.addresses["frankfurt"]
