@@ -429,11 +429,12 @@ class ReadStrategy(ABC):
         :class:`ReadResult` and the exact :class:`PlacedChunk` lists the
         strategy planned to fetch from the local cache, the backend buckets
         and a collaborating neighbour's cache (all empty on an unavailable
-        read; the last empty unless §VI collaboration served a chunk).  The serving tier
-        (:mod:`repro.serve`) uses this to serve real bytes for precisely the
-        chunks the decision named and to build its per-request ledger.  The
-        engine's batched wave composer (:meth:`compose_indexed_wave`) is not
-        a read entry point and fires nothing.  Pass ``None`` to uninstall.
+        read; the last empty unless §VI collaboration served a chunk).  The
+        serving tier (:mod:`repro.serve`) uses this to serve real bytes for
+        precisely the chunks the decision named and to build its per-request
+        ledger.  The engine's batched wave composer
+        (:meth:`compose_indexed_wave`) is not a read entry point and fires
+        nothing.  Pass ``None`` to uninstall.
         """
         self._decision_sink = sink
 
@@ -677,8 +678,8 @@ class ReadStrategy(ABC):
         from a browned-out region has its sampled latency multiplied by the
         brownout factor.  The chunks at ``neighbor_positions`` (needed order)
         come from a collaborating neighbour's cache (see
-        :meth:`set_neighbor_catalog`).  When
-        resilience is active :meth:`_compose_resilient` does the sampling.
+        :meth:`set_neighbor_catalog`).  When resilience is active
+        :meth:`_compose_resilient` does the sampling.
 
         A ``failed`` selection is an unavailable read: fewer than ``k``
         chunks are reachable anywhere.  The client learns of the failure
@@ -766,7 +767,8 @@ class ReadStrategy(ABC):
         if sink is not None:
             needed = plan.needed
             sink(result, [needed[position] for position in hit_positions],
-                 selection.chunks, [needed[position] for position in neighbor_positions])
+                 selection.chunks,
+                 [needed[position] for position in neighbor_positions])
         return result
 
     def _compose_resilient(self, plan: _ReadPlan, cache_hits: int,

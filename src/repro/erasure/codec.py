@@ -2,9 +2,10 @@
 
 The codec is the bridge between application-level objects (``bytes`` keyed by a
 string) and the chunk-level world the backend, caches and Agar algorithm live
-in.  An encoded object is its metadata plus one block of its ``k + m`` chunk
-payloads back to back; :class:`Chunk` objects are built from it on request.  It mirrors the role Longhair plays in the paper's modified YCSB client
+in.  It mirrors the role Longhair plays in the paper's modified YCSB client
 (§V-A): encode on write, decode once ``k`` chunks have been gathered on read.
+An encoded object is its metadata plus one block of its ``k + m`` chunk
+payloads back to back; :class:`Chunk` objects are built from it on request.
 """
 
 from __future__ import annotations
