@@ -200,6 +200,34 @@ class TestChunkVersionsAreNotMixed:
             assert codec.reconstruct_chunk(obj.metadata, chunks, 5).payload \
                 == obj.chunks[5].payload
 
+    def test_a_fetched_view_is_checked_against_the_metadata(self):
+        """The store's ``get_chunks`` view carries the version of the record
+        it was fetched from: metadata read before a re-put does not decode
+        the chunks fetched after it, through any entry point."""
+        from repro.backend import ErasureCodedStore
+        from repro.geo import default_topology
+
+        store = ErasureCodedStore(default_topology(seed=0, jitter=0.0))
+        store.put("object", PAYLOAD, version=1)
+        before = store.metadata("object")
+        store.put("object", PAYLOAD[::-1], version=2)
+        fetched = store.get_chunks("object", [6, 0, 1, 2, 3, 4, 5, 7, 8])
+        codec = store.codec
+        message = (r"^chunk 6 of 'object' is version 2 but the object's "
+                   r"metadata is version 1$")
+        with pytest.raises(DecodingError, match=message):
+            codec.decode(before, fetched)
+        with pytest.raises(DecodingError, match=message):
+            codec.decode_many([(before, fetched)])
+        with pytest.raises(DecodingError, match=message):
+            codec.reconstruct_chunk(before, fetched, 10)
+        after = store.metadata("object")
+        assert codec.decode(after, fetched) == PAYLOAD[::-1]
+        assert codec.decode_many([(after, fetched)]) == [PAYLOAD[::-1]]
+        store.put_virtual("object", len(PAYLOAD), version=3)
+        with pytest.raises(DecodingError, match=r"^need 9 chunks with payloads, got 0$"):
+            codec.decode(before, store.get_chunks("object", range(9)))
+
 
 class TestPayloadTypes:
     @pytest.mark.parametrize("survivors", [(0, 1, 2, 3), (0, 2, 4, 5), (2, 3, 4, 5)])
