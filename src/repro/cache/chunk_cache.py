@@ -9,6 +9,7 @@ the simulation clock.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 from repro.cache.base import CacheEntry, CacheSnapshot, CacheStats, EvictionPolicy
@@ -20,7 +21,8 @@ class ChunkCache:
     """Byte-bounded chunk cache with pluggable eviction.
 
     Args:
-        capacity_bytes: maximum total size of cached chunk payloads.
+        capacity_bytes: maximum total size of cached chunk payloads; finite
+            and non-negative.
         policy: eviction/admission policy; defaults to LRU (memcached's).
         clock: callable returning the current time (simulated seconds); a
             monotonically increasing logical counter is used if omitted.
@@ -43,8 +45,8 @@ class ChunkCache:
         clock: Callable[[], float] | None = None,
         region: str = "local",
     ) -> None:
-        if capacity_bytes < 0:
-            raise ValueError("capacity_bytes must be non-negative")
+        if not (math.isfinite(capacity_bytes) and capacity_bytes >= 0):
+            raise ValueError("capacity_bytes must be finite and non-negative")
         self._capacity = capacity_bytes
         self._policy = policy or LRUEvictionPolicy()
         # Policies that leave on_access at the base-class no-op (e.g. Agar's
@@ -61,6 +63,12 @@ class ChunkCache:
         self._ticks = 0
         self._clock = clock
         self.stats = CacheStats()
+        #: Goes up whenever the set of cached ids changes (an insertion, a
+        #: removal of any kind, a clear of a non-empty cache) and at no other
+        #: time: while it stands, every id maps to the same
+        #: :class:`CacheEntry` object, so a reader may keep what
+        #: :meth:`lookup` returned and replay it through :meth:`record_hits`.
+        self.membership = 0
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -112,19 +120,7 @@ class ChunkCache:
         if entry is None:
             self.stats.chunk_misses += 1
             return None
-        # _now() inlined: this lookup sits on the simulation's per-chunk path.
-        clock = self._clock
-        if clock is not None:
-            now = clock()
-            entry.last_access = now if type(now) is float else float(now)
-        else:
-            self._ticks += 1
-            entry.last_access = float(self._ticks)
-        entry.access_count += 1
-        hook = self._access_hook
-        if hook is not None:
-            hook(entry)
-        self.stats.chunk_hits += 1
+        self.record_hits((entry,), 1)
         return entry.chunk
 
     def probe(self, chunk_ids: Sequence[ChunkId]) -> list[int]:
@@ -134,34 +130,60 @@ class ChunkCache:
         ``access_count``, the policy's ``on_access`` hook, the hit and miss
         counters — with the clock read once for all of them: one read's
         lookups happen at one time.  A clock-less cache ticks once per hit,
-        as :meth:`get` does.
+        as :meth:`get` does.  Exactly :meth:`lookup` then :meth:`record_hits`.
+        """
+        offsets, entries = self.lookup(chunk_ids)
+        self.record_hits(entries, len(chunk_ids))
+        return offsets
+
+    def lookup(self, chunk_ids: Sequence[ChunkId]) -> tuple[list[int], list[CacheEntry]]:
+        """The offsets of ``chunk_ids`` that are cached, and their entries.
+
+        No side effects: no recency, no counters, no policy hook.
         """
         find = self._entries.get
-        clock = self._clock
-        hook = self._access_hook
-        now = None
-        hits: list[int] = []
+        offsets: list[int] = []
+        entries: list[CacheEntry] = []
         for offset, chunk_id in enumerate(chunk_ids):
             entry = find(chunk_id)
-            if entry is None:
-                continue
+            if entry is not None:
+                offsets.append(offset)
+                entries.append(entry)
+        return offsets, entries
+
+    def record_hits(self, entries: Sequence[CacheEntry], requested: int) -> None:
+        """Apply the effects of a probe of ``requested`` ids that hit ``entries``.
+
+        Per entry, in order: recency, ``access_count`` and the policy's
+        ``on_access`` hook, with the clock read once (a clock-less cache
+        ticks once per entry); then ``len(entries)`` hits and the rest of
+        ``requested`` misses.  ``entries`` must be cached: what
+        :meth:`lookup` returned while :attr:`membership` has not moved.
+        """
+        hook = self._access_hook
+        if entries:
+            clock = self._clock
             if clock is None:
-                self._ticks += 1
-                entry.last_access = float(self._ticks)
+                ticks = self._ticks
+                for entry in entries:
+                    ticks += 1
+                    entry.last_access = float(ticks)
+                    entry.access_count += 1
+                    if hook is not None:
+                        hook(entry)
+                self._ticks = ticks
             else:
-                if now is None:
-                    now = clock()
-                    if type(now) is not float:
-                        now = float(now)
-                entry.last_access = now
-            entry.access_count += 1
-            if hook is not None:
-                hook(entry)
-            hits.append(offset)
+                now = clock()
+                if type(now) is not float:
+                    now = float(now)
+                for entry in entries:
+                    entry.last_access = now
+                    entry.access_count += 1
+                    if hook is not None:
+                        hook(entry)
         stats = self.stats
-        stats.chunk_hits += len(hits)
-        stats.chunk_misses += len(chunk_ids) - len(hits)
-        return hits
+        stats.chunk_hits += len(entries)
+        stats.chunk_misses += requested - len(entries)
 
     def put(self, chunk: Chunk) -> bool:
         """Insert a chunk, evicting as needed.  Returns True if it was admitted.
@@ -208,6 +230,7 @@ class ChunkCache:
                            last_access=now, chunk=chunk)
         self._entries[chunk_id] = entry
         self._used += chunk.size
+        self.membership += 1
         self._policy.on_insert(entry)
         self.stats.insertions += 1
         return True
@@ -268,6 +291,8 @@ class ChunkCache:
 
     def clear(self) -> None:
         """Drop every cached chunk and reset the policy state."""
+        if self._entries:
+            self.membership += 1
         self._entries.clear()
         self._used = 0
         self._policy.reset()
@@ -313,4 +338,5 @@ class ChunkCache:
     def _remove(self, chunk_id: ChunkId, count_eviction: bool) -> None:
         entry = self._entries.pop(chunk_id)
         self._used -= entry.size
+        self.membership += 1
         self._policy.on_evict(entry)

@@ -112,6 +112,33 @@ class _Selection:
         return slowest
 
 
+class _CacheLookup:
+    """One Agar key's cache lookup, remembered until it may have changed.
+
+    What a read of the key found in the cache under ``configuration`` while
+    the cache's :attr:`~repro.cache.chunk_cache.ChunkCache.membership` was
+    ``membership``: the hinted positions that hit and those that missed, the
+    :class:`CacheEntry` objects of the hits, how many ids were looked up and
+    the failure-free selection around the hits.  While both still stand the
+    same ids map to the same entries, so a read replays the lookup's effects
+    on ``entries`` instead of hashing and finding the ids again.
+    """
+
+    __slots__ = ("configuration", "membership", "hit_positions",
+                 "missing_positions", "entries", "hinted", "selection")
+
+    def __init__(self, configuration, membership: int, hit_positions: tuple[int, ...],
+                 missing_positions: tuple[int, ...], entries: Sequence, hinted: int,
+                 selection: _Selection) -> None:
+        self.configuration = configuration
+        self.membership = membership
+        self.hit_positions = hit_positions
+        self.missing_positions = missing_positions
+        self.entries = entries
+        self.hinted = hinted
+        self.selection = selection
+
+
 class _ReadPlan:
     """Precomputed per-key read state, shared by both strategy entry points.
 
@@ -120,16 +147,18 @@ class _ReadPlan:
     first with the expected latency and jitter σ of its link, the ``k``
     failure-free ones furthest first with reusable chunk ids and
     (metadata-only) chunk objects for cache lookups and writes, and the
-    decode estimate.  The per-read work then reduces to one cache probe, one
-    memoised selection lookup, one jitter draw per chunk and a handful of
-    float operations.
+    decode estimate.  The per-read work then reduces to one cache probe (an
+    Agar read mostly replays the key's last one), one memoised selection
+    lookup, one jitter draw per chunk and a handful of float operations.
 
     Caching is sound because placement and expected latencies are immutable;
     availability is *not* baked in — a fault only changes which memoised
     selection a read resolves (see :meth:`select`), so no invalidation is
     needed when the availability mask changes.  The one thing a plan
     remembers that does change, an Agar key's hints, carries the
-    configuration it was resolved under (see :meth:`hinted_under`).
+    configuration it was resolved under (see :meth:`hinted_under`), and the
+    key's cache lookup the configuration and cache membership it was made
+    under (:class:`_CacheLookup`).
 
     All of it but the key and its chunk ids depends only on where the
     object's chunks sit and how large they are, so the constructor builds a
@@ -142,15 +171,16 @@ class _ReadPlan:
                  "nearest_regions", "nearest_expected_ms",
                  "nearest_jitter", "cache_expected_ms", "cache_jitter",
                  "all_jitter_positive", "chunk_size", "decode_ms", "data_chunks",
-                 "_selections", "hint")
+                 "_selections", "hint", "located")
 
     def __init__(self, furthest_first: list[PlacedChunk], chunk_size: int,
                  latency, client_region: str, data_chunks: int, decode_ms: float) -> None:
         self.key = None
         self.needed_chunk_ids = self.needed_chunks = ()
         # Per key (see hinted_under): the Agar hints of the last configuration
-        # the key was read under.
+        # the key was read under, and its last cache lookup (_CacheLookup).
         self.hint = None
+        self.located = None
         self.chunk_size = chunk_size
         # The m furthest chunks are discarded on a failure-free read (§IV-A).
         self.needed = furthest_first[len(furthest_first) - data_chunks:]
@@ -1220,8 +1250,10 @@ class AgarReadStrategy(ReadStrategy):
         )
         # The constant the node's hints carry as processing_overhead_ms.
         self._hint_overhead_ms = self._node.request_monitor.processing_overhead_ms
-        # Whose current configuration a remembered hint is checked against.
+        # Whose current configuration a remembered hint or lookup is checked
+        # against, and whose membership a remembered lookup is.
         self._cache_manager = self._node.cache_manager
+        self._cache = self._node.cache
 
     @property
     def node(self) -> AgarNode:
@@ -1231,10 +1263,10 @@ class AgarReadStrategy(ReadStrategy):
     @property
     def cache(self) -> ChunkCache:
         """The Agar-managed cache."""
-        return self._node.cache
+        return self._cache
 
     def cache_snapshot(self) -> CacheSnapshot:
-        return self._node.cache.snapshot()
+        return self._cache.snapshot()
 
     @property
     def reconfiguration_period_s(self) -> float | None:
@@ -1261,49 +1293,75 @@ class AgarReadStrategy(ReadStrategy):
         if self._emergency_reconfig:
             self._node.emergency_reconfigure(now, self._down_backends)
 
-    def _locate(self, plan: _ReadPlan, now: float) -> tuple[tuple[int, ...], list[int]]:
-        """Count the read, resolve its hints and probe the cache for them.
+    def _locate(self, plan: _ReadPlan, now: float) -> _CacheLookup:
+        """Count the read, resolve its hints and look them up in the cache.
 
-        Returns ``(hit positions, hinted positions that missed)``.  The Agar
-        node (popularity monitor, knapsack) is control-plane state that
-        survives an AZ failure; only the cache data path goes dark.
+        Returns the key's :class:`_CacheLookup`: hit positions, hinted
+        positions that missed and the failure-free selection.  A lookup made
+        under the current configuration and cache membership is replayed —
+        the probe's effects on its remembered entries, no id hashed or found
+        — otherwise the hints are probed afresh and the lookup remembered
+        with the entries of its hits.  The Agar node (popularity monitor,
+        knapsack) is control-plane state that survives an AZ failure; only
+        the cache data path goes dark.
         """
-        node = self._node
-        node.count_request(plan.key, now)
+        self._node.count_request(plan.key, now)
         # After the count: a piggy-backed period check may just have
         # installed a configuration.
         configuration = self._cache_manager.current_configuration
+        cache = self._cache
+        located = plan.located
+        if (located is not None and located.configuration is configuration
+                and located.membership == cache.membership and not self._cache_down):
+            if located.hinted:
+                cache.record_hits(located.entries, located.hinted)
+            return located
         hint = plan.hint
         if hint is None or hint[0] is not configuration:
             hint = plan.hinted_under(configuration)
         hinted_positions = hint[1]
-        if not hinted_positions or self._cache_down:
-            return (), []
-        hit_offsets = node.cache.probe(hint[2])
-        if len(hit_offsets) == len(hinted_positions):
-            return hinted_positions, []
-        hit_positions = tuple([hinted_positions[offset] for offset in hit_offsets])
-        return hit_positions, [position for position in hinted_positions
-                               if position not in hit_positions]
+        if self._cache_down:
+            # Not remembered: the cache is not read at all while it is down.
+            return _CacheLookup(configuration, -1, (), (), (), 0, plan.select(()))
+        chunk_ids = hint[2]
+        hinted = len(chunk_ids)
+        # The read's own probe, then the entries of its hits: what the next
+        # reads replay their hits on.  Empty parts are the shared empty tuple:
+        # one tracked object per remembered key, not three.
+        hit_offsets = cache.probe(chunk_ids) if hinted else ()
+        entries = (cache.lookup([chunk_ids[offset] for offset in hit_offsets])[1]
+                   if hit_offsets else ())
+        if len(hit_offsets) == hinted:
+            hit_positions, missing_positions = hinted_positions, ()
+        else:
+            hit_positions = tuple([hinted_positions[offset] for offset in hit_offsets])
+            missing_positions = tuple([position for position in hinted_positions
+                                       if position not in hit_positions])
+        plan.located = located = _CacheLookup(
+            configuration, cache.membership, hit_positions, missing_positions,
+            entries, hinted, plan.select(hit_positions))
+        return located
 
     def _write_back(self, plan: _ReadPlan, fetched: tuple[int, ...],
-                    missing_positions: list[int]) -> None:
+                    missing_positions: tuple[int, ...]) -> None:
         """Cache the hinted chunks the read fetched from the backend.
 
         Done by a separate thread pool in the prototype (§V-A), so never
         charged; ``fetched`` are the selection's nearest positions (none on
         an unavailable read).  Needed position p (furthest first) is nearest
-        position k-1-p.
+        position k-1-p.  An insertion moves the cache's membership, so the
+        next read of any key looks its chunks up again.
         """
         last = plan.data_chunks - 1
-        put = self._node.cache.put
+        put = self._cache.put
         chunks = plan.needed_chunks
         for position in missing_positions:
             if last - position in fetched:
                 put(chunks[position])
 
     def _read_plan(self, plan: _ReadPlan, now: float) -> ReadResult:
-        hit_positions, missing_positions = self._locate(plan, now)
+        located = self._locate(plan, now)
+        hit_positions = located.hit_positions
 
         # §VI: needed chunks that missed the local cache but are pinned by a
         # collaborating neighbour are read from that neighbour's cache —
@@ -1322,25 +1380,28 @@ class AgarReadStrategy(ReadStrategy):
                 and chunk_ids[position] in catalog
             )
 
-        selection = plan.select(hit_positions, neighbor_positions, self._down_backends)
+        down = self._down_backends
+        selection = (plan.select(hit_positions, neighbor_positions, down)
+                     if neighbor_positions or down else located.selection)
         result = self._compose(
             plan, now, hit_positions, selection, neighbor_positions,
             extra_overhead_ms=self._hint_overhead_ms,
             degraded=self._cache_down or selection.replanned,
         )
-        if missing_positions:
-            self._write_back(plan, selection.positions, missing_positions)
+        if located.missing_positions:
+            self._write_back(plan, selection.positions, located.missing_positions)
         return result
 
     def compose_indexed_wave(self, ranks, times, draws, clock, kept):
         """:meth:`ReadStrategy.compose_indexed_wave`: :meth:`_read_plan` per read.
 
-        The same :meth:`_locate`, selection and :meth:`_write_back` against
-        the live node and cache, in event order; only the draws come from
-        the wave's row and the result is a latency and a cache-chunk count.
-        The engine batches Agar regions only without collaboration (no
-        neighbour chunks) and on fully jittered topologies, so the grouped
-        composition of :meth:`_compose` always applies.
+        The same :meth:`_locate` and :meth:`_write_back` against the live
+        node and cache, in event order; only the draws come from the wave's
+        row and the result is a latency and a cache-chunk count.  The engine
+        batches Agar regions only without collaboration (no neighbour
+        chunks), faults or down regions, and on fully jittered topologies,
+        so the lookup's failure-free selection and the grouped composition
+        of :meth:`_compose` always apply.
         """
         plans = self._indexed_plans
         locate = self._locate
@@ -1351,14 +1412,14 @@ class AgarReadStrategy(ReadStrategy):
         for rank, now, samples in zip(ranks, times, draws.tolist()):
             clock._now_s = now
             plan = plans[rank] or self._indexed_plan(rank)
-            hit_positions, missing_positions = locate(plan, now)
-            selection = plan.select(hit_positions)
-            cache_hits = len(hit_positions)
+            located = locate(plan, now)
+            selection = located.selection
+            cache_hits = len(located.hit_positions)
             total = base_ms + selection.slowest(plan, cache_hits, samples)
             if include_decode:
                 total += plan.decode_ms
-            if missing_positions:
-                self._write_back(plan, selection.positions, missing_positions)
+            if located.missing_positions:
+                self._write_back(plan, selection.positions, located.missing_positions)
             latencies.append(total)
             cached.append(cache_hits)
             if kept is not None:

@@ -155,9 +155,10 @@ class RegionSpec:
         clients: number of concurrent clients in the region.
         strategy: read strategy shared by the region's clients
             (``"agar"``, ``"backend"``, ``"lru-5"``, ...).
-        cache_capacity_bytes: per-region cache capacity override; ``None``
-            uses the deployment-wide :attr:`EngineConfig.cache_capacity_bytes`
-            (heterogeneous deployments give each region its own size).
+        cache_capacity_bytes: per-region cache capacity override, finite and
+            positive; ``None`` uses the deployment-wide
+            :attr:`EngineConfig.cache_capacity_bytes` (heterogeneous
+            deployments give each region its own size).
         agar: per-region Agar node tunables override; ``None`` uses the
             deployment-wide :attr:`EngineConfig.agar`.  Regions with a
             capacity override usually pair it with tunables adapted to that
@@ -173,8 +174,9 @@ class RegionSpec:
     def __post_init__(self) -> None:
         if self.clients <= 0:
             raise ValueError("clients must be positive")
-        if self.cache_capacity_bytes is not None and self.cache_capacity_bytes <= 0:
-            raise ValueError("cache_capacity_bytes must be positive when set")
+        capacity = self.cache_capacity_bytes
+        if capacity is not None and not (math.isfinite(capacity) and capacity > 0):
+            raise ValueError("cache_capacity_bytes must be finite and positive when set")
 
 
 @dataclass(frozen=True)
@@ -184,7 +186,8 @@ class EngineConfig:
     Attributes:
         workload: per-client workload (``request_count`` reads per client).
         regions: the client regions of the deployment.
-        cache_capacity_bytes: per-region cache capacity.
+        cache_capacity_bytes: per-region cache capacity, finite and
+            non-negative.
         client: client latency constants.
         agar: Agar node tunables (``agar`` strategy regions only).
         topology_seed: seed for latency jitter.
@@ -230,6 +233,8 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if not self.regions:
             raise ValueError("at least one region is required")
+        if not (math.isfinite(self.cache_capacity_bytes) and self.cache_capacity_bytes >= 0):
+            raise ValueError("cache_capacity_bytes must be finite and non-negative")
         names = [spec.region for spec in self.regions]
         if len(set(names)) != len(names):
             raise ValueError("regions must be distinct")

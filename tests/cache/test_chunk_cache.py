@@ -1,5 +1,7 @@
 """Tests for the bounded chunk cache."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -133,6 +135,12 @@ class TestBasicOperations:
     def test_negative_capacity(self):
         with pytest.raises(ValueError):
             ChunkCache(capacity_bytes=-1)
+
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_capacity_refused(self, capacity):
+        """Either would admit every chunk: a cache with no byte bound."""
+        with pytest.raises(ValueError, match="capacity_bytes"):
+            ChunkCache(capacity_bytes=capacity)
 
     def test_zero_capacity_rejects_everything(self):
         cache = ChunkCache(capacity_bytes=0)
@@ -288,3 +296,74 @@ class TestProbe:
         assert len(reads) == 1
         assert {entry.last_access for entry in cache._entries.values()} == {1.0}
         assert cache.stats.chunk_hits == 3 and cache.stats.chunk_misses == 3
+
+
+def _twin_id(number: int) -> ChunkId:
+    """Ids under two keys, so ``evict_key`` removes some and keeps others."""
+    return ChunkId("ab"[number % 2], number)
+
+
+def _pinned_twin_ids() -> PinnedConfigurationPolicy:
+    policy = PinnedConfigurationPolicy()
+    policy.set_configuration({_twin_id(number) for number in range(0, 14, 3)})
+    return policy
+
+
+class TestLookupThenRecordHits:
+    """``probe(ids)`` is ``lookup(ids)`` followed by ``record_hits``, and
+    ``membership`` moves exactly when some id gains or loses its entry."""
+
+    @pytest.mark.parametrize("simulated_clock", [True, False],
+                             ids=["simulated-clock", "tick-counter"])
+    @pytest.mark.parametrize("make_policy", [
+        LRUEvictionPolicy, LFUEvictionPolicy, FIFOEvictionPolicy, _pinned_twin_ids,
+    ], ids=["lru", "lfu", "fifo", "pinned"])
+    @settings(max_examples=40, deadline=None)
+    @given(steps=st.lists(st.one_of(
+        # A first put, a re-put at the same size (a refresh) or at a new size
+        # (remove and reinsert); 70 bytes is larger than the whole cache.
+        st.tuples(st.just("put"), st.tuples(st.integers(0, 13),
+                                             st.sampled_from([10, 20, 70]))),
+        st.tuples(st.sampled_from(["touch", "delete", "get"]), st.integers(0, 15)),
+        st.tuples(st.just("evict_key"), st.sampled_from("abc")),
+        st.tuples(st.just("clear"), st.none()),
+        st.tuples(st.just("advance"), st.integers(1, 5)),
+        # Absent ids and repeats.
+        st.tuples(st.just("probe"), st.lists(st.integers(0, 15), max_size=12)),
+    ), min_size=1, max_size=40))
+    def test_probe_equals_lookup_then_record_hits(self, make_policy, simulated_clock,
+                                                  steps):
+        clocks = [SimulationClock() if simulated_clock else None for _ in range(2)]
+        probed, split = (ChunkCache(capacity_bytes=60, policy=make_policy(), clock=clock)
+                         for clock in clocks)
+        for kind, argument in steps:
+            # Held, not copied: the old entries stay alive, so an entry
+            # replaced by a new object cannot reuse its identity.
+            before = [dict(cache._entries) for cache in (probed, split)]
+            marks = [cache.membership for cache in (probed, split)]
+            if kind == "probe":
+                ids = [_twin_id(number) for number in argument]
+                offsets, entries = split.lookup(ids)
+                assert _cache_state(split) == _cache_state(probed)  # no side effect
+                split.record_hits(entries, len(ids))
+                assert probed.probe(ids) == offsets
+                assert entries == [split._entries[ids[offset]] for offset in offsets]
+            else:
+                for cache, clock in zip((probed, split), clocks):
+                    if kind == "put":
+                        number, size = argument
+                        cache.put(Chunk(_twin_id(number), size=size))
+                    elif kind in ("touch", "delete", "get"):
+                        getattr(cache, kind)(_twin_id(argument))
+                    elif kind == "evict_key":
+                        cache.evict_key(argument)
+                    elif kind == "clear":
+                        cache.clear()
+                    elif clock is not None:
+                        clock.advance_seconds(float(argument))
+            assert _cache_state(probed) == _cache_state(split)
+            for cache, held, mark in zip((probed, split), before, marks):
+                changed = (held.keys() != cache._entries.keys()
+                           or any(cache._entries[chunk_id] is not entry
+                                  for chunk_id, entry in held.items()))
+                assert (cache.membership != mark) == changed, (kind, argument)

@@ -60,6 +60,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             RegionSpec("frankfurt", clients=0)
 
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf")])
+    def test_non_finite_region_cache_capacity_refused(self, capacity):
+        """A NaN passed the ``<= 0`` check and made an unbounded cache."""
+        with pytest.raises(ValueError, match="cache_capacity_bytes"):
+            RegionSpec("frankfurt", cache_capacity_bytes=capacity)
+
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf")])
+    def test_non_finite_cache_capacity_refused(self, capacity):
+        """Refused at construction, not with a TypeError inside ``run()``."""
+        with pytest.raises(ValueError, match="cache_capacity_bytes"):
+            multi_region_config(cache_capacity_bytes=capacity)
+
     def test_collaboration_requires_agar(self):
         with pytest.raises(ValueError):
             EngineConfig(

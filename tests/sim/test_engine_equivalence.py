@@ -379,6 +379,15 @@ def _agar_wave_shapes() -> dict[str, tuple[EngineConfig, bool]]:
         "collaborative": (config(
             (RegionSpec("frankfurt", clients=60), RegionSpec("dublin", clients=60)),
             collaboration=True), True),
+        # A 2 MiB cache over 120 objects, reconfigured every second from the
+        # read path: waves whose write-backs evict and during which a
+        # configuration lands, so each key's remembered cache lookup goes
+        # stale mid-wave, on both counts.
+        "churning_cache": (EngineConfig(
+            workload=workload(requests=40, objects=120),
+            regions=(RegionSpec("frankfurt", clients=60), RegionSpec("tokyo", clients=60)),
+            cache_capacity_bytes=2 * MEGABYTE, timer_reconfiguration=False,
+            agar=AgarNodeConfig(reconfiguration_period_s=1.0)), False),
     }
 
 
@@ -402,21 +411,40 @@ def _agar_state(deployment):
 class TestAgarWaveEquivalence:
     """Agar regions compose whole waves through ``compose_indexed_wave``;
     ``execute`` must still equal ``execute_heap`` bit for bit, state
-    included, and collaborative deployments must stay per event."""
+    included, and collaborative deployments must stay per event.  The
+    reference run forgets every key's remembered cache lookup before each
+    read, so it probes the cache afresh every time: a remembered lookup
+    replayed after the cache or the configuration changed shows as a
+    difference."""
+
+    @staticmethod
+    def forget_lookups(deployment):
+        """Make every read of the deployment look its chunks up afresh."""
+        for strategy in deployment.strategies:
+            locate = strategy._locate
+
+            def afresh(plan, now, locate=locate):
+                plan.located = None
+                return locate(plan, now)
+
+            strategy._locate = afresh
 
     @staticmethod
     def spy_on_waves(deployment):
-        """Count wave composes, and those during which a configuration landed."""
-        seen = {"waves": 0, "installs": 0}
+        """Count wave composes, those during which a configuration landed and
+        those whose write-backs evicted."""
+        seen = {"waves": 0, "installs": 0, "evicting": 0}
         for strategy in deployment.strategies:
             compose = strategy.compose_indexed_wave
             history = strategy.node.reconfiguration_history
+            stats = strategy.cache.stats
 
-            def counted(*wave, compose=compose, history=history):
-                before = len(history())
+            def counted(*wave, compose=compose, history=history, stats=stats):
+                before, evicted = len(history()), stats.evictions
                 outcome = compose(*wave)
                 seen["waves"] += 1
                 seen["installs"] += len(history()) > before
+                seen["evicting"] += stats.evictions > evicted
                 return outcome
 
             strategy.compose_indexed_wave = counted
@@ -431,6 +459,8 @@ class TestAgarWaveEquivalence:
             engine.topology.latency.reseed(config.topology_seed + 3)
             deployment = engine.build_deployment()
             seen = self.spy_on_waves(deployment)
+            if execute is execute_heap:
+                self.forget_lookups(deployment)
             outcomes.append([execute(engine, deployment, seed) for seed in (3, 4)])
             states.append(_agar_state(deployment))
             if execute is EventEngine.execute:
@@ -442,8 +472,10 @@ class TestAgarWaveEquivalence:
             assert waves["waves"] == 0
         else:
             assert waves["waves"] > 0
-        if shape == "auto_reconfiguration":
+        if shape in ("auto_reconfiguration", "churning_cache"):
             assert waves["installs"] > 0
+        if shape == "churning_cache":
+            assert waves["evicting"] > 0
 
 
 class TestResilienceEquivalence:
