@@ -10,7 +10,7 @@ the simulation clock.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro.cache.base import CacheEntry, CacheSnapshot, CacheStats, EvictionPolicy
 from repro.cache.policies import LRUEvictionPolicy
@@ -273,10 +273,6 @@ class ChunkCache:
         self._policy.on_insert(entry)
         self.stats.refreshes += 1
         return True
-
-    def put_all(self, chunks: Iterable[Chunk]) -> int:
-        """Insert several chunks; returns how many were admitted."""
-        return sum(1 for chunk in chunks if self.put(chunk))
 
     def delete(self, chunk_id: ChunkId) -> bool:
         """Remove a chunk explicitly; returns True if it was present."""

@@ -376,9 +376,8 @@ class ReadStrategy(ABC):
         self._neighbor_catalogs: dict[str, frozenset[ChunkId]] | None = None
         self._neighbor_read_ms = 0.0
         self._neighbor_jitter = 0.0
-        # Live fault state (see repro.sim.faults and set_fault_state); the
-        # read bodies consult the derived fields below on every read.
-        self._fault_state = None
+        # Live fault state (see repro.sim.faults and set_fault_state),
+        # derived into the fields the read bodies consult on every read.
         self._faulted = False
         self._down_backends: frozenset[str] = frozenset()
         self._down_caches: frozenset[str] = frozenset()
@@ -556,7 +555,6 @@ class ReadStrategy(ABC):
         availability into a cached plan.
         """
         if state is None or state.is_clear:
-            self._fault_state = state
             self._faulted = False
             self._down_backends = frozenset()
             self._down_caches = frozenset()
@@ -564,7 +562,6 @@ class ReadStrategy(ABC):
             self._cache_down = False
             self._refresh_neighbor_pinned()
             return
-        self._fault_state = state
         self._faulted = True
         self._seen_fault = True
         self._down_backends = state.down_backends
@@ -585,11 +582,6 @@ class ReadStrategy(ABC):
         sharded runs), so any stream consumption would break the bit-identity
         contract between execution paths.
         """
-
-    @property
-    def fault_state(self):
-        """The currently installed fault state (None when never faulted)."""
-        return self._fault_state
 
     # ------------------------------------------------------------------ #
     # Read path: two resolvers, one body per strategy

@@ -181,10 +181,6 @@ class CacheManager:
         )
         return solver.solve(options_by_key)
 
-    def compute_configuration(self, popularity: Mapping[str, float]) -> SolverResult:
-        """Run the knapsack DP for the given popularity snapshot."""
-        return self.solve(self.generate_options(popularity))
-
     # ------------------------------------------------------------------ #
     # Installation
     # ------------------------------------------------------------------ #

@@ -75,8 +75,9 @@ def run_policy_comparison(settings: ExperimentSettings | None = None,
         sweeps = [{strategy: options.build_region_specs(regions, strategy)
                    for strategy in sweep_strategies}]
     else:
-        # Co-deploying regions interleaves their jitter draws, which moves
-        # the paper's numbers: its setting is one deployment per region.
+        # Co-deploying regions moves every region after the first onto its
+        # own seed-derived jitter stream, which moves the paper's numbers:
+        # its setting is one deployment per region.
         sweeps = [{strategy: options.build_region_specs((region,), strategy)
                    for strategy in strategies}
                   for region in regions]
@@ -84,8 +85,8 @@ def run_policy_comparison(settings: ExperimentSettings | None = None,
     # Rows carry the strategy that actually ran in each region — for a
     # pinned region that is its pinned strategy, not the sweep label.  A
     # pinned region repeats its (same-strategy) run once per sweep
-    # deployment with slightly different jitter interleavings, so its
-    # row averages over all of them, like extra repetitions.
+    # deployment on a different jitter stream, so its row averages over
+    # all of them, like extra repetitions.
     collected: dict[tuple[str, str], list[RegionAggregate]] = {}
     for deployments in sweeps:
         comparison = run_comparison(

@@ -150,6 +150,20 @@ class LatencyModel:
         self._block_pos = 0
 
     @property
+    def stream(self) -> tuple:
+        """The jitter stream's whole state: generator, seed, block and position.
+
+        The engine runs each region on its own stream and swaps them through
+        this pair; a state read here and assigned back later resumes exactly
+        where it left off.
+        """
+        return self._rng, self._seed, self._block, self._block_pos
+
+    @stream.setter
+    def stream(self, state: tuple) -> None:
+        self._rng, self._seed, self._block, self._block_pos = state
+
+    @property
     def fully_jittered(self) -> bool:
         """True when every link (backend and cache) carries jitter > 0.
 

@@ -58,7 +58,7 @@ from repro.serve.protocol import (READ_BYTES, HttpRequest, ProtocolError,
                                   parse_decimal, parse_request)
 from repro.sim.clock import SimulationClock
 from repro.sim.engine import (EngineConfig, EngineDeployment, EventEngine,
-                              _install_neighbor_catalogs, make_region_strategy)
+                              _neighbor_catalog, make_region_strategy)
 from repro.sim.faults import FaultSchedule, fault_from_dict
 
 _KEY_PATTERN = re.compile(r"[A-Za-z0-9._-]{1,200}")
@@ -675,16 +675,22 @@ class ServeCluster:
         """One §VI collaborative reconfiguration round over the live cluster.
 
         Record mode only (collaboration never deploys in replay mode): runs
-        the coordinator's staggered round and installs the fresh neighbour
-        catalogs, so subsequent reads may be served from neighbour caches —
-        the wire twin of the engine's collaboration-period timer.
+        the coordinator's staggered round and hands every region the *other*
+        regions' fresh pinned chunks, keyed by owner, as its neighbour
+        catalog over its ``(expected_ms, sigma)`` neighbour-link profile, so
+        subsequent reads may be served from neighbour caches — the wire twin
+        of the engine's collaboration round.
         """
         coordinator = self.deployment.coordinator
         if coordinator is None:
             raise RuntimeError("cluster deployed without collaboration")
         at = self.now_s() if now is None else now
         coordinator.reconfigure_all(at)
-        _install_neighbor_catalogs(self.deployment, self._neighbor_profiles)
+        pinned = {a.region: a.pinned_chunks for a in coordinator.announcements()}
+        for strategy in self.deployment.strategies:
+            region = strategy.client_region
+            strategy.set_neighbor_catalog(_neighbor_catalog(pinned, region),
+                                          *self._neighbor_profiles[region])
         for gateway in self.gateways.values():
             gateway.ledger.append(tick_entry(at))
 

@@ -9,25 +9,28 @@ then replay the trace against a live :class:`~repro.serve.gateway.ServeCluster`
 and compare its ledgers entry-for-entry.
 
 Timer reconstruction mirrors the engine's scheduler contract exactly
-(see ``_LaneRun.run_until`` and its ``_fire_timers`` phase):
+(see ``_LaneRun.run_until`` and its ``_fire_timers`` phase).  Each region
+runs its own lane scheduler, so every rule is per region:
 
-- a timer at time ``T`` fires before the first arrival with
+- a timer at time ``T`` fires before the region's first arrival with
   ``started_at_s >= T`` and after every arrival with ``started_at_s < T``
   (timers pop while ``timer_time <= block_start``);
-- a timer fires at all iff ``T <=`` the **global** maximum arrival time
-  across every region (the last block the run drains);
+- a timer fires at all iff ``T <=`` the region's own maximum arrival time
+  (the last block its run drains);
 - at equal fire times, fault transitions precede region ticks (faults are
   pushed first, so they carry lower sequence numbers);
 - periodic region ticks fire at ``start + k * period`` for ``k = 1, 2, …``
   in timer mode only; legacy piggyback reconfiguration stays inside the
   strategy's own read path and needs no trace ops.
 
-Scope: collaboration rounds (§VI) and resilient reads (retry/hedge) depend
-on shared jitter draws taken in *global* event order, which a per-region
-wire replay cannot reproduce — configs using either are rejected.  Such
-deployments are still servable: ``ServeCluster.from_config`` deploys them and
-their ledgers record every decision (including crash/recovery entries from
-the chaos tier); only this oracle's equivalence claim does not extend to them.
+Scope: the engine draws each region's jitter from that region's own stream,
+but ``ServeCluster.from_config`` still deploys every gateway on one shared
+stream, so decisions that consume jitter draws — collaboration rounds (§VI)
+and resilient reads (retry/hedge) — are not reproduced by a wire replay, and
+configs using either are rejected.  Such deployments are still servable:
+``ServeCluster.from_config`` deploys them and their ledgers record every
+decision (including crash/recovery entries from the chaos tier); only this
+oracle's equivalence claim does not extend to them.
 """
 
 from __future__ import annotations
@@ -64,11 +67,12 @@ class SimTrace:
 
 def _check_supported(config: EngineConfig) -> None:
     if config.collaboration:
-        raise ValueError("collaboration traces cannot be replayed per region")
+        raise ValueError("collaboration rounds are not wire-replayable: the "
+                         "serving tier shares one jitter stream across regions")
     resilience = config.client.resilience
     if resilience is not None and resilience.active:
-        raise ValueError("resilient reads draw jitter in global event order; "
-                         "their decisions are not wire-replayable")
+        raise ValueError("resilient reads are not wire-replayable: the serving "
+                         "tier shares one jitter stream across regions")
 
 
 def _region_periods(config: EngineConfig) -> dict[str, float | None]:
@@ -102,36 +106,28 @@ def trace_and_ledgers(config: EngineConfig, result: EngineResult,
             raise ValueError(f"region {name!r} has no kept results; run the "
                              "engine with keep_results=True")
 
-    all_starts = [r.started_at_s for results in kept.values() for r in results]
-    horizon = max(all_starts) if all_starts else start
-
-    # Global timer set: one-shot fault transitions, then periodic ticks.
-    fault_ops: list[tuple[float, int, int]] = []
     faults = config.faults
     has_faults = faults is not None and not faults.is_empty
-    if has_faults:
-        for index, (offset, _state) in enumerate(faults.transitions):
-            fire = start + offset
-            if fire <= horizon:
-                fault_ops.append((fire, _PRIO_FAULT, index))
-
-    tick_ops: dict[str, list[tuple[float, int, int]]] = {}
-    if config.uses_timer_reconfiguration:
-        periods = _region_periods(config)
-        for name in kept:
-            period = periods.get(name)
-            ops: list[tuple[float, int, int]] = []
-            if period is not None:
-                fire = start + period
-                while fire <= horizon:
-                    ops.append((fire, _PRIO_TICK, -1))
-                    fire += period
-            tick_ops[name] = ops
+    fault_fires = ([(start + offset, _PRIO_FAULT, index)
+                    for index, (offset, _state) in enumerate(faults.transitions)]
+                   if has_faults else [])
+    periods = (_region_periods(config) if config.uses_timer_reconfiguration
+               else {})
 
     trace_regions: dict[str, tuple[TraceOp, ...]] = {}
     ledgers: dict[str, list[LedgerEntry]] = {}
     for name, results in kept.items():
-        timers = sorted(fault_ops + tick_ops.get(name, []))
+        # The region's timers, one-shot fault transitions before periodic
+        # ticks, up to its own last arrival.
+        horizon = max((r.started_at_s for r in results), default=start)
+        timers = [fire for fire in fault_fires if fire[0] <= horizon]
+        period = periods.get(name)
+        if period is not None:
+            fire = start + period
+            while fire <= horizon:
+                timers.append((fire, _PRIO_TICK, -1))
+                fire += period
+        timers.sort()
         ops: list[TraceOp] = []
         ledger: list[LedgerEntry] = []
         if has_faults:

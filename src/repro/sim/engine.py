@@ -1,8 +1,9 @@
 """The discrete-event simulation core: multi-region, multi-client deployments.
 
 The paper's experiments replay one closed-loop client in one region.  This
-engine generalises that loop into a discrete-event simulation: a single event
-queue over the shared :class:`~repro.sim.clock.SimulationClock` interleaves
+engine generalises that loop into a discrete-event simulation: per region,
+one event queue over the region's time on the
+:class:`~repro.sim.clock.SimulationClock` interleaves
 
 * **request arrivals** — N concurrent clients per region, each replaying its
   own deterministic request stream, either closed-loop (the next request is
@@ -10,9 +11,9 @@ queue over the shared :class:`~repro.sim.clock.SimulationClock` interleaves
   arrivals at a configurable per-client rate);
 * **reconfiguration timers** — per-region cache reconfiguration fires at exact
   period boundaries instead of piggybacking on reads;
-* **collaboration timers** — §VI cache collaboration: the regions' Agar nodes
-  periodically exchange contents through a
-  :class:`~repro.extensions.collaboration.CollaborationCoordinator` and
+* **collaboration rounds** — §VI cache collaboration: at each period
+  boundary the regions' Agar nodes exchange contents (the rounds of a
+  :class:`~repro.extensions.collaboration.CollaborationCoordinator`) and
   reconfigure against the discounted option values;
 * **fault transitions** — one-shot timer events installing the successive
   states of an :class:`~repro.sim.faults.FaultSchedule` into the strategies
@@ -32,9 +33,12 @@ Given the same :class:`EngineConfig` and run seed, a run is bit-reproducible:
   stream the pre-engine closed loop replays for the same seed;
 * Poisson arrival times come from a dedicated per-client generator seeded
   ``(seed, _ARRIVAL_SEED_TAG, g)``, independent of the latency jitter stream;
-* events are processed in ``(time, kind, insertion order)`` order, with
-  timers before arrivals at equal timestamps, so jitter samples are drawn in
-  a deterministic order.
+* each region draws latency jitter from its own stream: region 0 from the
+  deployment's stream as it stands (the one :meth:`EventEngine.run` seeds),
+  region ``r >= 1`` from one seeded ``seed + _SHARD_SEED_TAG * (r + 1)``;
+* a region's events are processed in ``(time, kind, insertion order)``
+  order, with timers before arrivals at equal timestamps, so its jitter
+  samples are drawn in a deterministic order.
 
 With one region, one closed-loop client, no collaboration and piggybacked
 reconfiguration (the automatic default for that shape), the engine reproduces
@@ -43,41 +47,39 @@ the pre-engine closed loop (``tests/reference/closed_loop.py``) bit-identically.
 Scheduling core (lane scheduler)
 --------------------------------
 
-:meth:`EventEngine.execute` no longer runs a global binary heap.  Each client
-is a *lane*: it has at most one outstanding event at a time (its next arrival),
-so the queue reduces to one next-event time per lane, held in a NumPy array —
-the next event is an ``argmin`` over that array instead of a heap pop over
-``(time, priority, seq, payload)`` tuples.  Client state is struct-of-arrays
-(per-lane rank streams from :func:`generate_request_ranks`, positions, bound
-read/record callables) and reads enter the strategies by key index
+Each client is a *lane*: it has at most one outstanding event at a time (its
+next arrival), so a region's queue reduces to one next-event time per lane,
+held in a NumPy array — the next event is an ``argmin`` over that array
+instead of a heap pop over ``(time, priority, seq, payload)`` tuples.  Client
+state is struct-of-arrays (per-lane rank streams from
+:func:`generate_request_ranks`, positions, the region's bound read/record
+callables) and reads enter the strategy by key index
 (:meth:`~repro.client.strategies.ReadStrategy.read_indexed` — the same read
 as ``read``, faulted and resilient shapes included, resolved without the key
 string), so the inner loop allocates no tuples and hashes no key strings.
 Open-loop lanes pre-draw exponential inter-arrival blocks from their
 per-client generators (block and scalar draws consume the same bit stream).
-Timer events (few per deployment) live in a small residual heap consulted
-before each arrival.
+Timer events (few per region) live in a small residual heap consulted before
+each arrival.
 
-The heap loop it replaced is the test oracle ``execute_heap`` in
-``tests/reference/heap_scheduler.py``: the equivalence suite
-(``tests/sim/test_engine_equivalence.py``) asserts the lane scheduler is
-bit-identical to it on every supported shape, and
-``tests/golden/engine_execute.json`` pins :meth:`EventEngine.execute` itself
-across versions.
+Regions share nothing at read time but the read-only store, so each runs
+alone: one :class:`_Shard` per region, driven by one segment/round protocol
+(:meth:`EventEngine._drive`).  Without a coordinator the protocol is one
+segment run to completion; collaborative (§VI) regions run up to each
+collaboration-period boundary, exchange :class:`NeighborAnnouncement`s,
+apply their share of the coordinator's discount-and-reconfigure round, and
+resume (see ``docs/collaboration.md``).  :meth:`EventEngine.execute` is the
+in-process transport over the caller's own deployment, swapping each
+region's stream and clock in for its calls;
+:meth:`EventEngine.execute_sharded` forks one worker per region (the
+populated :class:`ErasureCodedStore` is shared copy-on-write).  The two are
+bit-identical.
 
-:meth:`EventEngine.execute_sharded` additionally runs deployments with one
-worker process per region (fork: the populated :class:`ErasureCodedStore` is
-shared copy-on-write) under one message-passing protocol: workers run their
-lanes up to the next collaboration-period boundary, exchange
-:class:`NeighborAnnouncement`s with the parent over pipes, apply their share
-of the coordinator's discount-and-reconfigure round, and resume (see
-``docs/collaboration.md``).  Regions without a coordinator never interact and
-are the protocol's zero-round case: no boundary, one segment, run to
-completion.  Sharded runs are deterministic — the forked and the in-process
-(``processes=False``) transports drive the same :class:`_Shard` and are
-bit-identical — but not bit-identical to :meth:`execute`, because each shard
-draws latency jitter from its own region-derived stream instead of
-interleaving one shared stream.
+The oracle is the heap loop ``execute_heap`` in
+``tests/reference/heap_scheduler.py``, run per region between the same
+boundaries: the equivalence suite (``tests/sim/test_engine_equivalence.py``)
+asserts the engine is bit-identical to it on every supported shape, and
+``tests/golden/engine.json`` pins both entry points across versions.
 """
 
 from __future__ import annotations
@@ -123,23 +125,20 @@ _ARRIVAL_SEED_TAG = 104729
 #: refill.  Block and scalar draws consume the same per-client bit stream.
 _ARRIVAL_BLOCK = 256
 
-#: Mixed into the per-region jitter seeds of sharded execution, so each shard
-#: draws from its own deterministic latency-jitter stream.
+#: Mixed into the per-region jitter seeds: region ``r >= 1`` draws from
+#: ``seed + _SHARD_SEED_TAG * (r + 1)``, region 0 from the deployment's stream.
 _SHARD_SEED_TAG = 15485863
 
 #: Timer kinds of the lane scheduler's residual heap.  Fault transitions are
-#: one-shot (never re-pushed) and are pushed before the periodic timers, so at
-#: equal timestamps a fault state change precedes a collaboration round or a
-#: reconfiguration tick, as in the heap loop of
-#: ``tests/reference/heap_scheduler.py``.
-_TIMER_COLLAB = 0
+#: one-shot (never re-pushed) and are pushed before the periodic timer, so at
+#: equal timestamps a fault state change precedes a reconfiguration tick, as
+#: in the heap loop of ``tests/reference/heap_scheduler.py``.
 _TIMER_REGION = 1
 _TIMER_FAULT = 2
 
 #: Smallest wave the batched dispatch takes.  Batching saves ≈ 1.5 µs per read
-#: but costs a few µs per wave and region (the array draw, the grouping, the
-#: block record, one scatter of completions), so smaller waves are cheaper per
-#: event.  Measured on 1–512 closed-loop Agar clients over one and two
+#: but costs a few µs per wave (the array draw, the block record, one scatter
+#: of completions), so smaller waves are cheaper per event.  Measured on 1–512 closed-loop Agar clients over one and two
 #: regions: at 8, two regions of 32 clients (≈ 6 reads a wave) ran 8 % slower
 #: than per event, at 16 within run-to-run noise of it.  Backend-only shapes
 #: (1 × 1 to 2 × 256 clients) agree.  Both dispatches are bit-identical.
@@ -403,116 +402,96 @@ class EngineResult:
 
 
 class _LaneRun:
-    """One resumable lane-scheduler pass over a subset of a deployment.
+    """One resumable lane-scheduler pass over one region of a deployment.
 
-    This is the state of :meth:`EventEngine.execute` lifted into an object
-    so execution can *pause*: :meth:`run_until` processes every event strictly
+    :meth:`run_until` processes every event of the region's clients strictly
     before a time limit and returns, leaving all lane state (next-event
     times, rank positions, pre-drawn arrival blocks, tie-guard sequence
-    numbers) intact for the next call.  Running with ``limit=None`` drains the
-    run to completion and is bit-identical to the former single-pass loop.
+    numbers) intact for the next call; ``limit=None`` drains the run to
+    completion.  Each region runs in its own :class:`_Shard`, on its own
+    jitter stream and clock, so regions never interleave inside a run: they
+    meet only in the §VI round the shard protocol drives between
+    :meth:`run_until` calls.
 
-    The pause point is what sharded execution builds on: each
-    :class:`_Shard` runs its lanes up to a collaboration-period boundary,
-    exchanges announcements with the parent, applies its share of the
-    §VI round, and resumes.  At a boundary ``T`` every event with time < T
-    has been processed and every event at exactly ``T`` has not — matching
-    the reference scheduler, where a collaboration timer at ``T``
-    (priority 0) fires before arrivals at ``T`` (priority 1).
-
-    ``external_collaboration=True`` — passed by every :class:`_Shard`, only
-    :meth:`EventEngine.execute` does not — suppresses the in-loop
-    collaboration timer; the caller drives the rounds between
-    :meth:`run_until` calls instead (the residual timer heap then holds only
-    the one-shot fault transitions, if any — collaborative deployments have
-    no per-region reconfiguration timers).  Without a coordinator there is no
-    such timer and the flag changes nothing.  A fault transition landing
-    exactly on a segment boundary ``T`` stays pending at the pause and fires
-    attached to the next segment's first arrival at or after ``T`` — the same
-    state every read at time ≥ ``T`` would see in-process.
+    At a segment boundary ``T`` every event with time < T has been processed
+    and every event at exactly ``T`` has not, and the timers due before ``T``
+    have fired: the round at ``T`` then acts where a timer at ``T`` would,
+    after everything earlier and before the arrivals at ``T``.  A fault
+    transition landing exactly on ``T`` stays pending and fires attached to
+    the next segment's first arrival at or after ``T``.
 
     Construction runs three phases — :meth:`_build_lanes`,
-    :meth:`_schedule_timers`, :meth:`_bind_regions` — and :meth:`run_until`
+    :meth:`_schedule_timers`, :meth:`_bind_region` — and :meth:`run_until`
     five, along the engine-event path: :meth:`_fire_timers`, then either
     :meth:`_extract_wave`, a wave read (:meth:`_read_wave_batched` or
     :meth:`_read_wave_per_event`) and :meth:`_land`, or :meth:`_drain_block`.
-    Phases are called per wave (``_land`` once per region of a batched
-    wave), per block or per batch of due timers, never per event.
+    Phases are called per wave, per block or per batch of due timers, never
+    per event.
     """
 
     def __init__(self, engine: "EventEngine", deployment: EngineDeployment,
-                 seed: int, region_indices, *,
-                 external_collaboration: bool = False) -> None:
+                 seed: int, region_index: int) -> None:
         config = engine._config
-        self._deployment = deployment
         self._config = config
         self._keep = engine._keep_results
         self._clock = deployment.clock
         self._open_loop = config.arrival.is_open_loop
         self.start = self._clock.now()
-        self.region_indices = list(region_indices)
+        self.region_index = region_index
+        self._strategy = deployment.strategies[region_index]
+        self._collaborative = deployment.coordinator is not None
         self._build_lanes(seed)
-        self._schedule_timers(engine, external_collaboration)
-        self._bind_regions(engine)
+        self._schedule_timers()
+        self._bind_region(engine, deployment)
         self.remaining = self.lanes
         self.last_completion = self.start
 
     def _build_lanes(self, seed: int) -> None:
-        """One lane per client of the selected regions, with its first event.
+        """One lane per client of the region, with its first event.
 
         Struct-of-arrays lanes.  Ranks are plain Python lists (fastest scalar
         indexing); next-event times live in a float64 array for the
         vectorized ready-set extraction.  Open-loop lanes draw exponential
         blocks per client lazily on first use (a million closed-loop lanes
         allocate no arrival state at all, and a million open-loop lanes no
-        per-lane empties).  Client numbering is region-major over the *full*
+        per-lane empties).  Client numbering is region-major over the whole
         deployment, so a lane replays the same request and arrival streams
-        whether it runs in :meth:`EventEngine.execute` or in its region's
-        shard.
+        whichever transport runs its region.
         """
         config = self._config
         workload = config.workload
-        strategies = self._deployment.strategies
         # Shared key space; per-key plans are interned lazily on first read.
-        keys = [workload.key_for_rank(rank) for rank in range(workload.object_count)]
-        for region_index in self.region_indices:
-            strategies[region_index].prepare_indexed_reads(keys)
+        self._strategy.prepare_indexed_reads(
+            [workload.key_for_rank(rank) for rank in range(workload.object_count)])
 
-        selected = set(self.region_indices)
-        lane_region: list[int] = []
         self.lane_ranks: list[list[int]] = []
         self.lane_rng: list[np.random.Generator] = []
         self.lane_block: list[list[float] | None] = []
         self.lane_block_pos: list[int] = []
         self.mean_interarrival = (config.arrival.mean_interarrival_s
                                   if self._open_loop else 0.0)
-        first_client = 0
-        for region_index, spec in enumerate(config.regions):
-            clients = range(first_client, first_client + spec.clients)
-            first_client += spec.clients
-            if region_index not in selected:
+        first_client = sum(spec.clients
+                           for spec in config.regions[:self.region_index])
+        for client_index in range(
+                first_client, first_client + config.regions[self.region_index].clients):
+            ranks = generate_request_ranks(
+                workload, seed=seed + CLIENT_SEED_STRIDE * client_index
+            )
+            if ranks.size == 0:
                 continue
-            for client_index in clients:
-                ranks = generate_request_ranks(
-                    workload, seed=seed + CLIENT_SEED_STRIDE * client_index
-                )
-                if ranks.size == 0:
-                    continue
-                lane_region.append(region_index)
-                self.lane_ranks.append(ranks.tolist())
-                if self._open_loop:
-                    # Bit-identical to default_rng((seed, tag, client)) minus
-                    # the argument dispatch — one generator per lane makes the
-                    # constructor itself a construction hot path.
-                    self.lane_rng.append(np.random.Generator(np.random.PCG64(
-                        np.random.SeedSequence((seed, _ARRIVAL_SEED_TAG, client_index))
-                    )))
-                    self.lane_block.append(None)
-                    self.lane_block_pos.append(0)
+            self.lane_ranks.append(ranks.tolist())
+            if self._open_loop:
+                # Bit-identical to default_rng((seed, tag, client)) minus
+                # the argument dispatch — one generator per lane makes the
+                # constructor itself a construction hot path.
+                self.lane_rng.append(np.random.Generator(np.random.PCG64(
+                    np.random.SeedSequence((seed, _ARRIVAL_SEED_TAG, client_index))
+                )))
+                self.lane_block.append(None)
+                self.lane_block_pos.append(0)
 
-        lanes = len(lane_region)
+        lanes = len(self.lane_ranks)
         self.lanes = lanes
-        self.lane_region = lane_region
         self.lane_pos = [0] * lanes
         self.lane_end = [len(ranks) for ranks in self.lane_ranks]
         self.next_time = np.empty(max(lanes, 1), dtype=np.float64)
@@ -522,90 +501,51 @@ class _LaneRun:
         else:
             self.next_time[:lanes] = self.start
 
-    def _schedule_timers(self, engine: "EventEngine",
-                         external_collaboration: bool) -> None:
+    def _schedule_timers(self) -> None:
         """The residual timer heap: one-shot fault transitions, then the
-        deployment's few periodic timers.
+        region's periodic reconfiguration timer.
 
-        Fault transitions are pushed before the periodic timers (lower seq),
+        Fault transitions are pushed before the periodic timer (lower seq),
         and unconditionally — faults fire in piggyback/legacy reconfiguration
         mode too.  The state at t=0 is installed here.  Each fault entry's
-        slot carries its transition index; a periodic entry's carries its
-        region index (``-1`` for the collaboration round).
+        slot carries its transition index.  A collaborative deployment has no
+        periodic timer: its rounds run between segments.
         """
         config = self._config
-        deployment = self._deployment
-        strategies = deployment.strategies
+        strategy = self._strategy
         self.timer_heap: list[tuple[float, int, int, int, float]] = []
         self.timer_seq = 0
         self._fault_states: tuple[FaultState, ...] = ()
-        self._fault_targets = [strategies[region_index].set_fault_state
-                               for region_index in self.region_indices]
-        # Fault *reaction* hooks fire after every install (initial state and
-        # each transition) so fault-reactive reconfiguration sees onset and
-        # recovery alike.  The hook consumes no latency-model draws, so
-        # per-shard invocation (only this run's regions) stays bit-identical.
-        self._react_targets = [strategies[region_index].react_to_fault
-                               for region_index in self.region_indices]
         faults = config.faults
         if faults is not None and not faults.is_empty:
-            initial = faults.initial_state
-            for install in self._fault_targets:
-                install(initial)
-            for react in self._react_targets:
-                react(self.start)
+            strategy.set_fault_state(faults.initial_state)
+            # The fault *reaction* hook fires after every install (initial
+            # state and each transition) so fault-reactive reconfiguration
+            # sees onset and recovery alike.
+            strategy.react_to_fault(self.start)
             transitions = faults.transitions
             self._fault_states = tuple(state for _, state in transitions)
             for index, (offset, _state) in enumerate(transitions):
                 self._push_timer(self.start + offset, _TIMER_FAULT, index, 0.0)
 
-        self._neighbor_profiles = (engine._neighbor_profiles()
-                                   if deployment.coordinator is not None else None)
         if not config.uses_timer_reconfiguration:
             return
-        for region_index in self.region_indices:
-            strategies[region_index].set_external_reconfiguration(True)
-        if deployment.coordinator is not None:
-            if not external_collaboration:
-                period = engine._collaboration_period()
-                self._push_timer(self.start + period, _TIMER_COLLAB, -1, period)
-            return
-        for region_index in self.region_indices:
-            period = strategies[region_index].reconfiguration_period_s
-            if period is not None:
-                self._push_timer(self.start + period, _TIMER_REGION,
-                                 region_index, period)
+        strategy.set_external_reconfiguration(True)
+        period = strategy.reconfiguration_period_s
+        if not self._collaborative and period is not None:
+            self._push_timer(self.start + period, _TIMER_REGION, 0, period)
 
-    def _bind_regions(self, engine: "EventEngine") -> None:
-        """Per-region statistics and bound callables, and the wave dispatch.
-
-        Per-region bound callables are reached through the lane's region
-        index: a few bound methods per deployment instead of three per lane
-        (at a million lanes the per-lane bound-method lists alone cost
-        hundreds of megabytes), at the price of one extra list index per
-        event.
-        """
+    def _bind_region(self, engine: "EventEngine",
+                     deployment: EngineDeployment) -> None:
+        """The region's statistics and bound callables, and the wave dispatch."""
         config = self._config
-        strategies = self._deployment.strategies
-        region_indices = self.region_indices
-        per_client_requests = config.workload.request_count
-        self.region_stats = {
-            region_index: LatencyStats(
-                capacity=max(config.regions[region_index].clients * per_client_requests, 1)
-            )
-            for region_index in region_indices
-        }
-        self.region_kept: dict[int, list[ReadResult]] = {
-            region_index: [] for region_index in region_indices
-        }
-        region_count = len(config.regions)
-        self.region_read: list = [None] * region_count
-        self.region_record: list = [None] * region_count
-        self.region_kept_lists: list = [None] * region_count
-        for region_index in region_indices:
-            self.region_read[region_index] = strategies[region_index].read_indexed
-            self.region_record[region_index] = self.region_stats[region_index].record
-            self.region_kept_lists[region_index] = self.region_kept[region_index]
+        strategy = self._strategy
+        spec = config.regions[self.region_index]
+        self.stats = LatencyStats(
+            capacity=max(spec.clients * config.workload.request_count, 1))
+        self.kept: list[ReadResult] = []
+        self._read = strategy.read_indexed
+        self._record = self.stats.record
 
         # Exact event-time ties between lanes must resolve in the reference's
         # insertion order.  With jitter on every link a collision is a
@@ -625,38 +565,26 @@ class _LaneRun:
         # at least the client overhead, so arrivals inside
         # [m, m + overhead) can never be rescheduled back into that window —
         # the window is a sorted one-shot "wave" needing no drain heap at
-        # all.  When on top of that every selected strategy's read takes
-        # exactly one jitter draw per chunk (backend and Agar reads on a fully
-        # jittered topology), the whole wave's draws collapse into one
-        # batched sample and the reads into one wave compose and one block
-        # record per region.  Regions share no read-time state but the clock,
-        # which each read sets itself, so grouping a wave's reads by region
-        # keeps every region's event order.
+        # all.  When on top of that the strategy's read takes exactly one
+        # jitter draw per chunk (backend and Agar reads on a fully jittered
+        # topology), the whole wave's draws collapse into one batched sample
+        # and the reads into one wave compose and one block record.
         self._min_gap = (0.0 if self._open_loop
                          else config.client.overhead_ms / 1000.0)
         self._use_waves = self._min_gap > 0.0 and not self.guard_ties
-        self._only_region = region_indices[0] if len(region_indices) == 1 else -1
-        self._selected_strategies = [strategies[region_index]
-                                     for region_index in region_indices]
-        self._latency_model = self._deployment.store.topology.latency
-        self.region_wave: list = [None] * region_count
-        self.region_record_block: list = [None] * region_count
+        self._latency_model = deployment.store.topology.latency
         # Resilient reads (retry budgets, hedging) and §VI neighbour reads
         # draw a variable number of jitter samples per read, so the fixed
         # draws-per-read batching below is not set up for them; per-event
         # wave dispatch stays valid because such a read still costs at least
         # the client overhead.
         self._draws_per_read = 0
-        if (self._use_waves and self._deployment.coordinator is None
-                and all(strategy.supports_indexed_batch
-                        and not strategy.resilience_active
-                        for strategy in self._selected_strategies)):
-            self._draws_per_read = self._deployment.store.params.data_chunks
-            for region_index in region_indices:
-                self.region_wave[region_index] = (
-                    strategies[region_index].compose_indexed_wave)
-                self.region_record_block[region_index] = (
-                    self.region_stats[region_index].record_block)
+        if (self._use_waves and not self._collaborative
+                and strategy.supports_indexed_batch
+                and not strategy.resilience_active):
+            self._draws_per_read = deployment.store.params.data_chunks
+            self._wave = strategy.compose_indexed_wave
+            self._record_block = self.stats.record_block
 
     def _push_timer(self, at: float, kind: int, slot: int, period: float) -> None:
         heapq.heappush(self.timer_heap, (at, self.timer_seq, kind, slot, period))
@@ -683,33 +611,35 @@ class _LaneRun:
         """Process events strictly before ``limit`` (None = run to completion).
 
         Events at exactly ``limit`` are left pending: the caller's boundary
-        work (a collaboration round, mirroring a priority-0 timer) happens
-        before them.
+        work (a collaboration round) happens before them, and after the
+        timers due before ``limit``, which fire before the pause while
+        requests remain.
 
         Batched ready-set draining: each step of the outer loop fires the
         timers due at the earliest pending arrival, computes the *safe
         horizon* — the earliest residual timer still pending (the only
-        cross-lane interaction point), capped by ``limit`` — and processes
+        interaction point between lanes), capped by ``limit`` — and processes
         the lanes whose next event falls strictly inside it.  Closed-loop
         lanes on a jittered topology go one wave at a time (see
         :meth:`_extract_wave`); every other shape drains the whole block
         through a small local heap (:meth:`_drain_block`).  Event times are
         monotone non-decreasing (a closed-loop completion is never before its
         arrival, an open-loop gap never negative), so no lane outside the
-        block can produce an event inside the horizon and the global event
-        order — and with it every jitter draw — is exactly the reference
-        scheduler's.
+        block can produce an event inside the horizon and the event order —
+        and with it every jitter draw — is exactly the reference scheduler's.
         """
         horizon = math.inf if limit is None else limit
         timer_heap = self.timer_heap
         minimum = self.next_time.min
         use_waves = self._use_waves
         batched = self._draws_per_read > 0
-        selected_strategies = self._selected_strategies
+        strategy = self._strategy
 
         while self.remaining:
             block_start = float(minimum())
             if block_start >= horizon:
+                if timer_heap and timer_heap[0][0] < horizon:
+                    self._fire_timers(math.nextafter(horizon, -math.inf))
                 break
             # Timers due before (or exactly at) the next arrival fire first —
             # the reference's (time, priority, seq) order, timers at priority 0.
@@ -728,38 +658,29 @@ class _LaneRun:
                 self._drain_block(block_end)
                 continue
             lanes, times, ranks = self._extract_wave(block_start, block_end)
-            if (batched and len(lanes) >= _BATCH_MIN_READS
-                    and not any(strategy._faulted
-                                for strategy in selected_strategies)):
+            if batched and len(lanes) >= _BATCH_MIN_READS and not strategy._faulted:
                 self._read_wave_batched(lanes, times, ranks)
             else:
                 self._read_wave_per_event(lanes, times, ranks)
 
-    def _fire_timers(self, block_start: float) -> None:
-        """Fire every timer due at or before ``block_start``, in heap order.
+    def _fire_timers(self, until: float) -> None:
+        """Fire every timer due at or before ``until``, in heap order.
 
-        A fault transition installs its state and is not re-pushed; a
-        periodic timer (collaboration round or region tick) runs and pushes
-        its next occurrence.
+        A fault transition installs its state and is not re-pushed; the
+        periodic reconfiguration timer ticks the strategy and pushes its next
+        occurrence.
         """
         timer_heap = self.timer_heap
-        deployment = self._deployment
+        strategy = self._strategy
         clock = self._clock
-        while timer_heap and timer_heap[0][0] <= block_start:
+        while timer_heap and timer_heap[0][0] <= until:
             timer_time, _seq, kind, slot, period = heapq.heappop(timer_heap)
             clock._now_s = timer_time
             if kind == _TIMER_FAULT:
-                state = self._fault_states[slot]
-                for install in self._fault_targets:
-                    install(state)
-                for react in self._react_targets:
-                    react(timer_time)
+                strategy.set_fault_state(self._fault_states[slot])
+                strategy.react_to_fault(timer_time)
                 continue
-            if kind == _TIMER_COLLAB:
-                deployment.coordinator.reconfigure_all(timer_time)
-                _install_neighbor_catalogs(deployment, self._neighbor_profiles)
-            else:
-                deployment.strategies[slot].tick(timer_time)
+            strategy.tick(timer_time)
             self._push_timer(timer_time + period, kind, slot, period)
 
     def _extract_wave(self, block_start: float, block_end: float
@@ -789,58 +710,35 @@ class _LaneRun:
 
     def _read_wave_batched(self, lanes: list[int], times: list[float],
                            ranks: list[int]) -> None:
-        """Read a wave with one jitter sample, then one wave compose and one
-        block record per region, and land each region's reads.
-
-        The sample is taken once for the whole wave because the stream is
-        shared across regions and must be consumed in global event order.
-        Records land in per-region stats, whose order each region's ascending
-        row subset preserves.
-        """
+        """Read a wave with one jitter sample, one wave compose and one block
+        record, and land it."""
         count = len(lanes)
         draws_per_read = self._draws_per_read
         draws = self._latency_model.take_standard_normals_array(
             draws_per_read * count).reshape(count, draws_per_read)
-        if self._only_region >= 0:
-            region_groups = [(self._only_region, lanes, ranks, times, draws)]
-        else:
-            lane_region = self.lane_region
-            rows_by_region: dict[int, list[int]] = {}
-            for row, lane in enumerate(lanes):
-                rows_by_region.setdefault(lane_region[lane], []).append(row)
-            region_groups = [
-                (region_index, [lanes[row] for row in rows],
-                 [ranks[row] for row in rows], [times[row] for row in rows],
-                 draws[rows])
-                for region_index, rows in rows_by_region.items()]
         clock = self._clock
-        keep = self._keep
-        for region_index, row_lanes, row_ranks, row_times, row_draws in region_groups:
-            latencies, cached = self.region_wave[region_index](
-                row_ranks, row_times, row_draws, clock,
-                self.region_kept_lists[region_index] if keep else None)
-            self.region_record_block[region_index](latencies, cached, draws_per_read)
-            self._land(row_lanes, row_times, latencies)
+        latencies, cached = self._wave(ranks, times, draws, clock,
+                                       self.kept if self._keep else None)
+        self._record_block(latencies, cached, draws_per_read)
+        self._land(lanes, times, latencies)
         clock._now_s = times[-1]
 
     def _read_wave_per_event(self, lanes: list[int], times: list[float],
                              ranks: list[int]) -> None:
         """Read a wave one ``read_indexed`` at a time, then land it."""
         clock = self._clock
-        lane_region = self.lane_region
-        region_read = self.region_read
-        region_record = self.region_record
-        region_kept = self.region_kept_lists
+        read = self._read
+        record = self._record
+        kept = self.kept
         keep = self._keep
         latencies: list[float] = []
         add_latency = latencies.append
-        for lane, event_time, rank in zip(lanes, times, ranks):
+        for event_time, rank in zip(times, ranks):
             clock._now_s = event_time
-            region_index = lane_region[lane]
-            result = region_read[region_index](rank, event_time)
-            region_record[region_index](result)
+            result = read(rank, event_time)
+            record(result)
             if keep:
-                region_kept[region_index].append(result)
+                kept.append(result)
             add_latency(result.latency_ms)
         self._land(lanes, times, latencies)
 
@@ -891,10 +789,9 @@ class _LaneRun:
         guard_ties = self.guard_ties
         lane_schedule_seq = self.lane_schedule_seq
         schedule_counter = self.schedule_counter
-        lane_region = self.lane_region
-        region_read = self.region_read
-        region_record = self.region_record
-        region_kept = self.region_kept_lists
+        read = self._read
+        record = self._record
+        kept = self.kept
         lane_pos = self.lane_pos
         lane_end = self.lane_end
         lane_ranks = self.lane_ranks
@@ -930,14 +827,13 @@ class _LaneRun:
             # order guarantees monotonically non-decreasing event times,
             # so the method call and its past-check are pure overhead.
             clock._now_s = event_time
-            region_index = lane_region[lane]
-            result = region_read[region_index](entry[-1], event_time)
+            result = read(entry[-1], event_time)
             completion = event_time + result.latency_ms / 1000.0
             if completion > last_completion:
                 last_completion = completion
-            region_record[region_index](result)
+            record(result)
             if keep:
-                region_kept[region_index].append(result)
+                kept.append(result)
             position = lane_pos[lane] + 1
             lane_pos[lane] = position
             if position < lane_end[lane]:
@@ -962,55 +858,27 @@ class _LaneRun:
         self.last_completion = last_completion
 
     def pause_at(self, boundary: float) -> None:
-        """Align the clock with a collaboration boundary the caller will run.
-
-        Mirrors the reference scheduler advancing the shared clock to a
-        timer's fire time before executing it.
-        """
+        """Align the clock with a collaboration boundary the caller will run."""
         if boundary > self._clock.now():
             self._clock._now_s = boundary
 
-    def finish(self) -> float:
-        """Close the run with a final clock advance; returns its duration."""
+    def finish(self) -> RegionRunResult:
+        """Close the run with a final clock advance; its region's result."""
         clock = self._clock
         end = clock.now()
         if self.last_completion > end:
             end = self.last_completion
         clock.advance_to(end)
-        return end - self.start
-
-    def region_result(self, region_index: int, duration: float) -> RegionRunResult:
-        """One region's share of the finished run as its run result."""
-        spec = self._config.regions[region_index]
+        spec = self._config.regions[self.region_index]
         return RegionRunResult(
             region=spec.region,
             strategy=spec.strategy,
             clients=spec.clients,
-            stats=self.region_stats[region_index],
-            duration_s=duration,
-            cache_snapshot=self._deployment.strategies[region_index].cache_snapshot(),
-            results=self.region_kept[region_index],
+            stats=self.stats,
+            duration_s=end - self.start,
+            cache_snapshot=self._strategy.cache_snapshot(),
+            results=self.kept,
         )
-
-
-def _install_neighbor_catalogs(deployment: EngineDeployment,
-                               profiles: dict[str, tuple[float, float]]) -> None:
-    """Hand every region the *other* regions' pinned chunks, per neighbour.
-
-    Called after each §VI round: the coordinator's fresh announcements become
-    each strategy's neighbour catalog, enabling neighbour-cache reads over
-    the region's resolved ``(expected_ms, sigma)`` neighbour-link profile
-    (see :meth:`EventEngine._neighbor_profiles` and
-    :meth:`ReadStrategy.set_neighbor_catalog`).  The catalog keeps the
-    announcements keyed by provenance — which neighbour pinned what — so a
-    fault taking a neighbour region down darks exactly that neighbour's
-    entries instead of the whole merged view.
-    """
-    pinned = {a.region: a.pinned_chunks for a in deployment.coordinator.announcements()}
-    for strategy in deployment.strategies:
-        expected_ms, sigma = profiles[strategy.client_region]
-        strategy.set_neighbor_catalog(
-            _neighbor_catalog(pinned, strategy.client_region), expected_ms, sigma)
 
 
 def _neighbor_catalog(pinned: dict[str, frozenset], region: str
@@ -1020,14 +888,20 @@ def _neighbor_catalog(pinned: dict[str, frozenset], region: str
 
 
 class _Shard:
-    """One region's job in sharded execution.
+    """One region's job in the segment/round protocol.
 
-    Owns everything a shard does to its private deployment — a forked
-    worker's copy-on-write inheritance or a deep copy (both mutate only their
-    own copy, bit-identically): it reseeds the latency model with the
-    region's jitter seed, builds the resumable lane run over the region's
-    clients, and answers the three calls of the §VI round protocol that
-    :meth:`EventEngine.execute_sharded` drives.
+    Owns the region's jitter stream, its clock and its resumable lane run,
+    and answers the three calls of the §VI round protocol that
+    :meth:`EventEngine._drive` issues.  Region 0 draws from the stream the
+    deployment holds (``run()``'s stream, so a one-region run is the plain
+    lane scheduler); region ``r >= 1`` from one reseeded with
+    ``seed + _SHARD_SEED_TAG * (r + 1)``.
+
+    :meth:`call` swaps the region's stream and clock into the deployment for
+    the length of one call and takes them back out afterwards, so shards
+    sharing one deployment (:meth:`EventEngine.execute`) run exactly as
+    shards with one deployment copy each (forked workers, where the swap
+    puts back what is already there).
 
     Any strategy shards, so the region's node, its neighbour-link profile and
     its announcements exist only when the deployment has a coordinator;
@@ -1037,17 +911,30 @@ class _Shard:
 
     def __init__(self, engine: "EventEngine", deployment: EngineDeployment,
                  seed: int, region_index: int) -> None:
-        deployment.store.topology.latency.reseed(
-            seed + _SHARD_SEED_TAG * (region_index + 1))
-        self._region_index = region_index
+        self._latency = deployment.store.topology.latency
+        self._clock = deployment.clock
+        if region_index:
+            self._latency.reseed(seed + _SHARD_SEED_TAG * (region_index + 1))
         self._strategy = deployment.strategies[region_index]
-        self._run = _LaneRun(engine, deployment, seed, [region_index],
-                             external_collaboration=True)
+        self._run = _LaneRun(engine, deployment, seed, region_index)
+        self._stream = self._latency.stream
+        self._now = self._clock.now()
         self._node = None
         if deployment.coordinator is not None:
             self._node = self._strategy.node
             self._neighbor_read_ms, self._neighbor_jitter = (
                 engine._neighbor_profiles()[self._strategy.client_region])
+
+    def call(self, method: str, *arguments):
+        """Run one protocol call on this region's stream and clock."""
+        latency = self._latency
+        clock = self._clock
+        latency.stream = self._stream
+        clock._now_s = self._now
+        reply = getattr(self, method)(*arguments)
+        self._stream = latency.stream
+        self._now = clock._now_s
+        return reply
 
     def segment(self, boundary: float | None, catalog
                 ) -> tuple[int, NeighborAnnouncement | None]:
@@ -1078,28 +965,15 @@ class _Shard:
         return announcement_of(self._node)
 
     def finish(self) -> RegionRunResult:
-        """Close the lane run and wrap it as the region's run result."""
-        return self._run.region_result(self._region_index, self._run.finish())
+        """Close the lane run: the region's run result."""
+        return self._run.finish()
 
-
-class _LocalShard(_Shard):
-    """A :class:`_Shard` over a deep-copied deployment, called directly.
-
-    The in-process transport (``processes=False``): the same object a forked
-    worker wraps, run sequentially — which is what makes the forked path's
-    bit-identity testable without processes.
-    """
-
+    # The in-process transport: a call answered on the spot.
     def send(self, method: str, *arguments) -> None:
-        self._reply = getattr(self, method)(*arguments)
+        self._reply = self.call(method, *arguments)
 
     def receive(self):
         return self._reply
-
-    def join(self) -> None:
-        """Nothing to reap."""
-
-    terminate = join
 
 
 def _shard_worker(connection, *job) -> None:
@@ -1116,7 +990,7 @@ def _shard_worker(connection, *job) -> None:
         method = None
         while method != "finish":
             method, *arguments = connection.recv()
-            connection.send(getattr(shard, method)(*arguments))
+            connection.send(shard.call(method, *arguments))
     except BaseException as error:  # pragma: no cover - transport for the parent
         try:
             connection.send(error)
@@ -1235,8 +1109,8 @@ class EventEngine:
         """Create the store, clock and one strategy per region.
 
         Strategies are built in region order, which fixes the order of the
-        warm-up probe draws from the shared jitter stream (the determinism
-        contract).
+        warm-up probe draws from the deployment's jitter stream (the
+        determinism contract).
 
         Args:
             payloads: if True, populate the store with real encoded payloads
@@ -1295,27 +1169,93 @@ class EventEngine:
         persists across calls, which models repeated YCSB runs against a
         long-running system (the paper's warm-cache repetition).
 
-        This is the lane scheduler (see the module docstring), drained to
-        completion in one :class:`_LaneRun` over every region.  Event order,
-        jitter draws and arithmetic replicate the heap loop of
-        ``tests/reference/heap_scheduler.py`` exactly on every supported
-        shape, as asserted by ``tests/sim/test_engine_equivalence.py``, and
-        ``tests/golden/engine_execute.json`` pins it across versions.
+        This is the in-process transport of the shard protocol (see
+        :meth:`_drive`): one :class:`_Shard` per region over the caller's
+        own deployment, each call on its region's jitter stream and clock.
+        Afterwards the deployment keeps region 0's stream and the latest
+        region end.  Event order, jitter draws and arithmetic replicate the
+        segmented heap loop of ``tests/reference/heap_scheduler.py`` exactly,
+        as asserted by ``tests/sim/test_engine_equivalence.py``, and
+        ``tests/golden/engine.json`` pins it across versions.
+        """
+        shards = [_Shard(self, deployment, seed, region_index)
+                  for region_index in range(len(self._config.regions))]
+        result = self._drive(shards, deployment.clock.now(), deployment.coordinator)
+        deployment.store.topology.latency.stream = shards[0]._stream
+        deployment.clock._now_s = max(shard._now for shard in shards)
+        return result
+
+    def _drive(self, shards, start: float,
+               coordinator: CollaborationCoordinator | None) -> EngineResult:
+        """The segment/round protocol over one shard per region.
+
+        Regions share no state but the read-only store, so each runs on its
+        own: without a coordinator the protocol has no round, and its one
+        segment has no boundary and runs every lane to completion.
+        Collaborative (§VI) regions must exchange announcements every
+        collaboration period, so they run in *segments* between period
+        boundaries.  At each boundary ``T``:
+
+        1. every shard pauses having processed all events strictly before
+           ``T`` and reports its remaining-request count and current
+           announcement;
+        2. if any requests remain deployment-wide (timers only fire while
+           requests remain), the regions are walked in order, each shard
+           receiving its neighbours' current announcements — regions earlier
+           in the round already carry their *new* configuration, the
+           staggered-round semantics of
+           :meth:`CollaborationCoordinator.reconfigure_all` — applying
+           :func:`reconfigure_node` and replying with its new announcement;
+        3. the shards resume towards ``T + period``, each with the other
+           regions' final pinned chunks as its neighbour catalog.
+
+        The final announcements are installed into ``coordinator``
+        (:meth:`~repro.extensions.collaboration.CollaborationCoordinator.install_announcements`),
+        so callers read the run's cache-content overlap via
+        ``coordinator.latest_overlap()`` whichever transport ran it.
+
+        ``shards`` answer ``send(method, *arguments)`` then ``receive()``:
+        a :class:`_Shard` on the spot, a :class:`_PipeShard` through its
+        worker.  Per-region durations are each region's own span and the
+        merged ``duration_s`` is their maximum.
         """
         config = self._config
-        run = _LaneRun(self, deployment, seed, range(len(config.regions)))
-        run.run_until(None)
-        duration = run.finish()
+        period = self._collaboration_period() if coordinator is not None else None
+        boundary = start + period if period is not None else None
+        announcements: list[NeighborAnnouncement | None] = [None] * len(shards)
+        catalogs: list[dict[str, frozenset] | None] = [None] * len(shards)
+        while True:
+            for shard, catalog in zip(shards, catalogs):
+                shard.send("segment", boundary, catalog)
+            total_remaining = 0
+            for region_index, shard in enumerate(shards):
+                remaining, announcements[region_index] = shard.receive()
+                total_remaining += remaining
+            if total_remaining == 0:
+                break
+            for region_index, shard in enumerate(shards):
+                shard.send("round", boundary,
+                           [announcement for other, announcement
+                            in enumerate(announcements) if other != region_index])
+                announcements[region_index] = shard.receive()
+            pinned = {spec.region: announcement.pinned_chunks
+                      for spec, announcement in zip(config.regions, announcements)}
+            catalogs = [_neighbor_catalog(pinned, spec.region)
+                        for spec in config.regions]
+            boundary += period
+        # Every shard is asked to finish before any reply is collected, so
+        # forked workers pickle their results side by side.
+        for shard in shards:
+            shard.send("finish")
+        region_results = [shard.receive() for shard in shards]
+        if coordinator is not None:
+            coordinator.install_announcements(announcements)
         return EngineResult(
             workload_name=config.workload.name,
-            duration_s=duration,
-            regions={spec.region: run.region_result(region_index, duration)
-                     for region_index, spec in enumerate(config.regions)},
+            duration_s=max(result.duration_s for result in region_results),
+            regions={result.region: result for result in region_results},
         )
 
-    # ------------------------------------------------------------------ #
-    # Lane scheduler (the fast path behind execute / execute_sharded)
-    # ------------------------------------------------------------------ #
     def _collaboration_period(self) -> float:
         """Resolved §VI exchange period (config override or the Agar default)."""
         config = self._config
@@ -1334,48 +1274,16 @@ class EventEngine:
 
         Regions never share caches — their only shared state is the
         read-only populated store — so each region can run in its own
-        process: the parent builds (and populates) the deployment once, forks
-        one worker per region, and merges the per-region results.
-
-        Determinism: each shard reseeds its latency model with
-        ``seed + _SHARD_SEED_TAG * (region_index + 1)``, so sharded runs are
-        bit-reproducible, and the forked path is bit-identical to the
-        in-process fallback (``processes=False``) — both run the exact same
-        protocol over the same :class:`_Shard`.  They are *not* bit-identical
-        to :meth:`execute`, which interleaves all regions through one shared
-        jitter stream — an interleaving that cannot be reproduced across
-        processes.
+        process: the parent forks one worker per region, each running its
+        region's :class:`_Shard` on its inherited copy of the deployment,
+        and drives them through the same protocol as :meth:`execute`
+        (:meth:`_drive`).  The result is bit-identical to :meth:`execute` on
+        the same (copied) deployment; ``processes=False`` is exactly that,
+        :meth:`execute` over a deep copy.
 
         The parent deployment is left untouched (workers mutate copies), so
-        sharded runs never warm the caller's caches; per-region durations are
-        each shard's own span and the merged ``duration_s`` is their maximum.
-
-        Collaborative (§VI) deployments shard too: their Agar nodes must
-        exchange announcements every collaboration period, so the workers run
-        their lanes in *segments* between period boundaries.  At each
-        boundary ``T``:
-
-        1. every worker pauses having processed all events strictly before
-           ``T`` and reports its remaining-request count and current
-           announcement;
-        2. if any requests remain deployment-wide (the reference scheduler's
-           "timers only fire while requests remain" rule), the parent walks
-           the regions in order, sending each worker its neighbours' current
-           announcements — regions earlier in the round already carry their
-           *new* configuration, the staggered-round semantics of
-           :meth:`CollaborationCoordinator.reconfigure_all` — and the worker
-           applies :func:`reconfigure_node` locally and replies with its new
-           announcement;
-        3. the workers resume towards ``T + period``.
-
-        The final announcements are installed into the parent deployment's
-        coordinator
-        (:meth:`~repro.extensions.collaboration.CollaborationCoordinator.install_announcements`),
-        so callers can read the run's cache-content overlap via
-        ``coordinator.latest_overlap()`` even though the parent's node copies
-        stay cold.  A deployment without a coordinator is the zero-round case
-        of the same protocol: it has no period, so its one segment has no
-        boundary and runs every lane to completion.
+        sharded runs never warm the caller's caches; only the final
+        announcements are installed into its coordinator.
 
         A worker that raises re-raises here, and one that dies without
         replying raises a ``RuntimeError`` naming it; either way every other
@@ -1386,71 +1294,35 @@ class EventEngine:
             seed: per-run seed (same meaning as in :meth:`execute`).
             processes: fork one worker per region; ``None`` (default) forks
                 whenever the platform supports the fork start method and
-                there is more than one region, ``False`` runs the shards
-                sequentially in-process against deep copies.
+                there is more than one region, ``False`` runs in-process
+                against a deep copy.
         """
-        config = self._config
-        coordinator = deployment.coordinator
-        period = self._collaboration_period() if coordinator is not None else None
-        boundary = deployment.clock.now() + period if period is not None else None
-        region_count = len(config.regions)
+        region_count = len(self._config.regions)
         if processes is None:
             processes = "fork" in multiprocessing.get_all_start_methods()
+        if not processes or region_count == 1:
+            copied = copy.deepcopy(deployment)
+            result = self.execute(copied, seed)
+            if deployment.coordinator is not None:
+                deployment.coordinator.install_announcements(
+                    copied.coordinator.announcements())
+            return result
 
-        shards: list[_PipeShard | _LocalShard] = []
-        announcements: list[NeighborAnnouncement | None] = [None] * region_count
-        catalogs: list[dict[str, frozenset] | None] = [None] * region_count
+        context = multiprocessing.get_context("fork")
+        shards: list[_PipeShard] = []
         try:
-            if processes and region_count > 1:
-                context = multiprocessing.get_context("fork")
-                for region_index in range(region_count):
-                    shards.append(_PipeShard(context, self, deployment, seed,
-                                             region_index))
-            else:
-                for region_index in range(region_count):
-                    shards.append(_LocalShard(self, copy.deepcopy(deployment), seed,
-                                              region_index))
-            while True:
-                for shard, catalog in zip(shards, catalogs):
-                    shard.send("segment", boundary, catalog)
-                total_remaining = 0
-                for region_index, shard in enumerate(shards):
-                    remaining, announcements[region_index] = shard.receive()
-                    total_remaining += remaining
-                if total_remaining == 0:
-                    break
-                for region_index, shard in enumerate(shards):
-                    shard.send("round", boundary,
-                               [announcement for other, announcement
-                                in enumerate(announcements) if other != region_index])
-                    announcements[region_index] = shard.receive()
-                # The next segment starts with the round's *final* catalogs
-                # (every region's new configuration), matching the in-process
-                # engine, which installs catalogs after the whole round.
-                pinned = {spec.region: announcement.pinned_chunks
-                          for spec, announcement in zip(config.regions, announcements)}
-                catalogs = [_neighbor_catalog(pinned, spec.region)
-                            for spec in config.regions]
-                boundary += period
-            # Every worker is asked to finish before any reply is collected,
-            # so the workers pickle their results side by side.
-            for shard in shards:
-                shard.send("finish")
-            region_results = [shard.receive() for shard in shards]
+            for region_index in range(region_count):
+                shards.append(_PipeShard(context, self, deployment, seed,
+                                         region_index))
+            result = self._drive(shards, deployment.clock.now(),
+                                 deployment.coordinator)
         except BaseException:
             for shard in shards:
                 shard.terminate()
             raise
         for shard in shards:
             shard.join()
-
-        if coordinator is not None:
-            coordinator.install_announcements(announcements)
-        return EngineResult(
-            workload_name=config.workload.name,
-            duration_s=max(result.duration_s for result in region_results),
-            regions={result.region: result for result in region_results},
-        )
+        return result
 
     def run_sharded(self, seed: int | None = None,
                     processes: bool | None = None) -> EngineResult:

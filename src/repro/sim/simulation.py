@@ -142,7 +142,8 @@ def run_many(config: EngineConfig, runs: int = 5, base_seed: int | None = None,
             defaults to the workload's seed.
         topology: optionally reuse a topology.
         sharded: execute through :meth:`EventEngine.execute_sharded` (one
-            worker per region shard) instead of the in-process scheduler.
+            worker per region, every run on a copy of the cold deployment)
+            instead of :meth:`EventEngine.execute` (every run warming it).
         keep_results: retain every individual read of every run.
     """
     if runs <= 0:
@@ -178,8 +179,9 @@ def run_comparison(workload: WorkloadSpec,
 
     ``deployments`` maps a label (usually the strategy being compared) to the
     regions deployed together under it.  The regions of one tuple simulate
-    simultaneously, so their jitter draws and reconfigurations interleave;
-    the paper's setting is one single-region tuple per label.  Collaboration
+    side by side: the first on the deployment's jitter stream, every other
+    on its own seed-derived one, meeting only in §VI rounds; the paper's
+    setting is one single-region tuple per label.  Collaboration
     is applied only to deployments whose every region runs ``agar`` — the
     static baselines have no nodes to collaborate.
     """

@@ -252,10 +252,10 @@ class TestCliEngine:
         deployment = [row for row in first if row.region == "all"]
         regions = [row for row in first if row.region != "all"]
         assert len(deployment) == 1
-        # Total throughput is the sum of the regions' (same duration).
-        assert deployment[0].throughput_rps == pytest.approx(
-            sum(row.throughput_rps for row in regions), rel=1e-6
-        )
+        # Total throughput spreads every region's requests over the longest
+        # region's span, so it is at most the sum of the regions' rates.
+        assert 0 < deployment[0].throughput_rps <= sum(
+            row.throughput_rps for row in regions) * (1 + 1e-9)
         # Neighbour-read traffic is reported per region and summed in the
         # deployment row (and rendered as its own column).
         assert deployment[0].neighbor_chunks == pytest.approx(

@@ -1,4 +1,4 @@
-"""The global-heap event loop the lane scheduler replaced.
+"""The heap event loop the lane scheduler replaced, run per region.
 
 The first discrete-event engine ran every deployment through one binary heap
 over ``(time, priority, seq, payload)`` tuples, with one :class:`Request`
@@ -6,30 +6,36 @@ object per read.  :meth:`EventEngine.execute` (the lane scheduler) must
 reproduce it bit for bit: ``tests/sim/test_engine_equivalence.py`` and
 ``tests/sim/test_chaos_soak.py`` compare the two on every supported shape,
 the same way the engine originally proved itself against the pre-engine
-closed loop (``closed_loop.py``).  One semantic addition since the first
-loop: collaborative rounds install the §VI neighbour catalogs, applied to
-both schedulers in lockstep.
+closed loop (``closed_loop.py``).
+
+Each region runs its own heap on its own jitter stream (region 0 on the
+deployment's, region ``r >= 1`` on one seeded
+``seed + _SHARD_SEED_TAG * (r + 1)``) and its own time.  A collaborative
+deployment runs the regions in segments between collaboration-period
+boundaries; at each boundary where requests remain the coordinator runs its
+staggered round (:meth:`CollaborationCoordinator.reconfigure_all`) and every
+region is handed the others' pinned chunks as its neighbour catalog.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
 from repro.client.stats import LatencyStats, ReadResult
-from repro.core.agar_node import AgarNodeConfig
 from repro.sim.engine import (
     _ARRIVAL_SEED_TAG,
+    _SHARD_SEED_TAG,
     CLIENT_SEED_STRIDE,
     EngineDeployment,
     EngineResult,
     EventEngine,
     RegionRunResult,
-    _install_neighbor_catalogs,
+    _neighbor_catalog,
 )
-from repro.sim.faults import FaultState
-from repro.workload.workload import Request, generate_requests
+from repro.workload.workload import generate_requests
 
 #: Event priorities: timers fire before request arrivals at equal timestamps,
 #: mirroring the legacy behaviour of reconfiguring before the triggering read
@@ -38,177 +44,157 @@ _PRIO_TIMER = 0
 _PRIO_ARRIVAL = 1
 
 
-class _ClientState:
-    """One client's request stream and (for open loop) arrival generator."""
+class _RegionHeap:
+    """One region's heap loop, its stream, its time and its statistics."""
 
-    __slots__ = ("region_index", "requests", "next_index", "arrival_rng")
+    def __init__(self, engine: EventEngine, deployment: EngineDeployment,
+                 seed: int, region_index: int, start: float) -> None:
+        config = engine.config
+        spec = config.regions[region_index]
+        self.latency = deployment.store.topology.latency
+        self.clock = deployment.clock
+        if region_index:
+            self.latency.reseed(seed + _SHARD_SEED_TAG * (region_index + 1))
+        self.stream = self.latency.stream
+        self.now = start
+        self.start = start
+        self.last_completion = start
+        self.spec = spec
+        self.strategy = strategy = deployment.strategies[region_index]
+        self.keep = engine._keep_results
+        self.stats = LatencyStats(capacity=max(spec.clients * config.workload.request_count, 1))
+        self.kept: list[ReadResult] = []
+        self.arrival = arrival = config.arrival
+        self.heap: list[tuple[float, int, int, tuple]] = []
+        self.seq = 0
 
-    def __init__(self, region_index: int, requests: list[Request],
-                 arrival_rng: np.random.Generator | None) -> None:
-        self.region_index = region_index
-        self.requests = requests
-        self.next_index = 0
-        self.arrival_rng = arrival_rng
+        # Client request streams (region-major numbering over the deployment;
+        # client 0 replays the pre-engine closed loop's stream for the seed).
+        first = sum(other.clients for other in config.regions[:region_index])
+        self.clients = []
+        self.outstanding = 0
+        for global_index in range(first, first + spec.clients):
+            requests = generate_requests(
+                config.workload, seed=seed + CLIENT_SEED_STRIDE * global_index)
+            arrival_rng = (np.random.default_rng((seed, _ARRIVAL_SEED_TAG, global_index))
+                           if arrival.is_open_loop else None)
+            self.clients.append([requests, 0, arrival_rng])
+            if not requests:
+                continue
+            self.outstanding += len(requests)
+            at = (start + arrival_rng.exponential(arrival.mean_interarrival_s)
+                  if arrival.is_open_loop else start)
+            self.push(at, _PRIO_ARRIVAL, ("arrival", len(self.clients) - 1))
+
+        # Fault schedule: initial state now, one one-shot priority-0 event
+        # per transition, pushed before the periodic timer so equal-time ties
+        # resolve fault-first.  In timer mode the strategy's own period check
+        # is off; a collaborative deployment reconfigures in its rounds.
+        faults = config.faults
+        self.fault_states = ()
+        if faults is not None and not faults.is_empty:
+            strategy.set_fault_state(faults.initial_state)
+            strategy.react_to_fault(start)
+            self.fault_states = tuple(state for _, state in faults.transitions)
+            for index, (offset, _state) in enumerate(faults.transitions):
+                self.push(start + offset, _PRIO_TIMER, ("fault", index))
+        if config.uses_timer_reconfiguration:
+            strategy.set_external_reconfiguration(True)
+            period = strategy.reconfiguration_period_s
+            if deployment.coordinator is None and period is not None:
+                self.push(start + period, _PRIO_TIMER, ("reconfig", period))
+
+    def push(self, time_s: float, priority: int, payload: tuple) -> None:
+        heapq.heappush(self.heap, (time_s, priority, self.seq, payload))
+        self.seq += 1
+
+    def run(self, until: float) -> None:
+        """Process every event before ``until`` on this region's stream and time."""
+        self.latency.stream = self.stream
+        clock = self.clock
+        clock._now_s = self.now
+        heap = self.heap
+        arrival = self.arrival
+        strategy = self.strategy
+        while heap and heap[0][0] < until:
+            time_s, _priority, _seq, payload = heapq.heappop(heap)
+            if payload[0] == "arrival":
+                state = self.clients[payload[1]]
+                requests, index, arrival_rng = state
+                state[1] = index + 1
+                clock.advance_to(time_s)
+                result = strategy.read(requests[index].key, now=time_s)
+                completion = time_s + result.latency_ms / 1000.0
+                self.last_completion = max(self.last_completion, completion)
+                self.stats.record(result)
+                if self.keep:
+                    self.kept.append(result)
+                self.outstanding -= 1
+                if index + 1 < len(requests):
+                    next_time = (time_s + arrival_rng.exponential(arrival.mean_interarrival_s)
+                                 if arrival.is_open_loop else completion)
+                    self.push(next_time, _PRIO_ARRIVAL, payload)
+            elif self.outstanding > 0:
+                # Timers only fire (and reschedule) while requests remain.
+                clock.advance_to(time_s)
+                if payload[0] == "fault":
+                    strategy.set_fault_state(self.fault_states[payload[1]])
+                    strategy.react_to_fault(time_s)
+                else:
+                    strategy.tick(time_s)
+                    self.push(time_s + payload[1], _PRIO_TIMER, payload)
+        self.stream = self.latency.stream
+        self.now = clock.now()
+
+    def result(self) -> RegionRunResult:
+        end = max(self.now, self.last_completion)
+        self.now = end
+        return RegionRunResult(
+            region=self.spec.region, strategy=self.spec.strategy,
+            clients=self.spec.clients, stats=self.stats,
+            duration_s=end - self.start,
+            cache_snapshot=self.strategy.cache_snapshot(), results=self.kept)
 
 
 def execute_heap(engine: EventEngine, deployment: EngineDeployment,
                  seed: int) -> EngineResult:
-    """Replay ``seed``'s request streams against ``deployment`` on one heap.
+    """Replay ``seed``'s request streams against ``deployment``, a heap per region.
 
     Same contract as :meth:`EventEngine.execute`: the deployment's caches,
-    popularity statistics and clock persist across calls.
+    popularity statistics and clock persist across calls, and afterwards it
+    keeps region 0's stream and the latest region end.
     """
     config = engine.config
     clock = deployment.clock
-    strategies = deployment.strategies
-    arrival = config.arrival
-    timer_mode = config.uses_timer_reconfiguration
-    keep = engine._keep_results
+    coordinator = deployment.coordinator
     start = clock.now()
+    regions = [_RegionHeap(engine, deployment, seed, region_index, start)
+               for region_index in range(len(config.regions))]
+    period = engine._collaboration_period() if coordinator is not None else math.inf
+    boundary = start + period
+    while True:
+        for region in regions:
+            region.run(boundary)
+        if not any(region.outstanding for region in regions):
+            break
+        clock._now_s = boundary
+        coordinator.reconfigure_all(boundary)
+        profiles = engine._neighbor_profiles()
+        pinned = {a.region: a.pinned_chunks for a in coordinator.announcements()}
+        for region in regions:
+            name = region.spec.region
+            region.strategy.set_neighbor_catalog(_neighbor_catalog(pinned, name),
+                                                 *profiles[name])
+            region.now = boundary
+        boundary += period
 
-    # Per-region statistics, preallocated for the expected request count.
-    per_client_requests = config.workload.request_count
-    region_stats = [
-        LatencyStats(capacity=max(spec.clients * per_client_requests, 1))
-        for spec in config.regions
-    ]
-    region_kept: list[list[ReadResult]] = [[] for _ in config.regions]
-    last_completion = start
-
-    # Client request streams (region-major numbering; client 0 replays the
-    # pre-engine closed loop's stream for the same seed).
-    clients: list[_ClientState] = []
-    for region_index, spec in enumerate(config.regions):
-        for _ in range(spec.clients):
-            global_index = len(clients)
-            stream_seed = seed + CLIENT_SEED_STRIDE * global_index
-            requests = generate_requests(config.workload, seed=stream_seed)
-            arrival_rng = None
-            if arrival.is_open_loop:
-                arrival_rng = np.random.default_rng(
-                    (seed, _ARRIVAL_SEED_TAG, global_index)
-                )
-            clients.append(_ClientState(region_index, requests, arrival_rng))
-
-    # Event queue: (time, priority, insertion seq, payload).
-    heap: list[tuple[float, int, int, tuple]] = []
-    seq = 0
-
-    def push(time_s: float, priority: int, payload: tuple) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (time_s, priority, seq, payload))
-        seq += 1
-
-    outstanding = 0
-    mean_interarrival = arrival.mean_interarrival_s if arrival.is_open_loop else 0.0
-    for global_index, state in enumerate(clients):
-        if not state.requests:
-            continue
-        outstanding += len(state.requests)
-        if arrival.is_open_loop:
-            first = start + state.arrival_rng.exponential(mean_interarrival)
-        else:
-            first = start
-        push(first, _PRIO_ARRIVAL, ("arrival", global_index))
-
-    # Fault schedule: initial state now, one one-shot priority-0 event
-    # per transition.  Pushed before the periodic timers so equal-time
-    # ties resolve fault-first, matching the lane scheduler's heap order.
-    fault_states: tuple[FaultState, ...] = ()
-    faults = config.faults
-    if faults is not None and not faults.is_empty:
-        initial = faults.initial_state
-        for strategy in strategies:
-            strategy.set_fault_state(initial)
-        for strategy in strategies:
-            strategy.react_to_fault(start)
-        transitions = faults.transitions
-        fault_states = tuple(state for _, state in transitions)
-        for index, (offset, _state) in enumerate(transitions):
-            push(start + offset, _PRIO_TIMER, ("fault", index))
-
-    # Periodic timers: either one collaborative exchange for the whole
-    # deployment, or one reconfiguration timer per region with periodic
-    # work.  In timer mode the strategies' own period checks are disabled.
-    neighbor_profiles = (engine._neighbor_profiles()
-                         if deployment.coordinator is not None else None)
-    if timer_mode:
-        for strategy in strategies:
-            strategy.set_external_reconfiguration(True)
-        if deployment.coordinator is not None:
-            period = config.collaboration_period_s
-            if period is None:
-                agar = config.agar or AgarNodeConfig()
-                period = agar.reconfiguration_period_s
-            push(start + period, _PRIO_TIMER, ("collab", period))
-        else:
-            for region_index, strategy in enumerate(strategies):
-                period = strategy.reconfiguration_period_s
-                if period is not None:
-                    push(start + period, _PRIO_TIMER, ("reconfig", region_index, period))
-
-    advance_to = clock.advance_to
-    while heap:
-        time_s, _priority, _seq, payload = heapq.heappop(heap)
-        kind = payload[0]
-        if kind == "arrival":
-            global_index = payload[1]
-            state = clients[global_index]
-            request = state.requests[state.next_index]
-            state.next_index += 1
-            region_index = state.region_index
-            advance_to(time_s)
-            result = strategies[region_index].read(request.key, now=time_s)
-            completion = time_s + result.latency_ms / 1000.0
-            if completion > last_completion:
-                last_completion = completion
-            region_stats[region_index].record(result)
-            if keep:
-                region_kept[region_index].append(result)
-            outstanding -= 1
-            if state.next_index < len(state.requests):
-                if arrival.is_open_loop:
-                    next_time = time_s + state.arrival_rng.exponential(mean_interarrival)
-                else:
-                    next_time = completion
-                push(next_time, _PRIO_ARRIVAL, ("arrival", global_index))
-        elif outstanding > 0:
-            # Timers only fire (and reschedule) while requests remain.
-            advance_to(time_s)
-            if kind == "fault":
-                # One-shot fault transition: install, never re-push.
-                state = fault_states[payload[1]]
-                for strategy in strategies:
-                    strategy.set_fault_state(state)
-                for strategy in strategies:
-                    strategy.react_to_fault(time_s)
-            elif kind == "collab":
-                period = payload[1]
-                deployment.coordinator.reconfigure_all(time_s)
-                _install_neighbor_catalogs(deployment, neighbor_profiles)
-                push(time_s + period, _PRIO_TIMER, ("collab", period))
-            else:
-                region_index, period = payload[1], payload[2]
-                strategies[region_index].tick(time_s)
-                push(time_s + period, _PRIO_TIMER, ("reconfig", region_index, period))
-
-    end = max(clock.now(), last_completion)
-    advance_to(end)
-    duration = end - start
-
-    regions: dict[str, RegionRunResult] = {}
-    for region_index, spec in enumerate(config.regions):
-        regions[spec.region] = RegionRunResult(
-            region=spec.region,
-            strategy=spec.strategy,
-            clients=spec.clients,
-            stats=region_stats[region_index],
-            duration_s=duration,
-            cache_snapshot=strategies[region_index].cache_snapshot(),
-            results=region_kept[region_index],
-        )
+    if coordinator is not None:
+        coordinator.broadcast()     # the final configurations, as the engine reports
+    results = [region.result() for region in regions]
+    deployment.store.topology.latency.stream = regions[0].stream
+    clock._now_s = max(region.now for region in regions)
     return EngineResult(
         workload_name=config.workload.name,
-        duration_s=duration,
-        regions=regions,
+        duration_s=max(result.duration_s for result in results),
+        regions={result.region: result for result in results},
     )

@@ -9,19 +9,22 @@ piggybacked reconfiguration, warm repeated runs — and asserts the outcomes are
 identical to the bit: latencies, hit counters, durations, per-read results and
 cache snapshots.
 
-It also pins down the determinism contract of the process-parallel sharded
-path: the forked execution is bit-identical to the in-process fallback and to
-itself across repetitions (each region shard draws jitter from its own
-region-derived stream, so sharded results are reproducible but intentionally
-not comparable to the shared-stream in-process interleaving).
+It also pins down the determinism contract of the shard protocol: every
+region draws jitter from its own stream, so ``execute`` on a fresh
+deployment, ``execute_sharded(processes=False)`` and the forked workers are
+bit-identical, on fixed shapes and on generated ones, and each is identical
+to itself across repetitions.
 """
 
+import importlib.util
 import multiprocessing
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.client.resilience import ResilienceConfig
 from repro.client.strategies import ClientConfig
@@ -37,6 +40,13 @@ from repro.workload.workload import poisson_arrivals, zipfian_workload
 from reference.heap_scheduler import execute_heap
 
 MEGABYTE = 1024 * 1024
+
+FORK = "fork" in multiprocessing.get_all_start_methods()
+
+_spec = importlib.util.spec_from_file_location(
+    "freeze_engine", Path(__file__).resolve().parents[1] / "golden" / "freeze_engine.py")
+freeze_engine = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(freeze_engine)
 
 #: A deliberately aggressive resilience setting: the tight timeout factor
 #: (the topology's σ is 0.06, so ~20% of chunk fetches overshoot 1.05× the
@@ -743,6 +753,109 @@ class TestCollaborativeSharding:
         first = engine.execute_sharded(deployment, 5, processes=False)
         second = engine.execute_sharded(deployment, 5, processes=False)
         assert first.total_requests == second.total_requests == 2 * 2 * 60
+
+
+_REGIONS = ("frankfurt", "sydney", "dublin", "tokyo")
+_STRATEGIES = ("agar", "lru-5", "lfu-5", "backend")
+
+
+@st.composite
+def engine_configs(draw) -> EngineConfig:
+    """Deployments of one to three regions: mixed strategies, closed or
+    Poisson open loop, an optional outage with or without retries and
+    hedges, and §VI collaboration when every region runs ``agar``."""
+    names = draw(st.lists(st.sampled_from(_REGIONS), min_size=1, max_size=3,
+                          unique=True))
+    collaborative = draw(st.booleans())
+    strategies = st.just("agar") if collaborative else st.sampled_from(_STRATEGIES)
+    regions = tuple(RegionSpec(name, clients=draw(st.integers(1, 4)),
+                               strategy=draw(strategies))
+                    for name in names)
+    overrides = {}
+    if draw(st.booleans()):
+        overrides["arrival"] = poisson_arrivals(draw(st.sampled_from((2.0, 5.0))))
+    if draw(st.booleans()):
+        begin = draw(st.sampled_from((0.0, 4.0, 9.5)))
+        overrides["faults"] = FaultSchedule([RegionOutage("sao_paulo", begin, begin + 12.0)])
+        if draw(st.booleans()):
+            overrides["client"] = ClientConfig(resilience=AGGRESSIVE_RESILIENCE)
+    if collaborative:
+        overrides["collaboration"] = True
+        overrides["collaboration_period_s"] = draw(st.sampled_from((5.0, 10.0)))
+    return EngineConfig(workload=workload(requests=draw(st.integers(10, 40))),
+                        regions=regions, cache_capacity_bytes=3 * MEGABYTE,
+                        **overrides)
+
+
+class TestOneProtocol:
+    """``execute`` is the in-process transport of the shard protocol: on a
+    fresh deployment it equals ``execute_sharded(processes=False)``, the
+    forked workers (where fork exists) and the segmented heap reference,
+    by the golden file's fingerprint of everything a run reports."""
+
+    @staticmethod
+    def fingerprints(config: EngineConfig, seed: int) -> list[str]:
+        paths = [EventEngine.execute, execute_heap,
+                 lambda engine, deployment, seed: engine.execute_sharded(
+                     deployment, seed, processes=False)]
+        if FORK and len(config.regions) > 1:
+            paths.append(lambda engine, deployment, seed: engine.execute_sharded(
+                deployment, seed, processes=True))
+        prints = []
+        for execute in paths:
+            engine = EventEngine(config, keep_results=True)
+            engine.topology.latency.reseed(config.topology_seed + seed)
+            deployment = engine.build_deployment()
+            prints.append(freeze_engine.reads_digest(
+                execute(engine, deployment, seed), deployment))
+        return prints
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(config=engine_configs(), seed=st.integers(0, 2**16))
+    def test_entry_points_agree(self, config, seed):
+        prints = self.fingerprints(config, seed)
+        assert prints == [prints[0]] * len(prints)
+
+    def test_a_fault_just_before_a_boundary_precedes_the_round(self):
+        """A transition after a region's last arrival before a boundary fires
+        at the pause, before the round, as it does in the heap reference:
+        with emergency reconfiguration the order moves the configuration."""
+        config = EngineConfig(
+            workload=workload(requests=60),
+            regions=(RegionSpec("frankfurt"), RegionSpec("dublin")),
+            cache_capacity_bytes=3 * MEGABYTE,
+            collaboration=True, collaboration_period_s=10.0,
+            client=ClientConfig(resilience=ResilienceConfig(
+                retry_budget=1, timeout_factor=1.1,
+                emergency_reconfiguration=True)),
+            faults=FaultSchedule([RegionOutage("sao_paulo", 9.99, 19.99)]))
+        outcomes = []
+        for execute in (EventEngine.execute, execute_heap):
+            engine = EventEngine(config, keep_results=True)
+            engine.topology.latency.reseed(config.topology_seed + 3)
+            deployment = engine.build_deployment()
+            outcomes.append(execute(engine, deployment, 3))
+        assert_results_identical(*outcomes)
+
+    def test_region_0_keeps_the_deployment_stream(self):
+        """Region 0 draws from the deployment's stream as it stands, and no
+        other region draws from it: frankfurt reads the same with or without
+        a region beside it, and leaves the stream at the same place."""
+        def frankfurt(regions):
+            config = EngineConfig(workload=workload(requests=40), regions=regions,
+                                  cache_capacity_bytes=3 * MEGABYTE)
+            engine = EventEngine(config, keep_results=True)
+            deployment = engine.build_deployment()
+            engine.topology.latency.reseed(99)
+            result = engine.execute(deployment, 3)
+            return (result.regions["frankfurt"].results,
+                    engine.topology.latency.next_standard_normal())
+
+        alone = frankfurt((RegionSpec("frankfurt", clients=3),))
+        paired = frankfurt((RegionSpec("frankfurt", clients=3),
+                            RegionSpec("sydney", clients=2)))
+        assert alone == paired
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),

@@ -176,11 +176,18 @@ class TestRunMany:
                     result.regions[region].stats.latencies_array(),
                     expected.regions[region].stats.latencies_array())
 
-    def test_sharded_differs_from_in_process(self):
-        """Shards draw jitter from their own streams, so the flag is not a no-op."""
+    def test_sharded_repeats_the_cold_run(self):
+        """Both paths run every region on its own stream, so the first run
+        agrees; sharded runs leave the deployment cold, so the second does not."""
         config = two_region_config()
-        assert run_many(config, runs=1, sharded=True).regions["frankfurt"].mean_latency_ms != \
-            run_many(config, runs=1).regions["frankfurt"].mean_latency_ms
+        sharded = run_many(config, runs=2, sharded=True).results
+        in_process = run_many(config, runs=2).results
+        for region in ("frankfurt", "sydney"):
+            assert np.array_equal(
+                sharded[0].regions[region].stats.latencies_array(),
+                in_process[0].regions[region].stats.latencies_array())
+        assert sharded[1].regions["frankfurt"].mean_latency_ms != \
+            in_process[1].regions["frankfurt"].mean_latency_ms
 
     @pytest.mark.parametrize("sharded", [False, True])
     def test_keep_results_retains_reads_on_every_run(self, sharded):
