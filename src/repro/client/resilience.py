@@ -5,8 +5,9 @@ This module hosts the *policy* pieces of the recovery-aware resilience tier:
 * :class:`ResilienceConfig` — the frozen knob block nested under
   :class:`~repro.client.strategies.ClientConfig`.  When ``active`` the read
   strategies route every read through the resilient composition path (and the
-  engine's batched wave dispatch steps aside, because per-read draw
-  counts are no longer fixed).
+  engine composes a wave of such reads over one peeked block of the jitter
+  stream instead of the fixed-draw batch, because per-read draw counts are
+  no longer fixed).
 * :class:`BackoffPolicy` — deterministic exponential backoff with seeded
   jitter.  The jitter is a *stateless* splitmix64 hash of
   ``(seed, read serial, attempt)`` so it never consumes the latency model's
@@ -25,6 +26,7 @@ execution paths bit-identical when resilience is on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -95,12 +97,15 @@ class ResilienceConfig:
     def __post_init__(self) -> None:
         if self.retry_budget < 0:
             raise ValueError("retry_budget must be non-negative")
-        if self.timeout_factor <= 1.0:
-            raise ValueError("timeout_factor must exceed 1.0")
-        if self.backoff_base_ms < 0.0:
-            raise ValueError("backoff_base_ms must be non-negative")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be at least 1.0")
+        # Written so that NaN fails each test: a NaN timeout retries every
+        # chunk, an infinite backoff never lets a retried read complete.
+        if not (math.isfinite(self.timeout_factor) and self.timeout_factor > 1.0):
+            raise ValueError("timeout_factor must be finite and exceed 1.0")
+        if not (math.isfinite(self.backoff_base_ms) and self.backoff_base_ms >= 0.0):
+            raise ValueError("backoff_base_ms must be finite and non-negative")
+        if not (math.isfinite(self.backoff_multiplier)
+                and self.backoff_multiplier >= 1.0):
+            raise ValueError("backoff_multiplier must be finite and at least 1.0")
         if not 0.0 <= self.backoff_jitter <= 1.0:
             raise ValueError("backoff_jitter must be in [0, 1]")
         if not 0.0 < self.hedge_quantile < 1.0:
@@ -132,10 +137,10 @@ class BackoffPolicy:
 
     def __init__(self, base_ms: float = 5.0, multiplier: float = 2.0,
                  jitter: float = 0.5, seed: int = 0) -> None:
-        if base_ms < 0.0:
-            raise ValueError("base_ms must be non-negative")
-        if multiplier < 1.0:
-            raise ValueError("multiplier must be at least 1.0")
+        if not (math.isfinite(base_ms) and base_ms >= 0.0):
+            raise ValueError("base_ms must be finite and non-negative")
+        if not (math.isfinite(multiplier) and multiplier >= 1.0):
+            raise ValueError("multiplier must be finite and at least 1.0")
         if not 0.0 <= jitter <= 1.0:
             raise ValueError("jitter must be in [0, 1]")
         self.base_ms = float(base_ms)

@@ -250,16 +250,26 @@ class LatencyStats:
         self._buffer = buffer
         return buffer
 
-    def record_block(self, latencies_ms, cache_chunks, chunks_per_read: int) -> None:
-        """Batched twin of :meth:`record_read` for a block of plain reads.
+    def record_block(self, latencies_ms, cache_chunks, chunks_per_read: int,
+                     degraded: int = 0, retries: int = 0, hedged: int = 0,
+                     hedge_wins: int = 0, unavailable: int = 0) -> None:
+        """Batched twin of :meth:`record_read` for a block of reads.
 
         Equivalent to one ``record_read`` call per entry, in order, for reads
         that each took ``chunks_per_read`` chunks, ``cache_chunks[i]`` of them
         from the local cache and the rest from the backend (``None``: every
-        read a backend miss) — no neighbour chunk, no fault, no resilience.
-        The engine's batched wave dispatch lands whole blocks of such reads,
-        so the buffer append and every counter bump collapse into one call.
+        read a backend miss), none from a neighbour — plus ``unavailable``
+        failed reads, which have no entry.  ``degraded``, ``retries``,
+        ``hedged`` and ``hedge_wins`` are the block's totals of the
+        corresponding :meth:`record_read` arguments.  The engine's wave
+        dispatch lands whole blocks of reads, so the buffer append and every
+        counter bump collapse into one call.
         """
+        self.degraded_reads += degraded
+        self.retries_total += retries
+        self.hedged_reads += hedged
+        self.hedge_wins += hedge_wins
+        self.unavailable_reads += unavailable
         block = np.asarray(latencies_ms, dtype=np.float64)
         size = block.shape[0]
         if size == 0:

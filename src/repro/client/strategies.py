@@ -338,17 +338,21 @@ class ReadStrategy(ABC):
 
     name: str = "base"
 
-    #: Engine wave dispatch: True on strategies whose unfaulted,
-    #: non-resilient reads take a fixed draw count (one per chunk on a fully
-    #: jittered topology), letting the engine sample a whole wave's jitter in
-    #: one call and compose the reads through :meth:`compose_indexed_wave`.
-    #: The engine batches only when every selected region's strategy opts
-    #: in, the topology is fully jittered, no region collaborates or runs
-    #: resilient reads, and no fault is active.
+    #: Engine wave dispatch: True on strategies whose reads the engine may
+    #: compose a wave at a time, skipping :meth:`read_indexed` — plain reads
+    #: through :meth:`compose_indexed_wave` (a fixed draw count, one per
+    #: chunk, sampled for the whole wave in one call; no fault active),
+    #: resilient ones through :meth:`compose_resilient_wave` (one peeked
+    #: block, faulted or not).  Only on a fully jittered topology, for a
+    #: region that does not collaborate.
     supports_indexed_batch: bool = False
 
     #: False on strategies without a cache: their plans carry no chunk ids.
     _probes_cache: bool = True
+
+    #: Charged to every read on top of the client overhead (Agar: the node's
+    #: hint processing).
+    _hint_overhead_ms: float = 0.0
 
     def __init__(self, store: ErasureCodedStore, client_region: str,
                  config: ClientConfig | None = None) -> None:
@@ -422,9 +426,10 @@ class ReadStrategy(ABC):
     def resilience_active(self) -> bool:
         """True when reads compose with timeouts, retries and hedges.
 
-        The engine's batched wave dispatch checks this: resilient
-        reads no longer consume a fixed number of jitter draws, so waves must
-        dispatch per event.
+        The engine's wave dispatch checks this: resilient reads take a
+        variable number of jitter draws, so their waves go through
+        :meth:`compose_resilient_wave` instead of the fixed-draw
+        :meth:`compose_indexed_wave`.
         """
         return self._resilience is not None
 
@@ -461,8 +466,8 @@ class ReadStrategy(ABC):
         read; the last empty unless §VI collaboration served a chunk).  The
         serving tier (:mod:`repro.serve`) uses this to serve real bytes for
         precisely the chunks the decision named and to build its per-request
-        ledger.  The engine's batched wave composer
-        (:meth:`compose_indexed_wave`) is not a read entry point and fires
+        ledger.  The engine's wave composers (:meth:`compose_indexed_wave`,
+        :meth:`compose_resilient_wave`) are not read entry points and fire
         nothing.  Pass ``None`` to uninstall.
         """
         self._decision_sink = sink
@@ -624,9 +629,90 @@ class ReadStrategy(ABC):
 
         Only valid while no fault is active (the engine checks per wave;
         fault transitions land on block boundaries, so the flag is constant
-        across a wave).
+        across a wave) and reads are not resilient
+        (:meth:`compose_resilient_wave` composes those).
         """
         raise NotImplementedError
+
+    def compose_resilient_wave(self, ranks: Sequence[int], times: Sequence[float],
+                               clock, kept: list[ReadResult] | None):
+        """One engine wave's resilient reads of this region, in event order.
+
+        Strategies with :attr:`supports_indexed_batch` and active resilience,
+        without a neighbour catalog.  Each read is :meth:`_read_plan`'s:
+        :meth:`_locate`, the selection against the down regions, the
+        unavailable read at overhead latency, :meth:`_compose_resilient` and
+        the write-back, at its own simulated time (written to ``clock``).
+        The wave peeks the jitter stream once — a read takes at most
+        ``k + retry_budget + 1`` draws — and its reads walk that block with
+        one cursor, consumed in one advance at the end; fault transitions
+        land on block boundaries, so the fault state is constant across it.
+
+        Returns ``(latencies, recorded, cached, tallies)``: every read's
+        latency in event order; the latencies and local-cache chunk counts
+        of the reads that were not unavailable; and the wave's
+        ``(degraded, retries, hedged, hedge wins, unavailable)`` counts, in
+        :meth:`LatencyStats.record_block`'s order.  With ``kept`` a list,
+        the :class:`ReadResult` of every read is appended to it.
+        """
+        plans = self._indexed_plans
+        locate = self._locate
+        compose = self._compose_resilient
+        down = self._down_backends
+        cache_down = self._cache_down
+        base_ms = self._overhead_ms + self._hint_overhead_ms
+        include_decode = self._include_decode
+        latency = self._latency
+        block, start = latency.peek_standard_normals(len(ranks) * (
+            self._store.params.data_chunks + self._resilience.retry_budget + 1))
+        cursor = start
+        latencies: list[float] = []
+        cached: list[int] = []
+        unavailable_at: list[int] = []
+        degraded = retries = hedged = hedge_wins = 0
+        for rank, now in zip(ranks, times):
+            clock._now_s = now
+            plan = plans[rank] or self._indexed_plan(rank)
+            located = locate(plan, now)
+            hit_positions = located.hit_positions
+            selection = plan.select(hit_positions, (), down) if down else located.selection
+            cache_hits = len(hit_positions)
+            if selection.failed:
+                unavailable_at.append(len(latencies))
+                latencies.append(base_ms)
+                if kept is not None:
+                    kept.append(ReadResult(plan.key, base_ms, HitType.MISS, cache_hits,
+                                           0, (), now, 0, False, True))
+                continue
+            cursor, slowest, read_retries, read_hedged, won = compose(
+                plan, cache_hits, selection, 0, block, cursor)
+            total = base_ms + slowest
+            if include_decode:
+                total += plan.decode_ms
+            read_degraded = cache_down or selection.replanned
+            degraded += read_degraded
+            retries += read_retries
+            hedged += read_hedged
+            hedge_wins += won
+            if located.missing_positions:
+                self._write_back(plan, selection.positions, located.missing_positions)
+            latencies.append(total)
+            cached.append(cache_hits)
+            if kept is not None:
+                kept.append(ReadResult(
+                    plan.key, total,
+                    (HitType.MISS if not cache_hits else
+                     HitType.PARTIAL if selection.count else HitType.FULL),
+                    cache_hits, selection.count, selection.regions, now, 0,
+                    read_degraded, False, read_retries, read_hedged, won))
+        latency.advance_standard_normals(cursor - start)
+        recorded = latencies
+        if unavailable_at:
+            skipped = set(unavailable_at)
+            recorded = [total for index, total in enumerate(latencies)
+                        if index not in skipped]
+        return (latencies, recorded, cached,
+                (degraded, retries, hedged, hedge_wins, len(unavailable_at)))
 
     def _plan_for(self, key: str) -> _ReadPlan:
         """The read plan of ``key``, built and interned on first use."""
@@ -725,8 +811,13 @@ class ReadStrategy(ABC):
         retries = 0
         hedged = hedge_won = False
         if self._resilience is not None:
-            slowest, retries, hedged, hedge_won = self._compose_resilient(
-                plan, cache_hits, selection, neighbor_count)
+            latency = self._latency
+            block, start = latency.peek_standard_normals(
+                cache_hits + backend_count + neighbor_count
+                + self._resilience.retry_budget + 1)
+            cursor, slowest, retries, hedged, hedge_won = self._compose_resilient(
+                plan, cache_hits, selection, neighbor_count, block, start)
+            latency.advance_standard_normals(cursor - start)
         else:
             exp = math.exp
             slowest = 0.0
@@ -794,11 +885,17 @@ class ReadStrategy(ABC):
         return result
 
     def _compose_resilient(self, plan: _ReadPlan, cache_hits: int,
-                           selection: _Selection, neighbor_count: int
-                           ) -> tuple[float, int, bool, bool]:
-        """Sampling with timeouts, retries and hedging, for :meth:`_compose`.
+                           selection: _Selection, neighbor_count: int,
+                           block: list[float], cursor: int
+                           ) -> tuple[int, float, int, bool, bool]:
+        """Sample one read with timeouts, retries and hedging.
 
-        Returns ``(slowest chunk ms, retries, hedged, hedge_won)``.  Per-chunk
+        The one resilient step, for :meth:`_compose` (one read) and
+        :meth:`compose_resilient_wave` (a wave of them).  ``block[cursor:]``
+        are the next draws of the jitter stream, peeked by the caller, who
+        consumes what the read took once it is composed — how many that is
+        is only known then.  Returns ``(advanced cursor, slowest chunk ms,
+        retries, hedged, hedge_won)``.  Per-chunk
         totals are inherent to timeouts, so the grouped arithmetic of the
         plain composition does not apply.  The base per-chunk samples are
         drawn in exactly the same shared-stream order (cache chunks, then
@@ -821,11 +918,10 @@ class ReadStrategy(ABC):
           the decision, one run of samples per region, so a read never races
           its own observation.
 
-        How many draws a read takes is only known once it is composed, so
-        they are read through a cursor over the peeked jitter block and
-        consumed in one advance at the end.  Only two totals can decide the
-        read: the backend straggler (the one chunk a hedge may replace) and
-        the slowest of everything else.
+        A read takes at most one draw per chunk, one per retry and one for
+        the hedge.  Only two totals can decide the read: the backend
+        straggler (the one chunk a hedge may replace) and the slowest of
+        everything else.
 
         Serial numbers, tracker state and retry budgets are all per-strategy,
         and per-strategy event order is identical across the three execution
@@ -840,11 +936,6 @@ class ReadStrategy(ABC):
         budget = resilience.retry_budget
         timeout_factor = resilience.timeout_factor
         retries = 0
-        latency = self._latency
-        # Every chunk draws once, every retry once more, the hedge once.
-        block, start = latency.peek_standard_normals(
-            cache_hits + selection.count + neighbor_count + budget + 1)
-        cursor = start
 
         # The slowest chunk that is not the backend straggler.  The cache is
         # never retried and exp is monotonic: its slowest hit is the one with
@@ -854,7 +945,8 @@ class ReadStrategy(ABC):
             jitter = plan.cache_jitter
             if jitter > 0.0:
                 cursor += cache_hits
-                others = plan.cache_expected_ms * exp(jitter * max(block[start:cursor]))
+                others = plan.cache_expected_ms * exp(
+                    jitter * max(block[cursor - cache_hits:cursor]))
             else:
                 others = plan.cache_expected_ms
 
@@ -938,8 +1030,7 @@ class ReadStrategy(ABC):
                     trackers[region] = tracker = EwmaQuantileTracker.from_config(resilience)
                 tracker.observe_at(samples, offsets)
 
-        latency.advance_standard_normals(cursor - start)
-        return slowest, retries, hedged, hedge_won
+        return cursor, slowest, retries, hedged, hedge_won
 
 
 class BackendReadStrategy(ReadStrategy):
@@ -952,6 +1043,14 @@ class BackendReadStrategy(ReadStrategy):
     def _read_plan(self, plan: _ReadPlan, now: float) -> ReadResult:
         selection = plan.select((), (), self._down_backends)
         return self._compose(plan, now, (), selection, degraded=selection.replanned)
+
+    def _locate(self, plan: _ReadPlan, now: float) -> _CacheLookup:
+        """What :meth:`compose_resilient_wave` asks of a read's cache: no hit,
+        nothing to write back, the failure-free selection."""
+        located = plan.located
+        if located is None:
+            plan.located = located = _CacheLookup(None, -1, (), (), (), 0, plan.select(()))
+        return located
 
     def compose_indexed_wave(self, ranks, times, draws, clock, kept):
         """:meth:`ReadStrategy.compose_indexed_wave`: :meth:`_compose` per read.

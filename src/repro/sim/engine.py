@@ -53,10 +53,13 @@ held in a NumPy array — the next event is an ``argmin`` over that array
 instead of a heap pop over ``(time, priority, seq, payload)`` tuples.  Client
 state is struct-of-arrays (per-lane rank streams from
 :func:`generate_request_ranks`, positions, the region's bound read/record
-callables) and reads enter the strategy by key index
-(:meth:`~repro.client.strategies.ReadStrategy.read_indexed` — the same read
-as ``read``, faulted and resilient shapes included, resolved without the key
-string), so the inner loop allocates no tuples and hashes no key strings.
+callables) and reads enter the strategy by key index: one
+:meth:`~repro.client.strategies.ReadStrategy.read_indexed` per event (the
+same read as ``read``, resolved without the key string), or, for the
+closed-loop waves of a non-collaborative Agar or backend region, one wave
+compose — ``compose_indexed_wave`` for plain reads, ``compose_resilient_wave``
+for resilient ones, faulted or not — so the inner loop allocates no tuples
+and hashes no key strings.
 Open-loop lanes pre-draw exponential inter-arrival blocks from their
 per-client generators (block and scalar draws consume the same bit stream).
 Timer events (few per region) live in a small residual heap consulted before
@@ -423,8 +426,9 @@ class _LaneRun:
     Construction runs three phases — :meth:`_build_lanes`,
     :meth:`_schedule_timers`, :meth:`_bind_region` — and :meth:`run_until`
     five, along the engine-event path: :meth:`_fire_timers`, then either
-    :meth:`_extract_wave`, a wave read (:meth:`_read_wave_batched` or
-    :meth:`_read_wave_per_event`) and :meth:`_land`, or :meth:`_drain_block`.
+    :meth:`_extract_wave`, a wave read (:meth:`_read_wave_resilient`,
+    :meth:`_read_wave_batched` or :meth:`_read_wave_per_event`) and
+    :meth:`_land`, or :meth:`_drain_block`.
     Phases are called per wave, per block or per batch of due timers, never
     per event.
     """
@@ -573,18 +577,20 @@ class _LaneRun:
                          else config.client.overhead_ms / 1000.0)
         self._use_waves = self._min_gap > 0.0 and not self.guard_ties
         self._latency_model = deployment.store.topology.latency
-        # Resilient reads (retry budgets, hedging) and §VI neighbour reads
-        # draw a variable number of jitter samples per read, so the fixed
-        # draws-per-read batching below is not set up for them; per-event
-        # wave dispatch stays valid because such a read still costs at least
-        # the client overhead.
-        self._draws_per_read = 0
+        # Resilient reads (retry budgets, hedging) draw a variable number of
+        # jitter samples per read: their waves go, faulted or not, through
+        # one resilient wave compose over one peeked block of the stream.
+        # §VI neighbour reads stay per event, which is valid because such a
+        # read still costs at least the client overhead.
+        self._wave = self._resilient_wave = None
         if (self._use_waves and not self._collaborative
-                and strategy.supports_indexed_batch
-                and not strategy.resilience_active):
-            self._draws_per_read = deployment.store.params.data_chunks
-            self._wave = strategy.compose_indexed_wave
+                and strategy.supports_indexed_batch):
+            self._chunks_per_read = deployment.store.params.data_chunks
             self._record_block = self.stats.record_block
+            if strategy.resilience_active:
+                self._resilient_wave = strategy.compose_resilient_wave
+            else:
+                self._wave = strategy.compose_indexed_wave
 
     def _push_timer(self, at: float, kind: int, slot: int, period: float) -> None:
         heapq.heappush(self.timer_heap, (at, self.timer_seq, kind, slot, period))
@@ -632,7 +638,8 @@ class _LaneRun:
         timer_heap = self.timer_heap
         minimum = self.next_time.min
         use_waves = self._use_waves
-        batched = self._draws_per_read > 0
+        batched = self._wave is not None
+        resilient = self._resilient_wave is not None
         strategy = self._strategy
 
         while self.remaining:
@@ -658,7 +665,9 @@ class _LaneRun:
                 self._drain_block(block_end)
                 continue
             lanes, times, ranks = self._extract_wave(block_start, block_end)
-            if batched and len(lanes) >= _BATCH_MIN_READS and not strategy._faulted:
+            if resilient:
+                self._read_wave_resilient(lanes, times, ranks)
+            elif batched and len(lanes) >= _BATCH_MIN_READS and not strategy._faulted:
                 self._read_wave_batched(lanes, times, ranks)
             else:
                 self._read_wave_per_event(lanes, times, ranks)
@@ -713,7 +722,7 @@ class _LaneRun:
         """Read a wave with one jitter sample, one wave compose and one block
         record, and land it."""
         count = len(lanes)
-        draws_per_read = self._draws_per_read
+        draws_per_read = self._chunks_per_read
         draws = self._latency_model.take_standard_normals_array(
             draws_per_read * count).reshape(count, draws_per_read)
         clock = self._clock
@@ -722,6 +731,15 @@ class _LaneRun:
         self._record_block(latencies, cached, draws_per_read)
         self._land(lanes, times, latencies)
         clock._now_s = times[-1]
+
+    def _read_wave_resilient(self, lanes: list[int], times: list[float],
+                             ranks: list[int]) -> None:
+        """Read a wave of resilient reads with one peeked jitter block, one
+        wave compose and one block record, and land it."""
+        latencies, recorded, cached, tallies = self._resilient_wave(
+            ranks, times, self._clock, self.kept if self._keep else None)
+        self._record_block(recorded, cached, self._chunks_per_read, *tallies)
+        self._land(lanes, times, latencies)
 
     def _read_wave_per_event(self, lanes: list[int], times: list[float],
                              ranks: list[int]) -> None:

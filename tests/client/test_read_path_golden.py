@@ -54,3 +54,32 @@ def test_wire_digest():
 def test_generator_refuses_to_overwrite(capsys):
     assert freeze.main([]) == 2
     assert "--force" in capsys.readouterr().err
+
+
+def test_force_keeps_the_provenance_of_unmoved_entries():
+    """``--force``'s merge: unmoved entries keep their stamps, moved ones are
+    restamped, new ones stamped as added, dropped ones forgotten."""
+    old = {
+        "generated_at_commit": "base",
+        "added_at_commit": {"agar/late": "late", "agar/gone": "late"},
+        "regenerated_at_commit": {"engine/clean": "earlier"},
+        "strategies": {"agar/plain": {"read": "a"}, "agar/late": {"read": "b"},
+                       "agar/moved": {"read": "c"}, "agar/gone": {"read": "d"}},
+        "engine": {"clean": "e", "faulted_hedged": "f"},
+        "wire": {"agar_512": "w"},
+    }
+    new = {
+        "strategies": {"agar/plain": {"read": "a"}, "agar/late": {"read": "b"},
+                       "agar/moved": {"read": "C"}, "agar/new": {"read": "n"}},
+        "engine": {"clean": "e", "faulted_hedged": "F"},
+        "wire": {"agar_512": "w"},
+    }
+    merged = freeze.merge_provenance(old, new, "head")
+    assert merged["generated_at_commit"] == "base"
+    assert merged["added_at_commit"] == {"agar/late": "late", "agar/new": "head"}
+    assert merged["regenerated_at_commit"] == {
+        "engine/clean": "earlier", "agar/moved": "head",
+        "engine/faulted_hedged": "head"}
+    assert {key: merged[key] for key in ("strategies", "engine", "wire")} == new
+    unchanged = freeze.merge_provenance(GOLDEN, GOLDEN, "head")
+    assert unchanged == GOLDEN

@@ -74,6 +74,17 @@ class TestResilienceConfig:
         with pytest.raises(ValueError):
             ResilienceConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["timeout_factor", "backoff_base_ms",
+                                       "backoff_multiplier"])
+    def test_non_finite_values_are_refused(self, field, value):
+        """A NaN timeout would retry every chunk, an infinite base delay
+        never let a retried read complete, a NaN delay drop the chunk out of
+        the slowest-chunk max: each is refused, naming its field."""
+        with pytest.raises(ValueError, match=field):
+            ResilienceConfig(**{field: value})
+
 
 class TestBackoffPolicy:
     def test_exponential_growth_without_jitter(self):
@@ -121,6 +132,13 @@ class TestBackoffPolicy:
             BackoffPolicy(multiplier=0.5)
         with pytest.raises(ValueError):
             BackoffPolicy(jitter=2.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["base_ms", "multiplier"])
+    def test_non_finite_values_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BackoffPolicy(**{field: value})
 
 
 class TestEwmaQuantileTracker:

@@ -100,33 +100,55 @@ class TestLatencyStats:
 class TestRecordBlock:
     """``record_block`` is ``record_read`` per entry, in order."""
 
+    COUNTERS = ("full_hits", "partial_hits", "misses", "cache_chunks_total",
+                "backend_chunks_total", "neighbor_chunks_total", "degraded_reads",
+                "unavailable_reads", "retries_total", "hedged_reads", "hedge_wins")
+
     @staticmethod
-    def per_read(latencies, cache_chunks, chunks_per_read, initial):
+    def per_read(latencies, cache_chunks, chunks_per_read, initial, outcomes=(),
+                 unavailable=0):
         stats = LatencyStats(capacity=1)
         for latency, cached in initial:
             stats.record_read(latency, HitType.PARTIAL, cached, 1)
-        for latency, cached in zip(latencies, cache_chunks or [0] * len(latencies)):
+        outcomes = list(outcomes) or [(False, 0, False, False)] * len(latencies)
+        for latency, cached, (degraded, retries, hedged, won) in zip(
+                latencies, cache_chunks or [0] * len(latencies), outcomes):
             hit = (HitType.MISS if not cached else
                    HitType.FULL if cached == chunks_per_read else HitType.PARTIAL)
-            stats.record_read(latency, hit, cached, chunks_per_read - cached)
+            stats.record_read(latency, hit, cached, chunks_per_read - cached,
+                              degraded=degraded, retries=retries, hedged=hedged,
+                              hedge_won=won)
+        for _ in range(unavailable):
+            stats.record_read(40.0, HitType.MISS, failed=True)
         return stats
 
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(1, 9), data=st.data(),
            initial=st.lists(st.tuples(st.floats(0, 1e3), st.integers(0, 3)), max_size=3),
-           backend_only=st.booleans())
-    def test_equals_record_read_per_entry(self, k, data, initial, backend_only):
+           backend_only=st.booleans(), unavailable=st.integers(0, 3))
+    def test_equals_record_read_per_entry(self, k, data, initial, backend_only,
+                                          unavailable):
         latencies = data.draw(st.lists(st.floats(0, 1e4), max_size=40))
+        size = len(latencies)
         cache_chunks = (None if backend_only else
-                        data.draw(st.lists(st.integers(0, k), min_size=len(latencies),
-                                           max_size=len(latencies))))
-        expected = self.per_read(latencies, cache_chunks, k, initial)
+                        data.draw(st.lists(st.integers(0, k), min_size=size,
+                                           max_size=size)))
+        outcomes = data.draw(st.lists(
+            st.tuples(st.booleans(), st.integers(0, 3), st.booleans(), st.booleans())
+            .map(lambda o: (o[0], o[1], o[2], o[2] and o[3])),
+            min_size=size, max_size=size))
+        expected = self.per_read(latencies, cache_chunks, k, initial, outcomes,
+                                 unavailable)
         block = self.per_read([], None, k, initial)
-        block.record_block(latencies, cache_chunks, k)
+        block.record_block(latencies, cache_chunks, k,
+                           degraded=sum(o[0] for o in outcomes),
+                           retries=sum(o[1] for o in outcomes),
+                           hedged=sum(o[2] for o in outcomes),
+                           hedge_wins=sum(o[3] for o in outcomes),
+                           unavailable=unavailable)
         assert block.latencies_ms == expected.latencies_ms
         assert block.summary() == expected.summary()
-        for counter in ("full_hits", "partial_hits", "misses",
-                        "cache_chunks_total", "backend_chunks_total"):
+        for counter in self.COUNTERS:
             assert getattr(block, counter) == getattr(expected, counter), counter
 
 

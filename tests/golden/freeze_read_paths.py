@@ -16,6 +16,12 @@ the change it is meant to pin* with ``--add-missing``: only the strategy
 cases the file lacks are computed, every existing digest stays as committed,
 and ``added_at_commit`` records where each late case was frozen.
 
+``--force`` recomputes every digest and keeps the provenance of each entry
+whose digests did not move (``generated_at_commit``, ``added_at_commit``);
+an entry whose digests moved is stamped in ``regenerated_at_commit``, so a
+deliberate change to some digests leaves the rest of the file's history as
+it was (see :func:`merge_provenance`).
+
 ``tests/client/test_read_path_golden.py`` recomputes every digest and compares
 it with the committed ``tests/golden/read_paths.json``.
 """
@@ -320,6 +326,38 @@ def _write(golden: dict) -> None:
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
 
 
+def _entries(golden: dict) -> dict[str, object]:
+    """Every entry of a golden by its provenance key: a strategy case by its
+    name, an engine or wire digest as ``section/name``."""
+    entries = dict(golden.get("strategies", {}))
+    for section in ("engine", "wire"):
+        entries.update({f"{section}/{name}": digest
+                        for name, digest in golden.get(section, {}).items()})
+    return entries
+
+
+def merge_provenance(old: dict, new: dict, commit: str) -> dict:
+    """``new``'s digests under ``old``'s provenance, restamped where they moved.
+
+    ``generated_at_commit`` and the ``added_at_commit`` and
+    ``regenerated_at_commit`` stamps of every entry still built are kept;
+    an entry whose digests moved is stamped ``regenerated_at_commit[key] =
+    commit``, an entry ``old`` lacks ``added_at_commit[key] = commit``.
+    """
+    before, after = _entries(old), _entries(new)
+    stamps = {field: {key: stamp for key, stamp in old.get(field, {}).items()
+                      if key in after}
+              for field in ("added_at_commit", "regenerated_at_commit")}
+    for key, digests in after.items():
+        if key not in before:
+            stamps["added_at_commit"][key] = commit
+        elif before[key] != digests:
+            stamps["regenerated_at_commit"][key] = commit
+    merged = dict(new, generated_at_commit=old.get("generated_at_commit", commit))
+    merged.update({field: stamped for field, stamped in stamps.items() if stamped})
+    return merged
+
+
 def add_missing() -> int:
     """Freeze the strategy cases the file lacks; keep every digest it has."""
     golden = json.loads(GOLDEN_PATH.read_text())
@@ -354,9 +392,14 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
     golden = build()
-    golden["generated_at_commit"] = _head_commit()
+    commit = _head_commit()
+    if GOLDEN_PATH.exists():
+        golden = merge_provenance(json.loads(GOLDEN_PATH.read_text()), golden, commit)
+    else:
+        golden["generated_at_commit"] = commit
     _write(golden)
-    print(f"wrote {GOLDEN_PATH} ({len(golden['strategies'])} strategy cases)")
+    print(f"wrote {GOLDEN_PATH} ({len(golden['strategies'])} strategy cases, "
+          f"{len(golden.get('regenerated_at_commit', {}))} restamped)")
     return 0
 
 

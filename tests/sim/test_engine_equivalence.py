@@ -35,7 +35,7 @@ from repro.sim.engine import (
     RegionSpec,
 )
 from repro.sim.faults import AZFailure, BackendBrownout, FaultSchedule, RegionOutage
-from repro.workload.workload import poisson_arrivals, zipfian_workload
+from repro.workload.workload import WorkloadSpec, poisson_arrivals, zipfian_workload
 
 from reference.heap_scheduler import execute_heap
 
@@ -211,6 +211,30 @@ def _shapes() -> dict[str, EngineConfig]:
                 emergency_reconfiguration=True)),
             faults=FaultSchedule([RegionOutage("sao_paulo", 8.0, 25.0)]),
         ),
+        # Resilient Agar waves (compose_resilient_wave): an outage, a
+        # brownout and an AZ failure of the client region under retries and
+        # hedges; and two regions down, so every read whose cache holds none
+        # of their chunks is unavailable.
+        "resilient_wave": EngineConfig(
+            workload=base,
+            regions=(RegionSpec("frankfurt", clients=6),
+                     RegionSpec("dublin", clients=6)),
+            cache_capacity_bytes=5 * MEGABYTE,
+            client=ClientConfig(resilience=AGGRESSIVE_RESILIENCE),
+            faults=FaultSchedule([
+                RegionOutage("sao_paulo", 10.0, 40.0),
+                BackendBrownout("tokyo", 20.0, 60.0, multiplier=4.0),
+                AZFailure("frankfurt", 30.0, 50.0),
+            ]),
+        ),
+        "resilient_unavailable": EngineConfig(
+            workload=base,
+            regions=(RegionSpec("frankfurt", clients=6),),
+            cache_capacity_bytes=5 * MEGABYTE,
+            client=ClientConfig(resilience=AGGRESSIVE_RESILIENCE),
+            faults=FaultSchedule([RegionOutage("sao_paulo", 5.0, 500.0),
+                                  RegionOutage("n_virginia", 5.0, 500.0)]),
+        ),
         "faulted_collaboration_darked": EngineConfig(
             workload=base,
             regions=(RegionSpec("frankfurt", clients=2),
@@ -329,26 +353,38 @@ class TestLaneSchedulerEquivalence:
 
     @pytest.mark.parametrize("keep_results", [True, False], ids=["kept", "unkept"])
     @pytest.mark.parametrize("dispatch", ["per_event_wave", "brownout_wave",
-                                          "batched_wave", "drain_heap"])
+                                          "batched_wave", "drain_heap",
+                                          "resilient_wave", "resilient_unavailable"])
     def test_every_read_is_recorded(self, dispatch, keep_results):
         """Each dispatch records every read it lands: waves read per event
         (six backend clients), the per-event fallback a brownout forces, the
-        batched Agar wave (48 clients a region) and the drain heap of an
-        open-loop shape.  Every client issues the whole workload, so a region
-        records clients × requests reads."""
+        batched Agar wave (48 clients a region), the drain heap of an
+        open-loop shape and the resilient Agar wave, with and without
+        unavailable reads.  Every client issues the whole workload, so a
+        region lands clients × requests reads, each either recorded or
+        counted unavailable, and keeps a result for each."""
         shapes = _shapes()
         config = {
             "per_event_wave": shapes["backend_closed"],
             "brownout_wave": shapes["faulted_brownout_backend_closed"],
             "batched_wave": _agar_wave_shapes()["three_regions_kept"][0],
             "drain_heap": shapes["backend_poisson"],
+            "resilient_wave": shapes["resilient_wave"],
+            "resilient_unavailable": shapes["resilient_unavailable"],
         }[dispatch]
         result = EventEngine(config, keep_results=keep_results).run(seed=3)
         for spec in config.regions:
             region = result.regions[spec.region]
+            stats = region.stats
+            landed = stats.count + stats.unavailable_reads
             assert region.clients == spec.clients
-            assert region.stats.count == spec.clients * config.workload.request_count
-            assert len(region.results) == (region.stats.count if keep_results else 0)
+            assert landed == spec.clients * config.workload.request_count
+            assert len(region.results) == (landed if keep_results else 0)
+            if dispatch == "resilient_wave":
+                assert stats.retries_total and stats.hedged_reads
+                assert stats.degraded_reads
+            if dispatch == "resilient_unavailable":
+                assert stats.unavailable_reads and stats.count
 
     def test_run_uses_lane_scheduler(self):
         """EventEngine.run (the public cold-run entry) equals the reference."""
@@ -544,6 +580,72 @@ class TestResilienceEquivalence:
         first = EventEngine(config).run_sharded(seed=5)
         second = EventEngine(config).run_sharded(seed=5)
         assert_results_identical(first, second)
+
+    def test_resilient_agar_reads_skip_read_indexed(self):
+        """The engine_faulted smoke shape of ``bench/workloads.py`` (two
+        regions of eight resilient Agar clients, 55 reads each, a
+        ``sao_paulo`` outage from 20 s to 50 s): every wave goes through
+        ``compose_resilient_wave``, faulted or not, and no read through
+        ``read_indexed``."""
+        config = EngineConfig(
+            workload=WorkloadSpec(object_count=64, object_size=MEGABYTE,
+                                  request_count=55, seed=7),
+            regions=(RegionSpec("frankfurt", clients=8),
+                     RegionSpec("dublin", clients=8)),
+            cache_capacity_bytes=2 * MEGABYTE, topology_seed=7,
+            faults=FaultSchedule([RegionOutage("sao_paulo", 20.0, 50.0)]),
+            client=ClientConfig(resilience=ResilienceConfig(
+                retry_budget=1, timeout_factor=1.1, hedge=True,
+                hedge_quantile=0.7, hedge_min_samples=8,
+                emergency_reconfiguration=True)))
+        engine = EventEngine(config)
+        engine.topology.latency.reseed(7)
+        deployment = engine.build_deployment()
+        waves = {"faulted": 0, "clear": 0}
+
+        def refused(key_index, now):
+            raise AssertionError("a resilient Agar read went through read_indexed")
+
+        for strategy in deployment.strategies:
+            compose = strategy.compose_resilient_wave
+
+            def counted(*wave, compose=compose, strategy=strategy):
+                waves["faulted" if strategy._faulted else "clear"] += 1
+                return compose(*wave)
+
+            strategy.read_indexed = refused
+            strategy.compose_resilient_wave = counted
+        stats = engine.execute(deployment, 7).overall_stats()
+        assert stats.count + stats.unavailable_reads == 2 * 8 * 55
+        assert waves["faulted"] and waves["clear"]
+        assert stats.retries_total and stats.hedged_reads and stats.degraded_reads
+
+    def test_resilient_collaborative_reads_stay_per_event(self):
+        """A collaborative region's reads may take neighbour chunks, so they
+        stay per event under resilience — and stay equal to the heap
+        reference."""
+        config = self.resilient_config(
+            collaboration=True,
+            regions=(RegionSpec("frankfurt", clients=4),
+                     RegionSpec("dublin", clients=4)))
+        engine = EventEngine(config, keep_results=True)
+        engine.topology.latency.reseed(config.topology_seed + 3)
+        deployment = engine.build_deployment()
+        reads = []
+        for strategy in deployment.strategies:
+            read = strategy.read_indexed
+
+            def counted(key_index, now, read=read):
+                reads.append(key_index)
+                return read(key_index, now)
+
+            strategy.read_indexed = counted
+            strategy.compose_resilient_wave = None
+        fast = [engine.execute(deployment, seed) for seed in (3, 4)]
+        assert len(reads) == 2 * 2 * 4 * config.workload.request_count
+        for fast_run, reference_run in zip(fast, run_both(config)[1]):
+            assert_results_identical(fast_run, reference_run)
+        assert fast[0].overall_stats().hedged_reads > 0
 
     def test_resilient_collaborative_fork_matches_in_process(self):
         """Hedged reads over per-neighbour (provenance-aware) catalogs with a
