@@ -762,6 +762,18 @@ class ReadStrategy(ABC):
         self._indexed_keys = keys
         self._indexed_plans = [None] * len(keys)
 
+    def forget_read_plans(self) -> None:
+        """Drop every interned per-key read plan; the key table and the
+        placement templates stay.
+
+        Plans are memos (a remembered cache lookup included: re-probing has
+        the effects replaying it has), so they come back lazily, equal, on
+        the next reads.  The engine calls this before shipping a strategy
+        between processes, where the plans are most of the bytes.
+        """
+        self._plans = {}
+        self._indexed_plans = [None] * len(self._indexed_plans)
+
     def _indexed_plan(self, key_index: int) -> _ReadPlan:
         """Intern the plan of one key index into the index table."""
         plan = self._plan_for(self._indexed_keys[key_index])

@@ -192,6 +192,15 @@ class CollaborationCoordinator:
         """Regions participating in the collaboration."""
         return [node.local_region for node in self._nodes]
 
+    def replace_node(self, node: AgarNode) -> None:
+        """Swap ``node`` in for the participant serving its region.
+
+        The engine takes a region's strategy back from the worker process
+        that ran it; its node then stands in for the one the coordinator
+        held.
+        """
+        self._nodes[self.regions.index(node.local_region)] = node
+
     def announcements(self) -> list[NeighborAnnouncement]:
         """The latest announcement of every node."""
         return list(self._announcements.values())

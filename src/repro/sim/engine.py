@@ -71,11 +71,15 @@ alone: one :class:`_Shard` per region, driven by one segment/round protocol
 segment run to completion; collaborative (§VI) regions run up to each
 collaboration-period boundary, exchange :class:`NeighborAnnouncement`s,
 apply their share of the coordinator's discount-and-reconfigure round, and
-resume (see ``docs/collaboration.md``).  :meth:`EventEngine.execute` is the
-in-process transport over the caller's own deployment, swapping each
-region's stream and clock in for its calls;
-:meth:`EventEngine.execute_sharded` forks one worker per region (the
-populated :class:`ErasureCodedStore` is shared copy-on-write).  The two are
+resume (see ``docs/collaboration.md``).  A shard answers either in the
+caller's process, swapping its region's stream and clock into the
+deployment for each call, or in a forked worker through a pipe
+(:class:`_PipeShard`; the populated :class:`ErasureCodedStore` is shared
+copy-on-write).  :meth:`EventEngine.execute` keeps region 0 in the caller's
+process and forks the others, one core per region, then takes their
+strategies back into the caller's deployment;
+:meth:`EventEngine.execute_sharded` forks every region and leaves the
+caller's deployment cold.  Every mix of the two transports is
 bit-identical.
 
 The oracle is the heap loop ``execute_heap`` in
@@ -89,8 +93,10 @@ from __future__ import annotations
 
 import copy
 import heapq
+import io
 import math
 import multiprocessing
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -899,6 +905,14 @@ class _LaneRun:
         )
 
 
+def _can_fork() -> bool:
+    """True where regions may run in forked workers: the platform has the
+    fork start method and this process may have children (a daemonic
+    ``multiprocessing`` worker may not)."""
+    return ("fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon)
+
+
 def _neighbor_catalog(pinned: dict[str, frozenset], region: str
                       ) -> dict[str, frozenset]:
     """The chunks every region but ``region`` pins, keyed by that region."""
@@ -917,9 +931,9 @@ class _Shard:
 
     :meth:`call` swaps the region's stream and clock into the deployment for
     the length of one call and takes them back out afterwards, so shards
-    sharing one deployment (:meth:`EventEngine.execute`) run exactly as
-    shards with one deployment copy each (forked workers, where the swap
-    puts back what is already there).
+    sharing one deployment (in the caller's process) run exactly as shards
+    with one deployment copy each (forked workers, where the swap puts back
+    what is already there).
 
     Any strategy shards, so the region's node, its neighbour-link profile and
     its announcements exist only when the deployment has a coordinator;
@@ -987,6 +1001,8 @@ class _Shard:
         return self._run.finish()
 
     # The in-process transport: a call answered on the spot.
+    in_process = True
+
     def send(self, method: str, *arguments) -> None:
         self._reply = self.call(method, *arguments)
 
@@ -994,21 +1010,70 @@ class _Shard:
         return self._reply
 
 
-def _shard_worker(connection, *job) -> None:
+def _shared_objects(deployment: EngineDeployment) -> dict[str, object]:
+    """What a region's strategy shares with the rest of its deployment."""
+    store = deployment.store
+    return {"store": store, "clock": deployment.clock,
+            "topology": store.topology, "latency": store.topology.latency}
+
+
+class _StrategyPickler(pickle.Pickler):
+    """Pickles a strategy with the deployment's shared objects by name."""
+
+    def __init__(self, file, deployment: EngineDeployment) -> None:
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self._names = {id(shared): name
+                       for name, shared in _shared_objects(deployment).items()}
+
+    def persistent_id(self, obj):
+        return self._names.get(id(obj))
+
+
+class _StrategyUnpickler(pickle.Unpickler):
+    """Unpickles a strategy against another process's copy of the deployment."""
+
+    def __init__(self, file, deployment: EngineDeployment) -> None:
+        super().__init__(file)
+        self._shared = _shared_objects(deployment)
+
+    def persistent_load(self, name):
+        return self._shared[name]
+
+
+def _pack_strategy(deployment: EngineDeployment, region_index: int) -> bytes:
+    """Region ``region_index``'s strategy as bytes, without its read plans."""
+    strategy = deployment.strategies[region_index]
+    strategy.forget_read_plans()
+    buffer = io.BytesIO()
+    _StrategyPickler(buffer, deployment).dump(strategy)
+    return buffer.getvalue()
+
+
+def _unpack_strategy(blob: bytes, deployment: EngineDeployment) -> ReadStrategy:
+    """A packed strategy, bound to ``deployment``'s store, clock and topology."""
+    return _StrategyUnpickler(io.BytesIO(blob), deployment).load()
+
+
+def _shard_worker(connection, hand_back: bool, engine: "EventEngine",
+                  deployment: EngineDeployment, seed: int, region_index: int
+                  ) -> None:
     """Body of one forked shard worker: a pipe around a :class:`_Shard`.
 
     Module-level so the fork start method can run it; the engine and the
     deployment are inherited through fork (copy-on-write), only calls and
     return values travel through the pipe.  Serves ``(method, *arguments)``
-    calls until ``finish``; an error is shipped to the parent as the
-    exception object itself.
+    calls until ``finish``; with ``hand_back`` it then sends its region's
+    end time and packed strategy (:func:`_pack_strategy`).  An error is
+    shipped to the parent as the exception object itself.
     """
     try:
-        shard = _Shard(*job)
+        shard = _Shard(engine, deployment, seed, region_index)
         method = None
         while method != "finish":
             method, *arguments = connection.recv()
             connection.send(shard.call(method, *arguments))
+        if hand_back:
+            connection.send((shard._now, _pack_strategy(deployment, region_index)))
     except BaseException as error:  # pragma: no cover - transport for the parent
         try:
             connection.send(error)
@@ -1021,13 +1086,17 @@ def _shard_worker(connection, *job) -> None:
 class _PipeShard:
     """The parent's end of the pipe to one forked :func:`_shard_worker`."""
 
-    def __init__(self, context, engine: "EventEngine", *job) -> None:
+    in_process = False
+
+    def __init__(self, context, engine: "EventEngine", deployment: EngineDeployment,
+                 seed: int, region_index: int, hand_back: bool) -> None:
         self._connection, worker_end = context.Pipe(duplex=True)
-        self._worker = context.Process(target=_shard_worker,
-                                       args=(worker_end, engine, *job))
+        self._worker = context.Process(
+            target=_shard_worker,
+            args=(worker_end, hand_back, engine, deployment, seed, region_index))
         self._worker.start()
         worker_end.close()
-        _deployment, _seed, region_index = job
+        self.region_index = region_index
         self._label = f"region {engine._config.regions[region_index].region!r}"
 
     def send(self, method: str, *arguments) -> None:
@@ -1047,6 +1116,11 @@ class _PipeShard:
         if isinstance(reply, BaseException):
             raise reply
         return reply
+
+    def take_back(self, deployment: EngineDeployment) -> tuple[float, ReadStrategy]:
+        """The worker's region end and its strategy, bound to ``deployment``."""
+        end, blob = self.receive()
+        return end, _unpack_strategy(blob, deployment)
 
     def join(self) -> None:
         """Reap the worker (it leaves its loop after answering ``finish``)."""
@@ -1187,20 +1261,73 @@ class EventEngine:
         persists across calls, which models repeated YCSB runs against a
         long-running system (the paper's warm-cache repetition).
 
-        This is the in-process transport of the shard protocol (see
-        :meth:`_drive`): one :class:`_Shard` per region over the caller's
-        own deployment, each call on its region's jitter stream and clock.
+        One :class:`_Shard` per region runs the shard protocol
+        (:meth:`_drive`).  Region 0 runs in the caller's process on the
+        caller's deployment.  Where the platform has the fork start method,
+        every region ``r >= 1`` runs in a worker forked after region 0's
+        shard is built, so the regions run side by side; on ``finish`` the
+        worker hands back its region's end time and strategy, which replaces
+        ``deployment.strategies[r]`` (and, under §VI, the coordinator's node
+        of that region).  A region whose strategy has a decision sink stays
+        in the caller's process, since the sink must see every read.
         Afterwards the deployment keeps region 0's stream and the latest
-        region end.  Event order, jitter draws and arithmetic replicate the
-        segmented heap loop of ``tests/reference/heap_scheduler.py`` exactly,
-        as asserted by ``tests/sim/test_engine_equivalence.py``, and
+        region end, so a warm second call runs exactly as it would have had
+        every region run in process.  Event order, jitter draws and
+        arithmetic replicate the segmented heap loop of
+        ``tests/reference/heap_scheduler.py`` exactly, as asserted by
+        ``tests/sim/test_engine_equivalence.py``, and
         ``tests/golden/engine.json`` pins it across versions.
+
+        A worker that raises re-raises here, and one that dies without
+        replying raises a ``RuntimeError`` naming it; either way every worker
+        is gone before the error leaves.
         """
-        shards = [_Shard(self, deployment, seed, region_index)
-                  for region_index in range(len(self._config.regions))]
-        result = self._drive(shards, deployment.clock.now(), deployment.coordinator)
-        deployment.store.topology.latency.stream = shards[0]._stream
-        deployment.clock._now_s = max(shard._now for shard in shards)
+        forked = ()
+        if _can_fork():
+            forked = [region_index
+                      for region_index in range(1, len(self._config.regions))
+                      if deployment.strategies[region_index]._decision_sink is None]
+        return self._execute(deployment, seed, forked, hand_back=True)
+
+    def _execute(self, deployment: EngineDeployment, seed: int,
+                 forked, hand_back: bool) -> EngineResult:
+        """Drive one shard per region, the regions in ``forked`` in workers.
+
+        With ``hand_back`` the deployment ends where the run ended: each
+        worker's strategy is taken back into it, and it keeps region 0's
+        stream (region 0 is never forked then) and the latest region end.
+        Without, the workers' copies are dropped and the deployment stays
+        as it was.
+        """
+        context = multiprocessing.get_context("fork") if forked else None
+        shards = []
+        workers: list[_PipeShard] = []
+        try:
+            for region_index in range(len(self._config.regions)):
+                if region_index in forked:
+                    workers.append(_PipeShard(context, self, deployment, seed,
+                                              region_index, hand_back))
+                    shards.append(workers[-1])
+                else:
+                    shards.append(_Shard(self, deployment, seed, region_index))
+            coordinator = deployment.coordinator
+            result = self._drive(shards, deployment.clock.now(), coordinator)
+            if hand_back:
+                ends = [shard._now for shard in shards if shard.in_process]
+                for worker in workers:
+                    end, strategy = worker.take_back(deployment)
+                    ends.append(end)
+                    deployment.strategies[worker.region_index] = strategy
+                    if coordinator is not None:
+                        coordinator.replace_node(strategy.node)
+                deployment.store.topology.latency.stream = shards[0]._stream
+                deployment.clock._now_s = max(ends)
+        except BaseException:
+            for worker in workers:
+                worker.terminate()
+            raise
+        for worker in workers:
+            worker.join()
         return result
 
     def _drive(self, shards, start: float,
@@ -1234,17 +1361,23 @@ class EventEngine:
 
         ``shards`` answer ``send(method, *arguments)`` then ``receive()``:
         a :class:`_Shard` on the spot, a :class:`_PipeShard` through its
-        worker.  Per-region durations are each region's own span and the
-        merged ``duration_s`` is their maximum.
+        worker.  Every ``segment`` and ``finish`` goes to the workers before
+        the shards in the caller's process, which answer on the spot, so the
+        regions run side by side; a ``round`` goes out in region order and
+        waits for its reply, because each region's round needs the new
+        announcements of the regions before it.  Per-region durations are
+        each region's own span and the merged ``duration_s`` is their
+        maximum.
         """
         config = self._config
         period = self._collaboration_period() if coordinator is not None else None
         boundary = start + period if period is not None else None
         announcements: list[NeighborAnnouncement | None] = [None] * len(shards)
         catalogs: list[dict[str, frozenset] | None] = [None] * len(shards)
+        dispatch = sorted(range(len(shards)), key=lambda index: shards[index].in_process)
         while True:
-            for shard, catalog in zip(shards, catalogs):
-                shard.send("segment", boundary, catalog)
+            for region_index in dispatch:
+                shards[region_index].send("segment", boundary, catalogs[region_index])
             total_remaining = 0
             for region_index, shard in enumerate(shards):
                 remaining, announcements[region_index] = shard.receive()
@@ -1263,8 +1396,8 @@ class EventEngine:
             boundary += period
         # Every shard is asked to finish before any reply is collected, so
         # forked workers pickle their results side by side.
-        for shard in shards:
-            shard.send("finish")
+        for region_index in dispatch:
+            shards[region_index].send("finish")
         region_results = [shard.receive() for shard in shards]
         if coordinator is not None:
             coordinator.install_announcements(announcements)
@@ -1288,7 +1421,7 @@ class EventEngine:
     # ------------------------------------------------------------------ #
     def execute_sharded(self, deployment: EngineDeployment, seed: int,
                         processes: bool | None = None) -> EngineResult:
-        """Replay one run with one worker per region (fork copy-on-write).
+        """Replay one run with one worker per region, on copies (cold run).
 
         Regions never share caches — their only shared state is the
         read-only populated store — so each region can run in its own
@@ -1296,12 +1429,12 @@ class EventEngine:
         region's :class:`_Shard` on its inherited copy of the deployment,
         and drives them through the same protocol as :meth:`execute`
         (:meth:`_drive`).  The result is bit-identical to :meth:`execute` on
-        the same (copied) deployment; ``processes=False`` is exactly that,
-        :meth:`execute` over a deep copy.
+        the same deployment; ``processes=False`` runs every shard in this
+        process over a deep copy instead.
 
-        The parent deployment is left untouched (workers mutate copies), so
-        sharded runs never warm the caller's caches; only the final
-        announcements are installed into its coordinator.
+        The parent deployment is left untouched (workers mutate copies and
+        hand nothing back), so sharded runs never warm the caller's caches;
+        only the final announcements are installed into its coordinator.
 
         A worker that raises re-raises here, and one that dies without
         replying raises a ``RuntimeError`` naming it; either way every other
@@ -1317,30 +1450,15 @@ class EventEngine:
         """
         region_count = len(self._config.regions)
         if processes is None:
-            processes = "fork" in multiprocessing.get_all_start_methods()
+            processes = _can_fork()
         if not processes or region_count == 1:
             copied = copy.deepcopy(deployment)
-            result = self.execute(copied, seed)
+            result = self._execute(copied, seed, (), hand_back=True)
             if deployment.coordinator is not None:
                 deployment.coordinator.install_announcements(
                     copied.coordinator.announcements())
             return result
-
-        context = multiprocessing.get_context("fork")
-        shards: list[_PipeShard] = []
-        try:
-            for region_index in range(region_count):
-                shards.append(_PipeShard(context, self, deployment, seed,
-                                         region_index))
-            result = self._drive(shards, deployment.clock.now(),
-                                 deployment.coordinator)
-        except BaseException:
-            for shard in shards:
-                shard.terminate()
-            raise
-        for shard in shards:
-            shard.join()
-        return result
+        return self._execute(deployment, seed, range(region_count), hand_back=False)
 
     def run_sharded(self, seed: int | None = None,
                     processes: bool | None = None) -> EngineResult:

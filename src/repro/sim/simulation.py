@@ -143,7 +143,10 @@ def run_many(config: EngineConfig, runs: int = 5, base_seed: int | None = None,
         topology: optionally reuse a topology.
         sharded: execute through :meth:`EventEngine.execute_sharded` (one
             worker per region, every run on a copy of the cold deployment)
-            instead of :meth:`EventEngine.execute` (every run warming it).
+            instead of :meth:`EventEngine.execute` (every run warming it;
+            regions after the first run in forked workers, whose warm
+            strategies the deployment takes back, so the repetitions read
+            as they would in one process).
         keep_results: retain every individual read of every run.
     """
     if runs <= 0:

@@ -12,6 +12,10 @@ would hash each of its hinted ids.
 
 from __future__ import annotations
 
+from collections import Counter
+
+from repro.cache.chunk_cache import ChunkCache
+from repro.client.strategies import AgarReadStrategy
 from repro.core.agar_node import AgarNodeConfig
 from repro.erasure import ChunkId
 from repro.sim.engine import EngineConfig, EventEngine, RegionSpec
@@ -45,51 +49,65 @@ def _cache_counters(deployment) -> list[tuple]:
             for strategy in deployment.strategies]
 
 
-def _spy(deployment) -> dict:
-    """Count batched waves and cache probes."""
-    seen = {"waves": 0, "probes": 0}
-    for strategy in deployment.strategies:
-        compose, cache = strategy.compose_indexed_wave, strategy.cache
-        probe = cache.probe
+def _spy(monkeypatch) -> None:
+    """From now on, count each Agar strategy's batched waves and the
+    :meth:`ChunkId.__hash__` calls its reads make, and each cache's probes.
 
-        def counted_wave(*wave, compose=compose):
-            seen["waves"] += 1
-            return compose(*wave)
+    The spies sit on the classes and keep their counts on the instances
+    (``strategy.spied``, ``cache.probes``), so the counts travel with a
+    strategy the engine takes back from the worker process that ran it.
+    """
+    hashes = [0]
+    original_hash = ChunkId.__hash__
 
-        def counted_probe(chunk_ids, probe=probe):
-            seen["probes"] += 1
-            return probe(chunk_ids)
+    def counting_hash(chunk_id) -> int:
+        hashes[0] += 1
+        return original_hash(chunk_id)
 
-        strategy.compose_indexed_wave = counted_wave
-        cache.probe = counted_probe
-    return seen
+    def counted(name):
+        read = getattr(AgarReadStrategy, name)
+
+        def spied(strategy, *arguments):
+            before = hashes[0]
+            try:
+                return read(strategy, *arguments)
+            finally:
+                counts = strategy.__dict__.setdefault("spied", Counter())
+                counts[name] += 1
+                counts["hashes"] += hashes[0] - before
+
+        return spied
+
+    probe = ChunkCache.probe
+
+    def counted_probe(cache, chunk_ids):
+        cache.probes = getattr(cache, "probes", 0) + 1
+        return probe(cache, chunk_ids)
+
+    monkeypatch.setattr(ChunkId, "__hash__", counting_hash)
+    for name in ("read_indexed", "compose_indexed_wave"):
+        monkeypatch.setattr(AgarReadStrategy, name, counted(name))
+    monkeypatch.setattr(ChunkCache, "probe", counted_probe)
 
 
-def _count_hashes(monkeypatch) -> list:
-    """From now on, one element per :meth:`ChunkId.__hash__` call."""
-    hashed = []
-    original = ChunkId.__hash__
-
-    def counting(chunk_id) -> int:
-        hashed.append(None)
-        return original(chunk_id)
-
-    monkeypatch.setattr(ChunkId, "__hash__", counting)
-    return hashed
+def _spied(deployment, name: str) -> int:
+    return sum(strategy.__dict__.get("spied", Counter())[name]
+               for strategy in deployment.strategies)
 
 
 def test_a_warm_stretch_hashes_no_chunk_id_per_read(monkeypatch):
     engine, deployment = _warm_deployment()
     data_chunks = deployment.store.params.data_chunks
     before = _cache_counters(deployment)
-    seen = _spy(deployment)
-    hashed = _count_hashes(monkeypatch)
+    _spy(monkeypatch)
     result = engine.execute(deployment, seed=4)
+    probes = sum(getattr(strategy.cache, "probes", 0)
+                 for strategy in deployment.strategies)
 
     # The stretch is what the guard is about: no install, no insertion (no
     # put at all), and most reads in batched waves.
     assert _cache_counters(deployment) == before
-    assert seen["waves"] > 0
+    assert _spied(deployment, "compose_indexed_wave") > 0
     reads = sum(region.stats.count for region in result.regions.values())
     assert reads == 2 * CLIENTS * REQUESTS
     hits = sum(strategy.cache.stats.chunk_hits for strategy in deployment.strategies)
@@ -98,5 +116,5 @@ def test_a_warm_stretch_hashes_no_chunk_id_per_read(monkeypatch):
     # Each key's lookup is rebuilt at most once: one probe of at most k ids,
     # then at most k hits looked up again for their entries.  Nothing else on
     # the read path hashes an id.
-    assert seen["probes"] <= len(deployment.strategies) * OBJECTS
-    assert len(hashed) <= 2 * data_chunks * seen["probes"]
+    assert probes <= len(deployment.strategies) * OBJECTS
+    assert _spied(deployment, "hashes") <= 2 * data_chunks * probes

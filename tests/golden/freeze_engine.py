@@ -200,6 +200,11 @@ def reads_digest(result, deployment) -> str:
     return _digest(_reads_parts(result, deployment))
 
 
+def state_digest(deployment) -> str:
+    """SHA-256 over what a run leaves in the deployment (see the module docstring)."""
+    return _digest(_state_parts(deployment))
+
+
 def _state_parts(deployment):
     for strategy in deployment.strategies:
         yield strategy.client_region
@@ -240,7 +245,7 @@ def run_case(name: str) -> dict:
     for offset in range(RUNS):
         result = engine.execute(deployment, seed + offset)
         runs.append({"reads": reads_digest(result, deployment),
-                     "state": _digest(_state_parts(deployment))})
+                     "state": state_digest(deployment)})
         requests = result.total_requests
     return {"requests": requests, "runs": runs}
 

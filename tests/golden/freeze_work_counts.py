@@ -59,6 +59,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.backend import ErasureCodedStore
@@ -139,32 +140,38 @@ def engine_config(seed: int, faulted: bool = False) -> EngineConfig:
         cache_capacity_bytes=10 * MEBIBYTE, topology_seed=seed, **faults)
 
 
-def watch_reconfigurations(node) -> list[dict]:
-    """Log every reconfiguration ``node`` runs: its trigger and what it installed.
+@contextmanager
+def watching_reconfigurations():
+    """Inside, every node logs each reconfiguration it runs: trigger, install.
 
-    Wraps the node's public ``reconfigure`` and ``emergency_reconfigure`` on
-    the instance; an emergency re-solve runs through ``reconfigure`` too.
+    Wraps ``AgarNode``'s public ``reconfigure`` and ``emergency_reconfigure``
+    on the class (an emergency re-solve runs through ``reconfigure`` too) and
+    appends to the node's own ``reconfiguration_log`` list, so the log
+    travels with the node out of whichever process ran its region.
     """
-    log: list[dict] = []
-    reconfigure, emergency_reconfigure = node.reconfigure, node.emergency_reconfigure
+    reconfigure, emergency_reconfigure = AgarNode.reconfigure, AgarNode.emergency_reconfigure
     trigger = ["periodic"]
 
-    def logged_reconfigure(now):
-        record = reconfigure(now)
-        log.append({"trigger": trigger[0],
-                    **record_entry(record, node.current_configuration)})
+    def logged_reconfigure(node, now):
+        record = reconfigure(node, now)
+        node.__dict__.setdefault("reconfiguration_log", []).append(
+            {"trigger": trigger[0], **record_entry(record, node.current_configuration)})
         return record
 
-    def logged_emergency_reconfigure(now, down_regions):
+    def logged_emergency_reconfigure(node, now, down_regions):
         trigger[0] = "emergency"
         try:
-            return emergency_reconfigure(now, down_regions)
+            return emergency_reconfigure(node, now, down_regions)
         finally:
             trigger[0] = "periodic"
 
-    node.reconfigure = logged_reconfigure
-    node.emergency_reconfigure = logged_emergency_reconfigure
-    return log
+    AgarNode.reconfigure = logged_reconfigure
+    AgarNode.emergency_reconfigure = logged_emergency_reconfigure
+    try:
+        yield
+    finally:
+        AgarNode.reconfigure = reconfigure
+        AgarNode.emergency_reconfigure = emergency_reconfigure
 
 
 def run_engine(seed: int, faulted: bool = False) -> dict:
@@ -174,9 +181,8 @@ def run_engine(seed: int, faulted: bool = False) -> dict:
     latency = engine.topology.latency
     latency.reseed(config.topology_seed + seed)
     deployment = engine.build_deployment()
-    logs = {strategy.client_region: watch_reconfigurations(strategy.node)
-            for strategy in deployment.strategies if faulted}
-    result = engine.execute(deployment, seed)
+    with watching_reconfigurations():
+        result = engine.execute(deployment, seed)
     regions = {}
     for strategy in deployment.strategies:
         stats = result.regions[strategy.client_region].stats
@@ -202,7 +208,7 @@ def run_engine(seed: int, faulted: bool = False) -> dict:
                 "retries": stats.retries_total,
                 "hedged_reads": stats.hedged_reads,
                 "hedge_wins": stats.hedge_wins,
-                "reconfigurations": logs[strategy.client_region],
+                "reconfigurations": getattr(strategy.node, "reconfiguration_log", []),
             })
     return {"regions": regions,
             "duration_s": result.duration_s.hex(),

@@ -16,24 +16,31 @@ bit-identical, on fixed shapes and on generated ones, and each is identical
 to itself across repetitions.
 """
 
+import copy
+import gc
 import importlib.util
 import multiprocessing
 import os
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.backend.object_store import ErasureCodedStore
 from repro.client.resilience import ResilienceConfig
-from repro.client.strategies import ClientConfig
+from repro.client.strategies import AgarReadStrategy, ClientConfig
 from repro.core.agar_node import AgarNodeConfig
 from repro.sim.engine import (
     EngineConfig,
     EventEngine,
     RegionSpec,
 )
+from repro.geo.latency import LatencyModel
+from repro.geo.topology import Topology
+from repro.sim.clock import SimulationClock
 from repro.sim.faults import AZFailure, BackendBrownout, FaultSchedule, RegionOutage
 from repro.workload.workload import WorkloadSpec, poisson_arrivals, zipfian_workload
 
@@ -476,41 +483,42 @@ class TestAgarWaveEquivalence:
             strategy._locate = afresh
 
     @staticmethod
-    def spy_on_waves(deployment):
-        """Count wave composes, those during which a configuration landed and
-        those whose write-backs evicted."""
-        seen = {"waves": 0, "installs": 0, "evicting": 0}
-        for strategy in deployment.strategies:
-            compose = strategy.compose_indexed_wave
-            history = strategy.node.reconfiguration_history
-            stats = strategy.cache.stats
+    def spy_on_waves(monkeypatch):
+        """From now on, count each Agar strategy's wave composes, those
+        during which a configuration landed and those whose write-backs
+        evicted.  The spy sits on the class and counts on the instance
+        (``strategy.wave_counts``), so the counts travel with a strategy the
+        engine takes back from the worker process that ran it."""
+        compose = AgarReadStrategy.compose_indexed_wave
 
-            def counted(*wave, compose=compose, history=history, stats=stats):
-                before, evicted = len(history()), stats.evictions
-                outcome = compose(*wave)
-                seen["waves"] += 1
-                seen["installs"] += len(history()) > before
-                seen["evicting"] += stats.evictions > evicted
-                return outcome
+        def counted(strategy, *wave):
+            before = len(strategy.node.reconfiguration_history())
+            evicted = strategy.cache.stats.evictions
+            outcome = compose(strategy, *wave)
+            seen = strategy.__dict__.setdefault("wave_counts", Counter())
+            seen["waves"] += 1
+            seen["installs"] += len(strategy.node.reconfiguration_history()) > before
+            seen["evicting"] += strategy.cache.stats.evictions > evicted
+            return outcome
 
-            strategy.compose_indexed_wave = counted
-        return seen
+        monkeypatch.setattr(AgarReadStrategy, "compose_indexed_wave", counted)
 
     @pytest.mark.parametrize("shape", sorted(_agar_wave_shapes()))
-    def test_bit_identical(self, shape):
+    def test_bit_identical(self, shape, monkeypatch):
         config, keep = _agar_wave_shapes()[shape]
         outcomes, states = [], []
+        self.spy_on_waves(monkeypatch)
         for execute in SCHEDULERS:
             engine = EventEngine(config, keep_results=keep)
             engine.topology.latency.reseed(config.topology_seed + 3)
             deployment = engine.build_deployment()
-            seen = self.spy_on_waves(deployment)
             if execute is execute_heap:
                 self.forget_lookups(deployment)
             outcomes.append([execute(engine, deployment, seed) for seed in (3, 4)])
             states.append(_agar_state(deployment))
             if execute is EventEngine.execute:
-                waves = seen
+                waves = sum((strategy.__dict__.get("wave_counts", Counter())
+                             for strategy in deployment.strategies), Counter())
         for fast, reference in zip(*outcomes):
             assert_results_identical(fast, reference)
         assert states[0] == states[1]
@@ -581,7 +589,7 @@ class TestResilienceEquivalence:
         second = EventEngine(config).run_sharded(seed=5)
         assert_results_identical(first, second)
 
-    def test_resilient_agar_reads_skip_read_indexed(self):
+    def test_resilient_agar_reads_skip_read_indexed(self, monkeypatch):
         """The engine_faulted smoke shape of ``bench/workloads.py`` (two
         regions of eight resilient Agar clients, 55 reads each, a
         ``sao_paulo`` outage from 20 s to 50 s): every wave goes through
@@ -601,26 +609,25 @@ class TestResilienceEquivalence:
         engine = EventEngine(config)
         engine.topology.latency.reseed(7)
         deployment = engine.build_deployment()
-        waves = {"faulted": 0, "clear": 0}
+        compose = AgarReadStrategy.compose_resilient_wave
 
-        def refused(key_index, now):
+        def refused(strategy, key_index, now):
             raise AssertionError("a resilient Agar read went through read_indexed")
 
-        for strategy in deployment.strategies:
-            compose = strategy.compose_resilient_wave
+        def counted(strategy, *wave):
+            waves = strategy.__dict__.setdefault("waves", Counter())
+            waves["faulted" if strategy._faulted else "clear"] += 1
+            return compose(strategy, *wave)
 
-            def counted(*wave, compose=compose, strategy=strategy):
-                waves["faulted" if strategy._faulted else "clear"] += 1
-                return compose(*wave)
-
-            strategy.read_indexed = refused
-            strategy.compose_resilient_wave = counted
+        monkeypatch.setattr(AgarReadStrategy, "read_indexed", refused)
+        monkeypatch.setattr(AgarReadStrategy, "compose_resilient_wave", counted)
         stats = engine.execute(deployment, 7).overall_stats()
         assert stats.count + stats.unavailable_reads == 2 * 8 * 55
-        assert waves["faulted"] and waves["clear"]
+        for strategy in deployment.strategies:
+            assert strategy.waves["faulted"] and strategy.waves["clear"]
         assert stats.retries_total and stats.hedged_reads and stats.degraded_reads
 
-    def test_resilient_collaborative_reads_stay_per_event(self):
+    def test_resilient_collaborative_reads_stay_per_event(self, monkeypatch):
         """A collaborative region's reads may take neighbour chunks, so they
         stay per event under resilience — and stay equal to the heap
         reference."""
@@ -631,18 +638,17 @@ class TestResilienceEquivalence:
         engine = EventEngine(config, keep_results=True)
         engine.topology.latency.reseed(config.topology_seed + 3)
         deployment = engine.build_deployment()
-        reads = []
-        for strategy in deployment.strategies:
-            read = strategy.read_indexed
+        read = AgarReadStrategy.read_indexed
 
-            def counted(key_index, now, read=read):
-                reads.append(key_index)
-                return read(key_index, now)
+        def counted(strategy, key_index, now):
+            strategy.indexed_reads = getattr(strategy, "indexed_reads", 0) + 1
+            return read(strategy, key_index, now)
 
-            strategy.read_indexed = counted
-            strategy.compose_resilient_wave = None
+        monkeypatch.setattr(AgarReadStrategy, "read_indexed", counted)
+        monkeypatch.setattr(AgarReadStrategy, "compose_resilient_wave", None)
         fast = [engine.execute(deployment, seed) for seed in (3, 4)]
-        assert len(reads) == 2 * 2 * 4 * config.workload.request_count
+        assert sum(strategy.indexed_reads for strategy in deployment.strategies) \
+            == 2 * 2 * 4 * config.workload.request_count
         for fast_run, reference_run in zip(fast, run_both(config)[1]):
             assert_results_identical(fast_run, reference_run)
         assert fast[0].overall_stats().hedged_reads > 0
@@ -862,12 +868,12 @@ _STRATEGIES = ("agar", "lru-5", "lfu-5", "backend")
 
 
 @st.composite
-def engine_configs(draw) -> EngineConfig:
-    """Deployments of one to three regions: mixed strategies, closed or
-    Poisson open loop, an optional outage with or without retries and
-    hedges, and §VI collaboration when every region runs ``agar``."""
-    names = draw(st.lists(st.sampled_from(_REGIONS), min_size=1, max_size=3,
-                          unique=True))
+def engine_configs(draw, min_regions: int = 1) -> EngineConfig:
+    """Deployments of ``min_regions`` to three regions: mixed strategies,
+    closed or Poisson open loop, an optional outage with or without retries
+    and hedges, and §VI collaboration when every region runs ``agar``."""
+    names = draw(st.lists(st.sampled_from(_REGIONS), min_size=min_regions,
+                          max_size=3, unique=True))
     collaborative = draw(st.booleans())
     strategies = st.just("agar") if collaborative else st.sampled_from(_STRATEGIES)
     regions = tuple(RegionSpec(name, clients=draw(st.integers(1, 4)),
@@ -960,6 +966,96 @@ class TestOneProtocol:
         assert alone == paired
 
 
+def _shared_reachable(root) -> list:
+    """Every store, clock, topology and latency model ``root`` reaches."""
+    shared_types = (ErasureCodedStore, SimulationClock, Topology, LatencyModel)
+    seen, found, pending = set(), [], [root]
+    while pending:
+        obj = pending.pop()
+        if id(obj) in seen or isinstance(obj, (type, type(os))):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, shared_types):
+            found.append(obj)
+            continue
+        pending.extend(gc.get_referents(obj))
+    return found
+
+
+@pytest.mark.skipif(not FORK, reason="the fork start method is unavailable")
+class TestForkedRegions:
+    """``execute`` runs every region ``r >= 1`` in a forked worker and takes
+    its strategy back: the deployment it leaves is the one an in-process
+    run leaves, so a warm second run reads the same, the taken-back
+    strategies share the caller's store, clock and latency model, and no
+    worker outlives the call."""
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(config=engine_configs(min_regions=2), seed=st.integers(0, 2**16))
+    def test_warm_runs_equal_the_heap_reference(self, config, seed):
+        engine = EventEngine(config, keep_results=True)
+        engine.topology.latency.reseed(config.topology_seed + seed)
+        deployment = engine.build_deployment()
+        reference = copy.deepcopy(deployment)
+        for offset in range(2):
+            forked = engine.execute(deployment, seed + offset)
+            heap = execute_heap(engine, reference, seed + offset)
+            assert (freeze_engine.reads_digest(forked, deployment)
+                    == freeze_engine.reads_digest(heap, reference)), offset
+            assert (freeze_engine.state_digest(deployment)
+                    == freeze_engine.state_digest(reference)), offset
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("collaboration", [False, True],
+                             ids=["independent", "collaborative"])
+    def test_taken_back_strategies_share_the_deployment(self, collaboration):
+        strategies = ("agar",) * 3 if collaboration else ("agar", "lfu-5", "backend")
+        config = EngineConfig(
+            workload=workload(requests=40),
+            regions=tuple(RegionSpec(region, clients=3, strategy=strategy)
+                          for region, strategy in zip(("frankfurt", "sydney", "dublin"),
+                                                      strategies)),
+            cache_capacity_bytes=3 * MEGABYTE, collaboration=collaboration)
+        engine = EventEngine(config)
+        deployment = engine.build_deployment()
+        before = list(deployment.strategies)
+        engine.execute(deployment, 3)
+        shared = {id(deployment.store), id(deployment.clock),
+                  id(deployment.store.topology), id(deployment.store.topology.latency)}
+        assert deployment.strategies[0] is before[0]
+        for region_index, strategy in enumerate(deployment.strategies):
+            if region_index:
+                assert strategy is not before[region_index]
+            assert strategy.store is deployment.store
+            assert strategy._latency is deployment.store.topology.latency
+            if strategy.cache_snapshot() is not None:
+                assert strategy.cache._clock is deployment.clock
+            assert {id(obj) for obj in _shared_reachable(strategy)} <= shared
+        if collaboration:
+            assert deployment.coordinator._nodes == [strategy.node for strategy
+                                                     in deployment.strategies]
+        assert multiprocessing.active_children() == []
+
+    def test_a_decision_sink_keeps_its_region_in_process(self):
+        """The sink must see every read of its region, so that region runs
+        in the caller's process (per-event reads here: an ``lru-5`` region
+        has no wave compose, and wave composes fire no sink)."""
+        config = EngineConfig(
+            workload=workload(requests=40),
+            regions=(RegionSpec("frankfurt", clients=3),
+                     RegionSpec("sydney", clients=4, strategy="lru-5")),
+            cache_capacity_bytes=3 * MEGABYTE)
+        engine = EventEngine(config)
+        deployment = engine.build_deployment()
+        sink_region = deployment.strategies[1]
+        decisions = []
+        sink_region.set_decision_sink(lambda result, *chunks: decisions.append(result))
+        result = engine.execute(deployment, 3)
+        assert deployment.strategies[1] is sink_region
+        assert len(decisions) == result.regions["sydney"].stats.count == 4 * 40
+
+
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="the fork start method is unavailable")
 class TestShardFailures:
@@ -970,8 +1066,9 @@ class TestShardFailures:
     #: than the failure takes to reach the parent, so an orphan is caught.
     STALL_S = 5.0
 
-    def failing_deployment(self, fail, collaboration=False):
-        """Region 0's reads call ``fail``; region 1 outlives the failure."""
+    def failing_deployment(self, fail, collaboration=False, failing_region=0):
+        """Region ``failing_region``'s reads call ``fail``; the other region
+        outlives the failure."""
         config = EngineConfig(
             workload=workload(requests=80),
             regions=(RegionSpec("frankfurt", clients=4),
@@ -982,7 +1079,8 @@ class TestShardFailures:
         engine = EventEngine(config)
         engine.topology.latency.reseed(config.topology_seed + 5)
         deployment = engine.build_deployment()
-        failing, healthy = deployment.strategies
+        failing = deployment.strategies[failing_region]
+        healthy = deployment.strategies[1 - failing_region]
         # A read reaches the strategy per event (read_indexed) or in a
         # batched wave (compose_indexed_wave): inject at both entry points.
         failing.read_indexed = fail
@@ -1020,6 +1118,22 @@ class TestShardFailures:
         with pytest.raises(LookupError, match="no plan for key"):
             engine.execute_sharded(deployment, 5, processes=True)
         assert time.monotonic() - started < self.STALL_S
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("collaboration", [False, True],
+                             ids=["independent", "collaborative"])
+    @pytest.mark.parametrize("failing_region", [0, 1], ids=["caller", "worker"])
+    def test_execute_raises_and_leaves_no_worker(self, collaboration, failing_region):
+        """``execute`` runs region 1 in a worker: its error re-raises in the
+        caller, and an error of region 0, in the caller's process, takes the
+        stalled worker with it."""
+        engine, deployment = self.failing_deployment(
+            self.boom, collaboration=collaboration, failing_region=failing_region)
+        started = time.monotonic()
+        with pytest.raises(LookupError, match="no plan for key"):
+            engine.execute(deployment, 5)
+        if failing_region == 0:
+            assert time.monotonic() - started < self.STALL_S
         assert multiprocessing.active_children() == []
 
     def test_failure_before_the_first_command(self):
