@@ -455,6 +455,8 @@ class _LaneRun:
         self._bind_region(engine, deployment)
         self.remaining = self.lanes
         self.last_completion = self.start
+        #: Where the region's own work ended, once a pause found it done.
+        self.own_end: float | None = None
 
     def _build_lanes(self, seed: int) -> None:
         """One lane per client of the region, with its first event.
@@ -882,17 +884,28 @@ class _LaneRun:
         self.last_completion = last_completion
 
     def pause_at(self, boundary: float) -> None:
-        """Align the clock with a collaboration boundary the caller will run."""
-        if boundary > self._clock.now():
-            self._clock._now_s = boundary
+        """Align the clock with a collaboration boundary the caller will run.
+
+        A region whose clients are all done still takes part in the rounds
+        that follow, but idles through them: its span ends where its own
+        work did, at the first pause after its last read.
+        """
+        clock = self._clock
+        if not self.remaining and self.own_end is None:
+            self.own_end = max(clock.now(), self.last_completion)
+        if boundary > clock.now():
+            clock._now_s = boundary
 
     def finish(self) -> RegionRunResult:
-        """Close the run with a final clock advance; its region's result."""
+        """Close the run with a final clock advance; its region's result,
+        over the region's own span."""
         clock = self._clock
         end = clock.now()
         if self.last_completion > end:
             end = self.last_completion
         clock.advance_to(end)
+        if self.own_end is not None:
+            end = self.own_end
         spec = self._config.regions[self.region_index]
         return RegionRunResult(
             region=spec.region,

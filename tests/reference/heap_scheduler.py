@@ -185,7 +185,10 @@ def execute_heap(engine: EventEngine, deployment: EngineDeployment,
             name = region.spec.region
             region.strategy.set_neighbor_catalog(_neighbor_catalog(pinned, name),
                                                  *profiles[name])
-            region.now = boundary
+            # A region whose clients are all done idles through the rounds
+            # that remain: its span ends where its own work did.
+            if region.outstanding:
+                region.now = boundary
         boundary += period
 
     if coordinator is not None:

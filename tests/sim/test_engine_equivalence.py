@@ -851,6 +851,26 @@ class TestCollaborativeSharding:
         sharded = EventEngine(config).run_sharded(seed=2)
         assert sharded.regions["frankfurt"].stats.count == 2 * 60
 
+    def test_a_region_done_early_idles_through_later_rounds(self):
+        """A region whose clients are done before the last round reports its
+        own span, not the rounds it idles through: here frankfurt's last
+        read completes ≈ 35.0 s in, sao_paulo's ≈ 41.9 s in, with a round
+        every 2 s until then."""
+        config = EngineConfig(
+            workload=workload(requests=60),
+            regions=(RegionSpec("frankfurt", cache_capacity_bytes=30 * MEGABYTE),
+                     RegionSpec("sao_paulo", cache_capacity_bytes=MEGABYTE)),
+            collaboration=True, collaboration_period_s=2.0)
+        for execute in SCHEDULERS:
+            engine = EventEngine(config, keep_results=True)
+            engine.topology.latency.reseed(config.topology_seed + 3)
+            result = execute(engine, engine.build_deployment(), 3)
+            for region in result.regions.values():
+                assert region.duration_s == max(
+                    read.started_at_s + read.latency_ms / 1000.0 for read in region.results)
+            assert (result.regions["frankfurt"].duration_s
+                    < result.regions["sao_paulo"].duration_s - 2.0)
+
     def test_warm_deployment_runs_from_current_clock(self):
         """Boundaries are anchored at the deployment clock's current time, so
         repeated sharded runs against one parent deployment stay aligned."""
