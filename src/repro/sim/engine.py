@@ -97,6 +97,7 @@ import io
 import math
 import multiprocessing
 import pickle
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -920,10 +921,12 @@ class _LaneRun:
 
 def _can_fork() -> bool:
     """True where regions may run in forked workers: the platform has the
-    fork start method and this process may have children (a daemonic
-    ``multiprocessing`` worker may not)."""
+    fork start method, this process may have children (a daemonic
+    ``multiprocessing`` worker may not) and it runs no other thread (a
+    fork copies a lock another thread holds, held, into the child)."""
     return ("fork" in multiprocessing.get_all_start_methods()
-            and not multiprocessing.current_process().daemon)
+            and not multiprocessing.current_process().daemon
+            and threading.active_count() == 1)
 
 
 def _neighbor_catalog(pinned: dict[str, frozenset], region: str
@@ -1030,41 +1033,24 @@ def _shared_objects(deployment: EngineDeployment) -> dict[str, object]:
             "topology": store.topology, "latency": store.topology.latency}
 
 
-class _StrategyPickler(pickle.Pickler):
-    """Pickles a strategy with the deployment's shared objects by name."""
-
-    def __init__(self, file, deployment: EngineDeployment) -> None:
-        super().__init__(file, pickle.HIGHEST_PROTOCOL)
-        self._names = {id(shared): name
-                       for name, shared in _shared_objects(deployment).items()}
-
-    def persistent_id(self, obj):
-        return self._names.get(id(obj))
-
-
-class _StrategyUnpickler(pickle.Unpickler):
-    """Unpickles a strategy against another process's copy of the deployment."""
-
-    def __init__(self, file, deployment: EngineDeployment) -> None:
-        super().__init__(file)
-        self._shared = _shared_objects(deployment)
-
-    def persistent_load(self, name):
-        return self._shared[name]
-
-
 def _pack_strategy(deployment: EngineDeployment, region_index: int) -> bytes:
-    """Region ``region_index``'s strategy as bytes, without its read plans."""
+    """Region ``region_index``'s strategy as bytes, without its read plans;
+    the deployment's shared objects go by name (:func:`_shared_objects`)."""
     strategy = deployment.strategies[region_index]
     strategy.forget_read_plans()
+    names = {id(shared): name for name, shared in _shared_objects(deployment).items()}
     buffer = io.BytesIO()
-    _StrategyPickler(buffer, deployment).dump(strategy)
+    pickler = pickle.Pickler(buffer, pickle.HIGHEST_PROTOCOL)
+    pickler.persistent_id = lambda obj: names.get(id(obj))
+    pickler.dump(strategy)
     return buffer.getvalue()
 
 
 def _unpack_strategy(blob: bytes, deployment: EngineDeployment) -> ReadStrategy:
-    """A packed strategy, bound to ``deployment``'s store, clock and topology."""
-    return _StrategyUnpickler(io.BytesIO(blob), deployment).load()
+    """A packed strategy, bound to ``deployment``'s own shared objects."""
+    unpickler = pickle.Unpickler(io.BytesIO(blob))
+    unpickler.persistent_load = _shared_objects(deployment).__getitem__
+    return unpickler.load()
 
 
 def _shard_worker(connection, hand_back: bool, engine: "EventEngine",
@@ -1276,12 +1262,12 @@ class EventEngine:
 
         One :class:`_Shard` per region runs the shard protocol
         (:meth:`_drive`).  Region 0 runs in the caller's process on the
-        caller's deployment.  Where the platform has the fork start method,
-        every region ``r >= 1`` runs in a worker forked after region 0's
-        shard is built, so the regions run side by side; on ``finish`` the
-        worker hands back its region's end time and strategy, which replaces
-        ``deployment.strategies[r]`` (and, under §VI, the coordinator's node
-        of that region).  A region whose strategy has a decision sink stays
+        caller's deployment.  Where this process may fork
+        (:func:`_can_fork`), every region ``r >= 1`` runs in a worker forked
+        after region 0's shard is built, so the regions run side by side; on
+        ``finish`` the worker hands back its region's end time and strategy,
+        which replaces ``deployment.strategies[r]`` (and, under §VI, the
+        coordinator's node of that region).  A region whose strategy has a decision sink stays
         in the caller's process, since the sink must see every read.
         Afterwards the deployment keeps region 0's stream and the latest
         region end, so a warm second call runs exactly as it would have had

@@ -21,6 +21,7 @@ import gc
 import importlib.util
 import multiprocessing
 import os
+import threading
 import time
 from collections import Counter
 from pathlib import Path
@@ -1056,6 +1057,27 @@ class TestForkedRegions:
             assert deployment.coordinator._nodes == [strategy.node for strategy
                                                      in deployment.strategies]
         assert multiprocessing.active_children() == []
+
+    def test_a_process_with_threads_keeps_every_region(self):
+        """A fork copies the locks other threads hold, so while another
+        thread runs every region stays in the caller's process."""
+        config = EngineConfig(
+            workload=workload(requests=20),
+            regions=(RegionSpec("frankfurt", clients=2), RegionSpec("sydney", clients=2)),
+            cache_capacity_bytes=3 * MEGABYTE)
+        engine = EventEngine(config)
+        deployment = engine.build_deployment()
+        before = list(deployment.strategies)
+        stop = threading.Event()
+        waiter = threading.Thread(target=stop.wait)
+        waiter.start()
+        try:
+            engine.execute(deployment, 3)
+        finally:
+            stop.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert all(now is then for now, then in zip(deployment.strategies, before))
 
     def test_a_decision_sink_keeps_its_region_in_process(self):
         """The sink must see every read of its region, so that region runs
