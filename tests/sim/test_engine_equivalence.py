@@ -13,7 +13,9 @@ It also pins down the determinism contract of the shard protocol: every
 region draws jitter from its own stream, so ``execute`` on a fresh
 deployment, ``execute_sharded(processes=False)`` and the forked workers are
 bit-identical, on fixed shapes and on generated ones, and each is identical
-to itself across repetitions.
+to itself across repetitions.  ``execute`` runs regions ``r >= 1`` in forked
+workers and takes their strategies back, so two warm runs must still equal
+the heap reference run twice in process (``TestForkedRegions``).
 """
 
 import copy
