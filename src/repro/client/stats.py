@@ -15,6 +15,7 @@ beyond the :class:`ReadResult` itself.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -42,7 +43,9 @@ class ReadResult:
     simulated read, and the generated ``__init__`` of a frozen dataclass
     (``object.__setattr__`` per field) measured ~3× slower on that hot path.
     Field layout, keyword construction, equality, hashing and repr behave
-    like the frozen dataclass it replaces.
+    like the frozen dataclass it replaces; all but the constructor are read
+    off ``__slots__``, whose order is the field order (the engine golden
+    hashes the repr).
 
     Attributes:
         key: object read.
@@ -97,39 +100,29 @@ class ReadResult:
         self.hedged = hedged
         self.hedge_won = hedge_won
 
-    def _astuple(self) -> tuple:
-        return (self.key, self.latency_ms, self.hit_type, self.chunks_from_cache,
-                self.chunks_from_backend, self.chunks_from_neighbors,
-                self.backend_regions, self.started_at_s, self.degraded, self.failed,
-                self.retries, self.hedged, self.hedge_won)
+    #: The fields as a tuple, in slot order: what equality, hashing, the
+    #: repr and pickling read.
+    _astuple = property(operator.attrgetter(*__slots__))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ReadResult):
             return NotImplemented
-        return self._astuple() == other._astuple()
+        return self._astuple == other._astuple
 
     def __hash__(self) -> int:
-        return hash(self._astuple())
+        return hash(self._astuple)
 
     def __repr__(self) -> str:
-        return (f"ReadResult(key={self.key!r}, latency_ms={self.latency_ms!r}, "
-                f"hit_type={self.hit_type!r}, chunks_from_cache={self.chunks_from_cache!r}, "
-                f"chunks_from_backend={self.chunks_from_backend!r}, "
-                f"chunks_from_neighbors={self.chunks_from_neighbors!r}, "
-                f"backend_regions={self.backend_regions!r}, "
-                f"started_at_s={self.started_at_s!r}, "
-                f"degraded={self.degraded!r}, failed={self.failed!r}, "
-                f"retries={self.retries!r}, hedged={self.hedged!r}, "
-                f"hedge_won={self.hedge_won!r})")
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._astuple))
+        return f"ReadResult({fields})"
 
     def __getstate__(self) -> tuple:
-        return self._astuple()
+        return self._astuple
 
     def __setstate__(self, state: tuple) -> None:
-        (self.key, self.latency_ms, self.hit_type, self.chunks_from_cache,
-         self.chunks_from_backend, self.chunks_from_neighbors,
-         self.backend_regions, self.started_at_s, self.degraded,
-         self.failed, self.retries, self.hedged, self.hedge_won) = state
+        for name, value in zip(self.__slots__, state):
+            setattr(self, name, value)
 
 
 #: Initial capacity of the latency buffer (doubles as it fills).
@@ -149,26 +142,26 @@ class LatencyStats:
                  "neighbor_chunks_total", "degraded_reads", "unavailable_reads",
                  "retries_total", "hedged_reads", "hedge_wins")
 
+    #: The integer counters: every slot after the buffer and its fill.
+    _COUNTERS = __slots__[2:]
+
     def __init__(self, capacity: int = _INITIAL_BUFFER) -> None:
         self._buffer = np.empty(max(int(capacity), 1), dtype=np.float64)
         self._count = 0
-        self.full_hits = 0
-        self.partial_hits = 0
-        self.misses = 0
-        self.cache_chunks_total = 0
-        self.backend_chunks_total = 0
-        self.neighbor_chunks_total = 0
-        self.degraded_reads = 0
-        self.unavailable_reads = 0
-        self.retries_total = 0
-        self.hedged_reads = 0
-        self.hedge_wins = 0
+        for name in self._COUNTERS:
+            setattr(self, name, 0)
 
     # ------------------------------------------------------------------ #
     # Recording
     # ------------------------------------------------------------------ #
-    def record(self, result: ReadResult) -> None:
-        """Add one read result, as it is.
+    def record(self, result: ReadResult,
+               latency_ms: float | None = None) -> None:
+        """Add one read result, under ``latency_ms`` when given.
+
+        The engine records a result as it is.  The serving tier records a
+        decision under the *measured* wall latency, and the load generator
+        what it parsed off a response's headers (its results carry the wall
+        latency already).
 
         A failed (unavailable) read carries no meaningful latency or hit
         classification — the object was never reconstructed — so it only
@@ -190,8 +183,8 @@ class LatencyStats:
         count = self._count
         buffer = self._buffer
         if count == buffer.shape[0]:
-            buffer = self._grown()
-        buffer[count] = result.latency_ms
+            buffer = self._grown(count + 1)
+        buffer[count] = result.latency_ms if latency_ms is None else latency_ms
         self._count = count + 1
         hit_type = result.hit_type
         if hit_type is HitType.FULL:
@@ -204,64 +197,29 @@ class LatencyStats:
         self.backend_chunks_total += result.chunks_from_backend
         self.neighbor_chunks_total += result.chunks_from_neighbors
 
-    def record_read(self, latency_ms: float, hit_type: HitType,
-                    chunks_from_cache: int = 0, chunks_from_backend: int = 0,
-                    chunks_from_neighbors: int = 0, degraded: bool = False,
-                    failed: bool = False, retries: int = 0,
-                    hedged: bool = False, hedge_won: bool = False) -> None:
-        """Scalar twin of :meth:`record` for callers without a :class:`ReadResult`.
-
-        The serving tier records a decision's outcome under the *measured*
-        wall latency, and the load generator what it parsed off response
-        headers; same aggregates, same treatment of a failed read.
-        """
-        if failed:
-            self.unavailable_reads += 1
-            return
-        if degraded:
-            self.degraded_reads += 1
-        if retries:
-            self.retries_total += retries
-        if hedged:
-            self.hedged_reads += 1
-            if hedge_won:
-                self.hedge_wins += 1
-        count = self._count
-        buffer = self._buffer
-        if count == buffer.shape[0]:
-            buffer = self._grown()
-        buffer[count] = latency_ms
-        self._count = count + 1
-        if hit_type is HitType.FULL:
-            self.full_hits += 1
-        elif hit_type is HitType.PARTIAL:
-            self.partial_hits += 1
-        else:
-            self.misses += 1
-        self.cache_chunks_total += chunks_from_cache
-        self.backend_chunks_total += chunks_from_backend
-        self.neighbor_chunks_total += chunks_from_neighbors
-
-    def _grown(self) -> np.ndarray:
-        """Double the full latency buffer; returns the new one."""
-        count = self._count
-        buffer = np.empty(count * 2, dtype=np.float64)
-        buffer[:count] = self._buffer
+    def _grown(self, needed: int) -> np.ndarray:
+        """The latency buffer, doubled until it holds ``needed`` latencies."""
+        capacity = self._buffer.shape[0]
+        while capacity < needed:
+            capacity *= 2
+        buffer = np.empty(capacity, dtype=np.float64)
+        buffer[:self._count] = self._buffer[:self._count]
         self._buffer = buffer
         return buffer
 
     def record_block(self, latencies_ms, cache_chunks, chunks_per_read: int,
                      degraded: int = 0, retries: int = 0, hedged: int = 0,
                      hedge_wins: int = 0, unavailable: int = 0) -> None:
-        """Batched twin of :meth:`record_read` for a block of reads.
+        """Batched twin of :meth:`record` for a block of reads.
 
-        Equivalent to one ``record_read`` call per entry, in order, for reads
+        Equivalent to one ``record`` call per entry, in order, for reads
         that each took ``chunks_per_read`` chunks, ``cache_chunks[i]`` of them
         from the local cache and the rest from the backend (``None``: every
         read a backend miss), none from a neighbour — plus ``unavailable``
-        failed reads, which have no entry.  ``degraded``, ``retries``,
-        ``hedged`` and ``hedge_wins`` are the block's totals of the
-        corresponding :meth:`record_read` arguments.  The engine's wave
+        failed reads, which have no entry.  ``retries`` is the block's total
+        of its reads' ``retries``; ``degraded``, ``hedged`` and
+        ``hedge_wins`` count its reads with ``degraded``, ``hedged`` and
+        ``hedge_won`` set.  The engine's wave
         dispatch lands whole blocks of reads, so the buffer append and every
         counter bump collapse into one call.
         """
@@ -278,12 +236,7 @@ class LatencyStats:
         buffer = self._buffer
         needed = count + size
         if needed > buffer.shape[0]:
-            capacity = buffer.shape[0]
-            while capacity < needed:
-                capacity *= 2
-            buffer = np.empty(capacity, dtype=np.float64)
-            buffer[:count] = self._buffer[:count]
-            self._buffer = buffer
+            buffer = self._grown(needed)
         buffer[count:needed] = block
         self._count = needed
         chunks = chunks_per_read * size
@@ -418,39 +371,14 @@ class LatencyStats:
             count = part._count
             merged._buffer[offset: offset + count] = part._buffer[:count]
             offset += count
-            merged.full_hits += part.full_hits
-            merged.partial_hits += part.partial_hits
-            merged.misses += part.misses
-            merged.cache_chunks_total += part.cache_chunks_total
-            merged.backend_chunks_total += part.backend_chunks_total
-            merged.neighbor_chunks_total += part.neighbor_chunks_total
-            merged.degraded_reads += part.degraded_reads
-            merged.unavailable_reads += part.unavailable_reads
-            merged.retries_total += part.retries_total
-            merged.hedged_reads += part.hedged_reads
-            merged.hedge_wins += part.hedge_wins
+        for name in cls._COUNTERS:
+            setattr(merged, name, sum(getattr(part, name) for part in parts))
         merged._count = total
         return merged
 
     def merge(self, other: "LatencyStats") -> "LatencyStats":
         """Combine two stats objects (e.g. several clients of one run)."""
-        total = self._count + other._count
-        merged = LatencyStats(capacity=max(total, 1))
-        merged._buffer[: self._count] = self._buffer[: self._count]
-        merged._buffer[self._count: total] = other._buffer[: other._count]
-        merged._count = total
-        merged.full_hits = self.full_hits + other.full_hits
-        merged.partial_hits = self.partial_hits + other.partial_hits
-        merged.misses = self.misses + other.misses
-        merged.cache_chunks_total = self.cache_chunks_total + other.cache_chunks_total
-        merged.backend_chunks_total = self.backend_chunks_total + other.backend_chunks_total
-        merged.neighbor_chunks_total = self.neighbor_chunks_total + other.neighbor_chunks_total
-        merged.degraded_reads = self.degraded_reads + other.degraded_reads
-        merged.unavailable_reads = self.unavailable_reads + other.unavailable_reads
-        merged.retries_total = self.retries_total + other.retries_total
-        merged.hedged_reads = self.hedged_reads + other.hedged_reads
-        merged.hedge_wins = self.hedge_wins + other.hedge_wins
-        return merged
+        return self.merge_all((self, other))
 
 
 # ---------------------------------------------------------------------- #

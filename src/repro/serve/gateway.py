@@ -53,9 +53,10 @@ from repro.backend.object_store import (ErasureCodedStore,
 from repro.client.stats import LatencyStats, ReadResult
 from repro.serve.ledger import (DYNAMIC_FAULT_INDEX, Ledger, LedgerEntry,
                                 fault_entry, read_entry, tick_entry)
-from repro.serve.protocol import (READ_BYTES, HttpRequest, ProtocolError,
-                                  build_response, error_response, hang_up,
-                                  parse_decimal, parse_request)
+from repro.serve.protocol import (READ_BYTES, READ_HEADERS, HttpRequest,
+                                  ProtocolError, build_response,
+                                  error_response, hang_up, parse_decimal,
+                                  parse_request)
 from repro.sim.clock import SimulationClock
 from repro.sim.engine import (EngineConfig, EngineDeployment, EventEngine,
                               _neighbor_catalog, make_region_strategy)
@@ -70,6 +71,12 @@ Answer = tuple[int, bytes, str, bytes]
 #: Decision patterns whose header lines a gateway keeps rendered (cleared
 #: when full); a whole ``wire_hot`` run sees five.
 DECISION_HEADS_CAP = 256
+#: ``_decision_pattern(result, indices)``: the fields ``READ_HEADERS``
+#: carries, then the decided chunk indices, as one flat tuple, the key of
+#: that memo.  Unrolled over the table once here: an ``attrgetter`` of the
+#: same fields measured ≈ 0.15 µs more a request.
+_decision_pattern = eval("lambda result, indices: ({}tuple(indices))".format(
+    "".join(f"result.{field}, " for _, field, _, _ in READ_HEADERS)))
 #: Decoded objects kept in a gateway's own body cache, keyed by
 #: ``(key, version)`` — standard serving-tier design: the erasure decode runs
 #: once per object version, not once per request.  The cache never touches
@@ -247,13 +254,8 @@ class RegionGateway:
                     result = self._last_result
                     if result is not None:
                         self._last_result = None
-                        self.wire_stats.record_read(
-                            (perf() - started) * 1000.0, result.hit_type,
-                            result.chunks_from_cache,
-                            result.chunks_from_backend,
-                            result.chunks_from_neighbors,
-                            result.degraded, result.failed,
-                            result.retries, result.hedged, result.hedge_won)
+                        self.wire_stats.record(
+                            result, (perf() - started) * 1000.0)
                     if not request.keep_alive:
                         close = True
                         break
@@ -422,22 +424,16 @@ class RegionGateway:
         Everything but the modelled latency is a function of the decision
         pattern, so those lines are rendered once per pattern.
         """
-        pattern = (result.hit_type, result.chunks_from_cache,
-                   result.chunks_from_backend, result.chunks_from_neighbors,
-                   result.backend_regions, result.degraded, tuple(indices))
+        pattern = _decision_pattern(result, indices)
         heads = self._decision_heads
         lines = heads.get(pattern)
         if lines is None:
             if len(heads) >= DECISION_HEADS_CAP:
                 heads.clear()
-            lines = heads[pattern] = (
-                f"X-Agar-Hit: {result.hit_type.value}\r\n"
-                f"X-Agar-Cache-Chunks: {result.chunks_from_cache}\r\n"
-                f"X-Agar-Backend-Chunks: {result.chunks_from_backend}\r\n"
-                f"X-Agar-Neighbor-Chunks: {result.chunks_from_neighbors}\r\n"
-                f"X-Agar-Regions: {','.join(result.backend_regions)}\r\n"
-                f"X-Agar-Degraded: {'1' if result.degraded else '0'}\r\n"
-                f"X-Agar-Chunks: {','.join(map(str, indices))}\r\n"
+            lines = heads[pattern] = "".join(
+                [f"{name}: {to_text(value)}\r\n" for (name, _, to_text, _), value
+                 in zip(READ_HEADERS, pattern)]
+                + [f"X-Agar-Chunks: {','.join(map(str, indices))}\r\n"]
             ).encode("latin-1")
         return lines + (f"X-Agar-Model-Ms: {result.latency_ms!r}\r\n"
                         f"{tail}").encode("latin-1")

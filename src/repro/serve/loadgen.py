@@ -47,8 +47,8 @@ import numpy as np
 from repro.analysis.report import Table
 from repro.client.resilience import BackoffPolicy, EwmaQuantileTracker
 from repro.client.stats import HitType, LatencyStats, ReadResult
-from repro.serve.protocol import (ProtocolError, hang_up, pop_response,
-                                  read_response, render_request)
+from repro.serve.protocol import (ProtocolError, hang_up, parse_read_headers,
+                                  pop_response, read_response, render_request)
 from repro.workload.workload import (ArrivalSpec, WorkloadSpec,
                                      generate_request_ranks)
 
@@ -173,28 +173,26 @@ class _RegionRun:
     def record(self, latency_ms: float, status: int,
                headers: Mapping[str, str], *, key: str = "",
                started_at_s: float = 0.0, retries: int = 0) -> None:
+        """One response: a read as its ``X-Agar-*`` headers tell it, or an
+        error when its status is neither 200 nor 503 or a header is missing
+        or malformed."""
         if status != 200 and status != 503:
             self.errors += 1
             return
-        hit = headers.get("x-agar-hit", "miss")
         try:
-            hit_type = HitType(hit)
+            decision = parse_read_headers(headers)
         except ValueError:
-            hit_type = HitType.MISS
-        cache_chunks = int(headers.get("x-agar-cache-chunks", "0") or 0)
-        backend_chunks = int(headers.get("x-agar-backend-chunks", "0") or 0)
-        neighbor_chunks = int(headers.get("x-agar-neighbor-chunks", "0") or 0)
-        degraded = headers.get("x-agar-degraded") == "1"
-        failed = status == 503
-        self.stats.record_read(
-            latency_ms, hit_type, cache_chunks, backend_chunks,
-            neighbor_chunks, degraded, failed, retries)
+            self.errors += 1
+            return
+        self.add(ReadResult(key, latency_ms, started_at_s=started_at_s,
+                            failed=status == 503, retries=retries,
+                            **decision))
+
+    def add(self, result: ReadResult) -> None:
+        """Record one read, and keep it when the run keeps samples."""
+        self.stats.record(result)
         if self.samples is not None:
-            self.samples.append(ReadResult(
-                key, latency_ms, hit_type, cache_chunks, backend_chunks,
-                started_at_s=started_at_s,
-                chunks_from_neighbors=neighbor_chunks, degraded=degraded,
-                failed=failed, retries=retries))
+            self.samples.append(result)
 
 
 async def _drain_responses(reader: asyncio.StreamReader, buffer: bytearray,
@@ -475,9 +473,10 @@ class _ResilientWorker:
             self.region_run.connections.failed_over += 1
             return
         # Both endpoints unreachable: an honest unavailable read.
-        self.region_run.record(0.0, 503, {}, key=entry.key,
-                        started_at_s=entry.origin - self.run_origin,
-                        retries=entry.attempts)
+        self.region_run.add(ReadResult(
+            entry.key, 0.0, HitType.MISS, 0, 0,
+            started_at_s=entry.origin - self.run_origin, failed=True,
+            retries=entry.attempts))
 
     async def _spare_fetch(self, key: str) -> bool:
         """One request over the persistent spare connection (two attempts).

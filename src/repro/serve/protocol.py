@@ -24,6 +24,10 @@ byte a server answers until it hangs up, and :func:`hang_up` closes a
 connection.  The end-to-end harness in
 ``bench/`` keeps a client of its own on purpose: it must offer the same load
 whatever this module does.
+
+:data:`READ_HEADERS` is the one table of the ``X-Agar-*`` headers that carry
+a read's decision: the gateway renders them from it, and
+:func:`parse_read_headers` reads them back for the load generator.
 """
 
 from __future__ import annotations
@@ -32,7 +36,10 @@ import asyncio
 import contextlib
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter, itemgetter
 from typing import Mapping
+
+from repro.client.stats import HitType
 
 MAX_REQUEST_LINE_BYTES = 8192
 MAX_HEADER_BYTES = 32768
@@ -40,6 +47,8 @@ DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Distinct ``(status, body length, content type, keep-alive)`` framing blocks
 #: kept rendered; a serving run needs a handful.
 FRAMING_MEMO_CAP = 256
+#: Distinct decision-header texts kept parsed; a gateway sends a handful.
+DECISION_MEMO_CAP = 256
 #: Bytes asked of a socket per read, on either side of a connection.
 READ_BYTES = 1 << 16
 
@@ -236,6 +245,66 @@ def render_request(method: str, target: str, host: str,
     if body:
         head += f"Content-Length: {len(body)}\r\n"
     return (head + "\r\n").encode() + body
+
+
+def flag_text(value: bool) -> str:
+    """A flag as the wire and the ledger write it."""
+    return "1" if value else "0"
+
+
+def parse_flag(text: str) -> bool:
+    """``"1"`` or ``"0"`` as a flag; ``ValueError`` on anything else."""
+    if text != "0" and text != "1":
+        raise ValueError(f"not a 0/1 flag: {text!r}")
+    return text == "1"
+
+
+def parse_regions(text: str) -> tuple[str, ...]:
+    """A comma-joined region list as a tuple (``""``: none)."""
+    return tuple(text.split(",")) if text else ()
+
+
+#: The ``X-Agar-*`` headers that carry a read's decision, in the order a
+#: gateway sends them: header name, the :class:`ReadResult` field it carries,
+#: the field's text, and the field read back from its text (``None`` or
+#: ``ValueError`` if malformed).  A response carries ``failed`` in its status
+#: (503) and ``key`` in its request's path; ``docs/serving.md`` tabulates
+#: the rest.
+READ_HEADERS = (
+    ("X-Agar-Hit", "hit_type", attrgetter("value"), HitType),
+    ("X-Agar-Cache-Chunks", "chunks_from_cache", str, parse_decimal),
+    ("X-Agar-Backend-Chunks", "chunks_from_backend", str, parse_decimal),
+    ("X-Agar-Neighbor-Chunks", "chunks_from_neighbors", str, parse_decimal),
+    ("X-Agar-Regions", "backend_regions", ",".join, parse_regions),
+    ("X-Agar-Degraded", "degraded", flag_text, parse_flag),
+)
+_DECISION_TEXTS = itemgetter(*(name.lower() for name, _, _, _ in READ_HEADERS))
+
+
+def parse_read_headers(headers: Mapping[str, str]) -> dict[str, object]:
+    """The :class:`ReadResult` fields a response's headers carry, by name.
+
+    ``headers`` has lower-case names, as :func:`parse_response` gives them.
+    Raises ``ValueError`` when one of :data:`READ_HEADERS` is missing or
+    malformed.  Equal header texts share one parsed dict: read it, never
+    change it.
+    """
+    try:
+        texts = _DECISION_TEXTS(headers)
+    except KeyError as missing:
+        raise ValueError(f"no {missing.args[0]} header") from None
+    return _decision(texts)
+
+
+@lru_cache(maxsize=DECISION_MEMO_CAP)
+def _decision(texts: tuple[str, ...]) -> dict[str, object]:
+    fields = {}
+    for (name, field, _, from_text), text in zip(READ_HEADERS, texts):
+        value = from_text(text)
+        if value is None:
+            raise ValueError(f"malformed {name} header: {text!r}")
+        fields[field] = value
+    return fields
 
 
 def parse_response(buffer: bytes | bytearray,

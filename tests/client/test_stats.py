@@ -68,9 +68,10 @@ class TestLatencyStats:
         assert stats.latencies_ms == [float(v) for v in range(1, 11)]
         assert stats.mean_latency_ms == pytest.approx(5.5)
 
-    def test_record_read_scalar_fast_path(self):
+    def test_record_under_a_measured_latency(self):
         stats = LatencyStats()
-        stats.record_read(12.5, HitType.PARTIAL, chunks_from_cache=3, chunks_from_backend=6)
+        stats.record(result(99.0, HitType.PARTIAL, cache_chunks=3, backend_chunks=6), 12.5)
+        assert stats.latencies_ms == [12.5]
         assert stats.count == 1
         assert stats.partial_hits == 1
         assert stats.cache_chunks_total == 3
@@ -98,7 +99,7 @@ class TestLatencyStats:
 
 
 class TestRecordBlock:
-    """``record_block`` is ``record_read`` per entry, in order."""
+    """``record_block`` is ``record`` per entry, in order."""
 
     COUNTERS = ("full_hits", "partial_hits", "misses", "cache_chunks_total",
                 "backend_chunks_total", "neighbor_chunks_total", "degraded_reads",
@@ -109,25 +110,25 @@ class TestRecordBlock:
                  unavailable=0):
         stats = LatencyStats(capacity=1)
         for latency, cached in initial:
-            stats.record_read(latency, HitType.PARTIAL, cached, 1)
+            stats.record(ReadResult("k", latency, HitType.PARTIAL, cached, 1))
         outcomes = list(outcomes) or [(False, 0, False, False)] * len(latencies)
         for latency, cached, (degraded, retries, hedged, won) in zip(
                 latencies, cache_chunks or [0] * len(latencies), outcomes):
             hit = (HitType.MISS if not cached else
                    HitType.FULL if cached == chunks_per_read else HitType.PARTIAL)
-            stats.record_read(latency, hit, cached, chunks_per_read - cached,
-                              degraded=degraded, retries=retries, hedged=hedged,
-                              hedge_won=won)
+            stats.record(ReadResult("k", latency, hit, cached, chunks_per_read - cached,
+                                    degraded=degraded, retries=retries, hedged=hedged,
+                                    hedge_won=won))
         for _ in range(unavailable):
-            stats.record_read(40.0, HitType.MISS, failed=True)
+            stats.record(ReadResult("k", 40.0, HitType.MISS, 0, 0, failed=True))
         return stats
 
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(1, 9), data=st.data(),
            initial=st.lists(st.tuples(st.floats(0, 1e3), st.integers(0, 3)), max_size=3),
            backend_only=st.booleans(), unavailable=st.integers(0, 3))
-    def test_equals_record_read_per_entry(self, k, data, initial, backend_only,
-                                          unavailable):
+    def test_equals_record_per_entry(self, k, data, initial, backend_only,
+                                     unavailable):
         latencies = data.draw(st.lists(st.floats(0, 1e4), max_size=40))
         size = len(latencies)
         cache_chunks = (None if backend_only else

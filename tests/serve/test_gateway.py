@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.client.resilience import ResilienceConfig
-from repro.client.stats import HitType
+from repro.client.stats import HitType, ReadResult
 from repro.client.strategies import ClientConfig
 from repro.serve import gateway as gateway_module
 from repro.serve import protocol
@@ -117,7 +117,8 @@ def test_stats_sorts_the_latency_buffer_once(monkeypatch):
     gateway = cluster.gateways["frankfurt"]
     latencies = np.random.default_rng(7).exponential(2.0, 1000)
     for latency in latencies:
-        gateway.wire_stats.record_read(float(latency), HitType.MISS)
+        gateway.wire_stats.record(
+            ReadResult("object-0", float(latency), HitType.MISS, 0, 9))
     sorts = []
     real_sort = np.sort
 

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
+from repro.client.stats import HitType
 from repro.serve.loadgen import (WireLoadSpec, run_wire_load,
                                  wire_report_table)
+from repro.serve.protocol import READ_HEADERS, build_response, hang_up
 from repro.workload.workload import ArrivalSpec, WorkloadSpec
 
 from serve_helpers import start_cluster, tiny_config
@@ -133,3 +137,100 @@ def test_failed_reads_are_not_errors(run):
             await cluster.stop()
 
     run(scenario())
+
+
+def _served_reads(run, strategy: str):
+    """One connection's samples of a loadgen run, and the gateway's own
+    :class:`ReadResult` of each read, in the order both were made."""
+    async def scenario():
+        cluster = await start_cluster(tiny_config(strategy=strategy))
+        gateway = cluster.gateways["frankfurt"]
+        decided = []
+        read = gateway.strategy.read
+
+        def spy(key, at):
+            decided.append(read(key, at))
+            return decided[-1]
+
+        gateway.strategy.read = spy
+        try:
+            spec = _spec(connections=1, keep_samples=True)
+            results = await run_wire_load(cluster.addresses, spec, seed=3)
+        finally:
+            await cluster.stop()
+        return results["frankfurt"], decided
+
+    return run(scenario())
+
+
+def test_samples_carry_the_gateways_decision(run):
+    """Each kept sample holds every field the ``X-Agar-*`` headers carry
+    exactly as the gateway decided it, for a read of each hit class."""
+    classes = set()
+    for strategy in ("lru-3", "lru-9"):
+        result, decided = _served_reads(run, strategy)
+        assert result.errors == 0
+        assert len(result.samples) == len(decided) == result.requests
+        for sample, read in zip(result.samples, decided):
+            for _, field, _, _ in READ_HEADERS:
+                assert getattr(sample, field) == getattr(read, field), field
+            assert sample.failed == read.failed
+            classes.add(read.hit_type)
+    assert classes == set(HitType)
+    assert any(read.backend_regions for read in decided)
+
+
+def _stub_peer(head: str):
+    """A peer that answers every request with ``head``'s header lines on a
+    200 with no body."""
+    response = b"".join(build_response(200, b"", head.encode("latin-1")))
+
+    async def serve(reader, writer):
+        try:
+            while True:
+                await reader.readuntil(b"\r\n\r\n")
+                writer.write(response)
+                await writer.drain()
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass
+        finally:
+            await hang_up(writer)
+
+    return serve
+
+
+_GOOD = {"X-Agar-Hit": "partial", "X-Agar-Cache-Chunks": "3",
+         "X-Agar-Backend-Chunks": "6", "X-Agar-Neighbor-Chunks": "0",
+         "X-Agar-Regions": "dublin,tokyo", "X-Agar-Degraded": "0"}
+
+
+@pytest.mark.parametrize("name, value", [
+    ("X-Agar-Cache-Chunks", "lots"), ("X-Agar-Backend-Chunks", "-6"),
+    ("X-Agar-Hit", "bogus"), ("X-Agar-Degraded", "yes"),
+    ("X-Agar-Neighbor-Chunks", None), ("X-Agar-Regions", "dublin,tokyo")])
+def test_a_malformed_decision_header_counts_as_an_error(run, name, value):
+    """A bad or missing ``X-Agar-*`` value is an error, like a bad status:
+    it neither ends the worker nor passes as a read.  The last case is well
+    formed, so the stub's responses are reads."""
+    headers = {**_GOOD, name: value}
+    head = "".join(f"{header}: {text}\r\n"
+                   for header, text in headers.items() if text is not None)
+
+    async def scenario():
+        server = await asyncio.start_server(_stub_peer(head), "127.0.0.1", 0)
+        async with server:
+            address = server.sockets[0].getsockname()[:2]
+            spec = _spec(connections=2, requests_per_connection=12,
+                         keep_samples=True)
+            return (await run_wire_load({"stub": address}, spec,
+                                        seed=1))["stub"]
+
+    result = run(scenario())
+    assert result.requests == 24
+    if headers == _GOOD:
+        assert result.errors == 0 and result.stats.partial_hits == 24
+        assert {sample.backend_regions for sample in result.samples} == {
+            ("dublin", "tokyo")}
+    else:
+        assert result.errors == 24
+        assert result.stats.count == result.stats.unavailable_reads == 0
