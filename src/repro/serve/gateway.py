@@ -71,12 +71,6 @@ Answer = tuple[int, bytes, str, bytes]
 #: Decision patterns whose header lines a gateway keeps rendered (cleared
 #: when full); a whole ``wire_hot`` run sees five.
 DECISION_HEADS_CAP = 256
-#: ``_decision_pattern(result, indices)``: the fields ``READ_HEADERS``
-#: carries, then the decided chunk indices, as one flat tuple, the key of
-#: that memo.  Unrolled over the table once here: an ``attrgetter`` of the
-#: same fields measured ≈ 0.15 µs more a request.
-_decision_pattern = eval("lambda result, indices: ({}tuple(indices))".format(
-    "".join(f"result.{field}, " for _, field, _, _ in READ_HEADERS)))
 #: Decoded objects kept in a gateway's own body cache, keyed by
 #: ``(key, version)`` — standard serving-tier design: the erasure decode runs
 #: once per object version, not once per request.  The cache never touches
@@ -424,7 +418,11 @@ class RegionGateway:
         Everything but the modelled latency is a function of the decision
         pattern, so those lines are rendered once per pattern.
         """
-        pattern = _decision_pattern(result, indices)
+        # READ_HEADERS' fields in order, then the indices; written out, as
+        # tests/docs/test_read_record.py holds it to the table.
+        pattern = (result.hit_type, result.chunks_from_cache,
+                   result.chunks_from_backend, result.chunks_from_neighbors,
+                   result.backend_regions, result.degraded, tuple(indices))
         heads = self._decision_heads
         lines = heads.get(pattern)
         if lines is None:

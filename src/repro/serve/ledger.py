@@ -172,37 +172,6 @@ _SIZE = _RECORD.size
 #: Positions of the interned fields; a ledger keeps a table for each.
 _INTERNED = tuple(position for position, field in enumerate(FIELDS)
                   if field.interned)
-_APPEND = """\
-def append(self, entry):
-    \"""Append one entry's record.\"""
-    ({names},) = entry
-    tables = self._tables
-    try:
-        record = pack({values})
-    except struct.error as exc:
-        raise ValueError(f"ledger entry does not fit a record: {{exc}}"
-                         f" ({{entry!r}})") from None
-    self._records += record
-"""
-
-
-def _unrolled_append():
-    """``Ledger.append``, unrolled over :data:`FIELDS` at import, the way
-    :func:`collections.namedtuple` builds its methods.
-
-    It packs the entry's values in field order, each interned one as its id
-    in the ledger's table for that field.  Per served read, a loop over the
-    fields measured ≈ 0.3 µs more, and a lambda indexing the entry ≈ 0.15 µs.
-    """
-    values = [f"tables[{_INTERNED.index(position)}][{field.name}]"
-              if field.interned else field.name
-              for position, field in enumerate(FIELDS)]
-    scope = {"__name__": __name__, "pack": _RECORD.pack, "struct": struct}
-    exec(_APPEND.format(names=", ".join(LedgerEntry._fields),
-                        values=", ".join(values)), scope)
-    return scope["append"]
-
-
 class _Symbols(dict):
     """Interning table: value → dense id, and ``values[id]`` back."""
 
@@ -248,7 +217,22 @@ class Ledger(Sequence):
         for entry in entries:
             self.append(entry)
 
-    append = _unrolled_append()
+    def append(self, entry: LedgerEntry) -> None:
+        """Append one entry's record."""
+        # Written out over FIELDS, not looped (≈ 0.3 µs more a read); the
+        # round trips of tests/docs/test_read_record.py hold it to the table.
+        (kind, at, key, hit, cache_chunks, backend_chunks, neighbor_chunks,
+         backend_regions, degraded, failed, fault_index) = entry
+        kinds, keys, hits, regions = self._tables
+        try:
+            record = _RECORD.pack(
+                kinds[kind], at, keys[key], hits[hit], cache_chunks,
+                backend_chunks, neighbor_chunks, regions[backend_regions],
+                degraded, failed, fault_index)
+        except struct.error as exc:
+            raise ValueError(f"ledger entry does not fit a record: {exc}"
+                             f" ({entry!r})") from None
+        self._records += record
 
     def __len__(self) -> int:
         return len(self._records) // _SIZE
@@ -280,8 +264,19 @@ class Ledger(Sequence):
         return f"Ledger({list(self)!r})"
 
     def lines(self, start: int = 0) -> str:
-        """``ledger_to_lines(self[start:])``."""
-        return ledger_to_lines(self[start:])
+        """``ledger_to_lines(self[start:])``, without building entries.
+
+        Each record's values go through their fields' ``to_text`` in one
+        ``map``; an interned field's texts are rendered once per table.
+        """
+        start = slice(start, None).indices(len(self))[0]
+        tables = iter(self._tables)
+        codecs = [[field.to_text(value) for value in next(tables).values
+                   ].__getitem__ if field.interned else field.to_text
+                  for field in FIELDS]
+        return "".join([
+            "|".join(map(operator.call, codecs, values)) + "\n"
+            for values in _RECORD.iter_unpack(self._records[start * _SIZE:])])
 
 
 def ledger_to_lines(entries: Iterable[LedgerEntry]) -> str:

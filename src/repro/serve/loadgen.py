@@ -209,8 +209,8 @@ async def _drain_responses(reader: asyncio.StreamReader, buffer: bytearray,
     response = await read_response(reader, buffer)
     while response is not None:
         status, headers, _body = response
-        started = pending.popleft()
-        run.record((perf() - started) * 1000.0, status, headers,
+        started, key = pending.popleft()
+        run.record((perf() - started) * 1000.0, status, headers, key=key,
                    started_at_s=started - origin)
         consumed += 1
         response = pop_response(buffer)
@@ -223,7 +223,7 @@ async def _closed_worker(address: tuple[str, int], keys: list[str],
     run.connections.connections_opened += 1
     perf = time.perf_counter
     buffer = bytearray()
-    pending: deque[float] = deque()
+    pending: deque[tuple[float, str]] = deque()
     total = len(keys)
     sent = 0
     done = 0
@@ -240,7 +240,7 @@ async def _closed_worker(address: tuple[str, int], keys: list[str],
                     if request is None:
                         rendered[key] = request = _request_bytes(key)
                     batch.append(request)
-                    pending.append(now)
+                    pending.append((now, key))
                     sent += 1
                 writer.write(b"".join(batch))
             await writer.drain()
@@ -258,7 +258,7 @@ async def _open_worker(address: tuple[str, int], keys: list[str],
     run.connections.connections_opened += 1
     perf = time.perf_counter
     buffer = bytearray()
-    pending: deque[float] = deque()
+    pending: deque[tuple[float, str]] = deque()
     total = len(keys)
     origin = perf()
     absolute = origin + schedule
@@ -272,7 +272,7 @@ async def _open_worker(address: tuple[str, int], keys: list[str],
             wrote = False
             while position < total and absolute[position] <= now:
                 writer.write(_request_bytes(keys[position]))
-                pending.append(absolute[position])
+                pending.append((absolute[position], keys[position]))
                 position += 1
                 wrote = True
             if wrote:

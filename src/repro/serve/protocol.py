@@ -36,7 +36,7 @@ import asyncio
 import contextlib
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Mapping
 
 from repro.client.stats import HitType
@@ -47,8 +47,6 @@ DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Distinct ``(status, body length, content type, keep-alive)`` framing blocks
 #: kept rendered; a serving run needs a handful.
 FRAMING_MEMO_CAP = 256
-#: Distinct decision-header texts kept parsed; a gateway sends a handful.
-DECISION_MEMO_CAP = 256
 #: Bytes asked of a socket per read, on either side of a connection.
 READ_BYTES = 1 << 16
 
@@ -247,9 +245,10 @@ def render_request(method: str, target: str, host: str,
     return (head + "\r\n").encode() + body
 
 
-def flag_text(value: bool) -> str:
-    """A flag as the wire and the ledger write it."""
-    return "1" if value else "0"
+#: A flag as the wire and the ledger write it: ``False`` → ``"0"``, ``True``
+#: → ``"1"``.  A bound ``__getitem__`` rather than a function, as
+#: :meth:`~repro.serve.ledger.Ledger.lines` calls it twice a line.
+flag_text = ("0", "1").__getitem__
 
 
 def parse_flag(text: str) -> bool:
@@ -271,14 +270,17 @@ def parse_regions(text: str) -> tuple[str, ...]:
 #: (503) and ``key`` in its request's path; ``docs/serving.md`` tabulates
 #: the rest.
 READ_HEADERS = (
-    ("X-Agar-Hit", "hit_type", attrgetter("value"), HitType),
+    ("X-Agar-Hit", "hit_type", attrgetter("value"),
+     {hit.value: hit for hit in HitType}.get),
     ("X-Agar-Cache-Chunks", "chunks_from_cache", str, parse_decimal),
     ("X-Agar-Backend-Chunks", "chunks_from_backend", str, parse_decimal),
     ("X-Agar-Neighbor-Chunks", "chunks_from_neighbors", str, parse_decimal),
     ("X-Agar-Regions", "backend_regions", ",".join, parse_regions),
     ("X-Agar-Degraded", "degraded", flag_text, parse_flag),
 )
-_DECISION_TEXTS = itemgetter(*(name.lower() for name, _, _, _ in READ_HEADERS))
+#: :data:`READ_HEADERS` as a client reads it: lower-case name, field, parser.
+_PARSERS = tuple((name.lower(), field, from_text)
+                 for name, field, _, from_text in READ_HEADERS)
 
 
 def parse_read_headers(headers: Mapping[str, str]) -> dict[str, object]:
@@ -286,23 +288,14 @@ def parse_read_headers(headers: Mapping[str, str]) -> dict[str, object]:
 
     ``headers`` has lower-case names, as :func:`parse_response` gives them.
     Raises ``ValueError`` when one of :data:`READ_HEADERS` is missing or
-    malformed.  Equal header texts share one parsed dict: read it, never
-    change it.
+    malformed.
     """
-    try:
-        texts = _DECISION_TEXTS(headers)
-    except KeyError as missing:
-        raise ValueError(f"no {missing.args[0]} header") from None
-    return _decision(texts)
-
-
-@lru_cache(maxsize=DECISION_MEMO_CAP)
-def _decision(texts: tuple[str, ...]) -> dict[str, object]:
     fields = {}
-    for (name, field, _, from_text), text in zip(READ_HEADERS, texts):
-        value = from_text(text)
+    for name, field, from_text in _PARSERS:
+        text = headers.get(name)
+        value = None if text is None else from_text(text)
         if value is None:
-            raise ValueError(f"malformed {name} header: {text!r}")
+            raise ValueError(f"malformed or missing {name} header: {text!r}")
         fields[field] = value
     return fields
 

@@ -150,3 +150,4 @@ def test_a_read_crosses_both_boundaries_intact(read, indices):
     entry = read_entry(read)
     assert LedgerEntry.from_line(entry.to_line()) == entry
     assert Ledger([entry]) == [entry]
+    assert Ledger([entry]).lines() == entry.to_line() + "\n"

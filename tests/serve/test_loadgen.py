@@ -174,6 +174,7 @@ def test_samples_carry_the_gateways_decision(run):
         for sample, read in zip(result.samples, decided):
             for _, field, _, _ in READ_HEADERS:
                 assert getattr(sample, field) == getattr(read, field), field
+            assert sample.key == read.key
             assert sample.failed == read.failed
             classes.add(read.hit_type)
     assert classes == set(HitType)
