@@ -63,8 +63,6 @@ from repro.geo import (
     Topology,
     default_topology,
     table1_topology,
-    topology_from_matrix,
-    uniform_topology,
 )
 from repro.sim import EngineConfig, RegionSpec, run_comparison, run_many
 from repro.workload import WorkloadSpec, uniform_workload, zipfian_workload
@@ -114,8 +112,6 @@ __all__ = [
     "run_many",
     "solve_exact",
     "table1_topology",
-    "topology_from_matrix",
-    "uniform_topology",
     "uniform_workload",
     "zipfian_workload",
     "__version__",

@@ -1,10 +1,8 @@
 """Analysis helpers: tables, comparison summaries and CDFs for experiments."""
 
-from repro.analysis.cdf import CdfSeries, cdf_table, empirical_cdf, popularity_cdf
+from repro.analysis.cdf import CdfSeries, popularity_cdf
 from repro.analysis.report import (
     Table,
-    format_milliseconds,
-    format_ratio,
     improvement_summary,
     percent_difference,
 )
@@ -12,10 +10,6 @@ from repro.analysis.report import (
 __all__ = [
     "CdfSeries",
     "Table",
-    "cdf_table",
-    "empirical_cdf",
-    "format_milliseconds",
-    "format_ratio",
     "improvement_summary",
     "percent_difference",
     "popularity_cdf",

@@ -33,15 +33,6 @@ class CdfSeries:
         return result
 
 
-def empirical_cdf(samples: Sequence[float], label: str = "cdf") -> CdfSeries:
-    """Empirical CDF of a list of samples (used for latency distributions)."""
-    if not samples:
-        return CdfSeries(label=label, x=(), y=())
-    ordered = np.sort(np.asarray(samples, dtype=float))
-    fractions = np.arange(1, len(ordered) + 1) / len(ordered)
-    return CdfSeries(label=label, x=tuple(ordered.tolist()), y=tuple(fractions.tolist()))
-
-
 def popularity_cdf(probabilities: Sequence[float], label: str = "popularity") -> CdfSeries:
     """CDF of request share versus number of most-popular objects (Fig. 9).
 
@@ -54,14 +45,3 @@ def popularity_cdf(probabilities: Sequence[float], label: str = "popularity") ->
     cumulative = np.cumsum(array)
     counts = np.arange(1, array.size + 1, dtype=float)
     return CdfSeries(label=label, x=tuple(counts.tolist()), y=tuple(cumulative.tolist()))
-
-
-def cdf_table(series: list[CdfSeries], x_points: Sequence[float]) -> list[dict[str, float]]:
-    """Sample several CDF series at common x points (rows of Fig. 9)."""
-    rows = []
-    for x_value in x_points:
-        row: dict[str, float] = {"x": float(x_value)}
-        for one in series:
-            row[one.label] = one.value_at(x_value)
-        rows.append(row)
-    return rows

@@ -71,10 +71,6 @@ class Table:
             lines.append("  ".join(cell.ljust(widths[index]) for index, cell in enumerate(row)))
         return "\n".join(lines)
 
-    def to_dicts(self) -> list[dict[str, object]]:
-        """Rows as dictionaries keyed by column name (for tests and JSON dumps)."""
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
 
 def percent_difference(reference: float, value: float) -> float:
     """How much lower ``value`` is than ``reference``, as a percentage.
@@ -113,13 +109,3 @@ def improvement_summary(latencies: Mapping[str, float], subject: str = "agar",
         "vs_best_pct": percent_difference(others[best_name], subject_latency),
         "vs_worst_pct": percent_difference(others[worst_name], subject_latency),
     }
-
-
-def format_milliseconds(value: float) -> str:
-    """Human-friendly millisecond formatting used in experiment output."""
-    return f"{value:,.0f} ms"
-
-
-def format_ratio(value: float) -> str:
-    """Format a 0–1 ratio as a percentage."""
-    return f"{value * 100:.1f}%"

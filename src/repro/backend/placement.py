@@ -25,16 +25,6 @@ class PlacementPolicy(ABC):
             regions: candidate regions in a stable order.
         """
 
-    def chunks_per_region(self, key: str, total_chunks: int, regions: list[str]) -> dict[str, list[int]]:
-        """Convenience inverse of :meth:`place`: region -> chunk indices."""
-        placement = self.place(key, total_chunks, regions)
-        grouped: dict[str, list[int]] = {region: [] for region in regions}
-        for index, region in placement.items():
-            grouped[region].append(index)
-        for indices in grouped.values():
-            indices.sort()
-        return grouped
-
 
 class RoundRobinPlacement(PlacementPolicy):
     """The paper's policy: chunk ``i`` goes to region ``i mod len(regions)``.

@@ -6,11 +6,9 @@ Stands in for the per-region memcached instances of the paper's deployment.
 from repro.cache.base import CacheEntry, CacheSnapshot, CacheStats, EvictionPolicy
 from repro.cache.chunk_cache import ChunkCache
 from repro.cache.policies import (
-    FIFOEvictionPolicy,
     LFUEvictionPolicy,
     LRUEvictionPolicy,
     PinnedConfigurationPolicy,
-    policy_by_name,
 )
 
 __all__ = [
@@ -19,9 +17,7 @@ __all__ = [
     "CacheStats",
     "ChunkCache",
     "EvictionPolicy",
-    "FIFOEvictionPolicy",
     "LFUEvictionPolicy",
     "LRUEvictionPolicy",
     "PinnedConfigurationPolicy",
-    "policy_by_name",
 ]

@@ -63,17 +63,6 @@ class CacheStats:
     evictions: int = 0
     bytes_evicted: int = 0
 
-    @property
-    def chunk_lookups(self) -> int:
-        """Total number of chunk lookups."""
-        return self.chunk_hits + self.chunk_misses
-
-    @property
-    def chunk_hit_ratio(self) -> float:
-        """Fraction of chunk lookups that hit (0.0 when there were none)."""
-        lookups = self.chunk_lookups
-        return self.chunk_hits / lookups if lookups else 0.0
-
 
 @dataclass(frozen=True, slots=True)
 class CacheSnapshot:
@@ -89,10 +78,6 @@ class CacheSnapshot:
     used_bytes: int
     chunks_per_key: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
-    def chunk_count(self, key: str) -> int:
-        """Number of chunks cached for ``key`` (0 if absent)."""
-        return len(self.chunks_per_key.get(key, ()))
-
     def chunk_count_histogram(self) -> dict[int, int]:
         """Histogram: number of cached objects per cached-chunk count.
 
@@ -104,18 +89,6 @@ class CacheSnapshot:
             count = len(indices)
             histogram[count] = histogram.get(count, 0) + 1
         return histogram
-
-    def occupancy_by_chunk_count(self) -> dict[int, int]:
-        """Bytes of cache occupied, grouped by the owning object's cached-chunk count."""
-        # All chunks of one object have the same size; the snapshot does not
-        # carry sizes per chunk, so this reports chunk counts weighted by the
-        # number of chunks (a proxy for bytes when chunk sizes are uniform,
-        # which holds for the paper's fixed 1 MB objects).
-        occupancy: dict[int, int] = {}
-        for indices in self.chunks_per_key.values():
-            count = len(indices)
-            occupancy[count] = occupancy.get(count, 0) + count
-        return occupancy
 
 
 class EvictionPolicy(ABC):

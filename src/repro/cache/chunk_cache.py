@@ -34,8 +34,8 @@ class ChunkCache:
         >>> cache = ChunkCache(capacity_bytes=200)
         >>> cache.put(Chunk(ChunkId("a", 0), size=100))
         True
-        >>> cache.contains(ChunkId("a", 0))
-        True
+        >>> len(cache), cache.used_bytes
+        (1, 100)
     """
 
     def __init__(
@@ -84,11 +84,6 @@ class ChunkCache:
         return self._used
 
     @property
-    def free_bytes(self) -> int:
-        """Remaining capacity in bytes."""
-        return self._capacity - self._used
-
-    @property
     def policy(self) -> EvictionPolicy:
         """The eviction policy in use."""
         return self._policy
@@ -110,10 +105,6 @@ class ChunkCache:
     # ------------------------------------------------------------------ #
     # Core operations
     # ------------------------------------------------------------------ #
-    def contains(self, chunk_id: ChunkId) -> bool:
-        """True if the chunk is currently cached (does not count as a lookup)."""
-        return chunk_id in self._entries
-
     def get(self, chunk_id: ChunkId) -> Chunk | None:
         """Look up a chunk; returns None (and counts a miss) if absent."""
         entry = self._entries.get(chunk_id)
@@ -252,28 +243,6 @@ class ChunkCache:
         self.stats.refreshes += 1
         return True
 
-    def touch(self, chunk_id: ChunkId) -> bool:
-        """Refresh a cached chunk's recency/insertion rank without a payload.
-
-        The in-place form of re-putting the chunk that is already cached:
-        returns False (and does nothing) if the chunk is absent or the policy
-        no longer admits it — exactly the cases where :meth:`put` would not
-        have refreshed either.
-        """
-        entry = self._entries.get(chunk_id)
-        if entry is None:
-            return False
-        if not self._policy.admits(chunk_id, entry.size):
-            self.stats.rejections += 1
-            return False
-        now = self._now()
-        entry.inserted_at = now
-        entry.last_access = now
-        entry.access_count = 0
-        self._policy.on_insert(entry)
-        self.stats.refreshes += 1
-        return True
-
     def delete(self, chunk_id: ChunkId) -> bool:
         """Remove a chunk explicitly; returns True if it was present."""
         if chunk_id not in self._entries:
@@ -299,17 +268,6 @@ class ChunkCache:
     def cached_indices(self, key: str) -> list[int]:
         """Sorted chunk indices of ``key`` currently in the cache."""
         return sorted(chunk_id.index for chunk_id in self._entries if chunk_id.key == key)
-
-    def cached_keys(self) -> set[str]:
-        """Distinct object keys with at least one cached chunk."""
-        return {chunk_id.key for chunk_id in self._entries}
-
-    def evict_key(self, key: str) -> int:
-        """Remove every cached chunk of ``key``; returns how many were removed."""
-        victims = [chunk_id for chunk_id in self._entries if chunk_id.key == key]
-        for chunk_id in victims:
-            self._remove(chunk_id, count_eviction=False)
-        return len(victims)
 
     def snapshot(self) -> CacheSnapshot:
         """Immutable view of current contents (drives the Fig. 10 analysis)."""

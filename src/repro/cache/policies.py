@@ -51,15 +51,6 @@ class LRUEvictionPolicy(EvictionPolicy):
         self._order.clear()
 
 
-class FIFOEvictionPolicy(EvictionPolicy):
-    """First-In First-Out: evict the oldest inserted chunk (test baseline)."""
-
-    name = "fifo"
-
-    def select_victim(self, entries: dict[ChunkId, CacheEntry]) -> ChunkId:
-        return min(entries.values(), key=lambda entry: (entry.inserted_at, str(entry.chunk_id))).chunk_id
-
-
 class LFUEvictionPolicy(EvictionPolicy):
     """Least Frequently Used, with per-object request counting.
 
@@ -74,10 +65,6 @@ class LFUEvictionPolicy(EvictionPolicy):
         self._frequency: dict[str, int] = {}
         self._tie_breaker = itertools.count()
         self._last_seen: dict[str, int] = {}
-
-    def frequency_of(self, key: str) -> int:
-        """Current request count for ``key`` (0 if never seen)."""
-        return self._frequency.get(key, 0)
 
     def on_request(self, key: str) -> None:
         self._frequency[key] = self._frequency.get(key, 0) + 1
@@ -132,10 +119,6 @@ class PinnedConfigurationPolicy(EvictionPolicy):
         """Install a new target configuration (replaces the previous one; a set is copied)."""
         self._pinned = frozenset(chunk_ids)
 
-    def is_pinned(self, chunk_id: ChunkId) -> bool:
-        """True if ``chunk_id`` is part of the current configuration."""
-        return chunk_id in self._pinned
-
     def admits(self, chunk_id: ChunkId, size: int) -> bool:
         if not self._strict_admission:
             return True
@@ -150,17 +133,3 @@ class PinnedConfigurationPolicy(EvictionPolicy):
 
     def reset(self) -> None:
         self._pinned = frozenset()
-
-
-def policy_by_name(name: str) -> EvictionPolicy:
-    """Instantiate a policy from its short name (``lru``, ``lfu``, ``fifo``, ``agar-pinned``)."""
-    factories = {
-        "lru": LRUEvictionPolicy,
-        "lfu": LFUEvictionPolicy,
-        "fifo": FIFOEvictionPolicy,
-        "agar-pinned": PinnedConfigurationPolicy,
-    }
-    try:
-        return factories[name]()
-    except KeyError:
-        raise ValueError(f"unknown eviction policy {name!r}; known: {sorted(factories)}") from None

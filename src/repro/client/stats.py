@@ -30,11 +30,6 @@ class HitType(str, Enum):
     PARTIAL = "partial"    #: some chunks came from the cache, some from the backend
     MISS = "miss"          #: every chunk came from the backend
 
-    @property
-    def is_hit(self) -> bool:
-        """The paper counts both full and partial hits as hits."""
-        return self is not HitType.MISS
-
 
 class ReadResult:
     """Outcome of one object read.
@@ -360,8 +355,8 @@ class LatencyStats:
         """Merge any number of stats objects in one pass (single allocation).
 
         The deployment-wide aggregates of multi-region engine runs use this
-        instead of chaining pairwise :meth:`merge` calls, which would copy the
-        accumulated buffer once per region.
+        instead of chaining pairwise merges, which would copy the accumulated
+        buffer once per region.
         """
         parts = list(stats)
         total = sum(part._count for part in parts)
@@ -375,10 +370,6 @@ class LatencyStats:
             setattr(merged, name, sum(getattr(part, name) for part in parts))
         merged._count = total
         return merged
-
-    def merge(self, other: "LatencyStats") -> "LatencyStats":
-        """Combine two stats objects (e.g. several clients of one run)."""
-        return self.merge_all((self, other))
 
 
 # ---------------------------------------------------------------------- #

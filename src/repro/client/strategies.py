@@ -743,10 +743,6 @@ class ReadStrategy(ABC):
             self._plans[key] = plan = template.for_key(key, self._probes_cache)
         return plan
 
-    def _needed(self, key: str) -> list[PlacedChunk]:
-        """The ``k`` chunks a *failure-free* read fetches, furthest first."""
-        return self._plan_for(key).needed
-
     def prepare_indexed_reads(self, keys: Sequence[str]) -> None:
         """Install the key space for index-based reads.
 

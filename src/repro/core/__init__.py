@@ -27,7 +27,6 @@ from repro.core.knapsack import (
 from repro.core.options import (
     CachingOption,
     PlacedChunk,
-    baseline_read_latency,
     generate_caching_options,
     needed_chunks,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "RegionManager",
     "RequestMonitor",
     "SolverResult",
-    "baseline_read_latency",
     "configuration_summary",
     "generate_caching_options",
     "needed_chunks",

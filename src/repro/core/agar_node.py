@@ -123,7 +123,6 @@ class AgarNode:
         # and the lag (seconds) each one waited before the knapsack re-solved.
         self._pending_fault_times: list[float] = []
         self._fault_reaction_lags_s: list[float] = []
-        self._emergency_reconfigurations = 0
 
         if self._config.warm_start:
             uniform = {key: 1.0 for key in store.keys()}
@@ -265,15 +264,9 @@ class AgarNode:
         empty set on recovery to re-solve against the healthy topology.
         """
         self._region_manager.set_down_regions(down_regions)
-        self._emergency_reconfigurations += 1
         return self.reconfigure(now)
 
     @property
     def fault_reaction_lags_s(self) -> list[float]:
         """Reaction lag of every resolved fault transition (seconds)."""
         return list(self._fault_reaction_lags_s)
-
-    @property
-    def emergency_reconfigurations(self) -> int:
-        """How many out-of-band (fault-reactive) reconfigurations ran."""
-        return self._emergency_reconfigurations

@@ -85,14 +85,6 @@ class CacheConfiguration:
         """Total value (popularity-weighted latency improvement)."""
         return self._value
 
-    def has_key(self, key: str) -> bool:
-        """True if the configuration already caches chunks of ``key``."""
-        return key in self._by_key
-
-    def option_for(self, key: str) -> CachingOption | None:
-        """The option chosen for ``key``, if any."""
-        return self._by_key.get(key)
-
     def keys(self) -> list[str]:
         """Keys with at least one cached chunk, in insertion order."""
         return [option.key for option in self.options]

@@ -81,10 +81,6 @@ class CachingOption:
         """Marginal value relative to the next-smaller option for the same key."""
         return self.popularity * self.marginal_improvement_ms
 
-    def chunk_set(self) -> frozenset[int]:
-        """The cached chunk indices as a set."""
-        return frozenset(self.chunk_indices)
-
 
 def needed_chunks(
     chunks_by_region: Mapping[str, Sequence[int]],
@@ -120,17 +116,6 @@ def needed_chunks(
     placed.sort(key=lambda chunk: (-chunk.latency_ms, chunk.region, -chunk.index))
     # Discard the m furthest chunks; keep the k the client actually fetches.
     return placed[parity_chunks:]
-
-
-def baseline_read_latency(
-    chunks_by_region: Mapping[str, Sequence[int]],
-    region_latencies: Mapping[str, float],
-    data_chunks: int,
-    parity_chunks: int,
-) -> float:
-    """Latency of the furthest region contacted when nothing is cached."""
-    needed = needed_chunks(chunks_by_region, region_latencies, data_chunks, parity_chunks)
-    return needed[0].latency_ms if needed else 0.0
 
 
 def generate_caching_options(

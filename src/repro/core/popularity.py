@@ -48,17 +48,11 @@ class PopularityTracker:
         self._alpha = alpha
         self._popularity: dict[str, float] = {}
         self._current_frequency: dict[str, int] = {}
-        self._periods_completed = 0
 
     @property
     def alpha(self) -> float:
         """The EWMA weighting coefficient."""
         return self._alpha
-
-    @property
-    def periods_completed(self) -> int:
-        """Number of completed (rolled-over) periods."""
-        return self._periods_completed
 
     def record_access(self, key: str, count: int = 1) -> None:
         """Record ``count`` accesses to ``key`` during the current period."""
@@ -74,16 +68,6 @@ class PopularityTracker:
         """EWMA popularity of ``key`` as of the last completed period."""
         return self._popularity.get(key, 0.0)
 
-    def projected_popularity(self, key: str) -> float:
-        """Popularity ``key`` would have if the current period ended now.
-
-        The Cache Manager reconfigures at period boundaries, but exposing the
-        projection lets callers (and tests) reason about mid-period state.
-        """
-        frequency = self._current_frequency.get(key, 0)
-        previous = self._popularity.get(key, 0.0)
-        return self._alpha * frequency + (1.0 - self._alpha) * previous
-
     def known_keys(self) -> set[str]:
         """Keys with non-zero popularity or accesses in the current period."""
         return set(self._popularity) | set(self._current_frequency)
@@ -98,7 +82,6 @@ class PopularityTracker:
             previous = self._popularity.get(key, 0.0)
             self._popularity[key] = self._alpha * frequency + (1.0 - self._alpha) * previous
         self._current_frequency.clear()
-        self._periods_completed += 1
         return dict(self._popularity)
 
     def snapshot(self, top_n: int | None = None) -> list[PopularityRecord]:
@@ -118,13 +101,7 @@ class PopularityTracker:
         records.sort(key=lambda record: (-record.popularity, record.key))
         return records[:top_n] if top_n is not None else records
 
-    def forget(self, key: str) -> None:
-        """Drop all state about ``key`` (e.g. after the object is deleted)."""
-        self._popularity.pop(key, None)
-        self._current_frequency.pop(key, None)
-
     def reset(self) -> None:
         """Drop all state (used between experiment runs)."""
         self._popularity.clear()
         self._current_frequency.clear()
-        self._periods_completed = 0

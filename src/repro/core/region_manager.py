@@ -144,20 +144,6 @@ class RegionManager:
             for region, latency in self._estimates.items()
         }
 
-    def latency_to(self, region: str) -> float:
-        """Latest estimate for one region (survivor penalty included).
-
-        Raises:
-            KeyError: if the region is unknown.
-        """
-        try:
-            latency = self._estimates[region]
-        except KeyError:
-            raise KeyError(f"no latency estimate for region {region!r}") from None
-        if region in self._down_regions:
-            latency += DOWN_REGION_PENALTY_MS
-        return latency
-
     def cache_read_estimate(self) -> float:
         """Estimated latency of a local cache chunk read (ms)."""
         assert self._cache_read_estimate is not None
@@ -172,7 +158,3 @@ class RegionManager:
             ),
             key=lambda estimate: estimate.latency_ms,
         )
-
-    def regions_by_distance(self) -> list[str]:
-        """Regions sorted from nearest to furthest according to the estimates."""
-        return [estimate.region for estimate in self.estimates_table()]

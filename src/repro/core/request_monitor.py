@@ -38,11 +38,6 @@ class ReadHints:
     cached_chunk_indices: tuple[int, ...]
     processing_overhead_ms: float = DEFAULT_PROCESSING_OVERHEAD_MS
 
-    @property
-    def wants_caching(self) -> bool:
-        """True if the configuration wants any chunk of this object cached."""
-        return bool(self.cached_chunk_indices)
-
 
 class RequestMonitor:
     """Tracks request statistics and serves read hints (paper §III-b).
@@ -101,7 +96,3 @@ class RequestMonitor:
     def end_period(self) -> dict[str, float]:
         """Close the current statistics period and return updated popularity."""
         return self._popularity.end_period()
-
-    def popularity_snapshot(self) -> dict[str, float]:
-        """Current popularity of every known key (last completed period)."""
-        return {record.key: record.popularity for record in self._popularity.snapshot()}

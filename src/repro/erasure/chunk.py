@@ -42,11 +42,6 @@ class ErasureCodingParams:
         """Total number of chunks produced per object (``k + m``)."""
         return self.data_chunks + self.parity_chunks
 
-    @property
-    def storage_overhead(self) -> float:
-        """Raw storage blow-up factor, ``(k + m) / k``."""
-        return self.total_chunks / self.data_chunks
-
     def chunk_size(self, object_size: int) -> int:
         """Size in bytes of each chunk for an object of ``object_size`` bytes.
 
@@ -125,16 +120,6 @@ class Chunk:
         """Chunk index within the object."""
         return self.chunk_id.index
 
-    def without_payload(self) -> "Chunk":
-        """Return a copy of this chunk with the payload dropped (metadata only)."""
-        return Chunk(
-            chunk_id=self.chunk_id,
-            size=self.size,
-            payload=None,
-            is_parity=self.is_parity,
-            version=self.version,
-        )
-
 
 @dataclass(slots=True)
 class ObjectMetadata:
@@ -165,18 +150,6 @@ class ObjectMetadata:
     def parity_chunk_indices(self) -> list[int]:
         """Indices of the parity chunks (``k .. k+m-1``)."""
         return list(range(self.params.data_chunks, self.params.total_chunks))
-
-    def chunks_in_region(self, region: str) -> list[int]:
-        """Return the chunk indices placed in ``region``."""
-        return sorted(index for index, location in self.chunk_locations.items() if location == region)
-
-    def region_of(self, index: int) -> str:
-        """Return the region storing chunk ``index``.
-
-        Raises:
-            KeyError: if the chunk has not been placed.
-        """
-        return self.chunk_locations[index]
 
 
 def block_chunk(metadata: ObjectMetadata, block: bytes | None, index: int) -> Chunk:

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.erasure.chunk import (BlockChunks, Chunk, ChunkId, ErasureCodingParams,
+from repro.erasure.chunk import (BlockChunks, Chunk, ErasureCodingParams,
                                  ObjectMetadata, block_chunk)
 from repro.erasure.reed_solomon import DecodingError, ReedSolomon
 
@@ -51,8 +51,6 @@ class ErasureCodec:
 
     Args:
         params: the ``(k, m)`` parameters; defaults to the paper's RS(9, 3).
-        construction: Reed-Solomon matrix construction (``"cauchy"`` or
-            ``"vandermonde"``).
 
     Example:
         >>> from repro.erasure import ErasureCodec, ErasureCodingParams
@@ -65,11 +63,9 @@ class ErasureCodec:
         True
     """
 
-    def __init__(self, params: ErasureCodingParams | None = None,
-                 construction: str = "cauchy") -> None:
+    def __init__(self, params: ErasureCodingParams | None = None) -> None:
         self._params = params or ErasureCodingParams(9, 3)
-        self._rs = ReedSolomon(self._params.data_chunks, self._params.parity_chunks,
-                               construction)
+        self._rs = ReedSolomon(self._params.data_chunks, self._params.parity_chunks)
 
     @property
     def params(self) -> ErasureCodingParams:
@@ -175,71 +171,6 @@ class ErasureCodec:
                 f"got {len(payloads)}"
             )
         return self._rs.decode_data(payloads, metadata.size)
-
-    def decode_many(self, objects: Sequence[tuple[ObjectMetadata, Mapping[int, Chunk]]]
-                    ) -> list[bytes]:
-        """Decode a batch of objects with batched kernels.
-
-        Objects are grouped by (chunk size, surviving-chunk pattern); each
-        group is reconstructed through :meth:`ReedSolomon.decode_many` with
-        one decode-operator application, so degraded reads of many same-shape
-        objects (the common case after losing a region) amortise their Python
-        overhead.  Output order matches input order; every payload is
-        bit-identical to per-object :meth:`decode`.
-        """
-        results: list[bytes | None] = [None] * len(objects)
-        groups: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-        arrays: list[dict[int, np.ndarray]] = []
-        for position, (metadata, chunks) in enumerate(objects):
-            with_payload = {
-                index: np.frombuffer(payload, dtype=np.uint8)
-                for index, payload in self._payloads(metadata, chunks).items()
-            }
-            if len(with_payload) < self._params.data_chunks:
-                raise DecodingError(
-                    f"need {self._params.data_chunks} chunks with payloads for "
-                    f"{metadata.key!r}, got {len(with_payload)}"
-                )
-            # decode_shards uses the k lowest survivor indices; group by them.
-            survivors = tuple(sorted(with_payload)[: self._params.data_chunks])
-            arrays.append({index: with_payload[index] for index in survivors})
-            shard_len = arrays[-1][survivors[0]].shape[0] if survivors else 0
-            groups.setdefault((shard_len, survivors), []).append(position)
-        for (shard_len, survivors), positions in groups.items():
-            stack = np.stack([
-                np.stack([arrays[position][index] for index in survivors])
-                for position in positions
-            ])
-            decoded = self._rs.decode_many(stack, survivors)
-            for row, position in enumerate(positions):
-                metadata = objects[position][0]
-                flat = decoded[row].reshape(-1)
-                if metadata.size < 0:
-                    raise DecodingError(
-                        f"object {metadata.key!r} claims a negative size, {metadata.size}")
-                if metadata.size > flat.shape[0]:
-                    raise DecodingError(
-                        f"object {metadata.key!r} claims {metadata.size} bytes but "
-                        f"only {flat.shape[0]} were decoded"
-                    )
-                results[position] = flat[: metadata.size].tobytes()
-        return results  # type: ignore[return-value] — every slot is filled above
-
-    def reconstruct_chunk(self, metadata: ObjectMetadata, chunks: Mapping[int, Chunk],
-                          target_index: int) -> Chunk:
-        """Rebuild a single missing chunk (repair path) from any ``k`` survivors."""
-        with_payload = {
-            index: np.frombuffer(payload, dtype=np.uint8)
-            for index, payload in self._payloads(metadata, chunks).items()
-        }
-        shard = self._rs.reconstruct_shard(with_payload, target_index)
-        return Chunk(
-            chunk_id=ChunkId(key=metadata.key, index=target_index),
-            size=shard.shape[0],
-            payload=shard.tobytes(),
-            is_parity=target_index >= self._params.data_chunks,
-            version=metadata.version,
-        )
 
     def decoding_cost_estimate(self, object_size: int) -> float:
         """Rough decode cost in milliseconds for an object of ``object_size`` bytes.

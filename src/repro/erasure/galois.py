@@ -6,7 +6,7 @@ same field used by Longhair, Jerasure and most storage erasure coders.  All
 symbols are bytes, which keeps chunk data as plain ``bytes``/NumPy ``uint8``
 arrays.
 
-The module exposes both scalar operations (``gf_add``, ``gf_mul``, ...) used by
+The module exposes both scalar operations (``gf_mul``, ``gf_inverse``) used by
 the matrix routines and the one payload kernel, :class:`PackedGFMatrix`, which
 every encode and decode runs through.
 """
@@ -71,47 +71,11 @@ class GaloisError(ArithmeticError):
     """Raised for invalid field operations such as division by zero."""
 
 
-def gf_add(a: int, b: int) -> int:
-    """Add two field elements (addition in GF(2^n) is XOR)."""
-    return (a ^ b) & 0xFF
-
-
-def gf_sub(a: int, b: int) -> int:
-    """Subtract two field elements (identical to addition in GF(2^n))."""
-    return (a ^ b) & 0xFF
-
-
 def gf_mul(a: int, b: int) -> int:
     """Multiply two field elements."""
     if a == 0 or b == 0:
         return 0
     return int(_EXP_TABLE[_LOG_TABLE[a] + _LOG_TABLE[b]])
-
-
-def gf_div(a: int, b: int) -> int:
-    """Divide ``a`` by ``b`` in the field.
-
-    Raises:
-        GaloisError: if ``b`` is zero.
-    """
-    if b == 0:
-        raise GaloisError("division by zero in GF(256)")
-    if a == 0:
-        return 0
-    return int(_EXP_TABLE[_LOG_TABLE[a] - _LOG_TABLE[b] + (FIELD_SIZE - 1)])
-
-
-def gf_pow(a: int, exponent: int) -> int:
-    """Raise ``a`` to an integer power (exponent may be negative)."""
-    if exponent == 0:
-        return 1
-    if a == 0:
-        if exponent < 0:
-            raise GaloisError("zero has no inverse in GF(256)")
-        return 0
-    log_a = int(_LOG_TABLE[a])
-    exp_index = (log_a * exponent) % (FIELD_SIZE - 1)
-    return int(_EXP_TABLE[exp_index])
 
 
 def gf_inverse(a: int) -> int:
@@ -123,18 +87,6 @@ def gf_inverse(a: int) -> int:
     if a == 0:
         raise GaloisError("zero has no inverse in GF(256)")
     return int(_EXP_TABLE[(FIELD_SIZE - 1) - _LOG_TABLE[a]])
-
-
-def gf_exp(power: int) -> int:
-    """Return the generator raised to ``power`` (mod 255)."""
-    return int(_EXP_TABLE[power % (FIELD_SIZE - 1)])
-
-
-def gf_log(a: int) -> int:
-    """Discrete logarithm of ``a`` with respect to the generator."""
-    if a == 0:
-        raise GaloisError("log of zero is undefined in GF(256)")
-    return int(_LOG_TABLE[a])
 
 
 #: Shard bytes a kernel step processes.  A packed-gather step fills one
@@ -333,36 +285,3 @@ class PackedGFMatrix:
                         len(parts), end - start),
                     axis=0, out=target[start:end])
         return out
-
-
-def gf_matmul_bytes(matrix: np.ndarray, shards: np.ndarray,
-                    block: int = GF_MATMUL_BLOCK) -> np.ndarray:
-    """Multiply a coefficient matrix by a stack of shards.
-
-    This is the gather-based kernel: see :class:`PackedGFMatrix`.  Callers
-    that reuse the same matrix across calls should build a
-    :class:`PackedGFMatrix` once and call :meth:`PackedGFMatrix.apply`.
-
-    Args:
-        matrix: ``(rows, cols)`` ``uint8`` coefficient matrix.
-        shards: ``(cols, shard_len)`` ``uint8`` array, one shard per row.
-        block: shard-axis chunk length bounding transient memory.
-
-    Returns:
-        ``(rows, shard_len)`` ``uint8`` array of output shards.
-    """
-    matrix = np.asarray(matrix, dtype=np.uint8)
-    shards = np.asarray(shards, dtype=np.uint8)
-    if matrix.ndim != 2 or shards.ndim != 2:
-        raise ValueError("matrix and shards must both be 2-D arrays")
-    if matrix.shape[1] != shards.shape[0]:
-        raise ValueError(
-            f"shape mismatch: matrix has {matrix.shape[1]} columns but "
-            f"{shards.shape[0]} shards were provided"
-        )
-    return PackedGFMatrix(matrix).apply(shards, block=block)
-
-
-def is_field_element(value: int) -> bool:
-    """Return True if ``value`` is a valid GF(256) element."""
-    return isinstance(value, (int, np.integer)) and 0 <= int(value) < FIELD_SIZE

@@ -9,14 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.erasure.galois import (
-    FIELD_SIZE,
-    GaloisError,
-    gf_div,
-    gf_inverse,
-    gf_mul,
-    gf_pow,
-)
+from repro.erasure.galois import FIELD_SIZE, GaloisError, gf_inverse, gf_mul
 
 
 class SingularMatrixError(GaloisError):
@@ -26,26 +19,6 @@ class SingularMatrixError(GaloisError):
 def identity_matrix(size: int) -> np.ndarray:
     """Return the ``size × size`` identity matrix over GF(256)."""
     return np.eye(size, dtype=np.uint8)
-
-
-def matrix_multiply(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Multiply two matrices over GF(256)."""
-    left = np.asarray(left, dtype=np.uint8)
-    right = np.asarray(right, dtype=np.uint8)
-    if left.shape[1] != right.shape[0]:
-        raise ValueError(
-            f"cannot multiply {left.shape} by {right.shape}: inner dimensions differ"
-        )
-    rows, inner = left.shape
-    cols = right.shape[1]
-    out = np.zeros((rows, cols), dtype=np.uint8)
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0
-            for t in range(inner):
-                acc ^= gf_mul(int(left[i, t]), int(right[t, j]))
-            out[i, j] = acc
-    return out
 
 
 def matrix_invert(matrix: np.ndarray) -> np.ndarray:
@@ -88,19 +61,6 @@ def matrix_invert(matrix: np.ndarray) -> np.ndarray:
     return work[:, size:].astype(np.uint8)
 
 
-def vandermonde_matrix(rows: int, cols: int) -> np.ndarray:
-    """Build a ``rows × cols`` Vandermonde matrix ``V[i, j] = i^j`` over GF(256)."""
-    if rows <= 0 or cols <= 0:
-        raise ValueError("matrix dimensions must be positive")
-    if rows > FIELD_SIZE:
-        raise ValueError("a GF(256) Vandermonde matrix supports at most 256 rows")
-    matrix = np.zeros((rows, cols), dtype=np.uint8)
-    for i in range(rows):
-        for j in range(cols):
-            matrix[i, j] = gf_pow(i, j) if i > 0 else (1 if j == 0 else 0)
-    return matrix
-
-
 def cauchy_matrix(rows: int, cols: int) -> np.ndarray:
     """Build a ``rows × cols`` Cauchy matrix ``C[i, j] = 1 / (x_i + y_j)``.
 
@@ -120,31 +80,21 @@ def cauchy_matrix(rows: int, cols: int) -> np.ndarray:
     return matrix
 
 
-def systematic_encoding_matrix(data_shards: int, parity_shards: int, construction: str = "cauchy") -> np.ndarray:
+def systematic_encoding_matrix(data_shards: int, parity_shards: int) -> np.ndarray:
     """Build the ``(k + m) × k`` systematic encoding matrix.
 
     The top ``k`` rows are the identity (data shards pass through untouched);
-    the bottom ``m`` rows produce the parity shards.
+    the bottom ``m`` rows are a Cauchy matrix, which keeps the code MDS, and
+    produce the parity shards.
 
     Args:
         data_shards: ``k``, the number of data shards.
         parity_shards: ``m``, the number of parity shards.
-        construction: ``"cauchy"`` (default, always MDS) or ``"vandermonde"``
-            (classic construction, made systematic by Gaussian elimination).
     """
     if data_shards <= 0 or parity_shards < 0:
         raise ValueError("data_shards must be positive and parity_shards non-negative")
-    total = data_shards + parity_shards
-    if construction == "cauchy":
-        parity = cauchy_matrix(parity_shards, data_shards) if parity_shards else np.zeros((0, data_shards), dtype=np.uint8)
-        return np.concatenate([identity_matrix(data_shards), parity], axis=0)
-    if construction == "vandermonde":
-        vandermonde = vandermonde_matrix(total, data_shards)
-        # Make the top k×k block the identity by multiplying with its inverse;
-        # the result is still MDS and is now systematic.
-        top_inverse = matrix_invert(vandermonde[:data_shards, :])
-        return matrix_multiply(vandermonde, top_inverse)
-    raise ValueError(f"unknown construction {construction!r}; expected 'cauchy' or 'vandermonde'")
+    parity = cauchy_matrix(parity_shards, data_shards) if parity_shards else np.zeros((0, data_shards), dtype=np.uint8)
+    return np.concatenate([identity_matrix(data_shards), parity], axis=0)
 
 
 def submatrix(matrix: np.ndarray, rows: list[int]) -> np.ndarray:

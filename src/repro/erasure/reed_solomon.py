@@ -13,12 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.erasure.galois import PackedGFMatrix, gf_matmul_bytes, shard_bytes
-from repro.erasure.matrix import (
-    decode_matrix,
-    submatrix,
-    systematic_encoding_matrix,
-)
+from repro.erasure.galois import PackedGFMatrix, shard_bytes
+from repro.erasure.matrix import decode_matrix, systematic_encoding_matrix
 
 #: Maximum number of decode operators kept per codec (one per distinct
 #: surviving-shard pattern; tiny tables, bounded to stay O(1) in memory).
@@ -35,8 +31,6 @@ class ReedSolomon:
     Args:
         data_shards: ``k``.
         parity_shards: ``m``.
-        construction: matrix construction, ``"cauchy"`` (default) or
-            ``"vandermonde"``.
 
     Example:
         >>> rs = ReedSolomon(4, 2)
@@ -46,7 +40,7 @@ class ReedSolomon:
         b'hello erasure world!'
     """
 
-    def __init__(self, data_shards: int, parity_shards: int, construction: str = "cauchy") -> None:
+    def __init__(self, data_shards: int, parity_shards: int) -> None:
         if data_shards <= 0:
             raise ValueError("data_shards must be positive")
         if parity_shards < 0:
@@ -55,16 +49,13 @@ class ReedSolomon:
             raise ValueError("k + m must not exceed 256 for GF(256) Reed-Solomon")
         self._data_shards = data_shards
         self._parity_shards = parity_shards
-        self._construction = construction
-        self._matrix = systematic_encoding_matrix(data_shards, parity_shards, construction)
+        self._matrix = systematic_encoding_matrix(data_shards, parity_shards)
         # The parity rows never change: compile their operator once.
         self._parity_op = (
             PackedGFMatrix(self._matrix[data_shards:, :]) if parity_shards else None
         )
         # Decode plans per surviving-shard pattern, built on demand.
         self._decode_ops: dict[tuple[int, ...], tuple] = {}
-        # Per-parity-row operators for verify()'s short-circuit, built lazily.
-        self._parity_row_ops: list[PackedGFMatrix] | None = None
 
     @property
     def data_shards(self) -> int:
@@ -225,27 +216,6 @@ class ReedSolomon:
             cached = self._decode_ops[survivors] = (present, missing, operator)
         return cached
 
-    def decode_shards(self, available: dict[int, np.ndarray]) -> np.ndarray:
-        """Reconstruct the ``(k, shard_size)`` data matrix from any ``k`` shards.
-
-        Args:
-            available: mapping from shard index to payload; must contain at
-                least ``k`` entries of identical length.
-
-        Raises:
-            DecodingError: if fewer than ``k`` shards are supplied or the
-                shard sizes disagree.
-        """
-        survivors, payloads, _ = self._survivors(available)
-        stacked = np.stack([np.asarray(payload, dtype=np.uint8) for payload in payloads])
-        present, missing, operator = self._decode_plan(survivors)
-        if operator is None:
-            return stacked
-        data = np.empty_like(stacked)
-        data[present] = stacked[: len(present)]
-        data[missing] = operator.apply(stacked)
-        return data
-
     def decode_many(self, shard_stacks: np.ndarray,
                     indices: Sequence[int]) -> np.ndarray:
         """Reconstruct a batch of objects sharing one surviving-shard pattern.
@@ -262,7 +232,7 @@ class ReedSolomon:
 
         Like :meth:`encode_many`, the batch folds along the shard axis so the
         decode operator for the pattern runs once per call; results are
-        bit-identical to per-object :meth:`decode_shards` with the same
+        bit-identical to per-object :meth:`decode_data` with the same
         survivors.
 
         The batched path makes no defensive copies: when the survivors are
@@ -292,7 +262,7 @@ class ReedSolomon:
                 raise DecodingError(
                     f"shard index {index} out of range 0..{self.total_shards - 1}"
                 )
-        # Mirror decode_shards: survivors sorted ascending, first k used.
+        # Mirror _survivors: survivors sorted ascending, first k used.
         order = sorted(range(provided), key=lambda position: index_list[position])
         order = order[: self._data_shards]
         survivors = tuple(index_list[position] for position in order)
@@ -342,34 +312,3 @@ class ReedSolomon:
             for row, shard in zip(missing, operator.apply(payloads)):
                 pieces[row] = shard
         return b"".join(pieces)[:original_length]
-
-    def reconstruct_shard(self, available: dict[int, np.ndarray], target_index: int) -> np.ndarray:
-        """Rebuild one missing shard (data or parity) from any ``k`` survivors."""
-        if not 0 <= target_index < self.total_shards:
-            raise DecodingError(f"shard index {target_index} out of range")
-        data_matrix = self.decode_shards(available)
-        row = submatrix(self._matrix, [target_index])
-        return gf_matmul_bytes(row, data_matrix)[0]
-
-    def verify(self, shards: dict[int, np.ndarray]) -> bool:
-        """Check that a *complete* shard set is consistent with the code.
-
-        Returns False if any parity shard does not match the data shards.
-        Only the ``m`` parity rows are recomputed (the data rows of a
-        systematic code trivially match themselves), one row at a time so a
-        corrupt early parity shard short-circuits the remaining work.
-        """
-        if len(shards) != self.total_shards:
-            raise ValueError("verify() requires all k + m shards")
-        data = [shard_bytes(shards[index]) for index in range(self._data_shards)]
-        if self._parity_row_ops is None:
-            self._parity_row_ops = [
-                PackedGFMatrix(self._matrix[self._data_shards + offset:
-                                            self._data_shards + offset + 1, :])
-                for offset in range(self._parity_shards)
-            ]
-        for offset, row_op in enumerate(self._parity_row_ops):
-            index = self._data_shards + offset
-            if row_op.apply(data)[0].tobytes() != shard_bytes(shards[index]):
-                return False
-        return True

@@ -128,10 +128,6 @@ class ExperimentSettings:
                   "topology_seed": self.seed, **fields}
         return EngineConfig(regions=tuple(regions), **config)
 
-    def with_requests(self, request_count: int) -> "ExperimentSettings":
-        """Copy of the settings with a different request count."""
-        return replace(self, request_count=request_count)
-
 
 #: Size-suffix multipliers understood by :func:`parse_cache_size` (binary
 #: units, matching :data:`MEGABYTE`).

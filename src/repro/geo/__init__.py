@@ -19,7 +19,6 @@ from repro.geo.regions import (
     SYDNEY,
     TOKYO,
     Region,
-    region_by_name,
     region_names,
 )
 from repro.geo.topology import (
@@ -29,8 +28,6 @@ from repro.geo.topology import (
     Topology,
     default_topology,
     table1_topology,
-    topology_from_matrix,
-    uniform_topology,
 )
 
 __all__ = [
@@ -51,9 +48,6 @@ __all__ = [
     "TOKYO",
     "Topology",
     "default_topology",
-    "region_by_name",
     "region_names",
     "table1_topology",
-    "topology_from_matrix",
-    "uniform_topology",
 ]

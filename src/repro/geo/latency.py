@@ -208,10 +208,6 @@ class LatencyModel:
         """Expected latency of one backend chunk read, without jitter."""
         return self.link(client_region, backend_region).expected_read_ms(size_bytes)
 
-    def expected_cache_read(self, region: str, size_bytes: int = DEFAULT_CHUNK_SIZE) -> float:
-        """Expected latency of one local cache chunk read, without jitter."""
-        return self.cache_link(region).expected_read_ms(size_bytes)
-
     def neighbor_link(self, client_region: str, neighbor_region: str,
                       size_bytes: int = DEFAULT_CHUNK_SIZE) -> NeighborLink:
         """Derived profile of reading from ``neighbor_region``'s cache (§VI).

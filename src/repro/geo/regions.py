@@ -51,20 +51,6 @@ PAPER_REGIONS: tuple[Region, ...] = (
 _REGIONS_BY_NAME = {region.name: region for region in PAPER_REGIONS}
 
 
-def region_by_name(name: str) -> Region:
-    """Look up one of the paper's regions by its short name.
-
-    Raises:
-        KeyError: if the name is not one of the six paper regions.
-    """
-    try:
-        return _REGIONS_BY_NAME[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown region {name!r}; known regions: {sorted(_REGIONS_BY_NAME)}"
-        ) from None
-
-
 def region_names(regions: tuple[Region, ...] | list[Region] = PAPER_REGIONS) -> list[str]:
     """Return the names of the given regions (defaults to the paper's six)."""
     return [region.name for region in regions]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.geo.latency import DEFAULT_CHUNK_SIZE, LatencyModel, LinkProfile, NeighborLink
-from repro.geo.regions import PAPER_REGIONS, Region, region_names
+from repro.geo.regions import PAPER_REGIONS, Region
 
 
 @dataclass
@@ -76,12 +76,6 @@ class Topology:
             backend: self.latency.expected_backend_read(client_region, backend, size_bytes)
             for backend in self._names
         }
-
-    def regions_by_distance(self, client_region: str,
-                            size_bytes: int = DEFAULT_CHUNK_SIZE) -> list[str]:
-        """Region names sorted from nearest to furthest as seen by ``client_region``."""
-        latencies = self.expected_read_latencies(client_region, size_bytes)
-        return sorted(latencies, key=lambda name: (latencies[name], name))
 
     def neighbor_link(self, client_region: str, neighbor_region: str,
                       size_bytes: int = DEFAULT_CHUNK_SIZE) -> NeighborLink:
@@ -188,41 +182,3 @@ def table1_topology(seed: int = 0, jitter: float = 0.0,
     matrix["frankfurt"] = dict(TABLE1_FRANKFURT_LATENCIES)
     model = _model_from_matrix(matrix, cache_read_ms=cache_read_ms, jitter=jitter, seed=seed)
     return Topology(regions=list(PAPER_REGIONS), latency=model, name="table1")
-
-
-def uniform_topology(region_list: list[Region] | None = None, remote_ms: float = 500.0,
-                     local_ms: float = 100.0, cache_read_ms: float = DEFAULT_CACHE_READ_MS,
-                     jitter: float = 0.0, seed: int = 0) -> Topology:
-    """A synthetic topology where every remote region is equally far away.
-
-    Useful in tests: with uniform distances the knapsack degenerates and Agar
-    should behave like LFU with full replicas.
-    """
-    regions = list(region_list) if region_list is not None else list(PAPER_REGIONS)
-    names = region_names(regions)
-    matrix = {
-        client: {backend: (local_ms if backend == client else remote_ms) for backend in names}
-        for client in names
-    }
-    model = _model_from_matrix(matrix, cache_read_ms=cache_read_ms, jitter=jitter, seed=seed)
-    return Topology(regions=regions, latency=model, name="uniform")
-
-
-def topology_from_matrix(matrix: dict[str, dict[str, float]], name: str = "custom",
-                         cache_read_ms: float = DEFAULT_CACHE_READ_MS, jitter: float = 0.0,
-                         seed: int = 0, regions: list[Region] | None = None) -> Topology:
-    """Build a topology from an explicit expected-latency matrix.
-
-    Args:
-        matrix: ``matrix[client][backend]`` expected per-chunk read latency in ms.
-        name: preset name used in reports.
-        cache_read_ms: expected local cache chunk-read latency.
-        jitter: log-normal jitter sigma applied to sampled reads.
-        seed: jitter RNG seed.
-        regions: optional region objects; synthesised from the matrix keys if
-            omitted.
-    """
-    if regions is None:
-        regions = [Region(name=key, aws_name=key, continent="synthetic") for key in matrix]
-    model = _model_from_matrix(matrix, cache_read_ms=cache_read_ms, jitter=jitter, seed=seed)
-    return Topology(regions=regions, latency=model, name=name)

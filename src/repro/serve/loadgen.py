@@ -102,13 +102,6 @@ class ConnectionStats:
             return 0.0
         return self.requests_sent / self.connections_opened
 
-    def merge(self, other: "ConnectionStats") -> None:
-        self.connections_opened += other.connections_opened
-        self.reconnects += other.reconnects
-        self.requests_sent += other.requests_sent
-        self.timeouts += other.timeouts
-        self.failed_over += other.failed_over
-
 
 @dataclass(slots=True)
 class WireLoadSpec:

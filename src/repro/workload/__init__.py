@@ -9,7 +9,6 @@ from repro.workload.workload import (
     Request,
     WorkloadSpec,
     generate_requests,
-    iter_requests,
     poisson_arrivals,
     request_frequency,
     uniform_workload,
@@ -19,8 +18,6 @@ from repro.workload.zipfian import (
     KeyDistribution,
     UniformDistribution,
     ZipfianDistribution,
-    top_k_share,
-    zipfian_cdf,
 )
 
 __all__ = [
@@ -35,11 +32,8 @@ __all__ = [
     "WorkloadSpec",
     "ZipfianDistribution",
     "generate_requests",
-    "iter_requests",
     "poisson_arrivals",
     "request_frequency",
-    "top_k_share",
     "uniform_workload",
-    "zipfian_cdf",
     "zipfian_workload",
 ]

@@ -10,8 +10,7 @@ request stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,14 +83,6 @@ class WorkloadSpec:
         if self.distribution == "uniform":
             return UniformDistribution(self.object_count, seed=effective_seed)
         return ZipfianDistribution(self.object_count, skew=self.skew, seed=effective_seed)
-
-    def with_seed(self, seed: int) -> "WorkloadSpec":
-        """Copy of the spec with a different seed (used for repeated runs)."""
-        return replace(self, seed=seed)
-
-    def total_data_bytes(self) -> int:
-        """Total unencoded bytes in the working set."""
-        return self.object_count * self.object_size
 
 
 #: The paper's default workload (§V-A): 300 × 1 MB objects, 1,000 reads, Zipf 1.1.
@@ -192,13 +183,6 @@ def generate_requests(spec: WorkloadSpec, seed: int | None = None) -> list[Reque
         Request(key=spec.key_for_rank(int(rank)), operation="read", sequence=index)
         for index, rank in enumerate(ranks)
     ]
-
-
-def iter_requests(spec: WorkloadSpec, seed: int | None = None) -> Iterator[Request]:
-    """Lazily iterate the request stream (memory-friendly for large runs)."""
-    distribution = spec.build_distribution(seed)
-    for index in range(spec.request_count):
-        yield Request(key=spec.key_for_rank(distribution.sample()), operation="read", sequence=index)
 
 
 def request_frequency(requests: list[Request]) -> dict[str, int]:

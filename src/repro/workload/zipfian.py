@@ -155,23 +155,3 @@ class UniformDistribution(KeyDistribution):
         if count < 0:
             raise ValueError("count must be non-negative")
         return self._rng.integers(0, self._item_count, size=count)
-
-
-def zipfian_cdf(item_count: int, skew: float) -> np.ndarray:
-    """Analytic CDF of the finite Zipfian distribution (no sampling).
-
-    Convenience used by the Fig. 9 experiment: the fraction of requests that
-    target the ``x`` most popular objects.
-    """
-    if skew == 0:
-        return np.arange(1, item_count + 1) / item_count
-    distribution = ZipfianDistribution(item_count=item_count, skew=skew)
-    return distribution.cdf()
-
-
-def top_k_share(item_count: int, skew: float, top_k: int) -> float:
-    """Fraction of requests that go to the ``top_k`` most popular objects."""
-    if top_k <= 0:
-        return 0.0
-    cdf = zipfian_cdf(item_count, skew)
-    return float(cdf[min(top_k, item_count) - 1])

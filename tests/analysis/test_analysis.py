@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.analysis.cdf import cdf_table, empirical_cdf, popularity_cdf
-from repro.analysis.report import (
-    Table,
-    format_milliseconds,
-    format_ratio,
-    improvement_summary,
-    percent_difference,
-)
+from repro.analysis.cdf import popularity_cdf
+from repro.analysis.report import Table, improvement_summary, percent_difference
 
 
 class TestTable:
@@ -25,11 +19,6 @@ class TestTable:
         table = Table(title="T", columns=("a", "b"))
         with pytest.raises(ValueError):
             table.add_row(1)
-
-    def test_to_dicts(self):
-        table = Table(title="T", columns=("a", "b"))
-        table.add_row(1, 2)
-        assert table.to_dicts() == [{"a": 1, "b": 2}]
 
 
 class TestSummaries:
@@ -52,30 +41,13 @@ class TestSummaries:
         with pytest.raises(ValueError):
             improvement_summary({"agar": 1.0, "backend": 2.0}, subject="agar")
 
-    def test_formatters(self):
-        assert format_milliseconds(1234.5) == "1,234 ms"
-        assert format_ratio(0.525) == "52.5%"
-
 
 class TestCdf:
-    def test_empirical(self):
-        series = empirical_cdf([30.0, 10.0, 20.0])
-        assert series.x == (10.0, 20.0, 30.0)
-        assert series.y[-1] == pytest.approx(1.0)
-        assert series.value_at(15.0) == pytest.approx(1 / 3)
-        assert series.value_at(5.0) == 0.0
-
-    def test_empty_empirical(self):
-        assert empirical_cdf([]).x == ()
 
     def test_popularity_cdf_normalises(self):
         series = popularity_cdf([4, 3, 2, 1])
         assert series.y[0] == pytest.approx(0.4)
         assert series.y[-1] == pytest.approx(1.0)
         assert series.x == (1.0, 2.0, 3.0, 4.0)
-
-    def test_cdf_table(self):
-        series = [popularity_cdf([1, 1, 1, 1], label="flat")]
-        rows = cdf_table(series, x_points=[2, 4])
-        assert rows[0]["flat"] == pytest.approx(0.5)
-        assert rows[1]["flat"] == pytest.approx(1.0)
+        assert series.value_at(1.5) == pytest.approx(0.4)
+        assert series.value_at(0.5) == 0.0

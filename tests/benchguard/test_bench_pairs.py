@@ -8,6 +8,7 @@ without measuring anything.
 
 import importlib.util
 import json
+import subprocess
 import sys
 import textwrap
 from pathlib import Path
@@ -242,3 +243,26 @@ def test_a_regression_past_the_bound_is_worse_and_a_wide_spread_unresolved(bench
     assert unresolved["metrics"]["ops_per_ref_s"]["verdict"] == "unresolved"
     swept = bench_pairs.summarise(rows(noisy, [160.0] * 6), SPEC, claimed=None)
     assert swept["metrics"]["ops_per_ref_s"]["verdict"] == "within"
+
+
+def test_a_git_checkout_records_its_head(bench_pairs, tmp_path, capsys):
+    def git(*arguments: str) -> str:
+        return subprocess.run(
+            ["git", "-C", str(tmp_path), "-c", "user.name=bench",
+             "-c", "user.email=bench@example.invalid", *arguments],
+            capture_output=True, text=True, check=True).stdout.strip()
+    git("init", "-q")
+    (tmp_path / "run.py").write_text("print('run')\n")
+    git("add", "run.py")
+    git("commit", "-q", "-m", "one commit")
+    assert bench_pairs._commit(tmp_path, "parent") == git("rev-parse", "HEAD")
+    (tmp_path / "run.py").write_text("print('edited')\n")
+    assert bench_pairs._commit(tmp_path, "parent") == git("rev-parse", "HEAD") + "+dirty"
+    assert capsys.readouterr().err == ""
+
+
+def test_a_plain_directory_is_unknown_and_says_so(bench_pairs, tmp_path, capsys):
+    assert bench_pairs._commit(tmp_path, "change") == "unknown"
+    warning = capsys.readouterr().err
+    assert "--change" in warning and str(tmp_path) in warning
+    assert "cannot name the change commit" in warning

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache import (
     ChunkCache,
-    FIFOEvictionPolicy,
     LFUEvictionPolicy,
     LRUEvictionPolicy,
     PinnedConfigurationPolicy,
@@ -28,14 +27,12 @@ class TestBasicOperations:
         assert cache.get(ChunkId("a", 1)) is None
         assert cache.stats.chunk_hits == 1
         assert cache.stats.chunk_misses == 1
-        assert cache.stats.chunk_hit_ratio == pytest.approx(0.5)
 
     def test_capacity_accounting(self):
         cache = ChunkCache(capacity_bytes=250)
         cache.put(make_chunk("a", 0))
         cache.put(make_chunk("a", 1))
         assert cache.used_bytes == 200
-        assert cache.free_bytes == 50
         assert len(cache) == 2
 
     def test_oversized_chunk_rejected(self):
@@ -50,7 +47,7 @@ class TestBasicOperations:
         cache.put(make_chunk("a", 2))
         assert len(cache) == 2
         assert cache.stats.evictions == 1
-        assert not cache.contains(ChunkId("a", 0))
+        assert ChunkId("a", 0) not in cache._entries
 
     def test_put_refreshes_existing(self):
         cache = ChunkCache(capacity_bytes=200)
@@ -72,19 +69,8 @@ class TestBasicOperations:
         assert cache.stats.insertions == 2
         assert cache.stats.refreshes == 1
         cache.put(make_chunk("c", 0))  # evicts "b", the least recently re-put
-        assert cache.contains(ChunkId("a", 0))
-        assert not cache.contains(ChunkId("b", 0))
-
-    def test_refresh_matches_reinsert_for_fifo_order(self):
-        """The in-place refresh must rank exactly like remove-and-reinsert
-        under FIFO (insertion time resets)."""
-        cache = ChunkCache(capacity_bytes=200, policy=FIFOEvictionPolicy())
-        cache.put(make_chunk("a", 0))
-        cache.put(make_chunk("b", 0))
-        cache.put(make_chunk("a", 0))  # refresh: "a" now newest by insertion
-        cache.put(make_chunk("c", 0))  # overflow: FIFO evicts "b"
-        assert cache.contains(ChunkId("a", 0))
-        assert not cache.contains(ChunkId("b", 0))
+        assert ChunkId("a", 0) in cache._entries
+        assert ChunkId("b", 0) not in cache._entries
 
     def test_refresh_resets_access_count(self):
         cache = ChunkCache(capacity_bytes=300)
@@ -93,34 +79,6 @@ class TestBasicOperations:
         assert cache._entries[ChunkId("a", 0)].access_count == 1
         cache.put(make_chunk("a", 0))
         assert cache._entries[ChunkId("a", 0)].access_count == 0
-
-    def test_touch_refreshes_without_payload(self):
-        cache = ChunkCache(capacity_bytes=200, policy=LRUEvictionPolicy())
-        cache.put(make_chunk("a", 0))
-        cache.put(make_chunk("b", 0))
-        assert cache.touch(ChunkId("a", 0))
-        assert cache.stats.refreshes == 1
-        cache.put(make_chunk("c", 0))  # evicts "b"
-        assert cache.contains(ChunkId("a", 0))
-        assert not cache.contains(ChunkId("b", 0))
-
-    def test_touch_absent_chunk(self):
-        cache = ChunkCache(capacity_bytes=300)
-        assert not cache.touch(ChunkId("nope", 0))
-        assert cache.stats.refreshes == 0
-
-    def test_touch_respects_admission(self):
-        """A pinned-configuration cache refuses to touch a chunk that has
-        fallen out of the configuration, mirroring put's admission veto."""
-        from repro.cache.policies import PinnedConfigurationPolicy
-
-        policy = PinnedConfigurationPolicy()
-        policy.set_configuration({ChunkId("a", 0)})
-        cache = ChunkCache(capacity_bytes=300, policy=policy)
-        cache.put(make_chunk("a", 0))
-        policy.set_configuration({ChunkId("b", 0)})
-        assert not cache.touch(ChunkId("a", 0))
-        assert cache.stats.rejections == 1
 
     def test_delete_and_clear(self):
         cache = ChunkCache(capacity_bytes=500)
@@ -148,22 +106,12 @@ class TestBasicOperations:
 
 
 class TestObjectLevelHelpers:
-    def test_cached_indices_and_keys(self):
+    def test_cached_indices(self):
         cache = ChunkCache(capacity_bytes=1000)
         cache.put(make_chunk("a", 3))
         cache.put(make_chunk("a", 1))
         cache.put(make_chunk("b", 0))
         assert cache.cached_indices("a") == [1, 3]
-        assert cache.cached_keys() == {"a", "b"}
-
-    def test_evict_key(self):
-        cache = ChunkCache(capacity_bytes=1000)
-        for index in range(3):
-            cache.put(make_chunk("a", index))
-        cache.put(make_chunk("b", 0))
-        assert cache.evict_key("a") == 3
-        assert cache.cached_indices("a") == []
-        assert cache.cached_keys() == {"b"}
 
     def test_snapshot_histogram(self):
         cache = ChunkCache(capacity_bytes=10_000)
@@ -172,10 +120,8 @@ class TestObjectLevelHelpers:
         for index in range(5):
             cache.put(make_chunk("partial", index))
         snapshot = cache.snapshot()
-        assert snapshot.chunk_count("full") == 9
-        assert snapshot.chunk_count("missing") == 0
+        assert snapshot.chunks_per_key["full"] == tuple(range(9))
         assert snapshot.chunk_count_histogram() == {9: 1, 5: 1}
-        assert snapshot.occupancy_by_chunk_count() == {9: 9, 5: 5}
         assert snapshot.used_bytes == 1400
 
     def test_clock_injection(self):
@@ -185,8 +131,8 @@ class TestObjectLevelHelpers:
         cache.put(make_chunk("b", 0))
         cache.get(ChunkId("a", 0))  # refresh a's recency
         cache.put(make_chunk("c", 0))  # evicts b, the least recently used
-        assert cache.contains(ChunkId("a", 0))
-        assert not cache.contains(ChunkId("b", 0))
+        assert ChunkId("a", 0) in cache._entries
+        assert ChunkId("b", 0) not in cache._entries
 
 
 class TestEvictionProperties:
@@ -201,7 +147,7 @@ class TestEvictionProperties:
     def test_capacity_never_exceeded(self, operations, capacity_chunks):
         """Invariant: used bytes never exceed capacity, whatever the op sequence."""
         chunk_size = 10
-        cache = ChunkCache(capacity_bytes=capacity_chunks * chunk_size, policy=FIFOEvictionPolicy())
+        cache = ChunkCache(capacity_bytes=capacity_chunks * chunk_size, policy=LRUEvictionPolicy())
         for operation, index in operations:
             if operation == "put":
                 cache.put(make_chunk("key", index, size=chunk_size))
@@ -247,8 +193,8 @@ class TestProbe:
     @pytest.mark.parametrize("simulated_clock", [True, False],
                              ids=["simulated-clock", "tick-counter"])
     @pytest.mark.parametrize("make_policy", [
-        LRUEvictionPolicy, LFUEvictionPolicy, FIFOEvictionPolicy, _pinned_half,
-    ], ids=["lru", "lfu", "fifo", "pinned"])
+        LRUEvictionPolicy, LFUEvictionPolicy, _pinned_half,
+    ], ids=["lru", "lfu", "pinned"])
     @settings(max_examples=40, deadline=None)
     @given(steps=st.lists(st.one_of(
         st.tuples(st.just("put"), st.integers(0, 11)),
@@ -299,7 +245,7 @@ class TestProbe:
 
 
 def _twin_id(number: int) -> ChunkId:
-    """Ids under two keys, so ``evict_key`` removes some and keeps others."""
+    """Ids under two keys."""
     return ChunkId("ab"[number % 2], number)
 
 
@@ -316,16 +262,15 @@ class TestLookupThenRecordHits:
     @pytest.mark.parametrize("simulated_clock", [True, False],
                              ids=["simulated-clock", "tick-counter"])
     @pytest.mark.parametrize("make_policy", [
-        LRUEvictionPolicy, LFUEvictionPolicy, FIFOEvictionPolicy, _pinned_twin_ids,
-    ], ids=["lru", "lfu", "fifo", "pinned"])
+        LRUEvictionPolicy, LFUEvictionPolicy, _pinned_twin_ids,
+    ], ids=["lru", "lfu", "pinned"])
     @settings(max_examples=40, deadline=None)
     @given(steps=st.lists(st.one_of(
         # A first put, a re-put at the same size (a refresh) or at a new size
         # (remove and reinsert); 70 bytes is larger than the whole cache.
         st.tuples(st.just("put"), st.tuples(st.integers(0, 13),
                                              st.sampled_from([10, 20, 70]))),
-        st.tuples(st.sampled_from(["touch", "delete", "get"]), st.integers(0, 15)),
-        st.tuples(st.just("evict_key"), st.sampled_from("abc")),
+        st.tuples(st.sampled_from(["delete", "get"]), st.integers(0, 15)),
         st.tuples(st.just("clear"), st.none()),
         st.tuples(st.just("advance"), st.integers(1, 5)),
         # Absent ids and repeats.
@@ -353,10 +298,8 @@ class TestLookupThenRecordHits:
                     if kind == "put":
                         number, size = argument
                         cache.put(Chunk(_twin_id(number), size=size))
-                    elif kind in ("touch", "delete", "get"):
+                    elif kind in ("delete", "get"):
                         getattr(cache, kind)(_twin_id(argument))
-                    elif kind == "evict_key":
-                        cache.evict_key(argument)
                     elif kind == "clear":
                         cache.clear()
                     elif clock is not None:

@@ -14,13 +14,6 @@ def result(latency: float, hit: HitType, cache_chunks: int = 0, backend_chunks: 
     )
 
 
-class TestHitType:
-    def test_is_hit(self):
-        assert HitType.FULL.is_hit
-        assert HitType.PARTIAL.is_hit
-        assert not HitType.MISS.is_hit
-
-
 class TestLatencyStats:
     def test_empty(self):
         stats = LatencyStats()
@@ -90,7 +83,7 @@ class TestLatencyStats:
         first.record(result(100.0, HitType.MISS))
         second = LatencyStats()
         second.record(result(200.0, HitType.FULL))
-        merged = first.merge(second)
+        merged = LatencyStats.merge_all((first, second))
         assert merged.count == 2
         assert merged.mean_latency_ms == pytest.approx(150.0)
         assert merged.hit_ratio == pytest.approx(0.5)
@@ -163,7 +156,7 @@ class TestMergeAll:
                 stats.record(result(100.0 + start + offset, hit))
             parts.append(stats)
         merged = LatencyStats.merge_all(parts)
-        pairwise = parts[0].merge(parts[1]).merge(parts[2])
+        pairwise = LatencyStats.merge_all((LatencyStats.merge_all(parts[:2]), parts[2]))
         assert merged.count == pairwise.count == 9
         assert merged.latencies_ms == pairwise.latencies_ms
         assert merged.full_hits == pairwise.full_hits

@@ -149,7 +149,7 @@ class TestPeriodicLFUStrategy:
         passed[-1].clear()
         passed[-1].add(ChunkId("intruder", 0))
         assert policy.pinned == pinned
-        assert not policy.is_pinned(ChunkId("intruder", 0))
+        assert ChunkId("intruder", 0) not in policy.pinned
 
 
 class TestAgarStrategy:
@@ -166,7 +166,7 @@ class TestAgarStrategy:
         result = strategy.read("object-0", now=now + 1.0)
         assert result.hit_type in (HitType.PARTIAL, HitType.FULL)
         assert result.chunks_from_cache > 0
-        assert strategy.node.current_configuration.has_key("object-0")
+        assert "object-0" in strategy.node.current_configuration.keys()
 
     def test_agar_read_includes_processing_overhead(self, store):
         config = ClientConfig(overhead_ms=0.0, include_decode_cost=False)
@@ -184,7 +184,7 @@ class TestAgarStrategy:
 
         config = ClientConfig(overhead_ms=0.0, include_decode_cost=False)
         strategy = AgarReadStrategy(store, "frankfurt", MEGABYTE, config=config)
-        needed = strategy._needed("object-0")
+        needed = strategy._plan_for("object-0").needed
         catalog = frozenset(
             ChunkId(key="object-0", index=placed.index) for placed in needed)
         costs = sorted(placed.latency_ms for placed in needed)
@@ -219,7 +219,7 @@ class TestAgarStrategy:
         config = ClientConfig(overhead_ms=0.0, include_decode_cost=False)
         strategy = AgarReadStrategy(store, "frankfurt", MEGABYTE, config=config)
         strategy.prepare_indexed_reads(["object-0"])
-        needed = strategy._needed("object-0")
+        needed = strategy._plan_for("object-0").needed
         catalog = frozenset(
             ChunkId(key="object-0", index=placed.index) for placed in needed)
         costs = sorted(placed.latency_ms for placed in needed)
@@ -292,7 +292,7 @@ class TestAgarHints:
         configuration = strategy.node.current_configuration
         cache = strategy.cache
         for index, key in enumerate(self.KEYS):
-            needed = {placed.index for placed in strategy._needed(key)}
+            needed = {placed.index for placed in strategy._plan_for(key).needed}
             hinted = set(configuration.chunks_for(key)) & needed
             held = hinted & set(cache.cached_indices(key))
             if index % 2:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.backend import ErasureCodedStore
 from repro.erasure import ErasureCodingParams
-from repro.geo import default_topology, table1_topology, uniform_topology
+from repro.geo import default_topology, table1_topology
 
 MEGABYTE = 1024 * 1024
 
@@ -31,12 +31,6 @@ def jittered_topology():
 def paper_table1():
     """The Table-I preset topology (Frankfurt row uses the paper's numbers)."""
     return table1_topology(seed=0)
-
-
-@pytest.fixture
-def flat_topology():
-    """A uniform-distance topology (degenerate case for the knapsack)."""
-    return uniform_topology(jitter=0.0, seed=0)
 
 
 @pytest.fixture

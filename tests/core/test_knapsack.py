@@ -80,12 +80,12 @@ class TestSolverBasics:
         options = {"a": [make_option("a", 1, 10.0), make_option("a", 3, 25.0)]}
         best = KnapsackSolver(4).solve_configuration(options)
         assert len(best) == 1
-        assert best.option_for("a").weight == 3
+        assert len(best.chunks_for("a")) == 3
 
     def test_oversized_options_ignored(self):
         options = {"a": [make_option("a", 10, 1000.0), make_option("a", 2, 5.0)]}
         best = KnapsackSolver(4).solve_configuration(options)
-        assert best.option_for("a").weight == 2
+        assert len(best.chunks_for("a")) == 2
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):

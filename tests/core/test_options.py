@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.options import (
     CachingOption,
-    baseline_read_latency,
     generate_caching_options,
     needed_chunks,
 )
@@ -30,7 +29,8 @@ class TestNeededChunks:
         assert needed[-1].region == "frankfurt"
 
     def test_baseline_latency_is_furthest_needed(self, round_robin_chunks, table1_latencies):
-        assert baseline_read_latency(round_robin_chunks, table1_latencies, 9, 3) == pytest.approx(3400.0)
+        needed = needed_chunks(round_robin_chunks, table1_latencies, 9, 3)
+        assert needed[0].latency_ms == pytest.approx(3400.0)
 
     def test_missing_latency_estimate(self, round_robin_chunks):
         with pytest.raises(ValueError):
@@ -89,7 +89,7 @@ class TestPaperWorkedExample:
 
     def test_option_chunks_are_supersets(self, options):
         for smaller, larger in zip(options, options[1:]):
-            assert smaller.chunk_set() < larger.chunk_set()
+            assert set(smaller.chunk_indices) < set(larger.chunk_indices)
 
 
 class TestGenerationEdgeCases:

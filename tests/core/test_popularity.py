@@ -21,11 +21,13 @@ class TestEwma:
         tracker.end_period()  # no accesses in the second period
         assert tracker.popularity("key1") == pytest.approx(16.0)
 
-    def test_projected_popularity(self):
+    def test_accesses_fold_at_the_period_end(self):
         tracker = PopularityTracker(alpha=0.5)
         tracker.record_access("a", count=10)
-        assert tracker.projected_popularity("a") == pytest.approx(5.0)
+        assert tracker.current_frequency("a") == 10
         assert tracker.popularity("a") == 0.0  # not folded until end_period
+        tracker.end_period()
+        assert tracker.popularity("a") == pytest.approx(5.0)
 
     def test_unknown_key_is_zero(self):
         tracker = PopularityTracker()
@@ -52,22 +54,14 @@ class TestEwma:
         assert [record.key for record in snapshot] == ["high", "mid", "low"]
         assert [record.key for record in tracker.snapshot(top_n=1)] == ["high"]
 
-    def test_forget_and_reset(self):
+    def test_reset(self):
         tracker = PopularityTracker()
         tracker.record_access("a")
         tracker.end_period()
-        tracker.forget("a")
-        assert tracker.popularity("a") == 0.0
         tracker.record_access("b")
         tracker.reset()
         assert tracker.known_keys() == set()
-        assert tracker.periods_completed == 0
-
-    def test_periods_counter(self):
-        tracker = PopularityTracker()
-        tracker.end_period()
-        tracker.end_period()
-        assert tracker.periods_completed == 2
+        assert tracker.popularity("a") == 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(counts=st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=10),

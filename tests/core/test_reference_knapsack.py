@@ -30,8 +30,7 @@ class TestConfigurationDerivation:
         config = with_option(EMPTY_CONFIGURATION, option)
         assert config.weight == 3
         assert config.value == pytest.approx(30.0)
-        assert config.has_key("a")
-        assert config.option_for("a") is option
+        assert config.options == (option,)
         assert config.chunks_for("a") == (0, 1, 2)
         assert config.chunks_for("b") == ()
         with pytest.raises(ValueError):
@@ -42,9 +41,9 @@ class TestConfigurationDerivation:
         config = CacheConfiguration(options=(old, make_option("b", 2, 10.0)))
         shrunk = replace(config, old, make_option("a", 3, 30.0), added=make_option("c", 2, 40.0))
         assert shrunk.weight == 7
-        assert shrunk.has_key("c") and shrunk.option_for("a").weight == 3
+        assert "c" in shrunk.keys() and len(shrunk.chunks_for("a")) == 3
         evicted = replace(config, old, None)
-        assert not evicted.has_key("a")
+        assert "a" not in evicted.keys()
         assert evicted.weight == 2
         # An equal option that is not the same object is found too.
         assert replace(config, make_option("a", 5, 50.0), None).keys() == ["b"]

@@ -121,6 +121,30 @@ def test_a_tie_that_rounds_up_is_still_scanned(capacity, ladders):
     assert pruned.relax_improved > 0
 
 
+#: Instances whose best configurations tie exactly, in value and in weight,
+#: in two slots of the table: the winner is the first in slot order.
+SLOT_ORDER_TIES = [
+    (6, 2, {"key-0": [(1, "0x1.0c6f7a0b5ed8dp-20"), (4, "0x1.3333333333333p-2"),
+                      (7, "0x1.3333333333334p-2"), (9, "0x1.3333333333334p-2")],
+            "key-1": [(1, "0x1.3333333333333p-2"), (4, "0x1.3333333333334p-2")],
+            "key-2": [(2, "0x1.3333333333334p-2")],
+            "key-3": [(2, "0x1.3333333333334p-2"), (3, "0x1.3333333333332p-2"),
+                      (6, "0x1.3333333333332p-2"), (7, "0x1.3333333333334p-2")],
+            "key-4": [(2, "0x1.3333333333334p-2")],
+            "key-5": [(3, "0x1.3333333333334p-2")],
+            "key-6": [(1, "0x1.3333333333333p-2"), (2, "0x1.3333333333333p-2")]}),
+]
+
+
+@pytest.mark.parametrize("capacity,stop,ladders", SLOT_ORDER_TIES)
+def test_an_exact_tie_goes_to_the_first_slot(capacity, stop, ladders):
+    options_by_key = {
+        key: [make_option(key, weight, float.fromhex(value)) for weight, value in ladder]
+        for key, ladder in ladders.items()
+    }
+    assert_matches_reference(options_by_key, capacity, stop)
+
+
 @pytest.mark.parametrize("poison", [math.nan, math.inf])
 def test_non_finite_values_never_prune(poison):
     """A NaN or infinite slack compares false: every state gets the full scan."""

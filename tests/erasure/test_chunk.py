@@ -16,7 +16,6 @@ class TestErasureCodingParams:
         assert PAPER_PARAMS.data_chunks == 9
         assert PAPER_PARAMS.parity_chunks == 3
         assert PAPER_PARAMS.total_chunks == 12
-        assert PAPER_PARAMS.storage_overhead == pytest.approx(12 / 9)
 
     def test_chunk_size_ceiling(self):
         params = ErasureCodingParams(9, 3)
@@ -52,16 +51,6 @@ class TestChunk:
         with pytest.raises(ValueError):
             Chunk(ChunkId("a", 0), size=4, payload=b"abcde")
 
-    def test_without_payload(self):
-        chunk = Chunk(ChunkId("a", 10), size=3, payload=b"xyz", is_parity=True, version=2)
-        stripped = chunk.without_payload()
-        assert stripped.payload is None
-        assert stripped.size == 3
-        assert stripped.is_parity
-        assert stripped.version == 2
-        assert stripped.key == "a"
-        assert stripped.index == 10
-
     def test_negative_size(self):
         with pytest.raises(ValueError):
             Chunk(ChunkId("a", 0), size=-1)
@@ -79,15 +68,3 @@ class TestObjectMetadata:
         meta = self.make()
         assert meta.data_chunk_indices == [0, 1, 2, 3]
         assert meta.parity_chunk_indices == [4, 5]
-
-    def test_chunks_in_region(self):
-        meta = self.make()
-        assert meta.chunks_in_region("r1") == [0, 2]
-        assert meta.chunks_in_region("r2") == [1, 4]
-        assert meta.chunks_in_region("missing") == []
-
-    def test_region_of(self):
-        meta = self.make()
-        assert meta.region_of(3) == "r3"
-        with pytest.raises(KeyError):
-            meta.region_of(99)

@@ -1,5 +1,7 @@
 """Tests for the object-level erasure codec."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -64,18 +66,9 @@ class TestDecode:
 
     def test_virtual_chunks_do_not_count(self, codec):
         encoded = codec.encode("key", b"erasure coded payload!")
-        subset = {chunk.index: chunk.without_payload() for chunk in encoded.chunks}
+        subset = {chunk.index: replace(chunk, payload=None) for chunk in encoded.chunks}
         with pytest.raises(DecodingError):
             codec.decode(encoded.metadata, subset)
-
-    def test_reconstruct_chunk(self, codec):
-        data = b"reconstruct me please, thanks"
-        encoded = codec.encode("key", data)
-        survivors = {chunk.index: chunk for chunk in encoded.chunks if chunk.index != 1}
-        rebuilt = codec.reconstruct_chunk(encoded.metadata, survivors, 1)
-        assert rebuilt.payload == encoded.chunks[1].payload
-        assert rebuilt.index == 1
-        assert not rebuilt.is_parity
 
     @settings(max_examples=25, deadline=None)
     @given(payload=st.binary(min_size=0, max_size=500))

@@ -2,6 +2,7 @@
 agrees for every survivor pattern, the four rejections keep their messages,
 and every payload type the parent accepted still decodes."""
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -25,40 +26,18 @@ def all_patterns(codec):
 
 
 class TestEveryPatternEveryEntryPoint:
-    def test_decode_decode_many_and_decode_shards_agree(self, encoded):
+    def test_decode_and_decode_data_agree(self, encoded):
         codec, obj = encoded
-        k = codec.params.data_chunks
-        rs = ReedSolomon(k, codec.params.parity_chunks)
-        data_matrix = rs.split(PAYLOAD)
+        rs = ReedSolomon(codec.params.data_chunks, codec.params.parity_chunks)
         twin = codec.encode("twin", PAYLOAD[::-1])
         for survivors in all_patterns(codec):
             chunks = {index: obj.chunks[index] for index in survivors}
             assert codec.decode(obj.metadata, chunks) == PAYLOAD, survivors
-            batch = codec.decode_many([
-                (obj.metadata, chunks),
-                (twin.metadata, {index: twin.chunks[index] for index in survivors}),
-            ])
-            assert batch == [PAYLOAD, PAYLOAD[::-1]], survivors
+            assert codec.decode(twin.metadata, {index: twin.chunks[index]
+                                                for index in survivors}) == PAYLOAD[::-1]
             shards = {index: np.frombuffer(obj.chunks[index].payload, dtype=np.uint8)
                       for index in survivors}
-            assert np.array_equal(rs.decode_shards(shards), data_matrix), survivors
-
-    def test_reconstruct_chunk_rebuilds_every_absent_chunk(self, encoded):
-        codec, obj = encoded
-        rs = ReedSolomon(codec.params.data_chunks, codec.params.parity_chunks)
-        for survivors in all_patterns(codec)[::7]:
-            chunks = {index: obj.chunks[index] for index in survivors}
-            for target in set(range(codec.params.total_chunks)) - set(survivors):
-                rebuilt = codec.reconstruct_chunk(obj.metadata, chunks, target)
-                assert rebuilt.payload == obj.chunks[target].payload
-                assert rebuilt.chunk_id == obj.chunks[target].chunk_id
-                assert rebuilt.version == 3
-            # The ReedSolomon level: every index, a survivor's own included.
-            shards = {index: np.frombuffer(obj.chunks[index].payload, dtype=np.uint8)
-                      for index in survivors}
-            for target in range(codec.params.total_chunks):
-                rebuilt = rs.reconstruct_shard(shards, target)
-                assert rebuilt.tobytes() == obj.chunks[target].payload, (survivors, target)
+            assert rs.decode_data(shards, len(PAYLOAD)) == PAYLOAD, survivors
 
     def test_extra_survivors_are_ignored_lowest_k_win(self, encoded):
         codec, obj = encoded
@@ -82,7 +61,7 @@ class TestRejectionsKeepTheirMessages:
         codec = ErasureCodec()
         obj = codec.encode("object", PAYLOAD)
         chunks = {index: obj.chunks[index] for index in range(8)}
-        chunks[8] = obj.chunks[8].without_payload()
+        chunks[8] = replace(obj.chunks[8], payload=None)
         with pytest.raises(DecodingError, match=r"^need 9 chunks with payloads, got 8$"):
             codec.decode(obj.metadata, chunks)
         rs = ReedSolomon(9, 3)
@@ -97,7 +76,7 @@ class TestRejectionsKeepTheirMessages:
             rs.decode_data(available, len(PAYLOAD))
         available = {3: shards[3], 4: shards[4], 5: shards[5], 6: shards[0]}
         with pytest.raises(DecodingError, match=r"^shard index 6 out of range 0\.\.5$"):
-            rs.decode_shards(available)
+            rs.decode_data(available, len(PAYLOAD))
 
     def test_unequal_shard_lengths(self):
         rs = ReedSolomon(4, 2)
@@ -106,8 +85,8 @@ class TestRejectionsKeepTheirMessages:
         with pytest.raises(DecodingError, match=r"^all shards must have the same length$"):
             rs.decode_data(available, len(PAYLOAD))
         with pytest.raises(DecodingError, match=r"^all shards must have the same length$"):
-            rs.decode_shards({index: np.frombuffer(shard, dtype=np.uint8)
-                              for index, shard in available.items()})
+            rs.decode_data({index: np.frombuffer(shard, dtype=np.uint8)
+                            for index, shard in available.items()}, len(PAYLOAD))
 
     def test_original_length_overflow(self):
         rs = ReedSolomon(4, 2)
@@ -139,8 +118,6 @@ class TestRejectionsKeepTheirMessages:
             chunks = {index: obj.chunks[index] for index in survivors}
             with pytest.raises(DecodingError, match="negative"):
                 codec.decode(obj.metadata, chunks)
-            with pytest.raises(DecodingError, match=r"'object' claims a negative size, -5"):
-                codec.decode_many([(obj.metadata, chunks)])
 
     def test_the_unused_survivors_are_not_validated(self):
         """Only the ``k`` lowest indices take part, as before."""
@@ -176,34 +153,19 @@ class TestChunkVersionsAreNotMixed:
         with pytest.raises(DecodingError, match=r"chunk 6 of 'object' is version 2 but .* version 1$"):
             codec.decode(first.metadata, mixed)
 
-    def test_decode_many(self, versions):
-        codec, first, second, mixed = versions
-        clean = {index: second.chunks[index] for index in range(9)}
-        with pytest.raises(DecodingError, match=self.MESSAGE):
-            codec.decode_many([(second.metadata, clean), (second.metadata, mixed)])
-        assert codec.decode_many([(second.metadata, clean)]) == [PAYLOAD[::-1]]
-
-    def test_reconstruct_chunk(self, versions):
-        codec, first, second, mixed = versions
-        with pytest.raises(DecodingError, match=self.MESSAGE):
-            codec.reconstruct_chunk(second.metadata, mixed, 5)
-
     def test_one_version_and_virtual_chunks_pass(self, versions):
         codec, first, second, mixed = versions
         for obj, expected in ((first, PAYLOAD), (second, PAYLOAD[::-1])):
             chunks = {index: obj.chunks[index] for index in (0, 1, 2, 3, 4, 6, 7, 8, 9)}
             # A virtual chunk carries no payload and is not looked at.
-            chunks[5] = first.chunks[5].without_payload()
-            chunks[10] = second.chunks[10].without_payload()
+            chunks[5] = replace(first.chunks[5], payload=None)
+            chunks[10] = replace(second.chunks[10], payload=None)
             assert codec.decode(obj.metadata, chunks) == expected
-            assert codec.decode_many([(obj.metadata, chunks)]) == [expected]
-            assert codec.reconstruct_chunk(obj.metadata, chunks, 5).payload \
-                == obj.chunks[5].payload
 
     def test_a_fetched_view_is_checked_against_the_metadata(self):
         """The store's ``get_chunks`` view carries the version of the record
         it was fetched from: metadata read before a re-put does not decode
-        the chunks fetched after it, through any entry point."""
+        the chunks fetched after it."""
         from repro.backend import ErasureCodedStore
         from repro.geo import default_topology
 
@@ -217,13 +179,8 @@ class TestChunkVersionsAreNotMixed:
                    r"metadata is version 1$")
         with pytest.raises(DecodingError, match=message):
             codec.decode(before, fetched)
-        with pytest.raises(DecodingError, match=message):
-            codec.decode_many([(before, fetched)])
-        with pytest.raises(DecodingError, match=message):
-            codec.reconstruct_chunk(before, fetched, 10)
         after = store.metadata("object")
         assert codec.decode(after, fetched) == PAYLOAD[::-1]
-        assert codec.decode_many([(after, fetched)]) == [PAYLOAD[::-1]]
         store.put_virtual("object", len(PAYLOAD), version=3)
         with pytest.raises(DecodingError, match=r"^need 9 chunks with payloads, got 0$"):
             codec.decode(before, store.get_chunks("object", range(9)))

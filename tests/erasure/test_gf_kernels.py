@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.erasure.galois import GF_MATMUL_BLOCK, PackedGFMatrix, gf_matmul_bytes, gf_mul
+from repro.erasure.galois import GF_MATMUL_BLOCK, PackedGFMatrix, gf_mul
 
 from reference.codec import addmul_bytes, naive_matmul
 
@@ -30,7 +30,6 @@ def test_matmul_matches_scalar_definition(seed):
     matrix = rng.integers(0, 256, (rows, cols), dtype=np.uint8)
     shards = rng.integers(0, 256, (cols, length), dtype=np.uint8)
     expected = scalar_matmul(matrix, shards)
-    assert np.array_equal(gf_matmul_bytes(matrix, shards), expected)
     assert np.array_equal(PackedGFMatrix(matrix).apply(shards), expected)
 
 
@@ -38,9 +37,10 @@ def test_matmul_blocked_equals_unblocked():
     rng = np.random.default_rng(99)
     matrix = rng.integers(0, 256, (5, 9), dtype=np.uint8)
     shards = rng.integers(0, 256, (9, 1000), dtype=np.uint8)
-    full = gf_matmul_bytes(matrix, shards)
+    packed = PackedGFMatrix(matrix)
+    full = packed.apply(shards)
     for block in (1, 7, 64, 999, 1000, 10_000):
-        assert np.array_equal(gf_matmul_bytes(matrix, shards, block=block), full)
+        assert np.array_equal(packed.apply(shards, block=block), full)
 
 
 def test_xor_only_rows_fast_path():
@@ -55,7 +55,7 @@ def test_xor_only_rows_fast_path():
         ],
         dtype=np.uint8,
     )
-    out = gf_matmul_bytes(matrix, shards)
+    out = PackedGFMatrix(matrix).apply(shards)
     assert not out[0].any()
     assert np.array_equal(out[1], shards[1])
     assert np.array_equal(out[2], shards[0] ^ shards[1] ^ shards[3])
@@ -64,23 +64,23 @@ def test_xor_only_rows_fast_path():
 
 def test_identity_matrix_is_passthrough():
     shards = np.random.default_rng(2).integers(0, 256, (6, 333), dtype=np.uint8)
-    assert np.array_equal(gf_matmul_bytes(np.eye(6, dtype=np.uint8), shards), shards)
+    assert np.array_equal(PackedGFMatrix(np.eye(6, dtype=np.uint8)).apply(shards), shards)
 
 
 def test_more_than_eight_rows_use_multiple_groups():
     rng = np.random.default_rng(3)
     matrix = rng.integers(2, 256, (11, 4), dtype=np.uint8)
     shards = rng.integers(0, 256, (4, 77), dtype=np.uint8)
-    assert np.array_equal(gf_matmul_bytes(matrix, shards), scalar_matmul(matrix, shards))
+    assert np.array_equal(PackedGFMatrix(matrix).apply(shards), scalar_matmul(matrix, shards))
 
 
 def test_empty_and_mismatched_shapes():
     shards = np.zeros((3, 10), dtype=np.uint8)
-    assert gf_matmul_bytes(np.zeros((0, 3), dtype=np.uint8), shards).shape == (0, 10)
+    assert PackedGFMatrix(np.zeros((0, 3), dtype=np.uint8)).apply(shards).shape == (0, 10)
     with pytest.raises(ValueError):
-        gf_matmul_bytes(np.zeros((2, 4), dtype=np.uint8), shards)
+        PackedGFMatrix(np.zeros((2, 4), dtype=np.uint8)).apply(shards)
     with pytest.raises(ValueError):
-        gf_matmul_bytes(np.zeros(3, dtype=np.uint8), shards)
+        PackedGFMatrix(np.zeros(3, dtype=np.uint8))
 
 
 def test_packed_matrix_reuse_is_consistent():

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.erasure.galois import gf_mul
 from repro.erasure.matrix import (
     SingularMatrixError,
     cauchy_matrix,
     decode_matrix,
     identity_matrix,
     matrix_invert,
-    matrix_multiply,
     submatrix,
     systematic_encoding_matrix,
-    vandermonde_matrix,
 )
+
+from reference.codec import naive_matmul
 
 
 class TestBasicOps:
@@ -24,22 +23,13 @@ class TestBasicOps:
         assert identity.shape == (4, 4)
         assert identity.trace() == 4
 
-    def test_multiply_by_identity(self):
-        matrix = np.array([[3, 7], [11, 250]], dtype=np.uint8)
-        assert np.array_equal(matrix_multiply(matrix, identity_matrix(2)), matrix)
-        assert np.array_equal(matrix_multiply(identity_matrix(2), matrix), matrix)
-
-    def test_multiply_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            matrix_multiply(np.zeros((2, 3), dtype=np.uint8), np.zeros((2, 2), dtype=np.uint8))
-
     def test_invert_identity(self):
         assert np.array_equal(matrix_invert(identity_matrix(5)), identity_matrix(5))
 
     def test_invert_roundtrip(self):
         matrix = cauchy_matrix(4, 4)
         inverse = matrix_invert(matrix)
-        assert np.array_equal(matrix_multiply(matrix, inverse), identity_matrix(4))
+        assert np.array_equal(naive_matmul(matrix, inverse), identity_matrix(4))
 
     def test_invert_singular_raises(self):
         singular = np.array([[1, 2], [1, 2]], dtype=np.uint8)
@@ -51,29 +41,13 @@ class TestBasicOps:
             matrix_invert(np.zeros((2, 3), dtype=np.uint8))
 
     def test_submatrix_selects_rows(self):
-        matrix = vandermonde_matrix(5, 3)
+        matrix = cauchy_matrix(5, 3)
         selected = submatrix(matrix, [4, 1])
         assert np.array_equal(selected[0], matrix[4])
         assert np.array_equal(selected[1], matrix[1])
 
 
 class TestConstructions:
-    def test_vandermonde_entries(self):
-        matrix = vandermonde_matrix(4, 3)
-        for i in range(4):
-            for j in range(3):
-                expected = 1 if j == 0 else 0
-                if i > 0:
-                    expected = 1
-                    for _ in range(j):
-                        expected = gf_mul(expected, i)
-                assert matrix[i, j] == expected
-
-    def test_vandermonde_validation(self):
-        with pytest.raises(ValueError):
-            vandermonde_matrix(0, 3)
-        with pytest.raises(ValueError):
-            vandermonde_matrix(300, 3)
 
     def test_cauchy_validation(self):
         with pytest.raises(ValueError):
@@ -81,15 +55,10 @@ class TestConstructions:
         with pytest.raises(ValueError):
             cauchy_matrix(0, 1)
 
-    @pytest.mark.parametrize("construction", ["cauchy", "vandermonde"])
-    def test_systematic_top_is_identity(self, construction):
-        matrix = systematic_encoding_matrix(5, 3, construction)
+    def test_systematic_top_is_identity(self):
+        matrix = systematic_encoding_matrix(5, 3)
         assert np.array_equal(matrix[:5, :], identity_matrix(5))
         assert matrix.shape == (8, 5)
-
-    def test_unknown_construction(self):
-        with pytest.raises(ValueError):
-            systematic_encoding_matrix(3, 2, "rainbow")
 
     def test_zero_parity(self):
         matrix = systematic_encoding_matrix(4, 0)
@@ -99,17 +68,16 @@ class TestConstructions:
     @given(
         data_shards=st.integers(min_value=2, max_value=8),
         parity_shards=st.integers(min_value=1, max_value=4),
-        construction=st.sampled_from(["cauchy", "vandermonde"]),
         seed=st.integers(min_value=0, max_value=10_000),
     )
-    def test_any_k_rows_invertible(self, data_shards, parity_shards, construction, seed):
+    def test_any_k_rows_invertible(self, data_shards, parity_shards, seed):
         """The MDS property: every k-row submatrix of the encoding matrix is invertible."""
-        matrix = systematic_encoding_matrix(data_shards, parity_shards, construction)
+        matrix = systematic_encoding_matrix(data_shards, parity_shards)
         rng = np.random.default_rng(seed)
         rows = sorted(rng.choice(data_shards + parity_shards, size=data_shards, replace=False).tolist())
         selected = submatrix(matrix, rows)
         inverse = matrix_invert(selected)  # must not raise
-        assert np.array_equal(matrix_multiply(selected, inverse), identity_matrix(data_shards))
+        assert np.array_equal(naive_matmul(selected, inverse), identity_matrix(data_shards))
 
 
 class TestDecodeMatrix:
@@ -126,5 +94,5 @@ class TestDecodeMatrix:
     def test_mixed_rows(self):
         matrix = systematic_encoding_matrix(4, 2)
         decoder = decode_matrix(matrix, [0, 2, 4, 5], data_shards=4)
-        reencoded = matrix_multiply(submatrix(matrix, [0, 2, 4, 5]), decoder)
+        reencoded = naive_matmul(submatrix(matrix, [0, 2, 4, 5]), decoder)
         assert np.array_equal(reencoded, identity_matrix(4))

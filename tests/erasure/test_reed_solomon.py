@@ -63,20 +63,20 @@ class TestEncodeDecode:
         data = b"hello world"
         shards = rs93.encode(data)
         with pytest.raises(DecodingError):
-            rs93.decode_shards({i: shards[i] for i in range(8)})
+            rs93.decode_data({i: shards[i] for i in range(8)}, len(data))
 
     def test_mismatched_shard_sizes(self, rs93):
         available = {i: np.zeros(4, dtype=np.uint8) for i in range(9)}
         available[3] = np.zeros(5, dtype=np.uint8)
         with pytest.raises(DecodingError):
-            rs93.decode_shards(available)
+            rs93.decode_data(available, 0)
 
     def test_out_of_range_index(self, rs93):
         available = {i: np.zeros(4, dtype=np.uint8) for i in range(9)}
         available[40] = np.zeros(4, dtype=np.uint8)
         del available[0]
         with pytest.raises(DecodingError):
-            rs93.decode_shards(available)
+            rs93.decode_data(available, 0)
 
     def test_original_length_bound(self, rs93):
         data = b"tiny"
@@ -104,75 +104,12 @@ class TestAnyKOfN:
         m=st.integers(min_value=1, max_value=4),
         payload=st.binary(min_size=1, max_size=200),
         seed=st.integers(min_value=0, max_value=10_000),
-        construction=st.sampled_from(["cauchy", "vandermonde"]),
     )
-    def test_any_k_shards_reconstruct(self, k, m, payload, seed, construction):
+    def test_any_k_shards_reconstruct(self, k, m, payload, seed):
         """The fundamental MDS property the storage system relies on (§II-A)."""
-        rs = ReedSolomon(k, m, construction=construction)
+        rs = ReedSolomon(k, m)
         shards = rs.encode(payload)
         rng = np.random.default_rng(seed)
         chosen = rng.choice(k + m, size=k, replace=False).tolist()
         available = {int(i): shards[int(i)] for i in chosen}
         assert rs.decode_data(available, len(payload)) == payload
-
-
-class TestReconstructionAndVerify:
-    def test_reconstruct_missing_data_shard(self, rs93):
-        data = bytes(np.random.default_rng(1).integers(0, 256, 900, dtype=np.uint8))
-        shards = rs93.encode(data)
-        survivors = {i: shards[i] for i in range(12) if i != 2}
-        rebuilt = rs93.reconstruct_shard(survivors, 2)
-        assert np.array_equal(rebuilt, shards[2])
-
-    def test_reconstruct_missing_parity_shard(self, rs93):
-        data = b"parity reconstruction" * 10
-        shards = rs93.encode(data)
-        survivors = {i: shards[i] for i in range(9)}
-        rebuilt = rs93.reconstruct_shard(survivors, 11)
-        assert np.array_equal(rebuilt, shards[11])
-
-    def test_reconstruct_invalid_index(self, rs93):
-        shards = rs93.encode(b"data")
-        with pytest.raises(DecodingError):
-            rs93.reconstruct_shard({i: shards[i] for i in range(9)}, 99)
-
-    def test_verify_consistent(self, rs93):
-        shards = rs93.encode(b"verify me" * 9)
-        assert rs93.verify({i: shards[i] for i in range(12)})
-
-    def test_verify_detects_corruption(self, rs93):
-        shards = rs93.encode(b"verify me" * 9)
-        corrupted = {i: shards[i].copy() for i in range(12)}
-        corrupted[10][0] ^= 0xFF
-        assert not rs93.verify(corrupted)
-
-    def test_verify_requires_all_shards(self, rs93):
-        shards = rs93.encode(b"verify me" * 9)
-        with pytest.raises(ValueError):
-            rs93.verify({i: shards[i] for i in range(9)})
-
-
-class TestVerifyNoticesEveryShard:
-    """``verify`` recomputes one parity row at a time through a one-row
-    operator: a wrong table would pass the round-trip tests of ``decode`` and
-    show only here."""
-
-    @pytest.mark.parametrize("convert", [np.array, bytes, bytearray],
-                             ids=["array", "bytes", "bytearray"])
-    @pytest.mark.parametrize("k,m", [(9, 3), (4, 2)])
-    def test_one_flipped_byte_in_any_shard(self, k, m, convert):
-        rs = ReedSolomon(k, m)
-        payload = bytes(np.random.default_rng(k).integers(0, 256, 700, dtype=np.uint8))
-        clean = {index: convert(shard.tobytes() if convert is not np.array else shard)
-                 for index, shard in enumerate(rs.encode(payload))}
-        assert rs.verify(clean)
-        for index in range(k + m):
-            for position in (0, len(clean[index]) - 1):
-                flipped = bytearray(bytes(clean[index]))
-                flipped[position] ^= 0x01
-                corrupted = dict(clean)
-                corrupted[index] = convert(
-                    np.frombuffer(flipped, dtype=np.uint8) if convert is np.array
-                    else flipped)
-                assert not rs.verify(corrupted), (index, position)
-        assert rs.verify(clean)

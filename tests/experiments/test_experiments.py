@@ -28,7 +28,6 @@ class TestSettings:
         assert zipf.skew == pytest.approx(0.9)
         uniform = TINY.workload(skew=None)
         assert uniform.distribution == "uniform"
-        assert TINY.with_requests(10).request_count == 10
 
 
 class TestTable1:

@@ -59,7 +59,7 @@ class TestLatencyModel:
 
     def test_expected_reads(self, model):
         assert model.expected_backend_read("a", "b") == pytest.approx(500.0)
-        assert model.expected_cache_read("a") == pytest.approx(10.0)
+        assert model.cache_link("a").expected_read_ms(DEFAULT_CHUNK_SIZE) == pytest.approx(10.0)
 
     def test_unknown_link(self, model):
         with pytest.raises(KeyError):
@@ -125,7 +125,7 @@ class TestBatchedJitterSampling:
                 expected = model.expected_backend_read(client, backend)
                 sampled.append(model.sample_backend_read(client, backend))
             else:
-                expected = model.expected_cache_read(client)
+                expected = model.cache_link(client).expected_read_ms(DEFAULT_CHUNK_SIZE)
                 sampled.append(model.sample_cache_read(client))
             assert sampled[-1] > 0
         multipliers = self._reference_stream(123, [call[3] for call in calls])
@@ -134,7 +134,7 @@ class TestBatchedJitterSampling:
             if kind == "backend":
                 expecteds.append(model.expected_backend_read(client, backend))
             else:
-                expecteds.append(model.expected_cache_read(client))
+                expecteds.append(model.cache_link(client).expected_read_ms(DEFAULT_CHUNK_SIZE))
         reference = [expected * multiplier
                      for expected, multiplier in zip(expecteds, multipliers)]
         assert sampled == reference

@@ -3,27 +3,26 @@
 import pytest
 
 from repro.geo.latency import NeighborLink
-from repro.geo.regions import PAPER_REGIONS, Region, region_by_name, region_names
+from repro.geo.regions import PAPER_REGIONS, Region, region_names
 from repro.geo.topology import (
     DEFAULT_LATENCY_MATRIX,
     TABLE1_FRANKFURT_LATENCIES,
     Topology,
     default_topology,
     table1_topology,
-    topology_from_matrix,
-    uniform_topology,
 )
+
+
+def nearest_first(topology: Topology, client: str) -> list[str]:
+    """Region names from nearest to furthest as ``client`` sees them."""
+    latencies = topology.expected_read_latencies(client)
+    return sorted(latencies, key=lambda name: (latencies[name], name))
 
 
 class TestRegions:
     def test_paper_regions(self):
         assert len(PAPER_REGIONS) == 6
         assert region_names()[0] == "frankfurt"
-
-    def test_lookup(self):
-        assert region_by_name("tokyo").aws_name == "ap-northeast-1"
-        with pytest.raises(KeyError):
-            region_by_name("mars")
 
 
 class TestDefaultTopology:
@@ -42,11 +41,11 @@ class TestDefaultTopology:
 
     def test_local_region_is_nearest(self, topology):
         for region in topology.region_names:
-            assert topology.regions_by_distance(region)[0] == region
+            assert nearest_first(topology, region)[0] == region
 
     def test_frankfurt_ordering_matches_table1(self, topology):
         """The calibrated matrix preserves Table I's distance ordering from Frankfurt."""
-        calibrated_order = topology.regions_by_distance("frankfurt")
+        calibrated_order = nearest_first(topology, "frankfurt")
         table1_order = sorted(TABLE1_FRANKFURT_LATENCIES, key=TABLE1_FRANKFURT_LATENCIES.get)
         assert calibrated_order == table1_order
 
@@ -59,20 +58,6 @@ class TestTable1Topology:
 
 
 class TestOtherBuilders:
-    def test_uniform_topology(self, flat_topology):
-        latencies = flat_topology.expected_read_latencies("frankfurt")
-        remote = {region: value for region, value in latencies.items() if region != "frankfurt"}
-        assert len(set(round(value, 6) for value in remote.values())) == 1
-
-    def test_topology_from_matrix(self):
-        matrix = {
-            "x": {"x": 10.0, "y": 100.0},
-            "y": {"x": 100.0, "y": 10.0},
-        }
-        topology = topology_from_matrix(matrix, name="tiny")
-        assert topology.name == "tiny"
-        assert topology.region_names == ["x", "y"]
-        assert topology.expected_read_latencies("x")["y"] == pytest.approx(100.0)
 
     def test_duplicate_regions_rejected(self):
         region = Region("dup", "dup", "nowhere")

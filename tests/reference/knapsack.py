@@ -155,7 +155,9 @@ class ReferenceKnapsackSolver:
                         stopped_early = True
                         break
 
-        best = max(table.values(), key=lambda config: (config.value, -config.weight))
+        # The first maximum in slot order, as the shipped solver documents.
+        best = max((table[slot] for slot in sorted(table)),
+                   key=lambda config: (config.value, -config.weight))
         return SolverResult(best=best, table=table, keys_processed=keys_processed,
                             stopped_early=stopped_early)
 
@@ -172,7 +174,7 @@ class ReferenceKnapsackSolver:
     def _addition_pass(self, table: dict[int, CacheConfiguration], option: CachingOption) -> None:
         """Fig. 4 lines 14–21: extend existing configurations with ``option``."""
         for weight, config in sorted(table.items()):
-            if config.has_key(option.key):
+            if option.key in config.keys():
                 continue
             new_weight = config.weight + option.weight
             if new_weight > self._capacity:
@@ -193,7 +195,7 @@ class ReferenceKnapsackSolver:
     def _relax(self, config: CacheConfiguration, option: CachingOption,
                options_by_key: Mapping[str, Sequence[CachingOption]]) -> CacheConfiguration | None:
         """Fig. 5: make room for ``option`` by shrinking one already-chosen object."""
-        if config.has_key(option.key) or not config.options:
+        if option.key in config.keys() or not config.options:
             return None
 
         best_choice: tuple[CachingOption, CachingOption | None] | None = None

@@ -573,9 +573,10 @@ class TestResilienceEquivalence:
         engine.execute(deployment, 3)
         for strategy in deployment.strategies:
             node = strategy.node
-            assert node.emergency_reconfigurations >= 2
+            # Each transition was resolved the instant it happened: by an
+            # emergency re-solve, not a periodic one.
             lags = node.fault_reaction_lags_s
-            assert lags and max(lags) == pytest.approx(0.0, abs=1e-9)
+            assert len(lags) >= 2 and max(lags) == pytest.approx(0.0, abs=1e-9)
 
     def test_resilient_fork_matches_in_process_fallback(self):
         config = self.resilient_config()

@@ -385,7 +385,7 @@ class TestProvenanceCatalogs:
 
         config = ClientConfig(overhead_ms=0.0, include_decode_cost=False)
         strategy = AgarReadStrategy(store, "frankfurt", MEGABYTE, config=config)
-        needed = strategy._needed("object-0")
+        needed = strategy._plan_for("object-0").needed
         assert all(placed.region != "sydney" for placed in needed)
         chunk_ids = [ChunkId(key="object-0", index=placed.index)
                      for placed in needed]
@@ -432,7 +432,7 @@ class TestProvenanceCatalogs:
 
         config = ClientConfig(overhead_ms=0.0, include_decode_cost=False)
         strategy = AgarReadStrategy(store, "frankfurt", MEGABYTE, config=config)
-        needed = strategy._needed("object-0")
+        needed = strategy._plan_for("object-0").needed
         flat = frozenset(ChunkId(key="object-0", index=placed.index)
                          for placed in needed)
         cheap = min(placed.latency_ms for placed in needed) / 2
@@ -470,19 +470,21 @@ class TestFaultReaction:
         strategy = self.agar(store, emergency=True)
         strategy.read("object-0", now=0.0)
         node = strategy.node
+        solves = len(node.cache_manager.history)
 
         strategy.set_fault_state(outage_state("sao_paulo"))
         strategy.react_to_fault(now=10.0)
-        assert node.emergency_reconfigurations == 1
+        assert len(node.cache_manager.history) == solves + 1
         assert node.fault_reaction_lags_s == [0.0]
         assert node.region_manager.down_regions == frozenset({"sao_paulo"})
         # The knapsack now plans against the survivor view: the penalized
         # region sorts behind every healthy link.
-        assert node.region_manager.regions_by_distance()[-1] == "sao_paulo"
+        estimates = node.region_manager.latency_estimates()
+        assert max(estimates, key=estimates.get) == "sao_paulo"
 
         strategy.set_fault_state(CLEAR_STATE)
         strategy.react_to_fault(now=25.0)
-        assert node.emergency_reconfigurations == 2
+        assert len(node.cache_manager.history) == solves + 2
         assert node.fault_reaction_lags_s == [0.0, 0.0]
         assert node.region_manager.down_regions == frozenset()
 
@@ -490,19 +492,21 @@ class TestFaultReaction:
         strategy = self.agar(store, emergency=False)
         strategy.read("object-0", now=0.0)
         node = strategy.node
+        solves = len(node.cache_manager.history)
 
         strategy.set_fault_state(outage_state("sao_paulo"))
         strategy.react_to_fault(now=10.0)
-        assert node.emergency_reconfigurations == 0
+        assert len(node.cache_manager.history) == solves
         assert node.fault_reaction_lags_s == []  # still pending
         node.reconfigure(now=37.0)  # the next periodic solve
         assert node.fault_reaction_lags_s == pytest.approx([27.0])
 
     def test_initial_clear_install_is_not_a_transition(self, store):
         strategy = self.agar(store, emergency=True)
-        strategy.react_to_fault(now=0.0)
         node = strategy.node
-        assert node.emergency_reconfigurations == 0
+        solves = len(node.cache_manager.history)
+        strategy.react_to_fault(now=0.0)
+        assert len(node.cache_manager.history) == solves
         node.reconfigure(now=30.0)
         assert node.fault_reaction_lags_s == []
 

@@ -9,7 +9,6 @@ from repro.workload.workload import (
     ArrivalSpec,
     WorkloadSpec,
     generate_requests,
-    iter_requests,
     poisson_arrivals,
     request_frequency,
     uniform_workload,
@@ -24,7 +23,6 @@ class TestWorkloadSpec:
         assert PAPER_WORKLOAD.request_count == 1000
         assert PAPER_WORKLOAD.distribution == "zipfian"
         assert PAPER_WORKLOAD.skew == pytest.approx(1.1)
-        assert PAPER_WORKLOAD.total_data_bytes() == 300 * 1024 * 1024
 
     def test_key_for_rank(self):
         assert PAPER_WORKLOAD.key_for_rank(0) == "object-0"
@@ -46,21 +44,12 @@ class TestWorkloadSpec:
         with pytest.raises(ValueError):
             WorkloadSpec(request_count=-1)
 
-    def test_with_seed(self):
-        spec = PAPER_WORKLOAD.with_seed(7)
-        assert spec.seed == 7
-        assert spec.object_count == PAPER_WORKLOAD.object_count
-
 
 class TestRequestGeneration:
     def test_deterministic_per_seed(self):
         spec = zipfian_workload(1.1, request_count=50, object_count=30)
         assert generate_requests(spec, seed=3) == generate_requests(spec, seed=3)
         assert generate_requests(spec, seed=3) != generate_requests(spec, seed=4)
-
-    def test_iter_matches_generate(self):
-        spec = zipfian_workload(1.1, request_count=40, object_count=30, seed=5)
-        assert list(iter_requests(spec)) == generate_requests(spec)
 
     def test_sequence_numbers_and_operations(self):
         spec = uniform_workload(request_count=20, object_count=10)

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.workload.zipfian import (
-    UniformDistribution,
-    ZipfianDistribution,
-    top_k_share,
-    zipfian_cdf,
-)
+from repro.workload.zipfian import UniformDistribution, ZipfianDistribution
 
 
 class TestZipfian:
@@ -23,14 +18,15 @@ class TestZipfian:
 
     def test_paper_fig9_example(self):
         """Fig. 9 caption example: the top 5 objects of a skewed workload ≈ 40 % of requests."""
-        share = top_k_share(300, skew=1.1, top_k=5)
+        share = ZipfianDistribution(300, skew=1.1).cdf()[4]
         assert 0.35 <= share <= 0.50
 
     def test_higher_skew_concentrates(self):
-        assert top_k_share(300, 1.4, 10) > top_k_share(300, 0.8, 10) > top_k_share(300, 0.2, 10)
+        top_10 = [ZipfianDistribution(300, skew).cdf()[9] for skew in (1.4, 0.8, 0.2)]
+        assert top_10[0] > top_10[1] > top_10[2]
 
     def test_zero_skew_is_uniform(self):
-        cdf = zipfian_cdf(100, 0.0)
+        cdf = ZipfianDistribution(100, 0.0).cdf()
         assert cdf[9] == pytest.approx(0.1)
         assert cdf[-1] == pytest.approx(1.0)
 
@@ -73,15 +69,10 @@ class TestZipfian:
         with pytest.raises(ValueError):
             ZipfianDistribution(10, 1.0).sample_many(-1)
 
-    def test_top_k_share_edges(self):
-        assert top_k_share(10, 1.1, 0) == 0.0
-        assert top_k_share(10, 1.1, 10) == pytest.approx(1.0)
-        assert top_k_share(10, 1.1, 99) == pytest.approx(1.0)
-
     @settings(max_examples=25, deadline=None)
     @given(item_count=st.integers(2, 200), skew=st.floats(0.0, 2.0))
     def test_cdf_monotone_and_normalised(self, item_count, skew):
-        cdf = zipfian_cdf(item_count, skew)
+        cdf = ZipfianDistribution(item_count, skew).cdf()
         assert len(cdf) == item_count
         assert np.all(np.diff(cdf) >= -1e-12)
         assert cdf[-1] == pytest.approx(1.0)

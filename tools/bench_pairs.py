@@ -197,12 +197,18 @@ def render_verdicts(summaries: dict[str, dict]) -> str:
     return "\n".join(lines)
 
 
-def _commit(path: Path) -> str:
-    """``HEAD`` of the checkout, ``+dirty`` when its tracked files differ."""
+def _commit(path: Path, side: str) -> str:
+    """``HEAD`` of the checkout, ``+dirty`` when its tracked files differ, and
+    ``unknown``, with a warning on stderr, when ``path`` is not a git
+    checkout (a ``git archive`` copy, say)."""
     def git(*arguments: str) -> str:
         return subprocess.run(["git", "-C", str(path), *arguments],
                               capture_output=True, text=True).stdout.strip()
-    head = git("rev-parse", "HEAD") or "unknown"
+    head = git("rev-parse", "HEAD")
+    if not head:
+        print(f"warning: --{side} {path} is not a git checkout: the pair file "
+              f"cannot name the {side} commit", file=sys.stderr)
+        return "unknown"
     return head + ("+dirty" if git("status", "--porcelain", "-uno") else "")
 
 
@@ -250,8 +256,8 @@ def main(argv: list[str] | None = None) -> int:
     seconds = args.seconds or spec["run_seconds"]
     sides = {"parent": (list(DEFAULT_COMMAND), args.parent.resolve()),
              "change": (list(DEFAULT_COMMAND), args.change.resolve())}
-    commits = {"parent_commit": _commit(args.parent),
-               "change_commit": _commit(args.change)}
+    commits = {"parent_commit": _commit(args.parent, "parent"),
+               "change_commit": _commit(args.change, "change")}
     summaries: dict[str, dict] = {}
     for workload in workloads:
         claim = claimed if claimed and claim_on in ("", workload) else None
