@@ -45,7 +45,7 @@ class SpreadPlacement(PlacementPolicy):
     """Round-robin with a per-object starting offset derived from the key.
 
     Spreading the start region balances load when ``k + m`` is not a multiple
-    of the region count; used by ablation experiments.
+    of the region count.
     """
 
     def place(self, key: str, total_chunks: int, regions: list[str]) -> dict[int, str]:
