@@ -20,6 +20,30 @@ class TestTable:
         with pytest.raises(ValueError):
             table.add_row(1)
 
+    def test_from_rows(self):
+        """A column's getter is an attribute name or a function of the row."""
+        from types import SimpleNamespace
+
+        items = [SimpleNamespace(name="agar", latency=416.25),
+                 SimpleNamespace(name="lfu-7", latency=489.0)]
+        table = Table.from_rows("T", (("strategy", "name"),
+                                      ("ms", lambda item: item.latency * 2)), items)
+        assert list(table.columns) == ["strategy", "ms"]
+        assert table.rows == [("agar", 832.5), ("lfu-7", 978.0)]
+
+    def test_render_aligns_columns(self):
+        table = Table(title="Title", columns=("a", "long name"))
+        table.add_row("wide cell", 1.25)
+        table.add_row(7, "x")
+        assert table.render(float_format="{:.2f}").splitlines() == [
+            "Title",
+            "-----",
+            "a          long name",
+            "---------  ---------",
+            "wide cell  1.25     ",
+            "7          x        ",
+        ]
+
 
 class TestSummaries:
     def test_percent_difference(self):

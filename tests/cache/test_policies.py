@@ -1,6 +1,9 @@
 """Tests for the eviction policies (LRU, LFU, pinned configuration)."""
 
+import pytest
+
 from repro.cache import ChunkCache, LFUEvictionPolicy, LRUEvictionPolicy, PinnedConfigurationPolicy
+from repro.client.strategies import FixedChunkCachingStrategy, make_strategy
 from repro.erasure import Chunk, ChunkId
 
 
@@ -87,3 +90,25 @@ class TestPinnedConfiguration:
         policy = PinnedConfigurationPolicy()
         policy.set_configuration({ChunkId("a", 0)})
         assert policy.pinned == frozenset({ChunkId("a", 0)})
+
+
+class TestFactory:
+    """The eviction policy behind each caching strategy's cache: the online
+    baselines evict by their own rule, the periodic LFU baseline and Agar
+    keep only the configuration they installed."""
+
+    @pytest.mark.parametrize("name,expected", [
+        ("lru-3", LRUEvictionPolicy),
+        ("lru-online-3", LRUEvictionPolicy),
+        ("lfu-online-3", LFUEvictionPolicy),
+        ("lfu-3", PinnedConfigurationPolicy),
+        ("agar", PinnedConfigurationPolicy),
+    ])
+    def test_known_names(self, store, name, expected):
+        strategy = make_strategy(name, store, "frankfurt", 1024 * 1024)
+        assert type(strategy.cache.policy) is expected
+
+    def test_unknown_name(self, store):
+        with pytest.raises(ValueError, match="policy must be 'lru' or 'lfu'"):
+            FixedChunkCachingStrategy(store, "frankfurt", 1024 * 1024,
+                                      chunks_per_object=3, policy="fifo")

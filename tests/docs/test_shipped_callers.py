@@ -24,6 +24,8 @@ import ast
 import pathlib
 from dataclasses import dataclass
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "repro"
 CALLERS = ("src/repro", "examples", "bench", "benchmarks", "tools")
@@ -199,3 +201,95 @@ def test_the_scan_follows_callers_to_a_fixpoint(tmp_path):
                   for definition in scan(sources, package)) == [
         ("pkg.mod", "Kept.unused"), ("pkg.mod", "dead"),
         ("pkg.mod", "only_dead")]
+
+
+def dead_names(sources, package, allowed=()):
+    return sorted(definition.qualname
+                  for definition in scan(sources, package, allowed))
+
+
+@pytest.mark.parametrize("caller", [
+    "target()\n",
+    "import pkg.mod\npkg.mod.target()\n",
+    "from pkg.mod import target as renamed\n",
+    "REBOUND = {'target': None}\n",
+], ids=["name", "attribute", "import", "identifier-string"])
+def test_each_kind_of_reference_is_a_caller(tmp_path, caller):
+    package = tmp_path / "pkg"
+    sources = {package / "mod.py": "def target():\n    return 1\n",
+               tmp_path / "example.py": caller}
+    assert dead_names(sources, package) == []
+
+
+def test_a_string_that_is_no_identifier_is_no_caller(tmp_path):
+    package = tmp_path / "pkg"
+    sources = {package / "mod.py": "def target():\n    return 1\n",
+               tmp_path / "example.py": "HELP = 'call target() first'\n"}
+    assert dead_names(sources, package) == ["target"]
+
+
+def test_dunder_definitions_are_exempt(tmp_path):
+    package = tmp_path / "pkg"
+    sources = {package / "mod.py": (
+        "def __getattr__(name):\n"
+        "    raise AttributeError(name)\n"
+        "class Shown:\n"
+        "    def __repr__(self):\n"
+        "        return 'Shown'\n"
+        "    def _hidden(self):\n"
+        "        return 0\n"
+    ), tmp_path / "example.py": "Shown()\n"}
+    assert dead_names(sources, package) == ["Shown._hidden"]
+
+
+def test_an_allowed_body_still_calls(tmp_path):
+    package = tmp_path / "pkg"
+    sources = {package / "mod.py": (
+        "def kept():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    return 1\n"
+    )}
+    assert dead_names(sources, package) == ["helper", "kept"]
+    assert dead_names(sources, package, allowed={("pkg.mod", "kept")}) == ["kept"]
+
+
+def test_a_decorator_belongs_to_the_definition_it_decorates(tmp_path):
+    package = tmp_path / "pkg"
+    sources = {package / "mod.py": (
+        "def register(function):\n"
+        "    return function\n"
+        "@register\n"
+        "def dead():\n"
+        "    return 0\n"
+    )}
+    assert dead_names(sources, package) == ["dead", "register"]
+
+
+def test_only_module_and_class_members_are_definitions(tmp_path):
+    package = tmp_path / "pkg"
+    path = package / "sub" / "mod.py"
+    tree = ast.parse(
+        "def outer():\n"
+        "    def inner():\n"
+        "        return 0\n"
+        "    return inner\n"
+        "class Outer:\n"
+        "    class Inner:\n"
+        "        def method(self):\n"
+        "            return 0\n"
+    )
+    assert [(d.module, d.qualname, d.first, d.last)
+            for d in definitions(path, tree, package)] == [
+        ("pkg.sub.mod", "outer", 1, 4), ("pkg.sub.mod", "Outer", 5, 8),
+        ("pkg.sub.mod", "Outer.Inner", 6, 8),
+        ("pkg.sub.mod", "Outer.Inner.method", 7, 8)]
+    assert module_name(package / "sub" / "__init__.py", package) == "pkg.sub"
+
+
+def test_the_callers_are_shipped_code_and_never_tests():
+    sources = shipped_sources()
+    assert sources
+    assert {path.relative_to(ROOT).parts[0] for path in sources} == {
+        "src", "examples", "bench", "benchmarks", "tools"}
+    assert not any(path.is_relative_to(ROOT / "tests") for path in sources)

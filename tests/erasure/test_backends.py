@@ -1,7 +1,8 @@
 """Codec behaviour on its one GF(256) kernel, checked against the scalar oracle.
 
 The kernel on random matrices and on one coefficient; full encode round-trips under *every* erasure pattern up to ``m`` losses (any
-``k`` of ``k + m`` shards), the batched ``encode_many``/``decode_many`` API
+``k`` of ``k + m`` shards), every shard rebuilt from the others by a decode
+and a re-encode, the batched ``encode_many``/``decode_many`` API
 against looped single-object calls and its zero-copy views.  Each parametrised case runs twice through the
 ``kernel`` fixture: ``numpy`` is the kernel as shipped, ``naive`` checks its
 every application against ``naive_matmul`` (``tests/reference/codec.py``).
@@ -73,6 +74,19 @@ class TestRoundTripAllPatterns:
         for survivors in itertools.combinations(range(k + m), k):
             available = {index: shards[index] for index in survivors}
             assert rs.decode_data(available, len(payload)) == payload
+
+    def test_reconstruct_every_shard(self, kernel, k, m):
+        """Each shard, lost, comes back from the other ``k + m - 1``: decode
+        the lowest ``k`` of them and encode again."""
+        rs = ReedSolomon(k, m)
+        payload = bytes(np.random.default_rng(99).integers(0, 256, 40, dtype=np.uint8))
+        shards = rs.encode(payload)
+        expected = expected_shards(rs, payload)
+        for target in range(k + m):
+            available = {i: s for i, s in enumerate(shards) if i != target}
+            rebuilt = rs.encode(rs.decode_data(available, len(payload)))[target]
+            assert np.array_equal(rebuilt, expected[target])
+            assert np.array_equal(rebuilt, shards[target])
 
 
 @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
@@ -171,6 +185,26 @@ class TestBatchedEquivalence:
             assert encoded.metadata == single.metadata
             assert [c.payload for c in encoded.chunks] == \
                 [c.payload for c in single.chunks]
+
+    def test_codec_decode_mixed_patterns(self, kernel):
+        """Objects of one ``encode_many`` batch decode under their own
+        survivor patterns, and under one shared pattern in one
+        ``decode_many``."""
+        codec = ErasureCodec(ErasureCodingParams(4, 2))
+        rng = np.random.default_rng(14)
+        items = [(f"object-{index}", bytes(rng.integers(0, 256, 80, dtype=np.uint8)))
+                 for index in range(4)]
+        encoded = codec.encode_many(items)
+        patterns = [(0, 1, 2, 3), (2, 3, 4, 5), (0, 1, 2, 3), (1, 3, 4, 5)]
+        decoded = [codec.decode(enc.metadata,
+                                {c.index: c for c in enc.chunks if c.index in pattern})
+                   for enc, pattern in zip(encoded, patterns)]
+        assert decoded == [data for _, data in items]
+        rs = ReedSolomon(4, 2)
+        shared = np.array([[np.frombuffer(enc.chunks[index].payload, dtype=np.uint8)
+                            for index in (1, 3, 4, 5)] for enc in encoded])
+        batched = rs.decode_many(shared, (1, 3, 4, 5))
+        assert [data.tobytes()[:80] for data in batched] == [data for _, data in items]
 
 
 @settings(max_examples=25, deadline=None)

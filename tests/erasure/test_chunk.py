@@ -3,11 +3,13 @@
 import pytest
 
 from repro.erasure.chunk import (
+    BlockChunks,
     Chunk,
     ChunkId,
     ErasureCodingParams,
     ObjectMetadata,
     PAPER_PARAMS,
+    block_chunk,
 )
 
 
@@ -68,3 +70,43 @@ class TestObjectMetadata:
         meta = self.make()
         assert meta.data_chunk_indices == [0, 1, 2, 3]
         assert meta.parity_chunk_indices == [4, 5]
+
+
+class TestBlockChunks:
+    """The store's read-only view of some chunks of one object's block."""
+
+    def make(self, block=bytes(range(150))):
+        metadata = ObjectMetadata(key="obj", size=100, params=ErasureCodingParams(4, 2),
+                                  chunk_size=25, version=2)
+        return metadata, BlockChunks(metadata, block, dict.fromkeys([5, 1, 3]))
+
+    def test_block_chunk_slices_its_row(self):
+        metadata, _ = self.make()
+        block = bytes(range(150))
+        data = block_chunk(metadata, block, 1)
+        assert data == Chunk(ChunkId("obj", 1), 25, block[25:50], False, 2)
+        parity = block_chunk(metadata, block, 5)
+        assert parity.payload == block[125:150]
+        assert parity.is_parity
+        assert block_chunk(metadata, None, 5) == Chunk(ChunkId("obj", 5), 25, None, True, 2)
+
+    def test_mapping_in_the_order_asked(self):
+        metadata, view = self.make()
+        assert list(view) == [5, 1, 3]
+        assert len(view) == 3
+        assert 3 in view and 0 not in view
+        assert view[3] == block_chunk(metadata, view.block, 3)
+        with pytest.raises(KeyError):
+            view[0]
+        assert dict(view) == {index: block_chunk(metadata, view.block, index)
+                              for index in (5, 1, 3)}
+
+    def test_payloads_slice_the_block(self):
+        metadata, view = self.make()
+        assert view.payloads() == {index: view[index].payload for index in (5, 1, 3)}
+
+    def test_a_virtual_object_has_no_payloads(self):
+        metadata, view = self.make(block=None)
+        assert view.payloads() == {}
+        assert all(view[index].payload is None for index in view)
+        assert [view[index].size for index in view] == [25, 25, 25]

@@ -70,6 +70,17 @@ class TestDecode:
         with pytest.raises(DecodingError):
             codec.decode(encoded.metadata, subset)
 
+    def test_reconstruct_chunk(self, codec):
+        """A lost chunk is the same chunk of the decoded object encoded again."""
+        data = b"reconstruct me please, thanks"
+        encoded = codec.encode("key", data, version=4)
+        survivors = {chunk.index: chunk for chunk in encoded.chunks if chunk.index != 1}
+        rebuilt = codec.encode("key", codec.decode(encoded.metadata, survivors),
+                               version=encoded.metadata.version).chunks[1]
+        assert rebuilt == encoded.chunks[1]
+        assert rebuilt.index == 1
+        assert not rebuilt.is_parity
+
     @settings(max_examples=25, deadline=None)
     @given(payload=st.binary(min_size=0, max_size=500))
     def test_roundtrip_property(self, payload):

@@ -39,6 +39,18 @@ class TestEveryPatternEveryEntryPoint:
                       for index in survivors}
             assert rs.decode_data(shards, len(PAYLOAD)) == PAYLOAD, survivors
 
+    def test_reconstruct_chunk_rebuilds_every_absent_chunk(self, encoded):
+        """Decode and encode again: every chunk, a survivor's own included,
+        comes back with its id, payload and version."""
+        codec, obj = encoded
+        for survivors in all_patterns(codec)[::7]:
+            chunks = {index: obj.chunks[index] for index in survivors}
+            again = codec.encode(obj.metadata.key, codec.decode(obj.metadata, chunks),
+                                 version=obj.metadata.version)
+            assert again.metadata.version == 3
+            for target in range(codec.params.total_chunks):
+                assert again.chunks[target] == obj.chunks[target], (survivors, target)
+
     def test_extra_survivors_are_ignored_lowest_k_win(self, encoded):
         codec, obj = encoded
         chunks = {chunk.index: chunk for chunk in obj.chunks[1:]}

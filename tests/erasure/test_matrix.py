@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.erasure.galois import PackedGFMatrix
 from repro.erasure.matrix import (
     SingularMatrixError,
     cauchy_matrix,
@@ -22,6 +23,12 @@ class TestBasicOps:
         identity = identity_matrix(4)
         assert identity.shape == (4, 4)
         assert identity.trace() == 4
+
+    def test_multiply_by_identity(self):
+        """The codec's kernel multiplies by the identity on either side."""
+        matrix = np.array([[3, 7], [11, 250]], dtype=np.uint8)
+        assert np.array_equal(PackedGFMatrix(matrix).apply(identity_matrix(2)), matrix)
+        assert np.array_equal(PackedGFMatrix(identity_matrix(2)).apply(matrix), matrix)
 
     def test_invert_identity(self):
         assert np.array_equal(matrix_invert(identity_matrix(5)), identity_matrix(5))
@@ -55,10 +62,11 @@ class TestConstructions:
         with pytest.raises(ValueError):
             cauchy_matrix(0, 1)
 
-    def test_systematic_top_is_identity(self):
-        matrix = systematic_encoding_matrix(5, 3)
-        assert np.array_equal(matrix[:5, :], identity_matrix(5))
-        assert matrix.shape == (8, 5)
+    @pytest.mark.parametrize("data_shards,parity_shards", [(5, 3), (9, 3), (4, 2)])
+    def test_systematic_top_is_identity(self, data_shards, parity_shards):
+        matrix = systematic_encoding_matrix(data_shards, parity_shards)
+        assert np.array_equal(matrix[:data_shards, :], identity_matrix(data_shards))
+        assert matrix.shape == (data_shards + parity_shards, data_shards)
 
     def test_zero_parity(self):
         matrix = systematic_encoding_matrix(4, 0)

@@ -113,3 +113,75 @@ class TestAnyKOfN:
         chosen = rng.choice(k + m, size=k, replace=False).tolist()
         available = {int(i): shards[int(i)] for i in chosen}
         assert rs.decode_data(available, len(payload)) == payload
+
+
+def reencode(rs: ReedSolomon, available: dict, length: int) -> list[np.ndarray]:
+    """Every shard of the stripe, rebuilt from the ``k`` lowest survivors."""
+    return rs.encode(rs.decode_data(available, length))
+
+
+class TestReconstructionAndVerify:
+    """A lost shard is rebuilt, and a stripe checked, by decoding ``k``
+    survivors and encoding the result again."""
+
+    def test_reconstruct_missing_data_shard(self, rs93):
+        data = bytes(np.random.default_rng(1).integers(0, 256, 900, dtype=np.uint8))
+        shards = rs93.encode(data)
+        survivors = {i: shards[i] for i in range(12) if i != 2}
+        assert np.array_equal(reencode(rs93, survivors, len(data))[2], shards[2])
+
+    def test_reconstruct_missing_parity_shard(self, rs93):
+        data = b"parity reconstruction" * 10
+        shards = rs93.encode(data)
+        survivors = {i: shards[i] for i in range(9)}
+        assert np.array_equal(reencode(rs93, survivors, len(data))[11], shards[11])
+
+    def test_verify_consistent(self, rs93):
+        data = b"verify me" * 9
+        shards = rs93.encode(data)
+        for survivors in ((0, 1, 2, 3, 4, 5, 6, 7, 8), (3, 4, 5, 6, 7, 8, 9, 10, 11)):
+            rebuilt = reencode(rs93, {i: shards[i] for i in survivors}, len(data))
+            assert all(np.array_equal(a, b) for a, b in zip(rebuilt, shards))
+
+    def test_verify_detects_corruption(self, rs93):
+        data = b"verify me" * 9
+        shards = rs93.encode(data)
+        corrupted = [shard.copy() for shard in shards]
+        corrupted[10][0] ^= 0xFF
+        rebuilt = reencode(rs93, {i: corrupted[i] for i in range(9)}, len(data))
+        assert [i for i in range(12) if not np.array_equal(rebuilt[i], corrupted[i])] == [10]
+
+
+class TestVerifyNoticesEveryShard:
+    """The code's distance is ``m + 1``: a stripe with one flipped byte in
+    any shard is no codeword, so a decode that reads that shard returns
+    other data, and its re-encode disagrees with the stripe.  Each shard
+    goes in as an array, ``bytes`` or ``bytearray``."""
+
+    @pytest.mark.parametrize("convert", [np.array, bytes, bytearray],
+                             ids=["array", "bytes", "bytearray"])
+    @pytest.mark.parametrize("k,m", [(9, 3), (4, 2)])
+    def test_one_flipped_byte_in_any_shard(self, k, m, convert):
+        rs = ReedSolomon(k, m)
+        payload = bytes(np.random.default_rng(k).integers(0, 256, 700, dtype=np.uint8))
+        clean = {index: convert(shard.tobytes() if convert is not np.array else shard)
+                 for index, shard in enumerate(rs.encode(payload))}
+        # Decoded with its zero padding: a flip in a shard's last byte may
+        # land only there.
+        padded = rs.split(payload).tobytes()
+        for index in range(k + m):
+            # The flipped shard and the k - 1 shards after it, cyclically.
+            survivors = [(index + offset) % (k + m) for offset in range(k)]
+            assert rs.decode_data({i: clean[i] for i in survivors}, len(payload)) == payload
+            for position in (0, len(clean[index]) - 1):
+                flipped = bytearray(bytes(clean[index]))
+                flipped[position] ^= 0x01
+                corrupted = dict(clean)
+                corrupted[index] = convert(
+                    np.frombuffer(flipped, dtype=np.uint8) if convert is np.array
+                    else flipped)
+                read = {i: corrupted[i] for i in survivors}
+                assert rs.decode_data(read, len(padded)) != padded, (index, position)
+                rebuilt = reencode(rs, read, len(padded))
+                assert any(bytes(rebuilt[i]) != bytes(corrupted[i])
+                           for i in range(k + m)), (index, position)

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.workload.zipfian import UniformDistribution, ZipfianDistribution
+from repro.workload.zipfian import (
+    UniformDistribution,
+    ZipfianDistribution,
+    _zipfian_sampling_cdf,
+)
 
 
 class TestZipfian:
@@ -68,6 +72,38 @@ class TestZipfian:
             ZipfianDistribution(10, -0.5)
         with pytest.raises(ValueError):
             ZipfianDistribution(10, 1.0).sample_many(-1)
+
+    def test_cdf_edges(self):
+        """Rank 0 alone holds ``1 / H(n, s)``; one item holds everything."""
+        cdf = ZipfianDistribution(10, 1.1).cdf()
+        harmonic = sum(1.0 / rank ** 1.1 for rank in range(1, 11))
+        assert cdf[0] == pytest.approx(1.0 / harmonic)
+        assert cdf[-1] == pytest.approx(1.0)
+        assert ZipfianDistribution(1, 1.1).cdf().tolist() == [1.0]
+
+    def test_sampling_cdf_ends_at_exactly_one(self):
+        """``sample_many`` searches a CDF normalised to end at 1.0, so a
+        uniform draw just under 1 still lands on the last rank."""
+        sampling = _zipfian_sampling_cdf(300, 1.1)
+        assert sampling[-1] == 1.0
+        assert np.allclose(sampling, ZipfianDistribution(300, 1.1).cdf())
+        assert int(sampling.searchsorted(np.nextafter(1.0, 0.0), side="right")) == 299
+
+    def test_shared_vectors_are_read_only(self):
+        """Distributions over one ``(item_count, skew)`` share one
+        probability vector and one sampling CDF, which no caller can write;
+        ``probabilities()`` hands out a copy."""
+        first = ZipfianDistribution(50, 0.9, seed=1)
+        second = ZipfianDistribution(50, 0.9, seed=2)
+        assert first._probabilities is second._probabilities
+        assert first._sampling_cdf is second._sampling_cdf
+        with pytest.raises(ValueError):
+            first._probabilities[0] = 0.5
+        with pytest.raises(ValueError):
+            first._sampling_cdf[0] = 0.5
+        copy = first.probabilities()
+        copy[0] = 0.5
+        assert second.probabilities()[0] != 0.5
 
     @settings(max_examples=25, deadline=None)
     @given(item_count=st.integers(2, 200), skew=st.floats(0.0, 2.0))
