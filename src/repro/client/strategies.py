@@ -29,7 +29,8 @@ import numpy as np
 from repro.backend.object_store import ErasureCodedStore
 from repro.cache.base import CacheSnapshot
 from repro.cache.chunk_cache import ChunkCache
-from repro.cache.policies import LFUEvictionPolicy, LRUEvictionPolicy
+from repro.cache.policies import (LFUEvictionPolicy, LRUEvictionPolicy,
+                                  PinnedConfigurationPolicy)
 from repro.client.resilience import BackoffPolicy, EwmaQuantileTracker, ResilienceConfig
 from repro.client.stats import HitType, ReadResult
 from repro.core.agar_node import AgarNode, AgarNodeConfig
@@ -40,8 +41,8 @@ from repro.erasure.chunk import Chunk, ChunkId
 class _Selection:
     """Everything one backend-fetch selection needs at read time.
 
-    Memoised per (cache hits, neighbour chunks, down regions) pattern in
-    :class:`_ReadPlan`, so one short dict lookup per read replaces the
+    Memoised per (cache hits, missed hints, neighbour chunks, down regions)
+    pattern in :class:`_ReadPlan`, so one short dict lookup per read replaces the
     selection scan, the survivor re-plan, the draw grouping, the regions
     tuple, the fetched chunk list and the hedge candidate.
     """
@@ -119,9 +120,10 @@ class _CacheLookup:
     the cache's :attr:`~repro.cache.chunk_cache.ChunkCache.membership` was
     ``membership``: the hinted positions that hit and those that missed, the
     :class:`CacheEntry` objects of the hits, how many ids were looked up and
-    the failure-free selection around the hits.  While both still stand the
-    same ids map to the same entries, so a read replays the lookup's effects
-    on ``entries`` instead of hashing and finding the ids again.
+    the failure-free selection around the hits and misses.  While both still
+    stand the same ids map to the same entries, so a read replays the
+    lookup's effects on ``entries`` instead of hashing and finding the ids
+    again.
     """
 
     __slots__ = ("configuration", "membership", "hit_positions",
@@ -144,8 +146,8 @@ class _ReadPlan:
 
     Everything about one key's read that does not depend on the cache or the
     fault state is computed once: every placed chunk (all ``k + m``) nearest
-    first with the expected latency and jitter σ of its link, the ``k``
-    failure-free ones furthest first with reusable chunk ids and
+    first — the one order every position of a read indexes — with the
+    expected latency and jitter σ of its link, reusable chunk ids and
     (metadata-only) chunk objects for cache lookups and writes, and the
     decode estimate.  The per-read work then reduces to one cache probe (an
     Agar read mostly replays the key's last one), one memoised selection
@@ -167,26 +169,23 @@ class _ReadPlan:
     placement) shares the template's arrays and selection memo.
     """
 
-    __slots__ = ("key", "needed", "needed_chunk_ids", "needed_chunks", "nearest",
+    __slots__ = ("key", "chunk_ids", "chunks", "nearest",
                  "nearest_regions", "nearest_expected_ms",
                  "nearest_jitter", "cache_expected_ms", "cache_jitter",
                  "all_jitter_positive", "chunk_size", "decode_ms", "data_chunks",
                  "_selections", "hint", "located")
 
-    def __init__(self, furthest_first: list[PlacedChunk], chunk_size: int,
+    def __init__(self, nearest: list[PlacedChunk], chunk_size: int,
                  latency, client_region: str, data_chunks: int, decode_ms: float) -> None:
         self.key = None
-        self.needed_chunk_ids = self.needed_chunks = ()
+        self.chunk_ids = self.chunks = ()
         # Per key (see hinted_under): the Agar hints of the last configuration
         # the key was read under, and its last cache lookup (_CacheLookup).
         self.hint = None
         self.located = None
         self.chunk_size = chunk_size
-        # The m furthest chunks are discarded on a failure-free read (§IV-A).
-        self.needed = furthest_first[len(furthest_first) - data_chunks:]
-        # nearest[:k] is the failure-free plan reversed; the m beyond it are
-        # the spares degraded re-plans and hedges draw from.
-        nearest = list(reversed(furthest_first))
+        # nearest[:k] is the failure-free read; the m beyond it are the
+        # spares degraded re-plans, hedges and far hints draw from.
         self.nearest = nearest
         self.nearest_regions = [placed.region for placed in nearest]
         profiles = [latency.link(client_region, placed.region) for placed in nearest]
@@ -207,88 +206,104 @@ class _ReadPlan:
                                     and all(sigma > 0.0 for sigma in self.nearest_jitter))
         self.decode_ms = decode_ms
         self.data_chunks = data_chunks
-        # Keys are hit-position tuples on the failure-free path, or
-        # (hits, neighbours, down regions) triples otherwise (the two shapes
-        # cannot collide).
+        # Keys are hit-position tuples on the plain failure-free path, or
+        # (hits, misses, neighbours, down regions) quadruples otherwise (the
+        # two shapes cannot collide).
         self._selections: dict[object, _Selection] = {}
 
     def for_key(self, key: str, probes_cache: bool) -> "_ReadPlan":
         """The plan of ``key``: this template plus the key's chunk ids.
 
         A shallow copy, so the arrays and the selection memo stay shared.
-        Strategies that never probe a cache skip the ids and chunk objects.
+        Strategies that never probe a cache skip the ids and chunk objects;
+        the others get those of the ``k`` nearest chunks, the only ones a
+        static policy caches.
         """
         plan = copy.copy(self)
         plan.key = key
         if probes_cache:
-            plan.needed_chunk_ids = [ChunkId(key=key, index=placed.index)
-                                     for placed in self.needed]
-            plan.needed_chunks = [Chunk(chunk_id=chunk_id, size=self.chunk_size)
-                                  for chunk_id in plan.needed_chunk_ids]
+            plan._stamp(self.data_chunks)
         return plan
+
+    def _stamp(self, count: int) -> None:
+        """Extend the key's chunk ids and chunks to its ``count`` nearest."""
+        chunk_ids = [ChunkId(key=self.key, index=placed.index)
+                     for placed in self.nearest[len(self.chunk_ids):count]]
+        self.chunk_ids = [*self.chunk_ids, *chunk_ids]
+        self.chunks = [*self.chunks, *[Chunk(chunk_id=chunk_id, size=self.chunk_size)
+                                       for chunk_id in chunk_ids]]
 
     def hinted_under(self, configuration) -> tuple:
         """Resolve and remember the key's Agar hints under ``configuration``.
 
         Returns ``(configuration, hinted positions, their chunk ids)`` — the
-        needed positions (furthest first, ascending) whose chunk the
-        configuration wants cached.  A configuration is immutable and
+        positions, furthest first, of every placed chunk the configuration
+        wants cached.  The node ranks regions by its own probe, so a hint may
+        name a chunk beyond the client's ``k`` nearest; the key's ids are then
+        stamped for all ``k + m``.  A configuration is immutable and
         ``CacheManager.install`` is the only way one becomes current, so a
         reader reuses the triple for as long as the node's current
         configuration *is* the remembered object; one triple per key, the
         next configuration's replaces it.
         """
         hinted = configuration.chunks_for(self.key)
-        positions = tuple([position for position, placed in enumerate(self.needed)
-                           if placed.index in hinted]) if hinted else ()
-        chunk_ids = self.needed_chunk_ids
+        nearest = self.nearest
+        positions = tuple([position for position in range(len(nearest) - 1, -1, -1)
+                           if nearest[position].index in hinted]) if hinted else ()
+        if positions and positions[0] >= len(self.chunk_ids):
+            self._stamp(len(nearest))
+        chunk_ids = self.chunk_ids
         self.hint = hint = (configuration, positions,
                             [chunk_ids[position] for position in positions])
         return hint
 
     def select(self, hit_positions: tuple[int, ...],
+               missing_positions: tuple[int, ...] = (),
                neighbor_positions: tuple[int, ...] = (),
                down: frozenset[str] = frozenset()) -> _Selection:
         """The backend selection of one read pattern, memoised per pattern.
 
-        ``hit_positions`` are positions into the needed (furthest-first)
-        order, listed in that order — the canonical form every reader
-        produces.  ``neighbor_positions`` (collaborative deployments only)
-        are needed positions served from a neighbour's cache; they are
-        excluded from the backend fetch like hits.  ``down`` is the set of
+        Every position indexes :attr:`nearest`, each tuple listed furthest
+        first — the canonical form every reader produces.  ``hit_positions``
+        are the chunks the read takes from the local cache;
+        ``missing_positions`` are hinted chunks the cache lacks, which the
+        read fetches from their own buckets so that they can be written
+        back; ``neighbor_positions`` (collaborative deployments only) are
+        chunks served from a neighbour's cache.  ``down`` is the set of
         unreachable backend regions.
 
-        The client fetches the *nearest* chunks first, skipping those already
-        obtained, until it has ``k`` in total.  If none of them sits in a
-        down region the failure-free selection stands; otherwise the nearest
-        survivors over all ``k + m`` placed chunks substitute
+        The client fetches the missed hinted chunks first, then the nearest
+        chunks it does not hold, until it has ``k`` in total.  If none of
+        them sits in a down region the failure-free selection stands;
+        otherwise the reachable ones in the same order substitute
         (``replanned``), and when fewer than ``k`` chunks remain reachable
-        the selection is ``failed``.
+        the selection is ``failed``.  The selection lists its positions
+        nearest first.
         """
-        memo_key: object = (hit_positions if not neighbor_positions and not down
-                            else (hit_positions, neighbor_positions, down))
+        memo_key: object = (hit_positions
+                            if not (missing_positions or neighbor_positions or down)
+                            else (hit_positions, missing_positions, neighbor_positions, down))
         selection = self._selections.get(memo_key)
         if selection is None:
-            needed = self.needed
-            used = {needed[position].index for position in hit_positions}
-            used.update(needed[position].index for position in neighbor_positions)
-            required = self.data_chunks - len(used)
+            held = {*hit_positions, *neighbor_positions}
+            required = self.data_chunks - len(held)
             regions = self.nearest_regions
-            free = [position for position, placed in enumerate(self.nearest)
-                    if placed.index not in used]
-            chosen = free[:required]
+            wanted = [position for position in missing_positions if position not in held]
+            order = wanted + [position for position in range(len(regions))
+                              if position not in held and position not in wanted]
+            chosen = order[:required]
             replanned = failed = False
             if down and any(regions[position] in down for position in chosen):
-                free = [position for position in free if regions[position] not in down]
-                failed = len(free) < required
+                order = [position for position in order if regions[position] not in down]
+                failed = len(order) < required
                 replanned = not failed
-                chosen = [] if failed else free[:required]
+                chosen = [] if failed else order[:required]
             # A hedge races the nearest reachable chunk this read does not
             # already hold or fetch.
-            spares = [position for position in free[len(chosen):]
+            spares = [position for position in order[len(chosen):]
                       if regions[position] not in down]
-            selection = _Selection(self, tuple(chosen), replanned, failed,
-                                   spares[0] if spares else -1,
+            selection = _Selection(self, tuple(sorted(chosen)), replanned, failed,
+                                   min(spares) if spares else -1,
                                    cache_hits=len(hit_positions))
             self._selections[memo_key] = selection
         return selection
@@ -349,6 +364,9 @@ class ReadStrategy(ABC):
 
     #: False on strategies without a cache: their plans carry no chunk ids.
     _probes_cache: bool = True
+
+    #: The local chunk cache of the strategies that have one.
+    _cache: ChunkCache | None = None
 
     #: Charged to every read on top of the client overhead (Agar: the node's
     #: hint processing).
@@ -418,9 +436,14 @@ class ReadStrategy(ABC):
         """The backing object store."""
         return self._store
 
+    @property
+    def cache(self) -> ChunkCache | None:
+        """The strategy's local chunk cache (None for Backend)."""
+        return self._cache
+
     def cache_snapshot(self) -> CacheSnapshot | None:
         """Snapshot of the strategy's cache contents (None for Backend)."""
-        return None
+        return None if self._cache is None else self._cache.snapshot()
 
     @property
     def resilience_active(self) -> bool:
@@ -675,7 +698,8 @@ class ReadStrategy(ABC):
             plan = plans[rank] or self._indexed_plan(rank)
             located = locate(plan, now)
             hit_positions = located.hit_positions
-            selection = plan.select(hit_positions, (), down) if down else located.selection
+            selection = (plan.select(hit_positions, located.missing_positions, (), down)
+                         if down else located.selection)
             cache_hits = len(hit_positions)
             if selection.failed:
                 unavailable_at.append(len(latencies))
@@ -726,14 +750,14 @@ class ReadStrategy(ABC):
             if template is None:
                 params = store.params
                 template = self._plan_templates[shape] = _ReadPlan(
-                    # Every placed chunk, furthest first: the failure-free
-                    # order of needed_chunks with nothing discarded.
-                    furthest_first=needed_chunks(
+                    # Every placed chunk, nearest first: the failure-free
+                    # order of needed_chunks, nothing discarded, reversed.
+                    nearest=needed_chunks(
                         store.chunks_by_region(key),
                         self._expected_latencies,
                         data_chunks=params.data_chunks + params.parity_chunks,
                         parity_chunks=0,
-                    ),
+                    )[::-1],
                     chunk_size=metadata.chunk_size,
                     latency=self._latency,
                     client_region=self._region,
@@ -792,8 +816,7 @@ class ReadStrategy(ABC):
         monotonic) instead of one per chunk.  Otherwise chunks are sampled
         one by one: a zero-σ link draws nothing, and a backend chunk read
         from a browned-out region has its sampled latency multiplied by the
-        brownout factor.  The chunks at ``neighbor_positions`` (needed order)
-        come from a collaborating neighbour's cache (see
+        brownout factor.  The chunks at ``neighbor_positions`` come from a collaborating neighbour's cache (see
         :meth:`set_neighbor_catalog`).  When resilience is active
         :meth:`_compose_resilient` does the sampling.
 
@@ -886,10 +909,10 @@ class ReadStrategy(ABC):
             selection.regions, now, neighbor_count, degraded, False,
             retries, hedged, hedge_won)
         if sink is not None:
-            needed = plan.needed
-            sink(result, [needed[position] for position in hit_positions],
+            nearest = plan.nearest
+            sink(result, [nearest[position] for position in hit_positions],
                  selection.chunks,
-                 [needed[position] for position in neighbor_positions])
+                 [nearest[position] for position in neighbor_positions])
         return result
 
     def _compose_resilient(self, plan: _ReadPlan, cache_hits: int,
@@ -1049,7 +1072,7 @@ class BackendReadStrategy(ReadStrategy):
     _probes_cache = False
 
     def _read_plan(self, plan: _ReadPlan, now: float) -> ReadResult:
-        selection = plan.select((), (), self._down_backends)
+        selection = plan.select((), down=self._down_backends)
         return self._compose(plan, now, (), selection, degraded=selection.replanned)
 
     def _locate(self, plan: _ReadPlan, now: float) -> _CacheLookup:
@@ -1086,7 +1109,46 @@ class BackendReadStrategy(ReadStrategy):
 
 
 
-class FixedChunkCachingStrategy(ReadStrategy):
+class _FixedChunks(ReadStrategy):
+    """What the LRU-c and LFU-c baselines share: ``c`` chunks per object.
+
+    The ``c`` chunks of an object they cache are the furthest of the
+    client's ``k`` nearest.  A read probes and fills them furthest first,
+    the order LRU recency follows.
+    """
+
+    def __init__(self, store: ErasureCodedStore, client_region: str, cache_capacity_bytes: int,
+                 chunks_per_object: int, eviction, clock: Callable[[], float] | None,
+                 config: ClientConfig | None) -> None:
+        super().__init__(store, client_region, config)
+        data_chunks = store.params.data_chunks
+        if not 1 <= chunks_per_object <= data_chunks:
+            raise ValueError(f"chunks_per_object must be in 1..{data_chunks}")
+        self._chunks_per_object = chunks_per_object
+        last = data_chunks - 1
+        self._cached_positions = tuple(range(last, last - chunks_per_object, -1))
+        # The same chunks as a slice of a plan's chunk lists (its stop would
+        # be -1, an empty slice, when c is k).
+        self._cached = slice(last, last - chunks_per_object
+                             if chunks_per_object < data_chunks else None, -1)
+        self._cache = ChunkCache(capacity_bytes=cache_capacity_bytes, policy=eviction,
+                                 clock=clock, region=client_region)
+
+    @property
+    def chunks_per_object(self) -> int:
+        """The fixed number of chunks cached per object."""
+        return self._chunks_per_object
+
+    def _probe(self, plan: _ReadPlan) -> tuple[int, ...]:
+        """Look the plan's ``c`` chunks up; the positions that hit."""
+        positions = self._cached_positions
+        offsets = self._cache.probe(plan.chunk_ids[self._cached])
+        if len(offsets) == len(positions):
+            return positions
+        return tuple([positions[offset] for offset in offsets])
+
+
+class FixedChunkCachingStrategy(_FixedChunks):
     """Online fixed-chunk baselines: cache ``c`` chunks per object, evict online.
 
     This is the classical, continuously updated form of the LRU-c / LFU-c
@@ -1115,54 +1177,23 @@ class FixedChunkCachingStrategy(ReadStrategy):
                  chunks_per_object: int, policy: str = "lru",
                  clock: Callable[[], float] | None = None,
                  config: ClientConfig | None = None) -> None:
-        super().__init__(store, client_region, config)
-        data_chunks = store.params.data_chunks
-        if not 1 <= chunks_per_object <= data_chunks:
-            raise ValueError(f"chunks_per_object must be in 1..{data_chunks}")
-        if policy == "lru":
-            eviction = LRUEvictionPolicy()
-        elif policy == "lfu":
-            eviction = LFUEvictionPolicy()
-        else:
+        if policy not in ("lru", "lfu"):
             raise ValueError("policy must be 'lru' or 'lfu'")
-        self._chunks_per_object = chunks_per_object
-        self._policy_name = policy
+        eviction = LRUEvictionPolicy() if policy == "lru" else LFUEvictionPolicy()
+        super().__init__(store, client_region, cache_capacity_bytes, chunks_per_object,
+                         eviction, clock, config)
         self.name = f"{policy}-{chunks_per_object}"
-        self._cache = ChunkCache(
-            capacity_bytes=cache_capacity_bytes,
-            policy=eviction,
-            clock=clock,
-            region=client_region,
-        )
-
-    @property
-    def cache(self) -> ChunkCache:
-        """The strategy's local chunk cache."""
-        return self._cache
-
-    @property
-    def chunks_per_object(self) -> int:
-        """The fixed number of chunks cached per object."""
-        return self._chunks_per_object
-
-    def cache_snapshot(self) -> CacheSnapshot:
-        return self._cache.snapshot()
 
     def _read_plan(self, plan: _ReadPlan, now: float) -> ReadResult:
         cache = self._cache
         cache.record_request(plan.key)
-        target_count = self._chunks_per_object
         # During an AZ failure of this region the cache server is
         # unreachable: no lookups, no fills — but request bookkeeping (the
         # client-side proxy) continues, so popularity state stays warm.
         cache_down = self._cache_down
 
-        # The c furthest chunks are the first c needed positions, so a probe's
-        # hit offsets are the hit positions.
-        hit_positions = (() if cache_down else
-                         tuple(cache.probe(plan.needed_chunk_ids[:target_count])))
-
-        selection = plan.select(hit_positions, (), self._down_backends)
+        hit_positions = () if cache_down else self._probe(plan)
+        selection = plan.select(hit_positions, down=self._down_backends)
         result = self._compose(plan, now, hit_positions, selection,
                                degraded=cache_down or selection.replanned)
 
@@ -1170,13 +1201,12 @@ class FixedChunkCachingStrategy(ReadStrategy):
         # an unavailable read fetched nothing to populate it with.
         if not (cache_down or result.failed):
             put = cache.put
-            chunks = plan.needed_chunks
-            for position in range(target_count):
-                put(chunks[position])
+            for chunk in plan.chunks[self._cached]:
+                put(chunk)
         return result
 
 
-class PeriodicLFUStrategy(ReadStrategy):
+class PeriodicLFUStrategy(_FixedChunks):
     """The paper's LFU-c baseline: fixed chunks per object, periodic LFU contents.
 
     The paper's LFU client runs a proxy that tracks per-object request
@@ -1204,45 +1234,22 @@ class PeriodicLFUStrategy(ReadStrategy):
                  chunks_per_object: int, reconfiguration_period_s: float = 30.0,
                  alpha: float | None = None, clock: Callable[[], float] | None = None,
                  config: ClientConfig | None = None) -> None:
-        super().__init__(store, client_region, config)
-        from repro.cache.policies import PinnedConfigurationPolicy
         from repro.core.agar_node import DEFAULT_CURRENT_PERIOD_WEIGHT
         from repro.core.popularity import PopularityTracker
 
-        data_chunks = store.params.data_chunks
-        if not 1 <= chunks_per_object <= data_chunks:
-            raise ValueError(f"chunks_per_object must be in 1..{data_chunks}")
+        self._pinned_policy = PinnedConfigurationPolicy()
+        super().__init__(store, client_region, cache_capacity_bytes, chunks_per_object,
+                         self._pinned_policy, clock, config)
         if not (math.isfinite(reconfiguration_period_s)
                 and reconfiguration_period_s > 0):
             raise ValueError("reconfiguration_period_s must be finite and positive")
-        self._chunks_per_object = chunks_per_object
         self.name = f"lfu-{chunks_per_object}"
         self._period_s = reconfiguration_period_s
         self._tracker = PopularityTracker(
             alpha=DEFAULT_CURRENT_PERIOD_WEIGHT if alpha is None else alpha
         )
-        self._pinned_policy = PinnedConfigurationPolicy()
-        self._cache = ChunkCache(
-            capacity_bytes=cache_capacity_bytes,
-            policy=self._pinned_policy,
-            clock=clock,
-            region=client_region,
-        )
         self._last_reconfiguration: float | None = None
         self._external_reconfiguration = False
-
-    @property
-    def cache(self) -> ChunkCache:
-        """The strategy's local chunk cache."""
-        return self._cache
-
-    @property
-    def chunks_per_object(self) -> int:
-        """The fixed number of chunks cached per object."""
-        return self._chunks_per_object
-
-    def cache_snapshot(self) -> CacheSnapshot:
-        return self._cache.snapshot()
 
     @property
     def reconfiguration_period_s(self) -> float | None:
@@ -1268,8 +1275,7 @@ class PeriodicLFUStrategy(ReadStrategy):
         top_keys = [k for k in top_keys if popularity[k] > 0][: self._capacity_objects(key)]
         pinned: set[ChunkId] = set()
         for top_key in top_keys:
-            pinned.update(
-                self._plan_for(top_key).needed_chunk_ids[: self._chunks_per_object])
+            pinned.update(self._plan_for(top_key).chunk_ids[self._cached])
         self._pinned_policy.set_configuration(pinned)
 
     def _maybe_reconfigure(self, key: str, now: float) -> None:
@@ -1293,20 +1299,18 @@ class PeriodicLFUStrategy(ReadStrategy):
         hit_positions: tuple[int, ...] = ()
         missing_positions: list[int] = []
         if not cache_down:
-            target_count = self._chunks_per_object
-            hit_positions = tuple(
-                self._cache.probe(plan.needed_chunk_ids[:target_count]))
-            if len(hit_positions) < target_count:
-                missing_positions = [position for position in range(target_count)
+            hit_positions = self._probe(plan)
+            if len(hit_positions) < self._chunks_per_object:
+                missing_positions = [position for position in self._cached_positions
                                      if position not in hit_positions]
 
-        selection = plan.select(hit_positions, (), self._down_backends)
+        selection = plan.select(hit_positions, down=self._down_backends)
         result = self._compose(plan, now, hit_positions, selection,
                                degraded=cache_down or selection.replanned)
 
         if missing_positions and not result.failed:
             put = self._cache.put
-            chunks = plan.needed_chunks
+            chunks = plan.chunks
             for position in missing_positions:
                 put(chunks[position])
         return result
@@ -1358,14 +1362,6 @@ class AgarReadStrategy(ReadStrategy):
     def node(self) -> AgarNode:
         """The Agar node backing this strategy."""
         return self._node
-
-    @property
-    def cache(self) -> ChunkCache:
-        """The Agar-managed cache."""
-        return self._cache
-
-    def cache_snapshot(self) -> CacheSnapshot:
-        return self._cache.snapshot()
 
     @property
     def reconfiguration_period_s(self) -> float | None:
@@ -1438,49 +1434,48 @@ class AgarReadStrategy(ReadStrategy):
                                        if position not in hit_positions])
         plan.located = located = _CacheLookup(
             configuration, cache.membership, hit_positions, missing_positions,
-            entries, hinted, plan.select(hit_positions))
+            entries, hinted, plan.select(hit_positions, missing_positions))
         return located
 
     def _write_back(self, plan: _ReadPlan, fetched: tuple[int, ...],
                     missing_positions: tuple[int, ...]) -> None:
-        """Cache the hinted chunks the read fetched from the backend.
+        """Cache the hinted chunks the read fetched from their buckets.
 
         Done by a separate thread pool in the prototype (§V-A), so never
-        charged; ``fetched`` are the selection's nearest positions (none on
-        an unavailable read).  Needed position p (furthest first) is nearest
-        position k-1-p.  An insertion moves the cache's membership, so the
-        next read of any key looks its chunks up again.
+        charged; ``fetched`` are the selection's positions (none on an
+        unavailable read).  An insertion moves the cache's membership, so
+        the next read of any key looks its chunks up again.
         """
-        last = plan.data_chunks - 1
         put = self._cache.put
-        chunks = plan.needed_chunks
+        chunks = plan.chunks
         for position in missing_positions:
-            if last - position in fetched:
+            if position in fetched:
                 put(chunks[position])
 
     def _read_plan(self, plan: _ReadPlan, now: float) -> ReadResult:
         located = self._locate(plan, now)
         hit_positions = located.hit_positions
 
-        # §VI: needed chunks that missed the local cache but are pinned by a
-        # collaborating neighbour are read from that neighbour's cache —
-        # per chunk, only when the neighbour link beats the chunk's own
-        # backend link (see set_neighbor_catalog).
+        # §VI: chunks of the client's k nearest that missed the local cache
+        # but are pinned by a collaborating neighbour are read from that
+        # neighbour's cache — per chunk, only when the neighbour link beats
+        # the chunk's own backend link (see set_neighbor_catalog).
         neighbor_positions: tuple[int, ...] = ()
         catalog = self._neighbor_pinned
         if catalog is not None:
             neighbor_ms = self._neighbor_read_ms
-            needed = plan.needed
-            chunk_ids = plan.needed_chunk_ids
+            nearest = plan.nearest
+            chunk_ids = plan.chunk_ids
             neighbor_positions = tuple(
-                position for position in range(len(chunk_ids))
+                position for position in range(plan.data_chunks - 1, -1, -1)
                 if position not in hit_positions
-                and neighbor_ms < needed[position].latency_ms
+                and neighbor_ms < nearest[position].latency_ms
                 and chunk_ids[position] in catalog
             )
 
         down = self._down_backends
-        selection = (plan.select(hit_positions, neighbor_positions, down)
+        selection = (plan.select(hit_positions, located.missing_positions,
+                                 neighbor_positions, down)
                      if neighbor_positions or down else located.selection)
         result = self._compose(
             plan, now, hit_positions, selection, neighbor_positions,

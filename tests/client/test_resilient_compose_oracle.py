@@ -9,7 +9,8 @@ tracker, the read serial and the stream the reads leave behind must be
 equal, bit for bit.  The shipped step walks a block of the stream its caller
 peeked: the twin drives it per event (one peek and one advance a read, as
 ``_compose`` does) and in waves of consecutive reads sharing one peeked
-block and one cursor (as ``compose_resilient_wave`` does).
+block and one cursor (as ``compose_resilient_wave`` does).  The selection
+each read composes is checked against ``tests/reference/read_selection.py``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.geo.latency import LatencyModel, LinkProfile
 from repro.geo.topology import DEFAULT_LATENCY_MATRIX, Topology
 from repro.sim.faults import FaultState
 
+from reference.read_selection import select_reference
 from reference.resilient_compose import compose_resilient_reference
 
 MEGABYTE = 1024 * 1024
@@ -33,6 +35,7 @@ REGION = "frankfurt"
 BACKENDS = sorted(DEFAULT_LATENCY_MATRIX[REGION])
 KEY = "object-0"
 DATA_CHUNKS = 9
+PLACED_CHUNKS = 12
 
 SIGMAS = st.sampled_from([0.0, 0.06, 0.3])
 
@@ -62,14 +65,20 @@ def build_strategy(link_sigmas: dict[str, float], cache_sigma: float, seed: int,
 
 @st.composite
 def reads(draw):
-    """One read: what it holds already, and the fault state it meets."""
-    held = draw(st.lists(st.integers(0, DATA_CHUNKS - 1), unique=True,
+    """One read: what it holds already, the hinted chunks its cache missed
+    and the fault state it meets.  Positions index all twelve placed chunks
+    nearest first, each tuple listed furthest first as readers list them."""
+    held = draw(st.lists(st.integers(0, PLACED_CHUNKS - 1), unique=True,
                          max_size=DATA_CHUNKS))
     neighbors = draw(st.integers(0, min(3, len(held))))
+    free = [position for position in range(PLACED_CHUNKS) if position not in held]
+    missed = draw(st.permutations(free))[:draw(st.integers(0, DATA_CHUNKS - len(held)))]
     down = draw(st.lists(st.sampled_from(BACKENDS), unique=True, max_size=2))
     browned = draw(st.lists(st.sampled_from(BACKENDS), unique=True, max_size=3))
     multipliers = [draw(st.sampled_from([1.5, 3.0, 10.0])) for _ in browned]
-    return (tuple(sorted(held[neighbors:])), tuple(sorted(held[:neighbors])),
+    return (tuple(sorted(held[neighbors:], reverse=True)),
+            tuple(sorted(missed, reverse=True)),
+            tuple(sorted(held[:neighbors], reverse=True)),
             frozenset(down), tuple(sorted(zip(browned, multipliers))))
 
 
@@ -87,9 +96,13 @@ def run_reads(strategy, sequence, waves=None) -> list[tuple]:
     latency = strategy._latency
     outcomes = []
 
-    def compose(hits, neighbors, down, brownouts, block, cursor):
+    def compose(hits, missed, neighbors, down, brownouts, block, cursor):
         strategy.set_fault_state(FaultState(down_backends=down, brownouts=brownouts))
-        selection = plan.select(hits, neighbors, down)
+        selection = plan.select(hits, missed, neighbors, down)
+        assert ((selection.positions, selection.replanned, selection.failed,
+                 selection.hedge_position)
+                == select_reference(plan.nearest_regions, DATA_CHUNKS,
+                                    hits, missed, neighbors, down))
         if selection.failed:        # an unavailable read is never sampled
             outcomes.append(None)
             return cursor
@@ -172,9 +185,9 @@ def test_degraded_replan_without_a_hedge_candidate():
              for _ in range(2)]
     plan = twins[0][0]._plan_for(KEY)
     down = frozenset({"sao_paulo", "n_virginia"})
-    held = next(position for position, placed in enumerate(plan.needed)
-                if placed.region in down)
-    sequence = [((held,), (), down, ())] * 40
+    held = next(position for position in range(DATA_CHUNKS)
+                if plan.nearest_regions[position] in down)
+    sequence = [((held,), (), (), down, ())] * 40
     outcomes = [run_reads(twins[0][0], sequence, PER_EVENT),
                 run_reads(twins[1][0], sequence)]
     assert outcomes[0] == outcomes[1]
@@ -197,8 +210,8 @@ def test_waves_under_an_outage_and_brownouts():
              for _ in range(2)]
     down = frozenset({"sao_paulo"})
     brownouts = (("n_virginia", 3.0), ("tokyo", 1.5))
-    sequence = [(hits, (), down, brownouts)
-                for hits in ((), (0,), (0, 1, 2), tuple(range(DATA_CHUNKS)))] * 30
+    sequence = [(hits, (), (), down, brownouts)
+                for hits in ((), (8,), (8, 7, 6), tuple(range(DATA_CHUNKS - 1, -1, -1)))] * 30
     outcomes = [run_reads(twins[0][0], sequence, list(range(1, 13))),
                 run_reads(twins[1][0], sequence)]
     assert outcomes[0] == outcomes[1]

@@ -184,7 +184,8 @@ class TestAgarStrategy:
 
         config = ClientConfig(overhead_ms=0.0, include_decode_cost=False)
         strategy = AgarReadStrategy(store, "frankfurt", MEGABYTE, config=config)
-        needed = strategy._plan_for("object-0").needed
+        plan = strategy._plan_for("object-0")
+        needed = plan.nearest[:plan.data_chunks]
         catalog = frozenset(
             ChunkId(key="object-0", index=placed.index) for placed in needed)
         costs = sorted(placed.latency_ms for placed in needed)
@@ -219,7 +220,8 @@ class TestAgarStrategy:
         config = ClientConfig(overhead_ms=0.0, include_decode_cost=False)
         strategy = AgarReadStrategy(store, "frankfurt", MEGABYTE, config=config)
         strategy.prepare_indexed_reads(["object-0"])
-        needed = strategy._plan_for("object-0").needed
+        plan = strategy._plan_for("object-0")
+        needed = plan.nearest[:plan.data_chunks]
         catalog = frozenset(
             ChunkId(key="object-0", index=placed.index) for placed in needed)
         costs = sorted(placed.latency_ms for placed in needed)
@@ -288,12 +290,12 @@ class TestAgarHints:
         return result, calls
 
     def _assert_reads_follow(self, strategy, now):
-        """The next read of every key probes exactly the current hints."""
+        """The next read of every key probes exactly the current hints, all
+        of them, whichever of the key's placed chunks they name."""
         configuration = strategy.node.current_configuration
         cache = strategy.cache
         for index, key in enumerate(self.KEYS):
-            needed = {placed.index for placed in strategy._plan_for(key).needed}
-            hinted = set(configuration.chunks_for(key)) & needed
+            hinted = set(configuration.chunks_for(key))
             held = hinted & set(cache.cached_indices(key))
             if index % 2:
                 result, calls = self._probed(
@@ -303,8 +305,8 @@ class TestAgarHints:
                     strategy, lambda: strategy.read(key, now=now))
             assert calls == ([hinted] if hinted else []), key
             assert result.chunks_from_cache == len(held), key
-            # Cache writes follow the hints too: what was hinted and fetched
-            # is held afterwards, and nothing else of the key was added.
+            # Cache writes follow the hints too: a read fetches every hinted
+            # chunk it missed, so all of them are held afterwards.
             assert hinted <= set(cache.cached_indices(key)), key
         return configuration
 
@@ -337,7 +339,48 @@ class TestAgarHints:
         self._read_all(strategy, hot=self.KEYS[5:8], now=40.0)
         strategy.node.emergency_reconfigure(45.0, frozenset({"tokyo"}))
         assert strategy.node.current_configuration is not previous
+        # The survivor view ranks Tokyo last: the re-solve pins chunks the
+        # client's own k nearest leave out, and the reads take them too.
+        assert any(set(strategy.node.current_configuration.chunks_for(key))
+                   - {placed.index for placed in plan.nearest[:plan.data_chunks]}
+                   for key, plan in strategy._plans.items())
         self._assert_reads_follow(strategy, now=46.0)
+
+    def test_a_hint_beyond_the_k_nearest_is_fetched_cached_and_hit(self, store):
+        """The node ranks regions by its own probe, so it may pin a chunk
+        the client's k nearest leave out.  The read fetches that chunk from
+        its own bucket and writes it back; the next read takes it from the
+        cache."""
+        from repro.core.knapsack import CacheConfiguration
+        from repro.core.options import CachingOption
+
+        strategy = self._strategy(store)
+        decided = []
+        strategy.set_decision_sink(
+            lambda result, cache_chunks, backend_chunks, neighbor_chunks: decided.append(
+                ([placed.index for placed in cache_chunks],
+                 [placed.index for placed in backend_chunks])))
+        plan = strategy._plan_for("object-0")
+        nearest = [placed.index for placed in plan.nearest]
+        k = plan.data_chunks
+        # The nearest chunk beyond the k nearest, and the furthest within.
+        pinned = (nearest[k], nearest[k - 1])
+        strategy.node.cache_manager.install(CacheConfiguration((CachingOption(
+            key="object-0", chunk_indices=pinned, weight=2,
+            latency_improvement_ms=1.0, marginal_improvement_ms=1.0,
+            popularity=1.0, residual_latency_ms=0.0),)))
+
+        first, calls = self._probed(strategy, lambda: strategy.read("object-0", now=1.0))
+        assert calls == [set(pinned)]
+        assert (first.chunks_from_cache, first.chunks_from_backend) == (0, k)
+        # Both pinned chunks and the k - 2 nearest others, nearest first.
+        assert decided[-1] == ([], [*nearest[:k - 2], nearest[k - 1], nearest[k]])
+        assert set(strategy.cache.cached_indices("object-0")) == set(pinned)
+
+        second = strategy.read_indexed(0, now=2.0)
+        assert second.hit_type is HitType.PARTIAL
+        assert (second.chunks_from_cache, second.chunks_from_backend) == (2, k - 2)
+        assert decided[-1] == ([nearest[k], nearest[k - 1]], nearest[:k - 2])
 
     def test_after_a_collaboration_round(self, store):
         from repro.extensions.collaboration import CollaborationCoordinator

@@ -18,6 +18,14 @@ from inside a definition without a caller does not count either, so a
 helper that only a dead function calls is found with it.  Dunder names are
 exempt.  A definition that must stay without a caller goes in ``ALLOWED``
 with its reason.
+
+State is held to the same rule: every ``self.<attribute>`` that a method of
+a ``src/repro`` class stores must be loaded somewhere in the repository,
+tests included (a test that reads state observes it).  An augmented
+assignment (``self.count += 1``) is a store, so a counter nothing reads is
+found.  Loads are attribute names and the name strings given to
+``getattr`` / ``hasattr``, matched, not resolved.  An attribute that must
+stay unread goes in ``WRITE_ONLY_ALLOWED`` with its reason.
 """
 
 import ast
@@ -53,6 +61,15 @@ ALLOWED = {
     # freeze_engine.py: the state digest's popularity snapshot.
     ("repro.core.request_monitor", "RequestMonitor.popularity_tracker"):
         _FROZEN,
+}
+
+_UNSERVED = ("counted on every health probe for ROADMAP item 2 slice 1, "
+             "which serves them on GET /metrics or deletes them")
+
+#: ``(module, class qualname, attribute)`` stores that stay without a load.
+WRITE_ONLY_ALLOWED = {
+    ("repro.serve.supervisor", "ClusterSupervisor", "probes_total"): _UNSERVED,
+    ("repro.serve.supervisor", "ClusterSupervisor", "probe_failures"): _UNSERVED,
 }
 
 
@@ -160,6 +177,101 @@ def shipped_sources() -> dict[pathlib.Path, str]:
 def uncalled() -> set[tuple[str, str]]:
     return {(definition.module, definition.qualname)
             for definition in scan(shipped_sources(), allowed=ALLOWED)}
+
+
+def attribute_stores(path: pathlib.Path, tree: ast.Module,
+                     package: pathlib.Path) -> list[tuple[str, str, str]]:
+    """``(module, class qualname, attribute)`` of every ``self.<attribute>``
+    store in a method of a class of the module."""
+    found = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                qualname = prefix + node.name
+                for method in node.body:
+                    if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        found.extend(
+                            (module_name(path, package), qualname, target.attr)
+                            for target in ast.walk(method)
+                            if isinstance(target, ast.Attribute)
+                            and isinstance(target.ctx, ast.Store)
+                            and isinstance(target.value, ast.Name)
+                            and target.value.id == "self")
+                visit(node.body, qualname + ".")
+
+    visit(tree.body, "")
+    return found
+
+
+def attribute_loads(tree: ast.Module) -> set[str]:
+    """Every attribute name ``tree`` loads or deletes, and every constant
+    name given to ``getattr`` or ``hasattr``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            found.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "hasattr") and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            found.add(node.args[1].value)
+    return found
+
+
+def write_only(sources: dict[pathlib.Path, str],
+               package: pathlib.Path = PACKAGE) -> set[tuple[str, str, str]]:
+    """The attributes classes under ``package`` store on ``self`` that no
+    module of ``sources`` loads (dunders exempt)."""
+    stores, loaded = [], set()
+    for path, source in sources.items():
+        tree = ast.parse(source, filename=str(path))
+        loaded |= attribute_loads(tree)
+        if path.is_relative_to(package):
+            stores += attribute_stores(path, tree, package)
+    return {store for store in stores
+            if store[2] not in loaded
+            and not (store[2].startswith("__") and store[2].endswith("__"))}
+
+
+def repository_sources() -> dict[pathlib.Path, str]:
+    return {**shipped_sources(),
+            **{path: path.read_text() for path in sorted((ROOT / "tests").rglob("*.py"))}}
+
+
+def test_every_stored_attribute_is_loaded_somewhere():
+    assert sorted(write_only(repository_sources()) - WRITE_ONLY_ALLOWED.keys()) == []
+
+
+def test_every_allowed_write_only_attribute_exists_and_is_still_unread():
+    assert WRITE_ONLY_ALLOWED.keys() <= write_only(repository_sources())
+    assert all(reason for reason in WRITE_ONLY_ALLOWED.values())
+
+
+def test_what_counts_as_a_store_and_as_a_load(tmp_path):
+    package = tmp_path / "pkg"
+    sources = {
+        package / "mod.py": (
+            "class Counter:\n"
+            "    def __init__(self):\n"
+            "        self.total = 0\n"
+            "        self.shown = 0\n"
+            "        self.named = 0\n"
+            "        self.__dict__ = {}\n"
+            "    def tick(self):\n"
+            "        self.total += 1\n"
+            "    class Inner:\n"
+            "        def __init__(self):\n"
+            "            self.hidden = 1\n"
+            "def outside(other):\n"
+            "    other.free = 1\n"
+        ),
+        tmp_path / "example.py": (
+            "def report(counter):\n"
+            "    return counter.shown, getattr(counter, 'named')\n"
+        ),
+    }
+    assert write_only(sources, package) == {
+        ("pkg.mod", "Counter", "total"), ("pkg.mod", "Counter.Inner", "hidden")}
 
 
 def test_every_shipped_definition_has_a_shipped_caller():

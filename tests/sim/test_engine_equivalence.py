@@ -444,7 +444,20 @@ def _agar_wave_shapes() -> dict[str, tuple[EngineConfig, bool]]:
             regions=(RegionSpec("frankfurt", clients=60), RegionSpec("tokyo", clients=60)),
             cache_capacity_bytes=2 * MEGABYTE, timer_reconfiguration=False,
             agar=AgarNodeConfig(reconfiguration_period_s=1.0)), False),
+        # At this topology seed Sydney's start-up probe ranks two regions
+        # otherwise than its client does: Agar pins chunks beyond the
+        # client's k nearest, and reads fetch and cache them.
+        "far_hints": (config(
+            (RegionSpec("sydney", clients=60), RegionSpec("frankfurt", clients=60)),
+            topology_seed=9), False),
     }
+
+
+def _far_hinted_keys(deployment) -> int:
+    """Keys whose current hints name a chunk beyond the client's k nearest."""
+    return sum(1 for strategy in deployment.strategies
+               for plan in strategy._plans.values()
+               if plan.hint and max(plan.hint[1], default=-1) >= plan.data_chunks)
 
 
 def _agar_state(deployment):
@@ -522,6 +535,7 @@ class TestAgarWaveEquivalence:
             if execute is EventEngine.execute:
                 waves = sum((strategy.__dict__.get("wave_counts", Counter())
                              for strategy in deployment.strategies), Counter())
+                far_hinted = _far_hinted_keys(deployment)
         for fast, reference in zip(*outcomes):
             assert_results_identical(fast, reference)
         assert states[0] == states[1]
@@ -533,6 +547,7 @@ class TestAgarWaveEquivalence:
             assert waves["installs"] > 0
         if shape == "churning_cache":
             assert waves["evicting"] > 0
+        assert (far_hinted > 0) == (shape == "far_hints")
 
 
 class TestResilienceEquivalence:
@@ -1014,10 +1029,10 @@ class TestForkedRegions:
     strategies share the caller's store, clock and latency model, and no
     worker outlives the call."""
 
-    @settings(max_examples=25, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(config=engine_configs(min_regions=2), seed=st.integers(0, 2**16))
-    def test_warm_runs_equal_the_heap_reference(self, config, seed):
+    @staticmethod
+    def warm_runs_agree(config: EngineConfig, seed: int):
+        """Two warm ``execute`` runs against the heap reference run twice;
+        returns the reference's deployment."""
         engine = EventEngine(config, keep_results=True)
         engine.topology.latency.reseed(config.topology_seed + seed)
         deployment = engine.build_deployment()
@@ -1030,6 +1045,24 @@ class TestForkedRegions:
             assert (freeze_engine.state_digest(deployment)
                     == freeze_engine.state_digest(reference)), offset
         assert multiprocessing.active_children() == []
+        return reference
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(config=engine_configs(min_regions=2), seed=st.integers(0, 2**16))
+    def test_warm_runs_equal_the_heap_reference(self, config, seed):
+        self.warm_runs_agree(config, seed)
+
+    def test_far_hints_in_a_worker_equal_the_heap_reference(self):
+        """Sydney runs in a forked worker, and at this topology seed its
+        probe ranks regions otherwise than its client does: its reads fetch
+        and cache hinted chunks beyond their k nearest, in the worker as in
+        the reference."""
+        config = EngineConfig(
+            workload=workload(requests=40),
+            regions=(RegionSpec("frankfurt", clients=3), RegionSpec("sydney", clients=3)),
+            cache_capacity_bytes=3 * MEGABYTE, topology_seed=23)
+        assert _far_hinted_keys(self.warm_runs_agree(config, 3)) > 0
 
     @pytest.mark.parametrize("collaboration", [False, True],
                              ids=["independent", "collaborative"])

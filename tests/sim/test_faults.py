@@ -385,7 +385,8 @@ class TestProvenanceCatalogs:
 
         config = ClientConfig(overhead_ms=0.0, include_decode_cost=False)
         strategy = AgarReadStrategy(store, "frankfurt", MEGABYTE, config=config)
-        needed = strategy._plan_for("object-0").needed
+        plan = strategy._plan_for("object-0")
+        needed = plan.nearest[:plan.data_chunks]
         assert all(placed.region != "sydney" for placed in needed)
         chunk_ids = [ChunkId(key="object-0", index=placed.index)
                      for placed in needed]
@@ -432,7 +433,8 @@ class TestProvenanceCatalogs:
 
         config = ClientConfig(overhead_ms=0.0, include_decode_cost=False)
         strategy = AgarReadStrategy(store, "frankfurt", MEGABYTE, config=config)
-        needed = strategy._plan_for("object-0").needed
+        plan = strategy._plan_for("object-0")
+        needed = plan.nearest[:plan.data_chunks]
         flat = frozenset(ChunkId(key="object-0", index=placed.index)
                          for placed in needed)
         cheap = min(placed.latency_ms for placed in needed) / 2
