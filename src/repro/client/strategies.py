@@ -27,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.backend.object_store import ErasureCodedStore
-from repro.cache.base import CacheSnapshot
+from repro.cache.base import CacheSnapshot, EvictionPolicy
 from repro.cache.chunk_cache import ChunkCache
 from repro.cache.policies import (LFUEvictionPolicy, LRUEvictionPolicy,
                                   PinnedConfigurationPolicy)
@@ -506,12 +506,13 @@ class ReadStrategy(ABC):
         """Install what the collaborating neighbour caches currently pin.
 
         After each §VI exchange round the engine hands every region the
-        pinned chunks of the *other* regions.  A needed chunk that misses the
-        local cache but appears in this catalog is then read from the
-        neighbour's cache at ``neighbor_read_ms`` expected latency (the same
-        estimate the option discounting uses) instead of from its backend
-        bucket — the read-path half of the collaboration §VI sketches: give
-        up caching what a nearby cache already holds, and fetch it from there.
+        pinned chunks of the *other* regions.  A chunk of the client's ``k``
+        nearest that misses the local cache but appears in this catalog is
+        then read from the neighbour's cache at ``neighbor_read_ms`` expected
+        latency (the same estimate the option discounting uses) instead of
+        from its backend bucket — the read-path half of the collaboration §VI
+        sketches: give up caching what a nearby cache already holds, and
+        fetch it from there.
 
         The substitution is per chunk and cost-aware: a catalog chunk is
         read from the neighbour only when ``neighbor_read_ms`` (the
@@ -816,9 +817,10 @@ class ReadStrategy(ABC):
         monotonic) instead of one per chunk.  Otherwise chunks are sampled
         one by one: a zero-σ link draws nothing, and a backend chunk read
         from a browned-out region has its sampled latency multiplied by the
-        brownout factor.  The chunks at ``neighbor_positions`` come from a collaborating neighbour's cache (see
-        :meth:`set_neighbor_catalog`).  When resilience is active
-        :meth:`_compose_resilient` does the sampling.
+        brownout factor.  The chunks at ``neighbor_positions`` come from a
+        collaborating neighbour's cache (see :meth:`set_neighbor_catalog`).
+        When resilience is active :meth:`_compose_resilient` does the
+        sampling.
 
         A ``failed`` selection is an unavailable read: fewer than ``k``
         chunks are reachable anywhere.  The client learns of the failure
@@ -1118,7 +1120,8 @@ class _FixedChunks(ReadStrategy):
     """
 
     def __init__(self, store: ErasureCodedStore, client_region: str, cache_capacity_bytes: int,
-                 chunks_per_object: int, eviction, clock: Callable[[], float] | None,
+                 chunks_per_object: int, eviction: EvictionPolicy,
+                 clock: Callable[[], float] | None,
                  config: ClientConfig | None) -> None:
         super().__init__(store, client_region, config)
         data_chunks = store.params.data_chunks
